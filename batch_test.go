@@ -135,3 +135,69 @@ func TestObserveBatchValidation(t *testing.T) {
 		t.Fatalf("robust failed batch must be all-or-nothing, Len = %d", robust.Len())
 	}
 }
+
+// TestShortRowRejectedByEveryMechanism pins the row-shape contract at the
+// adapter boundary for every registered mechanism: a covariate shorter than
+// the constraint's dimension is an error on every ingest entry point, never a
+// panic, and it consumes nothing — the stream's length is unchanged and the
+// next well-formed row lands as row 1.
+func TestShortRowRejectedByEveryMechanism(t *testing.T) {
+	const d = 4
+	short, y := []float64{0.5, 0.1}, []float64{0.1}
+	for _, name := range Mechanisms() {
+		t.Run(name, func(t *testing.T) {
+			info, err := Describe(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := []Option{WithEpsilonDelta(1, 1e-6), WithHorizon(16), WithConstraint(L2Constraint(d, 1)), WithSeed(3)}
+			if info.NeedsDomain {
+				opts = append(opts, WithDomain(UnitBallDomain(d)))
+			}
+			if info.NeedsOracle {
+				opts = append(opts, WithDomainOracle(func([]float64) bool { return true }))
+			}
+			est, err := New(name, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool, err := NewPool(name, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			me := est.(MultiEstimator)
+			entries := []struct {
+				name string
+				call func() error
+			}{
+				{"Observe", func() error { return est.Observe(short, y[0]) }},
+				{"ObserveBatch", func() error { return est.ObserveBatch([][]float64{short}, y) }},
+				{"ObserveFlat", func() error { return est.(FlatObserver).ObserveFlat(len(short), short, y) }},
+				{"ObserveMultiFlat", func() error { return me.ObserveMultiFlat(len(short), short, y) }},
+				{"Pool.ObserveFlat", func() error { return pool.ObserveFlat("s", len(short), short, y) }},
+			}
+			for _, e := range entries {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("%s panicked on a short row: %v", e.name, r)
+						}
+					}()
+					if err := e.call(); err == nil {
+						t.Fatalf("%s accepted a row of dimension %d into a dimension-%d estimator", e.name, len(short), d)
+					}
+				}()
+				if est.Len() != 0 {
+					t.Fatalf("%s consumed a rejected row: Len = %d", e.name, est.Len())
+				}
+				if n, ok := pool.LenOK("s"); n != 0 || ok {
+					t.Fatalf("%s left pool stream at (%d, %v), want (0, false)", e.name, n, ok)
+				}
+			}
+			x, _ := syntheticPoint(0, d)
+			if err := est.Observe(x, y[0]); err != nil || est.Len() != 1 {
+				t.Fatalf("well-formed row after rejections: err=%v Len=%d", err, est.Len())
+			}
+		})
+	}
+}

@@ -17,12 +17,11 @@ import (
 // The benchmarks below come in two groups.
 //
 // The first group regenerates the paper's evaluation artifacts — one benchmark
-// per Table-1 row, per supporting proposition, and per DESIGN.md ablation — by
-// invoking the experiment harness in quick mode (reduced sweeps). Run
-// `go run ./cmd/privreg-bench -experiment all` for the full sweeps whose
-// numbers EXPERIMENTS.md records; the benchmarks here keep the same workloads
-// wired into `go test -bench=.` so regressions in either correctness or cost
-// are caught.
+// per Table-1 row, per supporting proposition, and per ablation — by invoking
+// the experiment harness in quick mode (reduced sweeps). Run
+// `go run ./cmd/privreg-bench -experiment all` for the full sweeps and their
+// tables; the benchmarks here keep the same workloads wired into
+// `go test -bench=.` so regressions in either correctness or cost are caught.
 //
 // The second group contains micro-benchmarks of the hot paths (Tree Mechanism
 // updates, projections, per-timestep mechanism updates and estimates).
@@ -85,23 +84,23 @@ func BenchmarkRobustMixedDomain(b *testing.B) { runExperiment(b, "E9") }
 func BenchmarkPrivacySanity(b *testing.B) { runExperiment(b, "E10") }
 
 // BenchmarkAblationTreeVsNaiveSum compares the Tree Mechanism against naive
-// per-step private sums (DESIGN.md ablation 1).
+// per-step private sums (ablation A1).
 func BenchmarkAblationTreeVsNaiveSum(b *testing.B) { runExperiment(b, "A1") }
 
 // BenchmarkAblationWarmStart toggles optimizer warm-starting across timesteps
-// (DESIGN.md ablation 2).
+// (ablation A2).
 func BenchmarkAblationWarmStart(b *testing.B) { runExperiment(b, "A2") }
 
 // BenchmarkAblationProjScaling toggles the ‖x‖/‖Φx‖ covariate rescaling of the
-// projected objective (DESIGN.md ablation 3).
+// projected objective (ablation A3).
 func BenchmarkAblationProjScaling(b *testing.B) { runExperiment(b, "A3") }
 
 // BenchmarkAblationTau sweeps the recomputation period τ of the generic
-// transformation (DESIGN.md ablation 4).
+// transformation (ablation A4).
 func BenchmarkAblationTau(b *testing.B) { runExperiment(b, "A4") }
 
 // BenchmarkAblationSketchBackend compares the dense and SRHT sketch backends
-// inside PRIVINCREG2 on identical streams (DESIGN.md ablation 5).
+// inside PRIVINCREG2 on identical streams (ablation A5).
 func BenchmarkAblationSketchBackend(b *testing.B) { runExperiment(b, "A5") }
 
 // --- micro-benchmarks -------------------------------------------------------
@@ -234,10 +233,9 @@ func BenchmarkProjection(b *testing.B) {
 func BenchmarkMechanismObserve(b *testing.B) {
 	for _, d := range []int{16, 64} {
 		b.Run(fmt.Sprintf("reg1/d=%d", d), func(b *testing.B) {
-			est, err := NewGradientRegression(Config{
-				Privacy: Privacy{Epsilon: 1, Delta: 1e-6}, Horizon: 1 << 20,
-				Constraint: L2Constraint(d, 1), Seed: 3, UnknownHorizon: true,
-			})
+			est, err := New("gradient",
+				WithEpsilonDelta(1, 1e-6), WithHorizon(1<<20),
+				WithConstraint(L2Constraint(d, 1)), WithSeed(3), WithUnknownHorizon())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -252,11 +250,10 @@ func BenchmarkMechanismObserve(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("reg2/d=%d", d), func(b *testing.B) {
-			est, err := NewProjectedRegression(Config{
-				Privacy: Privacy{Epsilon: 1, Delta: 1e-6}, Horizon: 1 << 20,
-				Constraint: L1Constraint(d, 1), Domain: SparseDomain(d, 3),
-				Seed: 4, UnknownHorizon: true,
-			})
+			est, err := New("projected",
+				WithEpsilonDelta(1, 1e-6), WithHorizon(1<<20),
+				WithConstraint(L1Constraint(d, 1)), WithDomain(SparseDomain(d, 3)),
+				WithSeed(4), WithUnknownHorizon())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -279,18 +276,14 @@ func BenchmarkMechanismObserve(b *testing.B) {
 func BenchmarkMechanismEstimate(b *testing.B) {
 	d := 32
 	build := func(projected bool) Estimator {
-		cfg := Config{
-			Privacy: Privacy{Epsilon: 1, Delta: 1e-6}, Horizon: 256,
-			Constraint: L1Constraint(d, 1), Domain: SparseDomain(d, 3),
-			Seed: 5, MaxIterations: 100,
-		}
-		var est Estimator
-		var err error
+		mech := "gradient"
 		if projected {
-			est, err = NewProjectedRegression(cfg)
-		} else {
-			est, err = NewGradientRegression(cfg)
+			mech = "projected"
 		}
+		est, err := New(mech,
+			WithEpsilonDelta(1, 1e-6), WithHorizon(256),
+			WithConstraint(L1Constraint(d, 1)), WithDomain(SparseDomain(d, 3)),
+			WithSeed(5), WithMaxIterations(100))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -403,10 +396,11 @@ func BenchmarkPoolFaultIn(b *testing.B) {
 	}
 	x := make([]float64, d)
 	x[0] = 0.5
+	y := []float64{0.3}
 	seed := func(p *Pool) {
 		for _, id := range []string{"a", "b"} {
 			for i := 0; i < 64; i++ {
-				if err := p.Observe(id, x, 0.3); err != nil {
+				if err := p.ObserveFlat(id, d, x, y); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -422,7 +416,7 @@ func BenchmarkPoolFaultIn(b *testing.B) {
 			if i%2 == 1 {
 				id = "b"
 			}
-			if err := p.Observe(id, x, 0.3); err != nil {
+			if err := p.ObserveFlat(id, d, x, y); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -438,7 +432,7 @@ func BenchmarkPoolFaultIn(b *testing.B) {
 			if i%2 == 1 {
 				id = "b"
 			}
-			if err := p.Observe(id, x, 0.3); err != nil {
+			if err := p.ObserveFlat(id, d, x, y); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -470,7 +464,7 @@ func BenchmarkPoolIncrementalCheckpoint(b *testing.B) {
 		for s := 0; s < n; s++ {
 			id := fmt.Sprintf("bench-%03d", s)
 			for i := 0; i < 16; i++ {
-				if err := p.Observe(id, x, 0.3); err != nil {
+				if err := observe(p, id, x, 0.3); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -488,7 +482,7 @@ func BenchmarkPoolIncrementalCheckpoint(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				for s := 0; s < dirty; s++ {
-					if err := p.Observe(fmt.Sprintf("bench-%03d", s), x, 0.3); err != nil {
+					if err := observe(p, fmt.Sprintf("bench-%03d", s), x, 0.3); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -176,7 +176,7 @@ func runClusterProbe(quick bool, seed int64) (*clusterResult, error) {
 				owner = nodes[i].srv
 			}
 		}
-		if n := owner.Pool().Len(id); n != perStream {
+		if n, _ := owner.Pool().LenOK(id); n != perStream {
 			return nil, fmt.Errorf("stream %s holds %d points on its owner after the run, want %d", id, n, perStream)
 		}
 	}

@@ -156,7 +156,7 @@ func edgePhase(proto string, srv *server.Server, httpAddr, wireAddr string, perS
 
 	for s := 0; s < edgeStreams; s++ {
 		id := fmt.Sprintf("edge-%s-%d", proto, s)
-		if n := srv.Pool().Len(id); n != perStream {
+		if n, _ := srv.Pool().LenOK(id); n != perStream {
 			return 0, fmt.Errorf("stream %s holds %d points after the run, want %d", id, n, perStream)
 		}
 	}

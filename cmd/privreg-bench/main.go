@@ -1,7 +1,7 @@
 // Command privreg-bench runs the reproduction experiments of the paper
 // "Private Incremental Regression" (Kasiviswanathan, Nissim, Jin — PODS 2017)
-// and prints the measured tables, scaling-exponent fits, and qualitative notes
-// that EXPERIMENTS.md records.
+// and prints the measured tables, scaling-exponent fits, and qualitative notes:
+// the paper-versus-measured record (-json for a machine-readable report).
 //
 // Usage:
 //

@@ -306,16 +306,8 @@ func run() int {
 	}
 	for i, id := range ids {
 		for j := 0; j < tos[i]; j++ {
-			if k > 1 {
-				x, ys := server.SyntheticPointMulti(id, j, spec.Dim, k)
-				if err := shadow.ObserveMultiFlat(id, spec.Dim, x, ys); err != nil {
-					fmt.Fprintf(os.Stderr, "error: shadow %s point %d: %v\n", id, j, err)
-					return 1
-				}
-				continue
-			}
-			x, y := server.SyntheticPoint(id, j, spec.Dim)
-			if err := shadow.Observe(id, x, y); err != nil {
+			x, ys := server.SyntheticPointMulti(id, j, spec.Dim, k)
+			if err := shadow.ObserveMultiFlat(id, spec.Dim, x, ys); err != nil {
 				fmt.Fprintf(os.Stderr, "error: shadow %s point %d: %v\n", id, j, err)
 				return 1
 			}
@@ -472,15 +464,9 @@ func sendBatchWire(wc *wire.Client, id string, dim, k, lo, hi int) (int, int, er
 	xs := make([]float64, 0, (hi-lo)*dim)
 	ys := make([]float64, 0, (hi-lo)*k)
 	for j := lo; j < hi; j++ {
-		if k > 1 {
-			x, yrow := server.SyntheticPointMulti(id, j, dim, k)
-			xs = append(xs, x...)
-			ys = append(ys, yrow...)
-			continue
-		}
-		x, y := server.SyntheticPoint(id, j, dim)
+		x, yrow := server.SyntheticPointMulti(id, j, dim, k)
 		xs = append(xs, x...)
-		ys = append(ys, y)
+		ys = append(ys, yrow...)
 	}
 	retries := 0
 	for {

@@ -61,16 +61,19 @@
 //
 // The package is engineered for long-running services (see docs/SERVING.md):
 //
-//   - ObserveBatch ingests contiguous batches with up-front all-or-nothing
-//     validation and amortized continual-sum aggregation, bit-identical to a
+//   - Every ingest method is a shape adapter onto one flat row batch
+//     (row-major covariates, k responses per row): batches are validated up
+//     front, all-or-nothing (a row of the wrong dimension is an error, never
+//     a panic), and aggregate the continual sums once, bit-identical to a
 //     scalar Observe loop.
 //   - Every estimator checkpoints via MarshalBinary/UnmarshalBinary: restore
 //     into an identically configured instance and the continuation is
 //     bit-identical to an uninterrupted run — restarts are invisible in the
 //     published sequence.
 //   - Pool manages one estimator per stream ID with sharded locking, lazy
-//     stream creation, per-stream derived seeds, Stats snapshots, and
-//     whole-pool Checkpoint/Restore.
+//     stream creation, per-stream derived seeds, flat-row ingest
+//     (ObserveMultiFlat, and ObserveFlat for one outcome), Stats snapshots,
+//     and whole-pool Checkpoint/Restore.
 //
 // # Performance
 //
@@ -84,6 +87,6 @@
 // Non-private and naive-private baselines, constraint-set geometry (L1/L2/Lp
 // balls, simplex, polytopes, group-L1 balls, sparse domains), synthetic stream
 // generators, and a full benchmark harness reproducing the shape of every
-// bound in the paper are included. See README.md for a tour and
-// EXPERIMENTS.md for the paper-versus-measured record.
+// bound in the paper are included: `privreg-bench -experiment all` prints the
+// paper-versus-measured tables.
 package privreg

@@ -51,9 +51,11 @@ func ExampleNewPool() {
 		fmt.Println("error:", err)
 		return
 	}
+	// Rows arrive flat: covariates row-major (rows×dim), one response per row.
+	x, y := []float64{0.4, 0, 0.1, 0}, []float64{0.2}
 	for i := 0; i < 6; i++ {
 		id := fmt.Sprintf("user-%d", i%2)
-		if err := pool.Observe(id, []float64{0.4, 0, 0.1, 0}, 0.2); err != nil {
+		if err := pool.ObserveFlat(id, len(x), x, y); err != nil {
 			fmt.Println("error:", err)
 			return
 		}
@@ -88,17 +90,17 @@ func ExampleNewPool() {
 	// restored streams: 2
 }
 
-// ExampleNewGradientRegression demonstrates the streaming workflow: observe
-// points one at a time and read a differentially private estimate whenever one
-// is needed.
-func ExampleNewGradientRegression() {
+// ExampleNew_gradient demonstrates the streaming workflow: observe points one
+// at a time and read a differentially private estimate whenever one is
+// needed.
+func ExampleNew_gradient() {
 	cons := privreg.L2Constraint(4, 1.0)
-	est, err := privreg.NewGradientRegression(privreg.Config{
-		Privacy:    privreg.Privacy{Epsilon: 1, Delta: 1e-6},
-		Horizon:    64,
-		Constraint: cons,
-		Seed:       1,
-	})
+	est, err := privreg.New("gradient",
+		privreg.WithEpsilonDelta(1, 1e-6),
+		privreg.WithHorizon(64),
+		privreg.WithConstraint(cons),
+		privreg.WithSeed(1),
+	)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -125,19 +127,18 @@ func ExampleNewGradientRegression() {
 	// estimate feasible: true
 }
 
-// ExampleNewProjectedRegression shows the width-driven mechanism for a
+// ExampleNew_projected shows the width-driven mechanism for a
 // high-dimensional sparse problem with a Lasso constraint.
-func ExampleNewProjectedRegression() {
+func ExampleNew_projected() {
 	d := 256
 	cons := privreg.L1Constraint(d, 1.0)
-	domain := privreg.SparseDomain(d, 3)
-	est, err := privreg.NewProjectedRegression(privreg.Config{
-		Privacy:    privreg.Privacy{Epsilon: 1, Delta: 1e-6},
-		Horizon:    32,
-		Constraint: cons,
-		Domain:     domain,
-		Seed:       2,
-	})
+	est, err := privreg.New("projected",
+		privreg.WithEpsilonDelta(1, 1e-6),
+		privreg.WithHorizon(32),
+		privreg.WithConstraint(cons),
+		privreg.WithDomain(privreg.SparseDomain(d, 3)),
+		privreg.WithSeed(2),
+	)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

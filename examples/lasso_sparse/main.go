@@ -38,22 +38,17 @@ func main() {
 	fmt.Printf("Gaussian widths: w(C)=%.2f (L1 ball), w(X)=%.2f (sparse), √d=%.2f\n\n",
 		cons.GaussianWidth(), domain.GaussianWidth(), math.Sqrt(float64(dim)))
 
-	projected, err := privreg.NewProjectedRegression(privreg.Config{
-		Privacy:    privreg.Privacy{Epsilon: epsilon, Delta: delta},
-		Horizon:    horizon,
-		Constraint: cons,
-		Domain:     domain,
-		Seed:       7,
-	})
+	base := []privreg.Option{
+		privreg.WithEpsilonDelta(epsilon, delta),
+		privreg.WithHorizon(horizon),
+		privreg.WithConstraint(cons),
+		privreg.WithSeed(7),
+	}
+	projected, err := privreg.New("projected", append(base, privreg.WithDomain(domain))...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	gradient, err := privreg.NewGradientRegression(privreg.Config{
-		Privacy:    privreg.Privacy{Epsilon: epsilon, Delta: delta},
-		Horizon:    horizon,
-		Constraint: cons,
-		Seed:       7,
-	})
+	gradient, err := privreg.New("gradient", base...)
 	if err != nil {
 		log.Fatal(err)
 	}

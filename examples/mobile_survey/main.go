@@ -37,23 +37,23 @@ const (
 
 func main() {
 	cons := privreg.L2Constraint(dim, 1.0)
-	base := privreg.Config{
-		Privacy:    privreg.Privacy{Epsilon: epsilon, Delta: delta},
-		Horizon:    horizon,
-		Constraint: cons,
-		Seed:       19,
-		WarmStart:  true,
+	base := []privreg.Option{
+		privreg.WithEpsilonDelta(epsilon, delta),
+		privreg.WithHorizon(horizon),
+		privreg.WithConstraint(cons),
+		privreg.WithSeed(19),
+		privreg.WithWarmStart(true),
 	}
 
-	gradient, err := privreg.NewGradientRegression(base)
+	gradient, err := privreg.New("gradient", base...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	generic, err := privreg.NewGenericERM(base, privreg.SquaredLoss)
+	generic, err := privreg.New("generic-erm", append(base, privreg.WithLoss(privreg.SquaredLoss))...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	exact, err := privreg.NewNonPrivateBaseline(privreg.Config{Horizon: horizon, Constraint: cons})
+	exact, err := privreg.New("nonprivate", privreg.WithHorizon(horizon), privreg.WithConstraint(cons))
 	if err != nil {
 		log.Fatal(err)
 	}

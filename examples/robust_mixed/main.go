@@ -46,18 +46,18 @@ func main() {
 		return nz <= 2*sparsity
 	}
 
-	cfg := privreg.Config{
-		Privacy:    privreg.Privacy{Epsilon: epsilon, Delta: delta},
-		Horizon:    horizon,
-		Constraint: cons,
-		Domain:     domain,
-		Seed:       29,
+	base := []privreg.Option{
+		privreg.WithEpsilonDelta(epsilon, delta),
+		privreg.WithHorizon(horizon),
+		privreg.WithConstraint(cons),
+		privreg.WithDomain(domain),
+		privreg.WithSeed(29),
 	}
-	robust, err := privreg.NewRobustProjectedRegression(cfg, oracle)
+	robust, err := privreg.New("robust-projected", append(base, privreg.WithDomainOracle(oracle))...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	plain, err := privreg.NewProjectedRegression(cfg)
+	plain, err := privreg.New("projected", base...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestPoolObserveFlat(t *testing.T) {
 		xs[i], ys[i] = syntheticPoint(i, 4)
 		flatBuf = append(flatBuf, xs[i]...)
 	}
-	if err := a.ObserveBatch("s", xs, ys); err != nil {
+	if err := observeBatch(a, "s", xs, ys); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.ObserveFlat("s", 4, flatBuf, ys); err != nil {

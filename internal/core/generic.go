@@ -365,7 +365,7 @@ func (r *pointRing) bytes() int { return pointsBytes(r.slots) }
 
 // ExcessRiskBoundConvex returns the leading term of the Theorem 3.1 part 1
 // excess-risk bound (Td)^{1/3}·L‖C‖·log^{5/2}(1/δ)/ε^{2/3}, capped at the
-// trivial bound T·L‖C‖. It is used in EXPERIMENTS.md to annotate the predicted
+// trivial bound T·L‖C‖. The experiments use it to annotate the predicted
 // versus measured shapes.
 func ExcessRiskBoundConvex(horizon, dim int, lipschitz, diameter float64, p dp.Params) float64 {
 	trivial := float64(horizon) * lipschitz * diameter

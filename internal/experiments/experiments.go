@@ -1,10 +1,9 @@
 // Package experiments defines the reproduction experiments of the benchmark
 // harness: one experiment per row of Table 1 of the paper plus the supporting
 // propositions (Tree Mechanism error, noisy projected gradient convergence,
-// Gordon embedding / lifting) and the ablations listed in DESIGN.md. Each
-// experiment produces a plain-text table and, where meaningful, scaling-
-// exponent fits that are compared against the paper's predicted exponents in
-// EXPERIMENTS.md.
+// Gordon embedding / lifting) and the ablations A1–A5. Each experiment produces
+// a plain-text table and, where meaningful, scaling-exponent fits printed next
+// to the paper's predicted exponents.
 //
 // The experiments are exercised three ways: by cmd/privreg-bench (full sweeps),
 // by the top-level testing.B benchmarks in bench_test.go (reduced "quick"

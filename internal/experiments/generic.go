@@ -245,7 +245,7 @@ func NaiveVsGeneric(opts Options) (*Result, error) {
 }
 
 // AblationTau sweeps the recomputation period τ of the generic transformation
-// around the theory-optimal value (DESIGN.md ablation 4).
+// around the theory-optimal value (ablation A4).
 func AblationTau(opts Options) (*Result, error) {
 	opts.fill()
 	horizon, d := 128, 8

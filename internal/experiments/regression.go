@@ -348,7 +348,7 @@ func RobustMixedDomain(opts Options) (*Result, error) {
 }
 
 // AblationWarmStart compares restarting the per-timestep optimizer from scratch
-// against warm-starting from the previous estimate (DESIGN.md ablation 2).
+// against warm-starting from the previous estimate (ablation A2).
 func AblationWarmStart(opts Options) (*Result, error) {
 	opts.fill()
 	d, horizon := 16, 128
@@ -402,7 +402,7 @@ func AblationWarmStart(opts Options) (*Result, error) {
 }
 
 // AblationProjScaling toggles the ‖x‖/‖Φx‖ covariate rescaling of Algorithm 3
-// (footnote 15) on and off (DESIGN.md ablation 3).
+// (footnote 15) on and off (ablation A3).
 func AblationProjScaling(opts Options) (*Result, error) {
 	opts.fill()
 	d, sparsity, horizon := 64, 3, 96

@@ -353,7 +353,7 @@ func PrivacySanity(opts Options) (*Result, error) {
 
 // AblationTreeVsNaiveSum compares the Tree Mechanism against perturbing the
 // running sum independently at every step under the same total privacy budget
-// (DESIGN.md ablation 1).
+// (ablation A1).
 func AblationTreeVsNaiveSum(opts Options) (*Result, error) {
 	opts.fill()
 	horizons := []int{64, 256, 1024}

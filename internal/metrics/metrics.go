@@ -1,8 +1,8 @@
 // Package metrics provides the evaluation tooling of the benchmark harness:
 // excess empirical-risk computation against exact minimizers, per-timestep risk
 // curves, aggregation over repeated trials, log–log scaling-exponent fits used
-// to check the *shape* of the paper's bounds, and plain-text table rendering
-// that matches the rows reported in EXPERIMENTS.md.
+// to check the *shape* of the paper's bounds, and the plain-text table
+// rendering privreg-bench prints.
 package metrics
 
 import (

@@ -24,7 +24,7 @@ func TestApplyRateEWMA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := newIngester(pool, 64, newMetrics())
+	in := newIngester(pool, 4, 64, newMetrics())
 
 	// First call only records the timestamp (no interval to measure yet).
 	in.noteApplied(100)
@@ -71,10 +71,9 @@ func jamStream(t *testing.T, s *Server, id string, points int) *streamQueue {
 	s.ing.queues[id] = q
 	s.ing.mu.Unlock()
 	x0, y0 := point(0, 4)
-	xs := make([][]float64, points)
-	ys := make([]float64, points)
-	for i := range xs {
-		xs[i], ys[i] = x0, y0
+	var xs, ys []float64
+	for i := 0; i < points; i++ {
+		xs, ys = append(xs, x0...), append(ys, y0)
 	}
 	go func() { _, _ = s.ing.enqueue(id, xs, ys, -1) }()
 	deadline := time.Now().Add(5 * time.Second)

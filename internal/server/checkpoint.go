@@ -1,10 +1,7 @@
 package server
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -13,15 +10,10 @@ import (
 	"privreg/internal/store"
 )
 
-// legacyCheckpointFile is the pre-segment monolithic pool checkpoint (one
-// blob rewritten whole on every save). Servers that find one — and no
-// manifest — migrate it into the segment store on boot, then remove it.
-const legacyCheckpointFile = "pool.ckpt"
-
 // checkpointer persists the pool to disk. Since the stream-store engine the
 // pool itself owns the durable format — per-stream segment files plus an
 // atomically replaced manifest — and the checkpointer is the policy layer on
-// top: restore/migrate on boot, periodic incremental flushes, an
+// top: restore on boot, periodic incremental flushes, an
 // operator-triggered flush (POST /v1/checkpoint), and the final flush during
 // graceful drain. Each flush rewrites only segments of streams that changed
 // since the last one, so its cost tracks traffic, not total stream count.
@@ -38,43 +30,13 @@ type checkpointer struct {
 
 func (c *checkpointer) path() string { return filepath.Join(c.dir, store.ManifestFile) }
 
-// restore completes boot-time recovery. The pool already opened the manifest
-// (streams register lazily; nothing deserializes until first access), so the
-// usual path only has to report the stream count. The legacy path migrates a
-// monolithic pool.ckpt left by an older server: restore it into the pool,
-// flush it into segments + manifest, and remove the old blob. An unreadable
-// checkpoint in either format is an error — refusing to serve beats silently
-// restarting every stream's budget from zero.
-func (c *checkpointer) restore() (int, error) {
-	legacy := filepath.Join(c.dir, legacyCheckpointFile)
-	if _, err := os.Stat(c.path()); errors.Is(err, fs.ErrNotExist) {
-		data, err := os.ReadFile(legacy)
-		if errors.Is(err, fs.ErrNotExist) {
-			// Clean first boot: no manifest, no legacy blob.
-			n := c.pool.Stats().Streams
-			c.met.setRestoredStreams(n)
-			return n, nil
-		}
-		if err != nil {
-			return 0, fmt.Errorf("server: reading legacy checkpoint: %w", err)
-		}
-		if err := c.pool.Restore(data); err != nil {
-			return 0, fmt.Errorf("server: restoring legacy checkpoint %s: %w", legacy, err)
-		}
-		if _, _, err := c.save(); err != nil {
-			return 0, fmt.Errorf("server: migrating legacy checkpoint to segments: %w", err)
-		}
-		if err := os.Remove(legacy); err != nil {
-			c.logf("legacy checkpoint %s migrated but not removable: %v", legacy, err)
-		} else {
-			c.logf("migrated legacy checkpoint %s into segment store", legacy)
-		}
-	} else if _, err := os.Stat(legacy); err == nil {
-		c.logf("ignoring stale legacy checkpoint %s (manifest %s is authoritative)", legacy, c.path())
-	}
+// restore completes boot-time recovery. The pool already opened the
+// manifest (streams register lazily; nothing deserializes until first
+// access), so restore only has to report the stream count.
+func (c *checkpointer) restore() int {
 	n := c.pool.Stats().Streams
 	c.met.setRestoredStreams(n)
-	return n, nil
+	return n
 }
 
 // save writes one incremental checkpoint: dirty streams' segments (fsynced),

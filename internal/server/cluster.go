@@ -422,13 +422,13 @@ func (cs *clusterState) forwardEstimate(owner cluster.Node, id string, outcome i
 	return est, length, err
 }
 
-// routeObserve decides an HTTP observe: returns true when it wrote the
-// response (gated by an import window, or forwarded to the owner); false
-// means the caller serves locally. The import gate fires before anything
-// else — including for requests this node would own — because while segments
-// are arriving, serving locally could touch a stream the import is about to
-// replace.
-func (cs *clusterState) routeObserve(w http.ResponseWriter, id string, xs [][]float64, ys []float64, from int64) bool {
+// routeObserve decides an HTTP observe of a flat row batch: returns true
+// when it wrote the response (gated by an import window, or forwarded to the
+// owner); false means the caller serves locally. The import gate fires
+// before anything else — including for requests this node would own —
+// because while segments are arriving, serving locally could touch a stream
+// the import is about to replace.
+func (cs *clusterState) routeObserve(w http.ResponseWriter, id string, xs, ys []float64, from int64) bool {
 	if cs.importing.Load() > 0 {
 		writeVerdict(w, errImporting)
 		return true
@@ -437,31 +437,7 @@ func (cs *clusterState) routeObserve(w http.ResponseWriter, id string, xs [][]fl
 	if owner.ID == cs.self.ID {
 		return false
 	}
-	flat := make([]float64, 0, len(xs)*cs.s.spec.Dim)
-	for _, x := range xs {
-		flat = append(flat, x...)
-	}
-	applied, length, err := cs.forwardObserve(owner, id, from, flat, ys)
-	if err != nil {
-		cs.writeForwardErr(w, err)
-		return true
-	}
-	writeJSON(w, http.StatusOK, observeResponse{Applied: applied, Len: length})
-	return true
-}
-
-// routeObserveFlat is routeObserve for rows already flattened row-major (the
-// multi-outcome HTTP path): ys carries the pool's outcome count per row.
-func (cs *clusterState) routeObserveFlat(w http.ResponseWriter, id string, flatXs, ys []float64, from int64) bool {
-	if cs.importing.Load() > 0 {
-		writeVerdict(w, errImporting)
-		return true
-	}
-	owner := cs.ring.Load().Owner(id)
-	if owner.ID == cs.self.ID {
-		return false
-	}
-	applied, length, err := cs.forwardObserve(owner, id, from, flatXs, ys)
+	applied, length, err := cs.forwardObserve(owner, id, from, xs, ys)
 	if err != nil {
 		cs.writeForwardErr(w, err)
 		return true
@@ -671,22 +647,13 @@ func (cs *clusterState) replicateBatch(id string, start int64, r *ingestReq) {
 	if ring.Len() < 2 || ring.Replicas() < 2 || ring.Owner(id).ID != cs.self.ID {
 		return
 	}
-	var flat []float64
-	if r.dim > 0 {
-		flat = r.flatXs
-	} else {
-		flat = make([]float64, 0, r.rows()*cs.s.spec.Dim)
-		for i := 0; i < r.rows(); i++ {
-			flat = append(flat, r.row(i)...)
-		}
-	}
 	succ := ring.Successors(id, ring.Replicas())
 	for _, peer := range succ[1:] {
 		if cs.mem != nil && !cs.mem.reachable(peer.ID) {
 			continue
 		}
 		err := cs.withPeer(peer, func(c *wire.Client) error {
-			return c.Replicate(id, uint64(start), ring.Version(), flat, r.ys)
+			return c.Replicate(id, uint64(start), ring.Version(), r.xs, r.ys)
 		})
 		if err != nil {
 			cs.s.met.addReplicationError()
@@ -1184,7 +1151,7 @@ func (cs *clusterState) replicateOnce() {
 			cs.repMu.Lock()
 			last, seen := cs.replicated[key]
 			cs.repMu.Unlock()
-			if seen && last == int64(cs.s.pool.Len(id)) {
+			if n, _ := cs.s.pool.LenOK(id); seen && last == int64(n) {
 				continue
 			}
 			if exported < 0 {

@@ -115,7 +115,7 @@ func feedVia(t *testing.T, url string, shadow *privreg.Pool, ids []string, from,
 			if code != http.StatusOK {
 				t.Fatalf("observe %s via %s: code=%d body=%s", id, url, code, raw)
 			}
-			if err := shadow.Observe(id, x, y); err != nil {
+			if err := shadowObserve(shadow, id, x, y); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -195,7 +195,7 @@ func TestClusterWireForwarding(t *testing.T) {
 			if err != nil || applied != 1 || length != i+1 {
 				t.Fatalf("wire observe %s round %d: applied=%d len=%d err=%v", id, i, applied, length, err)
 			}
-			if err := shadow.Observe(id, x, y); err != nil {
+			if err := shadowObserve(shadow, id, x, y); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -263,7 +263,8 @@ func TestClusterJoinHandoff(t *testing.T) {
 	for _, id := range ids {
 		if ring.Owner(id).ID == "gamma" {
 			moved++
-			if got, want := joiner.s.pool.Len(id), shadow.Len(id); got != want {
+			got, _ := joiner.s.pool.LenOK(id)
+			if want, _ := shadow.LenOK(id); got != want {
 				t.Fatalf("joined stream %s has length %d, want %d", id, got, want)
 			}
 		}
@@ -325,9 +326,9 @@ func TestClusterStandbyReplication(t *testing.T) {
 			t.Fatalf("stream %s has %d successors, want 2", id, len(succ))
 		}
 		standby := byID[succ[1].ID]
-		for standby.s.pool.Len(id) != 4 {
+		for n, _ := standby.s.pool.LenOK(id); n != 4; n, _ = standby.s.pool.LenOK(id) {
 			if time.Now().After(deadline) {
-				t.Fatalf("standby %s never received stream %s (len=%d)", succ[1].ID, id, standby.s.pool.Len(id))
+				t.Fatalf("standby %s never received stream %s (len=%d)", succ[1].ID, id, n)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}

@@ -15,7 +15,7 @@ func feedShadow(t *testing.T, shadow *privreg.Pool, streams []string, upto, dim 
 	for _, id := range streams {
 		for j := 0; j < upto; j++ {
 			x, y := SyntheticPoint(id, j, dim)
-			if err := shadow.Observe(id, x, y); err != nil {
+			if err := shadowObserve(shadow, id, x, y); err != nil {
 				t.Fatalf("shadow %s point %d: %v", id, j, err)
 			}
 		}
@@ -153,7 +153,7 @@ func TestE2EHTTPBitIdenticalWithRestart(t *testing.T) {
 	for _, id := range streams {
 		for j := phase1; j < total; j++ {
 			x, y := SyntheticPoint(id, j, spec.Dim)
-			if err := shadow.Observe(id, x, y); err != nil {
+			if err := shadowObserve(shadow, id, x, y); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -26,15 +26,10 @@ type errorDetail struct {
 	RetryAfterS int `json:"retry_after_s,omitempty"`
 }
 
-// errorBody is the JSON error envelope: the structured error object plus a
-// deprecated flat copy of the message under "message".
-//
-// Deprecated shape note: before the envelope, errors were {"error":"text"}.
-// Clients still scraping a flat string should read "message"; it will be
-// dropped one release after the envelope shipped.
+// errorBody is the JSON error envelope: {"error": {code, message,
+// retry_after_s}}.
 type errorBody struct {
-	Error   errorDetail `json:"error"`
-	Message string      `json:"message"`
+	Error errorDetail `json:"error"`
 }
 
 // verdict is one classified rejection: the shared code, the HTTP status it
@@ -100,8 +95,7 @@ func writeVerdict(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", strconv.Itoa(v.retryAfter))
 	}
 	writeJSON(w, v.status, errorBody{
-		Error:   errorDetail{Code: v.code.Code(), Message: err.Error(), RetryAfterS: v.retryAfter},
-		Message: err.Error(),
+		Error: errorDetail{Code: v.code.Code(), Message: err.Error(), RetryAfterS: v.retryAfter},
 	})
 }
 
@@ -136,7 +130,6 @@ func statusCode(status int) string {
 // verdict use writeVerdict instead.
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorBody{
-		Error:   errorDetail{Code: statusCode(code), Message: err.Error()},
-		Message: err.Error(),
+		Error: errorDetail{Code: statusCode(code), Message: err.Error()},
 	})
 }

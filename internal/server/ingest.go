@@ -118,22 +118,17 @@ func (in *ingester) noteApplied(points int) {
 	in.rateMu.Unlock()
 }
 
-// ingestReq is one observation request waiting in a stream's queue, in one of
-// two layouts: nested rows (the JSON path, xs) or a flat row-major buffer
-// (the wire path, flatXs with dim set), which travels to the pool through
-// ObserveFlat without ever materializing per-row slices. done receives the
+// ingestReq is one observation request waiting in a stream's queue: a flat
+// row batch of rows rows, covariates row-major in xs (rows×d) and responses
+// row-major in ys (rows×k, k the pool's outcome count), which travels to the
+// pool without ever materializing per-row slices. done receives the
 // application result exactly once (buffered so the drainer never blocks on a
 // departed waiter). The queue owner must not recycle the request's buffers
 // until done fires.
 type ingestReq struct {
-	xs     [][]float64
-	ys     []float64 // responses, rows×outcomes values (outcomes ≤ 1 means one per row)
-	flatXs []float64 // row-major rows×dim covariates; used when dim > 0
-	dim    int
-	// outcomes is the response-column count per row of a multi-outcome
-	// request (0 or 1 is the classic single-outcome layout). Multi-outcome
-	// requests are always flat and are applied per request, never merged.
-	outcomes int
+	xs   []float64
+	ys   []float64
+	rows int
 	// from is the expected stream offset for conditional (exactly-once)
 	// ingest, or -1 for unconditional. A conditional request applies only when
 	// the stream's length equals from; a batch whose rows are already fully
@@ -146,22 +141,6 @@ type ingestReq struct {
 	// duplicate (done receives nil, zero points were applied).
 	dup  bool
 	done chan error
-}
-
-// rows is the number of points the request carries in either layout.
-func (r *ingestReq) rows() int {
-	if r.outcomes > 1 {
-		return len(r.ys) / r.outcomes
-	}
-	return len(r.ys)
-}
-
-// row returns a view of covariate row i regardless of layout.
-func (r *ingestReq) row(i int) []float64 {
-	if r.dim > 0 {
-		return r.flatXs[i*r.dim : (i+1)*r.dim : (i+1)*r.dim]
-	}
-	return r.xs[i]
 }
 
 // streamQueue is the pending work of one stream. points counts queued (not
@@ -184,8 +163,8 @@ type streamQueue struct {
 // after the pool accepted it (a 200 means the points are in the private
 // state). Batching happens opportunistically: while one request is being
 // applied, later arrivals for the same stream queue up, and the drainer takes
-// them all in one ObserveBatch — bit-identical to applying them one by one
-// (the Estimator contract), but paying the per-call overhead once.
+// them all in one pool call — bit-identical to applying them one by one (the
+// Estimator contract), but paying the per-call overhead once.
 //
 // Backpressure is per stream: when a stream's queued points would exceed
 // maxPoints the request is rejected with errQueueFull and nothing is
@@ -193,6 +172,7 @@ type streamQueue struct {
 // stream, the ingester queues per stream).
 type ingester struct {
 	pool      *privreg.Pool
+	dim       int // covariate dimension d of every row
 	maxPoints int
 	met       *metrics
 
@@ -227,25 +207,24 @@ type ingester struct {
 	lastApply time.Time
 }
 
-func newIngester(pool *privreg.Pool, maxPoints int, met *metrics) *ingester {
+func newIngester(pool *privreg.Pool, dim, maxPoints int, met *metrics) *ingester {
 	return &ingester{
 		pool:      pool,
+		dim:       dim,
 		maxPoints: maxPoints,
 		met:       met,
 		queues:    make(map[string]*streamQueue),
 	}
 }
 
-// enqueue submits one nested-layout request for the stream and blocks until
-// it has been applied (or rejected). The returned error is the pool's verdict
-// for exactly this request's points. from is the conditional-ingest offset
-// (-1 for unconditional); applied reports how many points actually landed
-// (0 for a duplicate conditional batch).
-func (in *ingester) enqueue(id string, xs [][]float64, ys []float64, from int64) (applied int, err error) {
-	if len(xs) == 0 {
-		return 0, nil
-	}
-	req := &ingestReq{xs: xs, ys: ys, from: from, done: make(chan error, 1)}
+// enqueue submits one flat row batch for the stream — covariates row-major
+// in xs, the pool's outcome count of responses per row in ys — and blocks
+// until it has been applied (or rejected). The returned error is the pool's
+// verdict for exactly this request's points. from is the conditional-ingest
+// offset (-1 for unconditional); applied reports how many rows actually
+// landed (0 for a duplicate conditional batch).
+func (in *ingester) enqueue(id string, xs, ys []float64, from int64) (applied int, err error) {
+	req := &ingestReq{xs: xs, ys: ys, rows: len(xs) / in.dim, from: from, done: make(chan error, 1)}
 	if err := in.submit(id, req); err != nil {
 		return 0, err
 	}
@@ -255,28 +234,7 @@ func (in *ingester) enqueue(id string, xs [][]float64, ys []float64, from int64)
 	if req.dup {
 		return 0, nil
 	}
-	return len(xs), nil
-}
-
-// enqueueFlat is enqueue for a flat multi-outcome request: row-major
-// covariates (rows×dim) with outcomes responses per row. The returned applied
-// count is in rows.
-func (in *ingester) enqueueFlat(id string, dim int, flatXs, ys []float64, outcomes int, from int64) (applied int, err error) {
-	req := &ingestReq{flatXs: flatXs, ys: ys, dim: dim, outcomes: outcomes, from: from, done: make(chan error, 1)}
-	rows := req.rows()
-	if rows == 0 {
-		return 0, nil
-	}
-	if err := in.submit(id, req); err != nil {
-		return 0, err
-	}
-	if err := <-req.done; err != nil {
-		return 0, err
-	}
-	if req.dup {
-		return 0, nil
-	}
-	return rows, nil
+	return req.rows, nil
 }
 
 // submit places a request in the stream's queue without waiting for
@@ -287,7 +245,7 @@ func (in *ingester) enqueueFlat(id string, dim int, flatXs, ys []float64, outcom
 // drain — and enqueue is the blocking wrapper over it. Requests submitted for
 // the same stream are applied in submit order.
 func (in *ingester) submit(id string, req *ingestReq) error {
-	points := req.rows()
+	points := req.rows
 	if points == 0 {
 		req.done <- nil
 		return nil
@@ -350,6 +308,8 @@ func (in *ingester) submit(id string, req *ingestReq) error {
 // request before retirement or sees dead and refetches.
 func (in *ingester) drainQueue(id string, q *streamQueue) {
 	defer in.wg.Done()
+	// merged is the drainer's group-commit buffer, reused across groups.
+	var merged ingestReq
 	for {
 		q.mu.Lock()
 		if len(q.pending) == 0 {
@@ -372,21 +332,19 @@ func (in *ingester) drainQueue(id string, q *streamQueue) {
 		q.pending = nil
 		taken := 0
 		for _, r := range batch {
-			taken += r.rows()
+			taken += r.rows
 		}
 		q.points -= taken
 		q.mu.Unlock()
-		in.apply(id, batch, taken)
+		in.apply(id, batch, taken, &merged)
 	}
 }
 
-// applyOne lands a single request on the pool through the entry point that
-// matches its layout: flat requests go through ObserveFlat (covariates stay
-// in the transport's receive buffer all the way into the estimator), nested
-// requests through ObserveBatch. Conditional requests are resolved against
-// the stream's live length first: apply at the expected offset, acknowledge
-// an already-applied batch as a duplicate, reject everything else as a
-// conflict.
+// applyOne lands a single request on the pool; its covariates stay in the
+// transport's receive buffer all the way into the estimator. Conditional
+// requests are resolved against the stream's live length first: apply at the
+// expected offset, acknowledge an already-applied batch as a duplicate,
+// reject everything else as a conflict.
 func (in *ingester) applyOne(id string, r *ingestReq) error {
 	if r.from >= 0 {
 		n, _ := in.pool.LenOK(id)
@@ -394,7 +352,7 @@ func (in *ingester) applyOne(id string, r *ingestReq) error {
 		switch {
 		case r.from == cur:
 			// Expected offset: fall through and apply.
-		case r.from+int64(r.rows()) <= cur:
+		case r.from+int64(r.rows) <= cur:
 			// The whole batch is already in the stream (a retry of a batch
 			// whose ack was lost): succeed without applying anything.
 			r.dup = true
@@ -403,16 +361,7 @@ func (in *ingester) applyOne(id string, r *ingestReq) error {
 			return &conflictError{want: r.from, have: cur}
 		}
 	}
-	var err error
-	switch {
-	case r.outcomes > 1:
-		err = in.pool.ObserveMultiFlat(id, r.dim, r.flatXs, r.ys)
-	case r.dim > 0:
-		err = in.pool.ObserveFlat(id, r.dim, r.flatXs, r.ys)
-	default:
-		err = in.pool.ObserveBatch(id, r.xs, r.ys)
-	}
-	return err
+	return in.pool.ObserveMultiFlat(id, in.dim, r.xs, r.ys)
 }
 
 // finishOne applies one request (conditional or not), feeds metrics and the
@@ -425,8 +374,8 @@ func (in *ingester) finishOne(id string, r *ingestReq) {
 	}
 	err := in.applyOne(id, r)
 	if err == nil && !r.dup {
-		in.met.addIngested(r.rows(), 1)
-		in.noteApplied(r.rows())
+		in.met.addIngested(r.rows, 1)
+		in.noteApplied(r.rows)
 		if in.applied != nil {
 			in.applied(id, start, r)
 		}
@@ -434,51 +383,46 @@ func (in *ingester) finishOne(id string, r *ingestReq) {
 	r.done <- err
 }
 
-// apply lands a group of queued requests on the pool. The common case merges
-// them into one ObserveBatch — flat requests contribute row views into their
-// buffers, so merging never copies covariate values; if the merged batch is
-// rejected (for example one request would overrun the stream's horizon, which
-// rejects the whole batch), it falls back to applying each request separately
-// so errors attach to the request that caused them and innocent requests
-// still land. A group containing any conditional request is always applied
-// request by request, in order, so every offset is checked against the
-// length the stream actually has when that request's turn comes.
-func (in *ingester) apply(id string, batch []*ingestReq, points int) {
+// apply lands a group of queued requests on the pool. The common case
+// appends their rows into the drainer's merge buffer m and lands them in one
+// pool call; if the merged batch is rejected (for example one request would
+// overrun the stream's horizon, which rejects the whole batch), it falls back
+// to applying each request separately so errors attach to the request that
+// caused them and innocent requests still land. A group containing any
+// conditional request is always applied request by request, in order, so
+// every offset is checked against the length the stream actually has when
+// that request's turn comes.
+func (in *ingester) apply(id string, batch []*ingestReq, points int, m *ingestReq) {
 	if len(batch) == 1 {
 		in.finishOne(id, batch[0])
 		return
 	}
 	conditional := false
 	for _, r := range batch {
-		// Multi-outcome requests apply per request like conditional ones:
-		// the nested merge below has no layout for k response columns.
-		if r.from >= 0 || r.outcomes > 1 {
+		if r.from >= 0 {
 			conditional = true
 			break
 		}
 	}
 	if !conditional {
-		xs := make([][]float64, 0, points)
-		ys := make([]float64, 0, points)
+		m.xs, m.ys = m.xs[:0], m.ys[:0]
 		for _, r := range batch {
-			for i := 0; i < r.rows(); i++ {
-				xs = append(xs, r.row(i))
-			}
-			ys = append(ys, r.ys...)
+			m.xs = append(m.xs, r.xs...)
+			m.ys = append(m.ys, r.ys...)
 		}
 		var start int64
 		if in.applied != nil {
 			n, _ := in.pool.LenOK(id)
 			start = int64(n)
 		}
-		if err := in.pool.ObserveBatch(id, xs, ys); err == nil {
+		if err := in.pool.ObserveMultiFlat(id, in.dim, m.xs, m.ys); err == nil {
 			in.met.addIngested(points, len(batch))
 			in.noteApplied(points)
 			if in.applied != nil {
 				off := start
 				for _, r := range batch {
 					in.applied(id, off, r)
-					off += int64(r.rows())
+					off += int64(r.rows)
 				}
 			}
 			for _, r := range batch {

@@ -48,7 +48,7 @@ type metrics struct {
 	latency  map[string]*histogram
 
 	ingestedPoints   int64
-	appliedBatches   int64 // ObserveBatch calls issued by the ingester
+	appliedBatches   int64 // pool ingest calls issued by the ingester
 	coalescedNonUnit int64 // applied batches that merged >1 queued request
 	rejectedFull     int64 // 429s: per-stream queue bound exceeded
 	rejectedDraining int64 // 503s: ingestion after drain started
@@ -393,7 +393,7 @@ func (m *metrics) writePrometheus(w io.Writer, st privreg.PoolStats) {
 	fmt.Fprintf(w, "# HELP privreg_ingested_points_total Points applied to the pool by the ingester.\n")
 	fmt.Fprintf(w, "# TYPE privreg_ingested_points_total counter\n")
 	fmt.Fprintf(w, "privreg_ingested_points_total %d\n", m.ingestedPoints)
-	fmt.Fprintf(w, "# HELP privreg_applied_batches_total ObserveBatch calls issued by the ingester.\n")
+	fmt.Fprintf(w, "# HELP privreg_applied_batches_total Pool ingest calls issued by the ingester.\n")
 	fmt.Fprintf(w, "# TYPE privreg_applied_batches_total counter\n")
 	fmt.Fprintf(w, "privreg_applied_batches_total %d\n", m.appliedBatches)
 	fmt.Fprintf(w, "# HELP privreg_coalesced_batches_total Applied batches that merged more than one queued request.\n")

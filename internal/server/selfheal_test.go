@@ -131,8 +131,8 @@ func TestErrorCodeParityAcrossTransports(t *testing.T) {
 		if body.Error.Code != code.Code() {
 			t.Errorf("%v: envelope code = %q, want %q", code, body.Error.Code, code.Code())
 		}
-		if body.Message == "" || body.Error.Message == "" {
-			t.Errorf("%v: envelope must carry both the structured and the deprecated flat message", code)
+		if body.Error.Message == "" {
+			t.Errorf("%v: envelope must carry the error message", code)
 		}
 		if rec.Code != nackStatus(code) {
 			t.Errorf("%v: HTTP status = %d, want %d", code, rec.Code, nackStatus(code))

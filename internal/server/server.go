@@ -245,7 +245,7 @@ func New(cfg Config) (*Server, error) {
 		logf:         logf,
 		stopPeriodic: make(chan struct{}),
 	}
-	s.ing = newIngester(pool, maxPoints, s.met)
+	s.ing = newIngester(pool, cfg.Spec.Dim, maxPoints, s.met)
 	if cfg.Cluster != nil {
 		cl, err := newClusterState(s, cfg.Cluster)
 		if err != nil {
@@ -256,11 +256,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.CheckpointDir != "" {
 		s.ckpt = &checkpointer{pool: pool, dir: cfg.CheckpointDir, met: s.met, logf: logf}
-		n, err := s.ckpt.restore()
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
+		if n := s.ckpt.restore(); n > 0 {
 			logf("restored %d streams from %s (lazy: state faults in on first access)", n, s.ckpt.path())
 		}
 		interval := cfg.CheckpointInterval
@@ -472,31 +468,33 @@ type observeResponse struct {
 }
 
 // observeScratch is the pooled per-request scratch of the observe handler:
-// the body-read buffer and the decoded request itself. The request's slices
-// (the batch rows, the row slices inside them, the response vector) are reset
-// to length zero but keep their backing arrays between requests, and
-// encoding/json decodes into existing backing when capacity suffices — so a
-// steady stream of same-shaped batches decodes with no per-row allocation.
-// Safe to recycle after the handler returns because enqueue blocks until the
-// points are applied.
+// the body-read buffer, the decoded request, and the flat row buffers the
+// request is packed into. The request's slices (the batch rows, the row
+// slices inside them, the response vector) are reset to length zero but keep
+// their backing arrays between requests, and encoding/json decodes into
+// existing backing when capacity suffices — so a steady stream of
+// same-shaped batches decodes with no per-row allocation. Safe to recycle
+// after the handler returns because enqueue blocks until the points are
+// applied.
 type observeScratch struct {
 	body bytes.Buffer
 	req  observeRequest
-	xs1  [1][]float64
-	ys1  [1]float64
-	// flatXs/flatYs are the row-major flattened buffers of the multi-outcome
-	// path, which travels through ObserveMultiFlat instead of nested rows.
-	flatXs []float64
-	flatYs []float64
+	// xs and ys are the flat row batch: covariates row-major (rows×d),
+	// responses row-major (rows×k).
+	xs []float64
+	ys []float64
 }
 
 var observeScratchPool = sync.Pool{New: func() any { return new(observeScratch) }}
 
-// decodeObserve validates the request shape eagerly — length and dimension
-// mismatches are caught here, before anything is queued, so a coalesced
-// batch downstream can only fail for per-stream reasons (horizon overrun).
-// The returned slices may reference sc, which the caller releases back to the
-// pool when done.
+// decodeObserve decodes an observe body into one flat row batch: covariates
+// row-major (rows×d) and responses row-major (rows×k, k the pool's outcome
+// count). A single-outcome pool takes {"x","y"} or {"xs","ys"}; a k-outcome
+// pool takes {"x","ys"} (k responses) or {"xs","yss"} (k per row). The shape
+// is validated eagerly — length and dimension mismatches are caught here,
+// before anything is queued, so a coalesced batch downstream can only fail
+// for per-stream reasons (horizon overrun). The returned slices may reference
+// sc, which the caller releases back to the pool when done.
 //
 // Field presence is length-based (a key is "set" when it decoded at least one
 // element), which is what permits slice reuse: an absent key leaves the
@@ -504,7 +502,7 @@ var observeScratchPool = sync.Pool{New: func() any { return new(observeScratch) 
 // absent from empty. The one observable consequence is that an explicitly
 // empty batch ({"xs":[],"ys":[]}) is rejected like a missing body instead of
 // acked as a zero-point success.
-func (s *Server) decodeObserve(sc *observeScratch, r *http.Request) ([][]float64, []float64, int64, error) {
+func (s *Server) decodeObserve(sc *observeScratch, r *http.Request) (xs, ys []float64, from int64, err error) {
 	sc.body.Reset()
 	if _, err := sc.body.ReadFrom(r.Body); err != nil {
 		return nil, nil, -1, fmt.Errorf("server: reading observe body: %w", err)
@@ -521,112 +519,79 @@ func (s *Server) decodeObserve(sc *observeScratch, r *http.Request) ([][]float64
 	if err := dec.Decode(req); err != nil {
 		return nil, nil, -1, fmt.Errorf("server: decoding observe body: %w", err)
 	}
-	from := int64(-1)
+	from = -1
 	if req.From != nil {
 		if *req.From < 0 {
 			return nil, nil, -1, fmt.Errorf(`server: "from" must be a non-negative stream offset, got %d`, *req.From)
 		}
 		from = *req.From
 	}
-	if len(req.Yss) > 0 {
-		return nil, nil, -1, errors.New(`server: "yss" is the multi-outcome batch form; this pool serves a single outcome (use "ys")`)
-	}
-	single := len(req.X) > 0 || req.Y != nil
-	batch := len(req.Xs) > 0 || len(req.Ys) > 0
-	xs, ys := req.Xs, req.Ys
-	switch {
-	case single && batch:
-		return nil, nil, -1, errors.New(`server: observe body must set either {"x","y"} or {"xs","ys"}, not both`)
-	case single:
-		if len(req.X) == 0 || req.Y == nil {
-			return nil, nil, -1, errors.New(`server: single-point observe requires both "x" and "y"`)
+	k, d := s.spec.outcomes(), s.spec.Dim
+	if k == 1 {
+		if len(req.Yss) > 0 {
+			return nil, nil, -1, errors.New(`server: "yss" is the multi-outcome batch form; this pool serves a single outcome (use "ys")`)
 		}
-		sc.xs1[0] = req.X
-		sc.ys1[0] = *req.Y
-		xs, ys = sc.xs1[:], sc.ys1[:]
-	case batch:
-		if len(xs) != len(ys) {
-			return nil, nil, -1, fmt.Errorf("server: batch covariate count %d does not match response count %d", len(xs), len(ys))
+		single := len(req.X) > 0 || req.Y != nil
+		batch := len(req.Xs) > 0 || len(req.Ys) > 0
+		switch {
+		case single && batch:
+			return nil, nil, -1, errors.New(`server: observe body must set either {"x","y"} or {"xs","ys"}, not both`)
+		case single:
+			if len(req.X) == 0 || req.Y == nil {
+				return nil, nil, -1, errors.New(`server: single-point observe requires both "x" and "y"`)
+			}
+			if len(req.X) != d {
+				return nil, nil, -1, fmt.Errorf("server: covariate 0 has dimension %d, pool dimension is %d", len(req.X), d)
+			}
+			sc.ys = append(sc.ys[:0], *req.Y)
+			return req.X, sc.ys, from, nil
+		case !batch:
+			return nil, nil, -1, errors.New(`server: observe body must set {"x","y"} or {"xs","ys"} with at least one point`)
+		case len(req.Xs) != len(req.Ys):
+			return nil, nil, -1, fmt.Errorf("server: batch covariate count %d does not match response count %d", len(req.Xs), len(req.Ys))
 		}
-	default:
-		return nil, nil, -1, errors.New(`server: observe body must set {"x","y"} or {"xs","ys"} with at least one point`)
-	}
-	for i, x := range xs {
-		if len(x) != s.spec.Dim {
-			return nil, nil, -1, fmt.Errorf("server: covariate %d has dimension %d, pool dimension is %d", i, len(x), s.spec.Dim)
+	} else {
+		if req.Y != nil {
+			return nil, nil, -1, fmt.Errorf(`server: this pool serves %d outcomes per row; send the responses as "ys" (single point) or "yss" (batch)`, k)
 		}
-	}
-	return xs, ys, from, nil
-}
-
-// decodeObserveMulti is decodeObserve for a k-outcome pool: a single point is
-// {"x", "ys"} (k responses), a batch is {"xs", "yss"} (k responses per row).
-// Rows are flattened into the scratch's row-major buffers, which feed
-// ObserveMultiFlat — multi-outcome rows are flat end to end.
-func (s *Server) decodeObserveMulti(sc *observeScratch, r *http.Request) (flatXs, ys []float64, from int64, err error) {
-	k := s.spec.outcomes()
-	sc.body.Reset()
-	if _, err := sc.body.ReadFrom(r.Body); err != nil {
-		return nil, nil, -1, fmt.Errorf("server: reading observe body: %w", err)
-	}
-	req := &sc.req
-	req.X = req.X[:0]
-	req.Y = nil
-	req.Xs = req.Xs[:0]
-	req.Ys = req.Ys[:0]
-	req.Yss = req.Yss[:0]
-	req.From = nil
-	dec := json.NewDecoder(bytes.NewReader(sc.body.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		return nil, nil, -1, fmt.Errorf("server: decoding observe body: %w", err)
-	}
-	from = int64(-1)
-	if req.From != nil {
-		if *req.From < 0 {
-			return nil, nil, -1, fmt.Errorf(`server: "from" must be a non-negative stream offset, got %d`, *req.From)
-		}
-		from = *req.From
-	}
-	if req.Y != nil {
-		return nil, nil, -1, fmt.Errorf(`server: this pool serves %d outcomes per row; send the responses as "ys" (single point) or "yss" (batch)`, k)
-	}
-	single := len(req.X) > 0
-	batch := len(req.Xs) > 0 || len(req.Yss) > 0
-	switch {
-	case single && batch:
-		return nil, nil, -1, errors.New(`server: observe body must set either {"x","ys"} or {"xs","yss"}, not both`)
-	case single:
-		if len(req.X) != s.spec.Dim {
-			return nil, nil, -1, fmt.Errorf("server: covariate has dimension %d, pool dimension is %d", len(req.X), s.spec.Dim)
-		}
-		if len(req.Ys) != k {
-			return nil, nil, -1, fmt.Errorf(`server: single-point observe requires "ys" with %d responses, got %d`, k, len(req.Ys))
-		}
-		return req.X, req.Ys, from, nil
-	case batch:
-		if len(req.Ys) > 0 {
+		single := len(req.X) > 0
+		batch := len(req.Xs) > 0 || len(req.Yss) > 0
+		switch {
+		case single && batch:
+			return nil, nil, -1, errors.New(`server: observe body must set either {"x","ys"} or {"xs","yss"}, not both`)
+		case single:
+			if len(req.X) != d {
+				return nil, nil, -1, fmt.Errorf("server: covariate has dimension %d, pool dimension is %d", len(req.X), d)
+			}
+			if len(req.Ys) != k {
+				return nil, nil, -1, fmt.Errorf(`server: single-point observe requires "ys" with %d responses, got %d`, k, len(req.Ys))
+			}
+			return req.X, req.Ys, from, nil
+		case !batch:
+			return nil, nil, -1, errors.New(`server: observe body must set {"x","ys"} or {"xs","yss"} with at least one point`)
+		case len(req.Ys) > 0:
 			return nil, nil, -1, errors.New(`server: multi-outcome batches carry per-row responses in "yss", not "ys"`)
-		}
-		if len(req.Xs) != len(req.Yss) {
+		case len(req.Xs) != len(req.Yss):
 			return nil, nil, -1, fmt.Errorf("server: batch covariate count %d does not match response-row count %d", len(req.Xs), len(req.Yss))
 		}
-		sc.flatXs = sc.flatXs[:0]
-		sc.flatYs = sc.flatYs[:0]
-		for i, x := range req.Xs {
-			if len(x) != s.spec.Dim {
-				return nil, nil, -1, fmt.Errorf("server: covariate %d has dimension %d, pool dimension is %d", i, len(x), s.spec.Dim)
-			}
+	}
+	sc.xs, sc.ys = sc.xs[:0], sc.ys[:0]
+	for i, x := range req.Xs {
+		if len(x) != d {
+			return nil, nil, -1, fmt.Errorf("server: covariate %d has dimension %d, pool dimension is %d", i, len(x), d)
+		}
+		sc.xs = append(sc.xs, x...)
+		if k > 1 {
 			if len(req.Yss[i]) != k {
 				return nil, nil, -1, fmt.Errorf("server: response row %d has %d outcomes, pool serves %d", i, len(req.Yss[i]), k)
 			}
-			sc.flatXs = append(sc.flatXs, x...)
-			sc.flatYs = append(sc.flatYs, req.Yss[i]...)
+			sc.ys = append(sc.ys, req.Yss[i]...)
 		}
-		return sc.flatXs, sc.flatYs, from, nil
-	default:
-		return nil, nil, -1, errors.New(`server: observe body must set {"x","ys"} or {"xs","yss"} with at least one point`)
 	}
+	if k == 1 {
+		return sc.xs, req.Ys, from, nil
+	}
+	return sc.xs, sc.ys, from, nil
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
@@ -637,30 +602,6 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := observeScratchPool.Get().(*observeScratch)
 	defer observeScratchPool.Put(sc)
-	if k := s.spec.outcomes(); k > 1 {
-		flatXs, ys, from, err := s.decodeObserveMulti(sc, r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		rows := len(flatXs) / s.spec.Dim
-		if rows > s.ing.maxPoints {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("server: batch of %d points exceeds the per-stream queue bound %d; split the batch", rows, s.ing.maxPoints))
-			return
-		}
-		if s.cl != nil && s.cl.routeObserveFlat(w, id, flatXs, ys, from) {
-			return
-		}
-		applied, err := s.ing.enqueueFlat(id, s.spec.Dim, flatXs, ys, k, from)
-		if err != nil {
-			writeVerdict(w, err)
-			return
-		}
-		n, _ := s.pool.LenOK(id)
-		writeJSON(w, http.StatusOK, observeResponse{Applied: applied, Len: n})
-		return
-	}
 	xs, ys, from, err := s.decodeObserve(sc, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -668,9 +609,9 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	// A request bigger than the whole queue bound can never be accepted —
 	// that is a permanent 413, not a retryable 429.
-	if len(xs) > s.ing.maxPoints {
+	if rows := len(xs) / s.spec.Dim; rows > s.ing.maxPoints {
 		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("server: batch of %d points exceeds the per-stream queue bound %d; split the batch", len(xs), s.ing.maxPoints))
+			fmt.Errorf("server: batch of %d points exceeds the per-stream queue bound %d; split the batch", rows, s.ing.maxPoints))
 		return
 	}
 	if s.cl != nil && s.cl.routeObserve(w, id, xs, ys, from) {

@@ -94,6 +94,20 @@ func point(i, dim int) ([]float64, float64) {
 	return x, 0.5 * x[i%dim]
 }
 
+// shadowObserve feeds one point to a reference pool through its flat entry.
+func shadowObserve(p *privreg.Pool, id string, x []float64, y float64) error {
+	return p.ObserveFlat(id, len(x), x, []float64{y})
+}
+
+// flatRows packs covariate rows row-major, the ingester's layout.
+func flatRows(xs ...[]float64) []float64 {
+	var flat []float64
+	for _, x := range xs {
+		flat = append(flat, x...)
+	}
+	return flat
+}
+
 func TestObserveEstimateStats(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -218,7 +232,7 @@ func TestIngesterQueueFull429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := newIngester(pool, 2, newMetrics())
+	in := newIngester(pool, 4, 2, newMetrics())
 	q := &streamQueue{active: true} // pretend a drainer owns the queue
 	in.queues["s"] = q
 
@@ -226,7 +240,7 @@ func TestIngesterQueueFull429(t *testing.T) {
 	x0, y0 := point(0, 4)
 	x1, y1 := point(1, 4)
 	go func() {
-		_, err := in.enqueue("s", [][]float64{x0, x1}, []float64{y0, y1}, -1)
+		_, err := in.enqueue("s", flatRows(x0, x1), []float64{y0, y1}, -1)
 		done <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -244,7 +258,7 @@ func TestIngesterQueueFull429(t *testing.T) {
 	}
 
 	x2, y2 := point(2, 4)
-	if _, err := in.enqueue("s", [][]float64{x2}, []float64{y2}, -1); !errors.Is(err, errQueueFull) {
+	if _, err := in.enqueue("s", x2, []float64{y2}, -1); !errors.Is(err, errQueueFull) {
 		t.Fatalf("enqueue on a full queue = %v, want errQueueFull", err)
 	}
 
@@ -254,7 +268,7 @@ func TestIngesterQueueFull429(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("queued request failed after drain: %v", err)
 	}
-	if got := pool.Len("s"); got != 2 {
+	if got, _ := pool.LenOK("s"); got != 2 {
 		t.Fatalf("pool holds %d points, want 2", got)
 	}
 	in.drain()
@@ -517,7 +531,7 @@ func TestRetryAfterDerivedFromBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := newIngester(pool, 64, newMetrics())
+	in := newIngester(pool, 4, 64, newMetrics())
 
 	in.rateMu.Lock()
 	in.applyRate = 100 // points/sec
@@ -589,7 +603,7 @@ func TestRetryAfterHeaderOn429(t *testing.T) {
 	s.ing.mu.Unlock()
 	x0, y0 := point(0, 4)
 	go func() {
-		_, _ = s.ing.enqueue("jam", [][]float64{x0, x0}, []float64{y0, y0}, -1)
+		_, _ = s.ing.enqueue("jam", flatRows(x0, x0), []float64{y0, y0}, -1)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -685,57 +699,6 @@ func TestStoreCapRequiresCheckpointDir(t *testing.T) {
 	}
 }
 
-// TestLegacyCheckpointMigration boots a server over a directory holding only
-// the pre-segment monolithic pool.ckpt: the state must be migrated into the
-// segment store (manifest written, legacy blob removed) with every stream
-// intact.
-func TestLegacyCheckpointMigration(t *testing.T) {
-	dir := t.TempDir()
-	old, err := testSpec().NewPool()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		x, y := point(i, 4)
-		if err := old.Observe("legacy-stream", x, y); err != nil {
-			t.Fatal(err)
-		}
-	}
-	blob, err := old.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, legacyCheckpointFile), blob, 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	s, ts := newTestServer(t, Config{CheckpointDir: dir})
-	var st streamStatsResponse
-	if code, raw := doJSON(t, "GET", ts.URL+"/v1/streams/legacy-stream/stats", nil, &st); code != http.StatusOK || st.Len != 5 {
-		t.Fatalf("migrated stream: code=%d body=%s", code, raw)
-	}
-	want, err := old.Estimate("legacy-stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var est estimateResponse
-	if code, _ := doJSON(t, "GET", ts.URL+"/v1/streams/legacy-stream/estimate", nil, &est); code != http.StatusOK {
-		t.Fatal("estimate failed")
-	}
-	for k := range want {
-		if est.Estimate[k] != want[k] {
-			t.Fatalf("migrated estimate diverges at %d: %v != %v", k, est.Estimate[k], want[k])
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, store.ManifestFile)); err != nil {
-		t.Fatalf("migration wrote no manifest: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, legacyCheckpointFile)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("legacy checkpoint not removed after migration: %v", err)
-	}
-	_ = s
-}
-
 func TestIngestCoalescingUnderConcurrency(t *testing.T) {
 	// Many concurrent single-point observes on the same stream: all must be
 	// acknowledged, the pool must hold exactly the total, and the coalescing
@@ -763,7 +726,7 @@ func TestIngestCoalescingUnderConcurrency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.Pool().Len("hot"); got != writers*perWriter {
+	if got, _ := s.Pool().LenOK("hot"); got != writers*perWriter {
 		t.Fatalf("pool holds %d points, want %d", got, writers*perWriter)
 	}
 }

@@ -421,7 +421,7 @@ func (s *Server) wireObserve(payload []byte) (*wireCompletion, bool) {
 		wireBufPool.Put(bufs)
 		return c, false
 	}
-	req := &ingestReq{flatXs: xs, ys: ys, dim: s.spec.Dim, outcomes: k, from: h.From, done: make(chan error, 1)}
+	req := &ingestReq{xs: xs, ys: ys, rows: h.Rows, from: h.From, done: make(chan error, 1)}
 	if err := s.ing.submit(c.id, req); err != nil {
 		wireBufPool.Put(bufs)
 		c.err = err
@@ -500,7 +500,7 @@ func (s *Server) appendWireResponse(b *wire.Builder, c *wireCompletion, err erro
 		wire.AppendEstimateAck(b, wire.EstimateAck{ReqID: c.reqID, Len: uint64(c.length), Estimate: c.est})
 		return http.StatusOK
 	case err == nil && c.req != nil:
-		applied := c.req.rows()
+		applied := c.req.rows
 		if c.req.dup {
 			applied = 0 // duplicate conditional batch: acked, nothing applied
 		}

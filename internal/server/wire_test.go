@@ -135,7 +135,7 @@ func TestWirePipelinedConcurrentStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	for sid := 0; sid < streams; sid++ {
-		if n := s.pool.Len(fmt.Sprintf("c%d", sid)); n != per {
+		if n, _ := s.pool.LenOK(fmt.Sprintf("c%d", sid)); n != per {
 			t.Fatalf("stream c%d has %d points, want %d", sid, n, per)
 		}
 	}

@@ -101,8 +101,8 @@ func (p *Projector) ScaledApplyTo(dst, x vec.Vector) {
 
 // ImageSet returns a constraint set in the projected space R^m that is used as
 // the optimization domain of Algorithm 3 (the set ΦC). See imageSet for the
-// exact-versus-relaxed cases; the relaxation is recorded in DESIGN.md as an
-// engineering substitution.
+// exact-versus-relaxed cases; the relaxation is an engineering substitution
+// for the paper's exact image set.
 func (p *Projector) ImageSet(c constraint.Set, gamma float64) constraint.Set {
 	return imageSet(p, c, gamma)
 }

@@ -6,12 +6,11 @@ import (
 	"math"
 )
 
-// settings is the resolved construction state an Option list produces. It
-// wraps the legacy Config (still the carrier the deprecated constructors feed
-// in) plus the per-mechanism extras that never belonged in a flat struct: the
+// settings is the resolved construction state an Option list produces: the
+// flat config plus the per-mechanism extras that never belonged in it, the
 // loss of the ERM mechanisms and the domain oracle of the robust mechanism.
 type settings struct {
-	cfg     Config
+	cfg     config
 	loss    Loss
 	lossSet bool
 	oracle  func(x []float64) bool

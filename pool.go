@@ -17,7 +17,7 @@ import (
 // goroutines; distinct streams proceed in parallel (locking is per stream,
 // sharded for cheap lookup), while operations on the same stream serialize.
 //
-// Streams are created lazily on first Observe/ObserveBatch. Every stream's
+// Streams are created lazily on first ObserveMultiFlat. Every stream's
 // estimator is built from the Pool's mechanism and option template, with one
 // difference: the random seed is derived deterministically from the template
 // seed and the stream ID, so each stream draws independent noise yet the whole
@@ -201,49 +201,6 @@ func wrapUnknown(err error, id string) error {
 	return err
 }
 
-// Observe feeds one covariate/response pair to the given stream, creating the
-// stream on first use (and faulting it in from disk if it was spilled).
-func (p *Pool) Observe(id string, x []float64, y float64) error {
-	return p.store.Update(id, true, func(st store.Stream) error {
-		return st.(Estimator).Observe(x, y)
-	})
-}
-
-// ObserveBatch feeds a contiguous batch to the given stream, creating the
-// stream on first use. The batch is applied atomically with respect to other
-// operations on the same stream.
-func (p *Pool) ObserveBatch(id string, xs [][]float64, ys []float64) error {
-	return p.store.Update(id, true, func(st store.Stream) error {
-		return st.(Estimator).ObserveBatch(xs, ys)
-	})
-}
-
-// ObserveFlat feeds a batch whose covariates are packed row-major in a single
-// flat buffer: point i is (xs[i*dim:(i+1)*dim], ys[i]). Semantics are
-// identical to ObserveBatch; the flat layout lets transport decoders hand the
-// pool their receive buffers directly, with no per-row slice allocation. The
-// pool does not retain xs or ys after the call returns.
-func (p *Pool) ObserveFlat(id string, dim int, xs []float64, ys []float64) error {
-	if dim <= 0 {
-		return fmt.Errorf("privreg: flat batch dimension must be positive, got %d", dim)
-	}
-	if len(xs) != dim*len(ys) {
-		return fmt.Errorf("privreg: flat batch has %d covariate values, want %d (%d rows × dim %d)", len(xs), dim*len(ys), len(ys), dim)
-	}
-	return p.store.Update(id, true, func(st store.Stream) error {
-		est := st.(Estimator)
-		if fo, ok := est.(FlatObserver); ok {
-			return fo.ObserveFlat(dim, xs, ys)
-		}
-		// Fallback for custom Estimator implementations: materialize row views.
-		rows := make([][]float64, len(ys))
-		for i := range rows {
-			rows[i] = xs[i*dim : (i+1)*dim : (i+1)*dim]
-		}
-		return est.ObserveBatch(rows, ys)
-	})
-}
-
 // Outcomes returns the number of outcome columns k each stream of this pool
 // serves: the WithOutcomes value for a multi-outcome pool, 1 otherwise.
 func (p *Pool) Outcomes() int {
@@ -253,89 +210,60 @@ func (p *Pool) Outcomes() int {
 	return 1
 }
 
-// ObserveMultiFlat feeds a batch of k-outcome rows packed flat: row-major
-// covariates (rows×dim values) and row-major responses (rows×k values, k =
-// Outcomes()). On a single-outcome pool it is ObserveFlat. Like ObserveFlat
-// the pool does not retain xs or ys after the call returns, so transport
-// decoders can hand their receive buffers over directly.
+// ObserveMultiFlat feeds a batch of rows packed flat to the given stream,
+// creating the stream on first use (and faulting it in from disk if it was
+// spilled): row-major covariates (rows×dim values, dim the constraint's
+// dimension) and row-major responses (rows×k values, k = Outcomes()). The
+// batch is validated whole before the stream is touched and applied
+// atomically with respect to other operations on the same stream. The pool
+// does not retain xs or ys after the call returns, so transport decoders can
+// hand their receive buffers over directly.
 func (p *Pool) ObserveMultiFlat(id string, dim int, xs []float64, ys []float64) error {
-	k := p.Outcomes()
-	if k == 1 {
-		return p.ObserveFlat(id, dim, xs, ys)
-	}
-	if dim <= 0 {
-		return fmt.Errorf("privreg: flat batch dimension must be positive, got %d", dim)
-	}
-	if len(xs)%dim != 0 {
-		return fmt.Errorf("privreg: flat batch of %d covariate values is not a multiple of dim %d", len(xs), dim)
-	}
-	if rows := len(xs) / dim; len(ys) != rows*k {
-		return fmt.Errorf("privreg: flat batch of %d rows carries %d responses, want %d (k=%d)", rows, len(ys), rows*k, k)
+	if err := checkRows(p.template.cfg.Constraint.Dim(), p.Outcomes(), dim, xs, ys); err != nil {
+		return err
 	}
 	return p.store.Update(id, true, func(st store.Stream) error {
-		me, ok := st.(MultiEstimator)
-		if !ok {
-			return fmt.Errorf("privreg: stream %q estimator does not serve multiple outcomes", id)
-		}
-		return me.ObserveMultiFlat(dim, xs, ys)
+		return st.(*estimatorAdapter).observeRows(xs, ys)
 	})
+}
+
+// ObserveFlat is ObserveMultiFlat under its single-outcome name: on a
+// single-outcome pool point i is (xs[i*dim:(i+1)*dim], ys[i]).
+func (p *Pool) ObserveFlat(id string, dim int, xs []float64, ys []float64) error {
+	return p.ObserveMultiFlat(id, dim, xs, ys)
+}
+
+// Estimate returns the current private estimate for the given stream; it is
+// EstimateOutcome(id, 0).
+func (p *Pool) Estimate(id string) ([]float64, error) {
+	return p.EstimateOutcome(id, 0)
 }
 
 // EstimateOutcome returns outcome i's current private estimate for the given
-// stream; outcome 0 of a single-outcome pool is its Estimate. Unknown streams
-// are an error, and the access pattern (read-only unless WithWarmStart)
-// matches Estimate.
-func (p *Pool) EstimateOutcome(id string, i int) ([]float64, error) {
-	access := p.store.Read
-	if p.template.cfg.WarmStart {
-		access = func(id string, fn func(store.Stream) error) error {
-			return p.store.Update(id, false, fn)
-		}
-	}
-	var theta []float64
-	err := access(id, func(st store.Stream) error {
-		me, ok := st.(MultiEstimator)
-		if !ok {
-			if i == 0 {
-				var err error
-				theta, err = st.(Estimator).Estimate()
-				return err
-			}
-			return fmt.Errorf("privreg: stream %q estimator serves a single outcome, index %d out of range", id, i)
-		}
-		var err error
-		theta, err = me.EstimateOutcome(i)
-		return err
-	})
-	if err != nil {
-		return nil, wrapUnknown(err, id)
-	}
-	return theta, nil
-}
-
-// Estimate returns the current private estimate for the given stream. Unknown
-// streams are an error (an estimate for a stream that never observed anything
-// is almost always a caller bug; create streams by observing).
+// stream. Unknown streams are an error (an estimate for a stream that never
+// observed anything is almost always a caller bug; create streams by
+// observing).
 //
-// On a spill-backed pool, Estimate normally does not mark the stream dirty:
-// the state it touches (the estimate memo, lazily materialized counter-keyed
-// noise) is a deterministic function of the last persisted state, so the
-// on-disk segment stays a valid snapshot and estimate-only traffic costs no
-// checkpoint writes. With WithWarmStart the optimizer's start point feeds
-// future outputs, so warm-started pools treat Estimate as a mutation.
-func (p *Pool) Estimate(id string) ([]float64, error) {
-	access := p.store.Read
-	if p.template.cfg.WarmStart {
-		access = func(id string, fn func(store.Stream) error) error {
-			return p.store.Update(id, false, fn)
-		}
-	}
+// On a spill-backed pool, an estimate normally does not mark the stream
+// dirty: the state it touches (the estimate memo, lazily materialized
+// counter-keyed noise) is a deterministic function of the last persisted
+// state, so the on-disk segment stays a valid snapshot and estimate-only
+// traffic costs no checkpoint writes. With WithWarmStart the optimizer's
+// start point feeds future outputs, so warm-started pools treat an estimate
+// as a mutation.
+func (p *Pool) EstimateOutcome(id string, i int) ([]float64, error) {
 	var theta []float64
-	err := access(id, func(st store.Stream) error {
+	read := func(st store.Stream) error {
 		var err error
-		theta, err = st.(Estimator).Estimate()
+		theta, err = st.(*estimatorAdapter).EstimateOutcome(i)
 		return err
-	})
+	}
+	var err error
+	if p.template.cfg.WarmStart {
+		err = p.store.Update(id, false, read)
+	} else {
+		err = p.store.Read(id, read)
+	}
 	if err != nil {
 		return nil, wrapUnknown(err, id)
 	}
@@ -350,15 +278,6 @@ func (p *Pool) LenOK(id string) (int, bool) {
 	return p.store.Length(id)
 }
 
-// Len returns the number of observations of the given stream, or 0 when the
-// stream does not exist. Callers that need to tell an unknown stream from an
-// empty one should use LenOK; Len remains as the historical shim (Estimate,
-// by contrast, reports unknown streams as errors).
-func (p *Pool) Len(id string) int {
-	n, _ := p.store.Length(id)
-	return n
-}
-
 // Has reports whether the stream exists (has observed at least one batch, or
 // was restored from a checkpoint, and has not been dropped). Spilled streams
 // exist.
@@ -368,7 +287,7 @@ func (p *Pool) Has(id string) bool {
 
 // Drop removes a stream and reports whether it existed. Its budgeted private
 // state is discarded (the on-disk segment of a spilled stream is deleted at
-// the next Flush); a subsequent Observe under the same ID starts a fresh
+// the next Flush); a subsequent observe under the same ID starts a fresh
 // stream (with the same derived seed).
 func (p *Pool) Drop(id string) bool {
 	p.standbyMu.Lock()

@@ -40,10 +40,10 @@ func TestExportImportSegmentBitIdentical(t *testing.T) {
 			const half, full = 9, 17
 			for i := 0; i < half; i++ {
 				x, y := syntheticPoint(i, 4)
-				if err := src.Observe("mover", x, y); err != nil {
+				if err := observe(src, "mover", x, y); err != nil {
 					t.Fatal(err)
 				}
-				if err := ref.Observe("mover", x, y); err != nil {
+				if err := observe(ref, "mover", x, y); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -56,16 +56,16 @@ func TestExportImportSegmentBitIdentical(t *testing.T) {
 			if err != nil || id != "mover" {
 				t.Fatalf("import: id=%q err=%v", id, err)
 			}
-			if got := dst.Len("mover"); got != half {
+			if got, _ := dst.LenOK("mover"); got != half {
 				t.Fatalf("imported length %d, want %d", got, half)
 			}
 
 			for i := half; i < full; i++ {
 				x, y := syntheticPoint(i, 4)
-				if err := dst.Observe("mover", x, y); err != nil {
+				if err := observe(dst, "mover", x, y); err != nil {
 					t.Fatal(err)
 				}
-				if err := ref.Observe("mover", x, y); err != nil {
+				if err := observe(ref, "mover", x, y); err != nil {
 					t.Fatal(err)
 				}
 			}

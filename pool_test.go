@@ -17,6 +17,20 @@ func testPoolOptions(seed int64) []Option {
 	}
 }
 
+// observe feeds one point to a pool stream through the flat ingest entry.
+func observe(p *Pool, id string, x []float64, y float64) error {
+	return p.ObserveFlat(id, len(x), x, []float64{y})
+}
+
+// observeBatch feeds nested rows to a pool stream, packed flat.
+func observeBatch(p *Pool, id string, xs [][]float64, ys []float64) error {
+	var flat []float64
+	for _, x := range xs {
+		flat = append(flat, x...)
+	}
+	return p.ObserveFlat(id, p.template.cfg.Constraint.Dim(), flat, ys)
+}
+
 func TestPoolBasics(t *testing.T) {
 	p, err := NewPool("gradient", testPoolOptions(7)...)
 	if err != nil {
@@ -25,7 +39,7 @@ func TestPoolBasics(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		id := fmt.Sprintf("user-%d", i%3)
 		x, y := syntheticPoint(i, 4)
-		if err := p.Observe(id, x, y); err != nil {
+		if err := observe(p, id, x, y); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,7 +53,7 @@ func TestPoolBasics(t *testing.T) {
 	if got := p.Streams(); len(got) != 3 || got[0] != "user-0" {
 		t.Fatalf("Streams = %v", got)
 	}
-	if p.Len("user-0") == 0 {
+	if n, _ := p.LenOK("user-0"); n == 0 {
 		t.Fatal("user-0 should have observations")
 	}
 	theta, err := p.Estimate("user-0")
@@ -72,7 +86,7 @@ func TestPoolRetainedBytesSurfacesSlowPathState(t *testing.T) {
 	}
 	for i := 0; i < 6; i++ {
 		x, y := syntheticPoint(i, 4)
-		if err := p.Observe(fmt.Sprintf("user-%d", i%2), x, y); err != nil {
+		if err := observe(p, fmt.Sprintf("user-%d", i%2), x, y); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,7 +97,7 @@ func TestPoolRetainedBytesSurfacesSlowPathState(t *testing.T) {
 	// On the sufficient-statistics path the size is per stream, not per point.
 	for i := 0; i < 20; i++ {
 		x, y := syntheticPoint(i, 4)
-		if err := p.Observe("user-0", x, y); err != nil {
+		if err := observe(p, "user-0", x, y); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,7 +129,7 @@ func TestPoolStreamsAreIndependentAndDeterministic(t *testing.T) {
 		}
 		for i := 0; i < 16; i++ {
 			x, y := syntheticPoint(i, 4)
-			if err := p.Observe(id, x, y); err != nil {
+			if err := observe(p, id, x, y); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -165,12 +179,12 @@ func TestPoolConcurrentMultiStream(t *testing.T) {
 				var err error
 				switch i % 4 {
 				case 0, 1:
-					err = p.Observe(id, x, y)
+					err = observe(p, id, x, y)
 				case 2:
 					x2, y2 := syntheticPoint(i+1, 4)
-					err = p.ObserveBatch(id, [][]float64{x, x2}, []float64{y, y2})
+					err = observeBatch(p, id, [][]float64{x, x2}, []float64{y, y2})
 				case 3:
-					err = p.Observe(id, x, y)
+					err = observe(p, id, x, y)
 					if err == nil {
 						_, err = p.Estimate(id)
 					}
@@ -231,13 +245,13 @@ func TestPoolCheckpointDuringTraffic(t *testing.T) {
 				x, y := syntheticPoint(i, 4)
 				if i%3 == 2 && i+1 < perStream {
 					x2, y2 := syntheticPoint(i+1, 4)
-					if err := p.ObserveBatch(id, [][]float64{x, x2}, []float64{y, y2}); err != nil {
+					if err := observeBatch(p, id, [][]float64{x, x2}, []float64{y, y2}); err != nil {
 						errc <- err
 						return
 					}
 					i += 2
 				} else {
-					if err := p.Observe(id, x, y); err != nil {
+					if err := observe(p, id, x, y); err != nil {
 						errc <- err
 						return
 					}
@@ -279,7 +293,7 @@ func TestPoolCheckpointDuringTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, id := range restored.Streams() {
-			k := restored.Len(id)
+			k, _ := restored.LenOK(id)
 			if k < 0 || k > perStream {
 				t.Fatalf("snapshot %d stream %s: Len %d outside fed range [0, %d]", c, id, k, perStream)
 			}
@@ -294,7 +308,7 @@ func TestPoolCheckpointDuringTraffic(t *testing.T) {
 			// valid reference regardless of how the writer chunked them.
 			for i := 0; i < k; i++ {
 				x, y := syntheticPoint(i, 4)
-				if err := reference.Observe(id, x, y); err != nil {
+				if err := observe(reference, id, x, y); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -346,7 +360,7 @@ func TestPoolDropRacesSameStreamWrites(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				x, y := syntheticPoint(i, 4)
-				if err := p.Observe(id, x, y); err != nil {
+				if err := observe(p, id, x, y); err != nil {
 					errc <- fmt.Errorf("observe: %w", err)
 					return
 				}
@@ -357,7 +371,7 @@ func TestPoolDropRacesSameStreamWrites(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				x1, y1 := syntheticPoint(i, 4)
 				x2, y2 := syntheticPoint(i+1, 4)
-				if err := p.ObserveBatch(id, [][]float64{x1, x2}, []float64{y1, y2}); err != nil {
+				if err := observeBatch(p, id, [][]float64{x1, x2}, []float64{y1, y2}); err != nil {
 					errc <- fmt.Errorf("batch: %w", err)
 					return
 				}
@@ -436,7 +450,7 @@ func TestPoolUnknownStreamSentinel(t *testing.T) {
 		t.Fatal("Has(unknown) = true")
 	}
 	x, y := syntheticPoint(0, 4)
-	if err := p.Observe("ghost", x, y); err != nil {
+	if err := observe(p, "ghost", x, y); err != nil {
 		t.Fatal(err)
 	}
 	if !p.Has("ghost") {
@@ -457,7 +471,7 @@ func TestPoolCheckpointRestore(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		for _, id := range ids {
 			x, y := syntheticPoint(i, 4)
-			if err := orig.Observe(id, x, y); err != nil {
+			if err := observe(orig, id, x, y); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -481,10 +495,10 @@ func TestPoolCheckpointRestore(t *testing.T) {
 	for i := 12; i < 20; i++ {
 		for _, id := range ids {
 			x, y := syntheticPoint(i, 4)
-			if err := orig.Observe(id, x, y); err != nil {
+			if err := observe(orig, id, x, y); err != nil {
 				t.Fatal(err)
 			}
-			if err := restored.Observe(id, x, y); err != nil {
+			if err := observe(restored, id, x, y); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -30,7 +30,7 @@ func (p Privacy) params() dp.Params { return dp.Params{Epsilon: p.Epsilon, Delta
 // Loss selects the per-datapoint loss of the generic incremental ERM mechanism.
 type Loss int
 
-// Supported losses for NewGenericERM and NewNaiveRecompute.
+// Supported losses of the generic-erm and naive-recompute mechanisms (WithLoss).
 const (
 	// SquaredLoss is (y - <x, θ>)², the linear-regression loss.
 	SquaredLoss Loss = iota
@@ -41,7 +41,8 @@ const (
 	HingeLoss
 )
 
-// Sketch selects the random-projection backend of NewProjectedRegression.
+// Sketch selects the random-projection backend of the projected mechanisms
+// (WithSketch).
 type Sketch int
 
 // Supported sketch backends.
@@ -106,13 +107,15 @@ type Estimator interface {
 	Mechanism() string
 	// Observe feeds the next covariate/response pair. Covariates are clipped to
 	// the unit Euclidean ball and responses to [-1, 1], the normalization the
-	// privacy analysis assumes.
+	// privacy analysis assumes. A covariate whose length is not the
+	// constraint's dimension is rejected and consumes nothing.
 	Observe(x []float64, y float64) error
 	// ObserveBatch feeds a contiguous run of covariate/response pairs.
 	// Semantically equivalent to calling Observe on each pair in order —
 	// identical private state, identical randomness consumption — but validated
-	// up front (a batch that would overrun a fixed horizon is rejected whole,
-	// before any element is consumed) and amortized: the continual-sum
+	// up front (a batch that would overrun a fixed horizon, or carries a row
+	// of the wrong dimension, is rejected whole, before any element is
+	// consumed) and amortized: the continual-sum
 	// mechanisms defer their running-sum aggregation to the end of the batch,
 	// so per-point ingestion cost drops for batched arrivals.
 	ObserveBatch(xs [][]float64, ys []float64) error
@@ -150,7 +153,8 @@ type Estimator interface {
 type FlatObserver interface {
 	// ObserveFlat feeds len(ys) points whose covariates are packed row-major
 	// in xs: point i is (xs[i*dim:(i+1)*dim], ys[i]). Validation and horizon
-	// semantics match ObserveBatch (all-or-nothing).
+	// semantics match ObserveBatch (all-or-nothing). On an estimator serving
+	// k > 1 outcomes it is ObserveMultiFlat: ys then holds k responses per row.
 	ObserveFlat(dim int, xs []float64, ys []float64) error
 }
 
@@ -162,8 +166,8 @@ type FlatObserver interface {
 // its share of the split budget.
 //
 // Every estimator returned by New implements the interface; on single-outcome
-// mechanisms the methods degrade gracefully (Outcomes reports 1, the k = 1 row
-// shapes delegate to Observe/Estimate, and wider rows are rejected).
+// mechanisms the methods degrade gracefully (Outcomes reports 1, rows carry
+// one response and wider rows are rejected, and outcome 0 is Estimate).
 type MultiEstimator interface {
 	Estimator
 	// Outcomes returns the number of outcome columns k.
@@ -183,17 +187,13 @@ type MultiEstimator interface {
 // serve MultiEstimator natively.
 type multiCore interface {
 	Outcomes() int
-	ObserveMulti(x vec.Vector, ys []float64) error
 	ObserveMultiFlat(xs, ys []float64) error
 	EstimateOutcome(i int) (vec.Vector, error)
 }
 
-// Config is the common configuration of the deprecated estimator
-// constructors. New code should construct estimators with New and functional
-// options (WithPrivacy, WithHorizon, WithConstraint, …), which validate at the
-// boundary and compose with Pool; Config remains as the carrier those shims
-// feed into the same construction path.
-type Config struct {
+// config is the flat construction state the With… options fill in; settings
+// carries it alongside the per-mechanism extras.
+type config struct {
 	// Privacy is the total (ε, δ) budget for the whole stream. Ignored by the
 	// non-private baseline.
 	Privacy Privacy
@@ -202,13 +202,10 @@ type Config struct {
 	Horizon int
 	// Constraint is the constraint set C the estimates must lie in. Required.
 	Constraint Constraint
-	// Domain describes the covariate domain X. Required by
-	// NewProjectedRegression (its Gaussian width sizes the sketch); optional
-	// elsewhere.
+	// Domain describes the covariate domain X. Required by the projected
+	// mechanisms (its Gaussian width sizes the sketch); optional elsewhere.
 	Domain Domain
 	// Seed seeds all randomness (noise and projections) for reproducibility.
-	// Two estimators built with the same seed and fed the same stream produce
-	// identical outputs.
 	Seed int64
 	// WarmStart makes the per-timestep optimizer start from the previous
 	// estimate rather than from scratch.
@@ -219,46 +216,40 @@ type Config struct {
 	UnknownHorizon bool
 	// MaxIterations caps the per-estimate optimizer iterations (0 = default).
 	MaxIterations int
-	// Tau overrides the recomputation period of NewGenericERM (0 = the paper's
+	// Tau overrides the recomputation period of generic-erm (0 = the paper's
 	// theory-optimal choice).
 	Tau int
-	// HistoryCap bounds the history retained by the slow-path mechanisms
-	// (generic-erm, naive-recompute) for losses without quadratic sufficient
-	// statistics: positive keeps only the most recent HistoryCap points in a
-	// ring buffer and solves over that window; 0 retains the full history.
-	// Quadratic losses (squared, optionally ridge-regularized) never retain
-	// history and ignore the cap.
+	// HistoryCap bounds the history the slow-path mechanisms retain for
+	// losses without quadratic sufficient statistics (0 = full history).
 	HistoryCap int
-	// ProjectionDim overrides the sketch dimension m of NewProjectedRegression
-	// (0 = Gordon's rule).
+	// ProjectionDim overrides the sketch dimension m of the projected
+	// mechanisms (0 = Gordon's rule).
 	ProjectionDim int
-	// SketchBackend selects the projection implementation of
-	// NewProjectedRegression: the dense Gaussian matrix (default), the
-	// O(d log d) SRHT fast path, or automatic selection by dimension.
+	// SketchBackend selects the projection implementation of the projected
+	// mechanisms.
 	SketchBackend Sketch
 	// Outcomes is the number of outcome columns k of the multi-outcome
-	// mechanism (0 means 1). Mechanisms that serve a single outcome reject
-	// values above 1.
+	// mechanism (0 means 1).
 	Outcomes int
 }
 
-func (cfg Config) validate(needDomain bool) error {
+func (cfg config) validate(needDomain bool) error {
 	if !cfg.Constraint.valid() {
-		return errors.New("privreg: Config.Constraint is required")
+		return errors.New("privreg: a constraint is required (set it with WithConstraint)")
 	}
 	if cfg.Horizon <= 0 && !cfg.UnknownHorizon {
-		return errors.New("privreg: Config.Horizon must be positive (or set UnknownHorizon)")
+		return errors.New("privreg: the horizon must be positive (set it with WithHorizon, or use WithUnknownHorizon)")
 	}
 	if needDomain && !cfg.Domain.valid() {
-		return errors.New("privreg: Config.Domain is required by this mechanism")
+		return errors.New("privreg: this mechanism requires a covariate domain (set it with WithDomain)")
 	}
 	if needDomain && cfg.Domain.valid() && cfg.Domain.Dim() != cfg.Constraint.Dim() {
-		return errors.New("privreg: Config.Domain and Config.Constraint dimensions differ")
+		return errors.New("privreg: domain and constraint dimensions differ")
 	}
 	return nil
 }
 
-func (cfg Config) horizonOrDefault() int {
+func (cfg config) horizonOrDefault() int {
 	if cfg.Horizon > 0 {
 		return cfg.Horizon
 	}
@@ -271,55 +262,75 @@ func (cfg Config) horizonOrDefault() int {
 // interface (plain []float64 at the boundary) and stamps checkpoints with the
 // registry name so restores are routed to a compatible instance.
 type estimatorAdapter struct {
-	inner     core.Estimator
+	inner core.Estimator
+	// multi is inner's k-outcome capability, nil for single-outcome
+	// mechanisms.
+	multi     multiCore
 	mechanism string
-	// flatScratch is the estimator-owned loss.Point buffer ObserveFlat reuses
-	// across calls, so the hot wire-ingest path allocates nothing per batch.
-	flatScratch []loss.Point
+	// dim and outcomes are the row shape every ingest must match: covariate
+	// dimension d and responses per row k.
+	dim, outcomes int
+	// points stages rows as loss.Points for single-outcome mechanisms and
+	// flat packs nested ObserveBatch rows; both are reused across calls so
+	// steady-state ingest allocates nothing per batch.
+	points []loss.Point
+	flat   []float64
+	y1     [1]float64
+}
+
+func newAdapter(inner core.Estimator, mechanism string, dim int) *estimatorAdapter {
+	a := &estimatorAdapter{inner: inner, mechanism: mechanism, dim: dim, outcomes: 1}
+	if m, ok := inner.(multiCore); ok {
+		a.multi, a.outcomes = m, m.Outcomes()
+	}
+	return a
 }
 
 func (a *estimatorAdapter) Name() string { return a.inner.Name() }
 
 func (a *estimatorAdapter) Mechanism() string { return a.mechanism }
 
-func (a *estimatorAdapter) Observe(x []float64, y float64) error {
-	return a.inner.Observe(loss.Point{X: vec.Vector(x), Y: y})
+// checkRows validates a flat row batch for an estimator of covariate
+// dimension d serving k outcomes: rows are dim wide, xs holds rows×d values
+// and ys rows×k.
+func checkRows(d, k, dim int, xs, ys []float64) error {
+	if dim != d {
+		return fmt.Errorf("privreg: rows have covariate dimension %d, estimator dimension is %d", dim, d)
+	}
+	rows := len(xs) / d
+	if len(xs) != rows*d || len(ys) != rows*k {
+		return fmt.Errorf("privreg: flat batch of %d covariate values and %d responses is not whole rows of dim %d with %d outcomes", len(xs), len(ys), d, k)
+	}
+	return nil
 }
 
-func (a *estimatorAdapter) ObserveBatch(xs [][]float64, ys []float64) error {
-	if len(xs) != len(ys) {
-		return fmt.Errorf("privreg: batch covariate count %d does not match response count %d", len(xs), len(ys))
+// observe is the adapter's single ingest entry: every Observe* method is a
+// shape adapter onto it. The batch is validated whole before any row reaches
+// the mechanism, so a malformed batch leaves the stream untouched.
+func (a *estimatorAdapter) observe(dim int, xs, ys []float64) error {
+	if err := checkRows(a.dim, a.outcomes, dim, xs, ys); err != nil {
+		return err
 	}
+	return a.observeRows(xs, ys)
+}
+
+// observeRows feeds an already validated flat batch to the mechanism. Rows
+// are read as subslices of xs and nothing references xs or ys afterwards
+// (mechanisms copy on ingest; staged aliases are cleared before returning).
+func (a *estimatorAdapter) observeRows(xs, ys []float64) error {
 	if len(xs) == 0 {
 		return nil
 	}
-	ps := make([]loss.Point, len(xs))
-	for i := range xs {
-		ps[i] = loss.Point{X: vec.Vector(xs[i]), Y: ys[i]}
+	if a.multi != nil {
+		return a.multi.ObserveMultiFlat(xs, ys)
 	}
-	return a.inner.ObserveBatch(ps)
-}
-
-// ObserveFlat implements FlatObserver: rows are read as subslices of the flat
-// buffer and staged in the adapter-owned scratch, so nothing per-row is
-// allocated and nothing references xs after the call (mechanisms copy on
-// ingest; the scratch aliases are cleared before returning).
-func (a *estimatorAdapter) ObserveFlat(dim int, xs []float64, ys []float64) error {
-	if dim <= 0 {
-		return fmt.Errorf("privreg: flat batch dimension must be positive, got %d", dim)
+	if cap(a.points) < len(ys) {
+		a.points = make([]loss.Point, len(ys))
 	}
-	if len(xs) != dim*len(ys) {
-		return fmt.Errorf("privreg: flat batch has %d covariate values, want %d (%d rows × dim %d)", len(xs), dim*len(ys), len(ys), dim)
-	}
-	if len(ys) == 0 {
-		return nil
-	}
-	if cap(a.flatScratch) < len(ys) {
-		a.flatScratch = make([]loss.Point, len(ys))
-	}
-	ps := a.flatScratch[:len(ys)]
+	ps := a.points[:len(ys)]
+	d := a.dim
 	for i := range ps {
-		ps[i] = loss.Point{X: vec.Vector(xs[i*dim : (i+1)*dim : (i+1)*dim]), Y: ys[i]}
+		ps[i] = loss.Point{X: vec.Vector(xs[i*d : (i+1)*d : (i+1)*d]), Y: ys[i]}
 	}
 	err := a.inner.ObserveBatch(ps)
 	// Drop the aliases: the caller is free to recycle xs into a buffer pool,
@@ -330,52 +341,52 @@ func (a *estimatorAdapter) ObserveFlat(dim int, xs []float64, ys []float64) erro
 	return err
 }
 
+func (a *estimatorAdapter) Observe(x []float64, y float64) error {
+	a.y1[0] = y
+	return a.observe(len(x), x, a.y1[:])
+}
+
+func (a *estimatorAdapter) ObserveBatch(xs [][]float64, ys []float64) error {
+	if len(xs) != len(ys) {
+		return fmt.Errorf("privreg: batch covariate count %d does not match response count %d", len(xs), len(ys))
+	}
+	a.flat = a.flat[:0]
+	for i, x := range xs {
+		if len(x) != a.dim {
+			return fmt.Errorf("privreg: batch element %d has dimension %d, estimator dimension is %d", i, len(x), a.dim)
+		}
+		a.flat = append(a.flat, x...)
+	}
+	return a.observe(a.dim, a.flat, ys)
+}
+
+// ObserveFlat implements FlatObserver. It is ObserveMultiFlat under its
+// single-outcome name.
+func (a *estimatorAdapter) ObserveFlat(dim int, xs []float64, ys []float64) error {
+	return a.observe(dim, xs, ys)
+}
+
 // Outcomes implements MultiEstimator: the mechanism's outcome count, 1 for
 // single-outcome mechanisms.
-func (a *estimatorAdapter) Outcomes() int {
-	if m, ok := a.inner.(multiCore); ok {
-		return m.Outcomes()
-	}
-	return 1
-}
+func (a *estimatorAdapter) Outcomes() int { return a.outcomes }
 
-// ObserveMulti implements MultiEstimator. On single-outcome mechanisms a
-// one-response row delegates to Observe; wider rows are rejected.
+// ObserveMulti implements MultiEstimator. On single-outcome mechanisms the
+// row must carry exactly one response.
 func (a *estimatorAdapter) ObserveMulti(x []float64, ys []float64) error {
-	if m, ok := a.inner.(multiCore); ok {
-		return m.ObserveMulti(vec.Vector(x), ys)
-	}
-	if len(ys) != 1 {
-		return fmt.Errorf("privreg: mechanism %q serves a single outcome, row carries %d", a.mechanism, len(ys))
-	}
-	return a.Observe(x, ys[0])
+	return a.observe(len(x), x, ys)
 }
 
-// ObserveMultiFlat implements MultiEstimator; see ObserveMulti. It is the
-// zero-copy ingest path of the multi-outcome mechanism: rows flow straight
-// from a decoded wire frame into the shared statistics fold.
+// ObserveMultiFlat implements MultiEstimator. It is the zero-copy ingest
+// path: rows flow straight from a decoded frame into the mechanism's fold.
 func (a *estimatorAdapter) ObserveMultiFlat(dim int, xs []float64, ys []float64) error {
-	if dim <= 0 {
-		return fmt.Errorf("privreg: flat batch dimension must be positive, got %d", dim)
-	}
-	if len(xs)%dim != 0 {
-		return fmt.Errorf("privreg: flat batch of %d covariate values is not a multiple of dim %d", len(xs), dim)
-	}
-	if m, ok := a.inner.(multiCore); ok {
-		k := m.Outcomes()
-		if rows := len(xs) / dim; len(ys) != rows*k {
-			return fmt.Errorf("privreg: flat batch of %d rows carries %d responses, want %d (k=%d)", rows, len(ys), rows*k, k)
-		}
-		return m.ObserveMultiFlat(xs, ys)
-	}
-	return a.ObserveFlat(dim, xs, ys)
+	return a.observe(dim, xs, ys)
 }
 
 // EstimateOutcome implements MultiEstimator. Outcome 0 of a single-outcome
 // mechanism is its Estimate; other indices are rejected.
 func (a *estimatorAdapter) EstimateOutcome(i int) ([]float64, error) {
-	if m, ok := a.inner.(multiCore); ok {
-		theta, err := m.EstimateOutcome(i)
+	if a.multi != nil {
+		theta, err := a.multi.EstimateOutcome(i)
 		if err != nil {
 			return nil, err
 		}
@@ -450,96 +461,10 @@ func (a *estimatorAdapter) UnmarshalBinary(data []byte) error {
 	return a.inner.UnmarshalBinary(inner)
 }
 
-// NewGradientRegression returns Algorithm PRIVINCREG1: private incremental
-// least-squares regression via a Tree-Mechanism private gradient function.
-// Excess empirical risk grows as ≈ √d (Theorem 4.2), independent of the stream
-// length up to polylog factors.
-//
-// Deprecated: use New("gradient", opts...); this constructor is a thin shim
-// over the same construction path.
-func NewGradientRegression(cfg Config) (Estimator, error) {
-	return newFromConfig("gradient", cfg, nil)
-}
-
-// NewProjectedRegression returns Algorithm PRIVINCREG2: private incremental
-// least-squares regression in a Gaussian random sketch sized by the Gaussian
-// widths of the covariate domain and the constraint set, with the solution
-// lifted back to the original space. Excess empirical risk grows as
-// ≈ T^{1/3}·(w(X)+w(C))^{2/3} (Theorem 5.7) — dimension-free for sparse
-// covariates with an L1-ball constraint.
-//
-// Deprecated: use New("projected", opts...); this constructor is a thin shim
-// over the same construction path.
-func NewProjectedRegression(cfg Config) (Estimator, error) {
-	return newFromConfig("projected", cfg, nil)
-}
-
-// NewRobustProjectedRegression returns the §5.2 extension of
-// NewProjectedRegression for streams where only covariates accepted by the
-// oracle belong to the small-Gaussian-width domain described by cfg.Domain;
-// rejected points are neutralized before touching private state. The utility
-// guarantee then applies to the risk restricted to accepted points.
-//
-// Deprecated: use New("robust-projected", WithDomainOracle(oracle), ...);
-// this constructor is a thin shim over the same construction path.
-func NewRobustProjectedRegression(cfg Config, oracle func(x []float64) bool) (Estimator, error) {
-	if oracle == nil {
-		return nil, errors.New("privreg: nil domain oracle")
-	}
-	return newFromConfig("robust-projected", cfg, func(s *settings) { s.oracle = oracle })
-}
-
-// NewGenericERM returns Mechanism PRIVINCERM: the generic transformation of a
-// private batch ERM algorithm into a private incremental one, applicable to any
-// of the supported losses. Excess empirical risk grows as ≈ (Td)^{1/3} for
-// convex losses (Theorem 3.1).
-//
-// Deprecated: use New("generic-erm", WithLoss(l), ...); this constructor is a
-// thin shim over the same construction path.
-func NewGenericERM(cfg Config, l Loss) (Estimator, error) {
-	return newFromConfig("generic-erm", cfg, func(s *settings) { s.loss = l; s.lossSet = true })
-}
-
-// NewNaiveRecompute returns the naive private baseline that re-solves a private
-// batch ERM problem at every timestep, splitting the budget over all T
-// releases. Provided for comparison; its excess risk carries an extra ≈ √T
-// factor.
-//
-// Deprecated: use New("naive-recompute", WithLoss(l), ...); this constructor
-// is a thin shim over the same construction path.
-func NewNaiveRecompute(cfg Config, l Loss) (Estimator, error) {
-	return newFromConfig("naive-recompute", cfg, func(s *settings) { s.loss = l; s.lossSet = true })
-}
-
-// NewNonPrivateBaseline returns the exact (non-private) incremental constrained
-// least-squares solver: the utility ceiling every private mechanism is compared
-// against.
-//
-// Deprecated: use New("nonprivate", opts...); this constructor is a thin shim
-// over the same construction path.
-func NewNonPrivateBaseline(cfg Config) (Estimator, error) {
-	return newFromConfig("nonprivate", cfg, nil)
-}
-
-// newFromConfig routes the deprecated Config-based constructors through the
-// same registry funnel New uses, so validation and construction behavior are
-// identical regardless of entry point.
-func newFromConfig(name string, cfg Config, extra func(*settings)) (Estimator, error) {
-	m, err := lookupMechanism(name)
-	if err != nil {
-		return nil, err
-	}
-	s := &settings{cfg: cfg}
-	if extra != nil {
-		extra(s)
-	}
-	return buildEstimator(m, s)
-}
-
 // ExcessRisk returns the excess empirical squared-loss risk of estimate on the
 // given prefix: Σ(y_i - <x_i, θ>)² minus the minimum achievable over the
 // constraint set. It is the quantity bounded by Definition 1 of the paper and
-// is what EXPERIMENTS.md reports.
+// is what the privreg-bench experiments report.
 func ExcessRisk(cons Constraint, xs [][]float64, ys []float64, estimate []float64) (float64, error) {
 	if !cons.valid() {
 		return 0, errors.New("privreg: invalid constraint")
@@ -561,7 +486,7 @@ func ExcessRisk(cons Constraint, xs [][]float64, ys []float64, estimate []float6
 
 // GaussianWidthOf estimates the Gaussian width of a constraint set by Monte
 // Carlo; exposed because width is the key quantity users need when deciding
-// between NewGradientRegression and NewProjectedRegression.
+// between the "gradient" and "projected" mechanisms.
 func GaussianWidthOf(cons Constraint, samples int, seed int64) (float64, error) {
 	if !cons.valid() {
 		return 0, errors.New("privreg: invalid constraint")

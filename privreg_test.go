@@ -5,13 +5,15 @@ import (
 	"testing"
 )
 
-func testConfig(d int) Config {
-	return Config{
-		Privacy:    Privacy{Epsilon: 1, Delta: 1e-6},
-		Horizon:    32,
-		Constraint: L2Constraint(d, 1),
-		Seed:       7,
-	}
+// testOptions is the common test template: an L2 ball of dimension d, horizon
+// 32, (1, 1e-6) budget, seed 7. Later options override earlier ones.
+func testOptions(d int, extra ...Option) []Option {
+	return append([]Option{
+		WithEpsilonDelta(1, 1e-6),
+		WithHorizon(32),
+		WithConstraint(L2Constraint(d, 1)),
+		WithSeed(7),
+	}, extra...)
 }
 
 // runStream feeds a small synthetic stream and returns covariates, responses.
@@ -72,8 +74,8 @@ func TestConstraintConstructorsAndGeometry(t *testing.T) {
 
 func TestGradientRegressionPublicAPI(t *testing.T) {
 	d := 4
-	cfg := testConfig(d)
-	est, err := NewGradientRegression(cfg)
+	cons := L2Constraint(d, 1)
+	est, err := New("gradient", testOptions(d)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +90,13 @@ func TestGradientRegressionPublicAPI(t *testing.T) {
 	if len(theta) != d {
 		t.Fatalf("estimate dimension %d", len(theta))
 	}
-	if !cfg.Constraint.Contains(theta, 1e-5) {
+	if !cons.Contains(theta, 1e-5) {
 		t.Fatal("estimate not feasible")
 	}
 	if est.Len() != 32 {
 		t.Fatalf("Len = %d", est.Len())
 	}
-	excess, err := ExcessRisk(cfg.Constraint, xs, ys, theta)
+	excess, err := ExcessRisk(cons, xs, ys, theta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +107,16 @@ func TestGradientRegressionPublicAPI(t *testing.T) {
 
 func TestProjectedRegressionPublicAPI(t *testing.T) {
 	d := 32
-	cfg := Config{
-		Privacy:    Privacy{Epsilon: 1, Delta: 1e-6},
-		Horizon:    24,
-		Constraint: L1Constraint(d, 1),
-		Domain:     SparseDomain(d, 3),
-		Seed:       11,
+	cons := L1Constraint(d, 1)
+	opts := func(dom ...Option) []Option {
+		return append([]Option{
+			WithEpsilonDelta(1, 1e-6),
+			WithHorizon(24),
+			WithConstraint(cons),
+			WithSeed(11),
+		}, dom...)
 	}
-	est, err := NewProjectedRegression(cfg)
+	est, err := New("projected", opts(WithDomain(SparseDomain(d, 3)))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,33 +125,29 @@ func TestProjectedRegressionPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.Constraint.Contains(theta, 1e-4) {
+	if !cons.Contains(theta, 1e-4) {
 		t.Fatal("estimate not feasible")
 	}
 	// Domain is required.
-	bad := cfg
-	bad.Domain = Domain{}
-	if _, err := NewProjectedRegression(bad); err == nil {
+	if _, err := New("projected", opts()...); err == nil {
 		t.Fatal("missing domain should be rejected")
 	}
 	// Mismatched dimensions are rejected.
-	bad = cfg
-	bad.Domain = SparseDomain(d+1, 3)
-	if _, err := NewProjectedRegression(bad); err == nil {
+	if _, err := New("projected", opts(WithDomain(SparseDomain(d+1, 3)))...); err == nil {
 		t.Fatal("dimension mismatch should be rejected")
 	}
 }
 
 func TestRobustProjectedRegressionPublicAPI(t *testing.T) {
 	d := 16
-	cfg := Config{
-		Privacy:    Privacy{Epsilon: 1, Delta: 1e-6},
-		Horizon:    16,
-		Constraint: L1Constraint(d, 1),
-		Domain:     SparseDomain(d, 2),
-		Seed:       13,
+	opts := []Option{
+		WithEpsilonDelta(1, 1e-6),
+		WithHorizon(16),
+		WithConstraint(L1Constraint(d, 1)),
+		WithDomain(SparseDomain(d, 2)),
+		WithSeed(13),
 	}
-	est, err := NewRobustProjectedRegression(cfg, func(x []float64) bool {
+	est, err := New("robust-projected", append(opts, WithDomainOracle(func(x []float64) bool {
 		nz := 0
 		for _, v := range x {
 			if v != 0 {
@@ -155,7 +155,7 @@ func TestRobustProjectedRegressionPublicAPI(t *testing.T) {
 			}
 		}
 		return nz <= 4
-	})
+	}))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,16 +163,15 @@ func TestRobustProjectedRegressionPublicAPI(t *testing.T) {
 	if _, err := est.Estimate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRobustProjectedRegression(cfg, nil); err == nil {
+	if _, err := New("robust-projected", append(opts, WithDomainOracle(nil))...); err == nil {
 		t.Fatal("nil oracle should be rejected")
 	}
 }
 
 func TestGenericERMAndNaivePublicAPI(t *testing.T) {
 	d := 3
-	cfg := testConfig(d)
 	for _, l := range []Loss{SquaredLoss, LogisticLoss, HingeLoss} {
-		est, err := NewGenericERM(cfg, l)
+		est, err := New("generic-erm", testOptions(d, WithLoss(l))...)
 		if err != nil {
 			t.Fatalf("loss %v: %v", l, err)
 		}
@@ -181,13 +180,10 @@ func TestGenericERMAndNaivePublicAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := NewGenericERM(cfg, Loss(99)); err == nil {
+	if _, err := New("generic-erm", testOptions(d, WithLoss(Loss(99)))...); err == nil {
 		t.Fatal("unknown loss should be rejected")
 	}
-	naiveCfg := cfg
-	naiveCfg.Horizon = 6
-	naiveCfg.MaxIterations = 5
-	naive, err := NewNaiveRecompute(naiveCfg, SquaredLoss)
+	naive, err := New("naive-recompute", testOptions(d, WithHorizon(6), WithMaxIterations(5), WithLoss(SquaredLoss))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +195,8 @@ func TestGenericERMAndNaivePublicAPI(t *testing.T) {
 
 func TestNonPrivateBaselineMatchesSignal(t *testing.T) {
 	d := 3
-	cfg := testConfig(d)
-	est, err := NewNonPrivateBaseline(cfg)
+	cons := L2Constraint(d, 1)
+	est, err := New("nonprivate", testOptions(d)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +205,7 @@ func TestNonPrivateBaselineMatchesSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	excess, err := ExcessRisk(cfg.Constraint, xs, ys, theta)
+	excess, err := ExcessRisk(cons, xs, ys, theta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,21 +215,17 @@ func TestNonPrivateBaselineMatchesSignal(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewGradientRegression(Config{}); err == nil {
+	if _, err := New("gradient", WithEpsilonDelta(1, 1e-6), WithHorizon(32)); err == nil {
 		t.Fatal("missing constraint should be rejected")
 	}
-	cfg := testConfig(3)
-	cfg.Horizon = 0
-	if _, err := NewGradientRegression(cfg); err == nil {
+	noHorizon := []Option{WithEpsilonDelta(1, 1e-6), WithConstraint(L2Constraint(3, 1)), WithSeed(7)}
+	if _, err := New("gradient", noHorizon...); err == nil {
 		t.Fatal("missing horizon should be rejected")
 	}
-	cfg.UnknownHorizon = true
-	if _, err := NewGradientRegression(cfg); err != nil {
-		t.Fatalf("UnknownHorizon should allow a zero horizon: %v", err)
+	if _, err := New("gradient", append(noHorizon, WithUnknownHorizon())...); err != nil {
+		t.Fatalf("WithUnknownHorizon should allow a zero horizon: %v", err)
 	}
-	bad := testConfig(3)
-	bad.Privacy = Privacy{Epsilon: -1, Delta: 1e-6}
-	if _, err := NewGradientRegression(bad); err == nil {
+	if _, err := New("gradient", testOptions(3, WithEpsilonDelta(-1, 1e-6))...); err == nil {
 		t.Fatal("invalid privacy should be rejected")
 	}
 }
@@ -241,7 +233,7 @@ func TestConfigValidation(t *testing.T) {
 func TestSameSeedSameOutput(t *testing.T) {
 	d := 4
 	run := func() []float64 {
-		est, err := NewGradientRegression(testConfig(d))
+		est, err := New("gradient", testOptions(d)...)
 		if err != nil {
 			t.Fatal(err)
 		}

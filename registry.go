@@ -73,7 +73,12 @@ var registry = []*mechanism{
 			if err := rejectLossAndOracle(s, "projected"); err != nil {
 				return nil, err
 			}
-			return buildProjected(s.cfg)
+			cfg := s.cfg
+			opts, err := projectedOptions(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return core.NewProjectedRegression(cfg.Domain.set, cfg.Constraint.set, cfg.Privacy.params(), cfg.horizonOrDefault(), randx.NewSource(cfg.Seed), opts)
 		},
 	},
 	{
@@ -92,7 +97,14 @@ var registry = []*mechanism{
 			if s.oracle == nil {
 				return nil, errors.New(`privreg: mechanism "robust-projected" requires WithDomainOracle`)
 			}
-			return buildRobustProjected(s.cfg, s.oracle)
+			cfg, oracle := s.cfg, s.oracle
+			opts, err := projectedOptions(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return core.NewRobustProjectedRegression(cfg.Domain.set, cfg.Constraint.set,
+				func(x vec.Vector) bool { return oracle([]float64(x)) },
+				cfg.Privacy.params(), cfg.horizonOrDefault(), randx.NewSource(cfg.Seed), opts)
 		},
 	},
 	{
@@ -191,14 +203,14 @@ func rejectLossAndOracle(s *settings, name string) error {
 	return nil
 }
 
-// buildProjected and buildRobustProjected share the PRIVINCREG2 option
-// plumbing between the registry and the deprecated constructors.
-func buildProjected(cfg Config) (core.Estimator, error) {
+// projectedOptions is the PRIVINCREG2 option plumbing the projected and
+// robust-projected mechanisms share.
+func projectedOptions(cfg config) (core.ProjectedOptions, error) {
 	backend, err := cfg.SketchBackend.backend()
 	if err != nil {
-		return nil, err
+		return core.ProjectedOptions{}, err
 	}
-	return core.NewProjectedRegression(cfg.Domain.set, cfg.Constraint.set, cfg.Privacy.params(), cfg.horizonOrDefault(), randx.NewSource(cfg.Seed), core.ProjectedOptions{
+	return core.ProjectedOptions{
 		RegressionOptions: core.RegressionOptions{
 			MaxIterations: cfg.MaxIterations,
 			WarmStart:     cfg.WarmStart,
@@ -206,25 +218,7 @@ func buildProjected(cfg Config) (core.Estimator, error) {
 		},
 		ProjectionDim: cfg.ProjectionDim,
 		Sketch:        backend,
-	})
-}
-
-func buildRobustProjected(cfg Config, oracle func(x []float64) bool) (core.Estimator, error) {
-	backend, err := cfg.SketchBackend.backend()
-	if err != nil {
-		return nil, err
-	}
-	return core.NewRobustProjectedRegression(cfg.Domain.set, cfg.Constraint.set,
-		func(x vec.Vector) bool { return oracle([]float64(x)) },
-		cfg.Privacy.params(), cfg.horizonOrDefault(), randx.NewSource(cfg.Seed), core.ProjectedOptions{
-			RegressionOptions: core.RegressionOptions{
-				MaxIterations: cfg.MaxIterations,
-				WarmStart:     cfg.WarmStart,
-				UseHybridTree: cfg.UnknownHorizon,
-			},
-			ProjectionDim: cfg.ProjectionDim,
-			Sketch:        backend,
-		})
+	}, nil
 }
 
 // lookupMechanism resolves a canonical name or alias, case-insensitively.
@@ -296,7 +290,7 @@ func New(name string, opts ...Option) (Estimator, error) {
 
 // buildEstimator runs the shared validation pipeline and wraps the core
 // estimator in the public adapter. It is the single construction funnel used
-// by New, the deprecated constructors, and Pool.
+// by New and Pool.
 func buildEstimator(m *mechanism, s *settings) (Estimator, error) {
 	if m.info.Private {
 		if err := validatePrivacy(s.cfg.Privacy); err != nil {
@@ -313,5 +307,5 @@ func buildEstimator(m *mechanism, s *settings) (Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &estimatorAdapter{inner: inner, mechanism: m.info.Name}, nil
+	return newAdapter(inner, m.info.Name, s.cfg.Constraint.Dim()), nil
 }

@@ -85,14 +85,6 @@ func TestNewValidatesPrivacyAtBoundary(t *testing.T) {
 			}
 		}
 	}
-	// The deprecated constructors route through the same validation.
-	if _, err := NewGenericERM(Config{
-		Privacy:    Privacy{Epsilon: 1, Delta: 0},
-		Horizon:    16,
-		Constraint: L2Constraint(3, 1),
-	}, SquaredLoss); err == nil {
-		t.Fatal("NewGenericERM accepted delta = 0")
-	}
 	// The non-private baseline ignores the budget entirely.
 	if _, err := New("nonprivate", WithHorizon(16), WithConstraint(L2Constraint(3, 1))); err != nil {
 		t.Fatalf("nonprivate should not require a budget: %v", err)
@@ -167,48 +159,4 @@ func TestOptionArgumentValidation(t *testing.T) {
 	if _, err := New("gradient", nil); err == nil {
 		t.Fatal("nil option should be rejected")
 	}
-}
-
-// TestNewMatchesDeprecatedConstructors pins the shim contract: both entry
-// points build identical estimators (same seeded output).
-func TestNewMatchesDeprecatedConstructors(t *testing.T) {
-	cfg := Config{
-		Privacy:    Privacy{Epsilon: 1, Delta: 1e-6},
-		Horizon:    16,
-		Constraint: L2Constraint(4, 1),
-		Seed:       9,
-		WarmStart:  true,
-	}
-	old, err := NewGradientRegression(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu, err := New("gradient",
-		WithEpsilonDelta(1, 1e-6),
-		WithHorizon(16),
-		WithConstraint(L2Constraint(4, 1)),
-		WithSeed(9),
-		WithWarmStart(true),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		x, y := syntheticPoint(i, 4)
-		if err := old.Observe(x, y); err != nil {
-			t.Fatal(err)
-		}
-		if err := neu.Observe(x, y); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a, err := old.Estimate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := neu.Estimate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameVector(t, "gradient", a, b)
 }

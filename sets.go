@@ -13,7 +13,7 @@ type Constraint struct {
 }
 
 // Domain describes the covariate domain X ⊂ R^d. Its Gaussian width drives the
-// projection dimension of NewProjectedRegression. Construct one with
+// projection dimension of the projected mechanisms. Construct one with
 // UnitBallDomain, SparseDomain or L1Domain.
 type Domain struct {
 	set constraint.Set
