@@ -51,7 +51,8 @@
 //   - "generic-erm" (Mechanism PRIVINCERM) converts any private batch ERM
 //     algorithm into an incremental one by recomputing every τ steps, for any
 //     supported loss (WithLoss).
-//   - "naive-recompute" and "nonprivate" are the baselines the experiments
+//   - "naive-recompute" is the same mechanism with τ = 1 (a private re-solve at
+//     every step); it and "nonprivate" are the baselines the experiments
 //     compare against.
 //
 // Budgets are validated at this boundary: the Gaussian-noise mechanisms

@@ -10,46 +10,68 @@ import (
 	"privreg/internal/vec"
 )
 
-// Allocation-regression guards for the amortized slow-path mechanisms. On the
-// quadratic sufficient-statistics path, Observe folds a point through a
-// reused clamp buffer into preallocated moment statistics (zero allocations),
-// ObserveBatch is the same loop, and a non-boundary Estimate only clones the
-// memoized vector. A failure here means a scratch buffer stopped being reused
-// or the fold path regressed to per-point cloning.
+// Allocation-regression guards for the sufficient-statistics mechanisms. On
+// the quadratic path, Observe folds a point through a reused clamp buffer into
+// preallocated moment statistics (zero allocations), ObserveBatch and
+// ObserveMultiFlat are the same loop, and a non-boundary Estimate only clones
+// the memoized vector. A failure here means a scratch buffer stopped being
+// reused or the fold path regressed to per-point cloning.
 
-func allocMech(t testing.TB, naive bool) (Estimator, func() loss.Point) {
+// allocMechs names the mechanisms under audit.
+var allocMechs = []string{"generic-erm", "naive-recompute", "multi-outcome", "nonprivate"}
+
+// allocMech builds the named mechanism (d = 16; k = 4 for multi-outcome) and
+// an ingest function for a fixed run of rows drawn once: single-outcome
+// mechanisms take a single row through Observe and longer runs through
+// ObserveBatch, multi-outcome takes every run flat through ObserveMultiFlat.
+func allocMech(t testing.TB, name string, rows int) (Estimator, func() error) {
 	t.Helper()
-	const d = 16
+	const d, k = 16, 4
 	cons := constraint.NewL2Ball(d, 1)
 	driver := randx.NewSource(91)
+	batch := erm.PrivateBatchOptions{Iterations: 8}
 	var mech Estimator
 	var err error
-	if naive {
-		mech, err = NewNaiveRecompute(loss.Squared{}, cons, privacy(), 1<<20, randx.NewSource(4),
-			NaiveOptions{Batch: erm.PrivateBatchOptions{Iterations: 8}})
-	} else {
+	switch name {
+	case "generic-erm":
 		mech, err = NewGenericERM(loss.Squared{}, cons, privacy(), 1<<20, randx.NewSource(4),
-			GenericOptions{Tau: 64, Batch: erm.PrivateBatchOptions{Iterations: 8}})
+			GenericOptions{Tau: 64, Batch: batch})
+	case "naive-recompute":
+		mech, err = NewNaiveRecompute(loss.Squared{}, cons, privacy(), 1<<20, randx.NewSource(4),
+			GenericOptions{Batch: batch})
+	case "multi-outcome":
+		m, err := NewMultiOutcome(cons, k, privacy(), 1<<20, randx.NewSource(4),
+			GenericOptions{Tau: 64, Batch: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs := driver.NormalVector(rows*d, 0.3)
+		ys := driver.NormalVector(rows*k, 0.5)
+		return m, func() error { return m.ObserveMultiFlat(xs, ys) }
+	case "nonprivate":
+		mech = NewNonPrivateIncremental(cons, 0)
+	default:
+		t.Fatalf("unknown mechanism %q", name)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := func() loss.Point {
-		return loss.Point{X: vec.Vector(driver.NormalVector(d, 0.3)), Y: driver.Normal(0, 0.5)}
+	ps := make([]loss.Point, rows)
+	for i := range ps {
+		ps[i] = loss.Point{X: vec.Vector(driver.NormalVector(d, 0.3)), Y: driver.Normal(0, 0.5)}
 	}
-	return mech, next
+	if rows == 1 {
+		return mech, func() error { return mech.Observe(ps[0]) }
+	}
+	return mech, func() error { return mech.ObserveBatch(ps) }
 }
 
 func TestSlowPathObserveAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		naive bool
-	}{{"generic-erm", false}, {"naive-recompute", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			mech, next := allocMech(t, tc.naive)
-			p := next()
+	for _, name := range allocMechs {
+		t.Run(name, func(t *testing.T) {
+			_, observe := allocMech(t, name, 1)
 			run := func() {
-				if err := mech.Observe(p); err != nil {
+				if err := observe(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -67,18 +89,11 @@ func TestSlowPathObserveAllocs(t *testing.T) {
 }
 
 func TestSlowPathObserveBatchAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		naive bool
-	}{{"generic-erm", false}, {"naive-recompute", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			mech, next := allocMech(t, tc.naive)
-			batch := make([]loss.Point, 32)
-			for i := range batch {
-				batch[i] = next()
-			}
+	for _, name := range allocMechs {
+		t.Run(name, func(t *testing.T) {
+			_, observe := allocMech(t, name, 32)
 			run := func() {
-				if err := mech.ObserveBatch(batch); err != nil {
+				if err := observe(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -94,14 +109,11 @@ func TestSlowPathObserveBatchAllocs(t *testing.T) {
 }
 
 func TestSlowPathEstimateAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		naive bool
-	}{{"generic-erm", false}, {"naive-recompute", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			mech, next := allocMech(t, tc.naive)
+	for _, name := range allocMechs {
+		t.Run(name, func(t *testing.T) {
+			mech, observe := allocMech(t, name, 1)
 			for i := 0; i < 10; i++ {
-				if err := mech.Observe(next()); err != nil {
+				if err := observe(); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -2,7 +2,8 @@
 // private incremental empirical risk minimization. It contains
 //
 //   - GenericERM — Mechanism PRIVINCERM, the generic transformation of a
-//     private batch ERM algorithm into a private incremental one (Section 3);
+//     private batch ERM algorithm into a private incremental one (Section 3),
+//     which also serves k least-squares outcomes over one shared Gram matrix;
 //   - GradientRegression — Algorithm PRIVINCREG1, private incremental linear
 //     regression via a Tree-Mechanism-maintained private gradient function fed
 //     to noisy projected gradient descent (Section 4);
@@ -11,8 +12,8 @@
 //     problem and lifts the solution back by Minkowski-functional minimization
 //     (Section 5), plus its robust extension for mixed-domain streams (§5.2);
 //   - baselines: a non-private exact incremental solver, the naive private
-//     recompute-every-step mechanism, and the trivial data-independent
-//     mechanism, all used by the experiments for comparison.
+//     recompute-every-step mechanism (GenericERM with τ = 1), and the trivial
+//     data-independent mechanism, all used by the experiments for comparison.
 //
 // Every mechanism satisfies the Estimator interface: feed the stream one point
 // at a time with Observe and read the current private parameter estimate with
@@ -25,13 +26,11 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"privreg/internal/constraint"
 	"privreg/internal/dp"
 	"privreg/internal/erm"
 	"privreg/internal/loss"
-	"privreg/internal/randx"
 	"privreg/internal/vec"
 )
 
@@ -91,10 +90,16 @@ func clampInto(dst, x vec.Vector, y float64) float64 {
 	if n := vec.Norm2(dst); n > 1 {
 		dst.Scale(1 / n)
 	}
+	return clampY(y)
+}
+
+// clampY clamps a response into [-1, 1].
+func clampY(y float64) float64 {
 	if y > 1 {
-		y = 1
-	} else if y < -1 {
-		y = -1
+		return 1
+	}
+	if y < -1 {
+		return -1
 	}
 	return y
 }
@@ -135,20 +140,30 @@ func (t *TrivialConstant) Len() int { return t.n }
 func (t *TrivialConstant) Privacy() dp.Params { return dp.Params{} }
 
 // NonPrivateIncremental is the exact (non-private) incremental least-squares
-// baseline: it maintains the sufficient statistics of the prefix and returns
-// the exact constrained minimizer on demand. It is both the ground truth that
-// excess risk is measured against and the "utility ceiling" series in the
-// experiment tables.
+// baseline: it folds each clamped point into single-outcome sufficient
+// statistics and returns the exact constrained minimizer on demand. It is both
+// the ground truth that excess risk is measured against and the "utility
+// ceiling" series in the experiment tables.
 type NonPrivateIncremental struct {
 	c     constraint.Set
-	state *erm.LeastSquaresState
+	stats *erm.MultiStats
 	iters int
+	xbuf  vec.Vector
+	ybuf  [1]float64
+	// sol memoizes the minimizer at observation count solN (solN < 0 = none):
+	// the statistics are the complete solver input, so while no new points
+	// arrive Estimate returns the previous solution instead of re-solving. ws
+	// holds the reusable buffers of the exact solve.
+	sol  vec.Vector
+	solN int
+	ws   erm.ExactWorkspace
 }
 
 // NewNonPrivateIncremental returns the exact baseline over constraint set c.
 // iters bounds the inner solver iterations (<= 0 selects the default).
 func NewNonPrivateIncremental(c constraint.Set, iters int) *NonPrivateIncremental {
-	return &NonPrivateIncremental{c: c, state: erm.NewLeastSquaresState(c.Dim(), c), iters: iters}
+	d := c.Dim()
+	return &NonPrivateIncremental{c: c, stats: erm.NewMultiStats(d, 1), iters: iters, xbuf: vec.NewVector(d), solN: -1}
 }
 
 // Name implements Estimator.
@@ -156,8 +171,8 @@ func (n *NonPrivateIncremental) Name() string { return "exact-incremental" }
 
 // Observe implements Estimator.
 func (n *NonPrivateIncremental) Observe(p loss.Point) error {
-	p = clampPoint(p)
-	n.state.Observe(p.X, p.Y)
+	n.ybuf[0] = clampInto(n.xbuf, p.X, p.Y)
+	n.stats.Add(n.xbuf, n.ybuf[:])
 	return nil
 }
 
@@ -173,11 +188,15 @@ func (n *NonPrivateIncremental) ObserveBatch(ps []loss.Point) error {
 
 // Estimate implements Estimator.
 func (n *NonPrivateIncremental) Estimate() (vec.Vector, error) {
-	return n.state.Minimize(n.iters), nil
+	if n.solN != n.stats.Len() {
+		n.sol = erm.ExactStats(&n.ws, n.stats, n.c, n.iters)
+		n.solN = n.stats.Len()
+	}
+	return n.sol.Clone(), nil
 }
 
 // Len implements Estimator.
-func (n *NonPrivateIncremental) Len() int { return n.state.Len() }
+func (n *NonPrivateIncremental) Len() int { return n.stats.Len() }
 
 // Privacy implements Estimator: not private.
 func (n *NonPrivateIncremental) Privacy() dp.Params { return dp.Params{} }
@@ -185,189 +204,13 @@ func (n *NonPrivateIncremental) Privacy() dp.Params { return dp.Params{} }
 // Risk exposes the exact prefix squared-loss risk of an arbitrary parameter
 // vector, computed from the sufficient statistics in O(d²). The experiments use
 // it to evaluate excess risk without re-scanning the stream.
-func (n *NonPrivateIncremental) Risk(theta vec.Vector) float64 { return n.state.Risk(theta) }
+func (n *NonPrivateIncremental) Risk(theta vec.Vector) float64 { return n.stats.Risk(theta, 0) }
 
 // Gradient exposes the exact prefix risk gradient 2(XᵀXθ - Xᵀy). The
 // experiments use it to measure how far a mechanism's private gradient function
 // deviates from the truth (the α of Definition 5).
 func (n *NonPrivateIncremental) Gradient(theta vec.Vector) vec.Vector {
-	return n.state.Gradient(theta)
-}
-
-// NaiveRecompute is the naive private mechanism discussed in Section 1: it
-// re-solves a private batch ERM problem on the full prefix at every timestep,
-// splitting the (ε, δ) budget across all T invocations with advanced
-// composition. Its excess risk therefore carries an extra ≈ √T factor relative
-// to the batch bound, which experiment E5 demonstrates against GenericERM.
-//
-// Like GenericERM, the implementation amortizes: a quadratic loss is folded
-// into O(d²) sufficient statistics instead of a retained history, and the
-// per-timestep solve is deferred behind a dirty flag until the next Estimate.
-// The solve for timestep t is keyed by invocation index t, so its output is a
-// pure function of the prefix — identical whether it runs inside Observe, at
-// a later Estimate, or never (when a newer point supersedes it unread).
-type NaiveRecompute struct {
-	f        loss.Function
-	c        constraint.Set
-	privacy  dp.Params
-	perStep  dp.Params
-	horizon  int
-	batchOpt erm.PrivateBatchOptions
-	key      int64
-	solver   *erm.Solver
-
-	t       int
-	dirty   bool
-	current vec.Vector
-
-	// Quadratic sufficient-statistics path.
-	quad  bool
-	stats *erm.QuadraticStats
-	xbuf  vec.Vector
-
-	// History fallback path.
-	historyCap int
-	history    []loss.Point
-	ring       *pointRing
-	scratch    []loss.Point
-}
-
-// NaiveOptions configures NaiveRecompute.
-type NaiveOptions struct {
-	// Batch configures the private batch ERM solver run at each timestep.
-	Batch erm.PrivateBatchOptions
-	// HistoryCap bounds the retained history for losses without quadratic
-	// sufficient statistics, exactly as GenericOptions.HistoryCap: positive
-	// keeps a ring of the most recent points and solves over that window;
-	// zero or negative retains the full history. Quadratic losses ignore it.
-	HistoryCap int
-}
-
-// NewNaiveRecompute returns the naive recompute-every-step mechanism with
-// stream horizon T. The source seeds the mechanism's noise key (derived once;
-// the source is not retained).
-func NewNaiveRecompute(f loss.Function, c constraint.Set, p dp.Params, horizon int, src *randx.Source, opts NaiveOptions) (*NaiveRecompute, error) {
-	if f == nil || c == nil {
-		return nil, errors.New("core: nil loss or constraint set")
-	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("core: horizon must be positive, got %d", horizon)
-	}
-	if src == nil {
-		return nil, errors.New("core: nil randomness source")
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	perStep, err := dp.PerInvocationAdvanced(p, horizon)
-	if err != nil {
-		return nil, err
-	}
-	d := c.Dim()
-	nr := &NaiveRecompute{
-		f:        f,
-		c:        c,
-		privacy:  p,
-		perStep:  perStep,
-		horizon:  horizon,
-		batchOpt: opts.Batch,
-		key:      src.DeriveKey(),
-		solver:   erm.NewSolver(c),
-		current:  c.Project(vec.NewVector(d)),
-	}
-	if _, _, ok := loss.AsQuadratic(f); ok {
-		nr.quad = true
-		nr.stats = erm.NewQuadraticStats(d)
-		nr.xbuf = vec.NewVector(d)
-	} else if opts.HistoryCap > 0 {
-		nr.historyCap = opts.HistoryCap
-		nr.ring = newPointRing(opts.HistoryCap, d)
-		nr.scratch = make([]loss.Point, 0, opts.HistoryCap)
-	}
-	return nr, nil
-}
-
-// Name implements Estimator.
-func (nr *NaiveRecompute) Name() string { return "naive-recompute" }
-
-// Observe implements Estimator: fold (or append) the clamped point and mark
-// the estimate dirty. The solve itself is deferred to the next Estimate —
-// because it is keyed by the timestep index, the deferred solve produces
-// exactly what an immediate one would, and solves for timesteps whose
-// estimate is never read are skipped outright.
-func (nr *NaiveRecompute) Observe(p loss.Point) error {
-	if nr.t >= nr.horizon {
-		return ErrStreamFull
-	}
-	nr.t++
-	switch {
-	case nr.quad:
-		y := clampInto(nr.xbuf, p.X, p.Y)
-		nr.stats.Add(nr.xbuf, y)
-	case nr.ring != nil:
-		nr.ring.push(p)
-	default:
-		nr.history = append(nr.history, clampPoint(p))
-	}
-	nr.dirty = true
-	return nil
-}
-
-// ObserveBatch implements Estimator; the horizon check is hoisted so an
-// oversized batch is rejected whole.
-func (nr *NaiveRecompute) ObserveBatch(ps []loss.Point) error {
-	if nr.t+len(ps) > nr.horizon {
-		return ErrStreamFull
-	}
-	for _, p := range ps {
-		if err := nr.Observe(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Estimate implements Estimator: when dirty, the per-step solve runs over the
-// current prefix (statistics, window, or history) with invocation index t and
-// the result is memoized until the next Observe.
-func (nr *NaiveRecompute) Estimate() (vec.Vector, error) {
-	if nr.dirty {
-		var theta vec.Vector
-		var err error
-		switch {
-		case nr.quad:
-			theta, err = nr.solver.SolveStats(nr.f, nr.stats, nr.perStep, nr.key, uint64(nr.t), nr.batchOpt)
-		case nr.ring != nil:
-			nr.scratch = nr.ring.appendTo(nr.scratch[:0])
-			theta, err = nr.solver.SolveHistory(nr.f, nr.scratch, nr.perStep, nr.key, uint64(nr.t), nr.batchOpt)
-		default:
-			theta, err = nr.solver.SolveHistory(nr.f, nr.history, nr.perStep, nr.key, uint64(nr.t), nr.batchOpt)
-		}
-		if err != nil {
-			return nil, err
-		}
-		nr.current = theta
-		nr.dirty = false
-	}
-	return nr.current.Clone(), nil
-}
-
-// Len implements Estimator.
-func (nr *NaiveRecompute) Len() int { return nr.t }
-
-// Privacy implements Estimator.
-func (nr *NaiveRecompute) Privacy() dp.Params { return nr.privacy }
-
-// StateBytes reports the retained per-stream memory, as GenericERM.StateBytes.
-func (nr *NaiveRecompute) StateBytes() int {
-	b := 8 * len(nr.current)
-	switch {
-	case nr.quad:
-		b += nr.stats.Bytes()
-	case nr.ring != nil:
-		b += nr.ring.bytes()
-	default:
-		b += pointsBytes(nr.history)
-	}
-	return b
+	g := vec.NewVector(len(theta))
+	n.stats.GradientInto(g, theta, 0, 1, 0)
+	return g
 }

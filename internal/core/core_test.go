@@ -259,19 +259,20 @@ func TestPrivateGradientMatchesExactWhenNoiseNegligible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := erm.NewLeastSquaresState(d, c)
+	state := erm.NewMultiStats(d, 1)
 	gen, _ := linearStream(d, 0.05, 0, 7)
 	for i := 0; i < 16; i++ {
 		p := gen.Next()
 		if err := est.Observe(p); err != nil {
 			t.Fatal(err)
 		}
-		state.Observe(p.X, p.Y)
+		state.Add(p.X, []float64{p.Y})
 	}
 	pg := est.Gradient()
 	theta := vec.Vector{0.2, -0.1, 0.3}
 	got := pg.Eval(theta)
-	want := state.Gradient(theta)
+	want := vec.NewVector(d)
+	state.GradientInto(want, theta, 0, 1, 0)
 	if vec.Dist2(got, want) > 1e-2*(1+vec.Norm2(want)) {
 		t.Fatalf("private gradient %v differs from exact %v", got, want)
 	}

@@ -22,63 +22,89 @@ import (
 // replayed, trading a staleness term of at most τ·L·‖C‖ against the reduced
 // privacy noise.
 //
+// It is the package's one PRIVINCERM engine, and three constructors fix its
+// schedule and budget:
+//
+//   - NewGenericERM: τ from the options or TauForLoss, any convex loss;
+//   - NewNaiveRecompute: the naive baseline of Section 1, the same mechanism
+//     with τ = 1 (a private re-solve on every prefix, the budget split over
+//     all T steps, hence an extra ≈ √T factor in excess risk);
+//   - NewMultiOutcome: the PRIMO-style engine, k least-squares outcomes over
+//     one shared feature stream, the budget split per outcome first and per
+//     boundary second, outcome i keyed by SubKey(key, i).
+//
 // The implementation amortizes the mechanism in two orthogonal ways:
 //
 //   - Sufficient statistics. When the loss satisfies loss.AsQuadratic (squared
 //     loss, optionally ridge-regularized), the history is never retained:
-//     Observe folds each clamped point into O(d²) moment statistics
-//     (erm.QuadraticStats) with a rank-one update, and each τ-boundary solve
-//     runs over the statistics in O(d²·iterations) — independent of the
-//     stream length. Checkpoints are O(d²) too.
+//     each clamped row is folded into O(d²) moment statistics (erm.MultiStats,
+//     one Gram matrix shared by the k outcomes) with a rank-one update, and
+//     each τ-boundary solve runs over the statistics in O(d²·iterations) —
+//     independent of the stream length. Checkpoints are O(d² + k·d) too.
 //   - Lazy boundary solves. A solve scheduled at a τ boundary is deferred to
-//     the next Estimate. The solve noise is counter-keyed (a pure function of
-//     the mechanism key, the invocation index k = t/τ, and the iteration), so
-//     deferral — or outright skipping, when a later boundary supersedes an
-//     unread one — produces the exact estimate sequence eager execution
-//     would. Privacy is unaffected: the adversary observes at most the same
-//     set of solve outputs, each computed on the same prefix with the same
-//     per-call budget.
+//     the next read of its outcome. The solve noise is counter-keyed (a pure
+//     function of the outcome key, the invocation index k = t/τ, and the
+//     iteration), so deferral — or outright skipping, when a later boundary
+//     supersedes an unread one — produces the exact estimate sequence eager
+//     execution would. Privacy is unaffected: the adversary observes at most
+//     the same set of solve outputs, each computed on the same prefix with
+//     the same per-call budget.
 //
-// Non-quadratic losses fall back to retained history. Unbounded by default;
-// GenericOptions.HistoryCap bounds retention with a ring buffer over the most
-// recent points, in which case each boundary solve runs eagerly over the
-// window (deferring would let the points it must see get evicted) and
+// Non-quadratic losses (single outcome only) fall back to retained history.
+// Unbounded by default; GenericOptions.HistoryCap bounds retention with a ring
+// buffer over the most recent points, in which case each boundary solve
 // approximates the full-prefix solve by a sliding-window solve.
+//
+// The pending boundary is materialized only when the next row would destroy
+// it and does not start a new boundary itself: the statistics are copied into
+// a snapshot, the ring's window is solved on the spot, and the full history
+// needs nothing (it keeps the prefix). With τ = 1 every row starts a new
+// boundary, so nothing is ever copied or solved early.
 type GenericERM struct {
+	name    string
 	f       loss.Function
 	c       constraint.Set
 	privacy dp.Params
 	perCall dp.Params
 	horizon int
 	tau     int
+	k       int
 
 	batchOpts erm.PrivateBatchOptions
 	key       int64
-	solver    *erm.Solver
+	// subKeys keys outcome i's solves by SubKey(key, i); otherwise the single
+	// outcome solves under key itself.
+	subKeys bool
+	solver  *erm.Solver
 
-	t       int
-	current vec.Vector
+	t int
+	// pendInv is the invocation index t/τ of the last boundary reached
+	// (0 = none yet). Outcome i is stale while solvedInv[i] < pendInv;
+	// current[i] is its last published estimate.
+	pendInv   uint64
+	solvedInv []uint64
+	current   []vec.Vector
 
-	// Quadratic sufficient-statistics path.
-	quad    bool
-	stats   *erm.QuadraticStats
-	pend    *erm.QuadraticStats
-	pendSet bool
-	pendInv uint64
-	xbuf    vec.Vector
+	// Sufficient-statistics prefix: the live statistics and the pending
+	// boundary's snapshot (nil when τ = 1, which never needs one).
+	stats *erm.MultiStats
+	snap  *erm.MultiStats
+	xbuf  vec.Vector
+	ybuf  []float64
 
-	// History fallback path.
+	// History prefix: the ring of the last historyCap points, or the full
+	// clamped history when uncapped.
 	historyCap int
 	history    []loss.Point
 	ring       *pointRing
 	scratch    []loss.Point
-	pendN      int
 }
 
-// GenericOptions configures GenericERM.
+// GenericOptions configures the PRIVINCERM engine.
 type GenericOptions struct {
 	// Tau is the recomputation period τ. When zero it is chosen automatically
-	// from the loss's convexity properties via TauForLoss.
+	// from the loss's convexity properties via TauForLoss. NewNaiveRecompute
+	// ignores it (τ = 1).
 	Tau int
 	// Batch configures the private batch ERM black box.
 	Batch erm.PrivateBatchOptions
@@ -141,53 +167,115 @@ func TauForLoss(f loss.Function, c constraint.Set, horizon int, p dp.Params) int
 	return TauConvex(horizon, c.Dim(), p.Epsilon)
 }
 
+// checkArgs validates the arguments every PRIVINCERM constructor shares.
+func checkArgs(f loss.Function, c constraint.Set, p dp.Params, horizon int, src *randx.Source) error {
+	if f == nil || c == nil {
+		return errors.New("core: nil loss or constraint set")
+	}
+	if horizon <= 0 {
+		return fmt.Errorf("core: horizon must be positive, got %d", horizon)
+	}
+	if src == nil {
+		return errors.New("core: nil randomness source")
+	}
+	return p.Validate()
+}
+
 // NewGenericERM returns Mechanism PRIVINCERM for the given loss, constraint
 // set, total privacy budget and stream horizon T. The source seeds the
 // mechanism's noise key (derived once at construction; the source itself is
 // not retained).
 func NewGenericERM(f loss.Function, c constraint.Set, p dp.Params, horizon int, src *randx.Source, opts GenericOptions) (*GenericERM, error) {
-	if f == nil || c == nil {
-		return nil, errors.New("core: nil loss or constraint set")
-	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("core: horizon must be positive, got %d", horizon)
-	}
-	if src == nil {
-		return nil, errors.New("core: nil randomness source")
-	}
-	if err := p.Validate(); err != nil {
+	if err := checkArgs(f, c, p, horizon, src); err != nil {
 		return nil, err
 	}
 	tau := opts.Tau
 	if tau <= 0 {
 		tau = TauForLoss(f, c, horizon, p)
 	}
+	return newEngine("priv-inc-erm", f, c, 1, p, p, tau, horizon, src, opts)
+}
+
+// NewNaiveRecompute returns the naive recompute-every-step mechanism with
+// stream horizon T: PRIVINCERM with τ = 1, so each timestep's estimate is a
+// private solve over the whole prefix under a per-step budget split across
+// all T steps. Its excess risk carries an extra ≈ √T factor relative to the
+// batch bound, which experiment E5 demonstrates against NewGenericERM.
+func NewNaiveRecompute(f loss.Function, c constraint.Set, p dp.Params, horizon int, src *randx.Source, opts GenericOptions) (*GenericERM, error) {
+	if err := checkArgs(f, c, p, horizon, src); err != nil {
+		return nil, err
+	}
+	return newEngine("naive-recompute", f, c, 1, p, p, 1, horizon, src, opts)
+}
+
+// NewMultiOutcome returns the multi-outcome engine for k least-squares
+// outcomes over constraint set c with total budget p and stream horizon T.
+// The total budget is split across the k outcomes by advanced composition,
+// and each outcome's share across its T/τ boundary solves; outcome i's solves
+// are keyed by SubKey(key, i). The source seeds the mechanism's noise key
+// (derived once; the source is not retained).
+func NewMultiOutcome(c constraint.Set, outcomes int, p dp.Params, horizon int, src *randx.Source, opts GenericOptions) (*GenericERM, error) {
+	if outcomes < 1 {
+		return nil, fmt.Errorf("core: outcome count must be at least 1, got %d", outcomes)
+	}
+	f := loss.Squared{}
+	if err := checkArgs(f, c, p, horizon, src); err != nil {
+		return nil, err
+	}
+	perOutcome, err := dp.PerInvocationAdvanced(p, outcomes)
+	if err != nil {
+		return nil, err
+	}
+	tau := opts.Tau
+	if tau <= 0 {
+		tau = TauForLoss(f, c, horizon, perOutcome)
+	}
+	g, err := newEngine("multi-outcome", f, c, outcomes, p, perOutcome, tau, horizon, src, opts)
+	if err != nil {
+		return nil, err
+	}
+	g.subKeys = true
+	return g, nil
+}
+
+// newEngine builds the engine for k outcomes with period τ, splitting each
+// outcome's budget perOutcome across its T/τ boundary solves.
+func newEngine(name string, f loss.Function, c constraint.Set, k int, p, perOutcome dp.Params, tau, horizon int, src *randx.Source, opts GenericOptions) (*GenericERM, error) {
 	tau = clampTau(tau, horizon)
 	calls := horizon / tau
 	if calls < 1 {
 		calls = 1
 	}
-	perCall, err := dp.PerInvocationAdvanced(p, calls)
+	perCall, err := dp.PerInvocationAdvanced(perOutcome, calls)
 	if err != nil {
 		return nil, err
 	}
 	d := c.Dim()
 	g := &GenericERM{
+		name:      name,
 		f:         f,
 		c:         c,
 		privacy:   p,
 		perCall:   perCall,
 		horizon:   horizon,
 		tau:       tau,
+		k:         k,
 		batchOpts: opts.Batch,
 		key:       src.DeriveKey(),
 		solver:    erm.NewSolver(c),
-		current:   c.Project(vec.NewVector(d)),
+		solvedInv: make([]uint64, k),
+		current:   make([]vec.Vector, k),
+		ybuf:      make([]float64, k),
+	}
+	origin := c.Project(vec.NewVector(d))
+	for i := range g.current {
+		g.current[i] = origin.Clone()
 	}
 	if _, _, ok := loss.AsQuadratic(f); ok {
-		g.quad = true
-		g.stats = erm.NewQuadraticStats(d)
-		g.pend = erm.NewQuadraticStats(d)
+		g.stats = erm.NewMultiStats(d, k)
+		if tau > 1 {
+			g.snap = erm.NewMultiStats(d, k)
+		}
 		g.xbuf = vec.NewVector(d)
 	} else if opts.HistoryCap > 0 {
 		g.historyCap = opts.HistoryCap
@@ -198,7 +286,10 @@ func NewGenericERM(f loss.Function, c constraint.Set, p dp.Params, horizon int, 
 }
 
 // Name implements Estimator.
-func (g *GenericERM) Name() string { return "priv-inc-erm" }
+func (g *GenericERM) Name() string { return g.name }
+
+// Outcomes returns k.
+func (g *GenericERM) Outcomes() int { return g.k }
 
 // Tau returns the recomputation period in use.
 func (g *GenericERM) Tau() int { return g.tau }
@@ -206,53 +297,22 @@ func (g *GenericERM) Tau() int { return g.tau }
 // PerCallPrivacy returns the per-invocation budget handed to the batch solver.
 func (g *GenericERM) PerCallPrivacy() dp.Params { return g.perCall }
 
-// Observe implements Estimator. On the quadratic path the point is folded into
-// the sufficient statistics in O(d²) with no allocation; a τ boundary snapshots
-// the statistics and defers the solve to the next Estimate (a later boundary
-// overwrites an unread snapshot, which skips the superseded solve entirely).
-// On the history fallback the point is appended (or pushed into the ring), and
-// a boundary either schedules a lazy prefix solve (uncapped) or solves the
-// window eagerly (capped, since deferral would let window points get evicted).
+// Observe implements Estimator for single-outcome mechanisms; a mechanism
+// with more outcomes needs the full row and rejects scalar feeds.
 func (g *GenericERM) Observe(p loss.Point) error {
-	if g.t >= g.horizon {
-		return ErrStreamFull
+	if g.k != 1 {
+		return fmt.Errorf("core: %s mechanism with %d outcomes requires ObserveMulti rows", g.name, g.k)
 	}
-	g.t++
-	switch {
-	case g.quad:
-		y := clampInto(g.xbuf, p.X, p.Y)
-		g.stats.Add(g.xbuf, y)
-		if g.t%g.tau == 0 {
-			g.pend.CopyFrom(g.stats)
-			g.pendInv = uint64(g.t / g.tau)
-			g.pendSet = true
-		}
-	case g.ring != nil:
-		g.ring.push(p)
-		if g.t%g.tau == 0 {
-			g.scratch = g.ring.appendTo(g.scratch[:0])
-			theta, err := g.solver.SolveHistory(g.f, g.scratch, g.perCall, g.key, uint64(g.t/g.tau), g.batchOpts)
-			if err != nil {
-				return err
-			}
-			g.current = theta
-		}
-	default:
-		g.history = append(g.history, clampPoint(p))
-		if g.t%g.tau == 0 {
-			g.pendN = g.t
-			g.pendInv = uint64(g.t / g.tau)
-			g.pendSet = true
-		}
-	}
-	return nil
+	g.ybuf[0] = p.Y
+	return g.observe(p.X, g.ybuf[:1])
 }
 
-// ObserveBatch implements Estimator. The horizon check is hoisted so an
-// oversized batch is rejected whole; each τ-boundary inside the batch still
-// schedules (or, on the capped fallback, runs) its solve exactly as a scalar
-// Observe loop would.
+// ObserveBatch implements Estimator; see Observe. The horizon check is
+// hoisted so an oversized batch is rejected whole.
 func (g *GenericERM) ObserveBatch(ps []loss.Point) error {
+	if g.k != 1 {
+		return fmt.Errorf("core: %s mechanism with %d outcomes requires ObserveMulti rows", g.name, g.k)
+	}
 	if g.t+len(ps) > g.horizon {
 		return ErrStreamFull
 	}
@@ -264,45 +324,171 @@ func (g *GenericERM) ObserveBatch(ps []loss.Point) error {
 	return nil
 }
 
-// Estimate implements Estimator: it runs the deferred boundary solve, if one
-// is pending, and returns the resulting estimate. Because the solve noise is
-// keyed by (mechanism key, invocation index), the result is bit-identical to
-// what an eager solve at the boundary would have produced, regardless of how
-// many timesteps passed in between or how many earlier snapshots were
-// superseded unread.
-func (g *GenericERM) Estimate() (vec.Vector, error) {
-	if g.pendSet {
-		var theta vec.Vector
-		var err error
-		if g.quad {
-			theta, err = g.solver.SolveStats(g.f, g.pend, g.perCall, g.key, g.pendInv, g.batchOpts)
-		} else {
-			theta, err = g.solver.SolveHistory(g.f, g.history[:g.pendN], g.perCall, g.key, g.pendInv, g.batchOpts)
-		}
-		if err != nil {
-			return nil, err
-		}
-		g.current = theta
-		g.pendSet = false
-	}
-	return g.current.Clone(), nil
+// ObserveMulti feeds one row: the covariate x with all k responses.
+func (g *GenericERM) ObserveMulti(x vec.Vector, ys []float64) error {
+	return g.ObserveMultiFlat(x, ys)
 }
 
-// Len implements Estimator.
+// ObserveMultiFlat feeds a contiguous run of rows: flat row-major covariates
+// (rows×d) and flat row-major responses (rows×k). Semantically identical to
+// feeding the rows one by one; the horizon check is hoisted so an oversized
+// batch is rejected whole.
+func (g *GenericERM) ObserveMultiFlat(xs, ys []float64) error {
+	d := g.c.Dim()
+	if d == 0 || len(xs)%d != 0 {
+		return fmt.Errorf("core: flat batch of %d values is not a multiple of dimension %d", len(xs), d)
+	}
+	rows := len(xs) / d
+	if len(ys) != rows*g.k {
+		return fmt.Errorf("core: flat batch of %d rows carries %d responses, want %d", rows, len(ys), rows*g.k)
+	}
+	if g.t+rows > g.horizon {
+		return ErrStreamFull
+	}
+	for r := 0; r < rows; r++ {
+		if err := g.observe(xs[r*d:(r+1)*d], ys[r*g.k:(r+1)*g.k]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// observe folds one row: the covariate is clamped into the unit ball and each
+// response into [-1, 1], then folded into the statistics once (or pushed into
+// the ring, or appended to the history). A τ boundary only advances pendInv;
+// the solve waits for a read or for keepBoundary.
+func (g *GenericERM) observe(x vec.Vector, ys []float64) error {
+	if g.t >= g.horizon {
+		return ErrStreamFull
+	}
+	if err := g.keepBoundary(); err != nil {
+		return err
+	}
+	g.t++
+	switch {
+	case g.stats != nil:
+		clampInto(g.xbuf, x, 0)
+		for i, y := range ys {
+			g.ybuf[i] = clampY(y)
+		}
+		g.stats.Add(g.xbuf, g.ybuf)
+	case g.ring != nil:
+		g.ring.push(loss.Point{X: x, Y: ys[0]})
+	default:
+		g.history = append(g.history, clampPoint(loss.Point{X: x, Y: ys[0]}))
+	}
+	if g.t%g.tau == 0 {
+		g.pendInv = uint64(g.t / g.tau)
+	}
+	return nil
+}
+
+// keepBoundary runs before every row. When the row would destroy a pending
+// boundary's live prefix without starting a new boundary itself, it
+// materializes that boundary: the statistics are copied into the snapshot,
+// or the ring's window is solved now. The full history keeps the prefix and
+// needs nothing.
+func (g *GenericERM) keepBoundary() error {
+	if g.t != int(g.pendInv)*g.tau || (g.t+1)%g.tau == 0 || !g.pending() {
+		return nil
+	}
+	switch {
+	case g.stats != nil:
+		g.snap.CopyFrom(g.stats)
+	case g.ring != nil:
+		return g.refresh(0)
+	}
+	return nil
+}
+
+// pending reports whether some outcome has not solved the last boundary.
+func (g *GenericERM) pending() bool {
+	for _, s := range g.solvedInv {
+		if s < g.pendInv {
+			return true
+		}
+	}
+	return false
+}
+
+// outcomeKey is the noise key of outcome i's solves.
+func (g *GenericERM) outcomeKey(i int) int64 {
+	if g.subKeys {
+		return randx.SubKey(g.key, uint64(i))
+	}
+	return g.key
+}
+
+// refresh runs outcome i's deferred solve of the pending boundary: over the
+// live statistics while the boundary is still live and over the snapshot
+// once rows have moved past it, over the ring's window, or over the history
+// prefix up to the boundary.
+func (g *GenericERM) refresh(i int) error {
+	inv := g.pendInv
+	var theta vec.Vector
+	var err error
+	switch {
+	case g.stats != nil:
+		stats := g.stats
+		if g.t != int(inv)*g.tau {
+			stats = g.snap
+		}
+		theta, err = g.solver.SolveStats(g.f, stats, i, g.perCall, g.outcomeKey(i), inv, g.batchOpts)
+	case g.ring != nil:
+		g.scratch = g.ring.appendTo(g.scratch[:0])
+		theta, err = g.solver.SolveHistory(g.f, g.scratch, g.perCall, g.outcomeKey(i), inv, g.batchOpts)
+	default:
+		theta, err = g.solver.SolveHistory(g.f, g.history[:int(inv)*g.tau], g.perCall, g.outcomeKey(i), inv, g.batchOpts)
+	}
+	if err != nil {
+		return err
+	}
+	g.current[i] = theta
+	g.solvedInv[i] = inv
+	return nil
+}
+
+// EstimateOutcome returns outcome i's current private estimate, running its
+// deferred boundary solve first if it is stale. Because the solve is keyed by
+// (outcome key, invocation index), the result is bit-identical to what an
+// eager solve at the boundary would have produced, regardless of when — or
+// in what outcome order — the estimates are read.
+func (g *GenericERM) EstimateOutcome(i int) (vec.Vector, error) {
+	if i < 0 || i >= g.k {
+		return nil, fmt.Errorf("core: outcome index %d outside [0, %d)", i, g.k)
+	}
+	if g.solvedInv[i] < g.pendInv {
+		if err := g.refresh(i); err != nil {
+			return nil, err
+		}
+	}
+	return g.current[i].Clone(), nil
+}
+
+// Estimate implements Estimator: outcome 0's estimate.
+func (g *GenericERM) Estimate() (vec.Vector, error) { return g.EstimateOutcome(0) }
+
+// Len implements Estimator: the number of rows observed (each row carries k
+// responses but consumes one timestep of the shared horizon).
 func (g *GenericERM) Len() int { return g.t }
 
-// Privacy implements Estimator.
+// Privacy implements Estimator: the total budget covering all k outcomes.
 func (g *GenericERM) Privacy() dp.Params { return g.privacy }
 
 // StateBytes reports the retained per-stream memory of the mechanism: the
-// sufficient statistics (both live and snapshot) on the quadratic path, or the
-// retained history buffers on the fallback path, plus the current estimate.
-// The serving pool surfaces the aggregate in PoolStats.
+// live and snapshot statistics, or the retained history buffers, plus the k
+// memoized estimates. The serving pool surfaces the aggregate in PoolStats.
 func (g *GenericERM) StateBytes() int {
-	b := 8 * len(g.current)
+	b := 0
+	for _, cur := range g.current {
+		b += 8 * len(cur)
+	}
 	switch {
-	case g.quad:
-		b += g.stats.Bytes() + g.pend.Bytes()
+	case g.stats != nil:
+		b += g.stats.Bytes()
+		if g.snap != nil {
+			b += g.snap.Bytes()
+		}
 	case g.ring != nil:
 		b += g.ring.bytes()
 	default:
@@ -357,8 +543,6 @@ func (r *pointRing) appendTo(dst []loss.Point) []loss.Point {
 	}
 	return dst
 }
-
-func (r *pointRing) len() int { return r.n }
 
 // bytes reports the allocated slot memory.
 func (r *pointRing) bytes() int { return pointsBytes(r.slots) }

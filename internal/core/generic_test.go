@@ -182,7 +182,7 @@ func TestNaiveRecomputeRunsAndIsFeasible(t *testing.T) {
 	d := 3
 	cons := constraint.NewL2Ball(d, 1)
 	src := randx.NewSource(6)
-	mech, err := NewNaiveRecompute(loss.Squared{}, cons, privacy(), 16, src, NaiveOptions{Batch: erm.PrivateBatchOptions{Iterations: 10}})
+	mech, err := NewNaiveRecompute(loss.Squared{}, cons, privacy(), 16, src, GenericOptions{Batch: erm.PrivateBatchOptions{Iterations: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}

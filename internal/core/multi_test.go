@@ -15,7 +15,7 @@ import (
 
 // This file audits the multi-outcome engine against an independent reference:
 // for every outcome, a from-scratch recomputation folds the clamped row log
-// into fresh per-outcome QuadraticStats and runs one keyed solve with the
+// into fresh single-outcome MultiStats and runs one keyed solve with the
 // invocation index the mechanism's schedule assigns — and the property test
 // drives the mechanism through randomly interleaved row observes, flat-batch
 // observes, per-outcome estimate reads (in random outcome order, including
@@ -31,10 +31,10 @@ const (
 
 func multiBatchOpts() erm.PrivateBatchOptions { return erm.PrivateBatchOptions{Iterations: 12} }
 
-func buildMulti(t *testing.T, cons constraint.Set, seed int64) *MultiOutcome {
+func buildMulti(t *testing.T, cons constraint.Set, seed int64) *GenericERM {
 	t.Helper()
 	m, err := NewMultiOutcome(cons, multiK, privacy(), multiHorizon, randx.NewSource(seed),
-		MultiOptions{Tau: multiTau, Batch: multiBatchOpts()})
+		GenericOptions{Tau: multiTau, Batch: multiBatchOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func refMultiEstimate(t *testing.T, cons constraint.Set, rows []multiRow, outcom
 	if inv == 0 {
 		return cons.Project(vec.NewVector(cons.Dim()))
 	}
-	stats := erm.NewQuadraticStats(cons.Dim())
+	stats := erm.NewMultiStats(cons.Dim(), 1)
 	for _, r := range rows[:inv*multiTau] {
-		stats.Add(r.x, r.ys[outcome])
+		stats.Add(r.x, r.ys[outcome:outcome+1])
 	}
-	theta, err := erm.NewSolver(cons).SolveStats(loss.Squared{}, stats, per,
+	theta, err := erm.NewSolver(cons).SolveStats(loss.Squared{}, stats, 0, per,
 		randx.SubKey(key, uint64(outcome)), uint64(inv), multiBatchOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestMultiOutcomeInterleavedOpsMatchReference(t *testing.T) {
 func TestMultiOutcomeScalarPathDegenerates(t *testing.T) {
 	cons := constraint.NewL2Ball(multiDim, 1)
 	single, err := NewMultiOutcome(cons, 1, privacy(), multiHorizon, randx.NewSource(3),
-		MultiOptions{Tau: multiTau, Batch: multiBatchOpts()})
+		GenericOptions{Tau: multiTau, Batch: multiBatchOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestMultiOutcomeRejectsWrongShape(t *testing.T) {
 		t.Fatalf("future version should be rejected with a version error, got %v", err)
 	}
 	other, err := NewMultiOutcome(cons, multiK+1, privacy(), multiHorizon, randx.NewSource(5),
-		MultiOptions{Tau: multiTau, Batch: multiBatchOpts()})
+		GenericOptions{Tau: multiTau, Batch: multiBatchOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -467,7 +467,6 @@ func (r *RobustProjectedRegression) Dropped() int { return r.dropped }
 var (
 	_ Estimator = (*TrivialConstant)(nil)
 	_ Estimator = (*NonPrivateIncremental)(nil)
-	_ Estimator = (*NaiveRecompute)(nil)
 	_ Estimator = (*GenericERM)(nil)
 	_ Estimator = (*GradientRegression)(nil)
 	_ Estimator = (*ProjectedRegression)(nil)

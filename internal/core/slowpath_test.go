@@ -17,7 +17,7 @@ import (
 // reference implementation recomputes every estimate from scratch — clamped
 // raw-point log, fresh sufficient statistics or history slice, one keyed solve
 // with the invocation index the mechanism should have used — and a property
-// test drives GenericERM and NaiveRecompute through randomly interleaved
+// test drives generic-erm and naive-recompute through randomly interleaved
 // Observe/ObserveBatch/Estimate/checkpoint/restore sequences, requiring
 // bit-identical agreement at every read. A stale memo, a mis-keyed deferred
 // solve, a ring that evicts the wrong point, or a checkpoint that drops the
@@ -55,7 +55,7 @@ func buildSlow(t *testing.T, v slowVariant, cons constraint.Set, seed int64) Est
 	t.Helper()
 	if v.naive {
 		mech, err := NewNaiveRecompute(v.f, cons, privacy(), slowHorizon, randx.NewSource(seed),
-			NaiveOptions{Batch: slowBatchOpts(), HistoryCap: v.cap})
+			GenericOptions{Batch: slowBatchOpts(), HistoryCap: v.cap})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func buildSlow(t *testing.T, v slowVariant, cons constraint.Set, seed int64) Est
 // refSlowEstimate recomputes, from first principles, the estimate the
 // mechanism must publish after t observations: pick the invocation index the
 // mechanism's schedule assigns to time t (the last τ boundary for GenericERM,
-// t itself for NaiveRecompute), take the corresponding clamped prefix (or its
+// t itself for naive-recompute), take the corresponding clamped prefix (or its
 // trailing window under a history cap), and run one keyed solve over it —
 // through freshly folded sufficient statistics when the loss is quadratic,
 // through the raw points otherwise.
@@ -96,11 +96,11 @@ func refSlowEstimate(t *testing.T, v slowVariant, cons constraint.Set, clamped [
 		prefix = prefix[len(prefix)-v.cap:]
 	}
 	if _, _, ok := loss.AsQuadratic(v.f); ok {
-		stats := erm.NewQuadraticStats(cons.Dim())
+		stats := erm.NewMultiStats(cons.Dim(), 1)
 		for _, p := range prefix {
-			stats.Add(p.X, p.Y)
+			stats.Add(p.X, []float64{p.Y})
 		}
-		theta, err := erm.NewSolver(cons).SolveStats(v.f, stats, per, key, uint64(inv), slowBatchOpts())
+		theta, err := erm.NewSolver(cons).SolveStats(v.f, stats, 0, per, key, uint64(inv), slowBatchOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,24 +289,162 @@ func TestSlowPathStateBytes(t *testing.T) {
 	}
 }
 
-// TestSlowPathRejectsOldCheckpointVersion pins the format bump: a version-2
-// blob (the pre-amortization format) must be rejected at the version byte.
+// TestSlowPathRejectsOldCheckpointVersion pins the format bumps: blobs of
+// every earlier format of the MultiStats-backed mechanisms — the version-2
+// pre-amortization slow path, the version-3 two-engine slow path, the
+// version-1 multi-outcome engine and the version-2 nonprivate baseline — must
+// be rejected at the version byte. The old formats are rebuilt field by
+// field; an old single-outcome statistics blob with n = 1 would otherwise
+// parse as a MultiStats blob with k = 1.
 func TestSlowPathRejectsOldCheckpointVersion(t *testing.T) {
 	cons := constraint.NewL2Ball(slowDim, 1)
-	for _, v := range []slowVariant{
-		{"generic", loss.Squared{}, 0, false},
-		{"naive", loss.Squared{}, 0, true},
+	oldQuadStats := func(w *codec.Writer) {
+		var s codec.Writer
+		s.Version(1)
+		s.Int(slowDim)
+		s.Int(1)
+		s.F64s(make([]float64, slowDim*(slowDim+1)/2))
+		s.F64s(make([]float64, slowDim))
+		s.F64(0)
+		w.Blob(s.Bytes())
+	}
+	multi, err := NewMultiOutcome(cons, 1, privacy(), slowHorizon, randx.NewSource(5),
+		GenericOptions{Tau: slowTau, Batch: slowBatchOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mech Estimator
+		blob func(w *codec.Writer)
+	}{
+		{"generic-v2", buildSlow(t, slowVariant{"generic", loss.Squared{}, 0, false}, cons, 5), func(w *codec.Writer) {
+			w.Version(2)
+			w.String("priv-inc-erm")
+		}},
+		{"naive-v2", buildSlow(t, slowVariant{"naive", loss.Squared{}, 0, true}, cons, 5), func(w *codec.Writer) {
+			w.Version(2)
+			w.String("naive-recompute")
+		}},
+		{"generic-v3", buildSlow(t, slowVariant{"generic", loss.Squared{}, 0, false}, cons, 5), func(w *codec.Writer) {
+			w.Version(3)
+			w.String("priv-inc-erm")
+			w.Int(slowDim)
+			w.Int(slowHorizon)
+			w.Int(slowTau)
+			w.Int(0)
+			w.Bool(true)
+			w.I64(1)
+			w.Int(1)
+			w.F64s(make([]float64, slowDim))
+			oldQuadStats(w)
+			w.Bool(false)
+		}},
+		{"multi-outcome-v1", multi, func(w *codec.Writer) {
+			w.Version(1)
+			w.String("multi-outcome")
+			w.Int(slowDim)
+			w.Int(slowHorizon)
+			w.Int(slowTau)
+			w.Int(1)
+			w.I64(1)
+			w.Int(0)
+			w.F64s(make([]float64, slowDim))
+			w.U64(0)
+			stats, err := erm.NewMultiStats(slowDim, 1).MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Blob(stats)
+			w.U64(0)
+		}},
+		{"nonprivate-v2", NewNonPrivateIncremental(cons, 0), func(w *codec.Writer) {
+			w.Version(2)
+			w.String("exact-incremental")
+			var ls codec.Writer
+			ls.Version(1)
+			ls.Int(slowDim)
+			ls.Int(1)
+			ls.F64s(make([]float64, slowDim*slowDim))
+			ls.F64s(make([]float64, slowDim))
+			ls.F64(0)
+			w.Blob(ls.Bytes())
+		}},
 	} {
-		mech := buildSlow(t, v, cons, 5)
 		var w codec.Writer
-		w.Version(2)
-		w.String(mech.Name())
-		err := mech.UnmarshalBinary(w.Bytes())
+		tc.blob(&w)
+		err := tc.mech.UnmarshalBinary(w.Bytes())
 		if err == nil {
-			t.Fatalf("%s: version-2 checkpoint should be rejected", v.name)
+			t.Fatalf("%s: old checkpoint should be rejected", tc.name)
 		}
 		if !strings.Contains(err.Error(), "version") {
-			t.Fatalf("%s: rejection should name the version, got %v", v.name, err)
+			t.Fatalf("%s: rejection should name the version, got %v", tc.name, err)
+		}
+	}
+}
+
+// TestSlowPathRejectsMismatchedPendingBoundary pins the restore validation of
+// the pending boundary. A blob reaches a node from its peers during cluster
+// handoff, and a boundary that does not match the stream would make the
+// mechanism solve at an invocation index a later real boundary reuses on
+// different data — one noise key on two datasets. Each hand-built blob breaks
+// one rule; the control blob, built the same way, must restore.
+func TestSlowPathRejectsMismatchedPendingBoundary(t *testing.T) {
+	cons := constraint.NewL2Ball(slowDim, 1)
+	statsBlob := func(n int) []byte {
+		s := erm.NewMultiStats(slowDim, 1)
+		x := vec.NewVector(slowDim)
+		x[0] = 0.5
+		for i := 0; i < n; i++ {
+			s.Add(x, []float64{0.25})
+		}
+		blob, err := s.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	// snap < 0 writes no snapshot.
+	blob := func(rows int, pendInv, solved uint64, snap int) []byte {
+		var w codec.Writer
+		w.Version(slowStateVersion)
+		w.String("priv-inc-erm")
+		w.Int(slowDim)
+		w.Int(slowHorizon)
+		w.Int(slowTau)
+		w.Int(1)
+		w.Int(0)
+		w.Bool(true)
+		w.I64(1)
+		w.Int(rows)
+		w.U64(pendInv)
+		w.F64s(make([]float64, slowDim))
+		w.U64(solved)
+		w.Blob(statsBlob(rows))
+		w.Bool(snap >= 0)
+		if snap >= 0 {
+			w.Blob(statsBlob(snap))
+		}
+		return w.Bytes()
+	}
+	build := func() Estimator {
+		return buildSlow(t, slowVariant{"generic", loss.Squared{}, 0, false}, cons, 5)
+	}
+	if err := build().UnmarshalBinary(blob(slowTau+2, 1, 0, slowTau)); err != nil {
+		t.Fatalf("control blob (boundary 1 pending behind its snapshot) rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"boundary ahead of t/tau", "pending boundary 2 is not", blob(slowTau, 2, 0, -1)},
+		{"snapshot of the wrong prefix", "snapshot holds", blob(slowTau+2, 1, 0, slowTau+1)},
+		{"outcome solved past the boundary", "solved invocation 2", blob(slowTau, 1, 2, -1)},
+		{"live boundary behind t", "has no snapshot", blob(slowTau+2, 1, 0, -1)},
+	} {
+		err := build().UnmarshalBinary(tc.data)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: want an error containing %q, got %v", tc.name, tc.want, err)
 		}
 	}
 }

@@ -23,21 +23,22 @@ import (
 // state. Randomness positions are (seed, draw-count) pairs (randx.State), so a
 // restored mechanism draws exactly the noise the uninterrupted run would have.
 
-// coreStateVersion is the checkpoint format version shared by the mechanisms
-// in this package. Version 2 added the estimate memo (estN + cached vector)
+// coreStateVersion is the checkpoint format version of the mechanisms in this
+// package that slowStateVersion does not cover. Version 2 added the estimate memo (estN + cached vector)
 // to the regression mechanisms and accompanies the counter-keyed v2 formats
 // of the nested continual-sum blobs; version-1 blobs are rejected at the
 // version byte rather than misparsed.
 const coreStateVersion = 2
 
-// slowStateVersion is the checkpoint format version of the two slow-path
-// mechanisms (GenericERM, NaiveRecompute). Version 3 is the amortized-engine
-// format: a mode byte selects between O(d²) sufficient statistics and
-// retained history, the sequential randomness position is replaced by the
-// mechanism's noise key, and any deferred boundary solve travels as a pending
-// snapshot. Version-2 blobs (full history + source position) are rejected at
-// the version byte rather than misparsed.
-const slowStateVersion = 3
+// slowStateVersion is the checkpoint format version of every mechanism backed
+// by erm.MultiStats: the PRIVINCERM engine (generic-erm, naive-recompute,
+// multi-outcome) and NonPrivateIncremental. Version 4 is the one-engine
+// format: k outcomes with a solved-invocation watermark each, one pending
+// boundary, and a snapshot only when rows have moved past an unsolved
+// boundary. Older blobs — version-3 slow-path, version-1 multi-outcome and
+// version-2 nonprivate ones — are rejected at the version byte rather than
+// misparsed.
+const slowStateVersion = 4
 
 func writeHistory(w *codec.Writer, history []loss.Point) {
 	w.Int(len(history))
@@ -104,279 +105,188 @@ func (t *TrivialConstant) UnmarshalBinary(data []byte) error {
 // MarshalBinary implements Estimator: the sufficient statistics are the state.
 func (n *NonPrivateIncremental) MarshalBinary() ([]byte, error) {
 	var w codec.Writer
-	w.Version(coreStateVersion)
+	w.Version(slowStateVersion)
 	w.String(n.Name())
-	ls, err := n.state.MarshalState()
+	blob, err := n.stats.MarshalState()
 	if err != nil {
 		return nil, err
 	}
-	w.Blob(ls)
+	w.Blob(blob)
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary implements Estimator.
+// UnmarshalBinary implements Estimator. The solution memo is not part of the
+// checkpoint; the next Estimate recomputes it (deterministically) from the
+// restored statistics.
 func (n *NonPrivateIncremental) UnmarshalBinary(data []byte) error {
 	r := codec.NewReader(data)
-	r.Version(coreStateVersion)
+	r.Version(slowStateVersion)
 	r.ExpectString("mechanism", n.Name())
-	ls := r.Blob()
+	blob := r.Blob()
 	if err := r.Finish(); err != nil {
 		return err
 	}
-	return n.state.UnmarshalState(ls)
-}
-
-// --- NaiveRecompute ---
-
-// MarshalBinary implements Estimator: the noise key, the observation count,
-// the dirty flag, the memoized estimate, and the prefix representation — an
-// O(d²) statistics blob on the quadratic path, the window on the capped
-// fallback, or the full clamped history otherwise.
-func (nr *NaiveRecompute) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
-	w.Version(slowStateVersion)
-	w.String(nr.Name())
-	w.Int(nr.c.Dim())
-	w.Int(nr.horizon)
-	w.Int(nr.historyCap)
-	w.Bool(nr.quad)
-	w.I64(nr.key)
-	w.Int(nr.t)
-	w.Bool(nr.dirty)
-	w.F64s(nr.current)
-	switch {
-	case nr.quad:
-		blob, err := nr.stats.MarshalState()
-		if err != nil {
-			return nil, err
-		}
-		w.Blob(blob)
-	case nr.ring != nil:
-		writeHistory(&w, nr.ring.appendTo(nil))
-	default:
-		writeHistory(&w, nr.history)
-	}
-	return w.Bytes(), nil
-}
-
-// UnmarshalBinary implements Estimator. The noise key is restored from the
-// checkpoint (like the sketch spec of ProjectedRegression), so a mechanism
-// restored under a different seed still continues bit-identically.
-func (nr *NaiveRecompute) UnmarshalBinary(data []byte) error {
-	r := codec.NewReader(data)
-	r.Version(slowStateVersion)
-	r.ExpectString("mechanism", nr.Name())
-	r.ExpectInt("dimension", nr.c.Dim())
-	r.ExpectInt("horizon", nr.horizon)
-	r.ExpectInt("history cap", nr.historyCap)
-	quad := r.Bool()
-	key := r.I64()
-	t := r.Int()
-	dirty := r.Bool()
-	current := r.F64s()
-	if r.Err() == nil && quad != nr.quad {
-		return errors.New("core: checkpoint storage mode does not match the configured loss")
-	}
-	switch {
-	case nr.quad:
-		blob := r.Blob()
-		if err := r.Finish(); err != nil {
-			return err
-		}
-		if t < 0 || t > nr.horizon || len(current) != nr.c.Dim() {
-			return errors.New("core: corrupt checkpoint")
-		}
-		if err := nr.stats.UnmarshalState(blob); err != nil {
-			return err
-		}
-		if nr.stats.Len() != t {
-			return errors.New("core: checkpoint statistics count disagrees with timestep")
-		}
-		nr.key = key
-		nr.t = t
-		nr.dirty = dirty
-		nr.current = vec.Vector(current)
-		return nil
-	case nr.ring != nil:
-		window := readHistory(r, nr.c.Dim(), nr.historyCap)
-		if err := r.Finish(); err != nil {
-			return err
-		}
-		if t < 0 || t > nr.horizon || len(current) != nr.c.Dim() || len(window) != minInt(t, nr.historyCap) {
-			return errors.New("core: corrupt checkpoint")
-		}
-		ring := newPointRing(nr.historyCap, nr.c.Dim())
-		for _, p := range window {
-			ring.push(p)
-		}
-		nr.ring = ring
-		nr.key = key
-		nr.t = t
-		nr.dirty = dirty
-		nr.current = vec.Vector(current)
-		return nil
-	default:
-		history := readHistory(r, nr.c.Dim(), nr.horizon)
-		if err := r.Finish(); err != nil {
-			return err
-		}
-		if t < 0 || t > nr.horizon || len(current) != nr.c.Dim() || len(history) != t {
-			return errors.New("core: corrupt checkpoint")
-		}
-		nr.history = history
-		nr.key = key
-		nr.t = t
-		nr.dirty = dirty
-		nr.current = vec.Vector(current)
-		return nil
-	}
+	n.sol, n.solN = nil, -1
+	return n.stats.UnmarshalState(blob)
 }
 
 // --- GenericERM ---
 
-// MarshalBinary implements Estimator: the noise key, the observation count,
-// the memoized estimate, the prefix representation (O(d²) statistics blob,
-// window, or full history), and — when a τ-boundary solve is deferred — the
-// pending snapshot it must run on. Serializing the snapshot instead of
-// resolving it keeps Marshal read-only; the restored mechanism runs the solve
-// at its next Estimate with the same key and invocation index, producing the
-// bits the uninterrupted run would.
+// MarshalBinary implements Estimator: the noise key, the row count, the
+// pending boundary, each outcome's memoized estimate and solved-invocation
+// watermark, the prefix representation (O(d² + k·d) statistics blob, window,
+// or full history), and — when rows have moved past a boundary some outcome
+// has not solved — the boundary's snapshot. Serializing the snapshot instead
+// of resolving it keeps Marshal read-only; the restored mechanism runs the
+// solve at its next read with the same key and invocation index, producing
+// the bits the uninterrupted run would.
 func (g *GenericERM) MarshalBinary() ([]byte, error) {
 	var w codec.Writer
 	w.Version(slowStateVersion)
-	w.String(g.Name())
+	w.String(g.name)
 	w.Int(g.c.Dim())
 	w.Int(g.horizon)
 	w.Int(g.tau)
+	w.Int(g.k)
 	w.Int(g.historyCap)
-	w.Bool(g.quad)
+	w.Bool(g.stats != nil)
 	w.I64(g.key)
 	w.Int(g.t)
-	w.F64s(g.current)
+	w.U64(g.pendInv)
+	for i := range g.current {
+		w.F64s(g.current[i])
+		w.U64(g.solvedInv[i])
+	}
 	switch {
-	case g.quad:
+	case g.stats != nil:
 		blob, err := g.stats.MarshalState()
 		if err != nil {
 			return nil, err
 		}
 		w.Blob(blob)
-		w.Bool(g.pendSet)
-		if g.pendSet {
-			w.U64(g.pendInv)
-			pb, err := g.pend.MarshalState()
+		snap := g.pending() && g.t != int(g.pendInv)*g.tau
+		w.Bool(snap)
+		if snap {
+			blob, err := g.snap.MarshalState()
 			if err != nil {
 				return nil, err
 			}
-			w.Blob(pb)
+			w.Blob(blob)
 		}
 	case g.ring != nil:
 		writeHistory(&w, g.ring.appendTo(nil))
 	default:
 		writeHistory(&w, g.history)
-		w.Bool(g.pendSet)
-		if g.pendSet {
-			w.Int(g.pendN)
-			w.U64(g.pendInv)
-		}
 	}
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary implements Estimator. As with NaiveRecompute, the noise key
-// travels in the checkpoint so restore under a different seed still continues
-// bit-identically.
+// UnmarshalBinary implements Estimator. The noise key travels in the
+// checkpoint (like the sketch spec of ProjectedRegression), so a mechanism
+// restored under a different seed still continues bit-identically. The
+// pending boundary must match the stream: a boundary past t/τ, a watermark
+// past the boundary, or a snapshot of the wrong prefix would make a later
+// solve reuse an invocation's noise key on different data, so each is
+// rejected.
 func (g *GenericERM) UnmarshalBinary(data []byte) error {
+	d := g.c.Dim()
 	r := codec.NewReader(data)
 	r.Version(slowStateVersion)
-	r.ExpectString("mechanism", g.Name())
-	r.ExpectInt("dimension", g.c.Dim())
+	r.ExpectString("mechanism", g.name)
+	r.ExpectInt("dimension", d)
 	r.ExpectInt("horizon", g.horizon)
 	r.ExpectInt("recomputation period", g.tau)
+	r.ExpectInt("outcome count", g.k)
 	r.ExpectInt("history cap", g.historyCap)
 	quad := r.Bool()
 	key := r.I64()
 	t := r.Int()
-	current := r.F64s()
-	if r.Err() == nil && quad != g.quad {
+	pendInv := r.U64()
+	current := make([]vec.Vector, g.k)
+	solved := make([]uint64, g.k)
+	for i := range current {
+		current[i] = r.F64s()
+		solved[i] = r.U64()
+	}
+	if r.Err() == nil && quad != (g.stats != nil) {
 		return errors.New("core: checkpoint storage mode does not match the configured loss")
 	}
+	var statsBlob, snapBlob []byte
+	var points []loss.Point
+	hasSnap := false
 	switch {
-	case g.quad:
-		blob := r.Blob()
-		pendSet := r.Bool()
-		var pendInv uint64
-		var pendBlob []byte
-		if r.Err() == nil && pendSet {
-			pendInv = r.U64()
-			pendBlob = r.Blob()
+	case g.stats != nil:
+		statsBlob = r.Blob()
+		if hasSnap = r.Bool(); hasSnap {
+			snapBlob = r.Blob()
 		}
-		if err := r.Finish(); err != nil {
-			return err
-		}
-		if t < 0 || t > g.horizon || len(current) != g.c.Dim() {
+	case g.ring != nil:
+		points = readHistory(r, d, g.historyCap)
+	default:
+		points = readHistory(r, d, g.horizon)
+	}
+	if err := r.Finish(); err != nil {
+		return err
+	}
+	if t < 0 || t > g.horizon {
+		return errors.New("core: corrupt checkpoint")
+	}
+	if pendInv != uint64(t/g.tau) {
+		return fmt.Errorf("core: corrupt checkpoint: pending boundary %d is not the stream's last boundary %d", pendInv, t/g.tau)
+	}
+	pending := false
+	for i := range current {
+		if len(current[i]) != d {
 			return errors.New("core: corrupt checkpoint")
 		}
-		if err := g.stats.UnmarshalState(blob); err != nil {
+		if solved[i] > pendInv {
+			return fmt.Errorf("core: corrupt checkpoint: outcome %d solved invocation %d past the pending boundary %d", i, solved[i], pendInv)
+		}
+		pending = pending || solved[i] < pendInv
+	}
+	boundary := int(pendInv) * g.tau
+	if pending && t != boundary && !hasSnap && (g.stats != nil || g.ring != nil) {
+		return fmt.Errorf("core: corrupt checkpoint: pending boundary %d at t=%d has no snapshot", pendInv, t)
+	}
+	switch {
+	case g.stats != nil:
+		if err := g.stats.UnmarshalState(statsBlob); err != nil {
 			return err
 		}
 		if g.stats.Len() != t {
 			return errors.New("core: checkpoint statistics count disagrees with timestep")
 		}
-		if pendSet {
-			if err := g.pend.UnmarshalState(pendBlob); err != nil {
+		if hasSnap {
+			if !pending || t == boundary {
+				return errors.New("core: corrupt checkpoint: snapshot without a superseded pending boundary")
+			}
+			if err := g.snap.UnmarshalState(snapBlob); err != nil {
 				return err
 			}
+			if g.snap.Len() != boundary {
+				return fmt.Errorf("core: corrupt checkpoint: boundary snapshot holds %d rows, boundary %d needs %d", g.snap.Len(), pendInv, boundary)
+			}
 		}
-		g.key = key
-		g.t = t
-		g.current = vec.Vector(current)
-		g.pendSet = pendSet
-		g.pendInv = pendInv
-		return nil
 	case g.ring != nil:
-		window := readHistory(r, g.c.Dim(), g.historyCap)
-		if err := r.Finish(); err != nil {
-			return err
-		}
-		if t < 0 || t > g.horizon || len(current) != g.c.Dim() || len(window) != minInt(t, g.historyCap) {
+		if len(points) != minInt(t, g.historyCap) {
 			return errors.New("core: corrupt checkpoint")
 		}
-		ring := newPointRing(g.historyCap, g.c.Dim())
-		for _, p := range window {
-			ring.push(p)
+		g.ring = newPointRing(g.historyCap, d)
+		for _, p := range points {
+			g.ring.push(p)
 		}
-		g.ring = ring
-		g.key = key
-		g.t = t
-		g.current = vec.Vector(current)
-		return nil
 	default:
-		history := readHistory(r, g.c.Dim(), g.horizon)
-		pendSet := r.Bool()
-		var pendN int
-		var pendInv uint64
-		if r.Err() == nil && pendSet {
-			pendN = r.Int()
-			pendInv = r.U64()
-		}
-		if err := r.Finish(); err != nil {
-			return err
-		}
-		if t < 0 || t > g.horizon || len(current) != g.c.Dim() || len(history) != t {
+		if len(points) != t {
 			return errors.New("core: corrupt checkpoint")
 		}
-		if pendSet && (pendN <= 0 || pendN > t) {
-			return errors.New("core: corrupt checkpoint pending solve")
-		}
-		g.history = history
-		g.key = key
-		g.t = t
-		g.current = vec.Vector(current)
-		g.pendSet = pendSet
-		g.pendN = pendN
-		g.pendInv = pendInv
-		return nil
+		g.history = points
 	}
+	g.key = key
+	g.t = t
+	g.pendInv = pendInv
+	g.current = current
+	g.solvedInv = solved
+	return nil
 }
 
 // minInt is the smaller of two ints.

@@ -97,46 +97,6 @@ func LaplaceScale(sensitivity float64, epsilon float64) (float64, error) {
 	return sensitivity / epsilon, nil
 }
 
-// GaussianMechanism perturbs vector-valued outputs with Gaussian noise
-// calibrated to an L2-sensitivity bound.
-type GaussianMechanism struct {
-	sigma float64
-	src   *randx.Source
-}
-
-// NewGaussianMechanism builds a Gaussian mechanism adding N(0, σ² I) noise where
-// σ is calibrated for the given L2-sensitivity and privacy parameters.
-func NewGaussianMechanism(sensitivity float64, p Params, src *randx.Source) (*GaussianMechanism, error) {
-	sigma, err := GaussianSigma(sensitivity, p)
-	if err != nil {
-		return nil, err
-	}
-	if src == nil {
-		return nil, errors.New("dp: nil randomness source")
-	}
-	return &GaussianMechanism{sigma: sigma, src: src}, nil
-}
-
-// Sigma returns the per-coordinate noise standard deviation.
-func (g *GaussianMechanism) Sigma() float64 { return g.sigma }
-
-// Perturb adds independent N(0, σ²) noise to every coordinate of value and
-// returns a new slice; the input is not modified.
-func (g *GaussianMechanism) Perturb(value []float64) []float64 {
-	out := make([]float64, len(value))
-	for i, v := range value {
-		out[i] = v + g.src.Normal(0, g.sigma)
-	}
-	return out
-}
-
-// PerturbInPlace adds independent N(0, σ²) noise to every coordinate of value.
-func (g *GaussianMechanism) PerturbInPlace(value []float64) {
-	for i := range value {
-		value[i] += g.src.Normal(0, g.sigma)
-	}
-}
-
 // LaplaceMechanism perturbs vector-valued outputs with Laplace noise calibrated
 // to an L1-sensitivity bound (pure ε-differential privacy).
 type LaplaceMechanism struct {

@@ -1,22 +1,18 @@
 // Package erm implements batch empirical risk minimization: an exact
 // constrained solver used to compute the true minimizers θ̂_t that excess risk
-// is measured against, a specialized incremental exact least-squares solver,
-// and a differentially private batch ERM algorithm in the style of Bassily,
-// Smith and Thakurta (noisy projected gradient descent with advanced
-// composition) that serves as the black box of the paper's generic
-// transformation (Mechanism PRIVINCERM, Section 3).
+// is measured against, the sufficient-statistics accumulator MultiStats with
+// its exact least-squares solve, and the keyed differentially private batch
+// ERM solver in the style of Bassily, Smith and Thakurta (noisy projected
+// gradient descent with advanced composition) that serves as the black box of
+// the paper's generic transformation (Mechanism PRIVINCERM, Section 3).
 package erm
 
 import (
 	"errors"
 	"math"
 
-	"privreg/internal/codec"
 	"privreg/internal/constraint"
-	"privreg/internal/dp"
 	"privreg/internal/loss"
-	"privreg/internal/optimize"
-	"privreg/internal/randx"
 	"privreg/internal/vec"
 )
 
@@ -96,124 +92,69 @@ func Exact(f loss.Function, c constraint.Set, data []loss.Point, opts ExactOptio
 	return best, nil
 }
 
-// LeastSquaresState maintains the sufficient statistics (XᵀX, Xᵀy) of a growing
-// least-squares problem so that the exact constrained minimizer over the prefix
-// can be computed at any timestep without revisiting the data. It is the
-// non-private ground-truth oracle used by the excess-risk metrics and
-// experiments.
-type LeastSquaresState struct {
-	d   int
-	c   constraint.Set
-	n   int
-	ata *vec.Matrix
-	aty vec.Vector
-	yy  float64
-	// sol memoizes the minimizer computed at observation count solN with
-	// solIters iterations (solN < 0 = none): the statistics are the complete
-	// solver input, so while no new points arrive Minimize returns the
-	// previous solution instead of re-solving. ridge holds the reusable
-	// factorization buffers of the normal-equation solve.
-	sol      vec.Vector
-	solN     int
-	solIters int
-	ridge    vec.RidgeWorkspace
+// ExactWorkspace holds the reusable buffers of ExactStats: the dense
+// expansion of the packed second-moment matrix and the ridge factorization.
+// The zero value is ready to use; a workspace is not safe for concurrent use.
+type ExactWorkspace struct {
+	a     *vec.Matrix
+	ridge vec.RidgeWorkspace
 }
 
-// NewLeastSquaresState returns an empty state for d-dimensional covariates
-// constrained to c (c may be nil for unconstrained least squares).
-func NewLeastSquaresState(d int, c constraint.Set) *LeastSquaresState {
-	return &LeastSquaresState{d: d, c: c, ata: vec.NewMatrix(d, d), aty: vec.NewVector(d), solN: -1}
-}
-
-// Observe folds the pair (x, y) into the sufficient statistics.
-func (s *LeastSquaresState) Observe(x vec.Vector, y float64) {
-	if len(x) != s.d {
-		panic("erm: LeastSquaresState dimension mismatch")
-	}
-	s.n++
-	s.ata.AddOuterInPlace(1, x)
-	vec.Axpy(s.aty, y, x)
-	s.yy += y * y
-}
-
-// Len returns the number of observed points.
-func (s *LeastSquaresState) Len() int { return s.n }
-
-// Risk returns the empirical squared-loss risk Σ (y_i - <x_i, θ>)² of θ on the
-// observed prefix, computed from the sufficient statistics in O(d²).
-func (s *LeastSquaresState) Risk(theta vec.Vector) float64 {
-	q := s.ata.MulVec(theta)
-	return s.yy - 2*vec.Dot(s.aty, theta) + vec.Dot(theta, q)
-}
-
-// Gradient returns the exact gradient 2(XᵀXθ - Xᵀy) of the prefix risk.
-func (s *LeastSquaresState) Gradient(theta vec.Vector) vec.Vector {
-	g := s.ata.MulVec(theta)
-	g.SubInPlace(s.aty)
-	g.Scale(2)
-	return g
-}
-
-// Minimize returns the exact constrained least-squares minimizer over the
-// observed prefix. The unconstrained solution is attempted first via the
-// (ridge-stabilized) normal equations; when it is feasible it is optimal and is
-// returned directly, otherwise projected gradient descent on the sufficient
-// statistics is run with iters steps (default 2000 when iters <= 0). Repeat
-// calls with no new observations return the memoized solution; the normal
-// equations reuse the state's factorization buffers.
-func (s *LeastSquaresState) Minimize(iters int) vec.Vector {
+// ExactStats returns the exact constrained least-squares minimizer of outcome
+// 0 of the statistics over c (c may be nil for unconstrained least squares).
+// The unconstrained solution is attempted first via the (ridge-stabilized)
+// normal equations; when it is feasible it is optimal and is returned
+// directly, otherwise projected gradient descent on the statistics runs iters
+// steps (default 2000 when iters <= 0) and returns the best iterate. It is the
+// non-private ground-truth oracle behind the excess-risk metrics. ws may be
+// nil (a transient workspace is used).
+func ExactStats(ws *ExactWorkspace, s *MultiStats, c constraint.Set, iters int) vec.Vector {
+	d := s.Dim()
 	if iters <= 0 {
 		iters = 2000
 	}
-	if s.solN == s.n && s.solIters == iters && s.sol != nil {
-		return s.sol.Clone()
-	}
-	theta := s.minimize(iters)
-	s.sol = theta.Clone()
-	s.solN = s.n
-	s.solIters = iters
-	return theta
-}
-
-// minimize is the memoization-free solver body behind Minimize.
-func (s *LeastSquaresState) minimize(iters int) vec.Vector {
-	if s.n == 0 {
-		if s.c != nil {
-			return s.c.Project(vec.NewVector(s.d))
+	if s.Len() == 0 {
+		if c != nil {
+			return c.Project(vec.NewVector(d))
 		}
-		return vec.NewVector(s.d)
+		return vec.NewVector(d)
 	}
-	eps := 1e-10 * (1 + s.ata.Trace())
-	unconstrained, err := vec.SolveRidgeWith(&s.ridge, s.ata, s.aty, eps)
-	if err == nil {
-		if s.c == nil || s.c.Contains(unconstrained, 1e-9) {
-			if s.c == nil {
-				return unconstrained
-			}
-			return s.c.Project(unconstrained)
+	if ws == nil {
+		ws = &ExactWorkspace{}
+	}
+	if ws.a == nil || ws.a.Rows() != d {
+		ws.a = vec.NewMatrix(d, d)
+	}
+	s.a.ToDense(ws.a)
+	eps := 1e-10 * (1 + s.a.Trace())
+	unconstrained, err := vec.SolveRidgeWith(&ws.ridge, ws.a, s.bs[0], eps)
+	if err == nil && (c == nil || c.Contains(unconstrained, 1e-9)) {
+		if c == nil {
+			return unconstrained
 		}
+		return c.Project(unconstrained)
 	}
-	c := s.c
 	if c == nil {
 		// Unconstrained but singular system: fall back to gradient descent within
 		// a generous ball.
-		c = constraint.NewL2Ball(s.d, 1e6)
+		c = constraint.NewL2Ball(d, 1e6)
 	}
 	// Smoothness constant of the prefix risk is 2·λmax(XᵀX).
-	lmax := s.ata.PowerIterationSpectralNorm(50, nil)
+	lmax := ws.a.PowerIterationSpectralNorm(50, nil)
 	step := 0.0
 	if lmax > 0 {
 		step = 1 / (2 * lmax)
 	}
-	theta := c.Project(vec.NewVector(s.d))
+	theta := c.Project(vec.NewVector(d))
 	if err == nil {
 		theta = c.Project(unconstrained)
 	}
 	best := theta.Clone()
-	bestVal := s.Risk(theta)
-	work := vec.NewVector(s.d)
+	bestVal := s.Risk(theta, 0)
+	g := vec.NewVector(d)
+	work := vec.NewVector(d)
 	for k := 0; k < iters; k++ {
-		g := s.Gradient(theta)
+		s.GradientInto(g, theta, 0, 1, 0)
 		eta := step
 		if eta == 0 {
 			eta = c.Diameter() / (math.Sqrt(float64(k+1)) * (1 + vec.Norm2(g)))
@@ -223,7 +164,7 @@ func (s *LeastSquaresState) minimize(iters int) vec.Vector {
 		next := c.Project(work)
 		moved := vec.Dist2(next, theta)
 		theta = next
-		if v := s.Risk(theta); v < bestVal {
+		if v := s.Risk(theta, 0); v < bestVal {
 			bestVal = v
 			best.CopyFrom(theta)
 		}
@@ -232,47 +173,6 @@ func (s *LeastSquaresState) minimize(iters int) vec.Vector {
 		}
 	}
 	return best
-}
-
-// lsStateVersion is the LeastSquaresState checkpoint format version.
-const lsStateVersion = 1
-
-// MarshalState serializes the sufficient statistics (XᵀX, Xᵀy, Σy², n) so an
-// incremental least-squares stream can be checkpointed and resumed exactly.
-func (s *LeastSquaresState) MarshalState() ([]byte, error) {
-	var w codec.Writer
-	w.Version(lsStateVersion)
-	w.Int(s.d)
-	w.Int(s.n)
-	w.F64s(s.ata.Data())
-	w.F64s(s.aty)
-	w.F64(s.yy)
-	return w.Bytes(), nil
-}
-
-// UnmarshalState restores sufficient statistics captured by MarshalState into
-// a state constructed with the same dimension and constraint set.
-func (s *LeastSquaresState) UnmarshalState(data []byte) error {
-	r := codec.NewReader(data)
-	r.Version(lsStateVersion)
-	r.ExpectInt("dimension", s.d)
-	n := r.Int()
-	r.F64sInto(s.ata.Data())
-	r.F64sInto(s.aty)
-	yy := r.F64()
-	if err := r.Finish(); err != nil {
-		return err
-	}
-	if n < 0 {
-		return errors.New("erm: corrupt checkpoint (negative observation count)")
-	}
-	s.n = n
-	s.yy = yy
-	// The solution memo is not part of the checkpoint; the next Minimize
-	// recomputes (deterministically) from the restored statistics.
-	s.sol = nil
-	s.solN = -1
-	return nil
 }
 
 // PrivateBatchOptions configures the private batch ERM solver.
@@ -292,8 +192,7 @@ type PrivateBatchOptions struct {
 	// genuine budgets the full run executes and the iterate average is
 	// returned); negative disables the stop. The stop decision is a
 	// deterministic function of the solver's inputs, because the keyed noise
-	// — and therefore the whole trajectory — is. PrivateBatch (the
-	// sequential-source variant) ignores this field.
+	// — and therefore the whole trajectory — is.
 	Tolerance float64
 }
 
@@ -310,59 +209,4 @@ func (o *PrivateBatchOptions) fill(n int) {
 	if o.YBound <= 0 {
 		o.YBound = 1
 	}
-}
-
-// PrivateBatch runs an (ε, δ)-differentially private batch ERM algorithm on the
-// dataset: noisy projected gradient descent where each of the R full-gradient
-// evaluations is privatized with the Gaussian mechanism (per-datapoint gradient
-// sensitivity 2L) and the per-iteration budget is set by advanced composition
-// so the whole run satisfies the requested privacy. This is the same algorithmic
-// template as Bassily et al. [2] and achieves the ≈ √d/(ε) · L‖C‖ excess-risk
-// shape their Theorem 2.4 guarantees, which is all the generic transformation
-// of Section 3 needs from its black box.
-func PrivateBatch(f loss.Function, c constraint.Set, data []loss.Point, p dp.Params, src *randx.Source, opts PrivateBatchOptions) (vec.Vector, error) {
-	if f == nil || c == nil {
-		return nil, errors.New("erm: nil loss or constraint set")
-	}
-	if src == nil {
-		return nil, errors.New("erm: nil randomness source")
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	n := len(data)
-	opts.fill(n)
-	d := c.Dim()
-	if n == 0 {
-		return c.Project(vec.NewVector(d)), nil
-	}
-	lip := f.Lipschitz(c, opts.XBound, opts.YBound)
-	perIter, err := dp.PerInvocationAdvanced(p, opts.Iterations)
-	if err != nil {
-		return nil, err
-	}
-	// Changing one datapoint changes the summed gradient by at most 2L in L2.
-	mech, err := dp.NewGaussianMechanism(2*lip, perIter, src)
-	if err != nil {
-		return nil, err
-	}
-	sigma := mech.Sigma()
-	// Gradient error scale: the noise vector has norm ≈ σ√d w.h.p.
-	gradErr := sigma * math.Sqrt(float64(d))
-	grad := func(theta vec.Vector) vec.Vector {
-		g := loss.EmpiricalGradient(f, theta, data)
-		mech.PerturbInPlace(g)
-		return g
-	}
-	res, err := optimize.NoisyProjected(c, grad, optimize.Options{
-		Iterations: opts.Iterations,
-		Lipschitz:  float64(n) * lip,
-		GradError:  gradErr,
-		Start:      opts.Start,
-		Average:    true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Theta, nil
 }

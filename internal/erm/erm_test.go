@@ -87,38 +87,40 @@ func TestExactEmptyData(t *testing.T) {
 	}
 }
 
+// TestLeastSquaresStateMatchesDirectComputation checks the least-squares
+// state — k = 1 MultiStats plus ExactStats — against direct sums over the data
+// and the batch Exact solver.
 func TestLeastSquaresStateMatchesDirectComputation(t *testing.T) {
 	src := randx.NewSource(3)
 	d, n := 4, 60
 	truth := vec.Vector{0.2, -0.3, 0.1, 0.4}
 	data := makeRegressionData(n, d, truth, 0.05, src)
 	cons := constraint.NewL2Ball(d, 1)
-	state := NewLeastSquaresState(d, cons)
-	for _, z := range data {
-		state.Observe(z.X, z.Y)
-	}
+	state := foldStats(data, d)
 	if state.Len() != n {
 		t.Fatalf("Len = %d", state.Len())
 	}
 	// Risk computed from sufficient statistics must equal the direct sum.
 	theta := vec.Vector{0.1, 0.1, -0.1, 0.2}
 	want := loss.Empirical(loss.Squared{}, theta, data)
-	if got := state.Risk(theta); math.Abs(got-want) > 1e-8*(1+want) {
+	if got := state.Risk(theta, 0); math.Abs(got-want) > 1e-8*(1+want) {
 		t.Fatalf("Risk = %v, want %v", got, want)
 	}
 	// Gradient from sufficient statistics must equal the summed gradient.
 	wantG := loss.EmpiricalGradient(loss.Squared{}, theta, data)
-	if got := state.Gradient(theta); vec.Dist2(got, wantG) > 1e-8*(1+vec.Norm2(wantG)) {
+	got := vec.NewVector(d)
+	state.GradientInto(got, theta, 0, 1, 0)
+	if vec.Dist2(got, wantG) > 1e-8*(1+vec.Norm2(wantG)) {
 		t.Fatalf("Gradient = %v, want %v", got, wantG)
 	}
 	// Minimizer must be at least as good as the batch Exact solver result.
-	minimized := state.Minimize(0)
+	minimized := ExactStats(nil, state, cons, 0)
 	exact, err := Exact(loss.Squared{}, cons, data, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if state.Risk(minimized) > state.Risk(exact)+1e-6 {
-		t.Fatalf("incremental minimizer risk %v worse than batch %v", state.Risk(minimized), state.Risk(exact))
+	if state.Risk(minimized, 0) > state.Risk(exact, 0)+1e-6 {
+		t.Fatalf("incremental minimizer risk %v worse than batch %v", state.Risk(minimized, 0), state.Risk(exact, 0))
 	}
 	if !cons.Contains(minimized, 1e-6) {
 		t.Fatal("minimizer not feasible")
@@ -126,15 +128,16 @@ func TestLeastSquaresStateMatchesDirectComputation(t *testing.T) {
 }
 
 func TestLeastSquaresStateEmptyAndUnconstrained(t *testing.T) {
-	state := NewLeastSquaresState(3, nil)
-	m := state.Minimize(0)
+	state := NewMultiStats(3, 1)
+	var ws ExactWorkspace
+	m := ExactStats(&ws, state, nil, 0)
 	if vec.Norm2(m) != 0 {
 		t.Fatalf("empty unconstrained minimizer = %v", m)
 	}
-	state.Observe(vec.Vector{1, 0, 0}, 2)
-	state.Observe(vec.Vector{0, 1, 0}, -1)
-	state.Observe(vec.Vector{0, 0, 1}, 0.5)
-	m = state.Minimize(0)
+	state.Add(vec.Vector{1, 0, 0}, []float64{2})
+	state.Add(vec.Vector{0, 1, 0}, []float64{-1})
+	state.Add(vec.Vector{0, 0, 1}, []float64{0.5})
+	m = ExactStats(&ws, state, nil, 0)
 	if vec.Dist2(m, vec.Vector{2, -1, 0.5}) > 1e-6 {
 		t.Fatalf("unconstrained minimizer = %v", m)
 	}
@@ -147,7 +150,7 @@ func TestPrivateBatchFeasibleAndReasonable(t *testing.T) {
 	data := makeRegressionData(n, d, truth, 0.05, src.Split())
 	cons := constraint.NewL2Ball(d, 1)
 	p := dp.Params{Epsilon: 2, Delta: 1e-6}
-	theta, err := PrivateBatch(loss.Squared{}, cons, data, p, src.Split(), PrivateBatchOptions{Iterations: 30})
+	theta, err := PrivateBatchAt(loss.Squared{}, cons, data, p, src.DeriveKey(), 1, PrivateBatchOptions{Iterations: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +180,11 @@ func TestPrivateBatchNoiseDecreasesWithEpsilon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	excess := func(eps float64, seed int64) float64 {
+	excess := func(eps float64, key int64) float64 {
 		var total float64
 		const reps = 5
-		for i := int64(0); i < reps; i++ {
-			theta, err := PrivateBatch(loss.Squared{}, cons, data, dp.Params{Epsilon: eps, Delta: 1e-6}, randx.NewSource(seed+i), PrivateBatchOptions{Iterations: 60})
+		for i := uint64(0); i < reps; i++ {
+			theta, err := PrivateBatchAt(loss.Squared{}, cons, data, dp.Params{Epsilon: eps, Delta: 1e-6}, key, i, PrivateBatchOptions{Iterations: 60})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,18 +201,14 @@ func TestPrivateBatchNoiseDecreasesWithEpsilon(t *testing.T) {
 
 func TestPrivateBatchValidation(t *testing.T) {
 	cons := constraint.NewL2Ball(2, 1)
-	src := randx.NewSource(6)
-	if _, err := PrivateBatch(nil, cons, nil, dp.Params{Epsilon: 1, Delta: 1e-6}, src, PrivateBatchOptions{}); err == nil {
+	if _, err := PrivateBatchAt(nil, cons, nil, dp.Params{Epsilon: 1, Delta: 1e-6}, 6, 0, PrivateBatchOptions{}); err == nil {
 		t.Fatal("nil loss should error")
 	}
-	if _, err := PrivateBatch(loss.Squared{}, cons, nil, dp.Params{Epsilon: 1, Delta: 1e-6}, nil, PrivateBatchOptions{}); err == nil {
-		t.Fatal("nil source should error")
-	}
-	if _, err := PrivateBatch(loss.Squared{}, cons, nil, dp.Params{Epsilon: 0, Delta: 1e-6}, src, PrivateBatchOptions{}); err == nil {
+	if _, err := PrivateBatchAt(loss.Squared{}, cons, nil, dp.Params{Epsilon: 0, Delta: 1e-6}, 6, 0, PrivateBatchOptions{}); err == nil {
 		t.Fatal("invalid privacy should error")
 	}
 	// Empty data returns a feasible default.
-	theta, err := PrivateBatch(loss.Squared{}, cons, nil, dp.Params{Epsilon: 1, Delta: 1e-6}, src, PrivateBatchOptions{})
+	theta, err := PrivateBatchAt(loss.Squared{}, cons, nil, dp.Params{Epsilon: 1, Delta: 1e-6}, 6, 0, PrivateBatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

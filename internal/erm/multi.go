@@ -9,20 +9,18 @@ import (
 
 // MultiStats maintains the sufficient statistics of k quadratic empirical
 // risks that share one feature stream (the PRIMO setting: one X, k outcome
-// vectors). The feature-side state — the second-moment matrix A = Σ x xᵀ and
-// the count n — is held once; each outcome i adds only its cross-moment
-// B_i = Σ y_i·x and response energy Σ y_i². Folding a row (x, y_1..y_k) is
-// one O(d²) rank-one update plus k O(d) vector folds, against k·O(d²) for k
-// independent QuadraticStats.
-//
-// Outcome(i) exposes outcome i as a *QuadraticStats whose matrix aliases the
-// shared A, so Solver.SolveStats serves each outcome unchanged.
+// vectors). The feature-side state — the second-moment matrix A = Σ x xᵀ
+// (packed symmetric) and the count n — is held once; each outcome i adds only
+// its cross-moment B_i = Σ y_i·x and response energy Σ y_i². Folding a row
+// (x, y_1..y_k) is one O(d²) rank-one update plus k O(d) vector folds, and
+// outcome i's empirical gradient at any θ is 2·scale·(Aθ − B_i) + n·ridge·θ,
+// computed in O(d²) independent of n. The single-outcome mechanisms are its
+// k = 1 users.
 type MultiStats struct {
-	a    *vec.SymMatrix
-	n    int
-	bs   []vec.Vector
-	yys  []float64
-	view []QuadraticStats // per-outcome views over the shared a; scalars refreshed on access
+	a   *vec.SymMatrix
+	n   int
+	bs  []vec.Vector
+	yys []float64
 }
 
 // NewMultiStats returns empty statistics for dimension d and k outcomes.
@@ -31,14 +29,12 @@ func NewMultiStats(d, k int) *MultiStats {
 		panic("erm: MultiStats needs at least one outcome")
 	}
 	m := &MultiStats{
-		a:    vec.NewSymMatrix(d),
-		bs:   make([]vec.Vector, k),
-		yys:  make([]float64, k),
-		view: make([]QuadraticStats, k),
+		a:   vec.NewSymMatrix(d),
+		bs:  make([]vec.Vector, k),
+		yys: make([]float64, k),
 	}
 	for i := range m.bs {
 		m.bs[i] = vec.NewVector(d)
-		m.view[i] = QuadraticStats{a: m.a, b: m.bs[i]}
 	}
 	return m
 }
@@ -69,15 +65,24 @@ func (m *MultiStats) Add(x vec.Vector, ys []float64) {
 	}
 }
 
-// Outcome returns outcome i's statistics as a QuadraticStats view. The view
-// aliases the shared matrix and the outcome's moment vector — it is valid
-// until the next Add/CopyFrom/Reset/UnmarshalState, and must not be mutated
-// through QuadraticStats methods.
-func (m *MultiStats) Outcome(i int) *QuadraticStats {
-	v := &m.view[i]
-	v.yy = m.yys[i]
-	v.n = m.n
-	return v
+// GradientInto writes outcome i's empirical gradient Σ_j ∇ℓ(θ; z_j) =
+// 2·scale·(Aθ − B_i) + n·ridge·θ into dst. dst must not alias theta. The
+// operation order is fixed, so the result is bit-deterministic.
+func (m *MultiStats) GradientInto(dst, theta vec.Vector, i int, scale, ridge float64) {
+	m.a.MulVecTo(dst, theta)
+	b := m.bs[i]
+	nridge := float64(m.n) * ridge
+	for j := range dst {
+		dst[j] = 2*scale*(dst[j]-b[j]) + nridge*theta[j]
+	}
+}
+
+// Risk returns outcome i's empirical squared-loss risk Σ_j (y_ij − ⟨x_j, θ⟩)²
+// = Σy² − 2⟨B_i, θ⟩ + θᵀAθ, computed in O(d²).
+func (m *MultiStats) Risk(theta vec.Vector, i int) float64 {
+	q := vec.NewVector(len(theta))
+	m.a.MulVecTo(q, theta)
+	return m.yys[i] - 2*vec.Dot(m.bs[i], theta) + vec.Dot(theta, q)
 }
 
 // CopyFrom copies src into m. Shapes must match.
@@ -91,18 +96,6 @@ func (m *MultiStats) CopyFrom(src *MultiStats) {
 		m.yys[i] = src.yys[i]
 	}
 	m.n = src.n
-}
-
-// Reset empties the statistics.
-func (m *MultiStats) Reset() {
-	m.a.Zero()
-	for i := range m.bs {
-		for j := range m.bs[i] {
-			m.bs[i][j] = 0
-		}
-		m.yys[i] = 0
-	}
-	m.n = 0
 }
 
 // Bytes returns the retained memory of the statistics: one packed triangle

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"privreg/internal/codec"
 	"privreg/internal/constraint"
 	"privreg/internal/dp"
 	"privreg/internal/loss"
@@ -14,139 +13,14 @@ import (
 	"privreg/internal/vec"
 )
 
-// This file implements the amortized slow-path solver substrate:
-//
-//   - QuadraticStats: the O(d²) sufficient statistics (Σ x xᵀ, Σ y x, Σ y², n)
-//     of a quadratic empirical risk, maintained incrementally with packed
-//     rank-one updates so a private solve never revisits the stream;
-//   - Solver: a reusable counter-keyed noisy-projected-gradient workspace.
-//     Iteration k of invocation i draws its noise as a pure function of
-//     (key, i, k) via randx.FillNormalAt, never from a sequential generator,
-//     so a solve scheduled at a τ boundary can be deferred to the next
-//     Estimate — or skipped entirely when a later boundary supersedes it —
-//     and still produce bit-identical output whenever it runs.
-//
-// PrivateBatch (erm.go) remains the sequential-source variant used by callers
-// that replay a randomness stream; the incremental mechanisms in
-// internal/core use the keyed Solver exclusively.
-
-// QuadraticStats maintains the sufficient statistics of a quadratic empirical
-// risk Σ_i scale·(y_i − ⟨x_i, θ⟩)² + n·(ridge/2)·‖θ‖²: the second-moment
-// matrix A = Σ x xᵀ (packed symmetric), the cross-moment B = Σ y·x, the
-// response energy Σ y², and the count n. Folding a point is O(d²) and the
-// empirical gradient at any θ is 2·scale·(Aθ − B) + n·ridge·θ, computed in
-// O(d²) independent of n.
-type QuadraticStats struct {
-	a  *vec.SymMatrix
-	b  vec.Vector
-	yy float64
-	n  int
-}
-
-// NewQuadraticStats returns empty statistics for dimension d.
-func NewQuadraticStats(d int) *QuadraticStats {
-	return &QuadraticStats{a: vec.NewSymMatrix(d), b: vec.NewVector(d)}
-}
-
-// Dim returns the covariate dimension.
-func (s *QuadraticStats) Dim() int { return len(s.b) }
-
-// Len returns the number of folded points.
-func (s *QuadraticStats) Len() int { return s.n }
-
-// Add folds the pair (x, y) into the statistics.
-func (s *QuadraticStats) Add(x vec.Vector, y float64) {
-	if len(x) != len(s.b) {
-		panic("erm: QuadraticStats dimension mismatch")
-	}
-	s.n++
-	s.a.AddScaledOuter(1, x)
-	vec.Axpy(s.b, y, x)
-	s.yy += y * y
-}
-
-// CopyFrom copies src into s. Dimensions must match.
-func (s *QuadraticStats) CopyFrom(src *QuadraticStats) {
-	s.a.CopyFrom(src.a)
-	s.b.CopyFrom(src.b)
-	s.yy = src.yy
-	s.n = src.n
-}
-
-// Reset empties the statistics.
-func (s *QuadraticStats) Reset() {
-	s.a.Zero()
-	for i := range s.b {
-		s.b[i] = 0
-	}
-	s.yy = 0
-	s.n = 0
-}
-
-// Bytes returns the retained memory of the statistics: the packed triangle
-// plus the cross-moment vector (8 bytes per float64). It is the quantity
-// surfaced as retained-state bytes in pool statistics.
-func (s *QuadraticStats) Bytes() int {
-	return 8 * (len(s.a.Data()) + len(s.b))
-}
-
-// GradientInto writes the empirical gradient Σ_i ∇ℓ(θ; z_i) =
-// 2·scale·(Aθ − B) + n·ridge·θ into dst. dst must not alias theta. The
-// operation order is fixed, so the result is bit-deterministic.
-func (s *QuadraticStats) GradientInto(dst, theta vec.Vector, scale, ridge float64) {
-	s.a.MulVecTo(dst, theta)
-	nridge := float64(s.n) * ridge
-	for i := range dst {
-		dst[i] = 2*scale*(dst[i]-s.b[i]) + nridge*theta[i]
-	}
-}
-
-// Risk returns the empirical risk of θ under the quadratic form:
-// scale·(θᵀAθ − 2⟨B, θ⟩ + Σy²) + n·(ridge/2)·‖θ‖².
-func (s *QuadraticStats) Risk(theta vec.Vector, scale, ridge float64) float64 {
-	q := vec.NewVector(len(theta))
-	s.a.MulVecTo(q, theta)
-	nt := vec.Norm2(theta)
-	return scale*(vec.Dot(theta, q)-2*vec.Dot(s.b, theta)+s.yy) +
-		float64(s.n)*ridge/2*nt*nt
-}
-
-// quadStatsVersion is the QuadraticStats checkpoint format version.
-const quadStatsVersion = 1
-
-// MarshalState serializes the statistics. The blob is O(d²) regardless of how
-// many points were folded.
-func (s *QuadraticStats) MarshalState() ([]byte, error) {
-	var w codec.Writer
-	w.Version(quadStatsVersion)
-	w.Int(s.Dim())
-	w.Int(s.n)
-	w.F64s(s.a.Data())
-	w.F64s(s.b)
-	w.F64(s.yy)
-	return w.Bytes(), nil
-}
-
-// UnmarshalState restores statistics captured by MarshalState into a receiver
-// of the same dimension.
-func (s *QuadraticStats) UnmarshalState(data []byte) error {
-	r := codec.NewReader(data)
-	r.Version(quadStatsVersion)
-	r.ExpectInt("dimension", s.Dim())
-	n := r.Int()
-	r.F64sInto(s.a.Data())
-	r.F64sInto(s.b)
-	yy := r.F64()
-	if err := r.Finish(); err != nil {
-		return err
-	}
-	if n < 0 {
-		return errors.New("erm: corrupt checkpoint (negative observation count)")
-	}
-	s.n = n
-	s.yy = yy
-	return nil
-}
+// This file implements the keyed private batch solver: Solver is a reusable
+// counter-keyed noisy-projected-gradient workspace. Iteration k of invocation
+// i draws its noise as a pure function of (key, i, k) via randx.FillNormalAt,
+// never from a sequential generator, so a solve scheduled at a τ boundary can
+// be deferred to the next Estimate — or skipped entirely when a later boundary
+// supersedes it — and still produce bit-identical output whenever it runs. It
+// solves either over MultiStats sufficient statistics (quadratic losses, one
+// outcome at a time) or over an explicit dataset.
 
 // Solver is a reusable workspace for counter-keyed private batch ERM solves.
 // A solve is a pure function of (problem state, key, invocation index): the
@@ -181,10 +55,10 @@ func NewSolver(c constraint.Set) *Solver {
 	}
 }
 
-// SolveStats runs the keyed private solve over quadratic sufficient
-// statistics. f must satisfy loss.AsQuadratic; the statistics must have been
-// folded from data clamped to the bounds in opts.
-func (sv *Solver) SolveStats(f loss.Function, stats *QuadraticStats, p dp.Params, key int64, invocation uint64, opts PrivateBatchOptions) (vec.Vector, error) {
+// SolveStats runs the keyed private solve over outcome i of the quadratic
+// sufficient statistics. f must satisfy loss.AsQuadratic; the statistics must
+// have been folded from data clamped to the bounds in opts.
+func (sv *Solver) SolveStats(f loss.Function, stats *MultiStats, i int, p dp.Params, key int64, invocation uint64, opts PrivateBatchOptions) (vec.Vector, error) {
 	scale, ridge, ok := loss.AsQuadratic(f)
 	if !ok {
 		return nil, fmt.Errorf("erm: loss %q has no quadratic sufficient statistics", f.Name())
@@ -195,7 +69,7 @@ func (sv *Solver) SolveStats(f loss.Function, stats *QuadraticStats, p dp.Params
 	opts.fill(stats.Len())
 	lip := f.Lipschitz(sv.c, opts.XBound, opts.YBound)
 	return sv.run(stats.Len(), lip, func(dst, theta vec.Vector) {
-		stats.GradientInto(dst, theta, scale, ridge)
+		stats.GradientInto(dst, theta, i, scale, ridge)
 	}, p, key, invocation, opts)
 }
 
@@ -224,10 +98,12 @@ func PrivateBatchAt(f loss.Function, c constraint.Set, data []loss.Point, p dp.P
 	return NewSolver(c).SolveHistory(f, data, p, key, invocation, opts)
 }
 
-// run is the shared noisy-projected-gradient body: the same algorithmic
-// template as PrivateBatch (noise calibrated by advanced composition over the
-// iterations, per Bassily et al.), with three differences — keyed noise,
-// reused buffers, and a tolerance-based early stop. The early stop fires only
+// run is the shared noisy-projected-gradient body in the style of Bassily,
+// Smith and Thakurta: each of the R full-gradient evaluations is privatized
+// with the Gaussian mechanism (per-datapoint gradient sensitivity 2L), the
+// per-iteration budget set by advanced composition over the iterations. The
+// noise is keyed, the buffers are reused, and a tolerance-based early stop
+// ends the run. The early stop fires only
 // when consecutive iterates move less than opts.Tolerance, which genuine
 // privacy noise (σ·step per coordinate) keeps far out of reach, so under real
 // budgets the full run executes and the Appendix-B iterate average is

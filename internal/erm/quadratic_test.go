@@ -21,10 +21,10 @@ func negligibleNoise() dp.Params {
 	return dp.Params{Epsilon: 1e9, Delta: 1e-6}
 }
 
-func foldStats(data []loss.Point, d int) *QuadraticStats {
-	stats := NewQuadraticStats(d)
+func foldStats(data []loss.Point, d int) *MultiStats {
+	stats := NewMultiStats(d, 1)
 	for _, z := range data {
-		stats.Add(z.X, z.Y)
+		stats.Add(z.X, []float64{z.Y})
 	}
 	return stats
 }
@@ -50,13 +50,13 @@ func TestQuadraticStatsMatchEmpiricalRiskAndGradient(t *testing.T) {
 		if stats.Len() != n || stats.Dim() != d {
 			t.Fatalf("Len/Dim = %d/%d", stats.Len(), stats.Dim())
 		}
-		want := loss.Empirical(tc.f, theta, data)
-		if got := stats.Risk(theta, scale, ridge); math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
+		want := loss.Empirical(loss.Squared{}, theta, data)
+		if got := stats.Risk(theta, 0); math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 			t.Fatalf("%s: Risk = %v, want %v", tc.f.Name(), got, want)
 		}
 		wantG := loss.EmpiricalGradient(tc.f, theta, data)
 		got := vec.NewVector(d)
-		stats.GradientInto(got, theta, scale, ridge)
+		stats.GradientInto(got, theta, 0, scale, ridge)
 		if vec.Dist2(got, wantG) > 1e-9*(1+vec.Norm2(wantG)) {
 			t.Fatalf("%s: GradientInto = %v, want %v", tc.f.Name(), got, wantG)
 		}
@@ -72,26 +72,26 @@ func TestQuadraticStatsMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := NewQuadraticStats(d)
+	restored := NewMultiStats(d, 1)
 	if err := restored.UnmarshalState(blob); err != nil {
 		t.Fatal(err)
 	}
-	if restored.Len() != stats.Len() || restored.yy != stats.yy {
-		t.Fatalf("restored n/yy = %d/%v, want %d/%v", restored.Len(), restored.yy, stats.Len(), stats.yy)
+	if restored.Len() != stats.Len() || restored.yys[0] != stats.yys[0] {
+		t.Fatalf("restored n/yy = %d/%v, want %d/%v", restored.Len(), restored.yys[0], stats.Len(), stats.yys[0])
 	}
 	for i, v := range stats.a.Data() {
 		if restored.a.Data()[i] != v {
 			t.Fatalf("A[%d] differs after round trip", i)
 		}
 	}
-	for i, v := range stats.b {
-		if restored.b[i] != v {
+	for i, v := range stats.bs[0] {
+		if restored.bs[0][i] != v {
 			t.Fatalf("B[%d] differs after round trip", i)
 		}
 	}
 	// The blob is O(d²): folding more points must not grow it.
 	for i := 0; i < 100; i++ {
-		stats.Add(data[i%len(data)].X, data[i%len(data)].Y)
+		stats.Add(data[i%len(data)].X, []float64{data[i%len(data)].Y})
 	}
 	blob2, err := stats.MarshalState()
 	if err != nil {
@@ -101,8 +101,11 @@ func TestQuadraticStatsMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("checkpoint grew with stream length: %d -> %d bytes", len(blob), len(blob2))
 	}
 	// Wrong dimension is rejected.
-	if err := NewQuadraticStats(d + 1).UnmarshalState(blob); err == nil {
+	if err := NewMultiStats(d+1, 1).UnmarshalState(blob); err == nil {
 		t.Fatal("dimension mismatch should be rejected")
+	}
+	if err := NewMultiStats(d, 2).UnmarshalState(blob); err == nil {
+		t.Fatal("outcome count mismatch should be rejected")
 	}
 }
 
@@ -118,7 +121,7 @@ func TestSolveStatsApproximatesSolveHistory(t *testing.T) {
 	stats := foldStats(data, d)
 	opts := PrivateBatchOptions{Iterations: 60}
 	const key, inv = 99, 3
-	fromStats, err := NewSolver(cons).SolveStats(loss.Squared{}, stats, quadParams(), key, inv, opts)
+	fromStats, err := NewSolver(cons).SolveStats(loss.Squared{}, stats, 0, quadParams(), key, inv, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,19 +146,19 @@ func TestSolverIsPureFunctionOfKeyAndInvocation(t *testing.T) {
 	opts := PrivateBatchOptions{Iterations: 40}
 	const key = 42
 	sv := NewSolver(cons)
-	want, err := sv.SolveStats(loss.Squared{}, stats, quadParams(), key, 5, opts)
+	want, err := sv.SolveStats(loss.Squared{}, stats, 0, quadParams(), key, 5, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Interleave unrelated solves at other invocations, then repeat: the reused
 	// workspace must not leak state between solves.
-	if _, err := sv.SolveStats(loss.Squared{}, stats, quadParams(), key, 3, opts); err != nil {
+	if _, err := sv.SolveStats(loss.Squared{}, stats, 0, quadParams(), key, 3, opts); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sv.SolveHistory(loss.Squared{}, data[:10], quadParams(), key, 7, opts); err != nil {
 		t.Fatal(err)
 	}
-	again, err := sv.SolveStats(loss.Squared{}, stats, quadParams(), key, 5, opts)
+	again, err := sv.SolveStats(loss.Squared{}, stats, 0, quadParams(), key, 5, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +169,7 @@ func TestSolverIsPureFunctionOfKeyAndInvocation(t *testing.T) {
 	}
 	// A fresh solver — and the convenience PrivateBatchAt — produce the same
 	// bits as the reused workspace on the same arguments.
-	fresh, err := NewSolver(cons).SolveStats(loss.Squared{}, stats, quadParams(), key, 5, opts)
+	fresh, err := NewSolver(cons).SolveStats(loss.Squared{}, stats, 0, quadParams(), key, 5, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +190,7 @@ func TestSolverIsPureFunctionOfKeyAndInvocation(t *testing.T) {
 		}
 	}
 	// Different invocations draw different noise.
-	other, err := sv.SolveStats(loss.Squared{}, stats, quadParams(), key, 6, opts)
+	other, err := sv.SolveStats(loss.Squared{}, stats, 0, quadParams(), key, 6, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +206,7 @@ func TestSolverAccurateUnderNegligibleNoise(t *testing.T) {
 	data := makeRegressionData(n, d, truth, 0.01, src)
 	cons := constraint.NewL2Ball(d, 1)
 	stats := foldStats(data, d)
-	got, err := NewSolver(cons).SolveStats(loss.Squared{}, stats, negligibleNoise(), 7, 1,
+	got, err := NewSolver(cons).SolveStats(loss.Squared{}, stats, 0, negligibleNoise(), 7, 1,
 		PrivateBatchOptions{Iterations: 300})
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +215,7 @@ func TestSolverAccurateUnderNegligibleNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same criterion as the sequential PrivateBatch tests: the solve closes
+	// Same criterion as TestPrivateBatchFeasibleAndReasonable: the solve closes
 	// most of the gap between the trivial zero estimator and the exact ERM.
 	excess := loss.Empirical(loss.Squared{}, got, data) - loss.Empirical(loss.Squared{}, exact, data)
 	trivial := loss.Empirical(loss.Squared{}, vec.NewVector(d), data) - loss.Empirical(loss.Squared{}, exact, data)
@@ -220,7 +223,7 @@ func TestSolverAccurateUnderNegligibleNoise(t *testing.T) {
 		t.Fatalf("keyed solve excess %v not better than half the trivial excess %v", excess, trivial)
 	}
 	// Disabling the early stop must also be deterministic and feasible.
-	noStop, err := NewSolver(cons).SolveStats(loss.Squared{}, stats, negligibleNoise(), 7, 1,
+	noStop, err := NewSolver(cons).SolveStats(loss.Squared{}, stats, 0, negligibleNoise(), 7, 1,
 		PrivateBatchOptions{Iterations: 300, Tolerance: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +237,7 @@ func TestSolverEdgeCases(t *testing.T) {
 	cons := constraint.NewL2Ball(3, 1)
 	sv := NewSolver(cons)
 	// Empty data: the projected origin, no error.
-	got, err := sv.SolveStats(loss.Squared{}, NewQuadraticStats(3), quadParams(), 1, 0, PrivateBatchOptions{})
+	got, err := sv.SolveStats(loss.Squared{}, NewMultiStats(3, 1), 0, quadParams(), 1, 0, PrivateBatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,15 +245,15 @@ func TestSolverEdgeCases(t *testing.T) {
 		t.Fatalf("empty solve = %v, want origin", got)
 	}
 	// Non-quadratic loss is rejected by SolveStats.
-	if _, err := sv.SolveStats(loss.Logistic{}, NewQuadraticStats(3), quadParams(), 1, 0, PrivateBatchOptions{}); err == nil {
+	if _, err := sv.SolveStats(loss.Logistic{}, NewMultiStats(3, 1), 0, quadParams(), 1, 0, PrivateBatchOptions{}); err == nil {
 		t.Fatal("logistic loss should be rejected")
 	}
 	// Dimension mismatch is rejected.
-	if _, err := sv.SolveStats(loss.Squared{}, NewQuadraticStats(4), quadParams(), 1, 0, PrivateBatchOptions{}); err == nil {
+	if _, err := sv.SolveStats(loss.Squared{}, NewMultiStats(4, 1), 0, quadParams(), 1, 0, PrivateBatchOptions{}); err == nil {
 		t.Fatal("dimension mismatch should be rejected")
 	}
 	// Invalid privacy parameters are rejected.
-	if _, err := sv.SolveStats(loss.Squared{}, NewQuadraticStats(3), dp.Params{}, 1, 0, PrivateBatchOptions{}); err == nil {
+	if _, err := sv.SolveStats(loss.Squared{}, NewMultiStats(3, 1), 0, dp.Params{}, 1, 0, PrivateBatchOptions{}); err == nil {
 		t.Fatal("zero privacy params should be rejected")
 	}
 }
@@ -266,7 +269,7 @@ func BenchmarkSolveStats(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sv.SolveStats(loss.Squared{}, stats, quadParams(), 5, uint64(i), opts); err != nil {
+		if _, err := sv.SolveStats(loss.Squared{}, stats, 0, quadParams(), 5, uint64(i), opts); err != nil {
 			b.Fatal(err)
 		}
 	}

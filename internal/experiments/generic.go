@@ -194,7 +194,7 @@ func NaiveVsGeneric(opts Options) (*Result, error) {
 			return trialOut{}, err
 		}
 		data := stream.Collect(gen, horizon)
-		naive, err := core.NewNaiveRecompute(f, cons, opts.privacy(), horizon, src.Split(), core.NaiveOptions{Batch: erm.PrivateBatchOptions{Iterations: 40}})
+		naive, err := core.NewNaiveRecompute(f, cons, opts.privacy(), horizon, src.Split(), core.GenericOptions{Batch: erm.PrivateBatchOptions{Iterations: 40}})
 		if err != nil {
 			return trialOut{}, err
 		}

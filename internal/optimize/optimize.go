@@ -1,8 +1,7 @@
-// Package optimize implements the first-order constrained convex optimizers
-// the mechanisms rely on: projected (sub)gradient descent, the noisy projected
-// gradient descent procedure NOISYPROJGRAD analyzed in Appendix B of the
-// paper, and Frank–Wolfe as an alternative projection-free method used in
-// ablation experiments.
+// Package optimize implements the first-order constrained convex optimizer
+// the mechanisms rely on: the noisy projected gradient descent procedure
+// NOISYPROJGRAD analyzed in Appendix B of the paper (exact projected gradient
+// descent is its noise-free special case).
 //
 // All optimizers consume a GradientFunc — in the private mechanisms this is a
 // *private gradient function* (Definition 5), so evaluating it any number of
@@ -21,10 +20,6 @@ import (
 // GradientFunc returns (an approximation of) the gradient of the objective at
 // theta. It must not modify theta.
 type GradientFunc func(theta vec.Vector) vec.Vector
-
-// ValueFunc returns the objective value at theta; optional, used only for
-// averaging diagnostics and the Frank–Wolfe line search fallback.
-type ValueFunc func(theta vec.Vector) float64
 
 // Options configures the projected gradient optimizers.
 type Options struct {
@@ -114,13 +109,6 @@ func NoisyProjected(c constraint.Set, grad GradientFunc, opts Options) (Result, 
 	return Result{Theta: out, Last: theta.Clone(), Iterations: opts.Iterations}, nil
 }
 
-// Projected runs exact projected gradient descent (the noise-free special case
-// α = 0 of NoisyProjected). It is used by the non-private baselines and the
-// exact constrained ERM solver.
-func Projected(c constraint.Set, grad GradientFunc, opts Options) (Result, error) {
-	return NoisyProjected(c, grad, opts)
-}
-
 // IterationsForTargetError returns the iteration count r = Θ((1 + T‖C‖/α')²)
 // used by Algorithms 2 and 3 of the paper, where α' is the gradient-error scale
 // and T‖C‖ plays the role of the Lipschitz constant of the accumulated loss.
@@ -138,53 +126,4 @@ func IterationsForTargetError(lipschitz, gradError float64, minIters, maxIters i
 		r = maxIters
 	}
 	return r
-}
-
-// FrankWolfe runs the projection-free Frank–Wolfe (conditional gradient) method
-// over the constraint set, using the set's support structure via a linear
-// minimization oracle built from SupportFunction directions. It requires only a
-// gradient oracle and is provided for ablation comparisons against projected
-// descent on polytope-like sets; it uses the classic 2/(k+2) step schedule.
-func FrankWolfe(c constraint.Set, grad GradientFunc, lmo func(direction vec.Vector) vec.Vector, iterations int, start vec.Vector) (Result, error) {
-	if c == nil || grad == nil || lmo == nil {
-		return Result{}, errors.New("optimize: nil constraint set, gradient, or linear oracle")
-	}
-	if iterations <= 0 {
-		return Result{}, errors.New("optimize: iteration count must be positive")
-	}
-	d := c.Dim()
-	var theta vec.Vector
-	if start != nil {
-		theta = c.Project(start)
-	} else {
-		theta = c.Project(vec.NewVector(d))
-	}
-	for k := 0; k < iterations; k++ {
-		g := grad(theta)
-		// The LMO returns argmin_{s∈C} <s, g> ; pass -g so callers can implement
-		// it as the support-maximizing vertex for direction -g.
-		s := lmo(vec.Scaled(g, -1))
-		gamma := 2 / float64(k+2)
-		for i := range theta {
-			theta[i] = (1-gamma)*theta[i] + gamma*s[i]
-		}
-	}
-	return Result{Theta: theta.Clone(), Last: theta.Clone(), Iterations: iterations}, nil
-}
-
-// PolytopeLMO returns a linear minimization oracle for a vertex-described
-// polytope: for a direction u it returns the vertex maximizing <v, u>.
-func PolytopeLMO(p *constraint.Polytope) func(vec.Vector) vec.Vector {
-	vertices := p.Vertices()
-	return func(u vec.Vector) vec.Vector {
-		best := math.Inf(-1)
-		var arg vec.Vector
-		for _, v := range vertices {
-			if s := vec.Dot(v, u); s > best {
-				best = s
-				arg = v
-			}
-		}
-		return arg.Clone()
-	}
 }

@@ -29,7 +29,7 @@ func TestProjectedGradientConvergesInteriorOptimum(t *testing.T) {
 	center := vec.NewVector(d)
 	center[0], center[1] = 0.3, -0.2 // inside the ball
 	value, grad := quadratic(center)
-	res, err := Projected(c, grad, Options{Iterations: 800, Lipschitz: 4, GradError: 0, Average: false})
+	res, err := NoisyProjected(c, grad, Options{Iterations: 800, Lipschitz: 4, GradError: 0, Average: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestProjectedGradientConvergesBoundaryOptimum(t *testing.T) {
 	center.Fill(2)
 	value, grad := quadratic(center)
 	want := c.Project(center)
-	res, err := Projected(c, grad, Options{Iterations: 2000, Lipschitz: 12, Average: false})
+	res, err := NoisyProjected(c, grad, Options{Iterations: 2000, Lipschitz: 12, Average: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,36 +167,12 @@ func TestWarmStartFromOptimumStaysPut(t *testing.T) {
 	center := vec.NewVector(d)
 	center[0] = 0.4
 	value, grad := quadratic(center)
-	res, err := Projected(c, grad, Options{Iterations: 50, Lipschitz: 3, Start: center, Average: false})
+	res, err := NoisyProjected(c, grad, Options{Iterations: 50, Lipschitz: 3, Start: center, Average: false})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if value(res.Theta) > 1e-10 {
 		t.Fatalf("started at the optimum but drifted to f=%v", value(res.Theta))
-	}
-}
-
-func TestFrankWolfeOnCrossPolytope(t *testing.T) {
-	d := 6
-	p := constraint.CrossPolytope(d, 1)
-	center := vec.NewVector(d)
-	center[0] = 0.6
-	value, grad := quadratic(center)
-	res, err := FrankWolfe(p, grad, PolytopeLMO(p), 300, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if value(res.Theta) > 5e-2 {
-		t.Fatalf("Frank-Wolfe did not converge: f=%v at %v", value(res.Theta), res.Theta)
-	}
-	if !p.Contains(res.Theta, 1e-3) {
-		t.Fatalf("Frank-Wolfe iterate outside the polytope")
-	}
-	if _, err := FrankWolfe(p, grad, nil, 10, nil); err == nil {
-		t.Fatal("nil LMO should error")
-	}
-	if _, err := FrankWolfe(p, grad, PolytopeLMO(p), 0, nil); err == nil {
-		t.Fatal("zero iterations should error")
 	}
 }
 
@@ -206,11 +182,11 @@ func TestAverageVsLastIterate(t *testing.T) {
 	center := vec.NewVector(d)
 	center[0] = 0.2
 	_, grad := quadratic(center)
-	avg, err := Projected(c, grad, Options{Iterations: 100, Lipschitz: 3, Average: true})
+	avg, err := NoisyProjected(c, grad, Options{Iterations: 100, Lipschitz: 3, Average: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	last, err := Projected(c, grad, Options{Iterations: 100, Lipschitz: 3, Average: false})
+	last, err := NoisyProjected(c, grad, Options{Iterations: 100, Lipschitz: 3, Average: false})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,9 @@ func (s *SymMatrix) Clone() *SymMatrix {
 }
 
 // AddScaledOuter adds the rank-one update alpha * x xᵀ to s, touching only the
-// packed upper triangle (d(d+1)/2 fused multiply-adds).
+// packed upper triangle (d(d+1)/2 multiply-adds). Rows whose scaled entry is
+// zero are skipped, as Matrix.AddOuterInPlace skips them, so the packed and
+// dense accumulations agree entry for entry and sparse rows stay cheap.
 func (s *SymMatrix) AddScaledOuter(alpha float64, x Vector) {
 	if len(x) != s.d {
 		panic(dimErr("SymMatrix.AddScaledOuter", s.d, len(x)))
@@ -75,6 +77,10 @@ func (s *SymMatrix) AddScaledOuter(alpha float64, x Vector) {
 	off := 0
 	for i := 0; i < s.d; i++ {
 		xi := alpha * x[i]
+		if xi == 0 {
+			off += s.d - i
+			continue
+		}
 		row := s.data[off : off+s.d-i]
 		tail := x[i:]
 		for k, xk := range tail {

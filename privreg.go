@@ -184,7 +184,9 @@ type MultiEstimator interface {
 }
 
 // multiCore is the internal capability the adapter detects on a mechanism to
-// serve MultiEstimator natively.
+// take flat rows straight into its fold and serve MultiEstimator natively.
+// The PRIVINCERM engine (generic-erm, naive-recompute, multi-outcome) has it
+// for every outcome count.
 type multiCore interface {
 	Outcomes() int
 	ObserveMultiFlat(xs, ys []float64) error
@@ -263,14 +265,13 @@ func (cfg config) horizonOrDefault() int {
 // registry name so restores are routed to a compatible instance.
 type estimatorAdapter struct {
 	inner core.Estimator
-	// multi is inner's k-outcome capability, nil for single-outcome
-	// mechanisms.
+	// multi is inner's flat-row capability, nil for mechanisms without it.
 	multi     multiCore
 	mechanism string
 	// dim and outcomes are the row shape every ingest must match: covariate
 	// dimension d and responses per row k.
 	dim, outcomes int
-	// points stages rows as loss.Points for single-outcome mechanisms and
+	// points stages rows as loss.Points for mechanisms without multi, and
 	// flat packs nested ObserveBatch rows; both are reused across calls so
 	// steady-state ingest allocates nothing per batch.
 	points []loss.Point
@@ -382,8 +383,8 @@ func (a *estimatorAdapter) ObserveMultiFlat(dim int, xs []float64, ys []float64)
 	return a.observe(dim, xs, ys)
 }
 
-// EstimateOutcome implements MultiEstimator. Outcome 0 of a single-outcome
-// mechanism is its Estimate; other indices are rejected.
+// EstimateOutcome implements MultiEstimator. Outcome 0 of a mechanism
+// without multi is its Estimate; other indices are rejected.
 func (a *estimatorAdapter) EstimateOutcome(i int) ([]float64, error) {
 	if a.multi != nil {
 		theta, err := a.multi.EstimateOutcome(i)
@@ -472,12 +473,12 @@ func ExcessRisk(cons Constraint, xs [][]float64, ys []float64, estimate []float6
 	if len(xs) != len(ys) {
 		return 0, errors.New("privreg: covariate and response counts differ")
 	}
-	state := erm.NewLeastSquaresState(cons.Dim(), cons.set)
+	stats := erm.NewMultiStats(cons.Dim(), 1)
 	for i, x := range xs {
-		state.Observe(vec.Vector(x), ys[i])
+		stats.Add(vec.Vector(x), ys[i:i+1])
 	}
-	exact := state.Minimize(0)
-	excess := state.Risk(vec.Vector(estimate)) - state.Risk(exact)
+	exact := erm.ExactStats(nil, stats, cons.set, 0)
+	excess := stats.Risk(vec.Vector(estimate), 0) - stats.Risk(exact, 0)
 	if excess < 0 {
 		excess = 0
 	}

@@ -148,7 +148,7 @@ var registry = []*mechanism{
 				return nil, err
 			}
 			cfg := s.cfg
-			return core.NewNaiveRecompute(f, cfg.Constraint.set, cfg.Privacy.params(), cfg.horizonOrDefault(), randx.NewSource(cfg.Seed), core.NaiveOptions{
+			return core.NewNaiveRecompute(f, cfg.Constraint.set, cfg.Privacy.params(), cfg.horizonOrDefault(), randx.NewSource(cfg.Seed), core.GenericOptions{
 				Batch:      erm.PrivateBatchOptions{Iterations: cfg.MaxIterations},
 				HistoryCap: cfg.HistoryCap,
 			})
@@ -171,7 +171,7 @@ var registry = []*mechanism{
 			if k == 0 {
 				k = 1
 			}
-			return core.NewMultiOutcome(cfg.Constraint.set, k, cfg.Privacy.params(), cfg.horizonOrDefault(), randx.NewSource(cfg.Seed), core.MultiOptions{
+			return core.NewMultiOutcome(cfg.Constraint.set, k, cfg.Privacy.params(), cfg.horizonOrDefault(), randx.NewSource(cfg.Seed), core.GenericOptions{
 				Tau:   cfg.Tau,
 				Batch: erm.PrivateBatchOptions{Iterations: cfg.MaxIterations},
 			})
