@@ -500,52 +500,62 @@ func BenchmarkPoolIncrementalCheckpoint(b *testing.B) {
 }
 
 // BenchmarkCheckpoint measures the cost of the checkpoint/restore cycle for
-// the serving-relevant mechanisms (see docs/SERVING.md for the size model).
+// the serving-relevant mechanisms (see docs/SERVING.md for the size model) and
+// reports the blob size as ckpt_bytes. The T=2^19 case is the per-stream
+// state of perfbench's http-read-write workload, which is what its spill
+// store writes and faults back in.
 func BenchmarkCheckpoint(b *testing.B) {
 	const d = 32
-	est, err := New("gradient",
-		WithEpsilonDelta(1, 1e-6),
-		WithHorizon(4096),
-		WithConstraint(L2Constraint(d, 1)),
-		WithSeed(1),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, d)
-	x[0] = 0.5
-	for i := 0; i < 512; i++ {
-		if err := est.Observe(x, 0.2); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("marshal", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := est.MarshalBinary(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	blob, err := est.MarshalBinary()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("restore", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fresh, err := New("gradient",
+	for _, tc := range []struct {
+		name    string
+		horizon int
+	}{
+		{"gradient/d=32/T=4096", 4096},
+		{"gradient/d=32/T=2^19", 1 << 19},
+	} {
+		build := func(b *testing.B) Estimator {
+			est, err := New("gradient",
 				WithEpsilonDelta(1, 1e-6),
-				WithHorizon(4096),
+				WithHorizon(tc.horizon),
 				WithConstraint(L2Constraint(d, 1)),
 				WithSeed(1),
 			)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := fresh.UnmarshalBinary(blob); err != nil {
+			return est
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			est := build(b)
+			x := make([]float64, d)
+			x[0] = 0.5
+			for i := 0; i < 512; i++ {
+				if err := est.Observe(x, 0.2); err != nil {
+					b.Fatal(err)
+				}
+			}
+			blob, err := est.MarshalBinary()
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			b.Run("marshal", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := est.MarshalBinary(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(blob)), "ckpt_bytes")
+			})
+			b.Run("restore", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := build(b).UnmarshalBinary(blob); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(blob)), "ckpt_bytes")
+			})
+		})
+	}
 }

@@ -10,15 +10,27 @@ import (
 	"privreg/internal/vec"
 )
 
-// Allocation-regression guards for the sufficient-statistics mechanisms. On
-// the quadratic path, Observe folds a point through a reused clamp buffer into
-// preallocated moment statistics (zero allocations), ObserveBatch and
-// ObserveMultiFlat are the same loop, and a non-boundary Estimate only clones
-// the memoized vector. A failure here means a scratch buffer stopped being
-// reused or the fold path regressed to per-point cloning.
+// Allocation-regression guards for the sufficient-statistics mechanisms and
+// the paper's regression mechanisms. On the quadratic path, Observe folds a
+// point through a reused clamp buffer into preallocated moment statistics
+// (zero allocations), ObserveBatch and ObserveMultiFlat are the same loop,
+// and a non-boundary Estimate only clones the memoized vector. The regression
+// mechanisms fold svec(x xᵀ) through a reused buffer into their trees'
+// preallocated level slabs. A failure here means a scratch buffer stopped
+// being reused or the fold path regressed to per-point cloning.
 
 // allocMechs names the mechanisms under audit.
-var allocMechs = []string{"generic-erm", "naive-recompute", "multi-outcome", "nonprivate"}
+var allocMechs = []string{"generic-erm", "naive-recompute", "multi-outcome", "nonprivate", "gradient", "projected"}
+
+// observeBudget is the allocation budget of one Observe, or of one
+// ObserveBatch of 32 rows: the regression mechanisms' folds have no boundary
+// snapshots and are pinned at zero.
+func observeBudget(name string, slowPath int) int {
+	if name == "gradient" || name == "projected" {
+		return 0
+	}
+	return slowPath
+}
 
 // allocMech builds the named mechanism (d = 16; k = 4 for multi-outcome) and
 // an ingest function for a fixed run of rows drawn once: single-outcome
@@ -50,6 +62,11 @@ func allocMech(t testing.TB, name string, rows int) (Estimator, func() error) {
 		return m, func() error { return m.ObserveMultiFlat(xs, ys) }
 	case "nonprivate":
 		mech = NewNonPrivateIncremental(cons, 0)
+	case "gradient":
+		mech, err = NewGradientRegression(cons, privacy(), 1<<20, randx.NewSource(4), RegressionOptions{})
+	case "projected":
+		mech, err = NewProjectedRegression(cons, cons, privacy(), 1<<20, randx.NewSource(4),
+			ProjectedOptions{ProjectionDim: d / 2})
 	default:
 		t.Fatalf("unknown mechanism %q", name)
 	}
@@ -80,8 +97,8 @@ func TestSlowPathObserveAllocs(t *testing.T) {
 			// buffer, rank-one update into the packed triangle. The budget of 1
 			// covers boundary snapshots (a pending stats copy is in-place, but
 			// leaves headroom for runtime drift).
-			const budget = 1
-			if allocs := testing.AllocsPerRun(200, run); allocs > budget {
+			budget := observeBudget(name, 1)
+			if allocs := testing.AllocsPerRun(200, run); allocs > float64(budget) {
 				t.Fatalf("Observe allocates %.1f times per point, budget %d", allocs, budget)
 			}
 		})
@@ -100,8 +117,8 @@ func TestSlowPathObserveBatchAllocs(t *testing.T) {
 			run()
 			// Whole-batch budget, not per point: the fold loop itself is
 			// allocation-free.
-			const budget = 2
-			if allocs := testing.AllocsPerRun(100, run); allocs > budget {
+			budget := observeBudget(name, 2)
+			if allocs := testing.AllocsPerRun(100, run); allocs > float64(budget) {
 				t.Fatalf("ObserveBatch(32) allocates %.1f times per batch, budget %d", allocs, budget)
 			}
 		})

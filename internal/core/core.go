@@ -201,6 +201,12 @@ func (n *NonPrivateIncremental) Len() int { return n.stats.Len() }
 // Privacy implements Estimator: not private.
 func (n *NonPrivateIncremental) Privacy() dp.Params { return dp.Params{} }
 
+// StateBytes reports the retained per-stream memory of the baseline: the
+// sufficient statistics, the clamp buffer and the memoized solution.
+func (n *NonPrivateIncremental) StateBytes() int {
+	return n.stats.Bytes() + 8*(len(n.xbuf)+len(n.sol))
+}
+
 // Risk exposes the exact prefix squared-loss risk of an arbitrary parameter
 // vector, computed from the sufficient statistics in O(d²). The experiments use
 // it to evaluate excess risk without re-scanning the stream.

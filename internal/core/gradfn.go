@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"privreg/internal/tree"
 	"privreg/internal/vec"
 )
 
@@ -16,7 +17,8 @@ import (
 // consumes no additional privacy budget — the property that lets the noisy
 // projected gradient optimizer iterate freely (Section 4).
 type PrivateGradient struct {
-	// Q is the private estimate of Σ x_i x_iᵀ (symmetrized).
+	// Q is the private estimate of Σ x_i x_iᵀ, unpacked from the released
+	// svec sum (symmetric by construction).
 	Q *vec.Matrix
 	// Qv is the private estimate of Σ x_i y_i.
 	Qv vec.Vector
@@ -31,6 +33,14 @@ func (g *PrivateGradient) Eval(theta vec.Vector) vec.Vector {
 	out.SubInPlace(g.Qv)
 	out.Scale(2)
 	return out
+}
+
+// bytes is the memory held by g's buffers (0 before the first read).
+func (g *PrivateGradient) bytes() int {
+	if g.Q == nil {
+		return 0
+	}
+	return 8 * (len(g.Q.Data()) + len(g.Qv))
 }
 
 // Func adapts the private gradient to the optimizer's GradientFunc signature.
@@ -72,31 +82,90 @@ func smoothStepSize(pg *PrivateGradient, lip, gradErr, diameter float64, iters i
 	return def
 }
 
-// matrixFromFlat reshapes a length-d² slice into a d×d matrix and symmetrizes
-// it. The Tree Mechanism treats the second-moment stream as flat d²-vectors
-// (Step 4 of Algorithm 2); symmetrization is harmless post-processing that
-// keeps the optimizer's quadratic well behaved.
-func matrixFromFlat(flat []float64, d int) *vec.Matrix {
-	m := vec.NewMatrix(d, d)
-	copy(m.Data(), flat)
-	m.SymmetrizeInPlace()
-	return m
+// gradientErrorScale returns the α' of Algorithm 2 for a private gradient
+// maintained by the first-moment mechanism sumXY and the second-moment
+// mechanism sumXXT over a dim-dimensional space: a high-probability bound on
+// ‖g_t(θ) - ∇L(θ; Γ_t)‖ over a domain of the given diameter (Lemma 4.1 with
+// explicit constants), valid for every timestep up to the horizon. The
+// first-moment error is the Gaussian norm bound σ_r·(√d + √(2 ln(1/β))) of a
+// release with per-coordinate noise σ_r. The second-moment error enters
+// through the spectral norm of the d×d noise matrix, which for Gaussian
+// entries of standard deviation σ_r is ≈ 2σ_r√d — a factor √d smaller than
+// its Frobenius norm. Both σ_r are sized from the horizon, so a Hybrid
+// substrate gets the bound of its noisiest reachable epoch, not of its first.
+func gradientErrorScale(sumXY, sumXXT tree.Mechanism, horizon, dim int, diameter, beta float64) float64 {
+	rd := math.Sqrt(float64(dim))
+	sumErr := sumXY.ReleaseSigma(horizon) * (rd + math.Sqrt(2*math.Log(1/beta)))
+	matErr := 2 * sumXXT.ReleaseSigma(horizon) * rd
+	return 2 * (diameter*matErr + sumErr)
 }
 
-// flattenOuter writes the outer product x xᵀ into dst (length d²), row-major.
-func flattenOuter(dst []float64, x vec.Vector) {
+// readGradient releases the private gradient of sumXY and sumXXT over a
+// dim-dimensional space into pg. pg's buffers are allocated at the first read
+// only: later reads release the svec sum straight into the d×d matrix's
+// storage and unpack it in place.
+func readGradient(pg *PrivateGradient, sumXY, sumXXT tree.Mechanism, dim int) {
+	if pg.Q == nil {
+		pg.Q = vec.NewMatrix(dim, dim)
+		pg.Qv = vec.NewVector(dim)
+	}
+	sumXY.SumInto(pg.Qv)
+	sumXXT.SumInto(pg.Q.Data()[:svecLen(dim)])
+	unpackSvec(pg.Q)
+}
+
+// svecLen is the length of svec of a d×d symmetric matrix: its packed upper
+// triangle, d(d+1)/2 entries.
+func svecLen(d int) int { return d * (d + 1) / 2 }
+
+// svecOuter writes svec(x xᵀ) into dst (length svecLen(len(x))): the upper
+// triangle of x xᵀ packed row-major as in vec.SymMatrix, with diagonal entries
+// x_i² and off-diagonal entries √2·x_i x_j. The embedding is an isometry,
+// ‖svec(A)‖₂ = ‖A‖_F, so the packed second-moment stream (Step 4 of
+// Algorithm 2) keeps the L2 sensitivity of the dense d² stream, and with it
+// the Tree Mechanism's noise scale, while every tree level stores and folds
+// d(d+1)/2 floats instead of d².
+func svecOuter(dst []float64, x vec.Vector) {
 	d := len(x)
-	for i := 0; i < d; i++ {
-		xi := x[i]
-		row := dst[i*d : (i+1)*d]
+	off := 0
+	for i, xi := range x {
+		row := dst[off : off+d-i]
+		off += d - i
 		if xi == 0 {
-			for j := range row {
-				row[j] = 0
+			for k := range row {
+				row[k] = 0
 			}
 			continue
 		}
-		for j := 0; j < d; j++ {
-			row[j] = xi * x[j]
+		row[0] = xi * xi
+		s := math.Sqrt2 * xi
+		for k, xj := range x[i+1:] {
+			row[k+1] = s * xj
 		}
+	}
+}
+
+// unpackSvec turns q, whose first svecLen(d) entries hold the svec of a
+// symmetric d×d matrix, into that matrix in place: off-diagonal entries are
+// divided by √2 and mirrored. Released off-diagonal noise then has variance
+// σ²/2 and diagonal noise σ², the distribution of a dense d² release
+// symmetrized as (A + Aᵀ)/2, so the read is the same post-processing of an
+// equally private release.
+//
+// In-place is safe: packed row i starts at i·d - i(i-1)/2 ≤ i·d, so rows are
+// unpacked last to first and, within a row, right to left; every write lands
+// at or after the packed entry it reads, and beyond every packed entry still
+// to be read.
+func unpackSvec(q *vec.Matrix) {
+	d := q.Rows()
+	data := q.Data()
+	for i := d - 1; i >= 0; i-- {
+		off := i*d - i*(i-1)/2
+		for j := d - 1; j > i; j-- {
+			v := data[off+j-i] / math.Sqrt2
+			data[i*d+j] = v
+			data[j*d+i] = v
+		}
+		data[i*d+i] = data[off]
 	}
 }

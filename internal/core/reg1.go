@@ -32,8 +32,8 @@ type RegressionOptions struct {
 	ConfidenceBeta float64
 	// UseHybridTree switches the continual-sum substrate from the fixed-horizon
 	// Tree Mechanism to the Hybrid Mechanism, removing the need for an accurate
-	// horizon (footnote 13 of the paper). The horizon is then only used for the
-	// iteration-count heuristic.
+	// horizon (footnote 13 of the paper). The horizon is then only used to size
+	// the gradient-error scale α' and, through it, the iteration count.
 	UseHybridTree bool
 }
 
@@ -55,7 +55,8 @@ func (o *RegressionOptions) fill() {
 // GradientRegression is Algorithm PRIVINCREG1 (Section 4): private incremental
 // linear regression with a private gradient function maintained by two Tree
 // Mechanism instances — one for the first-moment stream x_t·y_t and one for the
-// second-moment stream x_t x_tᵀ — each holding half of the privacy budget. At
+// second-moment stream svec(x_t x_tᵀ), the packed isometric embedding of the
+// outer product — each holding half of the privacy budget. At
 // any timestep the current regression estimate is obtained by running noisy
 // projected gradient descent against the private gradient, which is free
 // post-processing. Its worst-case excess risk is O(√d·log^{3/2}T·‖C‖²/ε)
@@ -82,7 +83,10 @@ type GradientRegression struct {
 	// Reusable per-timestep buffers keeping Observe allocation-free.
 	xWork    vec.Vector
 	xyWork   []float64
-	flatWork []float64
+	svecWork []float64
+	// grad is the read workspace of Gradient, allocated at the first read
+	// and refilled in place by every later one.
+	grad PrivateGradient
 }
 
 // NewGradientRegression returns Algorithm PRIVINCREG1 over the constraint set c
@@ -107,10 +111,11 @@ func NewGradientRegression(c constraint.Set, p dp.Params, horizon int, src *rand
 	d := c.Dim()
 	half := p.Halve()
 
-	// Both streams have L2-sensitivity at most 2: ‖x·y‖ ≤ 1 and ‖x xᵀ‖_F ≤ 1
-	// under the input normalization, so any two domain elements are at distance
-	// at most 2.
+	// Both streams have L2-sensitivity at most 2: ‖x·y‖ ≤ 1 and
+	// ‖svec(x xᵀ)‖₂ = ‖x xᵀ‖_F ≤ 1 under the input normalization, so any two
+	// domain elements are at distance at most 2.
 	const sensitivity = 2.0
+	p2 := svecLen(d)
 
 	var sumXY, sumXXT tree.Mechanism
 	var err error
@@ -119,7 +124,7 @@ func NewGradientRegression(c constraint.Set, p dp.Params, horizon int, src *rand
 		if err != nil {
 			return nil, err
 		}
-		sumXXT, err = tree.NewHybrid(d*d, sensitivity, half, src.Split())
+		sumXXT, err = tree.NewHybrid(p2, sensitivity, half, src.Split())
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +133,7 @@ func NewGradientRegression(c constraint.Set, p dp.Params, horizon int, src *rand
 		if err != nil {
 			return nil, err
 		}
-		sumXXT, err = tree.New(tree.Config{Dim: d * d, MaxLen: horizon, Sensitivity: sensitivity, Privacy: half}, src.Split())
+		sumXXT, err = tree.New(tree.Config{Dim: p2, MaxLen: horizon, Sensitivity: sensitivity, Privacy: half}, src.Split())
 		if err != nil {
 			return nil, err
 		}
@@ -146,33 +151,10 @@ func NewGradientRegression(c constraint.Set, p dp.Params, horizon int, src *rand
 		estN:     -1,
 		xWork:    vec.NewVector(d),
 		xyWork:   make([]float64, d),
-		flatWork: make([]float64, d*d),
+		svecWork: make([]float64, p2),
 	}
-	g.gradErr = g.gradientErrorScale()
+	g.gradErr = gradientErrorScale(sumXY, sumXXT, horizon, d, c.Diameter(), opts.ConfidenceBeta)
 	return g, nil
-}
-
-// gradientErrorScale returns the α' of Algorithm 2: a high-probability bound on
-// ‖g_t(θ) - ∇L(θ; Γ_t)‖ over θ ∈ C (Lemma 4.1 with explicit constants). The
-// second-moment error enters through the spectral norm of the d×d noise matrix,
-// which for i.i.d. Gaussian entries of standard deviation σ√L is ≈ 2σ√(L·d) —
-// a factor √d smaller than its Frobenius norm.
-func (g *GradientRegression) gradientErrorScale() float64 {
-	beta := g.opts.ConfidenceBeta
-	var sumErr, matErr float64
-	switch m := g.sumXY.(type) {
-	case *tree.Tree:
-		sumErr = m.ErrorBound(beta)
-	default:
-		sumErr = m.NoiseSigma() * math.Sqrt(float64(g.d))
-	}
-	switch m := g.sumXXT.(type) {
-	case *tree.Tree:
-		matErr = 2 * m.NoiseSigma() * math.Sqrt(float64(m.Levels())*float64(g.d))
-	default:
-		matErr = 2 * m.NoiseSigma() * math.Sqrt(float64(g.d))
-	}
-	return 2 * (g.c.Diameter()*matErr + sumErr)
 }
 
 // Name implements Estimator.
@@ -180,7 +162,7 @@ func (g *GradientRegression) Name() string { return "priv-inc-reg1" }
 
 // Observe implements Estimator: fold the point into both private running sums.
 // The steady-state path performs no heap allocation — clamping, the x·y
-// scaling, and the x xᵀ flattening all reuse per-mechanism buffers, and the
+// scaling, and the svec(x xᵀ) packing all reuse per-mechanism buffers, and the
 // Tree Mechanism updates go through the allocation-free AddTo entry point.
 func (g *GradientRegression) Observe(p loss.Point) error {
 	if !g.opts.UseHybridTree && g.n >= g.horizon {
@@ -189,28 +171,16 @@ func (g *GradientRegression) Observe(p loss.Point) error {
 	if len(p.X) != g.d {
 		return fmt.Errorf("core: covariate dimension %d does not match constraint dimension %d", len(p.X), g.d)
 	}
-	y := clampInto(g.xWork, p.X, p.Y)
-	for i, v := range g.xWork {
-		g.xyWork[i] = y * v
-	}
-	if err := g.sumXY.AddTo(nil, g.xyWork); err != nil {
-		return err
-	}
-	flattenOuter(g.flatWork, g.xWork)
-	if err := g.sumXXT.AddTo(nil, g.flatWork); err != nil {
-		return err
-	}
-	g.n++
-	return nil
+	return g.observeValidated(p)
 }
 
 // ObserveBatch implements Estimator: fold a contiguous run of points into the
 // private running sums. The batch is validated up front — dimensions and
 // horizon capacity — so it is consumed whole or not at all, and the Tree
-// Mechanism updates run with deferred sum aggregation, amortizing the
-// O(levels·d²) running-sum refresh across the batch instead of paying it per
-// point. Private state and randomness consumption are identical to a scalar
-// Observe loop.
+// Mechanism updates run with deferred sum aggregation, leaving the
+// O(levels·d(d+1)/2) running-sum aggregation to the next read instead of
+// paying it per point. Private state and randomness consumption are identical
+// to a scalar Observe loop.
 func (g *GradientRegression) ObserveBatch(ps []loss.Point) error {
 	if !g.opts.UseHybridTree && g.n+len(ps) > g.horizon {
 		return ErrStreamFull
@@ -221,29 +191,38 @@ func (g *GradientRegression) ObserveBatch(ps []loss.Point) error {
 		}
 	}
 	for i := range ps {
-		y := clampInto(g.xWork, ps[i].X, ps[i].Y)
-		for j, v := range g.xWork {
-			g.xyWork[j] = y * v
-		}
-		if err := g.sumXY.AddTo(nil, g.xyWork); err != nil {
+		if err := g.observeValidated(ps[i]); err != nil {
 			return err
 		}
-		flattenOuter(g.flatWork, g.xWork)
-		if err := g.sumXXT.AddTo(nil, g.flatWork); err != nil {
-			return err
-		}
-		g.n++
 	}
 	return nil
 }
 
-// Gradient returns the current private gradient function (Definition 5). The
-// returned structure references freshly copied private state and may be
-// evaluated any number of times without privacy cost.
+// observeValidated is the dimension-checked body shared by Observe and
+// ObserveBatch.
+func (g *GradientRegression) observeValidated(p loss.Point) error {
+	y := clampInto(g.xWork, p.X, p.Y)
+	for i, v := range g.xWork {
+		g.xyWork[i] = y * v
+	}
+	if err := g.sumXY.AddTo(nil, g.xyWork); err != nil {
+		return err
+	}
+	svecOuter(g.svecWork, g.xWork)
+	if err := g.sumXXT.AddTo(nil, g.svecWork); err != nil {
+		return err
+	}
+	g.n++
+	return nil
+}
+
+// Gradient returns the current private gradient function (Definition 5). It
+// may be evaluated any number of times without privacy cost. The returned
+// structure is the mechanism's read workspace: the released sums are written
+// into it in place, so it is valid until the next Gradient or Estimate call.
 func (g *GradientRegression) Gradient() *PrivateGradient {
-	q := vec.Vector(g.sumXY.Sum())
-	Q := matrixFromFlat(g.sumXXT.Sum(), g.d)
-	return &PrivateGradient{Q: Q, Qv: q}
+	readGradient(&g.grad, g.sumXY, g.sumXXT, g.d)
+	return &g.grad
 }
 
 // Estimate implements Estimator: run noisy projected gradient descent against
@@ -283,6 +262,15 @@ func (g *GradientRegression) Estimate() (vec.Vector, error) {
 
 // Len implements Estimator.
 func (g *GradientRegression) Len() int { return g.n }
+
+// StateBytes reports the retained per-stream memory of the mechanism: both
+// continual-sum mechanisms (per-level partial sums and noise memos), the
+// ingest buffers, the iterates and, once a read has allocated it, the
+// gradient workspace. O(1); the serving store reads it on every access.
+func (g *GradientRegression) StateBytes() int {
+	return g.sumXY.Bytes() + g.sumXXT.Bytes() + g.grad.bytes() +
+		8*(len(g.prev)+len(g.estCache)+len(g.xWork)+len(g.xyWork)+len(g.svecWork))
+}
 
 // Privacy implements Estimator.
 func (g *GradientRegression) Privacy() dp.Params { return g.privacy }

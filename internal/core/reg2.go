@@ -87,7 +87,9 @@ type ProjectedRegression struct {
 	xWork    vec.Vector
 	pxWork   vec.Vector
 	pxyWork  []float64
-	flatWork []float64
+	svecWork []float64
+	// grad is the read workspace of Gradient; see GradientRegression.grad.
+	grad PrivateGradient
 }
 
 // NewProjectedRegression returns Algorithm PRIVINCREG2. xDomain describes the
@@ -149,14 +151,17 @@ func NewProjectedRegression(xDomain, c constraint.Set, p dp.Params, horizon int,
 	}
 
 	half := p.Halve()
+	// The second-moment stream is svec(Φx (Φx)ᵀ) in the m-space; see
+	// NewGradientRegression for the sensitivity.
 	const sensitivity = 2.0
+	p2 := svecLen(m)
 	var sumXY, sumXXT tree.Mechanism
 	if opts.UseHybridTree {
 		sumXY, err = tree.NewHybrid(m, sensitivity, half, src.Split())
 		if err != nil {
 			return nil, err
 		}
-		sumXXT, err = tree.NewHybrid(m*m, sensitivity, half, src.Split())
+		sumXXT, err = tree.NewHybrid(p2, sensitivity, half, src.Split())
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +170,7 @@ func NewProjectedRegression(xDomain, c constraint.Set, p dp.Params, horizon int,
 		if err != nil {
 			return nil, err
 		}
-		sumXXT, err = tree.New(tree.Config{Dim: m * m, MaxLen: horizon, Sensitivity: sensitivity, Privacy: half}, src.Split())
+		sumXXT, err = tree.New(tree.Config{Dim: p2, MaxLen: horizon, Sensitivity: sensitivity, Privacy: half}, src.Split())
 		if err != nil {
 			return nil, err
 		}
@@ -192,31 +197,17 @@ func NewProjectedRegression(xDomain, c constraint.Set, p dp.Params, horizon int,
 		xWork:      vec.NewVector(d),
 		pxWork:     vec.NewVector(m),
 		pxyWork:    make([]float64, m),
-		flatWork:   make([]float64, m*m),
+		svecWork:   make([]float64, p2),
 	}
 	r.gradErr = r.gradientErrorScale()
 	return r, nil
 }
 
-// gradientErrorScale mirrors GradientRegression.gradientErrorScale in the
-// projected space: α' = O(κ‖C‖√m) (Step 1 of Algorithm 3), with the
-// second-moment error measured in spectral norm.
+// gradientErrorScale is the α' of the projected space: α' = O(κ‖C‖√m)
+// (Step 1 of Algorithm 3), with the second-moment error measured in spectral
+// norm over the projected domain.
 func (r *ProjectedRegression) gradientErrorScale() float64 {
-	beta := r.opts.ConfidenceBeta
-	var sumErr, matErr float64
-	switch m := r.sumXY.(type) {
-	case *tree.Tree:
-		sumErr = m.ErrorBound(beta)
-	default:
-		sumErr = m.NoiseSigma() * math.Sqrt(float64(r.m))
-	}
-	switch m := r.sumXXT.(type) {
-	case *tree.Tree:
-		matErr = 2 * m.NoiseSigma() * math.Sqrt(float64(m.Levels())*float64(r.m))
-	default:
-		matErr = 2 * m.NoiseSigma() * math.Sqrt(float64(r.m))
-	}
-	return 2 * (r.projSet.Diameter()*matErr + sumErr)
+	return gradientErrorScale(r.sumXY, r.sumXXT, r.horizon, r.m, r.projSet.Diameter(), r.opts.ConfidenceBeta)
 }
 
 // Name implements Estimator.
@@ -244,7 +235,7 @@ func (r *ProjectedRegression) SketchBackend() string {
 }
 
 // Observe implements Estimator. The steady-state path performs no heap
-// allocation: the clamped covariate, projected covariate, and flattened outer
+// allocation: the clamped covariate, projected covariate, and packed outer
 // product all live in reusable buffers, and the Tree Mechanism updates go
 // through the allocation-free AddTo entry point.
 func (r *ProjectedRegression) Observe(p loss.Point) error {
@@ -261,8 +252,8 @@ func (r *ProjectedRegression) Observe(p loss.Point) error {
 // points. Validation (dimensions, horizon capacity) happens before any element
 // is consumed, and the Tree Mechanism running-sum aggregation is deferred to
 // the end of the batch, so the per-point cost is one sketch apply plus the
-// O(m²) outer-product fold. Private state and randomness consumption are
-// identical to a scalar Observe loop.
+// O(m²/2) packed outer-product fold. Private state and randomness consumption
+// are identical to a scalar Observe loop.
 func (r *ProjectedRegression) ObserveBatch(ps []loss.Point) error {
 	if !r.opts.UseHybridTree && r.n+len(ps) > r.horizon {
 		return ErrStreamFull
@@ -302,8 +293,8 @@ func (r *ProjectedRegression) observeValidated(p loss.Point) error {
 	if err := r.sumXY.AddTo(nil, r.pxyWork); err != nil {
 		return err
 	}
-	flattenOuter(r.flatWork, px)
-	if err := r.sumXXT.AddTo(nil, r.flatWork); err != nil {
+	svecOuter(r.svecWork, px)
+	if err := r.sumXXT.AddTo(nil, r.svecWork); err != nil {
 		return err
 	}
 	r.n++
@@ -311,11 +302,12 @@ func (r *ProjectedRegression) observeValidated(p loss.Point) error {
 }
 
 // Gradient returns the current private gradient function of the projected
-// least-squares objective (an m-dimensional PrivateGradient).
+// least-squares objective (an m-dimensional PrivateGradient). Like
+// GradientRegression.Gradient, it returns the mechanism's read workspace,
+// valid until the next Gradient or Estimate call.
 func (r *ProjectedRegression) Gradient() *PrivateGradient {
-	q := vec.Vector(r.sumXY.Sum())
-	Q := matrixFromFlat(r.sumXXT.Sum(), r.m)
-	return &PrivateGradient{Q: Q, Qv: q}
+	readGradient(&r.grad, r.sumXY, r.sumXXT, r.m)
+	return &r.grad
 }
 
 // Estimate implements Estimator: optimize privately in the projected space,
@@ -362,6 +354,15 @@ func (r *ProjectedRegression) Estimate() (vec.Vector, error) {
 
 // Len implements Estimator.
 func (r *ProjectedRegression) Len() int { return r.n }
+
+// StateBytes reports the retained per-stream memory of the mechanism, as
+// GradientRegression.StateBytes does, in the projected space plus the
+// d-dimensional lift iterates. The sketch transform is not counted: it is a
+// function of the spec and the same size for every stream of a pool.
+func (r *ProjectedRegression) StateBytes() int {
+	return r.sumXY.Bytes() + r.sumXXT.Bytes() + r.grad.bytes() +
+		8*(len(r.prevProj)+len(r.prevLift)+len(r.estCache)+len(r.xWork)+len(r.pxWork)+len(r.pxyWork)+len(r.svecWork))
+}
 
 // Privacy implements Estimator.
 func (r *ProjectedRegression) Privacy() dp.Params { return r.privacy }
@@ -459,6 +460,9 @@ func (r *RobustProjectedRegression) Len() int { return r.inner.Len() }
 
 // Privacy implements Estimator.
 func (r *RobustProjectedRegression) Privacy() dp.Params { return r.inner.Privacy() }
+
+// StateBytes reports the retained per-stream memory of the inner mechanism.
+func (r *RobustProjectedRegression) StateBytes() int { return r.inner.StateBytes() }
 
 // Dropped returns the number of out-of-domain points replaced so far.
 func (r *RobustProjectedRegression) Dropped() int { return r.dropped }

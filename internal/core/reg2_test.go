@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"privreg/internal/constraint"
@@ -236,19 +237,28 @@ func TestRobustProjectedRegressionNeutralizesOutliers(t *testing.T) {
 	}
 }
 
-func TestFlattenOuterAndMatrixFromFlat(t *testing.T) {
-	x := vec.Vector{1, -2}
-	flat := make([]float64, 4)
-	flattenOuter(flat, x)
-	want := []float64{1, -2, -2, 4}
+func TestSvecOuterAndUnpack(t *testing.T) {
+	x := vec.Vector{1, -2, 0}
+	packed := make([]float64, svecLen(3))
+	svecOuter(packed, x)
+	r2 := math.Sqrt2
+	want := []float64{1, -2 * r2, 0, 4, 0, 0}
 	for i := range want {
-		if flat[i] != want[i] {
-			t.Fatalf("flattenOuter = %v, want %v", flat, want)
+		if packed[i] != want[i] {
+			t.Fatalf("svecOuter = %v, want %v", packed, want)
 		}
 	}
-	m := matrixFromFlat([]float64{1, 5, 3, 4}, 2)
-	if m.At(0, 1) != 4 || m.At(1, 0) != 4 {
-		t.Fatalf("matrixFromFlat did not symmetrize: %v", m)
+	// Unpacking in place must reproduce the symmetric matrix entry for entry.
+	q := vec.NewMatrix(3, 3)
+	copy(q.Data(), []float64{1, 5 * r2, 6 * r2, 2, 7 * r2, 3})
+	unpackSvec(q)
+	wantQ := [][]float64{{1, 5, 6}, {5, 2, 7}, {6, 7, 3}}
+	for i := range wantQ {
+		for j := range wantQ[i] {
+			if math.Abs(q.At(i, j)-wantQ[i][j]) > 1e-12 {
+				t.Fatalf("unpackSvec(%d,%d) = %v, want %v", i, j, q.At(i, j), wantQ[i][j])
+			}
+		}
 	}
 	dst := vec.NewVector(2)
 	if y := clampInto(dst, vec.Vector{3, 4}, 7); y != 1 {

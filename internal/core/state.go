@@ -23,12 +23,19 @@ import (
 // state. Randomness positions are (seed, draw-count) pairs (randx.State), so a
 // restored mechanism draws exactly the noise the uninterrupted run would have.
 
-// coreStateVersion is the checkpoint format version of the mechanisms in this
-// package that slowStateVersion does not cover. Version 2 added the estimate memo (estN + cached vector)
-// to the regression mechanisms and accompanies the counter-keyed v2 formats
-// of the nested continual-sum blobs; version-1 blobs are rejected at the
-// version byte rather than misparsed.
+// coreStateVersion is the checkpoint format version of TrivialConstant.
+// Version 2 accompanies the counter-keyed v2 formats of the continual-sum
+// blobs; version-1 blobs are rejected at the version byte rather than
+// misparsed.
 const coreStateVersion = 2
+
+// regStateVersion is the checkpoint format version of the regression
+// mechanisms GradientRegression, ProjectedRegression and
+// RobustProjectedRegression. Version 3 carries the second-moment tree over
+// svec(x xᵀ), d(d+1)/2 floats per level. Version-2 blobs, whose second-moment
+// tree ran over the dense d² outer product, are rejected at the version byte
+// rather than migrated.
+const regStateVersion = 3
 
 // slowStateVersion is the checkpoint format version of every mechanism backed
 // by erm.MultiStats: the PRIVINCERM engine (generic-erm, naive-recompute,
@@ -308,7 +315,7 @@ func minInt(a, b int) int {
 // same-timestep estimates.
 func (g *GradientRegression) MarshalBinary() ([]byte, error) {
 	var w codec.Writer
-	w.Version(coreStateVersion)
+	w.Version(regStateVersion)
 	w.String(g.Name())
 	w.Int(g.d)
 	w.Int(g.horizon)
@@ -332,7 +339,7 @@ func (g *GradientRegression) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary implements Estimator.
 func (g *GradientRegression) UnmarshalBinary(data []byte) error {
 	r := codec.NewReader(data)
-	r.Version(coreStateVersion)
+	r.Version(regStateVersion)
 	r.ExpectString("mechanism", g.Name())
 	r.ExpectInt("dimension", g.d)
 	r.ExpectInt("horizon", g.horizon)
@@ -378,7 +385,7 @@ func (g *GradientRegression) UnmarshalBinary(data []byte) error {
 // a restore; see GradientRegression.MarshalBinary).
 func (r *ProjectedRegression) MarshalBinary() ([]byte, error) {
 	var w codec.Writer
-	w.Version(coreStateVersion)
+	w.Version(regStateVersion)
 	w.String(r.Name())
 	w.Int(r.d)
 	w.Int(r.m)
@@ -410,7 +417,7 @@ func (r *ProjectedRegression) MarshalBinary() ([]byte, error) {
 // projects covariates exactly as the checkpointed one did.
 func (r *ProjectedRegression) UnmarshalBinary(data []byte) error {
 	rd := codec.NewReader(data)
-	rd.Version(coreStateVersion)
+	rd.Version(regStateVersion)
 	rd.ExpectString("mechanism", r.Name())
 	rd.ExpectInt("dimension", r.d)
 	rd.ExpectInt("projection dimension", r.m)
@@ -478,7 +485,7 @@ func (r *ProjectedRegression) UnmarshalBinary(data []byte) error {
 // instance supplies its own.
 func (r *RobustProjectedRegression) MarshalBinary() ([]byte, error) {
 	var w codec.Writer
-	w.Version(coreStateVersion)
+	w.Version(regStateVersion)
 	w.String(r.Name())
 	inner, err := r.inner.MarshalBinary()
 	if err != nil {
@@ -492,7 +499,7 @@ func (r *RobustProjectedRegression) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary implements Estimator.
 func (r *RobustProjectedRegression) UnmarshalBinary(data []byte) error {
 	rd := codec.NewReader(data)
-	rd.Version(coreStateVersion)
+	rd.Version(regStateVersion)
 	rd.ExpectString("mechanism", r.Name())
 	inner := rd.Blob()
 	dropped := rd.Int()

@@ -490,7 +490,7 @@ func (m *metrics) writePrometheus(w io.Writer, st privreg.PoolStats) {
 	fmt.Fprintf(w, "# HELP privreg_dirty_streams Streams modified since their last segment write.\n")
 	fmt.Fprintf(w, "# TYPE privreg_dirty_streams gauge\n")
 	fmt.Fprintf(w, "privreg_dirty_streams %d\n", st.DirtyStreams)
-	fmt.Fprintf(w, "# HELP privreg_retained_state_bytes In-memory state retained across resident streams (sufficient statistics or history buffers).\n")
+	fmt.Fprintf(w, "# HELP privreg_retained_state_bytes In-memory state retained across resident streams (sufficient statistics, history buffers or continual-sum trees).\n")
 	fmt.Fprintf(w, "# TYPE privreg_retained_state_bytes gauge\n")
 	fmt.Fprintf(w, "privreg_retained_state_bytes %d\n", st.RetainedBytes)
 	fmt.Fprintf(w, "# HELP privreg_store_cap Resident-estimator bound (0 = unbounded).\n")

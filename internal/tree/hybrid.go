@@ -3,6 +3,8 @@ package tree
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"privreg/internal/codec"
 	"privreg/internal/dp"
@@ -65,11 +67,6 @@ type Hybrid struct {
 	epochTree *Tree
 	epochLen  int
 	logSigma  float64
-	// sum is the cached running-sum estimate, maintained lazily like
-	// Tree.sum; epochSum is a reusable scratch buffer.
-	sum      []float64
-	dirty    bool
-	epochSum []float64
 }
 
 // NewHybrid returns a Hybrid mechanism for streams of unbounded (unknown)
@@ -113,8 +110,6 @@ func NewHybrid(dim int, sensitivity float64, p dp.Params, src *randx.Source) (*H
 		noiseSum:       make([]float64, dim),
 		epochExact:     make([]float64, dim),
 		logSigma:       logSigma,
-		sum:            make([]float64, dim),
-		epochSum:       make([]float64, dim),
 	}
 	if err := h.startEpoch(0); err != nil {
 		return nil, err
@@ -149,6 +144,25 @@ func (h *Hybrid) Len() int { return h.t }
 // NoiseSigma returns the per-node noise standard deviation of the current
 // epoch's tree component.
 func (h *Hybrid) NoiseSigma() float64 { return h.epochTree.NoiseSigma() }
+
+// ReleaseSigma implements Mechanism. A prefix of length up to n sums the
+// snapshot noise of at most ⌈log₂ n⌉ completed epochs and the release noise
+// of one epoch tree. The noisiest epoch tree such a prefix can reach is that
+// of epoch ⌊log₂ n⌋ (length 2^⌊log₂ n⌋, one level more than its exponent),
+// so the bound depends on n only, never on the current epoch.
+func (h *Hybrid) ReleaseSigma(n int) float64 {
+	if n < 1 {
+		n = 1
+	}
+	snapshots := float64(bits.Len(uint(n - 1))) // ⌈log₂ n⌉
+	levels := numLevels(1 << uint(bits.Len(uint(n))-1))
+	treeSig := treeSigma(h.sensitivity, levels, h.privacy.Halve())
+	return math.Sqrt(snapshots*h.logSigma*h.logSigma + float64(levels)*treeSig*treeSig)
+}
+
+// Bytes implements Mechanism: the three d-vectors of exact sums and memoized
+// snapshot noise, plus the current epoch tree.
+func (h *Hybrid) Bytes() int { return 8*3*h.dim + h.epochTree.Bytes() }
 
 // Add consumes the next stream element and returns the private running sum.
 func (h *Hybrid) Add(v []float64) ([]float64, error) {
@@ -195,19 +209,24 @@ func (h *Hybrid) AddTo(dst, v []float64) error {
 		}
 	}
 	if dst != nil {
-		h.refreshSum()
-		copy(dst, h.sum)
-	} else {
-		h.dirty = true
+		h.SumInto(dst)
 	}
 	return nil
 }
 
-// refreshSum recomputes the cached estimate: completed-epoch snapshots plus
-// the in-epoch tree sum, materializing any lagging snapshot noise first.
-// Deterministic given (noiseKey, t), so lazy and eager callers observe
-// bit-identical estimates.
-func (h *Hybrid) refreshSum() {
+// Sum returns a copy of the current private running-sum estimate.
+func (h *Hybrid) Sum() []float64 {
+	out := make([]float64, h.dim)
+	h.SumInto(out)
+	return out
+}
+
+// SumInto writes the current private running-sum estimate — completed-epoch
+// snapshots plus the in-epoch tree sum — into dst without allocating,
+// materializing any lagging snapshot noise first. Deterministic given
+// (noiseKey, t), so eager, lazy and repeated reads observe bit-identical
+// estimates.
+func (h *Hybrid) SumInto(dst []float64) {
 	if h.noised < h.epochs {
 		buf := randx.GetBuf(h.dim)
 		for h.noised < h.epochs {
@@ -219,27 +238,11 @@ func (h *Hybrid) refreshSum() {
 		}
 		randx.PutBuf(buf)
 	}
-	h.epochTree.SumInto(h.epochSum)
-	for k := range h.sum {
-		h.sum[k] = h.completedExact[k] + h.noiseSum[k] + h.epochSum[k]
+	dst = dst[:h.dim]
+	h.epochTree.SumInto(dst)
+	for k := range dst {
+		dst[k] = h.completedExact[k] + h.noiseSum[k] + dst[k]
 	}
-	h.dirty = false
-}
-
-// Sum returns a copy of the current private running-sum estimate.
-func (h *Hybrid) Sum() []float64 {
-	out := make([]float64, h.dim)
-	h.SumInto(out)
-	return out
-}
-
-// SumInto writes the current private running-sum estimate into dst without
-// allocating.
-func (h *Hybrid) SumInto(dst []float64) {
-	if h.dirty {
-		h.refreshSum()
-	}
-	copy(dst, h.sum)
 }
 
 // hybridStateVersion is the Hybrid checkpoint format version. Version 2 is
@@ -310,7 +313,6 @@ func (h *Hybrid) UnmarshalState(data []byte) error {
 	// identically from (noiseKey, epoch) at the next released estimate.
 	zero(h.noiseSum)
 	h.noised = 0
-	h.dirty = true
 	return nil
 }
 
@@ -368,6 +370,12 @@ func (n *NaiveSum) Len() int { return n.t }
 
 // NoiseSigma returns the per-release noise standard deviation.
 func (n *NaiveSum) NoiseSigma() float64 { return n.sigma }
+
+// ReleaseSigma implements Mechanism: every release carries one fresh draw.
+func (n *NaiveSum) ReleaseSigma(int) float64 { return n.sigma }
+
+// Bytes implements Mechanism: the exact sum and the release-noise memo.
+func (n *NaiveSum) Bytes() int { return 8 * 2 * n.dim }
 
 // Add consumes the next stream element and returns the perturbed running sum.
 func (n *NaiveSum) Add(v []float64) ([]float64, error) {

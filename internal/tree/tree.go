@@ -69,6 +69,14 @@ type Mechanism interface {
 	// constructed with the same configuration; structural parameters are
 	// verified and a mismatch is an error.
 	UnmarshalState(data []byte) error
+	// ReleaseSigma returns the standard deviation of each coordinate of the
+	// noise in a running sum released at any stream length up to n. It sizes
+	// error bounds from the construction parameters alone, so it does not
+	// depend on how far the stream has progressed.
+	ReleaseSigma(n int) float64
+	// Bytes returns the mechanism's retained in-memory state in bytes: the
+	// float buffers it keeps per level or per epoch. It is O(1).
+	Bytes() int
 }
 
 // Tree is the Tree Mechanism for a stream of known maximum length.
@@ -96,12 +104,6 @@ type Tree struct {
 	// cs is the reusable PRF stream for noise materialization (kept as a field
 	// so the hot path takes no address of a stack local).
 	cs randx.CounterSource
-	// current private running sum, maintained lazily: adds that do not need
-	// the estimate immediately (AddTo with a nil destination, the batch
-	// ingestion path) only mark it dirty, and the O(levels·dim) aggregation —
-	// including any noise materialization — runs once at the next Sum/SumInto.
-	sum   []float64
-	dirty bool
 }
 
 // Config collects the parameters of a Tree Mechanism instance.
@@ -166,24 +168,36 @@ func newWithKey(cfg Config, noiseKey int64) (*Tree, error) {
 		return nil, errors.New("tree: the Tree Mechanism with Gaussian noise requires delta > 0")
 	}
 	levels := numLevels(cfg.MaxLen)
-	sigma := cfg.Sensitivity * float64(levels) * math.Sqrt(2*math.Log(2/cfg.Privacy.Delta)) / cfg.Privacy.Epsilon
+	dim := cfg.Dim
+	// One slab holds every level's partial sum and every level's noise memo.
+	// Per-level buffers of a few KB each land in size classes whose spans
+	// fragment as a serving pool evicts and faults streams in; one allocation
+	// per tree keeps them together and frees them together. Each level's
+	// slice has its capacity capped at its own length.
+	slab := make([]float64, 2*levels*dim)
+	level := func(i int) []float64 { return slab[i*dim : (i+1)*dim : (i+1)*dim] }
 	tr := &Tree{
-		dim:         cfg.Dim,
+		dim:         dim,
 		maxT:        cfg.MaxLen,
 		levels:      levels,
 		sensitivity: cfg.Sensitivity,
-		sigma:       sigma,
+		sigma:       treeSigma(cfg.Sensitivity, levels, cfg.Privacy),
 		noiseKey:    noiseKey,
 		alpha:       make([][]float64, levels),
 		noise:       make([][]float64, levels),
 		noiseIdx:    make([]uint64, levels),
-		sum:         make([]float64, cfg.Dim),
 	}
 	for j := 0; j < levels; j++ {
-		tr.alpha[j] = make([]float64, cfg.Dim)
-		tr.noise[j] = make([]float64, cfg.Dim)
+		tr.alpha[j] = level(j)
+		tr.noise[j] = level(levels + j)
 	}
 	return tr, nil
+}
+
+// treeSigma is the per-node noise standard deviation of a Tree Mechanism with
+// the given number of levels: Δ₂ · L · sqrt(2 ln(2/δ)) / ε (see New).
+func treeSigma(sensitivity float64, levels int, p dp.Params) float64 {
+	return sensitivity * float64(levels) * math.Sqrt(2*math.Log(2/p.Delta)) / p.Epsilon
 }
 
 // numLevels returns the number of dyadic levels needed for streams of length n.
@@ -222,6 +236,15 @@ func (tr *Tree) Levels() int { return tr.levels }
 
 // NoiseSigma returns the per-node Gaussian noise standard deviation.
 func (tr *Tree) NoiseSigma() float64 { return tr.sigma }
+
+// ReleaseSigma implements Mechanism: a released prefix sum adds the noise of
+// at most L nodes, so each coordinate has standard deviation at most σ·√L at
+// every stream length.
+func (tr *Tree) ReleaseSigma(int) float64 { return tr.sigma * math.Sqrt(float64(tr.levels)) }
+
+// Bytes implements Mechanism: the slab of per-level partial sums and
+// per-level noise memos.
+func (tr *Tree) Bytes() int { return 8 * 2 * tr.levels * tr.dim }
 
 // Add consumes the next stream element and returns the private running sum.
 func (tr *Tree) Add(v []float64) ([]float64, error) {
@@ -276,15 +299,12 @@ func (tr *Tree) AddTo(dst, v []float64) error {
 	}
 
 	// The running sum s_t = Σ_{j : Bin_j(t) ≠ 0} (a_j + noise_j) is pure
-	// post-processing of the node values, so it is computed lazily: eagerly
-	// only when the caller asked for the estimate now (dst non-nil), otherwise
-	// deferred to the next Sum/SumInto, which amortizes both the aggregation
-	// and the noise materialization across batched adds.
+	// post-processing of the node values, so it is computed only when the
+	// caller asks for it: here when dst is non-nil, otherwise at the next
+	// Sum/SumInto, which amortizes both the aggregation and the noise
+	// materialization across batched adds.
 	if dst != nil {
-		tr.refreshSum()
-		copy(dst, tr.sum)
-	} else {
-		tr.dirty = true
+		tr.SumInto(dst)
 	}
 	return nil
 }
@@ -302,24 +322,6 @@ func (tr *Tree) nodeNoise(j int, idx uint64) []float64 {
 	return tr.noise[j]
 }
 
-// refreshSum recomputes s_t ← Σ_{j : Bin_j(t) ≠ 0} (a_j + noise_j) from the
-// closed nodes. Deterministic given (noiseKey, t), so lazy and eager callers
-// observe bit-identical estimates.
-func (tr *Tree) refreshSum() {
-	zero(tr.sum)
-	for j := 0; j < tr.levels; j++ {
-		if tr.t&(1<<uint(j)) == 0 {
-			continue
-		}
-		aj := tr.alpha[j]
-		nj := tr.nodeNoise(j, uint64(tr.t)>>uint(j))
-		for k := range tr.sum {
-			tr.sum[k] += aj[k] + nj[k]
-		}
-	}
-	tr.dirty = false
-}
-
 // Sum returns a copy of the current private running-sum estimate.
 func (tr *Tree) Sum() []float64 {
 	out := make([]float64, tr.dim)
@@ -327,13 +329,24 @@ func (tr *Tree) Sum() []float64 {
 	return out
 }
 
-// SumInto writes the current private running-sum estimate into dst without
-// allocating.
+// SumInto writes the current private running-sum estimate
+// s_t = Σ_{j : Bin_j(t) ≠ 0} (a_j + noise_j) into dst without allocating.
+// It is deterministic given (noiseKey, t) and the partial sums, so eager,
+// lazy and repeated reads observe bit-identical estimates; node noise is
+// memoized per level, so a repeated read costs O(levels·dim) additions.
 func (tr *Tree) SumInto(dst []float64) {
-	if tr.dirty {
-		tr.refreshSum()
+	dst = dst[:tr.dim]
+	zero(dst)
+	for j := 0; j < tr.levels; j++ {
+		if tr.t&(1<<uint(j)) == 0 {
+			continue
+		}
+		aj := tr.alpha[j]
+		nj := tr.nodeNoise(j, uint64(tr.t)>>uint(j))
+		for k := range dst {
+			dst[k] += aj[k] + nj[k]
+		}
 	}
-	copy(dst, tr.sum)
 }
 
 // ErrorBound returns a high-probability bound on the Euclidean error of the
@@ -356,7 +369,7 @@ func (tr *Tree) ErrorBound(beta float64) float64 {
 
 // treeStateVersion is the Tree checkpoint format version. Version 2 is the
 // counter-keyed lazy-noise format: it persists the noise key and the exact
-// per-level partial sums only — node noise and the cached running sum are pure
+// per-level partial sums only — node noise and the running sum are pure
 // functions of them and are re-materialized on demand after restore. Version-1
 // blobs (which carried noisy node buffers and a generator stream position) are
 // rejected.
@@ -417,7 +430,6 @@ func (tr *Tree) UnmarshalState(data []byte) error {
 	for j := range tr.noiseIdx {
 		tr.noiseIdx[j] = 0
 	}
-	tr.dirty = true
 	return nil
 }
 

@@ -309,22 +309,6 @@ func (m *Matrix) MaxAbs() float64 {
 	return s
 }
 
-// SymmetrizeInPlace replaces the square matrix m by (m + mᵀ)/2. This is used to
-// repair the symmetry of privately perturbed second-moment matrices before they
-// are consumed by the optimizer.
-func (m *Matrix) SymmetrizeInPlace() {
-	if m.rows != m.cols {
-		panic("vec: SymmetrizeInPlace requires a square matrix")
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			v := (m.data[i*m.cols+j] + m.data[j*m.cols+i]) / 2
-			m.data[i*m.cols+j] = v
-			m.data[j*m.cols+i] = v
-		}
-	}
-}
-
 // Trace returns the trace of the square matrix m.
 func (m *Matrix) Trace() float64 {
 	if m.rows != m.cols {

@@ -96,9 +96,10 @@ type PoolStats struct {
 	// other cluster nodes (included in Streams; 0 outside a cluster).
 	StandbyStreams int
 	// RetainedBytes is the total in-memory state retained across resident
-	// streams for mechanisms that track it (the slow-path mechanisms report
-	// their sufficient statistics or history buffers; spilled streams
-	// contribute 0). Mechanisms without the accounting report 0.
+	// streams (sufficient statistics, history buffers, or the per-level
+	// partial sums and noise memos of the regression mechanisms' trees;
+	// spilled streams contribute 0). Mechanisms without retained state, such
+	// as trivial-constant, report 0.
 	RetainedBytes int64
 }
 

@@ -13,6 +13,49 @@ func spillPoolOptions(seed int64, dir string, cap int) []Option {
 	return append(testPoolOptions(seed), WithSpillDir(dir), WithStoreCap(cap))
 }
 
+// TestSpillPoolRetainedBytesGradient pins the retained-state accounting of
+// the gradient mechanism in a capped pool: only resident streams count, and
+// per stream the size grows with the tree depth as both trees' per-level
+// partial sums and noise memos, d(d+1)/2 + d floats each per level.
+func TestSpillPoolRetainedBytesGradient(t *testing.T) {
+	const dim, streams, cap = 8, 5, 3
+	perStream := func(horizon int) int64 {
+		opts := append(spillPoolOptions(3, t.TempDir(), cap),
+			WithHorizon(horizon), WithConstraint(L2Constraint(dim, 1)))
+		p, err := NewPool("gradient", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < streams; s++ {
+			for i := 0; i < 4; i++ {
+				x, y := syntheticPoint(i, dim)
+				if err := observe(p, fmt.Sprintf("st-%d", s), x, y); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		st := p.Stats()
+		if st.Resident != cap {
+			t.Fatalf("Resident = %d, want the cap %d", st.Resident, cap)
+		}
+		if st.RetainedBytes <= 0 || st.RetainedBytes%cap != 0 {
+			t.Fatalf("RetainedBytes = %d, want a positive multiple of %d resident streams", st.RetainedBytes, cap)
+		}
+		return st.RetainedBytes / cap
+	}
+	// Horizons 64 and 4096 give trees of 7 and 13 levels.
+	small, large := perStream(64), perStream(4096)
+	packed := dim * (dim + 1) / 2
+	want := int64(8 * 2 * (13 - 7) * (packed + dim))
+	if large-small != want {
+		t.Fatalf("per-stream RetainedBytes %d -> %d grew by %d, want 8·2·Δlevels·(d(d+1)/2+d) = %d",
+			small, large, large-small, want)
+	}
+	if min := int64(8 * 2 * 7 * packed); small < min {
+		t.Fatalf("per-stream RetainedBytes %d below the second-moment tree alone (%d)", small, min)
+	}
+}
+
 // TestSpillPoolMatchesResidentPool is the acceptance property test of the
 // stream-store engine: a pool capped at K resident estimators serving N ≫ K
 // streams must stay within its residency bound and produce estimates

@@ -410,9 +410,9 @@ func (a *estimatorAdapter) Estimate() ([]float64, error) {
 func (a *estimatorAdapter) Len() int { return a.inner.Len() }
 
 // StateBytes reports the estimator's retained in-memory state (sufficient
-// statistics, history buffers) when the underlying mechanism tracks it, and 0
-// otherwise. The pool's store caches the value per stream and aggregates it
-// into PoolStats.RetainedBytes.
+// statistics, history buffers, continual-sum trees) when the underlying
+// mechanism tracks it, and 0 otherwise. The pool's store caches the value
+// per stream and aggregates it into PoolStats.RetainedBytes.
 func (a *estimatorAdapter) StateBytes() int {
 	if sz, ok := a.inner.(interface{ StateBytes() int }); ok {
 		return sz.StateBytes()
