@@ -74,7 +74,8 @@
 //   - Pool manages one estimator per stream ID with sharded locking, lazy
 //     stream creation, per-stream derived seeds, flat-row ingest
 //     (ObserveMultiFlat, and ObserveFlat for one outcome), Stats snapshots,
-//     and whole-pool Checkpoint/Restore.
+//     incremental checkpoints to a spill directory (Flush), and per-stream
+//     ExportSegment/ImportSegment.
 //
 // # Performance
 //

@@ -38,8 +38,8 @@ func ExampleNew() {
 }
 
 // ExampleNewPool demonstrates the multi-stream manager: one private estimator
-// per stream ID, created lazily, safe for concurrent use, with whole-pool
-// checkpoint/restore.
+// per stream ID, created lazily, safe for concurrent use, with per-stream
+// checkpoint/restore through exported segments.
 func ExampleNewPool() {
 	pool, err := privreg.NewPool("gradient",
 		privreg.WithEpsilonDelta(1, 1e-6),
@@ -63,13 +63,9 @@ func ExampleNewPool() {
 	st := pool.Stats()
 	fmt.Println("streams:", st.Streams, "observations:", st.Observations)
 
-	// Checkpoint the whole pool and restore into a fresh one built from the
-	// same template; every stream continues bit-identically.
-	blob, err := pool.Checkpoint()
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
+	// Copy every stream into a fresh pool built from the same template; each
+	// continues bit-identically. (A pool built WithSpillDir persists with
+	// Flush instead, and a pool reopened on the directory restores it.)
 	fresh, err := privreg.NewPool("gradient",
 		privreg.WithEpsilonDelta(1, 1e-6),
 		privreg.WithHorizon(64),
@@ -80,9 +76,15 @@ func ExampleNewPool() {
 		fmt.Println("error:", err)
 		return
 	}
-	if err := fresh.Restore(blob); err != nil {
-		fmt.Println("error:", err)
-		return
+	for _, id := range pool.Streams() {
+		seg, n, err := pool.ExportSegment(id)
+		if err == nil {
+			_, err = fresh.ImportSegment(seg, n)
+		}
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
 	}
 	fmt.Println("restored streams:", fresh.Stats().Streams)
 	// Output:

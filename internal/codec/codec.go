@@ -17,12 +17,18 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Writer builds a binary checkpoint blob. The zero value is ready to use.
 type Writer struct {
 	buf []byte
 }
+
+// Grow is a capacity hint: it makes room for n more bytes, so a caller that
+// knows the encoded size up front pays one allocation instead of the
+// doubling growth, and copies, of plain appends.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 
 // Bytes returns the accumulated encoding.
 func (w *Writer) Bytes() []byte { return w.buf }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"privreg/internal/constraint"
@@ -20,13 +21,14 @@ import (
 // being reused or the fold path regressed to per-point cloning.
 
 // allocMechs names the mechanisms under audit.
-var allocMechs = []string{"generic-erm", "naive-recompute", "multi-outcome", "nonprivate", "gradient", "projected"}
+var allocMechs = []string{"generic-erm", "naive-recompute", "multi-outcome", "nonprivate", "gradient", "projected", "robust-projected"}
 
 // observeBudget is the allocation budget of one Observe, or of one
 // ObserveBatch of 32 rows: the regression mechanisms' folds have no boundary
-// snapshots and are pinned at zero.
+// snapshots and are pinned at zero, rows the robust oracle rejects included.
 func observeBudget(name string, slowPath int) int {
-	if name == "gradient" || name == "projected" {
+	switch name {
+	case "gradient", "projected", "robust-projected":
 		return 0
 	}
 	return slowPath
@@ -67,6 +69,12 @@ func allocMech(t testing.TB, name string, rows int) (Estimator, func() error) {
 	case "projected":
 		mech, err = NewProjectedRegression(cons, cons, privacy(), 1<<20, randx.NewSource(4),
 			ProjectedOptions{ProjectionDim: d / 2})
+	case "robust-projected":
+		// The oracle rejects rows with a positive first covariate: about half
+		// of a batch, and the single Observe row (made positive below).
+		oracle := func(x vec.Vector) bool { return x[0] <= 0 }
+		mech, err = NewRobustProjectedRegression(cons, cons, oracle, privacy(), 1<<20, randx.NewSource(4),
+			ProjectedOptions{ProjectionDim: d / 2})
 	default:
 		t.Fatalf("unknown mechanism %q", name)
 	}
@@ -78,6 +86,9 @@ func allocMech(t testing.TB, name string, rows int) (Estimator, func() error) {
 		ps[i] = loss.Point{X: vec.Vector(driver.NormalVector(d, 0.3)), Y: driver.Normal(0, 0.5)}
 	}
 	if rows == 1 {
+		if name == "robust-projected" {
+			ps[0].X[0] = math.Abs(ps[0].X[0]) + 0.1
+		}
 		return mech, func() error { return mech.Observe(ps[0]) }
 	}
 	return mech, func() error { return mech.ObserveBatch(ps) }

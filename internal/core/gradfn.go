@@ -1,8 +1,16 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 
+	"privreg/internal/codec"
+	"privreg/internal/constraint"
+	"privreg/internal/dp"
+	"privreg/internal/loss"
+	"privreg/internal/optimize"
+	"privreg/internal/randx"
 	"privreg/internal/tree"
 	"privreg/internal/vec"
 )
@@ -24,9 +32,6 @@ type PrivateGradient struct {
 	Qv vec.Vector
 }
 
-// Dim returns the dimension the gradient function operates in.
-func (g *PrivateGradient) Dim() int { return len(g.Qv) }
-
 // Eval returns 2(Qθ - q) as a new vector.
 func (g *PrivateGradient) Eval(theta vec.Vector) vec.Vector {
 	out := g.Q.MulVec(theta)
@@ -41,20 +46,6 @@ func (g *PrivateGradient) bytes() int {
 		return 0
 	}
 	return 8 * (len(g.Q.Data()) + len(g.Qv))
-}
-
-// Func adapts the private gradient to the optimizer's GradientFunc signature.
-func (g *PrivateGradient) Func() func(vec.Vector) vec.Vector {
-	return g.Eval
-}
-
-// Risk returns the (private estimate of the) empirical squared-loss risk of θ
-// up to the θ-independent constant Σ y_i²:  θᵀQθ - 2 qᵀθ. It is exposed for
-// diagnostics; excess-risk evaluation in the experiments always uses the exact
-// (non-private) risk oracle instead.
-func (g *PrivateGradient) Risk(theta vec.Vector) float64 {
-	q := g.Q.MulVec(theta)
-	return vec.Dot(theta, q) - 2*vec.Dot(g.Qv, theta)
 }
 
 // smoothStepSize picks the projected-gradient step size for minimizing the
@@ -93,25 +84,297 @@ func smoothStepSize(pg *PrivateGradient, lip, gradErr, diameter float64, iters i
 // entries of standard deviation σ_r is ≈ 2σ_r√d — a factor √d smaller than
 // its Frobenius norm. Both σ_r are sized from the horizon, so a Hybrid
 // substrate gets the bound of its noisiest reachable epoch, not of its first.
-func gradientErrorScale(sumXY, sumXXT tree.Mechanism, horizon, dim int, diameter, beta float64) float64 {
+// The failure probability is confidenceBeta.
+func gradientErrorScale(sumXY, sumXXT tree.Mechanism, horizon, dim int, diameter float64) float64 {
 	rd := math.Sqrt(float64(dim))
-	sumErr := sumXY.ReleaseSigma(horizon) * (rd + math.Sqrt(2*math.Log(1/beta)))
+	sumErr := sumXY.ReleaseSigma(horizon) * (rd + math.Sqrt(2*math.Log(1/confidenceBeta)))
 	matErr := 2 * sumXXT.ReleaseSigma(horizon) * rd
 	return 2 * (diameter*matErr + sumErr)
 }
 
-// readGradient releases the private gradient of sumXY and sumXXT over a
-// dim-dimensional space into pg. pg's buffers are allocated at the first read
-// only: later reads release the svec sum straight into the d×d matrix's
-// storage and unpack it in place.
-func readGradient(pg *PrivateGradient, sumXY, sumXXT tree.Mechanism, dim int) {
-	if pg.Q == nil {
-		pg.Q = vec.NewMatrix(dim, dim)
-		pg.Qv = vec.NewVector(dim)
+// confidenceBeta is the failure probability β that sizes the regression
+// mechanisms' noise-dependent quantities: the gradient-error scale α' and
+// PRIVINCREG2's projection dimension.
+const confidenceBeta = 0.05
+
+// privateMoments is the private-moment core of PRIVINCREG1 and PRIVINCREG2.
+// Both mechanisms fold a vector v of norm at most 1 per row — the clamped
+// covariate for PRIVINCREG1, its projection Φx for PRIVINCREG2 — into two
+// continual-sum mechanisms, the first-moment stream y·v and the second-moment
+// stream svec(v vᵀ) (Steps 3–4 of Algorithm 2), each holding half of the
+// privacy budget, and read an estimate by running noisy projected gradient
+// descent against the private gradient they release, over a solve domain of
+// v's dimension. The mechanisms own what comes before the fold (clamping, the
+// sketch) and after the solve (the lift).
+type privateMoments struct {
+	privacy dp.Params
+	horizon int
+	opts    RegressionOptions
+	// inDim is the dimension of the raw covariates and of the released
+	// estimate; dim is the dimension of v and of the solve domain.
+	inDim, dim int
+
+	sumXY, sumXXT tree.Mechanism
+	domain        constraint.Set
+	// gradErr is the α' of Definition 5 over domain, for the horizon.
+	gradErr float64
+	n       int
+	// prev is the warm-start iterate in the solve domain.
+	prev vec.Vector
+	// estCache memoizes the released estimate computed at observation count
+	// estN (estN < 0 = none): Estimate is deterministic post-processing of
+	// the private state, so while no new points arrive the previous estimate
+	// is returned instead of re-running the optimizer (and the lift).
+	estCache vec.Vector
+	estN     int
+	// Reusable fold buffers keeping Observe allocation-free.
+	xyWork, svecWork []float64
+	// grad is the read workspace of Gradient, allocated at the first read
+	// and refilled in place by every later one.
+	grad PrivateGradient
+}
+
+// checkRegression validates the construction arguments both regression
+// mechanisms share.
+func checkRegression(p dp.Params, horizon int, src *randx.Source) error {
+	if horizon <= 0 {
+		return fmt.Errorf("core: horizon must be positive, got %d", horizon)
 	}
-	sumXY.SumInto(pg.Qv)
-	sumXXT.SumInto(pg.Q.Data()[:svecLen(dim)])
+	if src == nil {
+		return errors.New("core: nil randomness source")
+	}
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if p.Delta == 0 {
+		return errors.New("core: the regression mechanisms require delta > 0")
+	}
+	return nil
+}
+
+// newPrivateMoments returns the core for covariates of dimension inDim folded
+// as vectors of domain's dimension. The first-moment and then the
+// second-moment mechanism draw their noise keys from src; opts must be filled.
+func newPrivateMoments(inDim int, domain constraint.Set, p dp.Params, horizon int, src *randx.Source, opts RegressionOptions) (privateMoments, error) {
+	dim := domain.Dim()
+	half := p.Halve()
+	// Both streams have L2-sensitivity at most 2: ‖y·v‖ ≤ 1 and
+	// ‖svec(v vᵀ)‖₂ = ‖v vᵀ‖_F ≤ 1 for v in the unit ball, so any two domain
+	// elements are at distance at most 2.
+	const sensitivity = 2.0
+	newSum := func(n int) (tree.Mechanism, error) {
+		if opts.UseHybridTree {
+			return tree.NewHybrid(n, sensitivity, half, src.Split())
+		}
+		return tree.New(tree.Config{Dim: n, MaxLen: horizon, Sensitivity: sensitivity, Privacy: half}, src.Split())
+	}
+	sumXY, err := newSum(dim)
+	if err != nil {
+		return privateMoments{}, err
+	}
+	sumXXT, err := newSum(svecLen(dim))
+	if err != nil {
+		return privateMoments{}, err
+	}
+	m := privateMoments{
+		privacy:  p,
+		horizon:  horizon,
+		opts:     opts,
+		inDim:    inDim,
+		dim:      dim,
+		sumXY:    sumXY,
+		sumXXT:   sumXXT,
+		prev:     domain.Project(vec.NewVector(dim)),
+		estN:     -1,
+		xyWork:   make([]float64, dim),
+		svecWork: make([]float64, svecLen(dim)),
+	}
+	m.setDomain(domain)
+	return m, nil
+}
+
+// setDomain sets the solve domain and the α' sized from its diameter.
+func (m *privateMoments) setDomain(domain constraint.Set) {
+	m.domain = domain
+	m.gradErr = gradientErrorScale(m.sumXY, m.sumXXT, m.horizon, m.dim, domain.Diameter())
+}
+
+// admit checks a run of points before any is consumed — horizon capacity
+// (fixed-horizon trees only) and covariate dimensions — so that a batch is
+// folded whole or not at all.
+func (m *privateMoments) admit(ps []loss.Point) error {
+	if !m.opts.UseHybridTree && m.n+len(ps) > m.horizon {
+		return ErrStreamFull
+	}
+	for i := range ps {
+		if len(ps[i].X) != m.inDim {
+			return fmt.Errorf("core: point %d has covariate dimension %d, constraint dimension is %d", i, len(ps[i].X), m.inDim)
+		}
+	}
+	return nil
+}
+
+// fold adds the pair (y·v, svec(v vᵀ)) of an admitted row to the private
+// running sums through reused buffers and the trees' allocation-free AddTo;
+// the running-sum aggregation is left to the next read.
+func (m *privateMoments) fold(y float64, v vec.Vector) error {
+	for i, vi := range v {
+		m.xyWork[i] = y * vi
+	}
+	if err := m.sumXY.AddTo(nil, m.xyWork); err != nil {
+		return err
+	}
+	svecOuter(m.svecWork, v)
+	if err := m.sumXXT.AddTo(nil, m.svecWork); err != nil {
+		return err
+	}
+	m.n++
+	return nil
+}
+
+// Gradient returns the current private gradient function (Definition 5) over
+// the solve domain's dimension. It may be evaluated any number of times
+// without privacy cost. The returned structure is the mechanism's read
+// workspace: the released sums are written into it in place (the svec sum
+// straight into the d×d matrix's storage, unpacked there), so it is valid
+// until the next Gradient or Estimate call.
+func (m *privateMoments) Gradient() *PrivateGradient {
+	pg := &m.grad
+	if pg.Q == nil {
+		pg.Q = vec.NewMatrix(m.dim, m.dim)
+		pg.Qv = vec.NewVector(m.dim)
+	}
+	m.sumXY.SumInto(pg.Qv)
+	m.sumXXT.SumInto(pg.Q.Data()[:svecLen(m.dim)])
 	unpackSvec(pg.Q)
+	return pg
+}
+
+// estimate runs noisy projected gradient descent against the current private
+// gradient over the solve domain and passes the solution through lift (nil
+// for none) to the released estimate. With no new observations since the
+// previous call the memoized estimate is returned. Without warm starts the
+// skipped solve would have produced the identical vector; with WarmStart the
+// memo pins the first solution at this timestep (a repeat solve would refine
+// from the warm-start iterate) — a deliberate, equally valid semantics that
+// the checkpointed memo keeps consistent across restore.
+func (m *privateMoments) estimate(lift func(vec.Vector) (vec.Vector, error)) (vec.Vector, error) {
+	if m.estN == m.n && m.estCache != nil {
+		return m.estCache.Clone(), nil
+	}
+	pg := m.Gradient()
+	diam := m.domain.Diameter()
+	lip := 2 * float64(max(m.n, 1)) * (1 + diam) // Lipschitz bound of the accumulated exact gradient
+	iters := optimize.IterationsForTargetError(lip*diam, m.gradErr, m.opts.MinIterations, m.opts.MaxIterations)
+	opts := optimize.Options{
+		Iterations: iters,
+		Lipschitz:  lip,
+		GradError:  m.gradErr,
+		Average:    true,
+		StepSize:   smoothStepSize(pg, lip, m.gradErr, diam, iters),
+	}
+	if m.opts.WarmStart {
+		opts.Start = m.prev
+	}
+	res, err := optimize.NoisyProjected(m.domain, pg.Eval, opts)
+	if err != nil {
+		return nil, err
+	}
+	m.prev = res.Theta.Clone()
+	theta := res.Theta
+	if lift != nil {
+		if theta, err = lift(theta); err != nil {
+			return nil, err
+		}
+	}
+	m.estCache = theta.Clone()
+	m.estN = m.n
+	return theta, nil
+}
+
+// Len implements Estimator.
+func (m *privateMoments) Len() int { return m.n }
+
+// Privacy implements Estimator.
+func (m *privateMoments) Privacy() dp.Params { return m.privacy }
+
+// GradientErrorScale exposes α', the high-probability gradient approximation
+// error of the private gradient function, for diagnostics and experiments.
+func (m *privateMoments) GradientErrorScale() float64 { return m.gradErr }
+
+// bytes is the core's retained memory: both continual-sum mechanisms
+// (per-level partial sums and noise memos), the iterate, memo and fold
+// buffers and, once a read has allocated it, the gradient workspace.
+func (m *privateMoments) bytes() int {
+	return m.sumXY.Bytes() + m.sumXXT.Bytes() + m.grad.bytes() +
+		8*(len(m.prev)+len(m.estCache)+len(m.xyWork)+len(m.svecWork))
+}
+
+// marshal appends the core's checkpoint section to w: the count, the
+// warm-start iterate, the estimate memo and both continual-sum states (which
+// carry their own noise keys), presizing w from their known lengths. The
+// memo must travel with the checkpoint: with warm starts a cache hit returns
+// the memo, while a memo-less restored instance would re-run the optimizer
+// from the warm-start iterate — a different (if equally valid) vector.
+func (m *privateMoments) marshal(w *codec.Writer) error {
+	xy, err := m.sumXY.MarshalState()
+	if err != nil {
+		return err
+	}
+	xxt, err := m.sumXXT.MarshalState()
+	if err != nil {
+		return err
+	}
+	w.Grow(8*(6+len(m.prev)+len(m.estCache)) + len(xy) + len(xxt))
+	w.Int(m.n)
+	w.F64s(m.prev)
+	w.Int(m.estN)
+	w.F64s(m.estCache)
+	w.Blob(xy)
+	w.Blob(xxt)
+	return nil
+}
+
+// momentState is a decoded core checkpoint section, not yet validated.
+type momentState struct {
+	n, estN        int
+	prev, estCache []float64
+	xy, xxt        []byte
+}
+
+// readMoments decodes the section marshal wrote.
+func readMoments(r *codec.Reader) momentState {
+	var s momentState
+	s.n = r.Int()
+	s.prev = r.F64s()
+	s.estN = r.Int()
+	s.estCache = r.F64s()
+	s.xy = r.Blob()
+	s.xxt = r.Blob()
+	return s
+}
+
+// restore validates s against the core's shape and applies it.
+func (m *privateMoments) restore(s momentState) error {
+	if s.n < 0 || len(s.prev) != m.dim {
+		return errors.New("core: corrupt checkpoint")
+	}
+	if len(s.estCache) != 0 && (len(s.estCache) != m.inDim || s.estN < 0 || s.estN > s.n) {
+		return errors.New("core: corrupt checkpoint estimate memo")
+	}
+	if err := m.sumXY.UnmarshalState(s.xy); err != nil {
+		return fmt.Errorf("core: restoring first-moment sum: %w", err)
+	}
+	if err := m.sumXXT.UnmarshalState(s.xxt); err != nil {
+		return fmt.Errorf("core: restoring second-moment sum: %w", err)
+	}
+	m.n = s.n
+	m.prev = vec.Vector(s.prev)
+	m.estCache, m.estN = nil, -1
+	if len(s.estCache) != 0 {
+		m.estCache, m.estN = vec.Vector(s.estCache), s.estN
+	}
+	return nil
 }
 
 // svecLen is the length of svec of a d×d symmetric matrix: its packed upper

@@ -30,12 +30,15 @@ import (
 const coreStateVersion = 2
 
 // regStateVersion is the checkpoint format version of the regression
-// mechanisms GradientRegression, ProjectedRegression and
-// RobustProjectedRegression. Version 3 carries the second-moment tree over
-// svec(x xᵀ), d(d+1)/2 floats per level. Version-2 blobs, whose second-moment
-// tree ran over the dense d² outer product, are rejected at the version byte
-// rather than migrated.
-const regStateVersion = 3
+// mechanisms GradientRegression and ProjectedRegression (with or without a
+// domain oracle). Version 4 is the one-core format: a header, then the
+// private-moment core's section over the svec(v vᵀ) second-moment tree. A
+// version-4 gradient blob is laid out as version 3 was; a projected one no
+// longer carries the lifted iterate, and the robust variant's dropped count
+// sits in its header instead of wrapping a nested projected blob. Version-3
+// and version-2 blobs (the latter with a dense d² second-moment tree) are
+// rejected at the version byte rather than migrated.
+const regStateVersion = 4
 
 // slowStateVersion is the checkpoint format version of every mechanism backed
 // by erm.MultiStats: the PRIVINCERM engine (generic-erm, naive-recompute,
@@ -275,7 +278,7 @@ func (g *GenericERM) UnmarshalBinary(data []byte) error {
 			}
 		}
 	case g.ring != nil:
-		if len(points) != minInt(t, g.historyCap) {
+		if len(points) != min(t, g.historyCap) {
 			return errors.New("core: corrupt checkpoint")
 		}
 		g.ring = newPointRing(g.historyCap, d)
@@ -296,43 +299,19 @@ func (g *GenericERM) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// minInt is the smaller of two ints.
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // --- GradientRegression ---
 
-// MarshalBinary implements Estimator: both Tree Mechanism states (which carry
-// their own noise keys) plus the warm-start iterate and the estimate memo.
-// The memo must travel with the checkpoint: with warm starts enabled a cache
-// hit returns the memo while a memo-less restored instance would re-run the
-// optimizer from the serialized warm-start iterate — a different (if equally
-// valid) vector, breaking restore-vs-uninterrupted bit-identity for repeated
-// same-timestep estimates.
+// MarshalBinary implements Estimator: the header and the private-moment
+// core's section (see privateMoments.marshal).
 func (g *GradientRegression) MarshalBinary() ([]byte, error) {
 	var w codec.Writer
 	w.Version(regStateVersion)
 	w.String(g.Name())
-	w.Int(g.d)
+	w.Int(g.inDim)
 	w.Int(g.horizon)
-	w.Int(g.n)
-	w.F64s(g.prev)
-	w.Int(g.estN)
-	w.F64s(g.estCache)
-	xy, err := g.sumXY.MarshalState()
-	if err != nil {
+	if err := g.marshal(&w); err != nil {
 		return nil, err
 	}
-	w.Blob(xy)
-	xxt, err := g.sumXXT.MarshalState()
-	if err != nil {
-		return nil, err
-	}
-	w.Blob(xxt)
 	return w.Bytes(), nil
 }
 
@@ -341,176 +320,77 @@ func (g *GradientRegression) UnmarshalBinary(data []byte) error {
 	r := codec.NewReader(data)
 	r.Version(regStateVersion)
 	r.ExpectString("mechanism", g.Name())
-	r.ExpectInt("dimension", g.d)
+	r.ExpectInt("dimension", g.inDim)
 	r.ExpectInt("horizon", g.horizon)
-	n := r.Int()
-	prev := r.F64s()
-	estN := r.Int()
-	estCache := r.F64s()
-	xy := r.Blob()
-	xxt := r.Blob()
+	s := readMoments(r)
 	if err := r.Finish(); err != nil {
 		return err
 	}
-	if n < 0 || len(prev) != g.d {
-		return errors.New("core: corrupt checkpoint")
-	}
-	if len(estCache) != 0 && (len(estCache) != g.d || estN < 0 || estN > n) {
-		return errors.New("core: corrupt checkpoint estimate memo")
-	}
-	if err := g.sumXY.UnmarshalState(xy); err != nil {
-		return fmt.Errorf("core: restoring first-moment sum: %w", err)
-	}
-	if err := g.sumXXT.UnmarshalState(xxt); err != nil {
-		return fmt.Errorf("core: restoring second-moment sum: %w", err)
-	}
-	g.n = n
-	g.prev = vec.Vector(prev)
-	if len(estCache) == 0 {
-		g.estCache = nil
-		g.estN = -1
-	} else {
-		g.estCache = vec.Vector(estCache)
-		g.estN = estN
-	}
-	return nil
+	return g.restore(s)
 }
 
 // --- ProjectedRegression ---
 
 // MarshalBinary implements Estimator: the sketch spec (backend + shape + seed,
-// the transform's entire serializable state), both projected-space Tree
-// Mechanism states, the warm-start iterates in both spaces, and the estimate
-// memo (required for bit-identity of repeated same-timestep estimates across
-// a restore; see GradientRegression.MarshalBinary).
+// the transform's entire serializable state), the oracle's dropped-point
+// count, and the private-moment core's section in the projected space. The
+// oracle is code, not state; the restoring instance supplies its own.
 func (r *ProjectedRegression) MarshalBinary() ([]byte, error) {
 	var w codec.Writer
 	w.Version(regStateVersion)
 	w.String(r.Name())
-	w.Int(r.d)
+	w.Int(r.inDim)
 	w.Int(r.m)
 	w.Int(r.horizon)
 	w.Int(int(r.sketchSpec.Backend))
 	w.I64(r.sketchSpec.Seed)
-	w.Int(r.n)
-	w.F64s(r.prevProj)
-	w.F64s(r.prevLift)
-	w.Int(r.estN)
-	w.F64s(r.estCache)
-	xy, err := r.sumXY.MarshalState()
-	if err != nil {
+	w.Int(r.dropped)
+	if err := r.marshal(&w); err != nil {
 		return nil, err
 	}
-	w.Blob(xy)
-	xxt, err := r.sumXXT.MarshalState()
-	if err != nil {
-		return nil, err
-	}
-	w.Blob(xxt)
 	return w.Bytes(), nil
 }
 
 // UnmarshalBinary implements Estimator. When the checkpointed sketch spec
 // differs from the constructed one (an estimator restored under a different
 // seed), the transform — and, when it depends on the transform, the projected
-// optimization domain — is rebuilt from the spec so the restored mechanism
-// projects covariates exactly as the checkpointed one did.
+// optimization domain with the gradient-error scale derived from its
+// diameter — is rebuilt from the spec, so the restored mechanism projects
+// covariates and optimizes exactly as the checkpointed one did.
 func (r *ProjectedRegression) UnmarshalBinary(data []byte) error {
 	rd := codec.NewReader(data)
 	rd.Version(regStateVersion)
 	rd.ExpectString("mechanism", r.Name())
-	rd.ExpectInt("dimension", r.d)
+	rd.ExpectInt("dimension", r.inDim)
 	rd.ExpectInt("projection dimension", r.m)
 	rd.ExpectInt("horizon", r.horizon)
 	spec := sketch.Spec{
 		Backend:   sketch.Backend(rd.Int()),
 		OutputDim: r.m,
-		InputDim:  r.d,
+		InputDim:  r.inDim,
 		Seed:      rd.I64(),
 	}
-	n := rd.Int()
-	prevProj := rd.F64s()
-	prevLift := rd.F64s()
-	estN := rd.Int()
-	estCache := rd.F64s()
-	xy := rd.Blob()
-	xxt := rd.Blob()
+	dropped := rd.Int()
+	s := readMoments(rd)
 	if err := rd.Finish(); err != nil {
 		return err
 	}
-	if n < 0 || len(prevProj) != r.m || len(prevLift) != r.d {
-		return errors.New("core: corrupt checkpoint")
+	if dropped < 0 || dropped > s.n {
+		return errors.New("core: corrupt checkpoint (dropped count outside [0, n])")
 	}
-	if len(estCache) != 0 && (len(estCache) != r.d || estN < 0 || estN > n) {
-		return errors.New("core: corrupt checkpoint estimate memo")
-	}
+	projector := r.projector
 	if spec != r.sketchSpec {
-		projector, err := spec.New()
-		if err != nil {
+		var err error
+		if projector, err = spec.New(); err != nil {
 			return fmt.Errorf("core: rebuilding sketch from checkpoint spec: %w", err)
 		}
-		r.projector = projector
-		r.sketchSpec = spec
-		if r.opts.ExactImage {
-			// The optimization domain — and the gradient-error scale derived
-			// from its diameter — follow the rebuilt transform, so the restored
-			// estimator optimizes exactly as the checkpointed one did.
-			r.projSet = projector.ImageSet(r.c, r.gamma)
-			r.gradErr = r.gradientErrorScale()
-		}
 	}
-	if err := r.sumXY.UnmarshalState(xy); err != nil {
-		return fmt.Errorf("core: restoring first-moment sum: %w", err)
-	}
-	if err := r.sumXXT.UnmarshalState(xxt); err != nil {
-		return fmt.Errorf("core: restoring second-moment sum: %w", err)
-	}
-	r.n = n
-	r.prevProj = vec.Vector(prevProj)
-	r.prevLift = vec.Vector(prevLift)
-	if len(estCache) == 0 {
-		r.estCache = nil
-		r.estN = -1
-	} else {
-		r.estCache = vec.Vector(estCache)
-		r.estN = estN
-	}
-	return nil
-}
-
-// --- RobustProjectedRegression ---
-
-// MarshalBinary implements Estimator: the inner mechanism's checkpoint plus
-// the dropped-point count. The oracle is code, not state; the restoring
-// instance supplies its own.
-func (r *RobustProjectedRegression) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
-	w.Version(regStateVersion)
-	w.String(r.Name())
-	inner, err := r.inner.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	w.Blob(inner)
-	w.Int(r.dropped)
-	return w.Bytes(), nil
-}
-
-// UnmarshalBinary implements Estimator.
-func (r *RobustProjectedRegression) UnmarshalBinary(data []byte) error {
-	rd := codec.NewReader(data)
-	rd.Version(regStateVersion)
-	rd.ExpectString("mechanism", r.Name())
-	inner := rd.Blob()
-	dropped := rd.Int()
-	if err := rd.Finish(); err != nil {
+	if err := r.restore(s); err != nil {
 		return err
 	}
-	if dropped < 0 {
-		return errors.New("core: corrupt checkpoint (negative dropped count)")
-	}
-	if err := r.inner.UnmarshalBinary(inner); err != nil {
-		return err
+	if spec != r.sketchSpec {
+		r.projector, r.sketchSpec = projector, spec
+		r.setDomain(r.projectedDomain(projector))
 	}
 	r.dropped = dropped
 	return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -133,14 +134,17 @@ func TestHybridGradientErrorScaleTracksHorizon(t *testing.T) {
 	}
 }
 
-// TestRegressionRejectsVersion2Checkpoint pins the format bump of the packed
-// second-moment tree: blobs of the dense version-2 format of every regression
-// mechanism are rejected at the version byte, and the error names the
-// version. The old blobs are rebuilt field by field around a real dense tree.
+// TestRegressionRejectsVersion2Checkpoint pins the format bumps of the
+// regression checkpoints: blobs of the dense version-2 format (second-moment
+// tree over the d² outer product) and of the version-3 format (projected
+// blobs with the lifted iterate, the robust variant wrapping a nested
+// projected blob) of every regression mechanism are rejected at the version
+// byte, and the error names the version. The old blobs are rebuilt field by
+// field around real trees of the old shapes.
 func TestRegressionRejectsVersion2Checkpoint(t *testing.T) {
 	const d, horizon = 4, 16
 	c := constraint.NewL2Ball(d, 1)
-	denseTree := func(dim int) []byte {
+	treeBlob := func(dim int) []byte {
 		tr, err := tree.New(tree.Config{Dim: dim, MaxLen: horizon, Sensitivity: 2, Privacy: privacy().Halve()}, randx.NewSource(1))
 		if err != nil {
 			t.Fatal(err)
@@ -151,9 +155,17 @@ func TestRegressionRejectsVersion2Checkpoint(t *testing.T) {
 		}
 		return blob
 	}
-	gradV2 := func() []byte {
+	// outer is the second-moment tree width of each version: dense d² in
+	// version 2, svec d(d+1)/2 in version 3.
+	outer := func(version uint8, dim int) int {
+		if version == 2 {
+			return dim * dim
+		}
+		return svecLen(dim)
+	}
+	gradOld := func(version uint8) []byte {
 		var w codec.Writer
-		w.Version(2)
+		w.Version(version)
 		w.String("priv-inc-reg1")
 		w.Int(d)
 		w.Int(horizon)
@@ -161,13 +173,13 @@ func TestRegressionRejectsVersion2Checkpoint(t *testing.T) {
 		w.F64s(make([]float64, d))
 		w.Int(-1)
 		w.F64s(nil)
-		w.Blob(denseTree(d))
-		w.Blob(denseTree(d * d))
+		w.Blob(treeBlob(d))
+		w.Blob(treeBlob(outer(version, d)))
 		return w.Bytes()
 	}
-	projV2 := func(m int) []byte {
+	projOld := func(version uint8, m int) []byte {
 		var w codec.Writer
-		w.Version(2)
+		w.Version(version)
 		w.String("priv-inc-reg2")
 		w.Int(d)
 		w.Int(m)
@@ -179,8 +191,16 @@ func TestRegressionRejectsVersion2Checkpoint(t *testing.T) {
 		w.F64s(make([]float64, d))
 		w.Int(-1)
 		w.F64s(nil)
-		w.Blob(denseTree(m))
-		w.Blob(denseTree(m * m))
+		w.Blob(treeBlob(m))
+		w.Blob(treeBlob(outer(version, m)))
+		return w.Bytes()
+	}
+	robustOld := func(version uint8, m int) []byte {
+		var w codec.Writer
+		w.Version(version)
+		w.String("priv-inc-reg2-robust")
+		w.Blob(projOld(version, m))
+		w.Int(0)
 		return w.Bytes()
 	}
 	grad, err := NewGradientRegression(c, privacy(), horizon, randx.NewSource(2), RegressionOptions{})
@@ -195,27 +215,31 @@ func TestRegressionRejectsVersion2Checkpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rw codec.Writer
-	rw.Version(2)
-	rw.String("priv-inc-reg2-robust")
-	rw.Blob(projV2(robust.inner.m))
-	rw.Int(0)
-	for _, tc := range []struct {
-		name string
-		mech Estimator
-		blob []byte
-	}{
-		{"gradient-v2", grad, gradV2()},
-		{"projected-v2", proj, projV2(proj.m)},
-		{"robust-projected-v2", robust, rw.Bytes()},
-	} {
-		err := tc.mech.UnmarshalBinary(tc.blob)
-		if err == nil {
-			t.Fatalf("%s: old checkpoint should be rejected", tc.name)
+	for _, version := range []uint8{2, 3} {
+		for _, tc := range []struct {
+			name string
+			mech Estimator
+			blob []byte
+		}{
+			{"gradient", grad, gradOld(version)},
+			{"projected", proj, projOld(version, proj.m)},
+			{"robust-projected", robust, robustOld(version, robust.m)},
+		} {
+			err := tc.mech.UnmarshalBinary(tc.blob)
+			if err == nil {
+				t.Fatalf("%s-v%d: old checkpoint should be rejected", tc.name, version)
+			}
+			if want := fmt.Sprintf("version %d", version); !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s-v%d: rejection should name %s, got %v", tc.name, version, want, err)
+			}
 		}
-		if !strings.Contains(err.Error(), "version 2") {
-			t.Fatalf("%s: rejection should name version 2, got %v", tc.name, err)
-		}
+	}
+	// The gradient layout is unchanged apart from the version byte: the
+	// version-3 blob with its version byte bumped restores.
+	blob := gradOld(3)
+	blob[0] = regStateVersion
+	if err := grad.UnmarshalBinary(blob); err != nil {
+		t.Fatalf("version-3 gradient layout under the current version byte: %v", err)
 	}
 }
 

@@ -150,29 +150,6 @@ func (r *Resident) Keys() []string {
 	return out
 }
 
-func (r *Resident) Install(id string, st Stream) {
-	e := &residentEntry{st: st}
-	e.len.Store(int64(st.Len()))
-	e.bytes.Store(streamStateBytes(st))
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	sh.streams[id] = e
-	sh.mu.Unlock()
-}
-
-func (r *Resident) Marshal(id string) ([]byte, error) {
-	sh := r.shardFor(id)
-	sh.mu.RLock()
-	e := sh.streams[id]
-	sh.mu.RUnlock()
-	if e == nil {
-		return nil, ErrNotFound
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.st.MarshalBinary()
-}
-
 // Export serializes the stream and frames it as a segment; a fully-resident
 // store has no segment files to serve verbatim, so this always marshals.
 func (r *Resident) Export(id string) ([]byte, int64, error) {
@@ -210,7 +187,13 @@ func (r *Resident) Import(data []byte, length int64) (string, error) {
 		return "", fmt.Errorf("store: importing stream %q: %w", id, err)
 	}
 	_ = length // resident imports materialize, so the stream's own Len governs
-	r.Install(id, st)
+	e := &residentEntry{st: st}
+	e.len.Store(int64(st.Len()))
+	e.bytes.Store(streamStateBytes(st))
+	sh := r.shardFor(id)
+	sh.mu.Lock()
+	sh.streams[id] = e
+	sh.mu.Unlock()
 	return id, nil
 }
 

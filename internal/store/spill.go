@@ -555,70 +555,6 @@ func (s *Spill) Keys() []string {
 	return out
 }
 
-func (s *Spill) Install(id string, st Stream) {
-	e := &spillEntry{id: id, st: st}
-	e.len.Store(int64(st.Len()))
-	e.bytes.Store(streamStateBytes(st))
-	e.dirty.Store(true)
-	sh := s.shardFor(id)
-	var oldFile string
-	sh.mu.Lock()
-	if old := sh.table[id]; old != nil {
-		old.dropped.Store(true)
-		if old.inLRU {
-			sh.unlink(old)
-		}
-		oldFile = old.file // safe: dropped entries are never rewritten
-	}
-	sh.table[id] = e
-	sh.pushFront(e)
-	victims := sh.collectVictims()
-	sh.mu.Unlock()
-	if oldFile != "" {
-		s.fsMu.Lock()
-		s.garbage = append(s.garbage, oldFile)
-		s.fsMu.Unlock()
-	}
-	for _, v := range victims {
-		s.spillOut(sh, v)
-	}
-}
-
-func (s *Spill) Marshal(id string) ([]byte, error) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	e := sh.table[id]
-	if e == nil {
-		sh.mu.Unlock()
-		return nil, ErrNotFound
-	}
-	e.pins++
-	sh.mu.Unlock()
-
-	e.mu.Lock()
-	var blob []byte
-	var err error
-	switch {
-	case e.st != nil:
-		blob, err = e.st.MarshalBinary()
-	case e.file != "":
-		// Spilled and clean: the segment file already holds exactly the bytes
-		// MarshalBinary would produce — serve them without faulting in.
-		blob, err = s.readSegment(e.file, e.id)
-	default:
-		// Never materialized (a placeholder caught mid-create): build fresh
-		// state so the caller sees an empty stream, like Resident would.
-		if err = s.materialize(e); err == nil {
-			blob, err = e.st.MarshalBinary()
-		}
-	}
-	materialized := e.st != nil
-	e.mu.Unlock()
-
-	s.release(sh, e, materialized, false)
-	return blob, err
-}
-
 // Export returns the stream's state as complete segment-file bytes. Spilled
 // clean streams are served verbatim from disk (after CRC verification) —
 // the file already is the transfer format — so continuous replication of

@@ -127,12 +127,6 @@ type StreamStore interface {
 	Delete(id string) bool
 	// Keys returns the IDs of all live streams, sorted.
 	Keys() []string
-	// Install inserts (or replaces) a stream with already-built state —
-	// the restore path. The installed stream is resident and dirty.
-	Install(id string, st Stream)
-	// Marshal returns the stream's serialized state. For spilled streams
-	// this reads the segment file without faulting the stream in.
-	Marshal(id string) ([]byte, error)
 	// Export returns the stream's state as a complete, self-describing
 	// segment file (internal/codec segment framing: store identity, stream
 	// ID, CRC) plus its cached length — the unit of transfer the cluster

@@ -93,19 +93,20 @@ func TestResidentBasics(t *testing.T) {
 	if st.Streams != 2 || st.Resident != 2 || st.Spilled != 0 || st.Observations != 3 {
 		t.Fatalf("Stats = %+v", st)
 	}
-	// Marshal/Install round-trips a stream into a second store.
-	blob, err := s.Marshal("a")
+	// Export/Import round-trips a stream into a second store.
+	data, n, err := s.Export("a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2 := NewResident("fake", fakeFactory())
-	fresh := &fakeStream{id: "a"}
-	if err := fresh.UnmarshalBinary(blob); err != nil {
+	if _, err := s2.Import(data, n); err != nil {
 		t.Fatal(err)
 	}
-	s2.Install("a", fresh)
 	if got := valuesOf(t, s2, "a"); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("installed stream = %v", got)
+		t.Fatalf("imported stream = %v", got)
+	}
+	if n, ok := s2.Length("a"); n != 2 || !ok {
+		t.Fatalf("imported Length(a) = %d, %v", n, ok)
 	}
 	if !s.Delete("b") || s.Delete("b") || s.Has("b") {
 		t.Fatal("Delete semantics broken")
@@ -303,7 +304,7 @@ func TestSpillGarbageCollectsSupersededSegments(t *testing.T) {
 	}
 }
 
-func TestSpillMarshalSpilledStreamServesSegmentWithoutFaultIn(t *testing.T) {
+func TestSpillExportSpilledStreamServesSegmentWithoutFaultIn(t *testing.T) {
 	s, err := OpenSpill(t.TempDir(), "test", 1, fakeFactory())
 	if err != nil {
 		t.Fatal(err)
@@ -314,21 +315,21 @@ func TestSpillMarshalSpilledStreamServesSegmentWithoutFaultIn(t *testing.T) {
 	if st.Spilled != 1 {
 		t.Fatalf("Stats = %+v, want one spilled stream", st)
 	}
-	blob, err := s.Marshal("cold")
-	if err != nil {
-		t.Fatal(err)
+	data, n, err := s.Export("cold")
+	if err != nil || n != 1 {
+		t.Fatalf("Export(cold): n=%d err=%v", n, err)
 	}
 	after := s.Stats()
 	if after.Faults != st.Faults || after.Resident != st.Resident {
-		t.Fatalf("Marshal faulted the stream in: %+v -> %+v", st, after)
+		t.Fatalf("Export faulted the stream in: %+v -> %+v", st, after)
 	}
 	want := &fakeStream{id: "cold", vals: []float64{7}}
 	wantBlob, _ := want.MarshalBinary()
-	if !bytes.Equal(blob, wantBlob) {
-		t.Fatalf("Marshal(cold) = %x, want %x", blob, wantBlob)
+	if wantData := codec.EncodeSegment("test", "cold", wantBlob); !bytes.Equal(data, wantData) {
+		t.Fatalf("Export(cold) = %x, want %x", data, wantData)
 	}
-	if _, err := s.Marshal("ghost"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Marshal(unknown) = %v", err)
+	if _, _, err := s.Export("ghost"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Export(unknown) = %v", err)
 	}
 }
 

@@ -254,7 +254,12 @@ const hybridStateVersion = 2
 // Tree checkpoint), and the noise key. Snapshot noise is a pure function of
 // (noiseKey, epoch) and is re-materialized on demand after restore.
 func (h *Hybrid) MarshalState() ([]byte, error) {
+	et, err := h.epochTree.MarshalState()
+	if err != nil {
+		return nil, err
+	}
 	var w codec.Writer
+	w.Grow(96 + 8*(len(h.completedExact)+len(h.epochExact)) + len(et))
 	w.Version(hybridStateVersion)
 	w.String("hybrid")
 	w.Int(h.dim)
@@ -264,10 +269,6 @@ func (h *Hybrid) MarshalState() ([]byte, error) {
 	w.F64s(h.completedExact)
 	w.F64s(h.epochExact)
 	w.Int(h.epochs)
-	et, err := h.epochTree.MarshalState()
-	if err != nil {
-		return nil, err
-	}
 	w.Blob(et)
 	w.I64(h.noiseKey)
 	return w.Bytes(), nil

@@ -383,6 +383,11 @@ const treeStateVersion = 2
 // position exists to capture.
 func (tr *Tree) MarshalState() ([]byte, error) {
 	var w codec.Writer
+	size := 64 // version, kind, five scalars and the key
+	for j := 0; j < tr.levels; j++ {
+		size += 8 + 8*len(tr.alpha[j])
+	}
+	w.Grow(size)
 	w.Version(treeStateVersion)
 	w.String("tree")
 	w.Int(tr.dim)

@@ -157,20 +157,21 @@ func TestSingleOutcomeAdapterDegrades(t *testing.T) {
 }
 
 // TestPoolMultiOutcomeCheckpointRestore is the durability property at the
-// public layer: a multi-outcome pool checkpointed mid-stream and restored
-// into a differently-seeded pool continues bit-identically with an
-// uninterrupted reference, for every outcome.
+// public layer: a multi-outcome pool flushed mid-stream and its spill
+// directory reopened by a differently-seeded pool continues bit-identically
+// with an uninterrupted reference, for every outcome.
 func TestPoolMultiOutcomeCheckpointRestore(t *testing.T) {
 	const dim, k, n, cut = 4, 3, 24, 10
-	newPool := func(seed int64) *Pool {
-		p, err := NewPool("multi-outcome", multiOptions(seed, k)...)
+	dir := t.TempDir()
+	newPool := func(seed int64, extra ...Option) *Pool {
+		p, err := NewPool("multi-outcome", append(multiOptions(seed, k), extra...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
 	ref := newPool(21)
-	live := newPool(21)
+	live := newPool(21, WithSpillDir(dir))
 
 	feed := func(p *Pool, lo, hi int) {
 		t.Helper()
@@ -187,14 +188,11 @@ func TestPoolMultiOutcomeCheckpointRestore(t *testing.T) {
 	feed(ref, 0, n)
 	feed(live, 0, cut)
 
-	blob, err := live.Checkpoint()
-	if err != nil {
+	if _, err := live.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	restored := newPool(99999) // different seed: state must come from the blob
-	if err := restored.Restore(blob); err != nil {
-		t.Fatal(err)
-	}
+	// Different seed: state must come from the segments.
+	restored := newPool(99999, WithSpillDir(dir))
 	if got := restored.Outcomes(); got != k {
 		t.Fatalf("restored pool serves %d outcomes, want %d", got, k)
 	}

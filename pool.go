@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"privreg/internal/codec"
 	"privreg/internal/randx"
 	"privreg/internal/store"
 )
@@ -45,10 +44,6 @@ type Pool struct {
 	// makes promotion a metadata flip instead of a data copy.
 	standbyMu sync.Mutex
 	standby   map[string]struct{}
-
-	// restoreMu serializes Restore's install phase against other restores,
-	// so two concurrent monolithic restores cannot interleave installs.
-	restoreMu sync.Mutex
 }
 
 // ErrUnknownStream is returned (wrapped with the stream ID) by Pool methods
@@ -58,7 +53,7 @@ var ErrUnknownStream = errors.New("privreg: unknown stream")
 
 // ErrNotPersistent is returned by Pool.Flush when the pool was built without
 // WithSpillDir: there is no disk layer to checkpoint incrementally (use
-// Checkpoint for a monolithic blob instead).
+// ExportSegment to copy streams out instead).
 var ErrNotPersistent = errors.New("privreg: pool has no spill directory (build it with WithSpillDir to enable incremental checkpoints)")
 
 // PoolStats is a point-in-time snapshot of a Pool.
@@ -403,115 +398,4 @@ func (p *Pool) ExportSegment(id string) (data []byte, length int64, err error) {
 // sequence.
 func (p *Pool) ImportSegment(data []byte, length int64) (id string, err error) {
 	return p.store.Import(data, length)
-}
-
-// poolCheckpointMagic identifies a Pool checkpoint blob.
-const (
-	poolCheckpointMagic   = "PRPL"
-	poolCheckpointVersion = 1
-)
-
-// Checkpoint serializes every stream's estimator state into one blob. Streams
-// are written in sorted-ID order, so two pools with identical state produce
-// identical blobs. Concurrent observations are not blocked globally — each
-// stream is locked only while its own state is serialized — so a checkpoint
-// taken under load is a per-stream-consistent snapshot. On a spill-backed
-// pool, spilled streams are copied from their segment files without being
-// faulted in.
-//
-// Checkpoint is the monolithic portability format (one self-contained blob);
-// spill-backed pools usually persist with Flush instead, which rewrites only
-// what changed.
-func (p *Pool) Checkpoint() ([]byte, error) {
-	type entry struct {
-		id   string
-		blob []byte
-	}
-	ids := p.Streams()
-	entries := make([]entry, 0, len(ids))
-	for _, id := range ids {
-		blob, err := p.store.Marshal(id)
-		if errors.Is(err, store.ErrNotFound) {
-			// The stream was dropped between listing and serialization; record
-			// nothing for it.
-			continue
-		}
-		if err != nil {
-			return nil, fmt.Errorf("privreg: checkpointing stream %q: %w", id, err)
-		}
-		entries = append(entries, entry{id: id, blob: blob})
-	}
-	var w codec.Writer
-	w.String(poolCheckpointMagic)
-	w.Version(poolCheckpointVersion)
-	w.String(p.mech.info.Name)
-	w.Int(len(entries))
-	for _, e := range entries {
-		w.String(e.id)
-		w.Blob(e.blob)
-	}
-	return w.Bytes(), nil
-}
-
-// Restore loads a checkpoint produced by Checkpoint into this pool, which must
-// have been created with the same mechanism and option template (including the
-// template seed — per-stream seeds derive from it). Existing streams with the
-// same IDs are replaced; streams absent from the checkpoint are left alone.
-// Restore is all-or-nothing: every stream in the checkpoint is rebuilt and
-// verified before any is installed, so on error the pool is unchanged. After
-// a successful restore, every restored stream continues bit-identically to
-// the pool that was checkpointed. Restored streams are installed resident and
-// dirty; on a capped pool, installs beyond the cap spill as they land.
-func (p *Pool) Restore(data []byte) error {
-	r := codec.NewReader(data)
-	if r.String() != poolCheckpointMagic {
-		return errors.New("privreg: not a pool checkpoint (bad magic)")
-	}
-	r.Version(poolCheckpointVersion)
-	mech := r.String()
-	count := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if mech != p.mech.info.Name {
-		return fmt.Errorf("privreg: checkpoint is for mechanism %q, pool is %q", mech, p.mech.info.Name)
-	}
-	if count < 0 {
-		return errors.New("privreg: corrupt pool checkpoint (negative stream count)")
-	}
-	type entry struct {
-		id   string
-		blob []byte
-	}
-	entries := make([]entry, 0, count)
-	for i := 0; i < count; i++ {
-		id := r.String()
-		blob := r.Blob()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		entries = append(entries, entry{id: id, blob: blob})
-	}
-	if err := r.Finish(); err != nil {
-		return err
-	}
-	// Rebuild and restore every stream before installing any, so a failure on
-	// one stream leaves the pool exactly as it was (Restore is all-or-nothing).
-	restored := make([]Estimator, len(entries))
-	for i, e := range entries {
-		est, err := p.buildStream(e.id)
-		if err != nil {
-			return fmt.Errorf("privreg: rebuilding stream %q: %w", e.id, err)
-		}
-		if err := est.UnmarshalBinary(e.blob); err != nil {
-			return fmt.Errorf("privreg: restoring stream %q: %w", e.id, err)
-		}
-		restored[i] = est
-	}
-	p.restoreMu.Lock()
-	defer p.restoreMu.Unlock()
-	for i, e := range entries {
-		p.store.Install(e.id, restored[i])
-	}
-	return nil
 }

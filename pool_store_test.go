@@ -1,6 +1,7 @@
 package privreg
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -436,11 +437,11 @@ func TestPoolStoreOptionValidation(t *testing.T) {
 	}
 }
 
-// TestSpillPoolMonolithicCheckpoint verifies the monolithic Checkpoint blob
-// of a spill-backed pool equals the fully-resident pool's (spilled streams
-// are copied from their segments without fault-in) and restores across store
+// TestSpillPoolExportMatchesResident verifies that the exported segments of
+// a spill-backed pool equal the fully-resident pool's (spilled streams are
+// copied from their segment files without fault-in) and import across store
 // backends.
-func TestSpillPoolMonolithicCheckpoint(t *testing.T) {
+func TestSpillPoolExportMatchesResident(t *testing.T) {
 	dir := t.TempDir()
 	capped, err := NewPool("gradient", spillPoolOptions(7, dir, 2)...)
 	if err != nil {
@@ -463,31 +464,31 @@ func TestSpillPoolMonolithicCheckpoint(t *testing.T) {
 		}
 	}
 	faultsBefore := capped.Stats().FaultIns
-	got, err := capped.Checkpoint()
+	got, err := exportAll(capped)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if capped.Stats().FaultIns != faultsBefore {
-		t.Fatal("monolithic checkpoint faulted spilled streams in")
+		t.Fatal("export faulted spilled streams in")
 	}
-	want, err := ref.Checkpoint()
+	want, err := exportAll(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("checkpoint sizes differ: capped %d, resident %d", len(got), len(want))
+		t.Fatalf("exported %d streams from the capped pool, %d from the resident one", len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("checkpoints differ at byte %d", i)
+		if !bytes.Equal(got[i].data, want[i].data) || got[i].n != want[i].n {
+			t.Fatalf("segment %d differs between the capped and the resident pool", i)
 		}
 	}
-	// The blob restores into a spill-backed pool too.
+	// The segments import into a spill-backed pool too.
 	restored, err := NewPool("gradient", spillPoolOptions(7, t.TempDir(), 2)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Restore(got); err != nil {
+	if err := importAll(restored, got); err != nil {
 		t.Fatal(err)
 	}
 	if st := restored.Stats(); st.Streams != 6 || st.Resident > 2 {

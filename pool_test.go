@@ -31,6 +31,41 @@ func observeBatch(p *Pool, id string, xs [][]float64, ys []float64) error {
 	return p.ObserveFlat(id, p.template.cfg.Constraint.Dim(), flat, ys)
 }
 
+// segment is one stream's state as ExportSegment returned it.
+type segment struct {
+	data []byte
+	n    int64
+}
+
+// exportAll snapshots every live stream of p through ExportSegment, skipping
+// streams dropped between listing and export. Each stream is locked only
+// while its own state is exported, so a snapshot taken under load is
+// per-stream consistent.
+func exportAll(p *Pool) ([]segment, error) {
+	var out []segment
+	for _, id := range p.Streams() {
+		data, n, err := p.ExportSegment(id)
+		if errors.Is(err, ErrUnknownStream) {
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("exporting stream %q: %w", id, err)
+		}
+		out = append(out, segment{data, n})
+	}
+	return out, nil
+}
+
+// importAll installs a snapshot taken by exportAll into p.
+func importAll(p *Pool, segs []segment) error {
+	for _, s := range segs {
+		if _, err := p.ImportSegment(s.data, s.n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func TestPoolBasics(t *testing.T) {
 	p, err := NewPool("gradient", testPoolOptions(7)...)
 	if err != nil {
@@ -213,12 +248,12 @@ func TestPoolConcurrentMultiStream(t *testing.T) {
 	}
 }
 
-// TestPoolCheckpointDuringTraffic takes checkpoints while writer goroutines
-// are actively feeding the pool (run under -race in CI). Every snapshot must
-// be internally consistent — each stream's state is some prefix of the points
-// that stream was fed — and restorable: restoring the blob into a fresh pool
-// and re-feeding the observed prefix into a reference pool must produce
-// bit-identical estimates.
+// TestPoolCheckpointDuringTraffic exports every stream's segment while writer
+// goroutines are actively feeding the pool (run under -race in CI). Every
+// snapshot must be internally consistent — each stream's state is some prefix
+// of the points that stream was fed — and restorable: importing the segments
+// into a fresh pool and re-feeding the observed prefix into a reference pool
+// must produce bit-identical estimates.
 func TestPoolCheckpointDuringTraffic(t *testing.T) {
 	const (
 		streams   = 8
@@ -233,7 +268,7 @@ func TestPoolCheckpointDuringTraffic(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errc := make(chan error, streams+snapshots)
-	blobs := make([][]byte, snapshots)
+	snaps := make([][]segment, snapshots)
 	start := make(chan struct{})
 	for s := 0; s < streams; s++ {
 		wg.Add(1)
@@ -265,12 +300,12 @@ func TestPoolCheckpointDuringTraffic(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			<-start
-			blob, err := p.Checkpoint()
+			snap, err := exportAll(p)
 			if err != nil {
 				errc <- err
 				return
 			}
-			blobs[c] = blob
+			snaps[c] = snap
 		}(c)
 	}
 	close(start)
@@ -280,12 +315,12 @@ func TestPoolCheckpointDuringTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for c, blob := range blobs {
+	for c, snap := range snaps {
 		restored, err := NewPool("gradient", testPoolOptions(11)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := restored.Restore(blob); err != nil {
+		if err := importAll(restored, snap); err != nil {
 			t.Fatalf("snapshot %d not restorable: %v", c, err)
 		}
 		reference, err := NewPool("gradient", testPoolOptions(11)...)
@@ -326,14 +361,14 @@ func TestPoolCheckpointDuringTraffic(t *testing.T) {
 }
 
 // TestPoolDropRacesSameStreamWrites hammers one stream ID with concurrent
-// Drop, Observe, ObserveBatch, Estimate, and Checkpoint calls — the
-// drop-vs-write interleavings on a single stream that the multi-stream
-// concurrency test never produces. Run under -race in CI. There is no single
-// "right" winner for any interleaving; the invariants are: no data race, no
-// error other than the documented sentinels, and a pool that is still
-// coherent (checkpointable and restorable) afterwards. Runs against both
-// store backends, since the spill store's eviction path adds interleavings
-// of its own.
+// Drop, Observe, ObserveBatch, Estimate, ExportSegment and (on the spill
+// store) Flush calls — the drop-vs-write interleavings on a single stream
+// that the multi-stream concurrency test never produces. Run under -race in
+// CI. There is no single "right" winner for any interleaving; the invariants
+// are: no data race, no error other than the documented sentinels, and a pool
+// that is still coherent (exportable and importable) afterwards. Runs against
+// both store backends, since the spill store's eviction path adds
+// interleavings of its own.
 func TestPoolDropRacesSameStreamWrites(t *testing.T) {
 	baseOpts := func(seed int64) []Option {
 		return []Option{
@@ -393,8 +428,12 @@ func TestPoolDropRacesSameStreamWrites(t *testing.T) {
 		go func() { // checkpointer
 			defer wg.Done()
 			for i := 0; i < iters/10; i++ {
-				if _, err := p.Checkpoint(); err != nil {
-					errc <- fmt.Errorf("checkpoint: %w", err)
+				if _, err := exportAll(p); err != nil {
+					errc <- fmt.Errorf("export: %w", err)
+					return
+				}
+				if _, err := p.Flush(); err != nil && !errors.Is(err, ErrNotPersistent) {
+					errc <- fmt.Errorf("flush: %w", err)
 					return
 				}
 			}
@@ -412,13 +451,13 @@ func TestPoolDropRacesSameStreamWrites(t *testing.T) {
 		}
 		// Whatever interleaving happened, the pool is still coherent: the
 		// contended stream (if alive) reports a consistent length, and the
-		// whole pool checkpoints and restores.
+		// whole pool exports and imports.
 		if p.Has(id) {
 			if n, ok := p.LenOK(id); !ok || n < 0 {
 				t.Fatalf("surviving stream reports (%d, %v)", n, ok)
 			}
 		}
-		blob, err := p.Checkpoint()
+		snap, err := exportAll(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,8 +465,8 @@ func TestPoolDropRacesSameStreamWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fresh.Restore(blob); err != nil {
-			t.Fatalf("post-race checkpoint not restorable: %v", err)
+		if err := importAll(fresh, snap); err != nil {
+			t.Fatalf("post-race export not importable: %v", err)
 		}
 	}
 	t.Run("resident", func(t *testing.T) { run(t, baseOpts(21)) })
@@ -458,13 +497,17 @@ func TestPoolUnknownStreamSentinel(t *testing.T) {
 	}
 }
 
-// TestPoolCheckpointRestore checkpoints a pool mid-stream, restores into a
-// fresh pool built from the same template, continues both, and requires every
-// stream's estimates to be bit-identical — the multi-stream version of the
-// single-estimator determinism guarantee.
+// TestPoolCheckpointRestore checkpoints a spill-backed pool mid-stream with
+// Flush, reopens the same spill directory as a fresh pool built from the same
+// template, continues both, and requires every stream's estimates to be
+// bit-identical — the multi-stream version of the single-estimator
+// determinism guarantee. Foreign, garbage and truncated segments are
+// rejected without touching the pool.
 func TestPoolCheckpointRestore(t *testing.T) {
 	ids := []string{"alice", "bob", "carol"}
-	orig, err := NewPool("gradient", testPoolOptions(7)...)
+	dir := t.TempDir()
+	opts := append(testPoolOptions(7), WithSpillDir(dir))
+	orig, err := NewPool("gradient", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,16 +519,12 @@ func TestPoolCheckpointRestore(t *testing.T) {
 			}
 		}
 	}
-	blob, err := orig.Checkpoint()
-	if err != nil {
+	if _, err := orig.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	restored, err := NewPool("gradient", testPoolOptions(7)...)
+	restored, err := NewPool("gradient", opts...)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
 	if got := restored.Stats(); got.Streams != len(ids) || got.Observations != int64(12*len(ids)) {
@@ -515,21 +554,24 @@ func TestPoolCheckpointRestore(t *testing.T) {
 		sameVector(t, "pool stream "+id, a, b)
 	}
 
+	seg, n, err := orig.ExportSegment("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Mechanism mismatch is rejected.
 	other, err := NewPool("nonprivate", WithHorizon(64), WithConstraint(L2Constraint(4, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.Restore(blob); err == nil {
-		t.Fatal("cross-mechanism pool restore should be rejected")
+	if _, err := other.ImportSegment(seg, n); err == nil {
+		t.Fatal("cross-mechanism segment import should be rejected")
 	}
 	// Garbage is rejected.
-	if err := restored.Restore([]byte("junk")); err == nil {
-		t.Fatal("garbage pool blob should be rejected")
+	if _, err := restored.ImportSegment([]byte("junk"), 1); err == nil {
+		t.Fatal("garbage segment should be rejected")
 	}
 
-	// Restore is all-or-nothing: a checkpoint with one corrupt stream blob
-	// must leave the pool exactly as it was.
+	// A truncated segment is rejected before any local state changes.
 	before := make(map[string][]float64)
 	for _, id := range ids {
 		theta, err := restored.Estimate(id)
@@ -538,17 +580,17 @@ func TestPoolCheckpointRestore(t *testing.T) {
 		}
 		before[id] = theta
 	}
-	if err := restored.Restore(blob[:len(blob)-7]); err == nil {
-		t.Fatal("truncated pool blob should be rejected")
+	if _, err := restored.ImportSegment(seg[:len(seg)-7], n); err == nil {
+		t.Fatal("truncated segment should be rejected")
 	}
 	if got := restored.Stats(); got.Streams != len(ids) {
-		t.Fatalf("failed restore changed stream count: %+v", got)
+		t.Fatalf("failed import changed stream count: %+v", got)
 	}
 	for _, id := range ids {
 		theta, err := restored.Estimate(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameVector(t, "post-failed-restore "+id, before[id], theta)
+		sameVector(t, "post-failed-import "+id, before[id], theta)
 	}
 }

@@ -438,6 +438,7 @@ func (a *estimatorAdapter) MarshalBinary() ([]byte, error) {
 		return nil, err
 	}
 	var w codec.Writer
+	w.Grow(32 + len(a.mechanism) + len(inner))
 	w.String(checkpointMagic)
 	w.Version(checkpointVersion)
 	w.String(a.mechanism)

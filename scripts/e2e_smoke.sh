@@ -19,12 +19,17 @@
 #             standbys with no operator action, verify bit-identical
 #
 #   E2E_PHASES="cluster" ./scripts/e2e_smoke.sh
+#
+# E2E_MECHANISM picks the served mechanism (default gradient), e.g.
+#
+#   E2E_MECHANISM=projected E2E_PHASES=restart ./scripts/e2e_smoke.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"
 
 phases="${E2E_PHASES:-restart churn wire cluster unclean}"
+mechanism="${E2E_MECHANISM:-gradient}"
 
 bin="$(mktemp -d)"
 tmpdirs=("$bin")
@@ -90,7 +95,7 @@ stat_field() {
 
 want_phase() { case " $phases " in *" $1 "*) return 0 ;; *) return 1 ;; esac }
 
-spec_flags=(-mechanism gradient -epsilon 1 -delta 1e-6
+spec_flags=(-mechanism "$mechanism" -epsilon 1 -delta 1e-6
   -horizon 512 -dim 8 -radius 1 -seed 42)
 
 # ---------------------------------------------------------------------------
