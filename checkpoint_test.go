@@ -1,6 +1,7 @@
 package privreg
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -260,5 +261,76 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 	}
 	if err := fresh.UnmarshalBinary([]byte("not a checkpoint")); err == nil {
 		t.Fatal("garbage blob should be rejected")
+	}
+}
+
+// checkpointDigests pins the exact checkpoint bytes of every registry
+// mechanism (and of gradient on the Hybrid substrate) after the fixed stream
+// of TestCheckpointBytesGolden, as FNV-64a digests. A digest moves when the
+// state a mechanism holds, the order it is written in, or any estimate or
+// solver output folded into it changes by a single bit.
+var checkpointDigests = map[string]uint64{
+	"gradient":                 0xd68646ab06bc7b53,
+	"projected":                0x6a9f32941e247a7f,
+	"robust-projected":         0x24a57facc265b28a,
+	"generic-erm":              0x75c763a8b1c16a87,
+	"naive-recompute":          0x9010b8bde49dfcf7,
+	"nonprivate":               0x24d657b2213ff5e3,
+	"gradient/unknown-horizon": 0x90db0448c40abff3,
+	"multi-outcome":            0xa20fe2d25ed920f7,
+}
+
+// TestCheckpointBytesGolden feeds each mechanism a fixed seeded stream with
+// interleaved estimates (so memos, warm-start iterates and pending solves are
+// part of the state) and compares the digest of MarshalBinary to the pinned
+// value.
+func TestCheckpointBytesGolden(t *testing.T) {
+	type golden struct {
+		name, mech   string
+		rows, dim, k int
+		opts         []Option
+	}
+	var cases []golden
+	for _, tc := range testMechanismCases() {
+		cases = append(cases, golden{tc.name, tc.name, tc.horizon * 2 / 3, tc.dim, 1, tc.opts(7)})
+	}
+	gradient := testMechanismCases()[0]
+	cases = append(cases,
+		golden{"gradient/unknown-horizon", "gradient", 40, gradient.dim, 1, append(gradient.opts(7), WithUnknownHorizon())},
+		golden{"multi-outcome", "multi-outcome", 16, 4, 3, multiOptions(7, 3)})
+	covered := map[string]bool{}
+	for _, gc := range cases {
+		covered[gc.mech] = true
+		t.Run(gc.name, func(t *testing.T) {
+			est, err := New(gc.mech, gc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < gc.rows; i++ {
+				x, ys := syntheticRow(i, gc.dim, gc.k)
+				if err := est.(MultiEstimator).ObserveMulti(x, ys); err != nil {
+					t.Fatal(err)
+				}
+				if i%5 == 4 {
+					if _, err := est.Estimate(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			blob, err := est.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			h.Write(blob)
+			if got, want := h.Sum64(), checkpointDigests[gc.name]; got != want {
+				t.Errorf("checkpoint digest %#x (%d bytes), pinned %#x", got, len(blob), want)
+			}
+		})
+	}
+	for _, m := range Mechanisms() {
+		if !covered[m] {
+			t.Errorf("mechanism %q has no pinned checkpoint digest", m)
+		}
 	}
 }

@@ -78,6 +78,30 @@ func (w *Writer) Blob(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
+// Appender is a component that appends its checkpoint section to a Writer.
+type Appender interface {
+	AppendState(w *Writer)
+}
+
+// Encode returns a's section as a standalone blob.
+func Encode(a Appender) []byte {
+	var w Writer
+	a.AppendState(&w)
+	return w.Bytes()
+}
+
+// Nested writes a's section as a nested blob in place: it reserves the
+// length prefix Blob would write, lets a append straight into w and
+// back-patches the prefix. Nesting one component's encoding inside another's
+// then copies nothing, and the bytes are identical to Blob of a standalone
+// encoding of the section.
+func (w *Writer) Nested(a Appender) {
+	w.U64(0)
+	mark := len(w.buf)
+	a.AppendState(w)
+	binary.LittleEndian.PutUint64(w.buf[mark-8:mark], uint64(len(w.buf)-mark))
+}
+
 // String writes a length-prefixed UTF-8 string.
 func (w *Writer) String(s string) {
 	w.Int(len(s))

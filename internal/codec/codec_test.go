@@ -55,6 +55,40 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// section is an Appender with a nested section of its own.
+type section struct {
+	label string
+	inner *section
+}
+
+func (s *section) AppendState(w *Writer) {
+	w.String(s.label)
+	if s.inner != nil {
+		w.Nested(s.inner)
+	}
+	w.F64s([]float64{1, 2})
+}
+
+// TestNestedMatchesBlob pins Nested's in-place sections, nested two deep,
+// byte for byte to Blob of standalone encodings.
+func TestNestedMatchesBlob(t *testing.T) {
+	inner := &section{label: "inner"}
+	outer := &section{label: "outer", inner: inner}
+	var want Writer
+	want.Version(1)
+	var mid Writer
+	mid.String("outer")
+	mid.Blob(Encode(inner))
+	mid.F64s([]float64{1, 2})
+	want.Blob(mid.Bytes())
+	var got Writer
+	got.Version(1)
+	got.Nested(outer)
+	if string(got.Bytes()) != string(want.Bytes()) {
+		t.Fatalf("Nested wrote %x, Blob %x", got.Bytes(), want.Bytes())
+	}
+}
+
 func TestTruncatedAndStickyErrors(t *testing.T) {
 	var w Writer
 	w.U64(1)

@@ -65,7 +65,7 @@ func NewPolytope(vertices []vec.Vector) *Polytope {
 	// Precompute the gradient Lipschitz constant ‖A‖² of the weight-space
 	// objective via power iteration (with a small safety margin).
 	a := vec.NewMatrixFromRows(vs)
-	spec := a.PowerIterationSpectralNorm(40, nil)
+	spec := a.PowerIterationSpectralNorm(40, nil, nil)
 	if spec == 0 {
 		spec = a.SpectralNormUpperBound()
 	}

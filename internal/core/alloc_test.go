@@ -161,3 +161,63 @@ func TestSlowPathEstimateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// coldRead returns a function that folds one new row into the named
+// regression mechanism (d = 32, T = 2^19, after 1,000 rows) and reads it, so
+// every call is a cold solve; a projected read stops before the lift. iters
+// pins the PGD iteration count.
+func coldRead(t *testing.T, name string, iters int) func() {
+	t.Helper()
+	const d = 32
+	cons := constraint.NewL2Ball(d, 1)
+	opts := RegressionOptions{MinIterations: iters, MaxIterations: iters}
+	var mech Estimator
+	estimate := func() error { _, err := mech.Estimate(); return err }
+	switch name {
+	case "gradient":
+		g, err := NewGradientRegression(cons, privacy(), 1<<19, randx.NewSource(4), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mech = g
+	case "projected":
+		r, err := NewProjectedRegression(cons, cons, privacy(), 1<<19, randx.NewSource(4),
+			ProjectedOptions{ProjectionDim: d / 2, RegressionOptions: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mech = r
+		estimate = func() error { _, err := r.estimate(nil); return err }
+	}
+	driver := randx.NewSource(92)
+	p := loss.Point{X: vec.Vector(driver.NormalVector(d, 0.3)), Y: driver.Normal(0, 0.5)}
+	for i := 0; i < 1000; i++ {
+		if err := mech.Observe(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() {
+		if err := mech.Observe(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := estimate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // allocate the read workspaces
+	return read
+}
+
+// TestColdReadAllocs pins the cold regression read: one new row, then the
+// solve. It runs in the core's reused workspaces, so the read allocates only
+// the released vector, whatever the iteration count. A projected Estimate
+// adds the lift, which allocates and is not pinned here.
+func TestColdReadAllocs(t *testing.T) {
+	for _, name := range []string{"gradient", "projected"} {
+		for _, iters := range []int{50, 400} {
+			if allocs := testing.AllocsPerRun(50, coldRead(t, name, iters)); allocs > 2 {
+				t.Fatalf("cold %s read at %d iterations allocates %.1f times, budget 2", name, iters, allocs)
+			}
+		}
+	}
+}

@@ -27,6 +27,7 @@ package core
 import (
 	"errors"
 
+	"privreg/internal/codec"
 	"privreg/internal/constraint"
 	"privreg/internal/dp"
 	"privreg/internal/erm"
@@ -54,14 +55,16 @@ type Estimator interface {
 	// Privacy returns the differential-privacy guarantee of the full output
 	// sequence. The zero value denotes a non-private baseline.
 	Privacy() dp.Params
-	// MarshalBinary serializes the estimator's complete mutable state —
+	// AppendState appends the estimator's complete mutable state —
 	// observation counts, private accumulators, warm-start iterates, and every
-	// randomness-stream position — in the versioned checkpoint codec. An
+	// randomness-stream position — to w in the versioned checkpoint codec. An
 	// estimator constructed with the same configuration (constraint set,
 	// privacy budget, horizon, options, seed) that restores this state with
 	// UnmarshalBinary continues bit-identically to an uninterrupted run.
+	AppendState(w *codec.Writer)
+	// MarshalBinary returns the AppendState section as a standalone blob.
 	MarshalBinary() ([]byte, error)
-	// UnmarshalBinary restores state captured by MarshalBinary. Structural
+	// UnmarshalBinary restores state captured by AppendState. Structural
 	// parameters embedded in the checkpoint (mechanism kind, dimensions,
 	// horizon) are verified against the receiver and a mismatch is an error.
 	// On error the receiver's state is unspecified and it must be discarded.

@@ -90,7 +90,7 @@ func TestNonPrivateIncrementalTracksExactMinimizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := erm.Exact(loss.Squared{}, c, data, erm.ExactOptions{})
+	exact, err := erm.Exact(loss.Squared{}, c, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,8 @@ func TestPrivateGradientMatchesExactWhenNoiseNegligible(t *testing.T) {
 	}
 	pg := est.Gradient()
 	theta := vec.Vector{0.2, -0.1, 0.3}
-	got := pg.Eval(theta)
+	got := vec.NewVector(d)
+	pg.GradientInto(got, theta)
 	want := vec.NewVector(d)
 	state.GradientInto(want, theta, 0, 1, 0)
 	if vec.Dist2(got, want) > 1e-2*(1+vec.Norm2(want)) {

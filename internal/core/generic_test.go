@@ -130,7 +130,7 @@ func TestGenericERMAccurateWithNegligibleNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := erm.Exact(loss.Squared{}, cons, data, erm.ExactOptions{})
+	exact, err := erm.Exact(loss.Squared{}, cons, data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 	"privreg/internal/codec"
 	"privreg/internal/constraint"
 	"privreg/internal/dp"
+	"privreg/internal/erm"
 	"privreg/internal/loss"
-	"privreg/internal/optimize"
 	"privreg/internal/randx"
 	"privreg/internal/tree"
 	"privreg/internal/vec"
@@ -30,14 +30,15 @@ type PrivateGradient struct {
 	Q *vec.Matrix
 	// Qv is the private estimate of Σ x_i y_i.
 	Qv vec.Vector
+	// pv and pu are the power iteration's vectors for the step size.
+	pv, pu vec.Vector
 }
 
-// Eval returns 2(Qθ - q) as a new vector.
-func (g *PrivateGradient) Eval(theta vec.Vector) vec.Vector {
-	out := g.Q.MulVec(theta)
-	out.SubInPlace(g.Qv)
-	out.Scale(2)
-	return out
+// GradientInto writes 2(Qθ - q) into dst without allocating.
+func (g *PrivateGradient) GradientInto(dst, theta vec.Vector) {
+	g.Q.MulVecTo(dst, theta)
+	dst.SubInPlace(g.Qv)
+	dst.Scale(2)
 }
 
 // bytes is the memory held by g's buffers (0 before the first read).
@@ -45,7 +46,7 @@ func (g *PrivateGradient) bytes() int {
 	if g.Q == nil {
 		return 0
 	}
-	return 8 * (len(g.Q.Data()) + len(g.Qv))
+	return 8 * (len(g.Q.Data()) + len(g.Qv) + len(g.pv) + len(g.pu))
 }
 
 // smoothStepSize picks the projected-gradient step size for minimizing the
@@ -56,18 +57,12 @@ func (g *PrivateGradient) bytes() int {
 // smoothness limit when Q carries signal). This choice is pure post-processing
 // of private state, so it has no effect on the privacy guarantee; it only
 // narrows the gap between the mechanism's output and the minimizer of its
-// privatized objective.
+// privatized objective. The power iteration runs in pg's buffers.
 func smoothStepSize(pg *PrivateGradient, lip, gradErr, diameter float64, iters int) float64 {
-	spec := pg.Q.PowerIterationSpectralNorm(30, nil)
-	if spec <= 0 {
-		return 0 // fall back to the optimizer's default step
-	}
-	smooth := 1 / (2.1 * spec)
-	def := diameter
-	if denom := math.Sqrt(float64(iters)) * (gradErr + lip); denom > 0 {
-		def = diameter / denom
-	}
-	if smooth > def {
+	def := erm.DefaultStepSize(diameter, iters, gradErr, lip)
+	pg.pv.Fill(1)
+	spec := pg.Q.PowerIterationSpectralNorm(30, pg.pv, pg.pu)
+	if smooth := 1 / (2.1 * spec); spec > 0 && smooth > def {
 		return smooth
 	}
 	return def
@@ -104,8 +99,9 @@ const confidenceBeta = 0.05
 // stream svec(v vᵀ) (Steps 3–4 of Algorithm 2), each holding half of the
 // privacy budget, and read an estimate by running noisy projected gradient
 // descent against the private gradient they release, over a solve domain of
-// v's dimension. The mechanisms own what comes before the fold (clamping, the
-// sketch) and after the solve (the lift).
+// v's dimension, in a solver workspace held per core. The mechanisms own what
+// comes before the fold (clamping, the sketch) and after the solve (the
+// lift).
 type privateMoments struct {
 	privacy dp.Params
 	horizon int
@@ -116,6 +112,8 @@ type privateMoments struct {
 
 	sumXY, sumXXT tree.Mechanism
 	domain        constraint.Set
+	// solver is the descent workspace over domain.
+	solver *erm.Solver
 	// gradErr is the α' of Definition 5 over domain, for the horizon.
 	gradErr float64
 	n       int
@@ -193,9 +191,11 @@ func newPrivateMoments(inDim int, domain constraint.Set, p dp.Params, horizon in
 	return m, nil
 }
 
-// setDomain sets the solve domain and the α' sized from its diameter.
+// setDomain sets the solve domain, its solver workspace and the α' sized
+// from its diameter.
 func (m *privateMoments) setDomain(domain constraint.Set) {
 	m.domain = domain
+	m.solver = erm.NewSolver(domain)
 	m.gradErr = gradientErrorScale(m.sumXY, m.sumXXT, m.horizon, m.dim, domain.Diameter())
 }
 
@@ -242,7 +242,7 @@ func (m *privateMoments) Gradient() *PrivateGradient {
 	pg := &m.grad
 	if pg.Q == nil {
 		pg.Q = vec.NewMatrix(m.dim, m.dim)
-		pg.Qv = vec.NewVector(m.dim)
+		pg.Qv, pg.pv, pg.pu = vec.NewVector(m.dim), vec.NewVector(m.dim), vec.NewVector(m.dim)
 	}
 	m.sumXY.SumInto(pg.Qv)
 	m.sumXXT.SumInto(pg.Q.Data()[:svecLen(m.dim)])
@@ -257,7 +257,9 @@ func (m *privateMoments) Gradient() *PrivateGradient {
 // skipped solve would have produced the identical vector; with WarmStart the
 // memo pins the first solution at this timestep (a repeat solve would refine
 // from the warm-start iterate) — a deliberate, equally valid semantics that
-// the checkpointed memo keeps consistent across restore.
+// the checkpointed memo keeps consistent across restore. The solve runs in
+// the core's workspaces: without a lift, the released copy of the memo is
+// the read's only allocation.
 func (m *privateMoments) estimate(lift func(vec.Vector) (vec.Vector, error)) (vec.Vector, error) {
 	if m.estN == m.n && m.estCache != nil {
 		return m.estCache.Clone(), nil
@@ -265,31 +267,29 @@ func (m *privateMoments) estimate(lift func(vec.Vector) (vec.Vector, error)) (ve
 	pg := m.Gradient()
 	diam := m.domain.Diameter()
 	lip := 2 * float64(max(m.n, 1)) * (1 + diam) // Lipschitz bound of the accumulated exact gradient
-	iters := optimize.IterationsForTargetError(lip*diam, m.gradErr, m.opts.MinIterations, m.opts.MaxIterations)
-	opts := optimize.Options{
-		Iterations: iters,
-		Lipschitz:  lip,
-		GradError:  m.gradErr,
-		Average:    true,
-		StepSize:   smoothStepSize(pg, lip, m.gradErr, diam, iters),
-	}
+	iters := erm.IterationsForTargetError(lip*diam, m.gradErr, m.opts.MinIterations, m.opts.MaxIterations)
+	var start vec.Vector
 	if m.opts.WarmStart {
-		opts.Start = m.prev
+		start = m.prev
 	}
-	res, err := optimize.NoisyProjected(m.domain, pg.Eval, opts)
-	if err != nil {
-		return nil, err
-	}
-	m.prev = res.Theta.Clone()
-	theta := res.Theta
+	// Reading the private gradient is post-processing, so the solve adds no
+	// noise of its own; the tolerance stop stays off, so it returns the
+	// Appendix-B average.
+	theta := m.solver.Descend(start, iters, smoothStepSize(pg, lip, m.gradErr, diam, iters), 0,
+		func(dst, theta vec.Vector, _ int) { pg.GradientInto(dst, theta) })
+	m.prev.CopyFrom(theta)
 	if lift != nil {
+		var err error
 		if theta, err = lift(theta); err != nil {
 			return nil, err
 		}
 	}
-	m.estCache = theta.Clone()
+	if len(m.estCache) != len(theta) {
+		m.estCache = vec.NewVector(len(theta))
+	}
+	m.estCache.CopyFrom(theta)
 	m.estN = m.n
-	return theta, nil
+	return m.estCache.Clone(), nil
 }
 
 // Len implements Estimator.
@@ -304,35 +304,27 @@ func (m *privateMoments) GradientErrorScale() float64 { return m.gradErr }
 
 // bytes is the core's retained memory: both continual-sum mechanisms
 // (per-level partial sums and noise memos), the iterate, memo and fold
-// buffers and, once a read has allocated it, the gradient workspace.
+// buffers, the solver's five domain-sized vectors and, once a read has
+// allocated it, the gradient workspace.
 func (m *privateMoments) bytes() int {
 	return m.sumXY.Bytes() + m.sumXXT.Bytes() + m.grad.bytes() +
-		8*(len(m.prev)+len(m.estCache)+len(m.xyWork)+len(m.svecWork))
+		8*(len(m.prev)+len(m.estCache)+len(m.xyWork)+len(m.svecWork)+5*m.dim)
 }
 
-// marshal appends the core's checkpoint section to w: the count, the
+// appendMoments appends the core's checkpoint section to w: the count, the
 // warm-start iterate, the estimate memo and both continual-sum states (which
-// carry their own noise keys), presizing w from their known lengths. The
-// memo must travel with the checkpoint: with warm starts a cache hit returns
-// the memo, while a memo-less restored instance would re-run the optimizer
-// from the warm-start iterate — a different (if equally valid) vector.
-func (m *privateMoments) marshal(w *codec.Writer) error {
-	xy, err := m.sumXY.MarshalState()
-	if err != nil {
-		return err
-	}
-	xxt, err := m.sumXXT.MarshalState()
-	if err != nil {
-		return err
-	}
-	w.Grow(8*(6+len(m.prev)+len(m.estCache)) + len(xy) + len(xxt))
+// carry their own noise keys), written in place. The memo must travel with
+// the checkpoint: with warm starts a cache hit returns the memo, while a
+// memo-less restored instance would re-run the optimizer from the warm-start
+// iterate — a different (if equally valid) vector.
+func (m *privateMoments) appendMoments(w *codec.Writer) {
+	w.Grow(8 * (6 + len(m.prev) + len(m.estCache)))
 	w.Int(m.n)
 	w.F64s(m.prev)
 	w.Int(m.estN)
 	w.F64s(m.estCache)
-	w.Blob(xy)
-	w.Blob(xxt)
-	return nil
+	w.Nested(m.sumXY)
+	w.Nested(m.sumXXT)
 }
 
 // momentState is a decoded core checkpoint section, not yet validated.
@@ -342,7 +334,7 @@ type momentState struct {
 	xy, xxt        []byte
 }
 
-// readMoments decodes the section marshal wrote.
+// readMoments decodes the section appendMoments wrote.
 func readMoments(r *codec.Reader) momentState {
 	var s momentState
 	s.n = r.Int()

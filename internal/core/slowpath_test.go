@@ -106,7 +106,7 @@ func refSlowEstimate(t *testing.T, v slowVariant, cons constraint.Set, clamped [
 		}
 		return theta
 	}
-	theta, err := erm.PrivateBatchAt(v.f, cons, prefix, per, key, uint64(inv), slowBatchOpts())
+	theta, err := erm.NewSolver(cons).SolveHistory(v.f, prefix, per, key, uint64(inv), slowBatchOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,10 +351,7 @@ func TestSlowPathRejectsOldCheckpointVersion(t *testing.T) {
 			w.Int(0)
 			w.F64s(make([]float64, slowDim))
 			w.U64(0)
-			stats, err := erm.NewMultiStats(slowDim, 1).MarshalState()
-			if err != nil {
-				t.Fatal(err)
-			}
+			stats := codec.Encode(erm.NewMultiStats(slowDim, 1))
 			w.Blob(stats)
 			w.U64(0)
 		}},
@@ -398,10 +395,7 @@ func TestSlowPathRejectsMismatchedPendingBoundary(t *testing.T) {
 		for i := 0; i < n; i++ {
 			s.Add(x, []float64{0.25})
 		}
-		blob, err := s.MarshalState()
-		if err != nil {
-			t.Fatal(err)
-		}
+		blob := codec.Encode(s)
 		return blob
 	}
 	// snap < 0 writes no snapshot.

@@ -12,7 +12,7 @@ import (
 
 // This file implements checkpoint/restore for every mechanism in the package.
 //
-// The contract (documented on Estimator.MarshalBinary) is construct-then-
+// The contract (documented on Estimator.AppendState) is construct-then-
 // restore: a checkpoint captures only the *mutable* state of a mechanism —
 // observation counts, private accumulators, warm-start iterates, randomness
 // positions — while the immutable structure (constraint set, loss, privacy
@@ -50,6 +50,10 @@ const regStateVersion = 4
 // misparsed.
 const slowStateVersion = 4
 
+// marshal returns e's checkpoint section as a standalone blob: the
+// MarshalBinary of every mechanism.
+func marshal(e codec.Appender) ([]byte, error) { return codec.Encode(e), nil }
+
 func writeHistory(w *codec.Writer, history []loss.Point) {
 	w.Int(len(history))
 	for _, p := range history {
@@ -85,14 +89,15 @@ func readHistory(r *codec.Reader, dim, maxLen int) []loss.Point {
 
 // --- TrivialConstant ---
 
-// MarshalBinary implements Estimator: the only mutable state is the count.
-func (t *TrivialConstant) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
+// AppendState implements Estimator: the only mutable state is the count.
+func (t *TrivialConstant) AppendState(w *codec.Writer) {
 	w.Version(coreStateVersion)
 	w.String(t.Name())
 	w.Int(t.n)
-	return w.Bytes(), nil
 }
+
+// MarshalBinary implements Estimator.
+func (t *TrivialConstant) MarshalBinary() ([]byte, error) { return marshal(t) }
 
 // UnmarshalBinary implements Estimator.
 func (t *TrivialConstant) UnmarshalBinary(data []byte) error {
@@ -112,18 +117,15 @@ func (t *TrivialConstant) UnmarshalBinary(data []byte) error {
 
 // --- NonPrivateIncremental ---
 
-// MarshalBinary implements Estimator: the sufficient statistics are the state.
-func (n *NonPrivateIncremental) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
+// AppendState implements Estimator: the sufficient statistics are the state.
+func (n *NonPrivateIncremental) AppendState(w *codec.Writer) {
 	w.Version(slowStateVersion)
 	w.String(n.Name())
-	blob, err := n.stats.MarshalState()
-	if err != nil {
-		return nil, err
-	}
-	w.Blob(blob)
-	return w.Bytes(), nil
+	w.Nested(n.stats)
 }
+
+// MarshalBinary implements Estimator.
+func (n *NonPrivateIncremental) MarshalBinary() ([]byte, error) { return marshal(n) }
 
 // UnmarshalBinary implements Estimator. The solution memo is not part of the
 // checkpoint; the next Estimate recomputes it (deterministically) from the
@@ -142,7 +144,7 @@ func (n *NonPrivateIncremental) UnmarshalBinary(data []byte) error {
 
 // --- GenericERM ---
 
-// MarshalBinary implements Estimator: the noise key, the row count, the
+// AppendState implements Estimator: the noise key, the row count, the
 // pending boundary, each outcome's memoized estimate and solved-invocation
 // watermark, the prefix representation (O(d² + k·d) statistics blob, window,
 // or full history), and — when rows have moved past a boundary some outcome
@@ -150,8 +152,7 @@ func (n *NonPrivateIncremental) UnmarshalBinary(data []byte) error {
 // of resolving it keeps Marshal read-only; the restored mechanism runs the
 // solve at its next read with the same key and invocation index, producing
 // the bits the uninterrupted run would.
-func (g *GenericERM) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
+func (g *GenericERM) AppendState(w *codec.Writer) {
 	w.Version(slowStateVersion)
 	w.String(g.name)
 	w.Int(g.c.Dim())
@@ -169,27 +170,21 @@ func (g *GenericERM) MarshalBinary() ([]byte, error) {
 	}
 	switch {
 	case g.stats != nil:
-		blob, err := g.stats.MarshalState()
-		if err != nil {
-			return nil, err
-		}
-		w.Blob(blob)
+		w.Nested(g.stats)
 		snap := g.pending() && g.t != int(g.pendInv)*g.tau
 		w.Bool(snap)
 		if snap {
-			blob, err := g.snap.MarshalState()
-			if err != nil {
-				return nil, err
-			}
-			w.Blob(blob)
+			w.Nested(g.snap)
 		}
 	case g.ring != nil:
-		writeHistory(&w, g.ring.appendTo(nil))
+		writeHistory(w, g.ring.appendTo(nil))
 	default:
-		writeHistory(&w, g.history)
+		writeHistory(w, g.history)
 	}
-	return w.Bytes(), nil
 }
+
+// MarshalBinary implements Estimator.
+func (g *GenericERM) MarshalBinary() ([]byte, error) { return marshal(g) }
 
 // UnmarshalBinary implements Estimator. The noise key travels in the
 // checkpoint (like the sketch spec of ProjectedRegression), so a mechanism
@@ -301,19 +296,18 @@ func (g *GenericERM) UnmarshalBinary(data []byte) error {
 
 // --- GradientRegression ---
 
-// MarshalBinary implements Estimator: the header and the private-moment
-// core's section (see privateMoments.marshal).
-func (g *GradientRegression) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
+// AppendState implements Estimator: the header and the private-moment
+// core's section (see privateMoments.appendMoments).
+func (g *GradientRegression) AppendState(w *codec.Writer) {
 	w.Version(regStateVersion)
 	w.String(g.Name())
 	w.Int(g.inDim)
 	w.Int(g.horizon)
-	if err := g.marshal(&w); err != nil {
-		return nil, err
-	}
-	return w.Bytes(), nil
+	g.appendMoments(w)
 }
+
+// MarshalBinary implements Estimator.
+func (g *GradientRegression) MarshalBinary() ([]byte, error) { return marshal(g) }
 
 // UnmarshalBinary implements Estimator.
 func (g *GradientRegression) UnmarshalBinary(data []byte) error {
@@ -331,12 +325,11 @@ func (g *GradientRegression) UnmarshalBinary(data []byte) error {
 
 // --- ProjectedRegression ---
 
-// MarshalBinary implements Estimator: the sketch spec (backend + shape + seed,
+// AppendState implements Estimator: the sketch spec (backend + shape + seed,
 // the transform's entire serializable state), the oracle's dropped-point
 // count, and the private-moment core's section in the projected space. The
 // oracle is code, not state; the restoring instance supplies its own.
-func (r *ProjectedRegression) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
+func (r *ProjectedRegression) AppendState(w *codec.Writer) {
 	w.Version(regStateVersion)
 	w.String(r.Name())
 	w.Int(r.inDim)
@@ -345,11 +338,11 @@ func (r *ProjectedRegression) MarshalBinary() ([]byte, error) {
 	w.Int(int(r.sketchSpec.Backend))
 	w.I64(r.sketchSpec.Seed)
 	w.Int(r.dropped)
-	if err := r.marshal(&w); err != nil {
-		return nil, err
-	}
-	return w.Bytes(), nil
+	r.appendMoments(w)
 }
+
+// MarshalBinary implements Estimator.
+func (r *ProjectedRegression) MarshalBinary() ([]byte, error) { return marshal(r) }
 
 // UnmarshalBinary implements Estimator. When the checkpointed sketch spec
 // differs from the constructed one (an estimator restored under a different

@@ -149,10 +149,7 @@ func TestRegressionRejectsVersion2Checkpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := tr.MarshalState()
-		if err != nil {
-			t.Fatal(err)
-		}
+		blob := codec.Encode(tr)
 		return blob
 	}
 	// outer is the second-moment tree width of each version: dense d² in

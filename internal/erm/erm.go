@@ -5,6 +5,11 @@
 // ERM solver in the style of Bassily, Smith and Thakurta (noisy projected
 // gradient descent with advanced composition) that serves as the black box of
 // the paper's generic transformation (Mechanism PRIVINCERM, Section 3).
+//
+// It holds the repository's two projected-gradient loops: bestIterate, the
+// exact solvers' descent that keeps the iterate of least risk, and
+// Solver.Descend, the averaged (noisy) descent NOISYPROJGRAD of Appendix B
+// that the private batch solver and the regression mechanisms' reads run.
 package erm
 
 import (
@@ -16,39 +21,25 @@ import (
 	"privreg/internal/vec"
 )
 
-// ExactOptions configures the exact batch solver.
-type ExactOptions struct {
-	// Iterations is the number of projected gradient steps (default 2000).
-	Iterations int
-	// Tolerance stops early when consecutive iterates move less than this in
-	// Euclidean norm (default 1e-10).
-	Tolerance float64
-	// Start optionally warm-starts the solver.
-	Start vec.Vector
-}
-
-func (o *ExactOptions) fill() {
-	if o.Iterations <= 0 {
-		o.Iterations = 2000
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-10
-	}
-}
+// Exact solver constants: the iteration cap of Exact (and the default of
+// ExactStats) and Exact's stop threshold on an iterate's movement.
+const (
+	exactIterations = 2000
+	exactTolerance  = 1e-10
+)
 
 // Exact returns (an accurate approximation of) the constrained empirical risk
 // minimizer argmin_{θ∈C} Σ_i ℓ(θ; z_i) by projected gradient descent with a
 // diminishing step size. For smooth losses on the datasets used here the result
 // is accurate to well below the excess-risk scales being measured; tests verify
 // it against closed-form solutions where available.
-func Exact(f loss.Function, c constraint.Set, data []loss.Point, opts ExactOptions) (vec.Vector, error) {
+func Exact(f loss.Function, c constraint.Set, data []loss.Point) (vec.Vector, error) {
 	if f == nil || c == nil {
 		return nil, errors.New("erm: nil loss or constraint set")
 	}
-	opts.fill()
-	n := len(data)
-	if n == 0 {
-		return c.Project(vec.NewVector(c.Dim())), nil
+	theta := c.Project(vec.NewVector(c.Dim()))
+	if len(data) == 0 {
+		return theta, nil
 	}
 	// Estimate a smoothness constant: for the losses in this library the
 	// empirical gradient is Lipschitz with constant at most 2 Σ ‖x_i‖², so a
@@ -59,45 +50,23 @@ func Exact(f loss.Function, c constraint.Set, data []loss.Point, opts ExactOptio
 		nx := vec.Norm2(z.X)
 		sumSq += nx * nx
 	}
-	base := 0.0
+	step := 0.0
 	if sumSq > 0 {
-		base = 1 / (2 * sumSq)
+		step = 1 / (2 * sumSq)
 	}
-	theta := c.Project(vec.NewVector(c.Dim()))
-	if opts.Start != nil {
-		theta = c.Project(opts.Start)
-	}
-	best := theta.Clone()
-	bestVal := loss.Empirical(f, theta, data)
-	work := vec.NewVector(c.Dim())
-	for k := 0; k < opts.Iterations; k++ {
-		g := loss.EmpiricalGradient(f, theta, data)
-		step := base
-		if step == 0 {
-			step = c.Diameter() / (math.Sqrt(float64(k+1)) * (1 + vec.Norm2(g)))
-		}
-		work.CopyFrom(theta)
-		vec.Axpy(work, -step, g)
-		next := c.Project(work)
-		moved := vec.Dist2(next, theta)
-		theta = next
-		if v := loss.Empirical(f, theta, data); v < bestVal {
-			bestVal = v
-			best.CopyFrom(theta)
-		}
-		if moved < opts.Tolerance {
-			break
-		}
-	}
-	return best, nil
+	grad := func(dst, theta vec.Vector) { dst.CopyFrom(loss.EmpiricalGradient(f, theta, data)) }
+	risk := func(theta vec.Vector) float64 { return loss.Empirical(f, theta, data) }
+	return bestIterate(c, theta, exactIterations, step, exactTolerance, grad, risk), nil
 }
 
 // ExactWorkspace holds the reusable buffers of ExactStats: the dense
-// expansion of the packed second-moment matrix and the ridge factorization.
-// The zero value is ready to use; a workspace is not safe for concurrent use.
+// expansion of the packed second-moment matrix, the ridge factorization and
+// the power iteration's vectors. The zero value is ready to use; a workspace
+// is not safe for concurrent use.
 type ExactWorkspace struct {
-	a     *vec.Matrix
-	ridge vec.RidgeWorkspace
+	a      *vec.Matrix
+	ridge  vec.RidgeWorkspace
+	pv, pu vec.Vector
 }
 
 // ExactStats returns the exact constrained least-squares minimizer of outcome
@@ -111,7 +80,7 @@ type ExactWorkspace struct {
 func ExactStats(ws *ExactWorkspace, s *MultiStats, c constraint.Set, iters int) vec.Vector {
 	d := s.Dim()
 	if iters <= 0 {
-		iters = 2000
+		iters = exactIterations
 	}
 	if s.Len() == 0 {
 		if c != nil {
@@ -124,6 +93,7 @@ func ExactStats(ws *ExactWorkspace, s *MultiStats, c constraint.Set, iters int) 
 	}
 	if ws.a == nil || ws.a.Rows() != d {
 		ws.a = vec.NewMatrix(d, d)
+		ws.pv, ws.pu = vec.NewVector(d), vec.NewVector(d)
 	}
 	s.a.ToDense(ws.a)
 	eps := 1e-10 * (1 + s.a.Trace())
@@ -140,7 +110,8 @@ func ExactStats(ws *ExactWorkspace, s *MultiStats, c constraint.Set, iters int) 
 		c = constraint.NewL2Ball(d, 1e6)
 	}
 	// Smoothness constant of the prefix risk is 2·λmax(XᵀX).
-	lmax := ws.a.PowerIterationSpectralNorm(50, nil)
+	ws.pv.Fill(1)
+	lmax := ws.a.PowerIterationSpectralNorm(50, ws.pv, ws.pu)
 	step := 0.0
 	if lmax > 0 {
 		step = 1 / (2 * lmax)
@@ -149,26 +120,37 @@ func ExactStats(ws *ExactWorkspace, s *MultiStats, c constraint.Set, iters int) 
 	if err == nil {
 		theta = c.Project(unconstrained)
 	}
+	grad := func(dst, theta vec.Vector) { s.GradientInto(dst, theta, 0, 1, 0) }
+	risk := func(theta vec.Vector) float64 { return s.Risk(theta, 0) }
+	return bestIterate(c, theta, iters, step, 1e-12, grad, risk)
+}
+
+// bestIterate is the exact solvers' projected gradient descent: from theta (a
+// point of c, overwritten), θ_{k+1} = P_C(θ_k − η_k·∇(θ_k)) for at most iters
+// steps, stopping once an iterate moves less than tol, and returning the
+// iterate of least risk as a new vector. step > 0 is a constant η; zero
+// selects the diminishing schedule η_k = ‖C‖ / (√(k+1)·(1 + ‖∇(θ_k)‖)).
+func bestIterate(c constraint.Set, theta vec.Vector, iters int, step, tol float64, grad func(dst, theta vec.Vector), risk func(vec.Vector) float64) vec.Vector {
+	ip, _ := c.(constraint.InplaceProjector)
 	best := theta.Clone()
-	bestVal := s.Risk(theta, 0)
-	g := vec.NewVector(d)
-	work := vec.NewVector(d)
+	bestVal := risk(theta)
+	g, next := vec.NewVector(len(theta)), vec.NewVector(len(theta))
 	for k := 0; k < iters; k++ {
-		s.GradientInto(g, theta, 0, 1, 0)
+		grad(g, theta)
 		eta := step
 		if eta == 0 {
 			eta = c.Diameter() / (math.Sqrt(float64(k+1)) * (1 + vec.Norm2(g)))
 		}
-		work.CopyFrom(theta)
-		vec.Axpy(work, -eta, g)
-		next := c.Project(work)
+		next.CopyFrom(theta)
+		vec.Axpy(next, -eta, g)
+		project(c, ip, next)
 		moved := vec.Dist2(next, theta)
-		theta = next
-		if v := s.Risk(theta, 0); v < bestVal {
+		theta, next = next, theta
+		if v := risk(theta); v < bestVal {
 			bestVal = v
 			best.CopyFrom(theta)
 		}
-		if moved < 1e-12 {
+		if moved < tol {
 			break
 		}
 	}
@@ -180,11 +162,6 @@ type PrivateBatchOptions struct {
 	// Iterations is the number of noisy gradient steps (default: 50 + √n,
 	// capped at 400). Each iteration touches the whole dataset once.
 	Iterations int
-	// XBound and YBound are the data normalization bounds used to derive the
-	// Lipschitz constant (defaults 1 and 1).
-	XBound, YBound float64
-	// Start optionally warm-starts the solver (it is projected onto C first).
-	Start vec.Vector
 	// Tolerance configures the keyed Solver's early stop: the solve ends when
 	// consecutive iterates move less than this in Euclidean norm, returning
 	// the converged final iterate. Zero selects the default (1e-10, the exact
@@ -202,11 +179,5 @@ func (o *PrivateBatchOptions) fill(n int) {
 		if o.Iterations > 400 {
 			o.Iterations = 400
 		}
-	}
-	if o.XBound <= 0 {
-		o.XBound = 1
-	}
-	if o.YBound <= 0 {
-		o.YBound = 1
 	}
 }

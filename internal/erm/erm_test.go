@@ -30,7 +30,7 @@ func TestExactMatchesClosedFormUnconstrainedInterior(t *testing.T) {
 	truth := vec.Vector{0.3, -0.2, 0.1}
 	data := makeRegressionData(n, d, truth, 0.01, src)
 	cons := constraint.NewL2Ball(d, 5) // generous: optimum is interior
-	got, err := Exact(loss.Squared{}, cons, data, ExactOptions{})
+	got, err := Exact(loss.Squared{}, cons, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestExactRespectsConstraint(t *testing.T) {
 	truth := vec.Vector{2, 2, 2, 2} // far outside the small ball
 	data := makeRegressionData(100, d, truth, 0.01, src)
 	cons := constraint.NewL1Ball(d, 0.5)
-	got, err := Exact(loss.Squared{}, cons, data, ExactOptions{})
+	got, err := Exact(loss.Squared{}, cons, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +75,14 @@ func TestExactRespectsConstraint(t *testing.T) {
 
 func TestExactEmptyData(t *testing.T) {
 	cons := constraint.NewL2Ball(3, 1)
-	got, err := Exact(loss.Squared{}, cons, nil, ExactOptions{})
+	got, err := Exact(loss.Squared{}, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cons.Contains(got, 1e-9) {
 		t.Fatal("empty-data solution must still be feasible")
 	}
-	if _, err := Exact(nil, cons, nil, ExactOptions{}); err == nil {
+	if _, err := Exact(nil, cons, nil); err == nil {
 		t.Fatal("nil loss should error")
 	}
 }
@@ -115,7 +115,7 @@ func TestLeastSquaresStateMatchesDirectComputation(t *testing.T) {
 	}
 	// Minimizer must be at least as good as the batch Exact solver result.
 	minimized := ExactStats(nil, state, cons, 0)
-	exact, err := Exact(loss.Squared{}, cons, data, ExactOptions{})
+	exact, err := Exact(loss.Squared{}, cons, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestPrivateBatchFeasibleAndReasonable(t *testing.T) {
 	data := makeRegressionData(n, d, truth, 0.05, src.Split())
 	cons := constraint.NewL2Ball(d, 1)
 	p := dp.Params{Epsilon: 2, Delta: 1e-6}
-	theta, err := PrivateBatchAt(loss.Squared{}, cons, data, p, src.DeriveKey(), 1, PrivateBatchOptions{Iterations: 30})
+	theta, err := NewSolver(cons).SolveHistory(loss.Squared{}, data, p, src.DeriveKey(), 1, PrivateBatchOptions{Iterations: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestPrivateBatchFeasibleAndReasonable(t *testing.T) {
 	}
 	// The private solution must beat the trivial all-zeros predictor (the data
 	// has strong signal and n is large relative to the noise scale).
-	exact, err := Exact(loss.Squared{}, cons, data, ExactOptions{})
+	exact, err := Exact(loss.Squared{}, cons, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestPrivateBatchNoiseDecreasesWithEpsilon(t *testing.T) {
 	truth := vec.Vector{0.5, -0.4, 0.3}
 	data := makeRegressionData(n, d, truth, 0.02, src.Split())
 	cons := constraint.NewL2Ball(d, 1)
-	exact, err := Exact(loss.Squared{}, cons, data, ExactOptions{})
+	exact, err := Exact(loss.Squared{}, cons, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestPrivateBatchNoiseDecreasesWithEpsilon(t *testing.T) {
 		var total float64
 		const reps = 5
 		for i := uint64(0); i < reps; i++ {
-			theta, err := PrivateBatchAt(loss.Squared{}, cons, data, dp.Params{Epsilon: eps, Delta: 1e-6}, key, i, PrivateBatchOptions{Iterations: 60})
+			theta, err := NewSolver(cons).SolveHistory(loss.Squared{}, data, dp.Params{Epsilon: eps, Delta: 1e-6}, key, i, PrivateBatchOptions{Iterations: 60})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,14 +201,14 @@ func TestPrivateBatchNoiseDecreasesWithEpsilon(t *testing.T) {
 
 func TestPrivateBatchValidation(t *testing.T) {
 	cons := constraint.NewL2Ball(2, 1)
-	if _, err := PrivateBatchAt(nil, cons, nil, dp.Params{Epsilon: 1, Delta: 1e-6}, 6, 0, PrivateBatchOptions{}); err == nil {
+	if _, err := NewSolver(cons).SolveHistory(nil, nil, dp.Params{Epsilon: 1, Delta: 1e-6}, 6, 0, PrivateBatchOptions{}); err == nil {
 		t.Fatal("nil loss should error")
 	}
-	if _, err := PrivateBatchAt(loss.Squared{}, cons, nil, dp.Params{Epsilon: 0, Delta: 1e-6}, 6, 0, PrivateBatchOptions{}); err == nil {
+	if _, err := NewSolver(cons).SolveHistory(loss.Squared{}, nil, dp.Params{Epsilon: 0, Delta: 1e-6}, 6, 0, PrivateBatchOptions{}); err == nil {
 		t.Fatal("invalid privacy should error")
 	}
 	// Empty data returns a feasible default.
-	theta, err := PrivateBatchAt(loss.Squared{}, cons, nil, dp.Params{Epsilon: 1, Delta: 1e-6}, 6, 0, PrivateBatchOptions{})
+	theta, err := NewSolver(cons).SolveHistory(loss.Squared{}, nil, dp.Params{Epsilon: 1, Delta: 1e-6}, 6, 0, PrivateBatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

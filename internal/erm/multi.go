@@ -107,11 +107,11 @@ func (m *MultiStats) Bytes() int {
 // multiStatsVersion is the MultiStats checkpoint format version.
 const multiStatsVersion = 1
 
-// MarshalState serializes the statistics: the shared feature-side state once,
-// then the k per-outcome moments. The blob is O(d² + k·d) regardless of how
-// many rows were folded.
-func (m *MultiStats) MarshalState() ([]byte, error) {
-	var w codec.Writer
+// AppendState appends the statistics to w: the shared feature-side state
+// once, then the k per-outcome moments. The section is O(d² + k·d)
+// regardless of how many rows were folded.
+func (m *MultiStats) AppendState(w *codec.Writer) {
+	w.Grow(8*(len(m.a.Data())+len(m.bs)*(m.Dim()+2)) + 33)
 	w.Version(multiStatsVersion)
 	w.Int(m.Dim())
 	w.Int(len(m.bs))
@@ -121,10 +121,9 @@ func (m *MultiStats) MarshalState() ([]byte, error) {
 		w.F64s(m.bs[i])
 		w.F64(m.yys[i])
 	}
-	return w.Bytes(), nil
 }
 
-// UnmarshalState restores statistics captured by MarshalState into a receiver
+// UnmarshalState restores statistics captured by AppendState into a receiver
 // of the same shape.
 func (m *MultiStats) UnmarshalState(data []byte) error {
 	r := codec.NewReader(data)

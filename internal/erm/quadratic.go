@@ -8,12 +8,12 @@ import (
 	"privreg/internal/constraint"
 	"privreg/internal/dp"
 	"privreg/internal/loss"
-	"privreg/internal/optimize"
 	"privreg/internal/randx"
 	"privreg/internal/vec"
 )
 
-// This file implements the keyed private batch solver: Solver is a reusable
+// This file implements the averaged projected-gradient loop, Solver.Descend,
+// and on it the keyed private batch solver: Solver is a reusable
 // counter-keyed noisy-projected-gradient workspace. Iteration k of invocation
 // i draws its noise as a pure function of (key, i, k) via randx.FillNormalAt,
 // never from a sequential generator, so a solve scheduled at a τ boundary can
@@ -22,8 +22,9 @@ import (
 // solves either over MultiStats sufficient statistics (quadratic losses, one
 // outcome at a time) or over an explicit dataset.
 
-// Solver is a reusable workspace for counter-keyed private batch ERM solves.
-// A solve is a pure function of (problem state, key, invocation index): the
+// Solver is a reusable workspace for counter-keyed private batch ERM solves
+// and, through Descend, for any averaged projected-gradient run. A keyed
+// solve is a pure function of (problem state, key, invocation index): the
 // per-iteration Gaussian noise is randx.FillNormalAt(SubKey(key, invocation),
 // iteration, ·, σ), so the output does not depend on when the solve runs, how
 // many other solves ran before it, or whether any scheduled solve was skipped.
@@ -66,8 +67,7 @@ func (sv *Solver) SolveStats(f loss.Function, stats *MultiStats, i int, p dp.Par
 	if stats.Dim() != sv.c.Dim() {
 		return nil, errors.New("erm: statistics dimension mismatch")
 	}
-	opts.fill(stats.Len())
-	lip := f.Lipschitz(sv.c, opts.XBound, opts.YBound)
+	lip := f.Lipschitz(sv.c, 1, 1)
 	return sv.run(stats.Len(), lip, func(dst, theta vec.Vector) {
 		stats.GradientInto(dst, theta, i, scale, ridge)
 	}, p, key, invocation, opts)
@@ -80,34 +80,22 @@ func (sv *Solver) SolveHistory(f loss.Function, data []loss.Point, p dp.Params, 
 	if f == nil {
 		return nil, errors.New("erm: nil loss")
 	}
-	opts.fill(len(data))
-	lip := f.Lipschitz(sv.c, opts.XBound, opts.YBound)
+	lip := f.Lipschitz(sv.c, 1, 1)
 	return sv.run(len(data), lip, func(dst, theta vec.Vector) {
 		loss.EmpiricalGradientInto(f, dst, theta, data)
 	}, p, key, invocation, opts)
 }
 
-// PrivateBatchAt is the convenience form of Solver.SolveHistory for callers
-// that do not retain a workspace (reference implementations in tests, one-off
-// solves). It allocates a fresh Solver, so the result is identical to any
-// other solver's on the same arguments.
-func PrivateBatchAt(f loss.Function, c constraint.Set, data []loss.Point, p dp.Params, key int64, invocation uint64, opts PrivateBatchOptions) (vec.Vector, error) {
-	if c == nil {
-		return nil, errors.New("erm: nil constraint set")
-	}
-	return NewSolver(c).SolveHistory(f, data, p, key, invocation, opts)
-}
-
-// run is the shared noisy-projected-gradient body in the style of Bassily,
-// Smith and Thakurta: each of the R full-gradient evaluations is privatized
-// with the Gaussian mechanism (per-datapoint gradient sensitivity 2L), the
-// per-iteration budget set by advanced composition over the iterations. The
-// noise is keyed, the buffers are reused, and a tolerance-based early stop
-// ends the run. The early stop fires only
-// when consecutive iterates move less than opts.Tolerance, which genuine
-// privacy noise (σ·step per coordinate) keeps far out of reach, so under real
-// budgets the full run executes and the Appendix-B iterate average is
-// returned; in the negligible-noise regime the stop returns the converged
+// run is the keyed private solve in the style of Bassily, Smith and
+// Thakurta: Descend's averaged noisy projected gradient, where each of the R
+// full-gradient evaluations is privatized with the Gaussian mechanism
+// (per-datapoint gradient sensitivity 2L), the per-iteration budget set by
+// advanced composition over the iterations, and iteration k's noise is
+// randx.FillNormalAt(SubKey(key, invocation), k, ·, σ). The tolerance stop
+// fires only when consecutive iterates move less than opts.Tolerance, which
+// genuine privacy noise (σ·step per coordinate) keeps far out of reach, so
+// under real budgets the full run executes and the Appendix-B iterate average
+// is returned; in the negligible-noise regime the stop returns the converged
 // final iterate. Either way the trajectory — and therefore the stop decision
 // and the output — is a deterministic function of the inputs.
 func (sv *Solver) run(n int, lip float64, gradInto func(dst, theta vec.Vector), p dp.Params, key int64, invocation uint64, opts PrivateBatchOptions) (vec.Vector, error) {
@@ -129,58 +117,100 @@ func (sv *Solver) run(n int, lip float64, gradInto func(dst, theta vec.Vector), 
 		return nil, err
 	}
 	gradErr := sigma * math.Sqrt(float64(d))
-	step := optimize.DefaultStepSize(sv.c.Diameter(), opts.Iterations, gradErr, float64(n)*lip)
+	step := DefaultStepSize(sv.c.Diameter(), opts.Iterations, gradErr, float64(n)*lip)
 	tol := opts.Tolerance
 	if tol == 0 {
-		tol = defaultSolveTolerance
+		tol = exactTolerance
 	} else if tol < 0 {
 		tol = 0
 	}
 	solveKey := randx.SubKey(key, invocation)
-	if opts.Start != nil {
-		if len(opts.Start) != d {
-			return nil, errors.New("erm: start point has wrong dimension")
-		}
-		sv.theta.CopyFrom(opts.Start)
+	theta := sv.Descend(nil, opts.Iterations, step, tol, func(dst, theta vec.Vector, k int) {
+		gradInto(dst, theta)
+		randx.FillNormalAt(solveKey, uint64(k), sv.noise, sigma)
+		dst.AddInPlace(sv.noise)
+	})
+	return theta.Clone(), nil
+}
+
+// Descend runs NOISYPROJGRAD (Appendix B of the paper) in the solver's
+// workspace: iters rounds of θ_{k+1} = P_C(θ_k − step·g_k) from the
+// projection of start (of the origin when start is nil), where grad writes
+// g_k, the possibly noisy gradient at θ_k in round k, into dst. It returns the
+// iterate average θ̄ = (1/r) Σ θ_k. With a gradient oracle whose error is at
+// most α, Proposition B.1 bounds the excess objective of θ̄ by
+// (α+L)‖C‖/√r + α‖C‖ at the step DefaultStepSize, and Corollary B.2 shows
+// r = (1 + L/α)² rounds reach 2α‖C‖. When tol > 0 and an iterate moves less
+// than tol, the run stops and returns that iterate instead. The returned
+// vector is solver workspace, valid until the solver's next solve; iters must
+// be positive.
+func (sv *Solver) Descend(start vec.Vector, iters int, step, tol float64, grad func(dst, theta vec.Vector, k int)) vec.Vector {
+	if iters <= 0 {
+		panic("erm: iteration count must be positive")
+	}
+	if start == nil {
+		sv.theta.Zero()
 	} else {
-		for i := range sv.theta {
-			sv.theta[i] = 0
-		}
+		sv.theta.CopyFrom(start)
 	}
 	sv.projectInPlace(sv.theta)
-	for i := range sv.avg {
-		sv.avg[i] = 0
-	}
-	for k := 0; k < opts.Iterations; k++ {
+	sv.avg.Zero()
+	for k := 0; k < iters; k++ {
 		sv.avg.AddInPlace(sv.theta)
-		gradInto(sv.grad, sv.theta)
-		randx.FillNormalAt(solveKey, uint64(k), sv.noise, sigma)
-		sv.grad.AddInPlace(sv.noise)
+		grad(sv.grad, sv.theta, k)
 		sv.next.CopyFrom(sv.theta)
 		vec.Axpy(sv.next, -step, sv.grad)
 		sv.projectInPlace(sv.next)
-		moved := vec.Dist2(sv.next, sv.theta)
 		sv.theta, sv.next = sv.next, sv.theta
-		if tol > 0 && moved < tol {
+		if tol > 0 && vec.Dist2(sv.theta, sv.next) < tol {
 			// Converged: the final iterate is the minimizer; the running
 			// average would still carry the early transient.
-			return sv.theta.Clone(), nil
+			return sv.theta
 		}
 	}
-	sv.avg.Scale(1 / float64(opts.Iterations))
-	return sv.avg.Clone(), nil
+	sv.avg.Scale(1 / float64(iters))
+	return sv.avg
 }
 
-// defaultSolveTolerance matches the exact solver's convergence threshold; at
-// the scale of real privacy noise it never triggers.
-const defaultSolveTolerance = 1e-10
+// DefaultStepSize returns the constant step size η = ‖C‖ / (√r (α + L)) of
+// Proposition B.1, or 1 when α + L is not positive.
+func DefaultStepSize(diameter float64, iterations int, gradError, lipschitz float64) float64 {
+	denom := math.Sqrt(float64(iterations)) * (gradError + lipschitz)
+	if denom <= 0 {
+		return 1
+	}
+	return diameter / denom
+}
 
-// projectInPlace projects x onto the constraint set, in place when the set
-// has the capability and through a copy otherwise.
-func (sv *Solver) projectInPlace(x vec.Vector) {
-	if sv.inplace != nil {
-		sv.inplace.ProjectInPlace(x)
+// IterationsForTargetError returns the iteration count r = Θ((1 + T‖C‖/α')²)
+// used by Algorithms 2 and 3 of the paper, where α' is the gradient-error scale
+// and T‖C‖ plays the role of the Lipschitz constant of the accumulated loss.
+// The count is clamped to [minIters, maxIters] to keep runtimes sane.
+func IterationsForTargetError(lipschitz, gradError float64, minIters, maxIters int) int {
+	if gradError <= 0 {
+		return maxIters
+	}
+	ratio := 1 + lipschitz/gradError
+	r := int(math.Ceil(ratio * ratio))
+	if r < minIters {
+		r = minIters
+	}
+	if maxIters > 0 && r > maxIters {
+		r = maxIters
+	}
+	return r
+}
+
+// projectInPlace projects x onto the solver's constraint set.
+func (sv *Solver) projectInPlace(x vec.Vector) { project(sv.c, sv.inplace, x) }
+
+// project replaces x with its projection onto c, in place when c has the
+// capability (ip is c's InplaceProjector, or nil) and through a copy
+// otherwise.
+func project(c constraint.Set, ip constraint.InplaceProjector, x vec.Vector) {
+	if ip != nil {
+		ip.ProjectInPlace(x)
 		return
 	}
-	x.CopyFrom(sv.c.Project(x))
+	x.CopyFrom(c.Project(x))
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"privreg/internal/codec"
 	"privreg/internal/constraint"
 	"privreg/internal/dp"
 	"privreg/internal/loss"
@@ -68,10 +69,7 @@ func TestQuadraticStatsMarshalRoundTrip(t *testing.T) {
 	d := 4
 	data := makeRegressionData(30, d, vec.Vector{0.1, 0.2, -0.1, 0}, 0.1, src)
 	stats := foldStats(data, d)
-	blob, err := stats.MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := codec.Encode(stats)
 	restored := NewMultiStats(d, 1)
 	if err := restored.UnmarshalState(blob); err != nil {
 		t.Fatal(err)
@@ -93,10 +91,7 @@ func TestQuadraticStatsMarshalRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		stats.Add(data[i%len(data)].X, []float64{data[i%len(data)].Y})
 	}
-	blob2, err := stats.MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob2 := codec.Encode(stats)
 	if len(blob2) != len(blob) {
 		t.Fatalf("checkpoint grew with stream length: %d -> %d bytes", len(blob), len(blob2))
 	}
@@ -167,8 +162,8 @@ func TestSolverIsPureFunctionOfKeyAndInvocation(t *testing.T) {
 			t.Fatalf("solve not reproducible at coordinate %d: %v vs %v", i, want[i], again[i])
 		}
 	}
-	// A fresh solver — and the convenience PrivateBatchAt — produce the same
-	// bits as the reused workspace on the same arguments.
+	// A fresh solver produces the same bits as the reused workspace on the
+	// same arguments, over the statistics and over the history.
 	fresh, err := NewSolver(cons).SolveStats(loss.Squared{}, stats, 0, quadParams(), key, 5, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +172,7 @@ func TestSolverIsPureFunctionOfKeyAndInvocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist2, err := PrivateBatchAt(loss.Squared{}, cons, data, quadParams(), key, 5, opts)
+	hist2, err := NewSolver(cons).SolveHistory(loss.Squared{}, data, quadParams(), key, 5, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +181,7 @@ func TestSolverIsPureFunctionOfKeyAndInvocation(t *testing.T) {
 			t.Fatalf("fresh solver differs at %d", i)
 		}
 		if hist1[i] != hist2[i] {
-			t.Fatalf("PrivateBatchAt differs from SolveHistory at %d", i)
+			t.Fatalf("fresh SolveHistory differs at %d", i)
 		}
 	}
 	// Different invocations draw different noise.
@@ -211,7 +206,7 @@ func TestSolverAccurateUnderNegligibleNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := Exact(loss.Squared{}, cons, data, ExactOptions{})
+	exact, err := Exact(loss.Squared{}, cons, data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,7 +239,7 @@ func genericExcess(est core.Estimator, f loss.Function, c constraint.Set, data [
 	if err != nil {
 		return 0, err
 	}
-	exact, err := erm.Exact(f, c, data, erm.ExactOptions{})
+	exact, err := erm.Exact(f, c, data)
 	if err != nil {
 		return 0, err
 	}

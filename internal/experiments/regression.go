@@ -83,12 +83,13 @@ func Table1Row3Mech1(opts Options) (*Result, error) {
 			return trialOut{}, err
 		}
 		opt := oracle.Risk(exact)
-		pg := est.Gradient()
+		pgExact := vec.NewVector(d)
+		est.Gradient().GradientInto(pgExact, exact)
 		return trialOut{
 			exc: math.Max(0, oracle.Risk(theta)-opt),
 			opt: opt,
 			// Measured private-gradient error at the exact minimizer (Definition 5).
-			gradErr: vec.Dist2(pg.Eval(exact), oracle.Gradient(exact)),
+			gradErr: vec.Dist2(pgExact, oracle.Gradient(exact)),
 			// Trivial mechanism excess on the same oracle.
 			triv: math.Max(0, oracle.Risk(vec.NewVector(d))-opt),
 		}, nil

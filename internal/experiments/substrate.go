@@ -7,10 +7,10 @@ import (
 	"privreg/internal/constraint"
 	"privreg/internal/core"
 	"privreg/internal/dp"
+	"privreg/internal/erm"
 	"privreg/internal/geom"
 	"privreg/internal/loss"
 	"privreg/internal/metrics"
-	"privreg/internal/optimize"
 	"privreg/internal/randx"
 	"privreg/internal/sketch"
 	"privreg/internal/stream"
@@ -127,12 +127,10 @@ func NoisyPGDConvergence(opts Options) (*Result, error) {
 		}
 		return s
 	}
-	exactGrad := func(th vec.Vector) vec.Vector {
-		g := make(vec.Vector, d)
+	exactGrad := func(dst, th vec.Vector) {
 		for i := range th {
-			g[i] = 2 * weights[i] * (th[i] - center[i])
+			dst[i] = 2 * weights[i] * (th[i] - center[i])
 		}
-		return g
 	}
 	lip := 0.0
 	for i := range weights {
@@ -153,19 +151,13 @@ func NoisyPGDConvergence(opts Options) (*Result, error) {
 	subs, err := parallelMap(opts.workers(), len(cells)*opts.Trials, func(k int) (float64, error) {
 		c, trial := cells[k/opts.Trials], k%opts.Trials
 		tsrc := randx.NewSource(opts.Seed + int64(trial) + int64(c.r)*31)
-		noisy := func(th vec.Vector) vec.Vector {
-			g := exactGrad(th)
+		noisy := func(dst, th vec.Vector, _ int) {
+			exactGrad(dst, th)
 			noise := vec.Vector(tsrc.UnitSphere(d))
-			vec.Axpy(g, c.alpha*tsrc.Float64(), noise)
-			return g
+			vec.Axpy(dst, c.alpha*tsrc.Float64(), noise)
 		}
-		res, err := optimize.NoisyProjected(cons, noisy, optimize.Options{
-			Iterations: c.r, Lipschitz: lip, GradError: c.alpha, Average: true,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return value(res.Theta) - value(center), nil
+		step := erm.DefaultStepSize(cons.Diameter(), c.r, c.alpha, lip)
+		return value(erm.NewSolver(cons).Descend(nil, c.r, step, 0, noisy)) - value(center), nil
 	})
 	if err != nil {
 		return nil, err

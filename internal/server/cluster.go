@@ -127,6 +127,10 @@ type clusterState struct {
 	replayMu sync.Mutex
 	replay   map[string][]replayEntry
 
+	// promoteMu serializes adoptPromoting, so one promotion finishes before
+	// any caller can publish the ring it promotes for.
+	promoteMu sync.Mutex
+
 	// mem is the gossip failure detector runtime; nil when ProbeInterval is
 	// unset (membership off).
 	mem *membership
@@ -210,10 +214,16 @@ func (cs *clusterState) adopt(next *cluster.Ring) bool {
 // — so any stream the new ring assigns to this node exists locally only as a
 // warm standby. Those streams are promoted: sealed, their buffered
 // replicated batches replayed on top of the imported segment, marked
-// authoritative, and unsealed once the new ring is in place. Idempotent and
-// safe against racing adoptions: a stream promoted here was owned by a node
-// both rings agree is gone, so nobody else can be applying to it.
+// authoritative, and unsealed once the new ring is in place. A stream
+// promoted here was owned by a node both rings agree is gone, so nobody else
+// can be applying to it. Calls are serialized: a death this node detects and
+// a peer's broadcast of the same ring arrive together, and without the lock
+// the second caller would find the replay buffer already drained, adopt the
+// ring and unseal while the first was still replaying, so a read routed by
+// the new ring could miss a stream that is still being promoted.
 func (cs *clusterState) adoptPromoting(next *cluster.Ring) bool {
+	cs.promoteMu.Lock()
+	defer cs.promoteMu.Unlock()
 	cur := cs.ring.Load()
 	if next.Version() <= cur.Version() {
 		return false

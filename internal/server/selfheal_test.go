@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -104,6 +106,55 @@ func TestClusterSelfHealingPromotion(t *testing.T) {
 	if stateOfC != "dead" && stateOfC != "left" {
 		t.Fatalf("dead node state = %q, want dead or left (body %s)", stateOfC, raw)
 	}
+}
+
+// TestClusterSelfHealingConcurrentPromotion races the two callers that
+// promote for the same ring — this node's detector and a peer's broadcast —
+// and requires that the ring is published only after every promoted stream
+// holds its whole replayed prefix: a read routed by the new ring must never
+// find a stream still being promoted.
+func TestClusterSelfHealingConcurrentPromotion(t *testing.T) {
+	nodes := startCluster(t, []string{"a", "b", "c"}, nil)
+	cs := nodes[0].s.cl
+	cur := cs.Ring()
+	next, err := cur.Remove("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := testSpec().Horizon
+	var moved []string
+	for _, id := range clusterStreams(400) {
+		if cur.Owner(id).ID == "c" && next.Owner(id).ID == "a" {
+			moved = append(moved, id)
+			for i := 0; i < horizon; i++ {
+				x, y := point(i, 4)
+				cs.replay[id] = append(cs.replay[id], replayEntry{start: int64(i), rows: 1, xs: x, ys: []float64{y}})
+			}
+		}
+	}
+	if len(moved) == 0 {
+		t.Fatal("no stream moves from c to a")
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			cs.adoptPromoting(next)
+		}()
+	}
+	close(start)
+	for cs.Ring().Version() < next.Version() {
+		runtime.Gosched()
+	}
+	for _, id := range moved {
+		if n, _ := nodes[0].s.pool.LenOK(id); n != horizon {
+			t.Errorf("ring v%d published while %s held %d of %d replayed rows", next.Version(), id, n, horizon)
+		}
+	}
+	wg.Wait()
 }
 
 // TestErrorCodeParityAcrossTransports pins the unified taxonomy: for every

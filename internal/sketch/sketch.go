@@ -46,7 +46,7 @@ func NewProjector(m, d int, src *randx.Source) (*Projector, error) {
 	sigma := 1 / math.Sqrt(float64(m))
 	src.FillNormal(phi.Data(), 0, sigma)
 	p := &Projector{m: m, d: d, phi: phi}
-	p.specUpper = phi.PowerIterationSpectralNorm(30, nil) * 1.05
+	p.specUpper = phi.PowerIterationSpectralNorm(30, nil, nil) * 1.05
 	if p.specUpper == 0 {
 		p.specUpper = phi.SpectralNormUpperBound()
 	}

@@ -249,17 +249,12 @@ func (h *Hybrid) SumInto(dst []float64) {
 // the counter-keyed lazy-noise format (see treeStateVersion).
 const hybridStateVersion = 2
 
-// MarshalState implements Mechanism for the Hybrid mechanism: it captures the
+// AppendState implements Mechanism for the Hybrid mechanism: it captures the
 // exact accumulators, the epoch counter, the in-progress epoch (as a nested
-// Tree checkpoint), and the noise key. Snapshot noise is a pure function of
+// Tree section), and the noise key. Snapshot noise is a pure function of
 // (noiseKey, epoch) and is re-materialized on demand after restore.
-func (h *Hybrid) MarshalState() ([]byte, error) {
-	et, err := h.epochTree.MarshalState()
-	if err != nil {
-		return nil, err
-	}
-	var w codec.Writer
-	w.Grow(96 + 8*(len(h.completedExact)+len(h.epochExact)) + len(et))
+func (h *Hybrid) AppendState(w *codec.Writer) {
+	w.Grow(96 + 8*(len(h.completedExact)+len(h.epochExact)))
 	w.Version(hybridStateVersion)
 	w.String("hybrid")
 	w.Int(h.dim)
@@ -269,13 +264,12 @@ func (h *Hybrid) MarshalState() ([]byte, error) {
 	w.F64s(h.completedExact)
 	w.F64s(h.epochExact)
 	w.Int(h.epochs)
-	w.Blob(et)
+	w.Nested(h.epochTree)
 	w.I64(h.noiseKey)
-	return w.Bytes(), nil
 }
 
 // UnmarshalState implements Mechanism: it restores state captured by
-// MarshalState into a Hybrid constructed with the same configuration.
+// AppendState into a Hybrid constructed with the same configuration.
 func (h *Hybrid) UnmarshalState(data []byte) error {
 	r := codec.NewReader(data)
 	r.Version(hybridStateVersion)
@@ -438,10 +432,9 @@ func (n *NaiveSum) SumInto(dst []float64) {
 // is the counter-keyed lazy-noise format (see treeStateVersion).
 const naiveSumStateVersion = 2
 
-// MarshalState implements Mechanism: the exact accumulator, stream position,
+// AppendState implements Mechanism: the exact accumulator, stream position,
 // and noise key. Release noise is a pure function of (noiseKey, t).
-func (n *NaiveSum) MarshalState() ([]byte, error) {
-	var w codec.Writer
+func (n *NaiveSum) AppendState(w *codec.Writer) {
 	w.Version(naiveSumStateVersion)
 	w.String("naive-sum")
 	w.Int(n.dim)
@@ -449,7 +442,6 @@ func (n *NaiveSum) MarshalState() ([]byte, error) {
 	w.Int(n.t)
 	w.F64s(n.exact)
 	w.I64(n.noiseKey)
-	return w.Bytes(), nil
 }
 
 // UnmarshalState implements Mechanism.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"privreg/internal/codec"
 	"privreg/internal/randx"
 )
 
@@ -166,10 +167,7 @@ func TestInterleavedOpsMatchReference(t *testing.T) {
 					case 4: // Sum read
 						check(mech.Sum(), "Sum")
 					case 5: // checkpoint, restore into a differently seeded instance
-						blob, err := mech.MarshalState()
-						if err != nil {
-							t.Fatal(err)
-						}
+						blob := codec.Encode(mech)
 						restored := buildMechanism(t, kind, dim, maxLen, int64(9000+trial))
 						if err := restored.UnmarshalState(blob); err != nil {
 							t.Fatal(err)

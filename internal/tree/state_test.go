@@ -3,6 +3,7 @@ package tree
 import (
 	"testing"
 
+	"privreg/internal/codec"
 	"privreg/internal/dp"
 	"privreg/internal/randx"
 )
@@ -65,10 +66,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			blob, err := half.MarshalState()
-			if err != nil {
-				t.Fatal(err)
-			}
+			blob := codec.Encode(half)
 			// Restore into an instance built with a different seed: every bit of
 			// relevant randomness state must come from the checkpoint.
 			restored := buildMechanism(t, kind, dim, maxLen, 999)
@@ -102,10 +100,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 // mechanism with different structural parameters fails loudly.
 func TestCheckpointStructuralMismatchRejected(t *testing.T) {
 	m := buildMechanism(t, "tree", 3, 64, 1)
-	blob, err := m.MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := codec.Encode(m)
 	if err := buildMechanism(t, "tree", 4, 64, 1).UnmarshalState(blob); err == nil {
 		t.Fatal("dimension mismatch should be rejected")
 	}

@@ -60,12 +60,12 @@ type Mechanism interface {
 	// NoiseSigma returns the per-node (or per-step) Gaussian noise standard
 	// deviation used internally. Exposed for diagnostics and tests.
 	NoiseSigma() float64
-	// MarshalState serializes the mechanism's complete mutable state — partial
-	// sums, stream position, and the noise key — such that a mechanism
-	// constructed with the same configuration and restored with UnmarshalState
-	// continues bit-identically to the original.
-	MarshalState() ([]byte, error)
-	// UnmarshalState restores state captured by MarshalState into a mechanism
+	// AppendState appends the mechanism's complete mutable state — partial
+	// sums, stream position, and the noise key — to w, such that a mechanism
+	// constructed with the same configuration and restored with
+	// UnmarshalState continues bit-identically to the original.
+	AppendState(w *codec.Writer)
+	// UnmarshalState restores state captured by AppendState into a mechanism
 	// constructed with the same configuration; structural parameters are
 	// verified and a mismatch is an error.
 	UnmarshalState(data []byte) error
@@ -375,14 +375,13 @@ func (tr *Tree) ErrorBound(beta float64) float64 {
 // rejected.
 const treeStateVersion = 2
 
-// MarshalState implements Mechanism: it serializes the stream position, the
+// AppendState implements Mechanism: it writes the stream position, the
 // per-level exact partial sums, and the noise key. Together with the
 // construction parameters — which the restoring instance must share, and which
 // are embedded for verification — this is everything needed to continue
 // bit-identically: noise is a pure function of (noiseKey, node), so no sampler
 // position exists to capture.
-func (tr *Tree) MarshalState() ([]byte, error) {
-	var w codec.Writer
+func (tr *Tree) AppendState(w *codec.Writer) {
 	size := 64 // version, kind, five scalars and the key
 	for j := 0; j < tr.levels; j++ {
 		size += 8 + 8*len(tr.alpha[j])
@@ -399,11 +398,10 @@ func (tr *Tree) MarshalState() ([]byte, error) {
 		w.F64s(tr.alpha[j])
 	}
 	w.I64(tr.noiseKey)
-	return w.Bytes(), nil
 }
 
 // UnmarshalState implements Mechanism: it restores state captured by
-// MarshalState into a Tree constructed with the same configuration. The noise
+// AppendState into a Tree constructed with the same configuration. The noise
 // key is taken from the checkpoint (the restoring instance may have been built
 // with a different seed), and all noise memoization is invalidated — it will
 // re-materialize identically on the next released estimate.

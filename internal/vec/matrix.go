@@ -357,19 +357,22 @@ func (m *Matrix) SpectralNormUpperBound() float64 {
 }
 
 // PowerIterationSpectralNorm estimates the spectral norm (largest singular value)
-// of m by running iters rounds of power iteration on mᵀm, starting from v0.
-// If v0 is nil a deterministic all-ones start vector is used. The estimate is a
-// lower bound that converges to the true value as iters grows.
-func (m *Matrix) PowerIterationSpectralNorm(iters int, v0 Vector) float64 {
+// of m by running iters rounds of power iteration on mᵀm. v (length Cols)
+// holds the start vector and is overwritten by the iterates; u (length Rows)
+// is scratch. Callers on a hot path pass buffers they hold; either may be nil
+// and is then allocated, a nil v starting from the deterministic all-ones
+// vector (as does a zero v). The estimate is a lower bound that converges to
+// the true value as iters grows.
+func (m *Matrix) PowerIterationSpectralNorm(iters int, v, u Vector) float64 {
 	if m.cols == 0 || m.rows == 0 {
 		return 0
 	}
-	v := v0
 	if v == nil {
 		v = make(Vector, m.cols)
 		v.Fill(1)
-	} else {
-		v = v.Clone()
+	}
+	if u == nil {
+		u = make(Vector, m.rows)
 	}
 	if v.Normalize() == 0 {
 		v.Fill(1)
@@ -377,12 +380,12 @@ func (m *Matrix) PowerIterationSpectralNorm(iters int, v0 Vector) float64 {
 	}
 	var sigma float64
 	for k := 0; k < iters; k++ {
-		u := m.MulVec(v)
+		m.MulVecTo(u, v)
 		sigma = Norm2(u)
 		if sigma == 0 {
 			return 0
 		}
-		v = m.MulVecT(u)
+		m.MulVecTTo(v, u)
 		if v.Normalize() == 0 {
 			return sigma
 		}

@@ -108,7 +108,7 @@ func TestSpectralNormEstimates(t *testing.T) {
 	if upper < 3-1e-9 {
 		t.Fatalf("upper bound %v below true value 3", upper)
 	}
-	est := m.PowerIterationSpectralNorm(50, Vector{1, 1})
+	est := m.PowerIterationSpectralNorm(50, Vector{1, 1}, nil)
 	if math.Abs(est-3) > 1e-6 {
 		t.Fatalf("power iteration = %v, want 3", est)
 	}

@@ -432,17 +432,15 @@ const (
 	checkpointVersion = 2
 )
 
+// MarshalBinary writes the envelope and the mechanism's section, nested in
+// place, into one buffer.
 func (a *estimatorAdapter) MarshalBinary() ([]byte, error) {
-	inner, err := a.inner.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
 	var w codec.Writer
-	w.Grow(32 + len(a.mechanism) + len(inner))
+	w.Grow(64 + len(a.mechanism))
 	w.String(checkpointMagic)
 	w.Version(checkpointVersion)
 	w.String(a.mechanism)
-	w.Blob(inner)
+	w.Nested(a.inner)
 	return w.Bytes(), nil
 }
 
