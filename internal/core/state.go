@@ -50,10 +50,6 @@ const regStateVersion = 4
 // misparsed.
 const slowStateVersion = 4
 
-// marshal returns e's checkpoint section as a standalone blob: the
-// MarshalBinary of every mechanism.
-func marshal(e codec.Appender) ([]byte, error) { return codec.Encode(e), nil }
-
 func writeHistory(w *codec.Writer, history []loss.Point) {
 	w.Int(len(history))
 	for _, p := range history {
@@ -97,7 +93,7 @@ func (t *TrivialConstant) AppendState(w *codec.Writer) {
 }
 
 // MarshalBinary implements Estimator.
-func (t *TrivialConstant) MarshalBinary() ([]byte, error) { return marshal(t) }
+func (t *TrivialConstant) MarshalBinary() ([]byte, error) { return codec.Encode(t), nil }
 
 // UnmarshalBinary implements Estimator.
 func (t *TrivialConstant) UnmarshalBinary(data []byte) error {
@@ -125,7 +121,7 @@ func (n *NonPrivateIncremental) AppendState(w *codec.Writer) {
 }
 
 // MarshalBinary implements Estimator.
-func (n *NonPrivateIncremental) MarshalBinary() ([]byte, error) { return marshal(n) }
+func (n *NonPrivateIncremental) MarshalBinary() ([]byte, error) { return codec.Encode(n), nil }
 
 // UnmarshalBinary implements Estimator. The solution memo is not part of the
 // checkpoint; the next Estimate recomputes it (deterministically) from the
@@ -184,7 +180,7 @@ func (g *GenericERM) AppendState(w *codec.Writer) {
 }
 
 // MarshalBinary implements Estimator.
-func (g *GenericERM) MarshalBinary() ([]byte, error) { return marshal(g) }
+func (g *GenericERM) MarshalBinary() ([]byte, error) { return codec.Encode(g), nil }
 
 // UnmarshalBinary implements Estimator. The noise key travels in the
 // checkpoint (like the sketch spec of ProjectedRegression), so a mechanism
@@ -307,7 +303,7 @@ func (g *GradientRegression) AppendState(w *codec.Writer) {
 }
 
 // MarshalBinary implements Estimator.
-func (g *GradientRegression) MarshalBinary() ([]byte, error) { return marshal(g) }
+func (g *GradientRegression) MarshalBinary() ([]byte, error) { return codec.Encode(g), nil }
 
 // UnmarshalBinary implements Estimator.
 func (g *GradientRegression) UnmarshalBinary(data []byte) error {
@@ -342,7 +338,7 @@ func (r *ProjectedRegression) AppendState(w *codec.Writer) {
 }
 
 // MarshalBinary implements Estimator.
-func (r *ProjectedRegression) MarshalBinary() ([]byte, error) { return marshal(r) }
+func (r *ProjectedRegression) MarshalBinary() ([]byte, error) { return codec.Encode(r), nil }
 
 // UnmarshalBinary implements Estimator. When the checkpointed sketch spec
 // differs from the constructed one (an estimator restored under a different
