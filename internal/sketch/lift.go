@@ -68,31 +68,49 @@ func lift(tf Transform, c constraint.Set, target vec.Vector, opts LiftOptions) (
 	}
 
 	specUpper := tf.SpectralUpper()
+	step := 0.5
+	if specUpper > 0 {
+		step = 1 / (2 * specUpper * specUpper)
+	}
+	// FISTA workspace, shared by every feasibility check of this lift: the
+	// momentum point, the previous and next iterates, the gradient-step
+	// point, the gradient and residual, a check's best iterate (cand) and the
+	// best feasible point so far (best).
+	y, prev, next, work := vec.NewVector(d), vec.NewVector(d), vec.NewVector(d), vec.NewVector(d)
+	grad, cand, best := vec.NewVector(d), vec.NewVector(d), vec.NewVector(d)
+	residual := vec.NewVector(m)
+	evalResidual := func(th vec.Vector) float64 {
+		tf.ApplyTo(residual, th)
+		residual.SubInPlace(target)
+		return vec.Norm2(residual)
+	}
+	// projectInto writes the projection of x onto set into dst, in place
+	// when the set has the capability.
+	projectInto := func(set constraint.Set, dst, x vec.Vector) {
+		if ip, ok := set.(constraint.InplaceProjector); ok {
+			dst.CopyFrom(x)
+			ip.ProjectInPlace(dst)
+			return
+		}
+		dst.CopyFrom(set.Project(x))
+	}
+	// feasible minimizes f(θ) = ‖Φθ - ϑ‖² over the scaled set with FISTA
+	// (accelerated projected gradient; the gradient Lipschitz constant is
+	// 2‖Φ‖²) from the projection of start (of the origin when nil). It
+	// returns the iterate of smallest residual, in cand (read start before
+	// writing it), and that residual.
 	feasible := func(scale float64, start vec.Vector) (vec.Vector, float64) {
-		// Minimize f(θ) = ‖Φθ - ϑ‖² over the scaled set with FISTA (accelerated
-		// projected gradient); the gradient Lipschitz constant is 2‖Φ‖².
 		set := c.Scale(scale)
-		theta := set.Project(vec.NewVector(d))
-		if start != nil {
-			theta = set.Project(start)
+		if start == nil {
+			work.Zero()
+		} else {
+			work.CopyFrom(start)
 		}
-		step := 0.5
-		if specUpper > 0 {
-			step = 1 / (2 * specUpper * specUpper)
-		}
-		work := vec.NewVector(d)
-		residual := vec.NewVector(m)
-		grad := vec.NewVector(d)
-		y := theta.Clone()
-		prev := theta.Clone()
+		projectInto(set, y, work)
+		prev.CopyFrom(y)
+		cand.CopyFrom(y)
 		tk := 1.0
-		best := theta.Clone()
 		bestRes := math.Inf(1)
-		evalResidual := func(th vec.Vector) float64 {
-			tf.ApplyTo(residual, th)
-			residual.SubInPlace(target)
-			return vec.Norm2(residual)
-		}
 		for k := 0; k < opts.InnerIterations; k++ {
 			// Gradient step at the momentum point y.
 			tf.ApplyTo(residual, y)
@@ -100,39 +118,41 @@ func lift(tf Transform, c constraint.Set, target vec.Vector, opts LiftOptions) (
 			tf.ApplyTransposeTo(grad, residual)
 			work.CopyFrom(y)
 			vec.Axpy(work, -2*step, grad)
-			next := set.Project(work)
+			projectInto(set, next, work)
 			if res := evalResidual(next); res < bestRes {
 				bestRes = res
-				best.CopyFrom(next)
+				cand.CopyFrom(next)
 				if res <= opts.Tolerance {
 					break
 				}
 			}
 			tNext := (1 + math.Sqrt(1+4*tk*tk)) / 2
-			y = next.Clone()
-			vec.Axpy(y, (tk-1)/tNext, vec.Sub(next, prev))
-			prev = next
+			mom := (tk - 1) / tNext
+			for i, v := range next {
+				y[i] = v + mom*(v-prev[i])
+			}
+			prev, next = next, prev
 			tk = tNext
 		}
-		return best, bestRes
+		return cand, bestRes
 	}
 
 	// First check whether the target is reachable within C itself (scale 1).
-	bestTheta, bestRes := feasible(1, nil)
+	th, bestRes := feasible(1, nil)
+	best.CopyFrom(th)
 	if bestRes <= opts.Tolerance {
-		// Bisect downward for the minimum-norm solution.
+		// Bisect downward for the minimum-norm solution, warm-starting each
+		// check from the best feasible point.
 		lo, hi := 0.0, 1.0
-		warm := bestTheta
 		for i := 0; i < opts.OuterIterations; i++ {
 			mid := (lo + hi) / 2
 			if mid <= 0 {
 				break
 			}
-			th, res := feasible(mid, warm)
+			th, res := feasible(mid, best)
 			if res <= opts.Tolerance {
 				hi = mid
-				bestTheta, bestRes = th, res
-				warm = th
+				best.CopyFrom(th)
 			} else {
 				lo = mid
 			}
@@ -140,22 +160,21 @@ func lift(tf Transform, c constraint.Set, target vec.Vector, opts LiftOptions) (
 				break
 			}
 		}
-		return bestTheta, nil
+		return best, nil
 	}
 	// Otherwise grow the scale until feasible (handles the ball-relaxed
 	// projected domain whose points may fall slightly outside ΦC).
 	scale := 1.0
-	warm := bestTheta
 	for scale < opts.MaxScale {
 		scale *= 1.25
-		th, res := feasible(scale, warm)
-		if res < bestRes {
-			bestTheta, bestRes = th, res
-			warm = th
-		}
+		th, res := feasible(scale, best)
 		if res <= opts.Tolerance {
 			return th, nil
 		}
+		if res < bestRes {
+			best.CopyFrom(th)
+			bestRes = res
+		}
 	}
-	return bestTheta, nil
+	return best, nil
 }
