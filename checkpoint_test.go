@@ -270,13 +270,13 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 // state a mechanism holds, the order it is written in, or any estimate or
 // solver output folded into it changes by a single bit.
 var checkpointDigests = map[string]uint64{
-	"gradient":                 0xd68646ab06bc7b53,
-	"projected":                0x6a9f32941e247a7f,
-	"robust-projected":         0x24a57facc265b28a,
+	"gradient":                 0xbd12fc8607ba31fb,
+	"projected":                0xe2a90deeada7ba40,
+	"robust-projected":         0x8cdac4cae5a51bc1,
 	"generic-erm":              0x75c763a8b1c16a87,
 	"naive-recompute":          0x9010b8bde49dfcf7,
 	"nonprivate":               0x24d657b2213ff5e3,
-	"gradient/unknown-horizon": 0x90db0448c40abff3,
+	"gradient/unknown-horizon": 0x5805560ec3969f5b,
 	"multi-outcome":            0xa20fe2d25ed920f7,
 }
 

@@ -165,25 +165,24 @@ func TestSlowPathEstimateAllocs(t *testing.T) {
 // coldRead returns a function that folds one new row into the named
 // regression mechanism (d = 32, T = 2^19, after 1,000 rows) and reads it, so
 // every call is a cold solve; a "projected" read stops before the lift, a
-// "projected+lift" read is the full Estimate. iters pins the PGD iteration
-// count.
-func coldRead(t *testing.T, name string, iters int) func() {
+// "projected+lift" read is the full Estimate. Both solve over an L2 ball, so
+// the solve is the exact trust-region read.
+func coldRead(t *testing.T, name string) func() {
 	t.Helper()
 	const d = 32
 	cons := constraint.NewL2Ball(d, 1)
-	opts := RegressionOptions{MinIterations: iters, MaxIterations: iters}
 	var mech Estimator
 	estimate := func() error { _, err := mech.Estimate(); return err }
 	switch name {
 	case "gradient":
-		g, err := NewGradientRegression(cons, privacy(), 1<<19, randx.NewSource(4), opts)
+		g, err := NewGradientRegression(cons, privacy(), 1<<19, randx.NewSource(4), RegressionOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		mech = g
 	case "projected", "projected+lift":
 		r, err := NewProjectedRegression(cons, cons, privacy(), 1<<19, randx.NewSource(4),
-			ProjectedOptions{ProjectionDim: d / 2, RegressionOptions: opts})
+			ProjectedOptions{ProjectionDim: d / 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,16 +212,14 @@ func coldRead(t *testing.T, name string, iters int) func() {
 
 // TestColdReadAllocs pins the cold regression read: one new row, then the
 // solve. It runs in the core's reused workspaces, so the read allocates only
-// the released vector, whatever the iteration count. A full projected
-// Estimate adds the lift, whose FISTA workspace is allocated once per lift
-// and whose scaled constraint sets are allocated once per feasibility check.
+// the released vector. A full projected Estimate adds the lift, whose FISTA
+// workspace is allocated once per lift and whose scaled constraint sets are
+// allocated once per feasibility check.
 func TestColdReadAllocs(t *testing.T) {
 	budgets := map[string]float64{"gradient": 2, "projected": 2, "projected+lift": 20}
 	for _, name := range []string{"gradient", "projected", "projected+lift"} {
-		for _, iters := range []int{50, 400} {
-			if allocs := testing.AllocsPerRun(50, coldRead(t, name, iters)); allocs > budgets[name] {
-				t.Fatalf("cold %s read at %d iterations allocates %.1f times, budget %.0f", name, iters, allocs, budgets[name])
-			}
+		if allocs := testing.AllocsPerRun(50, coldRead(t, name)); allocs > budgets[name] {
+			t.Fatalf("cold %s read allocates %.1f times, budget %.0f", name, allocs, budgets[name])
 		}
 	}
 }

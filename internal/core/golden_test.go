@@ -72,10 +72,10 @@ func estimateDigest(theta vec.Vector) uint64 {
 // instance. Set PRIVREG_GOLDEN_PRINT=1 to print the digests instead.
 func TestRegressionEstimateGolden(t *testing.T) {
 	want := map[string][]uint64{
-		"gradient-tree":    {0x610800f04488a652, 0x1337651b77a20c6f, 0xe793c48c1b484ae8, 0xc9320cd69e1276fc, 0xedd0f7a72948039b},
-		"gradient-hybrid":  {0xe0de99aeedbfbd5f, 0x9967b79a4c2c4607, 0x9fa4f1eaf4ddd7c1, 0x9f0b13e16cd245de, 0x3b41b2f580fe09b0},
-		"projected":        {0x4603f4669175bccc, 0x868c7f3bb0ddc386, 0x97295bde1f2c3fc1, 0xa73a393a703b451, 0x3ae5e58bfc9520d4},
-		"robust-projected": {0x4603f4669175bccc, 0x203f0589f252638c, 0x5e4887a51100b87b, 0xc6b7489565f5bd37, 0xf960710154b9fc40},
+		"gradient-tree":    {0x88a2368e41d88d63, 0xc3bcd920e58c436e, 0x6849202ffb927468, 0x11c1678c9be41b96, 0xf933d269a443a802},
+		"gradient-hybrid":  {0x7edf7954161665ac, 0x591213fc082944ea, 0x2ab2688596a9b137, 0xd052bd2c95a4142a, 0x82c8171641052ba},
+		"projected":        {0x99a2f3941be71e93, 0x6412fab1dab1af6b, 0x798ffa5a25742e79, 0x9f40ee365486b431, 0x527ca2bea8768a32},
+		"robust-projected": {0x99a2f3941be71e93, 0x7b42871f65f6c878, 0x91bee5934cf2a322, 0xc76536cc379aa0e2, 0xc766415eef6227c},
 	}
 	const wantDropped = 14
 	print := os.Getenv("PRIVREG_GOLDEN_PRINT") != ""

@@ -97,11 +97,12 @@ const confidenceBeta = 0.05
 // covariate for PRIVINCREG1, its projection Φx for PRIVINCREG2 — into two
 // continual-sum mechanisms, the first-moment stream y·v and the second-moment
 // stream svec(v vᵀ) (Steps 3–4 of Algorithm 2), each holding half of the
-// privacy budget, and read an estimate by running noisy projected gradient
-// descent against the private gradient they release, over a solve domain of
-// v's dimension, in a solver workspace held per core. The mechanisms own what
-// comes before the fold (clamping, the sketch) and after the solve (the
-// lift).
+// privacy budget, and read an estimate by minimizing the privatized objective
+// θᵀQ̃θ − 2q̃ᵀθ they release over a solve domain of v's dimension, in solver
+// workspaces held per core: exactly, as a trust-region problem, when the
+// domain is an L2 ball, and otherwise by noisy projected gradient descent
+// against the private gradient. The mechanisms own what comes before the
+// fold (clamping, the sketch) and after the solve (the lift).
 type privateMoments struct {
 	privacy dp.Params
 	horizon int
@@ -112,7 +113,10 @@ type privateMoments struct {
 
 	sumXY, sumXXT tree.Mechanism
 	domain        constraint.Set
-	// solver is the descent workspace over domain.
+	// ball is domain when it is an L2 ball, read exactly through trust;
+	// otherwise nil, and solver is the descent workspace over domain.
+	ball   *constraint.L2Ball
+	trust  erm.TrustRegion
 	solver *erm.Solver
 	// gradErr is the α' of Definition 5 over domain, for the horizon.
 	gradErr float64
@@ -192,10 +196,16 @@ func newPrivateMoments(inDim int, domain constraint.Set, p dp.Params, horizon in
 }
 
 // setDomain sets the solve domain, its solver workspace and the α' sized
-// from its diameter.
+// from its diameter. The domain's type picks the solver: an L2 ball is read
+// exactly, any other set by projected gradient descent.
 func (m *privateMoments) setDomain(domain constraint.Set) {
 	m.domain = domain
-	m.solver = erm.NewSolver(domain)
+	m.ball, m.solver = nil, nil
+	if ball, ok := domain.(*constraint.L2Ball); ok {
+		m.ball = ball
+	} else {
+		m.solver = erm.NewSolver(domain)
+	}
 	m.gradErr = gradientErrorScale(m.sumXY, m.sumXXT, m.horizon, m.dim, domain.Diameter())
 }
 
@@ -250,33 +260,41 @@ func (m *privateMoments) Gradient() *PrivateGradient {
 	return pg
 }
 
-// estimate runs noisy projected gradient descent against the current private
-// gradient over the solve domain and passes the solution through lift (nil
-// for none) to the released estimate. With no new observations since the
-// previous call the memoized estimate is returned. Without warm starts the
-// skipped solve would have produced the identical vector; with WarmStart the
-// memo pins the first solution at this timestep (a repeat solve would refine
-// from the warm-start iterate) — a deliberate, equally valid semantics that
-// the checkpointed memo keeps consistent across restore. The solve runs in
-// the core's workspaces: without a lift, the released copy of the memo is
-// the read's only allocation.
+// estimate minimizes the privatized objective θᵀQ̃θ − 2q̃ᵀθ over the solve
+// domain and passes the solution through lift (nil for none) to the released
+// estimate. Over an L2 ball the minimizer is computed exactly (TrustRegion);
+// over any other domain noisy projected gradient descent runs against the
+// current private gradient. Both are post-processing of the released
+// moments. With no new observations since the previous call the memoized
+// estimate is returned. Without warm starts the skipped solve would have
+// produced the identical vector; with WarmStart the memo pins the first
+// descent solution at this timestep (a repeat solve would refine from the
+// warm-start iterate) — a deliberate, equally valid semantics that the
+// checkpointed memo keeps consistent across restore. The exact read ignores
+// the warm start. The solve runs in the core's workspaces: without a lift,
+// the released copy of the memo is the read's only allocation.
 func (m *privateMoments) estimate(lift func(vec.Vector) (vec.Vector, error)) (vec.Vector, error) {
 	if m.estN == m.n && m.estCache != nil {
 		return m.estCache.Clone(), nil
 	}
 	pg := m.Gradient()
-	diam := m.domain.Diameter()
-	lip := 2 * float64(max(m.n, 1)) * (1 + diam) // Lipschitz bound of the accumulated exact gradient
-	iters := erm.IterationsForTargetError(lip*diam, m.gradErr, m.opts.MinIterations, m.opts.MaxIterations)
-	var start vec.Vector
-	if m.opts.WarmStart {
-		start = m.prev
+	var theta vec.Vector
+	if m.ball != nil {
+		theta, _ = m.trust.Solve(pg.Q, pg.Qv, m.ball.Radius())
+	} else {
+		diam := m.domain.Diameter()
+		lip := 2 * float64(max(m.n, 1)) * (1 + diam) // Lipschitz bound of the accumulated exact gradient
+		iters := erm.IterationsForTargetError(lip*diam, m.gradErr, m.opts.MinIterations, m.opts.MaxIterations)
+		var start vec.Vector
+		if m.opts.WarmStart {
+			start = m.prev
+		}
+		// Reading the private gradient is post-processing, so the solve adds
+		// no noise of its own; the tolerance stop stays off, so it returns
+		// the Appendix-B average.
+		theta = m.solver.Descend(start, iters, smoothStepSize(pg, lip, m.gradErr, diam, iters), 0,
+			func(dst, theta vec.Vector, _ int) { pg.GradientInto(dst, theta) })
 	}
-	// Reading the private gradient is post-processing, so the solve adds no
-	// noise of its own; the tolerance stop stays off, so it returns the
-	// Appendix-B average.
-	theta := m.solver.Descend(start, iters, smoothStepSize(pg, lip, m.gradErr, diam, iters), 0,
-		func(dst, theta vec.Vector, _ int) { pg.GradientInto(dst, theta) })
 	m.prev.CopyFrom(theta)
 	if lift != nil {
 		var err error
@@ -304,11 +322,16 @@ func (m *privateMoments) GradientErrorScale() float64 { return m.gradErr }
 
 // bytes is the core's retained memory: both continual-sum mechanisms
 // (per-level partial sums and noise memos), the iterate, memo and fold
-// buffers, the solver's five domain-sized vectors and, once a read has
+// buffers, the descent solver's five domain-sized vectors or, once a read
+// has allocated it, the trust-region workspace, and, once a read has
 // allocated it, the gradient workspace.
 func (m *privateMoments) bytes() int {
-	return m.sumXY.Bytes() + m.sumXXT.Bytes() + m.grad.bytes() +
-		8*(len(m.prev)+len(m.estCache)+len(m.xyWork)+len(m.svecWork)+5*m.dim)
+	solver := m.trust.Bytes()
+	if m.solver != nil {
+		solver = 8 * 5 * m.dim
+	}
+	return m.sumXY.Bytes() + m.sumXXT.Bytes() + m.grad.bytes() + solver +
+		8*(len(m.prev)+len(m.estCache)+len(m.xyWork)+len(m.svecWork))
 }
 
 // appendMoments appends the core's checkpoint section to w: the count, the

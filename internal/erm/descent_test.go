@@ -177,3 +177,17 @@ func TestDescendToleranceStopReturnsFinalIterate(t *testing.T) {
 		t.Fatalf("final iterate (%v from the optimum) not closer than the average (%v)", vec.Dist2(last, center), vec.Dist2(avg, center))
 	}
 }
+
+// TestDescendAllocs pins the loop allocation-free over a set that projects
+// in place: every vector lives in the solver's workspace.
+func TestDescendAllocs(t *testing.T) {
+	c := constraint.NewL2Ball(16, 1)
+	center := vec.NewVector(16)
+	center.Fill(1)
+	_, grad := quadratic(center)
+	sv := NewSolver(c)
+	step := DefaultStepSize(c.Diameter(), 400, 0, 34)
+	if allocs := testing.AllocsPerRun(20, func() { sv.Descend(nil, 400, step, 0, grad) }); allocs != 0 {
+		t.Fatalf("Descend allocates %.1f times over an L2 ball", allocs)
+	}
+}

@@ -65,7 +65,7 @@ func Exact(f loss.Function, c constraint.Set, data []loss.Point) (vec.Vector, er
 // is not safe for concurrent use.
 type ExactWorkspace struct {
 	a      *vec.Matrix
-	ridge  vec.RidgeWorkspace
+	ridge  vec.CholeskyWorkspace
 	pv, pu vec.Vector
 }
 

@@ -20,76 +20,155 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	if a.Rows() != a.Cols() {
 		return nil, errors.New("vec: Cholesky requires a square matrix")
 	}
-	l := NewMatrix(a.Rows(), a.Rows())
-	if err := choleskyInto(a, l); err != nil {
+	var ws CholeskyWorkspace
+	if err := ws.Factor(a, 0); err != nil {
 		return nil, err
 	}
-	return l, nil
+	return ws.l, nil
 }
 
-// choleskyInto factors a into the caller-provided l (same shape, zeroed or
-// reused), the buffer-reusing core of Cholesky.
-func choleskyInto(a, l *Matrix) error {
+// CholeskyWorkspace holds the Cholesky factor L of a shifted symmetric matrix
+// A + shift·I and the substitution intermediate, so repeated factorizations
+// and solves of same-shaped systems — the ridge solves of the exact oracles,
+// the several shifts of one trust-region solve — allocate nothing after the
+// first. The zero value is ready to use; a workspace is not safe for
+// concurrent use.
+type CholeskyWorkspace struct {
+	l *Matrix
+	y Vector
+	// pivot and deficit record where the last failed Factor stopped: the
+	// index and the value of its first non-positive pivot.
+	pivot   int
+	deficit float64
+}
+
+// Bytes is the memory held by the workspace's buffers.
+func (ws *CholeskyWorkspace) Bytes() int {
+	if ws.l == nil {
+		return 0
+	}
+	return 8 * (len(ws.l.data) + len(ws.y))
+}
+
+// Factor computes the Cholesky factor of a + shift·I into the workspace,
+// reading only the lower triangle of the square matrix a. It returns
+// ErrNotPositiveDefinite, leaving the factor unusable, when a pivot is not
+// positive. The factor is valid for the solves until the next Factor.
+func (ws *CholeskyWorkspace) Factor(a *Matrix, shift float64) error {
 	n := a.Rows()
+	if ws.l == nil || ws.l.rows != n {
+		ws.l = NewMatrix(n, n)
+		ws.y = NewVector(n)
+	}
+	ad, ld := a.data, ws.l.data
 	for j := 0; j < n; j++ {
+		lj := ld[j*n : j*n+j]
 		var sum float64
-		for k := 0; k < j; k++ {
-			v := l.At(j, k)
+		for _, v := range lj {
 			sum += v * v
 		}
-		diag := a.At(j, j) - sum
+		diag := ad[j*n+j] + shift - sum
 		if diag <= 0 || math.IsNaN(diag) {
+			ws.pivot, ws.deficit = j, diag
 			return ErrNotPositiveDefinite
 		}
 		ljj := math.Sqrt(diag)
-		l.Set(j, j, ljj)
-		for i := j + 1; i < n; i++ {
-			var s float64
-			for k := 0; k < j; k++ {
-				s += l.At(i, k) * l.At(j, k)
+		ld[j*n+j] = ljj
+		// Column j below the pivot, four rows at a time: each row's sum
+		// still accumulates in index order, as a row at a time would, but
+		// the four independent sums overlap in the pipeline.
+		i := j + 1
+		for ; i+4 <= n; i += 4 {
+			l0 := ld[i*n : i*n+j]
+			l1, l2, l3 := ld[(i+1)*n:][:len(l0)], ld[(i+2)*n:][:len(l0)], ld[(i+3)*n:][:len(l0)]
+			lk := lj[:len(l0)]
+			var s0, s1, s2, s3 float64
+			for k, v := range l0 {
+				s0 += v * lk[k]
+				s1 += l1[k] * lk[k]
+				s2 += l2[k] * lk[k]
+				s3 += l3[k] * lk[k]
 			}
-			l.Set(i, j, (a.At(i, j)-s)/ljj)
+			ld[i*n+j] = (ad[i*n+j] - s0) / ljj
+			ld[(i+1)*n+j] = (ad[(i+1)*n+j] - s1) / ljj
+			ld[(i+2)*n+j] = (ad[(i+2)*n+j] - s2) / ljj
+			ld[(i+3)*n+j] = (ad[(i+3)*n+j] - s3) / ljj
+		}
+		for ; i < n; i++ {
+			li := ld[i*n : i*n+j]
+			lk := lj[:len(li)]
+			var s float64
+			for k, v := range li {
+				s += v * lk[k]
+			}
+			ld[i*n+j] = (ad[i*n+j] - s) / ljj
 		}
 	}
 	return nil
+}
+
+// NegativeCurvature returns, after a Factor of A + shift·I that failed at
+// pivot j with the non-positive value δ, the Rayleigh quotient δ/‖u‖² ≤ 0 of
+// A + shift·I at the vector u with u_j = 1, zeros beyond j, and leading part
+// −L⁻ᵀl for the computed part l of row j of the factor, so that
+// uᵀ(A + shift·I)u = δ (Moré and Sorensen, §4). The smallest eigenvalue of
+// A + shift·I is at most the returned value, which is NaN when the pivot was.
+func (ws *CholeskyWorkspace) NegativeCurvature() float64 {
+	n, j := ws.l.rows, ws.pivot
+	ld := ws.l.data
+	u := ws.y[:j]
+	norm := 1.0
+	for i := j - 1; i >= 0; i-- {
+		s := -ld[j*n+i]
+		for k := i + 1; k < j; k++ {
+			s -= ld[k*n+i] * u[k]
+		}
+		u[i] = s / ld[i*n+i]
+		norm += u[i] * u[i]
+	}
+	return ws.deficit / norm
+}
+
+// SolveLower writes into x the solution of L x = b (forward substitution).
+// x may alias b.
+func (ws *CholeskyWorkspace) SolveLower(x, b Vector) {
+	n := len(b)
+	ld := ws.l.data
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for k, v := range ld[i*n : i*n+i] {
+			s -= v * x[k]
+		}
+		x[i] = s / ld[i*n+i]
+	}
+}
+
+// SolveUpper writes into x the solution of Lᵀ x = y (backward
+// substitution). x may alias y.
+func (ws *CholeskyWorkspace) SolveUpper(x, y Vector) {
+	n := len(y)
+	ld := ws.l.data
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < n; k++ {
+			s -= ld[k*n+i] * x[k]
+		}
+		x[i] = s / ld[i*n+i]
+	}
+}
+
+// Solve writes into x the solution of L Lᵀ x = b, the factored system. x
+// may alias b.
+func (ws *CholeskyWorkspace) Solve(x, b Vector) {
+	ws.SolveLower(ws.y, b)
+	ws.SolveUpper(x, ws.y)
 }
 
 // SolveSPD solves A x = b for a symmetric positive definite A via Cholesky
 // factorization. A ridge term may be added by the caller beforehand to make a
 // positive semi-definite system strictly positive definite.
 func SolveSPD(a *Matrix, b Vector) (Vector, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) != a.Rows() {
-		return nil, errors.New("vec: SolveSPD dimension mismatch")
-	}
-	return solveCholesky(l, b, make(Vector, len(b))), nil
-}
-
-// solveCholesky solves L Lᵀ x = b given the Cholesky factor L, using y as the
-// forward-substitution scratch; the returned solution is freshly allocated.
-func solveCholesky(l *Matrix, b, y Vector) Vector {
-	n := len(b)
-	// Forward substitution: L y = b.
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
-		}
-		y[i] = s / l.At(i, i)
-	}
-	// Backward substitution: Lᵀ x = y.
-	x := make(Vector, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
-		}
-		x[i] = s / l.At(i, i)
-	}
-	return x
+	return SolveRidge(a, b, 0)
 }
 
 // SolveRidge solves (A + lambda I) x = b. It is the workhorse for solving the
@@ -98,28 +177,12 @@ func SolveRidge(a *Matrix, b Vector, lambda float64) (Vector, error) {
 	return SolveRidgeWith(nil, a, b, lambda)
 }
 
-// RidgeWorkspace holds the factorization buffers of a ridge solve — the
-// regularized copy of A, its Cholesky factor, and the substitution
-// intermediate — so repeated solves of same-shaped systems (the incremental
-// least-squares estimators re-solve their d×d normal equations on every new
-// estimate) allocate only the returned solution vector.
-type RidgeWorkspace struct {
-	reg *Matrix
-	l   *Matrix
-	y   Vector
-}
-
-func (ws *RidgeWorkspace) ensure(n int) {
-	if ws.reg == nil || ws.reg.Rows() != n {
-		ws.reg = NewMatrix(n, n)
-		ws.l = NewMatrix(n, n)
-		ws.y = NewVector(n)
-	}
-}
-
-// SolveRidgeWith is SolveRidge with reusable factorization buffers; ws may be
-// nil (a transient workspace is used).
-func SolveRidgeWith(ws *RidgeWorkspace, a *Matrix, b Vector, lambda float64) (Vector, error) {
+// SolveRidgeWith is SolveRidge with a reusable factorization workspace, so
+// repeated solves of same-shaped systems (the incremental least-squares
+// estimators re-solve their d×d normal equations on every new estimate)
+// allocate only the returned solution vector; ws may be nil (a transient
+// workspace is used).
+func SolveRidgeWith(ws *CholeskyWorkspace, a *Matrix, b Vector, lambda float64) (Vector, error) {
 	if lambda < 0 {
 		return nil, errors.New("vec: negative ridge parameter")
 	}
@@ -131,17 +194,14 @@ func SolveRidgeWith(ws *RidgeWorkspace, a *Matrix, b Vector, lambda float64) (Ve
 		return nil, errors.New("vec: SolveRidge dimension mismatch")
 	}
 	if ws == nil {
-		ws = &RidgeWorkspace{}
+		ws = &CholeskyWorkspace{}
 	}
-	ws.ensure(n)
-	copy(ws.reg.Data(), a.Data())
-	for i := 0; i < n; i++ {
-		ws.reg.Incr(i, i, lambda)
-	}
-	if err := choleskyInto(ws.reg, ws.l); err != nil {
+	if err := ws.Factor(a, lambda); err != nil {
 		return nil, err
 	}
-	return solveCholesky(ws.l, b, ws.y), nil
+	x := NewVector(n)
+	ws.Solve(x, b)
+	return x, nil
 }
 
 // QR holds a thin Householder QR factorization of an n x d matrix with n >= d.

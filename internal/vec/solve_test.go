@@ -180,3 +180,75 @@ func TestCholeskyNaNRejected(t *testing.T) {
 		t.Fatal("NaN matrix should be rejected")
 	}
 }
+
+// TestCholeskyWorkspaceShiftedSolve checks Factor with a shift against
+// SolveRidge's system and the split substitutions against the full solve.
+func TestCholeskyWorkspaceShiftedSolve(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	a := spdMatrix(r, 6)
+	b := randomVector(r, 6)
+	var ws CholeskyWorkspace
+	if err := ws.Factor(a, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	x := NewVector(6)
+	ws.Solve(x, b)
+	want, err := SolveRidge(a, b, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(x, want, 0) {
+		t.Fatalf("shifted solve %v, SolveRidge %v", x, want)
+	}
+	y := b.Clone()
+	ws.SolveLower(y, y)
+	ws.SolveUpper(y, y)
+	if !Equal(y, x, 0) {
+		t.Fatalf("in-place substitutions %v, solve %v", y, x)
+	}
+}
+
+// TestNegativeCurvatureBoundsSmallestEigenvalue checks the breakdown
+// certificate of a failed factorization: on symmetric matrices with known
+// spectrum, shifted below the smallest eigenvalue, the returned Rayleigh
+// quotient lies between the shifted smallest eigenvalue and zero.
+func TestNegativeCurvatureBoundsSmallestEigenvalue(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + r.Intn(10)
+		// A = H·diag(eig)·H for a Householder reflection H = I − 2vvᵀ.
+		v := randomVector(r, n)
+		v.Scale(1 / Norm2(v))
+		eig := randomVector(r, n)
+		minEig := eig[0]
+		for _, e := range eig {
+			minEig = math.Min(minEig, e)
+		}
+		a := NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				var s float64
+				for k := 0; k < n; k++ {
+					hik, hjk := -2*v[i]*v[k], -2*v[j]*v[k]
+					if i == k {
+						hik++
+					}
+					if j == k {
+						hjk++
+					}
+					s += hik * eig[k] * hjk
+				}
+				a.Set(i, j, s)
+			}
+		}
+		shift := -minEig - 0.1 - r.Float64()
+		var ws CholeskyWorkspace
+		if err := ws.Factor(a, shift); err == nil {
+			t.Fatalf("trial %d: factored a matrix with smallest eigenvalue %g", trial, minEig+shift)
+		}
+		rho := ws.NegativeCurvature()
+		if rho > 0 || rho < minEig+shift-1e-9 {
+			t.Fatalf("trial %d: curvature %g outside [%g, 0]", trial, rho, minEig+shift)
+		}
+	}
+}
