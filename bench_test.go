@@ -270,51 +270,44 @@ func BenchmarkMechanismObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkMechanismEstimate measures the cost of producing a private estimate
-// (post-processing the private gradient with the optimizer, plus lifting for
-// the projected mechanism).
+// BenchmarkMechanismEstimate measures a cold private estimate: every
+// iteration observes one new row, so the read is never served from the
+// memo, and then solves (and lifts, for the projected mechanism). The L1
+// cases run projected gradient descent; gradient-l2 solves over an L2 ball,
+// by the exact trust-region read, at the serving shape d = 32, T = 2^19.
 func BenchmarkMechanismEstimate(b *testing.B) {
-	d := 32
-	build := func(projected bool) Estimator {
-		mech := "gradient"
-		if projected {
-			mech = "projected"
-		}
-		est, err := New(mech,
-			WithEpsilonDelta(1, 1e-6), WithHorizon(256),
-			WithConstraint(L1Constraint(d, 1)), WithDomain(SparseDomain(d, 3)),
-			WithSeed(5), WithMaxIterations(100))
+	const d = 32
+	run := func(b *testing.B, mech string, rows int, opts ...Option) {
+		est, err := New(mech, append([]Option{WithEpsilonDelta(1, 1e-6), WithSeed(5)}, opts...)...)
 		if err != nil {
 			b.Fatal(err)
 		}
 		src := randx.NewSource(6)
-		for i := 0; i < 64; i++ {
-			x := src.SparseVector(d, 3)
+		for i := 0; i < rows; i++ {
+			if err := est.Observe(src.SparseVector(d, 3), 0.2); err != nil {
+				b.Fatal(err)
+			}
+		}
+		x := src.SparseVector(d, 3)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			if err := est.Observe(x, 0.2); err != nil {
 				b.Fatal(err)
 			}
+			if _, err := est.Estimate(); err != nil {
+				b.Fatal(err)
+			}
 		}
-		return est
 	}
-	b.Run("reg1", func(b *testing.B) {
-		est := build(false)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := est.Estimate(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reg2-with-lift", func(b *testing.B) {
-		est := build(true)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := est.Estimate(); err != nil {
-				b.Fatal(err)
-			}
-		}
+	l1 := func(b *testing.B) []Option {
+		return []Option{WithHorizon(64 + b.N), WithConstraint(L1Constraint(d, 1)),
+			WithDomain(SparseDomain(d, 3)), WithMaxIterations(100)}
+	}
+	b.Run("reg1", func(b *testing.B) { run(b, "gradient", 64, l1(b)...) })
+	b.Run("reg2-with-lift", func(b *testing.B) { run(b, "projected", 64, l1(b)...) })
+	b.Run("gradient-l2/d=32/T=2^19", func(b *testing.B) {
+		run(b, "gradient", 1000, WithHorizon(max(1<<19, 1000+b.N)), WithConstraint(L2Constraint(d, 1)))
 	})
 }
 

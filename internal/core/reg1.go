@@ -18,11 +18,15 @@ type RegressionOptions struct {
 	// of each Estimate call. The paper's setting r = Θ((1 + T‖C‖/α')²) can be
 	// astronomically large for small noise scales; the clamp trades a little
 	// optimization accuracy (never the dominant error term in practice) for
-	// bounded per-timestep cost. Defaults: 50 and 400.
+	// bounded per-timestep cost. Defaults: 50 and 400. They govern only solve
+	// domains other than an L2 ball: an L2 ball is read exactly, as a
+	// trust-region problem, with no iteration budget.
 	MinIterations, MaxIterations int
 	// WarmStart reuses the previous timestep's estimate as the optimizer's
 	// starting point instead of restarting from the projection of the origin.
-	// This is the ablation toggled by BenchmarkAblationWarmStart.
+	// Like the iteration clamp it governs only non-ball solve domains. This is
+	// the ablation toggled by BenchmarkAblationWarmStart, which runs over an
+	// L1 ball.
 	WarmStart bool
 	// UseHybridTree switches the continual-sum substrate from the fixed-horizon
 	// Tree Mechanism to the Hybrid Mechanism, removing the need for an accurate
@@ -48,8 +52,9 @@ func (o *RegressionOptions) fill() {
 // Mechanism instances — one for the first-moment stream x_t·y_t and one for the
 // second-moment stream svec(x_t x_tᵀ), the packed isometric embedding of the
 // outer product — each holding half of the privacy budget. At
-// any timestep the current regression estimate is obtained by running noisy
-// projected gradient descent against the private gradient, which is free
+// any timestep the current regression estimate is obtained by minimizing the
+// privatized objective — exactly over an L2 ball, by noisy projected
+// gradient descent against the private gradient otherwise — which is free
 // post-processing. Its worst-case excess risk is O(√d·log^{3/2}T·‖C‖²/ε)
 // (Theorem 4.2), tight in general. It is the private-moment core run on the
 // clamped covariates, solving over C itself.
@@ -103,8 +108,9 @@ func (g *GradientRegression) ObserveBatch(ps []loss.Point) error {
 	return nil
 }
 
-// Estimate implements Estimator: run noisy projected gradient descent over C
-// against the current private gradient function, memoized per timestep.
+// Estimate implements Estimator: minimize the privatized objective over C
+// (exactly over an L2 ball, by noisy projected gradient descent otherwise),
+// memoized per timestep.
 func (g *GradientRegression) Estimate() (vec.Vector, error) { return g.estimate(nil) }
 
 // StateBytes reports the retained per-stream memory of the mechanism: the

@@ -45,8 +45,10 @@ type ProjectedOptions struct {
 // linear regression in a lower-dimensional Gaussian random projection of the
 // problem. Covariates are projected (and rescaled) through a fixed Φ with
 // i.i.d. N(0, 1/m) entries, a private gradient function of the projected
-// least-squares objective is maintained with the Tree Mechanism, noisy
-// projected gradient descent is run in the projected space, and the solution is
+// least-squares objective is maintained with the Tree Mechanism, the
+// privatized objective is minimized in the projected space (exactly on a
+// Euclidean-ball domain, such as the default relaxation of ΦC, and by noisy
+// projected gradient descent on a polytope image), and the solution is
 // lifted back to the original constraint set by Minkowski-functional
 // minimization (Theorem 5.3). The excess risk scales as ≈ T^{1/3}·W^{2/3} with
 // W = w(X)+w(C) (Theorem 5.7), beating the √d bound of Algorithm 2 whenever the

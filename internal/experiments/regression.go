@@ -349,16 +349,18 @@ func RobustMixedDomain(opts Options) (*Result, error) {
 }
 
 // AblationWarmStart compares restarting the per-timestep optimizer from scratch
-// against warm-starting from the previous estimate (ablation A2).
+// against warm-starting from the previous estimate (ablation A2). It runs
+// over an L1 ball: an L2 ball is read exactly, where the start point plays no
+// part, so only the projected-gradient path has a warm start to ablate.
 func AblationWarmStart(opts Options) (*Result, error) {
 	opts.fill()
 	d, horizon := 16, 128
 	if opts.Quick {
 		d, horizon = 8, 48
 	}
-	table := metrics.NewTable("Ablation: warm-start vs cold-start optimizer in PRIVINCREG1",
+	table := metrics.NewTable("Ablation: warm-start vs cold-start optimizer in PRIVINCREG1 (L1 ball)",
 		"variant", "excess", "OPT")
-	cons := constraint.NewL2Ball(d, 1)
+	cons := constraint.NewL1Ball(d, 1)
 	variants := []bool{false, true}
 	type trialOut struct{ exc, opt float64 }
 	outs, err := parallelMap(opts.workers(), len(variants)*opts.Trials, func(k int) (trialOut, error) {

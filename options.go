@@ -99,7 +99,9 @@ func WithSeed(seed int64) Option {
 }
 
 // WithWarmStart controls whether each Estimate starts its optimizer from the
-// previous estimate instead of from scratch.
+// previous estimate instead of from scratch. The gradient, projected and
+// robust-projected mechanisms read an L2-ball solve domain exactly, with no
+// start point, so for them it governs only other domains.
 func WithWarmStart(enabled bool) Option {
 	return func(s *settings) error {
 		s.cfg.WarmStart = enabled
@@ -108,7 +110,8 @@ func WithWarmStart(enabled bool) Option {
 }
 
 // WithMaxIterations caps the per-estimate optimizer iterations (0 restores the
-// default).
+// default). For the gradient, projected and robust-projected mechanisms it
+// governs only solve domains other than an L2 ball, which is read exactly.
 func WithMaxIterations(n int) Option {
 	return func(s *settings) error {
 		if n < 0 {

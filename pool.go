@@ -246,7 +246,9 @@ func (p *Pool) Estimate(id string) ([]float64, error) {
 // state, so the on-disk segment stays a valid snapshot and estimate-only
 // traffic costs no checkpoint writes. With WithWarmStart the optimizer's
 // start point feeds future outputs, so warm-started pools treat an estimate
-// as a mutation.
+// as a mutation. The start point feeds outputs only on solve domains other
+// than an L2 ball, which the regression mechanisms read exactly; there an
+// estimate still updates the recorded start point that checkpoints carry.
 func (p *Pool) EstimateOutcome(id string, i int) ([]float64, error) {
 	var theta []float64
 	read := func(st store.Stream) error {

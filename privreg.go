@@ -210,13 +210,16 @@ type config struct {
 	// Seed seeds all randomness (noise and projections) for reproducibility.
 	Seed int64
 	// WarmStart makes the per-timestep optimizer start from the previous
-	// estimate rather than from scratch.
+	// estimate rather than from scratch. The regression mechanisms read an
+	// L2-ball solve domain exactly, so there it has no effect.
 	WarmStart bool
 	// UnknownHorizon switches the regression mechanisms to the Hybrid
 	// continual-sum mechanism so that Horizon only acts as an optimization
 	// heuristic, not a hard limit.
 	UnknownHorizon bool
 	// MaxIterations caps the per-estimate optimizer iterations (0 = default).
+	// For the regression mechanisms it governs only solve domains other than
+	// an L2 ball, which is read exactly.
 	MaxIterations int
 	// Tau overrides the recomputation period of generic-erm (0 = the paper's
 	// theory-optimal choice).
