@@ -19,7 +19,8 @@ import (
 // Newton's method on the secular equation 1/‖θ(λ)‖ = 1/R inside a Gershgorin
 // bracket on λ, one Cholesky factorization of A + λI per step. A step that
 // leaves the bracket is replaced by a safeguarded one, and a failed
-// factorization raises the bracket's lower end. In the hard case, where b is
+// factorization raises the bracket's lower end by the negative curvature it
+// exposes. In the hard case, where b is
 // (nearly) orthogonal to the bottom eigenvector of an indefinite A and no
 // positive definite shift reaches the boundary, the solution is completed by
 // a step to the boundary along an approximate bottom eigenvector found by
@@ -56,9 +57,9 @@ const (
 	// bracketTol is the relative width at which the bracket on λ has
 	// collapsed to working precision.
 	bracketTol = 1e-14
-	// maxFactorizations caps the factorizations of one solve. The
-	// safeguarded steps at least halve the bracket's logarithmic width, so
-	// the cap is reached only when rounding stalls the bracket.
+	// maxFactorizations caps the factorizations of one solve. Safeguarded
+	// steps shrink the bracket geometrically, so the cap is reached only
+	// when rounding stalls it.
 	maxFactorizations = 100
 )
 
@@ -93,10 +94,9 @@ func (tr *TrustRegion) Solve(a *vec.Matrix, b vec.Vector, radius float64) (vec.V
 			// A + λI is not positive definite: its smallest eigenvalue is
 			// at most the Rayleigh quotient ρ ≤ 0 at the factorization's
 			// breakdown, so λ* ≥ −λ₁(A) ≥ λ − ρ.
-			if rho := tr.chol.NegativeCurvature(); rho <= 0 {
+			lo = math.Max(lo, lam)
+			if rho := tr.chol.NegativeCurvature(); rho < 0 {
 				lo = math.Max(lo, lam-rho)
-			} else {
-				lo = math.Max(lo, lam)
 			}
 		} else {
 			tr.chol.Solve(tr.theta, b)
