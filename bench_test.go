@@ -272,9 +272,12 @@ func BenchmarkMechanismObserve(b *testing.B) {
 
 // BenchmarkMechanismEstimate measures a cold private estimate: every
 // iteration observes one new row, so the read is never served from the
-// memo, and then solves (and lifts, for the projected mechanism). The L1
-// cases run projected gradient descent; gradient-l2 solves over an L2 ball,
-// by the exact trust-region read, at the serving shape d = 32, T = 2^19.
+// memo, and then solves (and lifts, for the projected mechanism). reg1 solves
+// over an L1 ball by projected gradient descent. The projected mechanism
+// solves over its default domain, an L2 ball in the m-space, by the exact
+// trust-region read, and then lifts onto C: an L1 ball for reg2-with-lift,
+// an L2 ball for projected-l2. gradient-l2 reads exactly over an L2 ball at
+// the serving shape d = 32, T = 2^19.
 func BenchmarkMechanismEstimate(b *testing.B) {
 	const d = 32
 	run := func(b *testing.B, mech string, rows int, opts ...Option) {
@@ -301,13 +304,16 @@ func BenchmarkMechanismEstimate(b *testing.B) {
 		}
 	}
 	l1 := func(b *testing.B) []Option {
-		return []Option{WithHorizon(64 + b.N), WithConstraint(L1Constraint(d, 1)),
-			WithDomain(SparseDomain(d, 3)), WithMaxIterations(100)}
+		return []Option{WithHorizon(64 + b.N), WithConstraint(L1Constraint(d, 1)), WithDomain(SparseDomain(d, 3))}
 	}
-	b.Run("reg1", func(b *testing.B) { run(b, "gradient", 64, l1(b)...) })
+	l2 := func(b *testing.B) []Option {
+		return []Option{WithHorizon(max(1<<19, 1000+b.N)), WithConstraint(L2Constraint(d, 1))}
+	}
+	b.Run("reg1", func(b *testing.B) { run(b, "gradient", 64, append(l1(b), WithMaxIterations(100))...) })
 	b.Run("reg2-with-lift", func(b *testing.B) { run(b, "projected", 64, l1(b)...) })
-	b.Run("gradient-l2/d=32/T=2^19", func(b *testing.B) {
-		run(b, "gradient", 1000, WithHorizon(max(1<<19, 1000+b.N)), WithConstraint(L2Constraint(d, 1)))
+	b.Run("gradient-l2/d=32/T=2^19", func(b *testing.B) { run(b, "gradient", 1000, l2(b)...) })
+	b.Run("projected-l2/d=32/T=2^19", func(b *testing.B) {
+		run(b, "projected", 1000, append(l2(b), WithDomain(SparseDomain(d, 3)))...)
 	})
 }
 

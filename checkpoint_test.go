@@ -270,13 +270,13 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 // state a mechanism holds, the order it is written in, or any estimate or
 // solver output folded into it changes by a single bit.
 var checkpointDigests = map[string]uint64{
-	"gradient":                 0xbd12fc8607ba31fb,
-	"projected":                0xe2a90deeada7ba40,
-	"robust-projected":         0x8cdac4cae5a51bc1,
+	"gradient":                 0x39d90d7acc16269f,
+	"projected":                0x223b88ee8503c827,
+	"robust-projected":         0x2ede1f8bfe617a4a,
 	"generic-erm":              0x75c763a8b1c16a87,
 	"naive-recompute":          0x9010b8bde49dfcf7,
 	"nonprivate":               0x24d657b2213ff5e3,
-	"gradient/unknown-horizon": 0x5805560ec3969f5b,
+	"gradient/unknown-horizon": 0xe691186f43f1da03,
 	"multi-outcome":            0xa20fe2d25ed920f7,
 }
 

@@ -72,10 +72,10 @@ func estimateDigest(theta vec.Vector) uint64 {
 // instance. Set PRIVREG_GOLDEN_PRINT=1 to print the digests instead.
 func TestRegressionEstimateGolden(t *testing.T) {
 	want := map[string][]uint64{
-		"gradient-tree":    {0x88a2368e41d88d63, 0xc3bcd920e58c436e, 0x6849202ffb927468, 0x11c1678c9be41b96, 0xf933d269a443a802},
-		"gradient-hybrid":  {0x7edf7954161665ac, 0x591213fc082944ea, 0x2ab2688596a9b137, 0xd052bd2c95a4142a, 0x82c8171641052ba},
-		"projected":        {0x99a2f3941be71e93, 0x6412fab1dab1af6b, 0x798ffa5a25742e79, 0x9f40ee365486b431, 0x527ca2bea8768a32},
-		"robust-projected": {0x99a2f3941be71e93, 0x7b42871f65f6c878, 0x91bee5934cf2a322, 0xc76536cc379aa0e2, 0xc766415eef6227c},
+		"gradient-tree":    {0x968a3e53bb27cc85, 0x1288427f98517482, 0x90dc16ed96712219, 0xfa94686df35948d7, 0x953717267a8d8402},
+		"gradient-hybrid":  {0x4ec2d94b28f837ab, 0x1a54ed982b053a33, 0x4304e48fc9726d0a, 0x28d708c3d3dfadeb, 0x366615668a54bfb9},
+		"projected":        {0xb46070e58e178e62, 0xc61f8f82aa5bed57, 0xd83c7329a2c1a5a3, 0x86628edc62024492, 0x93a9860069d87cf1},
+		"robust-projected": {0xb46070e58e178e62, 0x66fbf5d3f46667f9, 0x15fa7420c4955927, 0xf668606effe9e453, 0x67231faa2962894b},
 	}
 	const wantDropped = 14
 	print := os.Getenv("PRIVREG_GOLDEN_PRINT") != ""

@@ -30,7 +30,8 @@ type PrivateGradient struct {
 	Q *vec.Matrix
 	// Qv is the private estimate of Σ x_i y_i.
 	Qv vec.Vector
-	// pv and pu are the power iteration's vectors for the step size.
+	// pv and pu are the power iteration's vectors for the descent step
+	// size, allocated by its first use.
 	pv, pu vec.Vector
 }
 
@@ -60,6 +61,9 @@ func (g *PrivateGradient) bytes() int {
 // privatized objective. The power iteration runs in pg's buffers.
 func smoothStepSize(pg *PrivateGradient, lip, gradErr, diameter float64, iters int) float64 {
 	def := erm.DefaultStepSize(diameter, iters, gradErr, lip)
+	if pg.pv == nil {
+		pg.pv, pg.pu = vec.NewVector(len(pg.Qv)), vec.NewVector(len(pg.Qv))
+	}
 	pg.pv.Fill(1)
 	spec := pg.Q.PowerIterationSpectralNorm(30, pg.pv, pg.pu)
 	if smooth := 1 / (2.1 * spec); spec > 0 && smooth > def {
@@ -83,8 +87,14 @@ func smoothStepSize(pg *PrivateGradient, lip, gradErr, diameter float64, iters i
 func gradientErrorScale(sumXY, sumXXT tree.Mechanism, horizon, dim int, diameter float64) float64 {
 	rd := math.Sqrt(float64(dim))
 	sumErr := sumXY.ReleaseSigma(horizon) * (rd + math.Sqrt(2*math.Log(1/confidenceBeta)))
-	matErr := 2 * sumXXT.ReleaseSigma(horizon) * rd
-	return 2 * (diameter*matErr + sumErr)
+	return 2 * (diameter*secondMomentNoise(sumXXT, horizon, dim) + sumErr)
+}
+
+// secondMomentNoise returns 2σ_r√d, the bound on the spectral norm of the
+// d×d noise matrix in a release of the second-moment mechanism sumXXT that
+// enters gradientErrorScale.
+func secondMomentNoise(sumXXT tree.Mechanism, horizon, dim int) float64 {
+	return 2 * sumXXT.ReleaseSigma(horizon) * math.Sqrt(float64(dim))
 }
 
 // confidenceBeta is the failure probability β that sizes the regression
@@ -120,7 +130,10 @@ type privateMoments struct {
 	solver *erm.Solver
 	// gradErr is the α' of Definition 5 over domain, for the horizon.
 	gradErr float64
-	n       int
+	// floor is ρ, the bound on the spectral norm of the second-moment
+	// noise: the exact read lifts Q̃'s spectrum to it.
+	floor float64
+	n     int
 	// prev is the warm-start iterate in the solve domain.
 	prev vec.Vector
 	// estCache memoizes the released estimate computed at observation count
@@ -207,6 +220,7 @@ func (m *privateMoments) setDomain(domain constraint.Set) {
 		m.solver = erm.NewSolver(domain)
 	}
 	m.gradErr = gradientErrorScale(m.sumXY, m.sumXXT, m.horizon, m.dim, domain.Diameter())
+	m.floor = secondMomentNoise(m.sumXXT, m.horizon, m.dim)
 }
 
 // admit checks a run of points before any is consumed — horizon capacity
@@ -252,7 +266,7 @@ func (m *privateMoments) Gradient() *PrivateGradient {
 	pg := &m.grad
 	if pg.Q == nil {
 		pg.Q = vec.NewMatrix(m.dim, m.dim)
-		pg.Qv, pg.pv, pg.pu = vec.NewVector(m.dim), vec.NewVector(m.dim), vec.NewVector(m.dim)
+		pg.Qv = vec.NewVector(m.dim)
 	}
 	m.sumXY.SumInto(pg.Qv)
 	m.sumXXT.SumInto(pg.Q.Data()[:svecLen(m.dim)])
@@ -280,6 +294,12 @@ func (m *privateMoments) estimate(lift func(vec.Vector) (vec.Vector, error)) (ve
 	pg := m.Gradient()
 	var theta vec.Vector
 	if m.ball != nil {
+		// The read workspace's Q̃ becomes Q̃ + rI in place.
+		r := m.trust.Ridge(pg.Q, m.floor)
+		data := pg.Q.Data()
+		for i := 0; i < m.dim; i++ {
+			data[i*m.dim+i] += r
+		}
 		theta, _ = m.trust.Solve(pg.Q, pg.Qv, m.ball.Radius())
 	} else {
 		diam := m.domain.Diameter()

@@ -211,15 +211,31 @@ func (tr *TrustRegion) hardStep(a *vec.Matrix, b vec.Vector, lam, nt, radius flo
 }
 
 // lambdaBracket returns bounds lo ≤ λ* ≤ hi on the multiplier of the
-// trust-region problem with ‖b‖ = bn, from the Gershgorin, Frobenius and
-// ∞-norm bounds on the extreme eigenvalues of A (Conn, Gould and Toint,
-// Trust-Region Methods, §7.3.8): λ* ≥ −λ₁(A) ≥ −min_i a_ii, and at a boundary
-// solution ‖b‖/R − λ_max(A) ≤ λ* ≤ ‖b‖/R − λ₁(A).
+// trust-region problem with ‖b‖ = bn, from the Gershgorin and Frobenius
+// bounds on the extreme eigenvalues of A (Conn, Gould and Toint, Trust-Region
+// Methods, §7.3.8): λ* ≥ −λ₁(A) ≥ −min_i a_ii, and at a boundary solution
+// ‖b‖/R − λ_max(A) ≤ λ* ≤ ‖b‖/R − λ₁(A).
 func lambdaBracket(a *vec.Matrix, bn, radius float64) (lo, hi float64) {
+	g := gershgorin(a)
+	ratio := bn / radius
+	lo = math.Max(0, math.Max(-g.minDiag, ratio-math.Min(g.up, g.frob)))
+	hi = math.Max(0, ratio+math.Min(g.down, g.frob))
+	return lo, hi
+}
+
+// spectrumBounds holds bounds on the extreme eigenvalues of a symmetric
+// matrix A: λ₁(A) ≤ minDiag, λ_max(A) ≤ up, −λ₁(A) ≤ down, and both
+// |λ₁(A)|, |λ_max(A)| ≤ frob.
+type spectrumBounds struct {
+	minDiag, up, down, frob float64
+}
+
+// gershgorin returns the Gershgorin and Frobenius bounds on the spectrum of
+// the square matrix a.
+func gershgorin(a *vec.Matrix) spectrumBounds {
 	n := a.Rows()
 	data := a.Data()
-	minDiag := math.Inf(1)
-	var up, down, frob, inf float64 = math.Inf(-1), math.Inf(-1), 0, 0
+	g := spectrumBounds{minDiag: math.Inf(1), up: math.Inf(-1), down: math.Inf(-1)}
 	for i := 0; i < n; i++ {
 		row := data[i*n : (i+1)*n]
 		var off float64
@@ -227,17 +243,47 @@ func lambdaBracket(a *vec.Matrix, bn, radius float64) (lo, hi float64) {
 			if j != i {
 				off += math.Abs(v)
 			}
-			frob += v * v
+			g.frob += v * v
 		}
 		aii := row[i]
-		minDiag = math.Min(minDiag, aii)
-		up = math.Max(up, aii+off)     // λ_max(A) ≤ max_i a_ii + Σ_{j≠i} |a_ij|
-		down = math.Max(down, off-aii) // −λ₁(A) ≤ max_i −a_ii + Σ_{j≠i} |a_ij|
-		inf = math.Max(inf, off+math.Abs(aii))
+		g.minDiag = math.Min(g.minDiag, aii)
+		g.up = math.Max(g.up, aii+off)     // λ_max(A) ≤ max_i a_ii + Σ_{j≠i} |a_ij|
+		g.down = math.Max(g.down, off-aii) // −λ₁(A) ≤ max_i −a_ii + Σ_{j≠i} |a_ij|
 	}
-	frob = math.Sqrt(frob)
-	ratio := bn / radius
-	lo = math.Max(0, math.Max(-minDiag, ratio-math.Min(up, math.Min(frob, inf))))
-	hi = math.Max(0, ratio+math.Min(down, math.Min(frob, inf)))
-	return lo, hi
+	g.frob = math.Sqrt(g.frob)
+	return g
+}
+
+// ridgeTol is the precision, relative to the floor, to which Ridge resolves
+// the smallest eigenvalue.
+const ridgeTol = 1.0 / 16
+
+// Ridge returns the ridge r ≥ 0 that lifts the smallest eigenvalue of the
+// symmetric matrix a to at least floor > 0: r = 0 when λ₁(A) ≥ floor, and
+// otherwise r = floor − l for a certified lower bound l ≤ λ₁(A) within
+// floor/16 of it, so that A + rI ⪰ floor·I and r exceeds the smallest such
+// ridge by at most floor/16. It bisects on λ₁ from the Gershgorin bounds with
+// Cholesky factorizations of A − μI in the workspace, each failed one also
+// lowering the upper end to μ plus the negative curvature it exposes.
+func (tr *TrustRegion) Ridge(a *vec.Matrix, floor float64) float64 {
+	if tr.chol.Factor(a, -floor) == nil {
+		return 0
+	}
+	g := gershgorin(a)
+	lo, hi := -g.down, math.Min(floor, g.minDiag)
+	if rho := tr.chol.NegativeCurvature(); rho < 0 {
+		hi = math.Min(hi, floor+rho)
+	}
+	for k := 0; k < maxFactorizations && hi-lo > ridgeTol*floor; k++ {
+		mu := lo + (hi-lo)/2
+		if tr.chol.Factor(a, -mu) == nil {
+			lo = mu
+			continue
+		}
+		hi = mu
+		if rho := tr.chol.NegativeCurvature(); rho < 0 {
+			hi = mu + rho
+		}
+	}
+	return floor - lo
 }

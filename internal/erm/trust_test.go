@@ -203,10 +203,52 @@ func TestTrustRegionReusesWorkspace(t *testing.T) {
 	}
 }
 
+// checkRidge fails t unless r is the ridge Ridge promises for a matrix with
+// smallest eigenvalue lam1: r = 0 when lam1 ≥ floor, and otherwise
+// floor − lam1 ≤ r ≤ floor − lam1 + floor/16, to the rounding slack of a
+// spectrum of magnitude scale.
+func checkRidge(t testing.TB, r, lam1, floor, scale float64) {
+	t.Helper()
+	slack := 1e-9 * (scale + floor)
+	want := math.Max(0, floor-lam1)
+	if lam1 >= floor+slack && r != 0 {
+		t.Fatalf("λ₁ = %g ≥ floor %g, but ridge %g", lam1, floor, r)
+	}
+	if r < want-slack || r > want+floor*ridgeTol+slack {
+		t.Fatalf("λ₁ = %g, floor %g: ridge %.17g outside [%g, %g]", lam1, floor, r, want, want+floor*ridgeTol)
+	}
+}
+
+func TestRidge(t *testing.T) {
+	src := randx.NewSource(7)
+	for _, c := range []struct {
+		eig   vec.Vector
+		floor float64
+	}{
+		{vec.Vector{3, 4, 5, 6}, 2},      // above the floor: no ridge
+		{vec.Vector{1.5, 4, 5, 6}, 2},    // positive definite below the floor
+		{vec.Vector{-3, 1, 2, 5}, 2},     // indefinite
+		{vec.Vector{-1, -1, -1, -1}, 10}, // negative definite
+		{vec.Vector{0, 0, 0}, 1},         // the empty stream's zero matrix
+		{vec.Vector{-5e4, 1e5, 3e5, 2e5, 7e4}, 2e4},
+	} {
+		for _, v := range []vec.Vector{vec.NewVector(len(c.eig)), unit(src, len(c.eig))} {
+			a := spectral(c.eig, v)
+			lam1, scale := math.Inf(1), 0.0
+			for _, e := range c.eig {
+				lam1, scale = math.Min(lam1, e), math.Max(scale, math.Abs(e))
+			}
+			var tr TrustRegion
+			checkRidge(t, tr.Ridge(a, c.floor), lam1, c.floor, scale)
+		}
+	}
+}
+
 // FuzzTrustRegion checks the optimality conditions on random symmetric
 // problems A = H·diag(eig)·H with eigenvalues N(shift, 1), random b of scale
 // bScale and radius R; with hard set, b is made orthogonal to the bottom
 // eigenvector, the hard case whenever A is indefinite and b is short enough.
+// It also checks Ridge on A with the floor R.
 func FuzzTrustRegion(f *testing.F) {
 	f.Add(int64(1), uint8(4), 1.0, 0.0, 1.0, false)
 	f.Add(int64(2), uint8(8), 0.5, 3.0, 10.0, false)
@@ -244,5 +286,6 @@ func FuzzTrustRegion(f *testing.F) {
 		var tr TrustRegion
 		theta, lam := tr.Solve(a, b, radius)
 		checkKKT(t, a, b, radius, theta, lam)
+		checkRidge(t, tr.Ridge(a, radius), eig[bottom], radius, math.Abs(shift)+10)
 	})
 }
