@@ -109,10 +109,11 @@ const confidenceBeta = 0.05
 // stream svec(v vᵀ) (Steps 3–4 of Algorithm 2), each holding half of the
 // privacy budget, and read an estimate by minimizing the privatized objective
 // θᵀQ̃θ − 2q̃ᵀθ they release over a solve domain of v's dimension, in solver
-// workspaces held per core: exactly, as a trust-region problem, when the
-// domain is an L2 ball, and otherwise by noisy projected gradient descent
-// against the private gradient. The mechanisms own what comes before the
-// fold (clamping, the sketch) and after the solve (the lift).
+// workspaces held per core: exactly, as a trust-region problem with Q̃
+// ridged up to the noise bound, when the domain is an L2 ball, and otherwise
+// by noisy projected gradient descent against the private gradient. The
+// mechanisms own what comes before the fold (clamping, the sketch) and after
+// the solve (the lift).
 type privateMoments struct {
 	privacy dp.Params
 	horizon int
@@ -276,10 +277,14 @@ func (m *privateMoments) Gradient() *PrivateGradient {
 
 // estimate minimizes the privatized objective θᵀQ̃θ − 2q̃ᵀθ over the solve
 // domain and passes the solution through lift (nil for none) to the released
-// estimate. Over an L2 ball the minimizer is computed exactly (TrustRegion);
-// over any other domain noisy projected gradient descent runs against the
-// current private gradient. Both are post-processing of the released
-// moments. With no new observations since the previous call the memoized
+// estimate. Over an L2 ball the objective is first ridged to
+// θᵀ(Q̃ + rI)θ − 2q̃ᵀθ, r the smallest ridge (TrustRegion.Ridge) lifting Q̃'s
+// smallest eigenvalue to the noise bound ρ: without it, the minimizer follows
+// the noise's negative curvature to the sphere, and its true excess risk is
+// worse than the shrunk descent average's wherever noise dominates. The
+// ridged objective is then minimized exactly (TrustRegion.Solve). Over any
+// other domain noisy projected gradient descent runs against the current
+// private gradient. All are post-processing of the released moments. With no new observations since the previous call the memoized
 // estimate is returned. Without warm starts the skipped solve would have
 // produced the identical vector; with WarmStart the memo pins the first
 // descent solution at this timestep (a repeat solve would refine from the

@@ -27,10 +27,9 @@ import (
 // inverse iteration.
 //
 // The regression mechanisms read their released moments Q̃ and q̃ through
-// this solve when the solve domain is an L2 ball: it is post-processing of
-// the private release, so it leaves the privacy guarantee unchanged, and it
-// returns the minimizer of the privatized objective where projected gradient
-// descent returns an approximation of it.
+// this solve, with A = Q̃ + rI for the ridge r of Ridge, when the solve
+// domain is an L2 ball: both are post-processing of the private release, so
+// they leave the privacy guarantee unchanged.
 //
 // The zero value is ready to use; buffers are allocated by the first Solve of
 // each dimension. A TrustRegion is not safe for concurrent use.
