@@ -31,7 +31,8 @@ type RegressionOptions struct {
 	// UseHybridTree switches the continual-sum substrate from the fixed-horizon
 	// Tree Mechanism to the Hybrid Mechanism, removing the need for an accurate
 	// horizon (footnote 13 of the paper). The horizon is then only used to size
-	// the gradient-error scale α' and, through it, the iteration count.
+	// the noise bounds: the gradient-error scale α' (and, through it, the
+	// iteration count) and the exact read's ridge floor.
 	UseHybridTree bool
 }
 
