@@ -284,12 +284,13 @@ func (m *privateMoments) Gradient() *PrivateGradient {
 // worse than the shrunk descent average's wherever noise dominates. The
 // ridged objective is then minimized exactly (TrustRegion.Solve). Over any
 // other domain noisy projected gradient descent runs against the current
-// private gradient. All are post-processing of the released moments. With no new observations since the previous call the memoized
-// estimate is returned. Without warm starts the skipped solve would have
-// produced the identical vector; with WarmStart the memo pins the first
-// descent solution at this timestep (a repeat solve would refine from the
-// warm-start iterate) — a deliberate, equally valid semantics that the
-// checkpointed memo keeps consistent across restore. The exact read ignores
+// private gradient. All are post-processing of the released moments. With
+// no new observations since the previous call the memoized estimate is
+// returned. Without warm starts the skipped solve would have produced the
+// identical vector; with WarmStart the memo pins the first descent solution
+// at this timestep (a repeat solve would refine from the warm-start iterate)
+// — a deliberate, equally valid semantics that the checkpointed memo keeps
+// consistent across restore. The exact read ignores
 // the warm start. The solve runs in the core's workspaces: without a lift,
 // the released copy of the memo is the read's only allocation.
 func (m *privateMoments) estimate(lift func(vec.Vector) (vec.Vector, error)) (vec.Vector, error) {
