@@ -206,23 +206,33 @@ func BenchmarkExperimentWorkers(b *testing.B) {
 }
 
 // BenchmarkProjection measures Euclidean projection cost for the main
-// constraint sets.
+// constraint sets, projecting into a held destination with a held scratch as
+// the solvers' loops do.
 func BenchmarkProjection(b *testing.B) {
 	d := 256
 	src := randx.NewSource(2)
 	x := vec.Vector(src.NormalVector(d, 1))
+	vertices := make([]vec.Vector, 32)
+	for i := range vertices {
+		vertices[i] = vec.Vector(src.NormalVector(d, 0.1))
+	}
 	sets := []constraint.Set{
 		constraint.NewL2Ball(d, 1),
+		constraint.NewBox(d, 0.05),
 		constraint.NewL1Ball(d, 1),
 		constraint.NewLpBall(d, 1.5, 1),
 		constraint.NewSimplex(d, 1),
 		constraint.NewGroupL1Ball(d, 8, 1),
+		constraint.NewSparseSet(d, 8, 1),
+		constraint.NewPolytope(vertices),
 	}
+	dst := vec.NewVector(d)
+	var scratch constraint.Scratch
 	for _, s := range sets {
 		b.Run(s.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = s.Project(x)
+				s.ProjectInto(dst, x, &scratch)
 			}
 		})
 	}

@@ -62,32 +62,34 @@ func (b *GroupL1Ball) Norm(x vec.Vector) float64 {
 	return s
 }
 
-// Project implements Set. The projection factorizes: with z_j = ‖x_gj‖₂ the
-// per-block norms, project z onto the L1 ball of radius r obtaining w, then
-// rescale each block by w_j / z_j. This is the standard group-soft-thresholding
-// argument and is verified by the property tests (idempotence, feasibility,
-// and non-expansiveness).
-func (b *GroupL1Ball) Project(x vec.Vector) vec.Vector {
-	checkDim("GroupL1Ball", b.d, x)
+// ProjectInto implements Set. The projection factorizes: with z_j = ‖x_gj‖₂
+// the per-block norms, project z onto the L1 ball of radius r obtaining w,
+// then rescale each block by w_j / z_j. This is the standard
+// group-soft-thresholding argument and is verified by the property tests
+// (idempotence, feasibility, and non-expansiveness).
+func (b *GroupL1Ball) ProjectInto(dst, x vec.Vector, s *Scratch) {
+	checkDims("GroupL1Ball", b.d, dst, x)
 	if b.Contains(x, 0) {
-		return x.Clone()
+		copy(dst, x)
+		return
 	}
-	z := make(vec.Vector, len(b.groups))
+	ng := len(b.groups)
+	buf := s.floats(3 * ng)
+	z, w := vec.Vector(buf[:ng]), vec.Vector(buf[ng:2*ng])
 	for j, g := range b.groups {
 		z[j] = vec.Norm2(x[g[0]:g[1]])
 	}
-	w := projectL1Ball(z, b.r)
-	out := vec.NewVector(b.d)
+	projectL1Into(w, z, b.r, buf[2*ng:])
 	for j, g := range b.groups {
 		if z[j] == 0 {
+			dst[g[0]:g[1]].Zero()
 			continue
 		}
 		scale := w[j] / z[j]
 		for i := g[0]; i < g[1]; i++ {
-			out[i] = scale * x[i]
+			dst[i] = scale * x[i]
 		}
 	}
-	return out
 }
 
 // Contains implements Set.

@@ -3,68 +3,63 @@ package constraint
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"privreg/internal/vec"
 )
 
-// projectSimplex returns the Euclidean projection of x onto the scaled
-// probability simplex {w : w_i ≥ 0, Σ w_i = z} using the sorting algorithm of
-// Held, Wolfe and Crowder (popularized by Duchi et al.). It runs in O(d log d).
-func projectSimplex(x vec.Vector, z float64) vec.Vector {
-	d := len(x)
-	if d == 0 {
-		return vec.Vector{}
-	}
-	u := x.Clone()
-	sort.Sort(sort.Reverse(sort.Float64Slice(u)))
-	var cssv float64
-	rho := -1
-	var theta float64
-	for i := 0; i < d; i++ {
-		cssv += u[i]
-		t := (cssv - z) / float64(i+1)
-		if u[i]-t > 0 {
-			rho = i
-			theta = t
-		}
-	}
-	if rho < 0 {
-		// All mass goes to the largest coordinate; fall back to uniform z/d which
-		// can only happen for pathological inputs (NaN-free guard).
-		out := vec.NewVector(d)
-		out.Fill(z / float64(d))
-		return out
-	}
-	out := vec.NewVector(d)
+// projectSimplexInto writes the Euclidean projection of x onto the scaled
+// probability simplex {w : w_i ≥ 0, Σ w_i = z} into dst (which may alias x),
+// by the sorting algorithm of Held, Wolfe and Crowder (popularized by Duchi et
+// al.) in O(d log d), sorting in sorted (len(x) slots). With abs it projects
+// |x| and restores x's signs, sign(x_i)·max(|x_i| − θ, 0): the projection of
+// a point outside the L1 ball of radius z.
+func projectSimplexInto(dst, x vec.Vector, z float64, abs bool, sorted []float64) {
 	for i, v := range x {
-		if w := v - theta; w > 0 {
-			out[i] = w
+		if abs {
+			v = math.Abs(v)
+		}
+		sorted[i] = v
+	}
+	slices.Sort(sorted)
+	var cssv, theta float64
+	ok := false
+	for i := range sorted {
+		v := sorted[len(sorted)-1-i] // descending
+		cssv += v
+		if t := (cssv - z) / float64(i+1); v-t > 0 {
+			theta, ok = t, true
 		}
 	}
-	return out
+	for i, v := range x {
+		a := v
+		if abs {
+			a = math.Abs(v)
+		}
+		// No coordinate stays positive only for NaN or infinite entries;
+		// the projection then falls back to the uniform z/d.
+		w := z / float64(len(x))
+		if ok {
+			w = 0
+			if a-theta > 0 {
+				w = a - theta
+			}
+		}
+		if abs && !(v >= 0) {
+			w = -w
+		}
+		dst[i] = w
+	}
 }
 
-// projectL1Ball returns the Euclidean projection of x onto the L1 ball of
-// radius r, via the standard reduction to simplex projection on |x|.
-func projectL1Ball(x vec.Vector, r float64) vec.Vector {
+// projectL1Into writes the projection of x onto the L1 ball of radius r into
+// dst (which may alias x), sorting in sorted (len(x) slots).
+func projectL1Into(dst, x vec.Vector, r float64, sorted []float64) {
 	if vec.Norm1(x) <= r {
-		return x.Clone()
+		copy(dst, x)
+		return
 	}
-	abs := make(vec.Vector, len(x))
-	for i, v := range x {
-		abs[i] = math.Abs(v)
-	}
-	w := projectSimplex(abs, r)
-	out := vec.NewVector(len(x))
-	for i, v := range x {
-		if v >= 0 {
-			out[i] = w[i]
-		} else {
-			out[i] = -w[i]
-		}
-	}
-	return out
+	projectSimplexInto(dst, x, r, true, sorted)
 }
 
 // L1Ball is the cross-polytope {θ : ‖θ‖₁ ≤ r}, the constraint set of Lasso
@@ -92,10 +87,10 @@ func (b *L1Ball) Dim() int { return b.d }
 // Radius returns the L1 radius.
 func (b *L1Ball) Radius() float64 { return b.r }
 
-// Project implements Set.
-func (b *L1Ball) Project(x vec.Vector) vec.Vector {
-	checkDim("L1Ball", b.d, x)
-	return projectL1Ball(x, b.r)
+// ProjectInto implements Set.
+func (b *L1Ball) ProjectInto(dst, x vec.Vector, s *Scratch) {
+	checkDims("L1Ball", b.d, dst, x)
+	projectL1Into(dst, x, b.r, s.floats(b.d))
 }
 
 // Contains implements Set.
@@ -154,10 +149,10 @@ func (s *Simplex) Name() string { return fmt.Sprintf("Simplex(z=%g, d=%d)", s.z,
 // Dim implements Set.
 func (s *Simplex) Dim() int { return s.d }
 
-// Project implements Set.
-func (s *Simplex) Project(x vec.Vector) vec.Vector {
-	checkDim("Simplex", s.d, x)
-	return projectSimplex(x, s.z)
+// ProjectInto implements Set.
+func (s *Simplex) ProjectInto(dst, x vec.Vector, sc *Scratch) {
+	checkDims("Simplex", s.d, dst, x)
+	projectSimplexInto(dst, x, s.z, false, sc.floats(s.d))
 }
 
 // Contains implements Set.

@@ -11,22 +11,22 @@ import (
 
 func TestSimplexProjectionKnownCases(t *testing.T) {
 	// Already on the simplex: unchanged.
-	p := projectSimplex(vec.Vector{0.2, 0.3, 0.5}, 1)
+	p := project(NewSimplex(3, 1), vec.Vector{0.2, 0.3, 0.5})
 	if !vec.Equal(p, vec.Vector{0.2, 0.3, 0.5}, 1e-9) {
 		t.Fatalf("projection moved a simplex point: %v", p)
 	}
 	// Symmetric point: uniform.
-	p = projectSimplex(vec.Vector{5, 5, 5}, 1)
+	p = project(NewSimplex(3, 1), vec.Vector{5, 5, 5})
 	if !vec.Equal(p, vec.Vector{1.0 / 3, 1.0 / 3, 1.0 / 3}, 1e-9) {
 		t.Fatalf("projection of symmetric point: %v", p)
 	}
 	// Dominant coordinate collapses to a vertex.
-	p = projectSimplex(vec.Vector{10, 0, 0}, 1)
+	p = project(NewSimplex(3, 1), vec.Vector{10, 0, 0})
 	if !vec.Equal(p, vec.Vector{1, 0, 0}, 1e-9) {
 		t.Fatalf("projection of dominant point: %v", p)
 	}
 	// Negative coordinates are zeroed out.
-	p = projectSimplex(vec.Vector{-5, 0.4, 0.8}, 1)
+	p = project(NewSimplex(3, 1), vec.Vector{-5, 0.4, 0.8})
 	if p[0] != 0 {
 		t.Fatalf("negative coordinate survived: %v", p)
 	}
@@ -39,16 +39,16 @@ func TestL1ProjectionKnownCases(t *testing.T) {
 	b := NewL1Ball(3, 1)
 	// Inside: unchanged.
 	in := vec.Vector{0.2, -0.3, 0.1}
-	if !vec.Equal(b.Project(in), in, 1e-12) {
+	if !vec.Equal(project(b, in), in, 1e-12) {
 		t.Fatal("interior point moved")
 	}
 	// Symmetric outside point: soft-thresholded symmetrically.
-	p := b.Project(vec.Vector{1, 1, 1})
+	p := project(b, vec.Vector{1, 1, 1})
 	if !vec.Equal(p, vec.Vector{1.0 / 3, 1.0 / 3, 1.0 / 3}, 1e-9) {
 		t.Fatalf("projection of (1,1,1): %v", p)
 	}
 	// Signs are preserved.
-	p = b.Project(vec.Vector{-2, 2, 0})
+	p = project(b, vec.Vector{-2, 2, 0})
 	if p[0] >= 0 || p[1] <= 0 {
 		t.Fatalf("signs not preserved: %v", p)
 	}
@@ -64,9 +64,9 @@ func TestL1ProjectionVariationalInequality(t *testing.T) {
 	b := NewL1Ball(6, 1)
 	for trial := 0; trial < 50; trial++ {
 		x := randomVec(r, 6)
-		p := b.Project(x)
+		p := project(b, x)
 		for probe := 0; probe < 50; probe++ {
-			q := b.Project(randomVec(r, 6))
+			q := project(b, randomVec(r, 6))
 			if vec.Dot(vec.Sub(x, p), vec.Sub(q, p)) > 1e-6 {
 				t.Fatalf("variational inequality violated: x=%v p=%v q=%v", x, p, q)
 			}
@@ -86,7 +86,7 @@ func TestGroupL1ReducesToL1(t *testing.T) {
 		if math.Abs(g.Norm(x)-vec.Norm1(x)) > 1e-9 {
 			return false
 		}
-		return vec.Equal(g.Project(x), l.Project(x), 1e-7)
+		return vec.Equal(project(g, x), project(l, x), 1e-7)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -126,13 +126,13 @@ func TestLpProjectionSpecialCasesAgree(t *testing.T) {
 	lpInf := NewLpBall(d, math.Inf(1), 1)
 	for trial := 0; trial < 40; trial++ {
 		x := randomVec(r, d)
-		if !vec.Equal(lp1.Project(x), l1.Project(x), 1e-7) {
+		if !vec.Equal(project(lp1, x), project(l1, x), 1e-7) {
 			t.Fatalf("Lp(1) projection disagrees with L1: %v", x)
 		}
-		if !vec.Equal(lp2.Project(x), l2.Project(x), 1e-7) {
+		if !vec.Equal(project(lp2, x), project(l2, x), 1e-7) {
 			t.Fatalf("Lp(2) projection disagrees with L2: %v", x)
 		}
-		if !vec.Equal(lpInf.Project(x), box.Project(x), 1e-7) {
+		if !vec.Equal(project(lpInf, x), project(box, x), 1e-7) {
 			t.Fatalf("Lp(inf) projection disagrees with Box: %v", x)
 		}
 	}
@@ -147,12 +147,12 @@ func TestLpGeneralProjectionKKT(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			x := randomVec(r, 4)
 			x.Scale(3) // push outside
-			y := b.Project(x)
+			y := project(b, x)
 			if math.Abs(vec.NormP(y, p)-1) > 1e-5 {
 				t.Fatalf("p=%v: projection norm %v != 1", p, vec.NormP(y, p))
 			}
 			for probe := 0; probe < 30; probe++ {
-				q := b.Project(randomVec(r, 4))
+				q := project(b, randomVec(r, 4))
 				if vec.Dot(vec.Sub(x, y), vec.Sub(q, y)) > 1e-4 {
 					t.Fatalf("p=%v: variational inequality violated", p)
 				}

@@ -46,36 +46,27 @@ func (b *LpBall) P() float64 { return b.p }
 // Radius returns the Lp radius.
 func (b *LpBall) Radius() float64 { return b.r }
 
-// Project implements Set.
-func (b *LpBall) Project(x vec.Vector) vec.Vector {
-	checkDim("LpBall", b.d, x)
-	if b.Contains(x, 0) {
-		return x.Clone()
-	}
+// ProjectInto implements Set. At p = 1, 2 and ∞ it runs the L1, L2 and box
+// projections.
+func (b *LpBall) ProjectInto(dst, x vec.Vector, s *Scratch) {
+	checkDims("LpBall", b.d, dst, x)
 	switch {
+	case b.Contains(x, 0):
+		copy(dst, x)
 	case b.p == 1:
-		return projectL1Ball(x, b.r)
+		projectL1Into(dst, x, b.r, s.floats(b.d))
 	case b.p == 2:
-		out := x.Clone()
-		out.Scale(b.r / vec.Norm2(out))
-		return out
+		projectL2Into(dst, x, b.r)
 	case math.IsInf(b.p, 1):
-		out := x.Clone()
-		for i, v := range out {
-			if v > b.r {
-				out[i] = b.r
-			} else if v < -b.r {
-				out[i] = -b.r
-			}
-		}
-		return out
+		clampInto(dst, x, b.r)
 	default:
-		return b.projectGeneral(x)
+		b.projectGeneral(dst, x, s.floats(2*b.d))
 	}
 }
 
-// projectGeneral projects onto the Lp ball for 1 < p < ∞, p ≠ 2. The KKT
-// conditions of min ‖y-x‖²/2 s.t. ‖y‖_p^p ≤ r^p give, for λ ≥ 0,
+// projectGeneral writes the projection onto the Lp ball for 1 < p < ∞,
+// p ≠ 2, into dst, using buf (2d slots). The KKT conditions of
+// min ‖y-x‖²/2 s.t. ‖y‖_p^p ≤ r^p give, for λ ≥ 0,
 //
 //	y_i - x_i + λ p sign(y_i) |y_i|^{p-1} = 0,
 //
@@ -83,39 +74,35 @@ func (b *LpBall) Project(x vec.Vector) vec.Vector {
 // u + λ p u^{p-1} = |x_i| on u ≥ 0. For fixed λ the constraint value
 // Σ u_i(λ)^p is continuous and strictly decreasing in λ, so the outer problem
 // is a one-dimensional root find handled by bisection.
-func (b *LpBall) projectGeneral(x vec.Vector) vec.Vector {
+func (b *LpBall) projectGeneral(dst, x vec.Vector, buf []float64) {
 	p := b.p
 	target := math.Pow(b.r, p)
-	absX := make([]float64, len(x))
+	absX, u := buf[:b.d], buf[b.d:]
 	for i, v := range x {
 		absX[i] = math.Abs(v)
 	}
-	constraintValue := func(lambda float64) ([]float64, float64) {
-		u := make([]float64, len(absX))
+	// constraintValue writes u(λ) into u and returns Σ u_i^p.
+	constraintValue := func(lambda float64) float64 {
 		var sum float64
 		for i, a := range absX {
-			ui := solveScalarLp(a, lambda, p)
-			u[i] = ui
-			sum += math.Pow(ui, p)
+			u[i] = solveScalarLp(a, lambda, p)
+			sum += math.Pow(u[i], p)
 		}
-		return u, sum
+		return sum
 	}
 	// Bracket λ: at λ = 0 the value is ‖x‖_p^p > r^p (we only reach here when x
 	// is outside); grow hi until the value drops below target.
 	lo, hi := 0.0, 1.0
-	_, v := constraintValue(hi)
-	for v > target {
+	for v := constraintValue(hi); v > target; v = constraintValue(hi) {
 		hi *= 2
-		_, v = constraintValue(hi)
 		if hi > 1e18 {
 			break
 		}
 	}
-	var u []float64
+	// u holds the last bisection point's solution.
 	for iter := 0; iter < 200; iter++ {
 		mid := (lo + hi) / 2
-		var val float64
-		u, val = constraintValue(mid)
+		val := constraintValue(mid)
 		if math.Abs(val-target) <= 1e-12*(1+target) {
 			break
 		}
@@ -125,18 +112,13 @@ func (b *LpBall) projectGeneral(x vec.Vector) vec.Vector {
 			hi = mid
 		}
 	}
-	if u == nil {
-		u, _ = constraintValue((lo + hi) / 2)
-	}
-	out := vec.NewVector(len(x))
 	for i, v := range x {
 		if v >= 0 {
-			out[i] = u[i]
+			dst[i] = u[i]
 		} else {
-			out[i] = -u[i]
+			dst[i] = -u[i]
 		}
 	}
-	return out
 }
 
 // solveScalarLp solves u + λ p u^{p-1} = a for u ≥ 0 by Newton's method with a

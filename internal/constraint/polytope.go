@@ -129,37 +129,44 @@ func (p *Polytope) Vertices() []vec.Vector {
 	return out
 }
 
-// Project implements Set via simplex-constrained least squares in weight space.
-func (p *Polytope) Project(x vec.Vector) vec.Vector {
-	checkDim("Polytope", p.d, x)
-	w := p.projectWeights(x)
-	return p.combine(w)
+// ProjectInto implements Set via simplex-constrained least squares in weight
+// space.
+func (p *Polytope) ProjectInto(dst, x vec.Vector, s *Scratch) {
+	checkDims("Polytope", p.d, dst, x)
+	w := p.projectWeights(x, s.floats(5*len(p.vertices)+p.d))
+	dst.Zero()
+	for i, wi := range w {
+		if wi != 0 {
+			vec.Axpy(dst, wi, p.vertices[i])
+		}
+	}
 }
 
-// projectWeights returns the simplex weights w minimizing ‖Σ w_i a_i - x‖².
-func (p *Polytope) projectWeights(x vec.Vector) vec.Vector {
+// projectWeights returns the simplex weights w minimizing ‖Σ w_i a_i - x‖²,
+// computed in buf (5l + d slots for l vertices).
+func (p *Polytope) projectWeights(x vec.Vector, buf []float64) vec.Vector {
 	l := len(p.vertices)
 	if l == 1 {
-		return vec.Vector{1}
+		buf[0] = 1
+		return buf[:1]
 	}
+	prev, next, y, grad := vec.Vector(buf[:l]), vec.Vector(buf[l:2*l]), vec.Vector(buf[2*l:3*l]), vec.Vector(buf[3*l:4*l])
+	sorted, r := buf[4*l:5*l], vec.Vector(buf[5*l:])
 	// Initialize at the vertex nearest to x.
-	w := vec.NewVector(l)
 	best, bi := math.Inf(1), 0
 	for i, v := range p.vertices {
 		if d := vec.Dist2(v, x); d < best {
 			best, bi = d, i
 		}
 	}
-	w[bi] = 1
+	prev.Zero()
+	prev[bi] = 1
+	copy(y, prev)
 
 	// Gradient of f(w) = ½‖Σ w_i a_i - x‖² is grad_i = <a_i, r> with
 	// r = Σ w_i a_i - x; its Lipschitz constant ‖A‖² is precomputed. The solve
 	// uses FISTA (accelerated projected gradient) on the weight simplex.
 	step := 1 / p.lipschitz
-	r := make(vec.Vector, p.d)
-	grad := make(vec.Vector, l)
-	y := w.Clone()
-	prev := w.Clone()
 	tk := 1.0
 	for iter := 0; iter < p.projIters; iter++ {
 		// r = Σ y_i a_i - x
@@ -173,40 +180,32 @@ func (p *Polytope) projectWeights(x vec.Vector) vec.Vector {
 		for i, v := range p.vertices {
 			grad[i] = vec.Dot(v, r)
 		}
-		next := y.Clone()
+		copy(next, y)
 		vec.Axpy(next, -step, grad)
-		next = projectSimplex(next, 1)
+		projectSimplexInto(next, next, 1, false, sorted)
 		tNext := (1 + math.Sqrt(1+4*tk*tk)) / 2
-		y = next.Clone()
-		vec.Axpy(y, (tk-1)/tNext, vec.Sub(next, prev))
+		mom := (tk - 1) / tNext
+		for i, v := range next {
+			y[i] = v + mom*(v-prev[i])
+		}
 		// Keep the momentum point on the simplex to preserve feasibility of the
 		// gradient evaluation.
-		y = projectSimplex(y, 1)
+		projectSimplexInto(y, y, 1, false, sorted)
 		moved := vec.Dist2(next, prev)
-		prev = next
-		w = next
+		prev, next = next, prev
 		tk = tNext
 		if moved <= 1e-12 {
 			break
 		}
 	}
-	return w
-}
-
-func (p *Polytope) combine(w vec.Vector) vec.Vector {
-	out := vec.NewVector(p.d)
-	for i, wi := range w {
-		if wi != 0 {
-			vec.Axpy(out, wi, p.vertices[i])
-		}
-	}
-	return out
+	return prev
 }
 
 // Contains implements Set: x is in the hull iff its projection is within tol.
 func (p *Polytope) Contains(x vec.Vector, tol float64) bool {
 	checkDim("Polytope", p.d, x)
-	proj := p.Project(x)
+	proj := vec.NewVector(p.d)
+	p.ProjectInto(proj, x, nil)
 	return vec.Dist2(proj, x) <= tol+1e-9
 }
 

@@ -17,8 +17,8 @@ func TestPolytopeProjectionMatchesL1Ball(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 30; trial++ {
 		x := randomVec(r, d)
-		pc := cross.Project(x)
-		pl := l1.Project(x)
+		pc := project(cross, x)
+		pl := project(l1, x)
 		if vec.Dist2(pc, pl) > 2e-2 {
 			t.Fatalf("cross-polytope projection %v differs from L1 projection %v (query %v)", pc, pl, x)
 		}
@@ -39,8 +39,8 @@ func TestPolytopeSimplexProjection(t *testing.T) {
 	r := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 30; trial++ {
 		x := randomVec(r, d)
-		ph := hull.Project(x)
-		ps := simplex.Project(x)
+		ph := project(hull, x)
+		ps := project(simplex, x)
 		if vec.Dist2(ph, ps) > 2e-2 {
 			t.Fatalf("hull projection %v differs from simplex projection %v", ph, ps)
 		}
@@ -134,7 +134,7 @@ func TestMinkowskiByBisectionAgainstL2(t *testing.T) {
 func TestSparseSetProjection(t *testing.T) {
 	s := NewSparseSet(5, 2, 1)
 	x := vec.Vector{0.1, -3, 0.2, 2, 0}
-	p := s.Project(x)
+	p := project(s, x)
 	// Keeps the two largest-magnitude coordinates (indices 1 and 3), rescaled to
 	// the unit ball.
 	if p[0] != 0 || p[2] != 0 || p[4] != 0 {

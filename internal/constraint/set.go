@@ -3,7 +3,11 @@
 // geometric operations the algorithms need: Euclidean projection (for projected
 // gradient descent), the Minkowski functional ‖·‖_C (for the lifting step of
 // Algorithm 3), the support function (for Monte-Carlo Gaussian-width
-// estimation), analytic Gaussian widths, and L2 diameters.
+// estimation), analytic Gaussian widths, and L2 diameters. Projection is
+// Set.ProjectInto(dst, x, s), which writes into dst (dst may alias x) and
+// takes its temporaries from a Scratch the caller holds beside its other
+// workspace, since sets are shared across streams; with a warm scratch every
+// set projects without allocating.
 //
 // The sets provided cover every example discussed in Section 5.2 of the paper:
 // L2 balls (ridge regression), L1 balls (Lasso), the probability simplex,
@@ -27,8 +31,10 @@ type Set interface {
 	Name() string
 	// Dim returns the ambient dimension d.
 	Dim() int
-	// Project returns the Euclidean projection of x onto the set as a new vector.
-	Project(x vec.Vector) vec.Vector
+	// ProjectInto writes the Euclidean projection of x onto the set into dst,
+	// which may alias x. Its temporaries come from s (nil: transient
+	// buffers); with a warm s it does not allocate.
+	ProjectInto(dst, x vec.Vector, s *Scratch)
 	// Contains reports whether x belongs to the set up to tolerance tol.
 	Contains(x vec.Vector, tol float64) bool
 	// Diameter returns ‖C‖ = sup_{θ∈C} ‖θ‖₂ (Definition 2 of the paper).
@@ -48,11 +54,70 @@ type Set interface {
 	Scale(s float64) Set
 }
 
+// Scratch is the caller-held workspace of ProjectInto: growable buffers that
+// a projection takes its temporaries from. The zero value is ready to use.
+// It keeps no state between projections, so one scratch serves any sequence
+// of sets and dimensions; it is not safe for concurrent use.
+type Scratch struct {
+	f   []float64
+	idx []int
+}
+
+// floats returns n float64 slots holding stale values, from s's buffer (grown
+// when short) or, when s is nil, newly allocated.
+func (s *Scratch) floats(n int) []float64 {
+	if s == nil {
+		return make([]float64, n)
+	}
+	if cap(s.f) < n {
+		s.f = make([]float64, n)
+	}
+	return s.f[:n]
+}
+
+// ints is floats for int slots.
+func (s *Scratch) ints(n int) []int {
+	if s == nil {
+		return make([]int, n)
+	}
+	if cap(s.idx) < n {
+		s.idx = make([]int, n)
+	}
+	return s.idx[:n]
+}
+
 // checkDim panics with a descriptive message when the vector dimension does not
 // match the set's ambient dimension.
 func checkDim(setName string, d int, x vec.Vector) {
 	if len(x) != d {
 		panic(fmt.Sprintf("constraint: %s expects dimension %d, got %d", setName, d, len(x)))
+	}
+}
+
+// checkDims is checkDim for both vectors of a projection.
+func checkDims(setName string, d int, dst, x vec.Vector) {
+	checkDim(setName, d, dst)
+	checkDim(setName, d, x)
+}
+
+// projectL2Into writes x, rescaled onto the radius-r sphere when it lies
+// outside it, into dst.
+func projectL2Into(dst, x vec.Vector, r float64) {
+	copy(dst, x)
+	if n := vec.Norm2(dst); n > r {
+		dst.Scale(r / n)
+	}
+}
+
+// clampInto writes x with every coordinate clamped to [-c, c] into dst.
+func clampInto(dst, x vec.Vector, c float64) {
+	for i, v := range x {
+		if v > c {
+			v = c
+		} else if v < -c {
+			v = -c
+		}
+		dst[i] = v
 	}
 }
 
@@ -104,15 +169,11 @@ func (b *L2Ball) Dim() int { return b.d }
 // Radius returns the ball radius.
 func (b *L2Ball) Radius() float64 { return b.r }
 
-// Project implements Set: points outside the ball are rescaled onto its surface.
-func (b *L2Ball) Project(x vec.Vector) vec.Vector {
-	checkDim("L2Ball", b.d, x)
-	out := x.Clone()
-	n := vec.Norm2(out)
-	if n > b.r {
-		out.Scale(b.r / n)
-	}
-	return out
+// ProjectInto implements Set: points outside the ball are rescaled onto its
+// surface.
+func (b *L2Ball) ProjectInto(dst, x vec.Vector, _ *Scratch) {
+	checkDims("L2Ball", b.d, dst, x)
+	projectL2Into(dst, x, b.r)
 }
 
 // Contains implements Set.
@@ -170,18 +231,10 @@ func (b *Box) Dim() int { return b.d }
 // HalfWidth returns the per-coordinate half-width c.
 func (b *Box) HalfWidth() float64 { return b.c }
 
-// Project implements Set by clamping every coordinate to [-c, c].
-func (b *Box) Project(x vec.Vector) vec.Vector {
-	checkDim("Box", b.d, x)
-	out := x.Clone()
-	for i, v := range out {
-		if v > b.c {
-			out[i] = b.c
-		} else if v < -b.c {
-			out[i] = -b.c
-		}
-	}
-	return out
+// ProjectInto implements Set by clamping every coordinate to [-c, c].
+func (b *Box) ProjectInto(dst, x vec.Vector, _ *Scratch) {
+	checkDims("Box", b.d, dst, x)
+	clampInto(dst, x, b.c)
 }
 
 // Contains implements Set.

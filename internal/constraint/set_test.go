@@ -43,6 +43,13 @@ func randomVec(r *rand.Rand, d int) vec.Vector {
 	return v
 }
 
+// project returns the projection of x onto s as a new vector.
+func project(s Set, x vec.Vector) vec.Vector {
+	out := vec.NewVector(len(x))
+	s.ProjectInto(out, x, nil)
+	return out
+}
+
 // TestProjectionProperties checks, for every set, the three defining properties
 // of Euclidean projection onto a closed set: the result is feasible, projection
 // is idempotent, and points already in the set are (essentially) fixed.
@@ -53,19 +60,19 @@ func TestProjectionProperties(t *testing.T) {
 		for _, s := range allSets(d) {
 			for trial := 0; trial < 25; trial++ {
 				x := randomVec(r, d)
-				p := s.Project(x)
+				p := project(s, x)
 				tol := 1e-6 * (1 + vec.Norm2(x))
 				if !s.Contains(p, tol) {
 					t.Fatalf("%s: projection of %v = %v is not feasible", s.Name(), x, p)
 				}
-				pp := s.Project(p)
+				pp := project(s, p)
 				if vec.Dist2(pp, p) > 1e-5*(1+vec.Norm2(p)) {
 					t.Fatalf("%s: projection not idempotent: %v -> %v", s.Name(), p, pp)
 				}
 			}
 			// A feasible point must be (nearly) fixed by projection.
-			inside := s.Project(randomVec(r, d))
-			fixed := s.Project(inside)
+			inside := project(s, randomVec(r, d))
+			fixed := project(s, inside)
 			if vec.Dist2(fixed, inside) > 1e-5*(1+vec.Norm2(inside)) {
 				t.Fatalf("%s: feasible point moved by projection", s.Name())
 			}
@@ -91,10 +98,10 @@ func TestProjectionOptimality(t *testing.T) {
 	for _, s := range sets {
 		for trial := 0; trial < 10; trial++ {
 			x := randomVec(r, d)
-			p := s.Project(x)
+			p := project(s, x)
 			dist := vec.Dist2(p, x)
 			for probe := 0; probe < 200; probe++ {
-				q := s.Project(randomVec(r, d)) // a feasible point
+				q := project(s, randomVec(r, d)) // a feasible point
 				if vec.Dist2(q, x) < dist-1e-6 {
 					t.Fatalf("%s: found feasible %v closer to %v than projection %v (%.6f < %.6f)",
 						s.Name(), q, x, p, vec.Dist2(q, x), dist)
@@ -117,7 +124,7 @@ func TestProjectionNonExpansive(t *testing.T) {
 		x := randomVec(r, d)
 		y := randomVec(r, d)
 		for _, s := range convex {
-			if vec.Dist2(s.Project(x), s.Project(y)) > vec.Dist2(x, y)+1e-6 {
+			if vec.Dist2(project(s, x), project(s, y)) > vec.Dist2(x, y)+1e-6 {
 				return false
 			}
 		}
@@ -134,7 +141,7 @@ func TestDiameterIsAttainedBound(t *testing.T) {
 		for _, s := range allSets(d) {
 			diam := s.Diameter()
 			for trial := 0; trial < 50; trial++ {
-				p := s.Project(randomVec(r, d))
+				p := project(s, randomVec(r, d))
 				if vec.Norm2(p) > diam*(1+1e-6)+1e-9 {
 					t.Fatalf("%s: feasible point norm %v exceeds diameter %v", s.Name(), vec.Norm2(p), diam)
 				}
@@ -151,7 +158,7 @@ func TestSupportFunctionDominatesFeasiblePoints(t *testing.T) {
 			for trial := 0; trial < 30; trial++ {
 				g := randomVec(r, d)
 				h := s.SupportFunction(g)
-				p := s.Project(randomVec(r, d))
+				p := project(s, randomVec(r, d))
 				if vec.Dot(p, g) > h+1e-6*(1+math.Abs(h)) {
 					t.Fatalf("%s: support function %v < attained value %v", s.Name(), h, vec.Dot(p, g))
 				}
@@ -217,7 +224,7 @@ func TestScaleConsistency(t *testing.T) {
 			t.Fatalf("%s: scaled diameter %v != 2×%v", s.Name(), scaled.Diameter(), s.Diameter())
 		}
 		for trial := 0; trial < 20; trial++ {
-			p := s.Project(randomVec(r, d))
+			p := project(s, randomVec(r, d))
 			if !scaled.Contains(vec.Scaled(p, 2), 1e-6) {
 				t.Fatalf("%s: 2×feasible point not in 2×set", s.Name())
 			}
@@ -232,7 +239,7 @@ func TestDimensionMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on dimension mismatch")
 		}
 	}()
-	s.Project(vec.Vector{1, 2})
+	project(s, vec.Vector{1, 2})
 }
 
 func TestConstructorValidation(t *testing.T) {

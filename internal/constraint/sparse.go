@@ -3,6 +3,7 @@ package constraint
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"privreg/internal/vec"
@@ -42,29 +43,31 @@ func (s *SparseSet) Dim() int { return s.d }
 // Sparsity returns the sparsity budget k.
 func (s *SparseSet) Sparsity() int { return s.k }
 
-// Project implements Set: keep the k largest-magnitude coordinates and clip the
-// Euclidean norm to r. This is the exact Euclidean projection onto the
-// (non-convex) set.
-func (s *SparseSet) Project(x vec.Vector) vec.Vector {
-	checkDim("SparseSet", s.d, x)
-	type iv struct {
-		i int
-		v float64
+// ProjectInto implements Set: keep the k largest-magnitude coordinates and
+// clip the Euclidean norm to r. This is the exact Euclidean projection onto
+// the (non-convex) set.
+func (s *SparseSet) ProjectInto(dst, x vec.Vector, sc *Scratch) {
+	checkDims("SparseSet", s.d, dst, x)
+	vals, idx := vec.Vector(sc.floats(s.d)), sc.ints(s.d)
+	copy(vals, x)
+	for i := range idx {
+		idx[i] = i
 	}
-	idx := make([]iv, len(x))
-	for i, v := range x {
-		idx[i] = iv{i, math.Abs(v)}
+	slices.SortFunc(idx, func(a, b int) int { // descending magnitude
+		if va, vb := math.Abs(vals[a]), math.Abs(vals[b]); va > vb {
+			return -1
+		} else if va < vb {
+			return 1
+		}
+		return 0
+	})
+	dst.Zero()
+	for _, i := range idx[:s.k] {
+		dst[i] = vals[i]
 	}
-	sort.Slice(idx, func(a, b int) bool { return idx[a].v > idx[b].v })
-	out := vec.NewVector(s.d)
-	for j := 0; j < s.k && j < len(idx); j++ {
-		i := idx[j].i
-		out[i] = x[i]
+	if n := vec.Norm2(dst); n > s.r {
+		dst.Scale(s.r / n)
 	}
-	if n := vec.Norm2(out); n > s.r {
-		out.Scale(s.r / n)
-	}
-	return out
 }
 
 // Contains implements Set.

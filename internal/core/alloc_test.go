@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"privreg/internal/constraint"
@@ -165,12 +166,23 @@ func TestSlowPathEstimateAllocs(t *testing.T) {
 // coldRead returns a function that folds one new row into the named
 // regression mechanism (d = 32, T = 2^19, after 1,000 rows) and reads it, so
 // every call is a cold solve; a "projected" read stops before the lift, a
-// "projected+lift" read is the full Estimate. Both solve over an L2 ball, so
-// the solve is the exact trust-region read.
+// "projected+lift" read is the full Estimate. Over the default L2-ball C
+// (covariate domain the same ball) both solve over an L2 ball, so the solve
+// is the exact trust-region read. The "/l1" variants take C the unit L1 ball
+// and 3-sparse covariates in the unit ball's 3-sparse vectors: gradient then
+// solves by Solver.Descend, and the lift runs FISTA projecting onto scaled
+// L1 balls.
 func coldRead(t *testing.T, name string) func() {
 	t.Helper()
 	const d = 32
-	cons := constraint.NewL2Ball(d, 1)
+	var cons, xDomain constraint.Set = constraint.NewL2Ball(d, 1), constraint.NewL2Ball(d, 1)
+	driver := randx.NewSource(92)
+	x := driver.NormalVector(d, 0.3)
+	name, l1 := strings.CutSuffix(name, "/l1")
+	if l1 {
+		cons, xDomain = constraint.NewL1Ball(d, 1), constraint.NewSparseSet(d, 3, 1)
+		x = driver.SparseVector(d, 3)
+	}
 	var mech Estimator
 	estimate := func() error { _, err := mech.Estimate(); return err }
 	switch name {
@@ -181,7 +193,7 @@ func coldRead(t *testing.T, name string) func() {
 		}
 		mech = g
 	case "projected", "projected+lift":
-		r, err := NewProjectedRegression(cons, cons, privacy(), 1<<19, randx.NewSource(4),
+		r, err := NewProjectedRegression(xDomain, cons, privacy(), 1<<19, randx.NewSource(4),
 			ProjectedOptions{ProjectionDim: d / 2})
 		if err != nil {
 			t.Fatal(err)
@@ -191,8 +203,7 @@ func coldRead(t *testing.T, name string) func() {
 			estimate = func() error { _, err := r.estimate(nil); return err }
 		}
 	}
-	driver := randx.NewSource(92)
-	p := loss.Point{X: vec.Vector(driver.NormalVector(d, 0.3)), Y: driver.Normal(0, 0.5)}
+	p := loss.Point{X: vec.Vector(x), Y: driver.Normal(0, 0.5)}
 	for i := 0; i < 1000; i++ {
 		if err := mech.Observe(p); err != nil {
 			t.Fatal(err)
@@ -211,13 +222,14 @@ func coldRead(t *testing.T, name string) func() {
 }
 
 // TestColdReadAllocs pins the cold regression read: one new row, then the
-// solve. It runs in the core's reused workspaces, so the read allocates only
-// the released vector. A full projected Estimate adds the lift, whose FISTA
-// workspace is allocated once per lift and whose scaled constraint sets are
-// allocated once per feasibility check.
+// solve. It runs in the core's reused workspaces (over an L1 ball, Descend
+// projects with the solver's held scratch), so the read allocates only the
+// released vector. A full projected Estimate adds the lift, whose FISTA
+// workspace and projection scratch are allocated once per lift and whose
+// scaled constraint sets are allocated once per feasibility check.
 func TestColdReadAllocs(t *testing.T) {
-	budgets := map[string]float64{"gradient": 2, "projected": 2, "projected+lift": 27}
-	for _, name := range []string{"gradient", "projected", "projected+lift"} {
+	budgets := map[string]float64{"gradient": 2, "projected": 2, "projected+lift": 27, "gradient/l1": 1, "projected+lift/l1": 24}
+	for _, name := range []string{"gradient", "projected", "projected+lift", "gradient/l1", "projected+lift/l1"} {
 		if allocs := testing.AllocsPerRun(50, coldRead(t, name)); allocs > budgets[name] {
 			t.Fatalf("cold %s read allocates %.1f times, budget %.0f", name, allocs, budgets[name])
 		}

@@ -120,7 +120,9 @@ type TrivialConstant struct {
 // NewTrivialConstant returns the trivial mechanism outputting the projection of
 // the origin onto C.
 func NewTrivialConstant(c constraint.Set) *TrivialConstant {
-	return &TrivialConstant{c: c, theta: c.Project(vec.NewVector(c.Dim()))}
+	origin := vec.NewVector(c.Dim())
+	c.ProjectInto(origin, origin, nil)
+	return &TrivialConstant{c: c, theta: origin}
 }
 
 // Name implements Estimator.

@@ -267,7 +267,8 @@ func newEngine(name string, f loss.Function, c constraint.Set, k int, p, perOutc
 		current:   make([]vec.Vector, k),
 		ybuf:      make([]float64, k),
 	}
-	origin := c.Project(vec.NewVector(d))
+	origin := vec.NewVector(d)
+	c.ProjectInto(origin, origin, nil)
 	for i := range g.current {
 		g.current[i] = origin.Clone()
 	}

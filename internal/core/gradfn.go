@@ -200,11 +200,12 @@ func newPrivateMoments(inDim int, domain constraint.Set, p dp.Params, horizon in
 		dim:      dim,
 		sumXY:    sumXY,
 		sumXXT:   sumXXT,
-		prev:     domain.Project(vec.NewVector(dim)),
+		prev:     vec.NewVector(dim),
 		estN:     -1,
 		xyWork:   make([]float64, dim),
 		svecWork: make([]float64, svecLen(dim)),
 	}
+	domain.ProjectInto(m.prev, m.prev, nil)
 	m.setDomain(domain)
 	return m, nil
 }

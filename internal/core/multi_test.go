@@ -86,7 +86,9 @@ func refMultiEstimate(t *testing.T, cons constraint.Set, rows []multiRow, outcom
 	t.Helper()
 	inv := len(rows) / multiTau
 	if inv == 0 {
-		return cons.Project(vec.NewVector(cons.Dim()))
+		origin := vec.NewVector(cons.Dim())
+		cons.ProjectInto(origin, origin, nil)
+		return origin
 	}
 	stats := erm.NewMultiStats(cons.Dim(), 1)
 	for _, r := range rows[:inv*multiTau] {

@@ -80,6 +80,7 @@ type ProjectedRegression struct {
 	// Reusable per-timestep buffers keeping Observe allocation-free.
 	xWork  vec.Vector
 	pxWork vec.Vector
+	proj   constraint.Scratch // of the lift's final projection
 }
 
 // DomainOracle reports whether a covariate belongs to the small-Gaussian-width
@@ -264,7 +265,8 @@ func (r *ProjectedRegression) lift(theta vec.Vector) (vec.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.c.Project(lifted), nil
+	r.c.ProjectInto(lifted, lifted, &r.proj)
+	return lifted, nil
 }
 
 // StateBytes reports the retained per-stream memory of the mechanism: the

@@ -85,7 +85,9 @@ func refSlowEstimate(t *testing.T, v slowVariant, cons constraint.Set, clamped [
 		inv = n / slowTau
 	}
 	if inv == 0 {
-		return cons.Project(vec.NewVector(cons.Dim()))
+		origin := vec.NewVector(cons.Dim())
+		cons.ProjectInto(origin, origin, nil)
+		return origin
 	}
 	prefixLen := inv
 	if !v.naive {

@@ -46,7 +46,8 @@ func TestDescendConvergesBoundaryOptimum(t *testing.T) {
 	center := vec.NewVector(d)
 	center.Fill(2)
 	value, grad := quadratic(center)
-	want := c.Project(center)
+	want := vec.NewVector(d)
+	c.ProjectInto(want, center, nil)
 	theta := NewSolver(c).Descend(nil, 2000, DefaultStepSize(c.Diameter(), 2000, 0, 12), 1e-12, grad)
 	if vec.Dist2(theta, want) > 1e-2 {
 		t.Fatalf("constrained optimum %v, want %v (f=%v)", theta, want, value(theta))

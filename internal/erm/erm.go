@@ -37,7 +37,9 @@ func Exact(f loss.Function, c constraint.Set, data []loss.Point) (vec.Vector, er
 	if f == nil || c == nil {
 		return nil, errors.New("erm: nil loss or constraint set")
 	}
-	theta := c.Project(vec.NewVector(c.Dim()))
+	theta := vec.NewVector(c.Dim())
+	var proj constraint.Scratch
+	c.ProjectInto(theta, theta, &proj)
 	if len(data) == 0 {
 		return theta, nil
 	}
@@ -56,17 +58,18 @@ func Exact(f loss.Function, c constraint.Set, data []loss.Point) (vec.Vector, er
 	}
 	grad := func(dst, theta vec.Vector) { dst.CopyFrom(loss.EmpiricalGradient(f, theta, data)) }
 	risk := func(theta vec.Vector) float64 { return loss.Empirical(f, theta, data) }
-	return bestIterate(c, theta, exactIterations, step, exactTolerance, grad, risk), nil
+	return bestIterate(c, &proj, theta, exactIterations, step, exactTolerance, grad, risk), nil
 }
 
 // ExactWorkspace holds the reusable buffers of ExactStats: the dense
-// expansion of the packed second-moment matrix, the ridge factorization and
-// the power iteration's vectors. The zero value is ready to use; a workspace
-// is not safe for concurrent use.
+// expansion of the packed second-moment matrix, the ridge factorization, the
+// power iteration's vectors and the projection scratch. The zero value is
+// ready to use; a workspace is not safe for concurrent use.
 type ExactWorkspace struct {
 	a      *vec.Matrix
 	ridge  vec.CholeskyWorkspace
 	pv, pu vec.Vector
+	proj   constraint.Scratch
 }
 
 // ExactStats returns the exact constrained least-squares minimizer of outcome
@@ -82,14 +85,15 @@ func ExactStats(ws *ExactWorkspace, s *MultiStats, c constraint.Set, iters int) 
 	if iters <= 0 {
 		iters = exactIterations
 	}
-	if s.Len() == 0 {
-		if c != nil {
-			return c.Project(vec.NewVector(d))
-		}
-		return vec.NewVector(d)
-	}
 	if ws == nil {
 		ws = &ExactWorkspace{}
+	}
+	if s.Len() == 0 {
+		origin := vec.NewVector(d)
+		if c != nil {
+			c.ProjectInto(origin, origin, &ws.proj)
+		}
+		return origin
 	}
 	if ws.a == nil || ws.a.Rows() != d {
 		ws.a = vec.NewMatrix(d, d)
@@ -99,10 +103,10 @@ func ExactStats(ws *ExactWorkspace, s *MultiStats, c constraint.Set, iters int) 
 	eps := 1e-10 * (1 + s.a.Trace())
 	unconstrained, err := vec.SolveRidgeWith(&ws.ridge, ws.a, s.bs[0], eps)
 	if err == nil && (c == nil || c.Contains(unconstrained, 1e-9)) {
-		if c == nil {
-			return unconstrained
+		if c != nil {
+			c.ProjectInto(unconstrained, unconstrained, &ws.proj)
 		}
-		return c.Project(unconstrained)
+		return unconstrained
 	}
 	if c == nil {
 		// Unconstrained but singular system: fall back to gradient descent within
@@ -116,22 +120,22 @@ func ExactStats(ws *ExactWorkspace, s *MultiStats, c constraint.Set, iters int) 
 	if lmax > 0 {
 		step = 1 / (2 * lmax)
 	}
-	theta := c.Project(vec.NewVector(d))
-	if err == nil {
-		theta = c.Project(unconstrained)
+	theta := unconstrained
+	if err != nil {
+		theta = vec.NewVector(d)
 	}
+	c.ProjectInto(theta, theta, &ws.proj)
 	grad := func(dst, theta vec.Vector) { s.GradientInto(dst, theta, 0, 1, 0) }
 	risk := func(theta vec.Vector) float64 { return s.Risk(theta, 0) }
-	return bestIterate(c, theta, iters, step, 1e-12, grad, risk)
+	return bestIterate(c, &ws.proj, theta, iters, step, 1e-12, grad, risk)
 }
 
-// bestIterate is the exact solvers' projected gradient descent: from theta (a
-// point of c, overwritten), θ_{k+1} = P_C(θ_k − η_k·∇(θ_k)) for at most iters
+// bestIterate is the exact solvers' projected gradient descent, projecting
+// with scratch proj: from theta (a point of c, overwritten), θ_{k+1} = P_C(θ_k − η_k·∇(θ_k)) for at most iters
 // steps, stopping once an iterate moves less than tol, and returning the
 // iterate of least risk as a new vector. step > 0 is a constant η; zero
 // selects the diminishing schedule η_k = ‖C‖ / (√(k+1)·(1 + ‖∇(θ_k)‖)).
-func bestIterate(c constraint.Set, theta vec.Vector, iters int, step, tol float64, grad func(dst, theta vec.Vector), risk func(vec.Vector) float64) vec.Vector {
-	ip, _ := c.(constraint.InplaceProjector)
+func bestIterate(c constraint.Set, proj *constraint.Scratch, theta vec.Vector, iters int, step, tol float64, grad func(dst, theta vec.Vector), risk func(vec.Vector) float64) vec.Vector {
 	best := theta.Clone()
 	bestVal := risk(theta)
 	g, next := vec.NewVector(len(theta)), vec.NewVector(len(theta))
@@ -143,7 +147,7 @@ func bestIterate(c constraint.Set, theta vec.Vector, iters int, step, tol float6
 		}
 		next.CopyFrom(theta)
 		vec.Axpy(next, -eta, g)
-		project(c, ip, next)
+		c.ProjectInto(next, next, proj)
 		moved := vec.Dist2(next, theta)
 		theta, next = next, theta
 		if v := risk(theta); v < bestVal {

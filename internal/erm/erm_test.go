@@ -66,7 +66,8 @@ func TestExactRespectsConstraint(t *testing.T) {
 	// Optimality within the set: no random feasible point does better.
 	obj := loss.Empirical(loss.Squared{}, got, data)
 	for trial := 0; trial < 200; trial++ {
-		probe := cons.Project(vec.Vector(src.NormalVector(d, 1)))
+		probe := vec.Vector(src.NormalVector(d, 1))
+		cons.ProjectInto(probe, probe, nil)
 		if loss.Empirical(loss.Squared{}, probe, data) < obj-1e-6 {
 			t.Fatalf("found a better feasible point than Exact's solution")
 		}

@@ -35,24 +35,22 @@ import (
 //
 // A Solver is not safe for concurrent use.
 type Solver struct {
-	c       constraint.Set
-	inplace constraint.InplaceProjector
+	c constraint.Set
 
 	theta, next, grad, noise, avg vec.Vector
+	proj                          constraint.Scratch
 }
 
 // NewSolver returns a solver workspace over the constraint set c.
 func NewSolver(c constraint.Set) *Solver {
 	d := c.Dim()
-	ip, _ := c.(constraint.InplaceProjector)
 	return &Solver{
-		c:       c,
-		inplace: ip,
-		theta:   vec.NewVector(d),
-		next:    vec.NewVector(d),
-		grad:    vec.NewVector(d),
-		noise:   vec.NewVector(d),
-		avg:     vec.NewVector(d),
+		c:     c,
+		theta: vec.NewVector(d),
+		next:  vec.NewVector(d),
+		grad:  vec.NewVector(d),
+		noise: vec.NewVector(d),
+		avg:   vec.NewVector(d),
 	}
 }
 
@@ -105,7 +103,9 @@ func (sv *Solver) run(n int, lip float64, gradInto func(dst, theta vec.Vector), 
 	opts.fill(n)
 	d := sv.c.Dim()
 	if n == 0 {
-		return sv.c.Project(vec.NewVector(d)), nil
+		origin := vec.NewVector(d)
+		sv.c.ProjectInto(origin, origin, &sv.proj)
+		return origin, nil
 	}
 	perIter, err := dp.PerInvocationAdvanced(p, opts.Iterations)
 	if err != nil {
@@ -153,14 +153,14 @@ func (sv *Solver) Descend(start vec.Vector, iters int, step, tol float64, grad f
 	} else {
 		sv.theta.CopyFrom(start)
 	}
-	sv.projectInPlace(sv.theta)
+	sv.c.ProjectInto(sv.theta, sv.theta, &sv.proj)
 	sv.avg.Zero()
 	for k := 0; k < iters; k++ {
 		sv.avg.AddInPlace(sv.theta)
 		grad(sv.grad, sv.theta, k)
 		sv.next.CopyFrom(sv.theta)
 		vec.Axpy(sv.next, -step, sv.grad)
-		sv.projectInPlace(sv.next)
+		sv.c.ProjectInto(sv.next, sv.next, &sv.proj)
 		sv.theta, sv.next = sv.next, sv.theta
 		if tol > 0 && vec.Dist2(sv.theta, sv.next) < tol {
 			// Converged: the final iterate is the minimizer; the running
@@ -199,18 +199,4 @@ func IterationsForTargetError(lipschitz, gradError float64, minIters, maxIters i
 		r = maxIters
 	}
 	return r
-}
-
-// projectInPlace projects x onto the solver's constraint set.
-func (sv *Solver) projectInPlace(x vec.Vector) { project(sv.c, sv.inplace, x) }
-
-// project replaces x with its projection onto c, in place when c has the
-// capability (ip is c's InplaceProjector, or nil) and through a copy
-// otherwise.
-func project(c constraint.Set, ip constraint.InplaceProjector, x vec.Vector) {
-	if ip != nil {
-		ip.ProjectInPlace(x)
-		return
-	}
-	x.CopyFrom(c.Project(x))
 }

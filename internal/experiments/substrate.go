@@ -118,7 +118,7 @@ func NoisyPGDConvergence(opts Options) (*Result, error) {
 		weights[i] = 1 + src.Float64()
 		center[i] = 0.5 * src.Normal(0, 0.3)
 	}
-	center = cons.Project(center)
+	cons.ProjectInto(center, center, nil)
 	value := func(th vec.Vector) float64 {
 		var s float64
 		for i := range th {
@@ -223,7 +223,7 @@ func GordonEmbeddingAndLifting(opts Options) (*Result, error) {
 		out.distAdaptive = geom.NormDistortion(proj.Apply, adaptive)
 		// Lifting: project a known θ ∈ C and recover it.
 		theta := sparseTruth(d, sparsity, 0.9, src)
-		theta = cons.Project(theta)
+		cons.ProjectInto(theta, theta, nil)
 		target := proj.Apply(theta)
 		lifted, err := proj.Lift(cons, target, sketch.LiftOptions{})
 		if err != nil {

@@ -159,7 +159,8 @@ func TestLipschitzBoundsHold(t *testing.T) {
 		lip := f.Lipschitz(c, 1, 1)
 		for trial := 0; trial < 200; trial++ {
 			z := randomPoint(r, 4)
-			theta := c.Project(randomTheta(r, 4))
+			theta := randomTheta(r, 4)
+			c.ProjectInto(theta, theta, nil)
 			if g := vec.Norm2(f.Gradient(theta, z)); g > lip+1e-9 {
 				t.Fatalf("%s: gradient norm %v exceeds Lipschitz bound %v", f.Name(), g, lip)
 			}

@@ -73,26 +73,17 @@ func lift(tf Transform, c constraint.Set, target vec.Vector, opts LiftOptions) (
 		step = 1 / (2 * specUpper * specUpper)
 	}
 	// FISTA workspace, shared by every feasibility check of this lift: the
-	// momentum point, the previous and next iterates, the gradient-step
-	// point, the gradient and residual, a check's best iterate (cand) and the
-	// best feasible point so far (best).
-	y, prev, next, work := vec.NewVector(d), vec.NewVector(d), vec.NewVector(d), vec.NewVector(d)
+	// momentum point, the previous and next iterates, the gradient and
+	// residual, a check's best iterate (cand), the best feasible point so far
+	// (best) and the projection scratch.
+	y, prev, next := vec.NewVector(d), vec.NewVector(d), vec.NewVector(d)
 	grad, cand, best := vec.NewVector(d), vec.NewVector(d), vec.NewVector(d)
 	residual := vec.NewVector(m)
+	var proj constraint.Scratch
 	evalResidual := func(th vec.Vector) float64 {
 		tf.ApplyTo(residual, th)
 		residual.SubInPlace(target)
 		return vec.Norm2(residual)
-	}
-	// projectInto writes the projection of x onto set into dst, in place
-	// when the set has the capability.
-	projectInto := func(set constraint.Set, dst, x vec.Vector) {
-		if ip, ok := set.(constraint.InplaceProjector); ok {
-			dst.CopyFrom(x)
-			ip.ProjectInPlace(dst)
-			return
-		}
-		dst.CopyFrom(set.Project(x))
 	}
 	// feasible minimizes f(θ) = ‖Φθ - ϑ‖² over the scaled set with FISTA
 	// (accelerated projected gradient; the gradient Lipschitz constant is
@@ -102,11 +93,11 @@ func lift(tf Transform, c constraint.Set, target vec.Vector, opts LiftOptions) (
 	feasible := func(scale float64, start vec.Vector) (vec.Vector, float64) {
 		set := c.Scale(scale)
 		if start == nil {
-			work.Zero()
+			y.Zero()
 		} else {
-			work.CopyFrom(start)
+			y.CopyFrom(start)
 		}
-		projectInto(set, y, work)
+		set.ProjectInto(y, y, &proj)
 		prev.CopyFrom(y)
 		cand.CopyFrom(y)
 		tk := 1.0
@@ -116,9 +107,9 @@ func lift(tf Transform, c constraint.Set, target vec.Vector, opts LiftOptions) (
 			tf.ApplyTo(residual, y)
 			residual.SubInPlace(target)
 			tf.ApplyTransposeTo(grad, residual)
-			work.CopyFrom(y)
-			vec.Axpy(work, -2*step, grad)
-			projectInto(set, next, work)
+			next.CopyFrom(y)
+			vec.Axpy(next, -2*step, grad)
+			set.ProjectInto(next, next, &proj)
 			if res := evalResidual(next); res < bestRes {
 				bestRes = res
 				cand.CopyFrom(next)

@@ -138,7 +138,8 @@ func TestImageSetVariants(t *testing.T) {
 	// Every projected point of C must lie in the image set.
 	l1 := constraint.NewL1Ball(d, 1)
 	for trial := 0; trial < 20; trial++ {
-		theta := l1.Project(vec.Vector(src.NormalVector(d, 1)))
+		theta := vec.Vector(src.NormalVector(d, 1))
+		l1.ProjectInto(theta, theta, nil)
 		if !img.Contains(p.Apply(theta), 1e-2) {
 			t.Fatalf("Φθ not contained in the exact image set")
 		}
@@ -159,7 +160,8 @@ func TestLiftRecoversProjectedPoint(t *testing.T) {
 	d := 96
 	cons := constraint.NewL1Ball(d, 1)
 	src := randx.NewSource(7)
-	theta := cons.Project(vec.Vector(src.SparseVector(d, 3)))
+	theta := vec.Vector(src.SparseVector(d, 3))
+	cons.ProjectInto(theta, theta, nil)
 	errAt := func(m int) float64 {
 		p, err := NewProjector(m, d, src.Split())
 		if err != nil {

@@ -225,7 +225,8 @@ func TestSRHTLiftRecoversProjectedPoint(t *testing.T) {
 	d := 96
 	cons := constraint.NewL1Ball(d, 1)
 	src := randx.NewSource(8)
-	theta := cons.Project(vec.Vector(src.SparseVector(d, 3)))
+	theta := vec.Vector(src.SparseVector(d, 3))
+	cons.ProjectInto(theta, theta, nil)
 	s, err := NewSRHT(48, d, src.Split())
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,9 @@ func (c Constraint) GaussianWidth() float64 { return c.set.GaussianWidth() }
 
 // Project returns the Euclidean projection of x onto the constraint set.
 func (c Constraint) Project(x []float64) []float64 {
-	return c.set.Project(vec.Vector(x))
+	out := make([]float64, len(x))
+	c.set.ProjectInto(out, x, nil)
+	return out
 }
 
 // Contains reports whether x lies in the constraint set up to tolerance tol.
