@@ -267,10 +267,9 @@ func newEngine(name string, f loss.Function, c constraint.Set, k int, p, perOutc
 		current:   make([]vec.Vector, k),
 		ybuf:      make([]float64, k),
 	}
-	origin := vec.NewVector(d)
-	c.ProjectInto(origin, origin, nil)
 	for i := range g.current {
-		g.current[i] = origin.Clone()
+		g.current[i] = vec.NewVector(d)
+		c.ProjectInto(g.current[i], g.current[i], nil)
 	}
 	if _, _, ok := loss.AsQuadratic(f); ok {
 		g.stats = erm.NewMultiStats(d, k)

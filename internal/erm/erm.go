@@ -130,11 +130,12 @@ func ExactStats(ws *ExactWorkspace, s *MultiStats, c constraint.Set, iters int) 
 	return bestIterate(c, &ws.proj, theta, iters, step, 1e-12, grad, risk)
 }
 
-// bestIterate is the exact solvers' projected gradient descent, projecting
-// with scratch proj: from theta (a point of c, overwritten), θ_{k+1} = P_C(θ_k − η_k·∇(θ_k)) for at most iters
-// steps, stopping once an iterate moves less than tol, and returning the
-// iterate of least risk as a new vector. step > 0 is a constant η; zero
-// selects the diminishing schedule η_k = ‖C‖ / (√(k+1)·(1 + ‖∇(θ_k)‖)).
+// bestIterate is the exact solvers' projected gradient descent: from theta (a
+// point of c, overwritten), θ_{k+1} = P_C(θ_k − η_k·∇(θ_k)) for at most iters
+// steps, projecting with scratch proj, stopping once an iterate moves less
+// than tol, and returning the iterate of least risk as a new vector. step > 0
+// is a constant η; zero selects the diminishing schedule
+// η_k = ‖C‖ / (√(k+1)·(1 + ‖∇(θ_k)‖)).
 func bestIterate(c constraint.Set, proj *constraint.Scratch, theta vec.Vector, iters int, step, tol float64, grad func(dst, theta vec.Vector), risk func(vec.Vector) float64) vec.Vector {
 	best := theta.Clone()
 	bestVal := risk(theta)
