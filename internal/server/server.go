@@ -431,9 +431,7 @@ var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		jsonBufPool.Put(buf)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -444,154 +442,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	jsonBufPool.Put(buf)
 }
 
-// observeRequest is the body of POST /v1/streams/{id}/observe: either a
-// single point (x, y) or a batch (xs, ys), not both. The optional "from" is
-// the conditional-ingest offset: the batch applies only if the stream's
-// length equals it (an already-applied batch acks as a duplicate, anything
-// else is a 409 conflict), which makes retries exactly-once across
-// forwarding hops and standby promotion.
-type observeRequest struct {
-	X  []float64   `json:"x,omitempty"`
-	Y  *float64    `json:"y,omitempty"`
-	Xs [][]float64 `json:"xs,omitempty"`
-	Ys []float64   `json:"ys,omitempty"`
-	// Yss carries per-row response vectors for a multi-outcome pool: row i of
-	// a batch pairs Xs[i] with the k responses Yss[i]. On a multi-outcome
-	// pool the single-point form pairs "x" with the k responses "ys".
-	Yss  [][]float64 `json:"yss,omitempty"`
-	From *int64      `json:"from,omitempty"`
-}
-
 type observeResponse struct {
 	Applied int `json:"applied"`
 	Len     int `json:"len"`
-}
-
-// observeScratch is the pooled per-request scratch of the observe handler:
-// the body-read buffer, the decoded request, and the flat row buffers the
-// request is packed into. The request's slices (the batch rows, the row
-// slices inside them, the response vector) are reset to length zero but keep
-// their backing arrays between requests, and encoding/json decodes into
-// existing backing when capacity suffices — so a steady stream of
-// same-shaped batches decodes with no per-row allocation. Safe to recycle
-// after the handler returns because enqueue blocks until the points are
-// applied.
-type observeScratch struct {
-	body bytes.Buffer
-	req  observeRequest
-	// xs and ys are the flat row batch: covariates row-major (rows×d),
-	// responses row-major (rows×k).
-	xs []float64
-	ys []float64
-}
-
-var observeScratchPool = sync.Pool{New: func() any { return new(observeScratch) }}
-
-// decodeObserve decodes an observe body into one flat row batch: covariates
-// row-major (rows×d) and responses row-major (rows×k, k the pool's outcome
-// count). A single-outcome pool takes {"x","y"} or {"xs","ys"}; a k-outcome
-// pool takes {"x","ys"} (k responses) or {"xs","yss"} (k per row). The shape
-// is validated eagerly — length and dimension mismatches are caught here,
-// before anything is queued, so a coalesced batch downstream can only fail
-// for per-stream reasons (horizon overrun). The returned slices may reference
-// sc, which the caller releases back to the pool when done.
-//
-// Field presence is length-based (a key is "set" when it decoded at least one
-// element), which is what permits slice reuse: an absent key leaves the
-// reset-to-empty slice untouched, so nil-ness can no longer distinguish
-// absent from empty. The one observable consequence is that an explicitly
-// empty batch ({"xs":[],"ys":[]}) is rejected like a missing body instead of
-// acked as a zero-point success.
-func (s *Server) decodeObserve(sc *observeScratch, r *http.Request) (xs, ys []float64, from int64, err error) {
-	sc.body.Reset()
-	if _, err := sc.body.ReadFrom(r.Body); err != nil {
-		return nil, nil, -1, fmt.Errorf("server: reading observe body: %w", err)
-	}
-	req := &sc.req
-	req.X = req.X[:0]
-	req.Y = nil
-	req.Xs = req.Xs[:0]
-	req.Ys = req.Ys[:0]
-	req.Yss = req.Yss[:0]
-	req.From = nil
-	dec := json.NewDecoder(bytes.NewReader(sc.body.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		return nil, nil, -1, fmt.Errorf("server: decoding observe body: %w", err)
-	}
-	from = -1
-	if req.From != nil {
-		if *req.From < 0 {
-			return nil, nil, -1, fmt.Errorf(`server: "from" must be a non-negative stream offset, got %d`, *req.From)
-		}
-		from = *req.From
-	}
-	k, d := s.spec.outcomes(), s.spec.Dim
-	if k == 1 {
-		if len(req.Yss) > 0 {
-			return nil, nil, -1, errors.New(`server: "yss" is the multi-outcome batch form; this pool serves a single outcome (use "ys")`)
-		}
-		single := len(req.X) > 0 || req.Y != nil
-		batch := len(req.Xs) > 0 || len(req.Ys) > 0
-		switch {
-		case single && batch:
-			return nil, nil, -1, errors.New(`server: observe body must set either {"x","y"} or {"xs","ys"}, not both`)
-		case single:
-			if len(req.X) == 0 || req.Y == nil {
-				return nil, nil, -1, errors.New(`server: single-point observe requires both "x" and "y"`)
-			}
-			if len(req.X) != d {
-				return nil, nil, -1, fmt.Errorf("server: covariate 0 has dimension %d, pool dimension is %d", len(req.X), d)
-			}
-			sc.ys = append(sc.ys[:0], *req.Y)
-			return req.X, sc.ys, from, nil
-		case !batch:
-			return nil, nil, -1, errors.New(`server: observe body must set {"x","y"} or {"xs","ys"} with at least one point`)
-		case len(req.Xs) != len(req.Ys):
-			return nil, nil, -1, fmt.Errorf("server: batch covariate count %d does not match response count %d", len(req.Xs), len(req.Ys))
-		}
-	} else {
-		if req.Y != nil {
-			return nil, nil, -1, fmt.Errorf(`server: this pool serves %d outcomes per row; send the responses as "ys" (single point) or "yss" (batch)`, k)
-		}
-		single := len(req.X) > 0
-		batch := len(req.Xs) > 0 || len(req.Yss) > 0
-		switch {
-		case single && batch:
-			return nil, nil, -1, errors.New(`server: observe body must set either {"x","ys"} or {"xs","yss"}, not both`)
-		case single:
-			if len(req.X) != d {
-				return nil, nil, -1, fmt.Errorf("server: covariate has dimension %d, pool dimension is %d", len(req.X), d)
-			}
-			if len(req.Ys) != k {
-				return nil, nil, -1, fmt.Errorf(`server: single-point observe requires "ys" with %d responses, got %d`, k, len(req.Ys))
-			}
-			return req.X, req.Ys, from, nil
-		case !batch:
-			return nil, nil, -1, errors.New(`server: observe body must set {"x","ys"} or {"xs","yss"} with at least one point`)
-		case len(req.Ys) > 0:
-			return nil, nil, -1, errors.New(`server: multi-outcome batches carry per-row responses in "yss", not "ys"`)
-		case len(req.Xs) != len(req.Yss):
-			return nil, nil, -1, fmt.Errorf("server: batch covariate count %d does not match response-row count %d", len(req.Xs), len(req.Yss))
-		}
-	}
-	sc.xs, sc.ys = sc.xs[:0], sc.ys[:0]
-	for i, x := range req.Xs {
-		if len(x) != d {
-			return nil, nil, -1, fmt.Errorf("server: covariate %d has dimension %d, pool dimension is %d", i, len(x), d)
-		}
-		sc.xs = append(sc.xs, x...)
-		if k > 1 {
-			if len(req.Yss[i]) != k {
-				return nil, nil, -1, fmt.Errorf("server: response row %d has %d outcomes, pool serves %d", i, len(req.Yss[i]), k)
-			}
-			sc.ys = append(sc.ys, req.Yss[i]...)
-		}
-	}
-	if k == 1 {
-		return sc.xs, req.Ys, from, nil
-	}
-	return sc.xs, sc.ys, from, nil
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
@@ -602,16 +455,15 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := observeScratchPool.Get().(*observeScratch)
 	defer observeScratchPool.Put(sc)
-	xs, ys, from, err := s.decodeObserve(sc, r)
+	xs, ys, from, err := s.readObserve(sc, w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// A request bigger than the whole queue bound can never be accepted —
-	// that is a permanent 413, not a retryable 429.
-	if rows := len(xs) / s.spec.Dim; rows > s.ing.maxPoints {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("server: batch of %d points exceeds the per-stream queue bound %d; split the batch", rows, s.ing.maxPoints))
+		// A request bigger than the whole queue bound can never be
+		// accepted — that is a permanent 413, not a retryable 429.
+		code := http.StatusBadRequest
+		if errors.Is(err, errTooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err)
 		return
 	}
 	if s.cl != nil && s.cl.routeObserve(w, id, xs, ys, from) {

@@ -164,30 +164,27 @@ func TestObserveEstimateStats(t *testing.T) {
 	}
 }
 
+// postRaw posts body verbatim, for bodies json.Marshal would reject or
+// reformat.
+func postRaw(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(raw)
+}
+
 func TestObserveValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	url := ts.URL + "/v1/streams/v/observe"
 
-	for name, body := range map[string]any{
-		"empty object":       map[string]any{},
-		"both forms":         map[string]any{"x": []float64{1, 0, 0, 0}, "y": 1.0, "xs": [][]float64{{1, 0, 0, 0}}, "ys": []float64{1}},
-		"x without y":        map[string]any{"x": []float64{1, 0, 0, 0}},
-		"length mismatch":    observeBody([][]float64{{1, 0, 0, 0}}, []float64{1, 2}),
-		"dimension mismatch": observeBody([][]float64{{1, 0}}, []float64{1}),
-		"unknown field":      map[string]any{"x": []float64{1, 0, 0, 0}, "y": 1.0, "bogus": 1},
-	} {
-		if code, raw := doJSON(t, "POST", url, body, nil); code != http.StatusBadRequest {
+	for name, body := range observeValidationBodies {
+		if code, raw := postRaw(t, url, body); code != http.StatusBadRequest {
 			t.Errorf("%s: code=%d body=%s, want 400", name, code, raw)
 		}
-	}
-	// Malformed JSON.
-	resp, err := http.Post(url, "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed JSON: code=%d, want 400", resp.StatusCode)
 	}
 	// Nothing got ingested.
 	var listing struct {
@@ -200,7 +197,9 @@ func TestObserveValidation(t *testing.T) {
 
 func TestOversizedBatch413(t *testing.T) {
 	// A single request larger than the per-stream queue bound can never be
-	// accepted — that is a permanent 413, not a retryable 429.
+	// accepted — that is a permanent 413, not a retryable 429. So is a body
+	// longer than such a batch can need, even when its rows would fit: the
+	// body is bounded before it is buffered.
 	_, ts := newTestServer(t, Config{MaxQueuedPoints: 2})
 	var xs [][]float64
 	var ys []float64
@@ -209,16 +208,21 @@ func TestOversizedBatch413(t *testing.T) {
 		xs = append(xs, x)
 		ys = append(ys, y)
 	}
-	code, raw := doJSON(t, "POST", ts.URL+"/v1/streams/big/observe", observeBody(xs, ys), nil)
+	url := ts.URL + "/v1/streams/big/observe"
+	code, raw := doJSON(t, "POST", url, observeBody(xs, ys), nil)
 	if code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized request: code=%d body=%s, want 413", code, raw)
+	}
+	padded := `{"x":[1,0,0,0],"y":1` + strings.Repeat(" ", int(observeBodyLimit(2, 4, 1))) + `}`
+	if code, raw := postRaw(t, url, padded); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: code=%d body=%s, want 413", code, raw)
 	}
 	// The stream was never created.
 	if code, _ := doJSON(t, "GET", ts.URL+"/v1/streams/big/stats", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("rejected request created the stream (stats code=%d)", code)
 	}
 	// A fitting batch on the same stream still lands.
-	if code, raw := doJSON(t, "POST", ts.URL+"/v1/streams/big/observe", observeBody(xs[:2], ys[:2]), nil); code != http.StatusOK {
+	if code, raw := doJSON(t, "POST", url, observeBody(xs[:2], ys[:2]), nil); code != http.StatusOK {
 		t.Fatalf("fitting batch: code=%d body=%s", code, raw)
 	}
 }

@@ -90,7 +90,7 @@ stop_server() {
 
 # stat_field ADDR FIELD — extracts an integer PoolStats field from /v1/stats.
 stat_field() {
-  curl -fsS "http://$1/v1/stats" | grep -o "\"$2\": [0-9-]*" | grep -o '[0-9-]*$'
+  curl -fsS "http://$1/v1/stats" | grep -o "\"$2\":[0-9-]*" | grep -o '[0-9-]*$'
 }
 
 want_phase() { case " $phases " in *" $1 "*) return 0 ;; *) return 1 ;; esac }
@@ -109,7 +109,7 @@ phase_restart() {
 
   echo "== restart phase 1: boot + ingest 8 streams x 24 points + verify"
   start_server restart "$addr" "${flags[@]}"
-  curl -fsS "http://$addr/healthz" | grep -q "\"version\": \"$e2e_version\"" \
+  curl -fsS "http://$addr/healthz" | grep -q "\"version\":\"$e2e_version\"" \
     || { echo "healthz does not carry the ldflags-injected version" >&2; return 1; }
   "$bin/privreg-loadgen" -addr "http://$addr" -streams 8 -points 24 -batch 6
 
@@ -229,9 +229,9 @@ phase_cluster() {
   start_server node_c "$hc" -wire-addr "$wc_" -node-id c -peers "$peers" "${spec_flags[@]}"
 
   for addr in "$ha" "$hb" "$hc"; do
-    curl -fsS "http://$addr/v1/ring" | grep -q '"version": 1' \
+    curl -fsS "http://$addr/v1/ring" | grep -q '"version":1' \
       || { echo "node at $addr does not serve ring v1" >&2; return 1; }
-    curl -fsS "http://$addr/readyz" | grep -q '"status": "ready"' \
+    curl -fsS "http://$addr/readyz" | grep -q '"status":"ready"' \
       || { echo "node at $addr is not ready" >&2; return 1; }
   done
 
@@ -252,12 +252,12 @@ phase_cluster() {
 
   echo "== cluster: survivors rebalanced (ring v2, 2 members)"
   for addr in "$ha" "$hb"; do
-    curl -fsS "http://$addr/v1/ring" | grep -q '"version": 2' \
+    curl -fsS "http://$addr/v1/ring" | grep -q '"version":2' \
       || { echo "survivor at $addr did not adopt ring v2" >&2; return 1; }
   done
-  curl -fsS "http://$ha/v1/stats" | grep -q '"members": 2' \
+  curl -fsS "http://$ha/v1/stats" | grep -q '"members":2' \
     || { echo "node a stats do not show 2 members" >&2; return 1; }
-  curl -fsS "http://$ha/v1/stats" | grep -q "\"version\": \"$e2e_version\"" \
+  curl -fsS "http://$ha/v1/stats" | grep -q "\"version\":\"$e2e_version\"" \
     || { echo "stats do not carry the ldflags-injected version" >&2; return 1; }
 
   echo "== cluster wave 3: ring-aware ingest on the rebalanced ring + verify"
@@ -299,7 +299,7 @@ phase_unclean() {
   start_server uc_c "$hc" -wire-addr "$wc_" -node-id c -peers "$peers" "${detector_flags[@]}" "${spec_flags[@]}"
 
   for addr in "$ha" "$hb" "$hc"; do
-    curl -fsS "http://$addr/v1/cluster/members" | grep -q '"failure_detection": true'       || { echo "node at $addr does not report failure detection on" >&2; return 1; }
+    curl -fsS "http://$addr/v1/cluster/members" | grep -q '"failure_detection":true'       || { echo "node at $addr does not report failure detection on" >&2; return 1; }
   done
 
   echo "== unclean wave 1: ring-aware binary ingest, 48 skewed streams"
@@ -318,7 +318,7 @@ phase_unclean() {
   # Suspicion is 500ms; allow generous CI slack on top of the wave itself.
   local deadline=$((killed_at + 20)) healed=0
   while [ $SECONDS -lt $deadline ]; do
-    if curl -fsS "http://$ha/v1/ring" | grep -q '"version": 2'       && curl -fsS "http://$hb/v1/ring" | grep -q '"version": 2'; then
+    if curl -fsS "http://$ha/v1/ring" | grep -q '"version":2'       && curl -fsS "http://$hb/v1/ring" | grep -q '"version":2'; then
       healed=1
       break
     fi
@@ -326,7 +326,7 @@ phase_unclean() {
   done
   [ "$healed" -eq 1 ] || { echo "survivors never converged on ring v2 after the kill -9" >&2; return 1; }
   echo "   ring v2 adopted by both survivors $((SECONDS - killed_at))s after the kill"
-  curl -fsS "http://$ha/v1/cluster/members" | grep -Eq '"state": "(dead|left)"'     || { echo "node a's member table does not show c dead/left" >&2; return 1; }
+  curl -fsS "http://$ha/v1/cluster/members" | grep -Eq '"state":"(dead|left)"'     || { echo "node a's member table does not show c dead/left" >&2; return 1; }
   curl -fsS "http://$ha/readyz" | grep -q '"members"'     || { echo "readyz does not carry the membership view" >&2; return 1; }
 
   echo "== unclean wave 3: ingest on the healed ring + bit-identical verify"
