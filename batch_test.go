@@ -2,6 +2,7 @@ package privreg
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"privreg/internal/core"
@@ -136,14 +137,28 @@ func TestObserveBatchValidation(t *testing.T) {
 	}
 }
 
-// TestShortRowRejectedByEveryMechanism pins the row-shape contract at the
-// adapter boundary for every registered mechanism: a covariate shorter than
-// the constraint's dimension is an error on every ingest entry point, never a
-// panic, and it consumes nothing — the stream's length is unchanged and the
-// next well-formed row lands as row 1.
+// TestShortRowRejectedByEveryMechanism pins the row contract at the adapter
+// boundary for every registered mechanism: a covariate shorter than the
+// constraint's dimension, or a row carrying a NaN or ±Inf, is an error on
+// every ingest entry point, never a panic, and it consumes nothing — the
+// stream's length is unchanged, no pool stream is created, and the next
+// well-formed row lands as row 1 with a finite estimate.
 func TestShortRowRejectedByEveryMechanism(t *testing.T) {
 	const d = 4
-	short, y := []float64{0.5, 0.1}, []float64{0.1}
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []struct {
+		name string
+		x    []float64
+		y    float64
+	}{
+		{"short", []float64{0.5, 0.1}, 0.1},
+		{"NaN covariate", []float64{nan, 0, 0, 0}, 0.1},
+		{"+Inf covariate", []float64{inf, 0, 0, 0}, 0.1},
+		{"-Inf covariate", []float64{0, 0, 0, -inf}, 0.1},
+		{"NaN response", []float64{0.5, 0, 0, 0}, nan},
+		{"+Inf response", []float64{0.5, 0, 0, 0}, inf},
+		{"-Inf response", []float64{0.5, 0, 0, 0}, -inf},
+	}
 	for _, name := range Mechanisms() {
 		t.Run(name, func(t *testing.T) {
 			info, err := Describe(name)
@@ -166,37 +181,49 @@ func TestShortRowRejectedByEveryMechanism(t *testing.T) {
 				t.Fatal(err)
 			}
 			me := est.(MultiEstimator)
-			entries := []struct {
-				name string
-				call func() error
-			}{
-				{"Observe", func() error { return est.Observe(short, y[0]) }},
-				{"ObserveBatch", func() error { return est.ObserveBatch([][]float64{short}, y) }},
-				{"ObserveFlat", func() error { return est.(FlatObserver).ObserveFlat(len(short), short, y) }},
-				{"ObserveMultiFlat", func() error { return me.ObserveMultiFlat(len(short), short, y) }},
-				{"Pool.ObserveFlat", func() error { return pool.ObserveFlat("s", len(short), short, y) }},
-			}
-			for _, e := range entries {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							t.Fatalf("%s panicked on a short row: %v", e.name, r)
+			for _, row := range bad {
+				x, y := row.x, []float64{row.y}
+				entries := []struct {
+					name string
+					call func() error
+				}{
+					{"Observe", func() error { return est.Observe(x, y[0]) }},
+					{"ObserveBatch", func() error { return est.ObserveBatch([][]float64{x}, y) }},
+					{"ObserveFlat", func() error { return est.(FlatObserver).ObserveFlat(len(x), x, y) }},
+					{"ObserveMultiFlat", func() error { return me.ObserveMultiFlat(len(x), x, y) }},
+					{"Pool.ObserveFlat", func() error { return pool.ObserveFlat("s", len(x), x, y) }},
+				}
+				for _, e := range entries {
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Fatalf("%s panicked on a %s row: %v", e.name, row.name, r)
+							}
+						}()
+						if err := e.call(); err == nil {
+							t.Fatalf("%s accepted a %s row (%v, %v) into a dimension-%d estimator", e.name, row.name, x, y, d)
 						}
 					}()
-					if err := e.call(); err == nil {
-						t.Fatalf("%s accepted a row of dimension %d into a dimension-%d estimator", e.name, len(short), d)
+					if est.Len() != 0 {
+						t.Fatalf("%s consumed a rejected %s row: Len = %d", e.name, row.name, est.Len())
 					}
-				}()
-				if est.Len() != 0 {
-					t.Fatalf("%s consumed a rejected row: Len = %d", e.name, est.Len())
-				}
-				if n, ok := pool.LenOK("s"); n != 0 || ok {
-					t.Fatalf("%s left pool stream at (%d, %v), want (0, false)", e.name, n, ok)
+					if n, ok := pool.LenOK("s"); n != 0 || ok {
+						t.Fatalf("%s left pool stream at (%d, %v) after a %s row, want (0, false)", e.name, n, ok, row.name)
+					}
 				}
 			}
-			x, _ := syntheticPoint(0, d)
-			if err := est.Observe(x, y[0]); err != nil || est.Len() != 1 {
+			x, y := syntheticPoint(0, d)
+			if err := est.Observe(x, y); err != nil || est.Len() != 1 {
 				t.Fatalf("well-formed row after rejections: err=%v Len=%d", err, est.Len())
+			}
+			theta, err := est.Estimate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range theta {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("estimate coordinate %d is %v after the rejected rows", i, v)
+				}
 			}
 		})
 	}

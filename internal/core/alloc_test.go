@@ -13,10 +13,10 @@ import (
 )
 
 // Allocation-regression guards for the sufficient-statistics mechanisms and
-// the paper's regression mechanisms. On the quadratic path, Observe folds a
-// point through a reused clamp buffer into preallocated moment statistics
-// (zero allocations), ObserveBatch and ObserveMultiFlat are the same loop,
-// and a non-boundary Estimate only clones the memoized vector. The regression
+// the paper's regression mechanisms. On the quadratic path, ObserveRows folds
+// each row through a reused clamp buffer into preallocated moment statistics
+// (zero allocations), and a non-boundary Estimate only clones the memoized
+// vector. The regression
 // mechanisms fold svec(x xᵀ) through a reused buffer into their trees'
 // preallocated level slabs. A failure here means a scratch buffer stopped
 // being reused or the fold path regressed to per-point cloning.
@@ -24,8 +24,8 @@ import (
 // allocMechs names the mechanisms under audit.
 var allocMechs = []string{"generic-erm", "naive-recompute", "multi-outcome", "nonprivate", "gradient", "projected", "robust-projected"}
 
-// observeBudget is the allocation budget of one Observe, or of one
-// ObserveBatch of 32 rows: the regression mechanisms' folds have no boundary
+// observeBudget is the allocation budget of one ObserveRows of 1 row, or of
+// 32 rows: the regression mechanisms' folds have no boundary
 // snapshots and are pinned at zero, rows the robust oracle rejects included.
 func observeBudget(name string, slowPath int) int {
 	switch name {
@@ -36,9 +36,8 @@ func observeBudget(name string, slowPath int) int {
 }
 
 // allocMech builds the named mechanism (d = 16; k = 4 for multi-outcome) and
-// an ingest function for a fixed run of rows drawn once: single-outcome
-// mechanisms take a single row through Observe and longer runs through
-// ObserveBatch, multi-outcome takes every run flat through ObserveMultiFlat.
+// an ingest function feeding a fixed run of rows, drawn once, through
+// ObserveRows.
 func allocMech(t testing.TB, name string, rows int) (Estimator, func() error) {
 	t.Helper()
 	const d, k = 16, 4
@@ -47,6 +46,7 @@ func allocMech(t testing.TB, name string, rows int) (Estimator, func() error) {
 	batch := erm.PrivateBatchOptions{Iterations: 8}
 	var mech Estimator
 	var err error
+	outcomes := 1
 	switch name {
 	case "generic-erm":
 		mech, err = NewGenericERM(loss.Squared{}, cons, privacy(), 1<<20, randx.NewSource(4),
@@ -55,14 +55,9 @@ func allocMech(t testing.TB, name string, rows int) (Estimator, func() error) {
 		mech, err = NewNaiveRecompute(loss.Squared{}, cons, privacy(), 1<<20, randx.NewSource(4),
 			GenericOptions{Batch: batch})
 	case "multi-outcome":
-		m, err := NewMultiOutcome(cons, k, privacy(), 1<<20, randx.NewSource(4),
+		mech, err = NewMultiOutcome(cons, k, privacy(), 1<<20, randx.NewSource(4),
 			GenericOptions{Tau: 64, Batch: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		xs := driver.NormalVector(rows*d, 0.3)
-		ys := driver.NormalVector(rows*k, 0.5)
-		return m, func() error { return m.ObserveMultiFlat(xs, ys) }
+		outcomes = k
 	case "nonprivate":
 		mech = NewNonPrivateIncremental(cons, 0)
 	case "gradient":
@@ -72,7 +67,7 @@ func allocMech(t testing.TB, name string, rows int) (Estimator, func() error) {
 			ProjectedOptions{ProjectionDim: d / 2})
 	case "robust-projected":
 		// The oracle rejects rows with a positive first covariate: about half
-		// of a batch, and the single Observe row (made positive below).
+		// of a batch, and the single row (made positive below).
 		oracle := func(x vec.Vector) bool { return x[0] <= 0 }
 		mech, err = NewRobustProjectedRegression(cons, cons, oracle, privacy(), 1<<20, randx.NewSource(4),
 			ProjectedOptions{ProjectionDim: d / 2})
@@ -82,17 +77,12 @@ func allocMech(t testing.TB, name string, rows int) (Estimator, func() error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := make([]loss.Point, rows)
-	for i := range ps {
-		ps[i] = loss.Point{X: vec.Vector(driver.NormalVector(d, 0.3)), Y: driver.Normal(0, 0.5)}
+	xs := driver.NormalVector(rows*d, 0.3)
+	ys := driver.NormalVector(rows*outcomes, 0.5)
+	if rows == 1 && name == "robust-projected" {
+		xs[0] = math.Abs(xs[0]) + 0.1
 	}
-	if rows == 1 {
-		if name == "robust-projected" {
-			ps[0].X[0] = math.Abs(ps[0].X[0]) + 0.1
-		}
-		return mech, func() error { return mech.Observe(ps[0]) }
-	}
-	return mech, func() error { return mech.ObserveBatch(ps) }
+	return mech, func() error { return mech.ObserveRows(xs, ys) }
 }
 
 func TestSlowPathObserveAllocs(t *testing.T) {
@@ -111,7 +101,7 @@ func TestSlowPathObserveAllocs(t *testing.T) {
 			// leaves headroom for runtime drift).
 			budget := observeBudget(name, 1)
 			if allocs := testing.AllocsPerRun(200, run); allocs > float64(budget) {
-				t.Fatalf("Observe allocates %.1f times per point, budget %d", allocs, budget)
+				t.Fatalf("ObserveRows(1) allocates %.1f times per row, budget %d", allocs, budget)
 			}
 		})
 	}
@@ -131,7 +121,7 @@ func TestSlowPathObserveBatchAllocs(t *testing.T) {
 			// allocation-free.
 			budget := observeBudget(name, 2)
 			if allocs := testing.AllocsPerRun(100, run); allocs > float64(budget) {
-				t.Fatalf("ObserveBatch(32) allocates %.1f times per batch, budget %d", allocs, budget)
+				t.Fatalf("ObserveRows(32) allocates %.1f times per batch, budget %d", allocs, budget)
 			}
 		})
 	}
@@ -203,14 +193,14 @@ func coldRead(t *testing.T, name string) func() {
 			estimate = func() error { _, err := r.estimate(nil); return err }
 		}
 	}
-	p := loss.Point{X: vec.Vector(x), Y: driver.Normal(0, 0.5)}
+	y := []float64{driver.Normal(0, 0.5)}
 	for i := 0; i < 1000; i++ {
-		if err := mech.Observe(p); err != nil {
+		if err := mech.ObserveRows(x, y); err != nil {
 			t.Fatal(err)
 		}
 	}
 	read := func() {
-		if err := mech.Observe(p); err != nil {
+		if err := mech.ObserveRows(x, y); err != nil {
 			t.Fatal(err)
 		}
 		if err := estimate(); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"privreg/internal/codec"
 	"privreg/internal/constraint"
 	"privreg/internal/randx"
 )
@@ -20,10 +21,10 @@ func estimateCached(t *testing.T, build func() Estimator) {
 	b := build()
 	for i := 0; i < 12; i++ {
 		p := gen.Next()
-		if err := a.Observe(p); err != nil {
+		if err := observe(a, p); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Observe(p); err != nil {
+		if err := observe(b, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,10 +47,10 @@ func estimateCached(t *testing.T, build func() Estimator) {
 	// Fresh data invalidates; both estimators must agree afterwards even
 	// though only a made the intermediate (cached) calls.
 	p := gen.Next()
-	if err := a.Observe(p); err != nil {
+	if err := observe(a, p); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Observe(p); err != nil {
+	if err := observe(b, p); err != nil {
 		t.Fatal(err)
 	}
 	ea, err := a.Estimate()
@@ -97,17 +98,14 @@ func TestEstimateMemoSurvivesRestore(t *testing.T) {
 			gen, _ := linearStream(3, 0.05, 0, 11)
 			orig := build()
 			for i := 0; i < 12; i++ {
-				if err := orig.Observe(gen.Next()); err != nil {
+				if err := observe(orig, gen.Next()); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if _, err := orig.Estimate(); err != nil {
 				t.Fatal(err)
 			}
-			blob, err := orig.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
+			blob := codec.Encode(orig)
 			restored := build()
 			if err := restored.UnmarshalBinary(blob); err != nil {
 				t.Fatal(err)
@@ -178,10 +176,10 @@ func TestEstimateCacheSurvivesWarmStart(t *testing.T) {
 	quiet := build()  // calls Estimate once per step
 	for i := 0; i < 20; i++ {
 		p := gen.Next()
-		if err := chatty.Observe(p); err != nil {
+		if err := observe(chatty, p); err != nil {
 			t.Fatal(err)
 		}
-		if err := quiet.Observe(p); err != nil {
+		if err := observe(quiet, p); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := quiet.Estimate(); err != nil {

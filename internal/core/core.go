@@ -11,21 +11,23 @@
 //     variant that optimizes privately in a Gaussian random projection of the
 //     problem and lifts the solution back by Minkowski-functional minimization
 //     (Section 5), plus its robust extension for mixed-domain streams (§5.2);
-//   - baselines: a non-private exact incremental solver, the naive private
-//     recompute-every-step mechanism (GenericERM with τ = 1), and the trivial
-//     data-independent mechanism, all used by the experiments for comparison.
+//   - baselines: a non-private exact incremental solver and the naive private
+//     recompute-every-step mechanism (GenericERM with τ = 1), both used by the
+//     experiments for comparison.
 //
-// Every mechanism satisfies the Estimator interface: feed the stream one point
-// at a time with Observe and read the current private parameter estimate with
-// Estimate. Estimates are computed lazily — per-timestep private state is
-// maintained inside Observe, while any private solve Estimate triggers is a
-// pure function of that state and a counter-derived noise key, so calling it
-// (or not calling it) at any subset of timesteps neither changes the privacy
-// guarantee nor the value any particular estimate takes.
+// Every mechanism satisfies the Estimator interface: feed the stream flat
+// rows — one covariate and its responses per timestep, any number of rows per
+// call — with ObserveRows and read the current private parameter estimate
+// with Estimate. Estimates are computed lazily — per-timestep private state is
+// maintained inside ObserveRows, while any private solve Estimate triggers is
+// a pure function of that state and a counter-derived noise key, so calling
+// it (or not calling it) at any subset of timesteps neither changes the
+// privacy guarantee nor the value any particular estimate takes.
 package core
 
 import (
 	"errors"
+	"fmt"
 
 	"privreg/internal/codec"
 	"privreg/internal/constraint"
@@ -39,15 +41,15 @@ import (
 type Estimator interface {
 	// Name returns a short identifier for tables and logs.
 	Name() string
-	// Observe feeds the next stream element to the mechanism.
-	Observe(p loss.Point) error
-	// ObserveBatch feeds a contiguous run of stream elements. Semantically
-	// equivalent to calling Observe on each element in order — identical
-	// private state, identical randomness consumption — but validated up front
-	// (a batch that would overrun a fixed horizon is rejected whole, before any
-	// element is consumed) and amortized: the continual-sum mechanisms defer
-	// their running-sum aggregation to the end of the batch.
-	ObserveBatch(ps []loss.Point) error
+	// ObserveRows feeds a contiguous run of rows, one per timestep: xs holds
+	// rows×d covariates and ys rows×k responses, both row-major (k = 1 except
+	// for the multi-outcome engine). Splitting a run into several calls leaves
+	// identical private state and consumes identical randomness. The batch is
+	// checked once before any row is consumed — whole rows, and a fixed
+	// horizon's capacity — so it is folded whole or not at all. Covariates
+	// are clamped into the unit ball and responses into [-1, 1] as they are
+	// folded; nothing references xs or ys after the call returns.
+	ObserveRows(xs, ys []float64) error
 	// Estimate returns the mechanism's current parameter estimate θ_t ∈ C.
 	Estimate() (vec.Vector, error)
 	// Len returns the number of points observed so far.
@@ -62,8 +64,6 @@ type Estimator interface {
 	// privacy budget, horizon, options, seed) that restores this state with
 	// UnmarshalBinary continues bit-identically to an uninterrupted run.
 	AppendState(w *codec.Writer)
-	// MarshalBinary returns the AppendState section as a standalone blob.
-	MarshalBinary() ([]byte, error)
 	// UnmarshalBinary restores state captured by AppendState. Structural
 	// parameters embedded in the checkpoint (mechanism kind, dimensions,
 	// horizon) are verified against the receiver and a mismatch is an error.
@@ -74,6 +74,17 @@ type Estimator interface {
 // ErrStreamFull is returned by mechanisms with a fixed horizon T when more
 // than T points are observed.
 var ErrStreamFull = errors.New("core: stream length exceeds the configured horizon")
+
+// batchRows returns the number of rows in a flat batch of d-wide covariates
+// xs and k responses per row ys, or an error when they are not whole rows of
+// one common count.
+func batchRows(xs, ys []float64, d, k int) (int, error) {
+	rows := len(ys) / k
+	if len(ys) != rows*k || len(xs) != rows*d {
+		return 0, fmt.Errorf("core: batch of %d covariate values and %d responses is not whole rows of dimension %d with %d responses", len(xs), len(ys), d, k)
+	}
+	return rows, nil
+}
 
 // clampPoint rescales a covariate into the unit Euclidean ball and clamps the
 // response into [-1, 1]. The mechanisms assume this normalization (‖X‖ ≤ 1,
@@ -107,43 +118,6 @@ func clampY(y float64) float64 {
 	return y
 }
 
-// TrivialConstant is the data-independent mechanism discussed in Section 1.1:
-// it outputs a fixed point of C at every timestep and is therefore perfectly
-// private; its excess risk is at most 2TL‖C‖. It anchors the "min{·, T}" part
-// of every bound in Table 1.
-type TrivialConstant struct {
-	c     constraint.Set
-	theta vec.Vector
-	n     int
-}
-
-// NewTrivialConstant returns the trivial mechanism outputting the projection of
-// the origin onto C.
-func NewTrivialConstant(c constraint.Set) *TrivialConstant {
-	origin := vec.NewVector(c.Dim())
-	c.ProjectInto(origin, origin, nil)
-	return &TrivialConstant{c: c, theta: origin}
-}
-
-// Name implements Estimator.
-func (t *TrivialConstant) Name() string { return "trivial-constant" }
-
-// Observe implements Estimator.
-func (t *TrivialConstant) Observe(loss.Point) error { t.n++; return nil }
-
-// ObserveBatch implements Estimator.
-func (t *TrivialConstant) ObserveBatch(ps []loss.Point) error { t.n += len(ps); return nil }
-
-// Estimate implements Estimator.
-func (t *TrivialConstant) Estimate() (vec.Vector, error) { return t.theta.Clone(), nil }
-
-// Len implements Estimator.
-func (t *TrivialConstant) Len() int { return t.n }
-
-// Privacy implements Estimator: the output is independent of the data, so the
-// mechanism is private for every ε ≥ 0; we report the degenerate zero value.
-func (t *TrivialConstant) Privacy() dp.Params { return dp.Params{} }
-
 // NonPrivateIncremental is the exact (non-private) incremental least-squares
 // baseline: it folds each clamped point into single-outcome sufficient
 // statistics and returns the exact constrained minimizer on demand. It is both
@@ -174,19 +148,15 @@ func NewNonPrivateIncremental(c constraint.Set, iters int) *NonPrivateIncrementa
 // Name implements Estimator.
 func (n *NonPrivateIncremental) Name() string { return "exact-incremental" }
 
-// Observe implements Estimator.
-func (n *NonPrivateIncremental) Observe(p loss.Point) error {
-	n.ybuf[0] = clampInto(n.xbuf, p.X, p.Y)
-	n.stats.Add(n.xbuf, n.ybuf[:])
-	return nil
-}
-
-// ObserveBatch implements Estimator.
-func (n *NonPrivateIncremental) ObserveBatch(ps []loss.Point) error {
-	for _, p := range ps {
-		if err := n.Observe(p); err != nil {
-			return err
-		}
+// ObserveRows implements Estimator.
+func (n *NonPrivateIncremental) ObserveRows(xs, ys []float64) error {
+	d := n.c.Dim()
+	if _, err := batchRows(xs, ys, d, 1); err != nil {
+		return err
+	}
+	for r, y := range ys {
+		n.ybuf[0] = clampInto(n.xbuf, xs[r*d:(r+1)*d], y)
+		n.stats.Add(n.xbuf, n.ybuf[:])
 	}
 	return nil
 }

@@ -31,14 +31,29 @@ func linearStream(d int, noise float64, sparsity int, seed int64) (stream.Genera
 	return gen, truth
 }
 
+// observe feeds p to est as a one-row batch.
+func observe(est Estimator, p loss.Point) error {
+	return est.ObserveRows(p.X, []float64{p.Y})
+}
+
+// observePoints feeds ps to est as one flat batch.
+func observePoints(est Estimator, ps []loss.Point) error {
+	var xs, ys []float64
+	for _, p := range ps {
+		xs = append(xs, p.X...)
+		ys = append(ys, p.Y)
+	}
+	return est.ObserveRows(xs, ys)
+}
+
 func feed(t *testing.T, est Estimator, gen stream.Generator, n int) []loss.Point {
 	t.Helper()
 	data := make([]loss.Point, 0, n)
 	for i := 0; i < n; i++ {
 		p := gen.Next()
 		data = append(data, p)
-		if err := est.Observe(p); err != nil {
-			t.Fatalf("Observe failed at %d: %v", i, err)
+		if err := observe(est, p); err != nil {
+			t.Fatalf("ObserveRows failed at %d: %v", i, err)
 		}
 	}
 	return data
@@ -55,28 +70,6 @@ func TestClampPoint(t *testing.T) {
 	q := clampPoint(loss.Point{X: vec.Vector{0.1, 0.1}, Y: -0.5})
 	if !vec.Equal(q.X, vec.Vector{0.1, 0.1}, 1e-15) || q.Y != -0.5 {
 		t.Fatal("in-range point modified")
-	}
-}
-
-func TestTrivialConstant(t *testing.T) {
-	c := constraint.NewL2Ball(3, 1)
-	m := NewTrivialConstant(c)
-	if m.Name() == "" {
-		t.Fatal("empty name")
-	}
-	before, _ := m.Estimate()
-	if err := m.Observe(loss.Point{X: vec.Vector{1, 0, 0}, Y: 1}); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := m.Estimate()
-	if !vec.Equal(before, after, 0) {
-		t.Fatal("trivial mechanism output depends on the data")
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	if !c.Contains(after, 1e-9) {
-		t.Fatal("trivial output not feasible")
 	}
 }
 
@@ -118,10 +111,10 @@ func TestGradientRegressionConvergesWithNegligibleNoise(t *testing.T) {
 	oracle := NewNonPrivateIncremental(c, 0)
 	for i := 0; i < 200; i++ {
 		p := gen.Next()
-		if err := est.Observe(p); err != nil {
+		if err := observe(est, p); err != nil {
 			t.Fatal(err)
 		}
-		if err := oracle.Observe(p); err != nil {
+		if err := observe(oracle, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,17 +196,17 @@ func TestGradientRegressionStreamFullAndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := loss.Point{X: vec.Vector{0.1, 0.1}, Y: 0.1}
-	if err := est.Observe(p); err != nil {
+	if err := observe(est, p); err != nil {
 		t.Fatal(err)
 	}
-	if err := est.Observe(p); err != nil {
+	if err := observe(est, p); err != nil {
 		t.Fatal(err)
 	}
-	if err := est.Observe(p); !errors.Is(err, ErrStreamFull) {
+	if err := observe(est, p); !errors.Is(err, ErrStreamFull) {
 		t.Fatalf("expected ErrStreamFull, got %v", err)
 	}
-	if err := est.Observe(loss.Point{X: vec.Vector{1}, Y: 0}); err == nil {
-		t.Fatal("dimension mismatch should error")
+	if err := observe(est, loss.Point{X: vec.Vector{1}, Y: 0}); err == nil || errors.Is(err, ErrStreamFull) {
+		t.Fatalf("dimension mismatch should error before the horizon check, got %v", err)
 	}
 	// Constructor validation.
 	if _, err := NewGradientRegression(nil, privacy(), 4, src, RegressionOptions{}); err == nil {
@@ -239,7 +232,7 @@ func TestGradientRegressionHybridHasNoHorizonLimit(t *testing.T) {
 	}
 	p := loss.Point{X: vec.Vector{0.5, 0.1}, Y: 0.3}
 	for i := 0; i < 20; i++ { // well beyond the nominal horizon of 4
-		if err := est.Observe(p); err != nil {
+		if err := observe(est, p); err != nil {
 			t.Fatalf("hybrid mechanism rejected point %d: %v", i, err)
 		}
 	}
@@ -263,7 +256,7 @@ func TestPrivateGradientMatchesExactWhenNoiseNegligible(t *testing.T) {
 	gen, _ := linearStream(d, 0.05, 0, 7)
 	for i := 0; i < 16; i++ {
 		p := gen.Next()
-		if err := est.Observe(p); err != nil {
+		if err := observe(est, p); err != nil {
 			t.Fatal(err)
 		}
 		state.Add(p.X, []float64{p.Y})

@@ -59,7 +59,7 @@ func TestExactReadBeatsDescent(t *testing.T) {
 				truth := vec.Vector(rows.NormalVector(d, 0.3))
 				for i := 0; i < n; i++ {
 					x := vec.Vector(rows.NormalVector(d, 0.35))
-					if err := mech.Observe(loss.Point{X: x, Y: vec.Dot(truth, x) + rows.Normal(0, 0.1)}); err != nil {
+					if err := observe(mech, loss.Point{X: x, Y: vec.Dot(truth, x) + rows.Normal(0, 0.1)}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -131,7 +131,7 @@ func TestExactReadExcessRisk(t *testing.T) {
 				x.Scale(1 / nx)
 			}
 			y := math.Max(-1, math.Min(1, vec.Dot(truth, x)+rows.Normal(0, 0.1)))
-			if err := g.Observe(loss.Point{X: x, Y: y}); err != nil {
+			if err := observe(g, loss.Point{X: x, Y: y}); err != nil {
 				t.Fatal(err)
 			}
 			q.AddOuterInPlace(1, x)

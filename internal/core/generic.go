@@ -297,50 +297,14 @@ func (g *GenericERM) Tau() int { return g.tau }
 // PerCallPrivacy returns the per-invocation budget handed to the batch solver.
 func (g *GenericERM) PerCallPrivacy() dp.Params { return g.perCall }
 
-// Observe implements Estimator for single-outcome mechanisms; a mechanism
-// with more outcomes needs the full row and rejects scalar feeds.
-func (g *GenericERM) Observe(p loss.Point) error {
-	if g.k != 1 {
-		return fmt.Errorf("core: %s mechanism with %d outcomes requires ObserveMulti rows", g.name, g.k)
-	}
-	g.ybuf[0] = p.Y
-	return g.observe(p.X, g.ybuf[:1])
-}
-
-// ObserveBatch implements Estimator; see Observe. The horizon check is
-// hoisted so an oversized batch is rejected whole.
-func (g *GenericERM) ObserveBatch(ps []loss.Point) error {
-	if g.k != 1 {
-		return fmt.Errorf("core: %s mechanism with %d outcomes requires ObserveMulti rows", g.name, g.k)
-	}
-	if g.t+len(ps) > g.horizon {
-		return ErrStreamFull
-	}
-	for _, p := range ps {
-		if err := g.Observe(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ObserveMulti feeds one row: the covariate x with all k responses.
-func (g *GenericERM) ObserveMulti(x vec.Vector, ys []float64) error {
-	return g.ObserveMultiFlat(x, ys)
-}
-
-// ObserveMultiFlat feeds a contiguous run of rows: flat row-major covariates
-// (rows×d) and flat row-major responses (rows×k). Semantically identical to
-// feeding the rows one by one; the horizon check is hoisted so an oversized
-// batch is rejected whole.
-func (g *GenericERM) ObserveMultiFlat(xs, ys []float64) error {
+// ObserveRows implements Estimator: rows×d covariates and rows×k responses,
+// each row consuming one timestep of the shared horizon. The horizon check
+// is hoisted so an oversized batch is rejected whole.
+func (g *GenericERM) ObserveRows(xs, ys []float64) error {
 	d := g.c.Dim()
-	if d == 0 || len(xs)%d != 0 {
-		return fmt.Errorf("core: flat batch of %d values is not a multiple of dimension %d", len(xs), d)
-	}
-	rows := len(xs) / d
-	if len(ys) != rows*g.k {
-		return fmt.Errorf("core: flat batch of %d rows carries %d responses, want %d", rows, len(ys), rows*g.k)
+	rows, err := batchRows(xs, ys, d, g.k)
+	if err != nil {
+		return err
 	}
 	if g.t+rows > g.horizon {
 		return ErrStreamFull
@@ -358,9 +322,6 @@ func (g *GenericERM) ObserveMultiFlat(xs, ys []float64) error {
 // the ring, or appended to the history). A τ boundary only advances pendInv;
 // the solve waits for a read or for keepBoundary.
 func (g *GenericERM) observe(x vec.Vector, ys []float64) error {
-	if g.t >= g.horizon {
-		return ErrStreamFull
-	}
 	if err := g.keepBoundary(); err != nil {
 		return err
 	}

@@ -69,7 +69,7 @@ func TestGenericERMRecomputesOnlyEveryTau(t *testing.T) {
 	var prev vec.Vector
 	changes := 0
 	for i := 1; i <= 12; i++ {
-		if err := mech.Observe(gen.Next()); err != nil {
+		if err := observe(mech, gen.Next()); err != nil {
 			t.Fatal(err)
 		}
 		cur, err := mech.Estimate()
@@ -167,13 +167,13 @@ func TestGenericERMValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := loss.Point{X: vec.Vector{0.5, 0}, Y: 0.5}
-	if err := mech.Observe(p); err != nil {
+	if err := observe(mech, p); err != nil {
 		t.Fatal(err)
 	}
-	if err := mech.Observe(p); err != nil {
+	if err := observe(mech, p); err != nil {
 		t.Fatal(err)
 	}
-	if err := mech.Observe(p); !errors.Is(err, ErrStreamFull) {
+	if err := observe(mech, p); !errors.Is(err, ErrStreamFull) {
 		t.Fatalf("expected ErrStreamFull, got %v", err)
 	}
 }
@@ -199,7 +199,7 @@ func TestNaiveRecomputeRunsAndIsFeasible(t *testing.T) {
 		t.Fatalf("Len = %d", mech.Len())
 	}
 	// Over-feeding errors.
-	if err := mech.Observe(loss.Point{X: vec.Vector{0.1, 0, 0}, Y: 0}); !errors.Is(err, ErrStreamFull) {
+	if err := observe(mech, loss.Point{X: vec.Vector{0.1, 0, 0}, Y: 0}); !errors.Is(err, ErrStreamFull) {
 		t.Fatalf("expected ErrStreamFull, got %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"privreg/internal/codec"
 	"privreg/internal/constraint"
 	"privreg/internal/loss"
 	"privreg/internal/randx"
@@ -66,8 +67,8 @@ func estimateDigest(theta vec.Vector) uint64 {
 
 // TestRegressionEstimateGolden pins the released estimates of the paper's
 // regression mechanisms bit for bit: at each read the FNV-64a digest of the
-// estimate's Float64bits must match the recorded value. Rows alternate between
-// Observe and ObserveBatch, a repeated read at the same length goes through
+// estimate's Float64bits must match the recorded value. Reads alternate
+// between one-row and multi-row ObserveRows calls, a repeated read at the same length goes through
 // the memo, and the stream is carried across a checkpoint into a fresh
 // instance. Set PRIVREG_GOLDEN_PRINT=1 to print the digests instead.
 func TestRegressionEstimateGolden(t *testing.T) {
@@ -94,11 +95,11 @@ func TestRegressionEstimateGolden(t *testing.T) {
 				chunk := ps[at:n]
 				if i%2 == 0 {
 					for _, p := range chunk {
-						if err := mech.Observe(p); err != nil {
+						if err := observe(mech, p); err != nil {
 							t.Fatal(err)
 						}
 					}
-				} else if err := mech.ObserveBatch(chunk); err != nil {
+				} else if err := observePoints(mech, chunk); err != nil {
 					t.Fatal(err)
 				}
 				at = n
@@ -115,10 +116,7 @@ func TestRegressionEstimateGolden(t *testing.T) {
 				}
 				got[i] = estimateDigest(theta)
 				if i == 2 {
-					blob, err := mech.MarshalBinary()
-					if err != nil {
-						t.Fatal(err)
-					}
+					blob := codec.Encode(mech)
 					mech = goldenMech(t, name)
 					if err := mech.UnmarshalBinary(blob); err != nil {
 						t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"privreg/internal/constraint"
 	"privreg/internal/dp"
 	"privreg/internal/erm"
-	"privreg/internal/loss"
 	"privreg/internal/randx"
 	"privreg/internal/tree"
 	"privreg/internal/vec"
@@ -143,7 +142,7 @@ type privateMoments struct {
 	// is returned instead of re-running the optimizer (and the lift).
 	estCache vec.Vector
 	estN     int
-	// Reusable fold buffers keeping Observe allocation-free.
+	// Reusable fold buffers keeping ObserveRows allocation-free.
 	xyWork, svecWork []float64
 	// grad is the read workspace of Gradient, allocated at the first read
 	// and refilled in place by every later one.
@@ -225,17 +224,16 @@ func (m *privateMoments) setDomain(domain constraint.Set) {
 	m.floor = secondMomentNoise(m.sumXXT, m.horizon, m.dim)
 }
 
-// admit checks a run of points before any is consumed — horizon capacity
-// (fixed-horizon trees only) and covariate dimensions — so that a batch is
-// folded whole or not at all.
-func (m *privateMoments) admit(ps []loss.Point) error {
-	if !m.opts.UseHybridTree && m.n+len(ps) > m.horizon {
-		return ErrStreamFull
+// admit checks a flat batch before any row is consumed — whole rows of
+// inDim covariates and one response, and horizon capacity (fixed-horizon
+// trees only) — so that it is folded whole or not at all.
+func (m *privateMoments) admit(xs, ys []float64) error {
+	rows, err := batchRows(xs, ys, m.inDim, 1)
+	if err != nil {
+		return err
 	}
-	for i := range ps {
-		if len(ps[i].X) != m.inDim {
-			return fmt.Errorf("core: point %d has covariate dimension %d, constraint dimension is %d", i, len(ps[i].X), m.inDim)
-		}
+	if !m.opts.UseHybridTree && m.n+rows > m.horizon {
+		return ErrStreamFull
 	}
 	return nil
 }

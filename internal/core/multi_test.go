@@ -146,7 +146,7 @@ func TestMultiOutcomeInterleavedOpsMatchReference(t *testing.T) {
 			case 0, 1: // row observe, estimates unread
 				x, ys := nextRow()
 				rows = append(rows, clampMultiRow(x, ys))
-				if err := mech.ObserveMulti(x, ys); err != nil {
+				if err := mech.ObserveRows(x, ys); err != nil {
 					t.Fatal(err)
 				}
 			case 2: // flat batch crossing (possibly several) boundaries
@@ -162,7 +162,7 @@ func TestMultiOutcomeInterleavedOpsMatchReference(t *testing.T) {
 					xs = append(xs, x...)
 					ys = append(ys, ry...)
 				}
-				if err := mech.ObserveMultiFlat(xs, ys); err != nil {
+				if err := mech.ObserveRows(xs, ys); err != nil {
 					t.Fatal(err)
 				}
 			case 3: // read a random subset of outcomes, in random order
@@ -174,10 +174,7 @@ func TestMultiOutcomeInterleavedOpsMatchReference(t *testing.T) {
 				checkOutcome("EstimateOutcome", i)
 				checkOutcome("repeat EstimateOutcome", i)
 			case 5: // checkpoint, restore into a differently seeded instance
-				blob, err := mech.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
+				blob := codec.Encode(mech)
 				restored := buildMulti(t, cons, seed+9000)
 				if err := restored.UnmarshalBinary(blob); err != nil {
 					t.Fatal(err)
@@ -198,8 +195,8 @@ func TestMultiOutcomeInterleavedOpsMatchReference(t *testing.T) {
 }
 
 // TestMultiOutcomeScalarPathDegenerates pins the Estimator-interface contract:
-// scalar Observe/Estimate work on a k=1 mechanism and are rejected on wider
-// ones.
+// one-response rows and Estimate work on a k=1 mechanism, and rows that are
+// not whole k-response rows are rejected on wider ones.
 func TestMultiOutcomeScalarPathDegenerates(t *testing.T) {
 	cons := constraint.NewL2Ball(multiDim, 1)
 	single, err := NewMultiOutcome(cons, 1, privacy(), multiHorizon, randx.NewSource(3),
@@ -209,18 +206,21 @@ func TestMultiOutcomeScalarPathDegenerates(t *testing.T) {
 	}
 	p := loss.Point{X: vec.NewVector(multiDim), Y: 0.5}
 	p.X[0] = 0.3
-	if err := single.Observe(p); err != nil {
+	if err := observe(single, p); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := single.Estimate(); err != nil {
 		t.Fatal(err)
 	}
 	wide := buildMulti(t, cons, 3)
-	if err := wide.Observe(p); err == nil {
-		t.Fatal("scalar Observe on a k=4 mechanism should be rejected")
+	if err := observe(wide, p); err == nil {
+		t.Fatal("a one-response row on a k=4 mechanism should be rejected")
 	}
-	if err := wide.ObserveBatch([]loss.Point{p}); err == nil {
-		t.Fatal("scalar ObserveBatch on a k=4 mechanism should be rejected")
+	if err := wide.ObserveRows(p.X[1:], make([]float64, multiK)); err == nil {
+		t.Fatal("a short covariate on a k=4 mechanism should be rejected")
+	}
+	if wide.Len() != 0 {
+		t.Fatalf("rejected rows were consumed: Len = %d", wide.Len())
 	}
 	if _, err := wide.EstimateOutcome(multiK); err == nil {
 		t.Fatal("out-of-range outcome index should be rejected")
@@ -240,14 +240,11 @@ func TestMultiOutcomeCheckpointFlatInT(t *testing.T) {
 			for j := range ys {
 				ys[j] = driver.Normal(0, 0.5)
 			}
-			if err := mech.ObserveMulti(x, ys); err != nil {
+			if err := mech.ObserveRows(x, ys); err != nil {
 				t.Fatal(err)
 			}
 		}
-		blob, err := mech.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		blob := codec.Encode(mech)
 		return len(blob)
 	}
 	if small, large := sizeAt(multiTau), sizeAt(multiHorizon); small != large {
@@ -271,10 +268,7 @@ func TestMultiOutcomeRejectsWrongShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := other.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := codec.Encode(other)
 	if err := mech.UnmarshalBinary(blob); err == nil {
 		t.Fatal("checkpoint with a different outcome count should be rejected")
 	}

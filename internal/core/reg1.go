@@ -6,7 +6,6 @@ import (
 
 	"privreg/internal/constraint"
 	"privreg/internal/dp"
-	"privreg/internal/loss"
 	"privreg/internal/randx"
 	"privreg/internal/vec"
 )
@@ -61,7 +60,7 @@ func (o *RegressionOptions) fill() {
 // clamped covariates, solving over C itself.
 type GradientRegression struct {
 	privateMoments
-	// xWork is the reusable clamp buffer keeping Observe allocation-free.
+	// xWork is the reusable clamp buffer keeping ObserveRows allocation-free.
 	xWork vec.Vector
 }
 
@@ -85,23 +84,17 @@ func NewGradientRegression(c constraint.Set, p dp.Params, horizon int, src *rand
 // Name implements Estimator.
 func (g *GradientRegression) Name() string { return "priv-inc-reg1" }
 
-// Observe implements Estimator: fold the point into both private running sums
-// without heap allocation.
-func (g *GradientRegression) Observe(p loss.Point) error {
-	return g.ObserveBatch([]loss.Point{p})
-}
-
-// ObserveBatch implements Estimator: clamp each point into the unit ball and
-// fold it into the private running sums. The batch is validated up front —
-// dimensions and horizon capacity — so it is consumed whole or not at all;
-// private state and randomness consumption are identical to a scalar Observe
-// loop.
-func (g *GradientRegression) ObserveBatch(ps []loss.Point) error {
-	if err := g.admit(ps); err != nil {
+// ObserveRows implements Estimator: clamp each row's covariate into the unit
+// ball and fold it into the private running sums without heap allocation.
+// The batch is validated up front — whole rows and horizon capacity — so it
+// is consumed whole or not at all.
+func (g *GradientRegression) ObserveRows(xs, ys []float64) error {
+	if err := g.admit(xs, ys); err != nil {
 		return err
 	}
-	for _, p := range ps {
-		y := clampInto(g.xWork, p.X, p.Y)
+	d := g.inDim
+	for r, y := range ys {
+		y = clampInto(g.xWork, xs[r*d:(r+1)*d], y)
 		if err := g.fold(y, g.xWork); err != nil {
 			return err
 		}

@@ -8,7 +8,6 @@ import (
 	"privreg/internal/constraint"
 	"privreg/internal/dp"
 	"privreg/internal/geom"
-	"privreg/internal/loss"
 	"privreg/internal/randx"
 	"privreg/internal/sketch"
 	"privreg/internal/vec"
@@ -77,7 +76,7 @@ type ProjectedRegression struct {
 	// it replaced by the neutral pair.
 	oracle  DomainOracle
 	dropped int
-	// Reusable per-timestep buffers keeping Observe allocation-free.
+	// Reusable per-timestep buffers keeping ObserveRows allocation-free.
 	xWork  vec.Vector
 	pxWork vec.Vector
 	proj   constraint.Scratch // of the lift's final projection
@@ -208,29 +207,26 @@ func (r *ProjectedRegression) SketchBackend() string {
 // far (always 0 without one).
 func (r *ProjectedRegression) Dropped() int { return r.dropped }
 
-// Observe implements Estimator without heap allocation: the clamped
-// covariate, projected covariate, and packed outer product all live in
-// reusable buffers.
-func (r *ProjectedRegression) Observe(p loss.Point) error {
-	return r.ObserveBatch([]loss.Point{p})
-}
-
-// ObserveBatch implements Estimator: screen, clamp, project and fold a
-// contiguous run of points. Validation (dimensions, horizon capacity) happens
-// before any element is consumed, so the per-point cost is one sketch apply
-// plus the O(m²/2) packed outer-product fold. Private state and randomness
-// consumption are identical to a scalar Observe loop.
-func (r *ProjectedRegression) ObserveBatch(ps []loss.Point) error {
-	if err := r.admit(ps); err != nil {
+// ObserveRows implements Estimator without heap allocation: screen, clamp,
+// project and fold each row, the clamped covariate, projected covariate and
+// packed outer product all in reusable buffers. Validation (whole rows,
+// horizon capacity) happens before any row is consumed, so the per-row cost
+// is one sketch apply plus the O(m²/2) packed outer-product fold.
+func (r *ProjectedRegression) ObserveRows(xs, ys []float64) error {
+	if err := r.admit(xs, ys); err != nil {
 		return err
 	}
-	for _, p := range ps {
-		var y float64
-		if r.oracle == nil || r.oracle(p.X) {
-			y = clampInto(r.xWork, p.X, p.Y)
+	d := r.inDim
+	for i, y := range ys {
+		// The oracle sees the row alone: capping the capacity keeps an
+		// append from reaching the next row.
+		x := vec.Vector(xs[i*d : (i+1)*d : (i+1)*d])
+		if r.oracle == nil || r.oracle(x) {
+			y = clampInto(r.xWork, x, y)
 		} else {
 			r.dropped++
 			r.xWork.Zero()
+			y = 0
 		}
 		px := r.pxWork
 		if r.opts.DisableCovariateScaling {
@@ -300,7 +296,6 @@ func ExcessRiskBoundReg2(horizon int, width, diameter float64, p dp.Params, beta
 
 // Interface conformance checks for all mechanisms in the package.
 var (
-	_ Estimator = (*TrivialConstant)(nil)
 	_ Estimator = (*NonPrivateIncremental)(nil)
 	_ Estimator = (*GenericERM)(nil)
 	_ Estimator = (*GradientRegression)(nil)

@@ -127,10 +127,10 @@ func TestProjectedRegressionLowNoiseBeatsTrivial(t *testing.T) {
 	oracle := NewNonPrivateIncremental(cons, 0)
 	for i := 0; i < horizon; i++ {
 		p := gen.Next()
-		if err := est.Observe(p); err != nil {
+		if err := observe(est, p); err != nil {
 			t.Fatal(err)
 		}
-		if err := oracle.Observe(p); err != nil {
+		if err := observe(oracle, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,7 +215,7 @@ func TestRobustProjectedRegressionNeutralizesOutliers(t *testing.T) {
 		} else {
 			p = denseGen.Next()
 		}
-		if err := est.Observe(p); err != nil {
+		if err := observe(est, p); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // raw-point log, fresh sufficient statistics or history slice, one keyed solve
 // with the invocation index the mechanism should have used — and a property
 // test drives generic-erm and naive-recompute through randomly interleaved
-// Observe/ObserveBatch/Estimate/checkpoint/restore sequences, requiring
+// one-row/multi-row ObserveRows/Estimate/checkpoint/restore sequences, requiring
 // bit-identical agreement at every read. A stale memo, a mis-keyed deferred
 // solve, a ring that evicts the wrong point, or a checkpoint that drops the
 // pending snapshot all show up as exact mismatches.
@@ -171,10 +171,10 @@ func TestSlowPathInterleavedOpsMatchReference(t *testing.T) {
 
 				for len(clamped) < slowHorizon {
 					switch driver.Intn(6) {
-					case 0, 1: // scalar observe, estimate unread
+					case 0, 1: // one-row observe, estimate unread
 						p := nextPoint()
 						clamped = append(clamped, clampPoint(p))
-						if err := mech.Observe(p); err != nil {
+						if err := observe(mech, p); err != nil {
 							t.Fatal(err)
 						}
 					case 2: // batch observe crossing (possibly several) boundaries
@@ -187,7 +187,7 @@ func TestSlowPathInterleavedOpsMatchReference(t *testing.T) {
 							ps[i] = nextPoint()
 							clamped = append(clamped, clampPoint(ps[i]))
 						}
-						if err := mech.ObserveBatch(ps); err != nil {
+						if err := observePoints(mech, ps); err != nil {
 							t.Fatal(err)
 						}
 					case 3: // estimate read
@@ -196,10 +196,7 @@ func TestSlowPathInterleavedOpsMatchReference(t *testing.T) {
 						check("Estimate")
 						check("repeat Estimate")
 					case 5: // checkpoint, restore into a differently seeded instance
-						blob, err := mech.MarshalBinary()
-						if err != nil {
-							t.Fatal(err)
-						}
+						blob := codec.Encode(mech)
 						restored := buildSlow(t, v, cons, seed+9000)
 						if err := restored.UnmarshalBinary(blob); err != nil {
 							t.Fatal(err)
@@ -228,14 +225,11 @@ func TestSlowPathCheckpointSizeConstantForQuadratic(t *testing.T) {
 		driver := randx.NewSource(77)
 		for i := 0; i < n; i++ {
 			p := loss.Point{X: vec.Vector(driver.NormalVector(slowDim, 0.5)), Y: driver.Normal(0, 0.5)}
-			if err := mech.Observe(p); err != nil {
+			if err := observe(mech, p); err != nil {
 				t.Fatal(err)
 			}
 		}
-		blob, err := mech.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		blob := codec.Encode(mech)
 		return len(blob)
 	}
 	for _, v := range []slowVariant{
@@ -271,7 +265,7 @@ func TestSlowPathStateBytes(t *testing.T) {
 		driver := randx.NewSource(78)
 		for i := 0; i < n; i++ {
 			p := loss.Point{X: vec.Vector(driver.NormalVector(slowDim, 0.5)), Y: driver.Normal(0, 0.5)}
-			if err := mech.Observe(p); err != nil {
+			if err := observe(mech, p); err != nil {
 				t.Fatal(err)
 			}
 		}

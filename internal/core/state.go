@@ -23,12 +23,6 @@ import (
 // state. Randomness positions are (seed, draw-count) pairs (randx.State), so a
 // restored mechanism draws exactly the noise the uninterrupted run would have.
 
-// coreStateVersion is the checkpoint format version of TrivialConstant.
-// Version 2 accompanies the counter-keyed v2 formats of the continual-sum
-// blobs; version-1 blobs are rejected at the version byte rather than
-// misparsed.
-const coreStateVersion = 2
-
 // regStateVersion is the checkpoint format version of the regression
 // mechanisms GradientRegression and ProjectedRegression (with or without a
 // domain oracle). Version 4 is the one-core format: a header, then the
@@ -83,34 +77,6 @@ func readHistory(r *codec.Reader, dim, maxLen int) []loss.Point {
 	return out
 }
 
-// --- TrivialConstant ---
-
-// AppendState implements Estimator: the only mutable state is the count.
-func (t *TrivialConstant) AppendState(w *codec.Writer) {
-	w.Version(coreStateVersion)
-	w.String(t.Name())
-	w.Int(t.n)
-}
-
-// MarshalBinary implements Estimator.
-func (t *TrivialConstant) MarshalBinary() ([]byte, error) { return codec.Encode(t), nil }
-
-// UnmarshalBinary implements Estimator.
-func (t *TrivialConstant) UnmarshalBinary(data []byte) error {
-	r := codec.NewReader(data)
-	r.Version(coreStateVersion)
-	r.ExpectString("mechanism", t.Name())
-	n := r.Int()
-	if err := r.Finish(); err != nil {
-		return err
-	}
-	if n < 0 {
-		return errors.New("core: corrupt checkpoint (negative count)")
-	}
-	t.n = n
-	return nil
-}
-
 // --- NonPrivateIncremental ---
 
 // AppendState implements Estimator: the sufficient statistics are the state.
@@ -119,9 +85,6 @@ func (n *NonPrivateIncremental) AppendState(w *codec.Writer) {
 	w.String(n.Name())
 	w.Nested(n.stats)
 }
-
-// MarshalBinary implements Estimator.
-func (n *NonPrivateIncremental) MarshalBinary() ([]byte, error) { return codec.Encode(n), nil }
 
 // UnmarshalBinary implements Estimator. The solution memo is not part of the
 // checkpoint; the next Estimate recomputes it (deterministically) from the
@@ -178,9 +141,6 @@ func (g *GenericERM) AppendState(w *codec.Writer) {
 		writeHistory(w, g.history)
 	}
 }
-
-// MarshalBinary implements Estimator.
-func (g *GenericERM) MarshalBinary() ([]byte, error) { return codec.Encode(g), nil }
 
 // UnmarshalBinary implements Estimator. The noise key travels in the
 // checkpoint (like the sketch spec of ProjectedRegression), so a mechanism
@@ -302,9 +262,6 @@ func (g *GradientRegression) AppendState(w *codec.Writer) {
 	g.appendMoments(w)
 }
 
-// MarshalBinary implements Estimator.
-func (g *GradientRegression) MarshalBinary() ([]byte, error) { return codec.Encode(g), nil }
-
 // UnmarshalBinary implements Estimator.
 func (g *GradientRegression) UnmarshalBinary(data []byte) error {
 	r := codec.NewReader(data)
@@ -336,9 +293,6 @@ func (r *ProjectedRegression) AppendState(w *codec.Writer) {
 	w.Int(r.dropped)
 	r.appendMoments(w)
 }
-
-// MarshalBinary implements Estimator.
-func (r *ProjectedRegression) MarshalBinary() ([]byte, error) { return codec.Encode(r), nil }
 
 // UnmarshalBinary implements Estimator. When the checkpointed sketch spec
 // differs from the constructed one (an estimator restored under a different

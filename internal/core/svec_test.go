@@ -80,7 +80,7 @@ func TestSvecReleaseNoiseDistribution(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, x := range xs {
-			if err := g.Observe(loss.Point{X: x, Y: 0.1}); err != nil {
+			if err := observe(g, loss.Point{X: x, Y: 0.1}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -22,6 +22,7 @@ import (
 	"privreg/internal/loss"
 	"privreg/internal/metrics"
 	"privreg/internal/stream"
+	"privreg/internal/vec"
 )
 
 // Options configures an experiment run.
@@ -160,10 +161,10 @@ func regressionCurve(est core.Estimator, oracle *core.NonPrivateIncremental, gen
 	}
 	for t := 1; t <= horizon; t++ {
 		p := gen.Next()
-		if err := est.Observe(p); err != nil {
+		if err := observe(est, p); err != nil {
 			return 0, 0, err
 		}
-		if err := oracle.Observe(p); err != nil {
+		if err := observe(oracle, p); err != nil {
 			return 0, 0, err
 		}
 		if cpSet[t] {
@@ -204,10 +205,10 @@ func checkpointsFor(horizon int) []int {
 func excessAtHorizon(est core.Estimator, oracle *core.NonPrivateIncremental, gen stream.Generator, horizon int) (excess, opt float64, err error) {
 	for t := 1; t <= horizon; t++ {
 		p := gen.Next()
-		if err := est.Observe(p); err != nil {
+		if err := observe(est, p); err != nil {
 			return 0, 0, err
 		}
-		if err := oracle.Observe(p); err != nil {
+		if err := observe(oracle, p); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -227,11 +228,16 @@ func excessAtHorizon(est core.Estimator, oracle *core.NonPrivateIncremental, gen
 	return excess, opt, nil
 }
 
+// observe feeds one stream point to est as a one-row batch.
+func observe(est core.Estimator, p loss.Point) error {
+	return est.ObserveRows(p.X, []float64{p.Y})
+}
+
 // genericExcess evaluates the excess risk of a general-loss mechanism at the
 // final timestep using an exact batch solve on the collected data.
 func genericExcess(est core.Estimator, f loss.Function, c constraint.Set, data []loss.Point) (float64, error) {
 	for _, p := range data {
-		if err := est.Observe(p); err != nil {
+		if err := observe(est, p); err != nil {
 			return 0, err
 		}
 	}
@@ -239,6 +245,22 @@ func genericExcess(est core.Estimator, f loss.Function, c constraint.Set, data [
 	if err != nil {
 		return 0, err
 	}
+	return batchExcess(theta, f, c, data)
+}
+
+// trivialExcess is the excess risk of the data-independent mechanism of
+// Section 1.1, which releases the projection of the origin onto C at every
+// timestep: it is perfectly private, its excess risk is at most 2TL‖C‖, and
+// it anchors the "min{·, T}" part of every bound in Table 1.
+func trivialExcess(f loss.Function, c constraint.Set, data []loss.Point) (float64, error) {
+	origin := vec.NewVector(c.Dim())
+	c.ProjectInto(origin, origin, nil)
+	return batchExcess(origin, f, c, data)
+}
+
+// batchExcess is theta's excess empirical risk on data over the exact batch
+// minimizer in C, floored at 0.
+func batchExcess(theta vec.Vector, f loss.Function, c constraint.Set, data []loss.Point) (float64, error) {
 	exact, err := erm.Exact(f, c, data)
 	if err != nil {
 		return 0, err

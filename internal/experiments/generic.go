@@ -53,8 +53,7 @@ func Table1Row1GenericConvex(opts Options) (*Result, error) {
 		if err != nil {
 			return trialOut{}, err
 		}
-		triv := core.NewTrivialConstant(cons)
-		excT, err := genericExcess(triv, f, cons, data)
+		excT, err := trivialExcess(f, cons, data)
 		if err != nil {
 			return trialOut{}, err
 		}
@@ -133,8 +132,7 @@ func Table1Row2StronglyConvex(opts Options) (*Result, error) {
 		if err != nil {
 			return trialOut{}, err
 		}
-		triv := core.NewTrivialConstant(cons)
-		excT, err := genericExcess(triv, f, cons, data)
+		excT, err := trivialExcess(f, cons, data)
 		if err != nil {
 			return trialOut{}, err
 		}

@@ -67,10 +67,10 @@ func Table1Row3Mech1(opts Options) (*Result, error) {
 		oracle := core.NewNonPrivateIncremental(cons, 0)
 		for t := 0; t < horizon; t++ {
 			p := gen.Next()
-			if err := est.Observe(p); err != nil {
+			if err := observe(est, p); err != nil {
 				return trialOut{}, err
 			}
-			if err := oracle.Observe(p); err != nil {
+			if err := observe(oracle, p); err != nil {
 				return trialOut{}, err
 			}
 		}
@@ -293,14 +293,14 @@ func RobustMixedDomain(opts Options) (*Result, error) {
 		for t := 0; t < horizon; t++ {
 			p := mix.Next()
 			isIn := oracle(p.X)
-			if err := robust.Observe(p); err != nil {
+			if err := observe(robust, p); err != nil {
 				return trialOut{}, err
 			}
-			if err := plain.Observe(p); err != nil {
+			if err := observe(plain, p); err != nil {
 				return trialOut{}, err
 			}
 			if isIn {
-				if err := inOracle.Observe(p); err != nil {
+				if err := observe(inOracle, p); err != nil {
 					return trialOut{}, err
 				}
 			}

@@ -294,7 +294,7 @@ func PrivacySanity(opts Options) (*Result, error) {
 			return nil, 0, err
 		}
 		for _, p := range data {
-			if err := est.Observe(p); err != nil {
+			if err := observe(est, p); err != nil {
 				return nil, 0, err
 			}
 		}

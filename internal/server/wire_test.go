@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"sync"
@@ -185,6 +186,39 @@ func TestWireNackMapping(t *testing.T) {
 		var ne *wire.NackError
 		if !errors.As(err, &ne) || ne.Code != wire.NackStreamFull {
 			t.Fatalf("horizon overrun: %v", err)
+		}
+	}
+}
+
+// TestWireNonFiniteRowRejected checks that a frame carrying a NaN, which the
+// binary codec passes through bit for bit, gets a permanent bad_request nack
+// and leaves the stream as it was: same length, same estimate bits.
+func TestWireNonFiniteRowRejected(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	c := dialWire(t, startWire(t, s))
+	x, y := point(1, 4)
+	if _, _, err := c.Observe("s", x, []float64{y}); err != nil {
+		t.Fatal(err)
+	}
+	before, n, err := c.Estimate("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []float64{math.NaN(), 0, 0, 0}
+	var ne *wire.NackError
+	if _, _, err := c.Observe("s", bad, []float64{y}); !errors.As(err, &ne) || ne.Code != wire.NackBadRequest || ne.Retryable() {
+		t.Fatalf("NaN row: got %v, want a bad_request nack", err)
+	}
+	after, m, err := c.Estimate("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m != n || len(after) != len(before) {
+		t.Fatalf("after the rejected row: len %d with %d coords, want %d with %d", m, len(after), n, len(before))
+	}
+	for i := range before {
+		if math.Float64bits(after[i]) != math.Float64bits(before[i]) {
+			t.Fatalf("estimate[%d] moved from %v to %v", i, before[i], after[i])
 		}
 	}
 }

@@ -93,8 +93,7 @@ type PoolStats struct {
 	// RetainedBytes is the total in-memory state retained across resident
 	// streams (sufficient statistics, history buffers, or the per-level
 	// partial sums and noise memos of the regression mechanisms' trees;
-	// spilled streams contribute 0). Mechanisms without retained state, such
-	// as trivial-constant, report 0.
+	// spilled streams contribute 0).
 	RetainedBytes int64
 }
 
@@ -199,12 +198,7 @@ func wrapUnknown(err error, id string) error {
 
 // Outcomes returns the number of outcome columns k each stream of this pool
 // serves: the WithOutcomes value for a multi-outcome pool, 1 otherwise.
-func (p *Pool) Outcomes() int {
-	if k := p.template.cfg.Outcomes; k > 1 && p.mech.info.MultiOutcome {
-		return k
-	}
-	return 1
-}
+func (p *Pool) Outcomes() int { return p.template.cfg.outcomes() }
 
 // ObserveMultiFlat feeds a batch of rows packed flat to the given stream,
 // creating the stream on first use (and faulting it in from disk if it was
@@ -219,7 +213,7 @@ func (p *Pool) ObserveMultiFlat(id string, dim int, xs []float64, ys []float64) 
 		return err
 	}
 	return p.store.Update(id, true, func(st store.Stream) error {
-		return st.(*estimatorAdapter).observeRows(xs, ys)
+		return st.(*estimatorAdapter).inner.ObserveRows(xs, ys)
 	})
 }
 

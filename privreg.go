@@ -108,14 +108,15 @@ type Estimator interface {
 	// Observe feeds the next covariate/response pair. Covariates are clipped to
 	// the unit Euclidean ball and responses to [-1, 1], the normalization the
 	// privacy analysis assumes. A covariate whose length is not the
-	// constraint's dimension is rejected and consumes nothing.
+	// constraint's dimension, or a NaN or ±Inf value, is rejected and
+	// consumes nothing.
 	Observe(x []float64, y float64) error
 	// ObserveBatch feeds a contiguous run of covariate/response pairs.
 	// Semantically equivalent to calling Observe on each pair in order —
 	// identical private state, identical randomness consumption — but validated
 	// up front (a batch that would overrun a fixed horizon, or carries a row
-	// of the wrong dimension, is rejected whole, before any element is
-	// consumed) and amortized: the continual-sum
+	// of the wrong dimension or a non-finite value, is rejected whole,
+	// before any element is consumed) and amortized: the continual-sum
 	// mechanisms defer their running-sum aggregation to the end of the batch,
 	// so per-point ingestion cost drops for batched arrivals.
 	ObserveBatch(xs [][]float64, ys []float64) error
@@ -183,16 +184,6 @@ type MultiEstimator interface {
 	EstimateOutcome(i int) ([]float64, error)
 }
 
-// multiCore is the internal capability the adapter detects on a mechanism to
-// take flat rows straight into its fold and serve MultiEstimator natively.
-// The PRIVINCERM engine (generic-erm, naive-recompute, multi-outcome) has it
-// for every outcome count.
-type multiCore interface {
-	Outcomes() int
-	ObserveMultiFlat(xs, ys []float64) error
-	EstimateOutcome(i int) (vec.Vector, error)
-}
-
 // config is the flat construction state the With… options fill in; settings
 // carries it alongside the per-mechanism extras.
 type config struct {
@@ -254,6 +245,10 @@ func (cfg config) validate(needDomain bool) error {
 	return nil
 }
 
+// outcomes is the number of responses per row k: Outcomes, or 1 when unset.
+// Construction rejects k > 1 on single-outcome mechanisms.
+func (cfg config) outcomes() int { return max(cfg.Outcomes, 1) }
+
 func (cfg config) horizonOrDefault() int {
 	if cfg.Horizon > 0 {
 		return cfg.Horizon
@@ -267,27 +262,15 @@ func (cfg config) horizonOrDefault() int {
 // interface (plain []float64 at the boundary) and stamps checkpoints with the
 // registry name so restores are routed to a compatible instance.
 type estimatorAdapter struct {
-	inner core.Estimator
-	// multi is inner's flat-row capability, nil for mechanisms without it.
-	multi     multiCore
+	inner     core.Estimator
 	mechanism string
 	// dim and outcomes are the row shape every ingest must match: covariate
 	// dimension d and responses per row k.
 	dim, outcomes int
-	// points stages rows as loss.Points for mechanisms without multi, and
-	// flat packs nested ObserveBatch rows; both are reused across calls so
+	// flat packs nested ObserveBatch rows; it is reused across calls so
 	// steady-state ingest allocates nothing per batch.
-	points []loss.Point
-	flat   []float64
-	y1     [1]float64
-}
-
-func newAdapter(inner core.Estimator, mechanism string, dim int) *estimatorAdapter {
-	a := &estimatorAdapter{inner: inner, mechanism: mechanism, dim: dim, outcomes: 1}
-	if m, ok := inner.(multiCore); ok {
-		a.multi, a.outcomes = m, m.Outcomes()
-	}
-	return a
+	flat []float64
+	y1   [1]float64
 }
 
 func (a *estimatorAdapter) Name() string { return a.inner.Name() }
@@ -296,7 +279,10 @@ func (a *estimatorAdapter) Mechanism() string { return a.mechanism }
 
 // checkRows validates a flat row batch for an estimator of covariate
 // dimension d serving k outcomes: rows are dim wide, xs holds rows×d values
-// and ys rows×k.
+// and ys rows×k, and every value is finite. A NaN or ±Inf would survive the
+// mechanisms' clamping and corrupt the stream's state for good — its later
+// releases would then show the value was there, with no noise to hide it —
+// so it is rejected before the stream is touched.
 func checkRows(d, k, dim int, xs, ys []float64) error {
 	if dim != d {
 		return fmt.Errorf("privreg: rows have covariate dimension %d, estimator dimension is %d", dim, d)
@@ -305,44 +291,35 @@ func checkRows(d, k, dim int, xs, ys []float64) error {
 	if len(xs) != rows*d || len(ys) != rows*k {
 		return fmt.Errorf("privreg: flat batch of %d covariate values and %d responses is not whole rows of dim %d with %d outcomes", len(xs), len(ys), d, k)
 	}
+	if i := nonFinite(xs); i >= 0 {
+		return fmt.Errorf("privreg: row %d has a non-finite covariate %v", i/d, xs[i])
+	}
+	if i := nonFinite(ys); i >= 0 {
+		return fmt.Errorf("privreg: row %d has a non-finite response %v", i/k, ys[i])
+	}
 	return nil
+}
+
+// nonFinite returns the index of the first NaN or ±Inf in vs, or -1. v - v
+// is 0 for every finite v and NaN for NaN and ±Inf.
+func nonFinite(vs []float64) int {
+	for i, v := range vs {
+		if v-v != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // observe is the adapter's single ingest entry: every Observe* method is a
 // shape adapter onto it. The batch is validated whole before any row reaches
-// the mechanism, so a malformed batch leaves the stream untouched.
+// the mechanism, so a malformed batch leaves the stream untouched. Rows are
+// read as subslices of xs, and the mechanism keeps no reference to xs or ys.
 func (a *estimatorAdapter) observe(dim int, xs, ys []float64) error {
 	if err := checkRows(a.dim, a.outcomes, dim, xs, ys); err != nil {
 		return err
 	}
-	return a.observeRows(xs, ys)
-}
-
-// observeRows feeds an already validated flat batch to the mechanism. Rows
-// are read as subslices of xs and nothing references xs or ys afterwards
-// (mechanisms copy on ingest; staged aliases are cleared before returning).
-func (a *estimatorAdapter) observeRows(xs, ys []float64) error {
-	if len(xs) == 0 {
-		return nil
-	}
-	if a.multi != nil {
-		return a.multi.ObserveMultiFlat(xs, ys)
-	}
-	if cap(a.points) < len(ys) {
-		a.points = make([]loss.Point, len(ys))
-	}
-	ps := a.points[:len(ys)]
-	d := a.dim
-	for i := range ps {
-		ps[i] = loss.Point{X: vec.Vector(xs[i*d : (i+1)*d : (i+1)*d]), Y: ys[i]}
-	}
-	err := a.inner.ObserveBatch(ps)
-	// Drop the aliases: the caller is free to recycle xs into a buffer pool,
-	// and a stale reference here would pin (and silently share) it.
-	for i := range ps {
-		ps[i].X = nil
-	}
-	return err
+	return a.inner.ObserveRows(xs, ys)
 }
 
 func (a *estimatorAdapter) Observe(x []float64, y float64) error {
@@ -386,20 +363,23 @@ func (a *estimatorAdapter) ObserveMultiFlat(dim int, xs []float64, ys []float64)
 	return a.observe(dim, xs, ys)
 }
 
-// EstimateOutcome implements MultiEstimator. Outcome 0 of a mechanism
-// without multi is its Estimate; other indices are rejected.
+// EstimateOutcome implements MultiEstimator. Outcome 0 is Estimate; other
+// indices need a mechanism serving several outcomes.
 func (a *estimatorAdapter) EstimateOutcome(i int) ([]float64, error) {
-	if a.multi != nil {
-		theta, err := a.multi.EstimateOutcome(i)
-		if err != nil {
-			return nil, err
-		}
-		return []float64(theta), nil
+	if i == 0 {
+		return a.Estimate()
 	}
-	if i != 0 {
+	multi, ok := a.inner.(interface {
+		EstimateOutcome(i int) (vec.Vector, error)
+	})
+	if !ok {
 		return nil, fmt.Errorf("privreg: mechanism %q serves a single outcome, index %d out of range", a.mechanism, i)
 	}
-	return a.Estimate()
+	theta, err := multi.EstimateOutcome(i)
+	if err != nil {
+		return nil, err
+	}
+	return []float64(theta), nil
 }
 
 func (a *estimatorAdapter) Estimate() ([]float64, error) {

@@ -167,11 +167,7 @@ var registry = []*mechanism{
 				return nil, err
 			}
 			cfg := s.cfg
-			k := cfg.Outcomes
-			if k == 0 {
-				k = 1
-			}
-			return core.NewMultiOutcome(cfg.Constraint.set, k, cfg.Privacy.params(), cfg.horizonOrDefault(), randx.NewSource(cfg.Seed), core.GenericOptions{
+			return core.NewMultiOutcome(cfg.Constraint.set, cfg.outcomes(), cfg.Privacy.params(), cfg.horizonOrDefault(), randx.NewSource(cfg.Seed), core.GenericOptions{
 				Tau:   cfg.Tau,
 				Batch: erm.PrivateBatchOptions{Iterations: cfg.MaxIterations},
 			})
@@ -307,5 +303,5 @@ func buildEstimator(m *mechanism, s *settings) (Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newAdapter(inner, m.info.Name, s.cfg.Constraint.Dim()), nil
+	return &estimatorAdapter{inner: inner, mechanism: m.info.Name, dim: s.cfg.Constraint.Dim(), outcomes: s.cfg.outcomes()}, nil
 }
