@@ -68,9 +68,9 @@ func estimateDigest(theta vec.Vector) uint64 {
 // TestRegressionEstimateGolden pins the released estimates of the paper's
 // regression mechanisms bit for bit: at each read the FNV-64a digest of the
 // estimate's Float64bits must match the recorded value. Reads alternate
-// between one-row and multi-row ObserveRows calls, a repeated read at the same length goes through
-// the memo, and the stream is carried across a checkpoint into a fresh
-// instance. Set PRIVREG_GOLDEN_PRINT=1 to print the digests instead.
+// between one-row and multi-row ObserveRows calls, a repeated read at the
+// same length goes through the memo, and the stream is carried across a
+// checkpoint into a fresh instance. Set PRIVREG_GOLDEN_PRINT=1 to print the digests instead.
 func TestRegressionEstimateGolden(t *testing.T) {
 	want := map[string][]uint64{
 		"gradient-tree":    {0x968a3e53bb27cc85, 0x1288427f98517482, 0x90dc16ed96712219, 0xfa94686df35948d7, 0x953717267a8d8402},
