@@ -105,36 +105,10 @@ func BenchmarkAblationSketchBackend(b *testing.B) { runExperiment(b, "A5") }
 
 // --- micro-benchmarks -------------------------------------------------------
 
-// BenchmarkTreeMechanismAdd measures the per-element cost of the Tree Mechanism
-// for the vector dimensions used by the regression mechanisms (d and d²).
-func BenchmarkTreeMechanismAdd(b *testing.B) {
-	for _, dim := range []int{16, 256, 1024} {
-		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
-			src := randx.NewSource(1)
-			mech, err := tree.New(tree.Config{
-				Dim: dim, MaxLen: b.N + 1, Sensitivity: 2,
-				Privacy: dp.Params{Epsilon: 1, Delta: 1e-6},
-			}, src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			v := make([]float64, dim)
-			v[0] = 1
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := mech.Add(v); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTreeMechanismAddTo measures the allocation-free fast path of the
-// Tree Mechanism. The allocs/op column must read 0 (guarded by
-// TestTreeAddToZeroAlloc); compare against BenchmarkTreeMechanismAdd to see
-// the cost of the allocating wrapper.
+// BenchmarkTreeMechanismAddTo measures the per-element cost of the Tree
+// Mechanism for the vector dimensions used by the regression mechanisms (d
+// and d²). The allocs/op column must read 0 (guarded by
+// TestTreeAddToZeroAlloc).
 func BenchmarkTreeMechanismAddTo(b *testing.B) {
 	for _, dim := range []int{16, 256, 1024} {
 		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {

@@ -43,8 +43,7 @@
 //     a low-dimensional sketch sized by the Gaussian widths of the covariate
 //     domain and the constraint set, optimizes there, and lifts the solution
 //     back (excess risk ≈ T^{1/3}·W^{2/3}, dimension-free for sparse/L1-ball
-//     geometry). Requires WithDomain; WithSketch selects the dense Gaussian
-//     projection or the O(d log d) SRHT fast path.
+//     geometry). Requires WithDomain.
 //   - "robust-projected" is the §5.2 extension: WithDomainOracle screens
 //     covariates, rejected points are neutralized before touching private
 //     state.

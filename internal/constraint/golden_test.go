@@ -39,6 +39,72 @@ func goldenSets(d int) map[string]Set {
 	}
 }
 
+// minkowskiNorm returns ‖x‖_C = inf{ρ ≥ 0 : x ∈ ρC} (Definition 6), the
+// factor that scales x onto s's boundary: in closed form for the norm balls,
+// the simplex and the sparse set, and by bisection on scaled copies for a
+// polytope. +Inf means no scaling of s contains x.
+func minkowskiNorm(s Set, x vec.Vector) float64 {
+	switch c := s.(type) {
+	case *L2Ball:
+		return vec.Norm2(x) / c.r
+	case *Box:
+		return vec.NormInf(x) / c.c
+	case *L1Ball:
+		return vec.Norm1(x) / c.r
+	case *LpBall:
+		return vec.NormP(x, c.p) / c.r
+	case *GroupL1Ball:
+		return c.Norm(x) / c.r
+	case *Simplex:
+		var sum float64
+		for _, v := range x {
+			if v < 0 {
+				return math.Inf(1)
+			}
+			sum += v
+		}
+		return sum / c.z
+	case *SparseSet:
+		if vec.NumNonzero(x) > c.k {
+			return math.Inf(1)
+		}
+		return vec.Norm2(x) / c.r
+	}
+	if vec.Norm2(x) == 0 {
+		return 0
+	}
+	const tol = 1e-9
+	hi := 1.0
+	found := false
+	for iter := 0; iter < 80; iter++ {
+		if s.Scale(hi).Contains(x, tol) {
+			found = true
+			break
+		}
+		hi *= 2
+	}
+	if !found {
+		return math.Inf(1)
+	}
+	lo := 0.0
+	for iter := 0; iter < 60; iter++ {
+		mid := (lo + hi) / 2
+		if mid == 0 {
+			lo = hi / 4
+			continue
+		}
+		if s.Scale(mid).Contains(x, tol) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+		if hi-lo <= 1e-6*(1+hi) {
+			break
+		}
+	}
+	return hi
+}
+
 // goldenInputs returns the fixed inputs projected onto s: points well outside
 // and well inside, a point scaled onto the boundary along its Minkowski
 // functional, the projection of an outside point (a boundary point of a
@@ -53,7 +119,7 @@ func goldenInputs(s Set, r *rand.Rand, project func(vec.Vector) vec.Vector) []ve
 	for i := range along {
 		along[i] = math.Abs(along[i]) // finite Minkowski functional for the simplex
 	}
-	if m := s.MinkowskiNorm(along); m > 0 && !math.IsInf(m, 1) {
+	if m := minkowskiNorm(s, along); m > 0 && !math.IsInf(m, 1) {
 		xs = append(xs, vec.Scaled(along, 1/m))
 	}
 	xs = append(xs, project(vec.Scaled(randomVec(r, d), 3)))

@@ -24,7 +24,7 @@ type GroupL1Ball struct {
 // NewGroupL1Ball returns the radius-r group-L1 ball in R^d with consecutive
 // blocks of size k.
 func NewGroupL1Ball(d, k int, r float64) *GroupL1Ball {
-	if d <= 0 || k <= 0 || r <= 0 {
+	if d <= 0 || k <= 0 || !isSize(r) {
 		panic("constraint: GroupL1Ball requires positive dimension, block size and radius")
 	}
 	if k > d {
@@ -48,9 +48,6 @@ func (b *GroupL1Ball) Name() string {
 
 // Dim implements Set.
 func (b *GroupL1Ball) Dim() int { return b.d }
-
-// NumGroups returns the number of blocks.
-func (b *GroupL1Ball) NumGroups() int { return len(b.groups) }
 
 // Norm returns the group-L1,2 norm of x.
 func (b *GroupL1Ball) Norm(x vec.Vector) float64 {
@@ -124,11 +121,6 @@ func (b *GroupL1Ball) SupportFunction(g vec.Vector) float64 {
 		}
 	}
 	return b.r * m
-}
-
-// MinkowskiNorm implements Set: ‖x‖_C = ‖x‖_{k,L1,2} / r.
-func (b *GroupL1Ball) MinkowskiNorm(x vec.Vector) float64 {
-	return b.Norm(x) / b.r
 }
 
 // Scale implements Set.

@@ -72,7 +72,7 @@ type L1Ball struct {
 
 // NewL1Ball returns the radius-r L1 ball in R^d.
 func NewL1Ball(d int, r float64) *L1Ball {
-	if d <= 0 || r <= 0 {
+	if d <= 0 || !isSize(r) {
 		panic("constraint: L1Ball requires positive dimension and radius")
 	}
 	return &L1Ball{d: d, r: r}
@@ -112,12 +112,6 @@ func (b *L1Ball) SupportFunction(g vec.Vector) float64 {
 	return b.r * vec.NormInf(g)
 }
 
-// MinkowskiNorm implements Set: ‖x‖_C = ‖x‖₁ / r.
-func (b *L1Ball) MinkowskiNorm(x vec.Vector) float64 {
-	checkDim("L1Ball", b.d, x)
-	return vec.Norm1(x) / b.r
-}
-
 // Scale implements Set.
 func (b *L1Ball) Scale(s float64) Set {
 	if s <= 0 {
@@ -137,7 +131,7 @@ type Simplex struct {
 
 // NewSimplex returns the probability simplex in R^d scaled to total mass z.
 func NewSimplex(d int, z float64) *Simplex {
-	if d <= 0 || z <= 0 {
+	if d <= 0 || !isSize(z) {
 		panic("constraint: Simplex requires positive dimension and mass")
 	}
 	return &Simplex{d: d, z: z}
@@ -187,20 +181,6 @@ func (s *Simplex) SupportFunction(g vec.Vector) float64 {
 	checkDim("Simplex", s.d, g)
 	m, _ := vec.Max(g)
 	return s.z * m
-}
-
-// MinkowskiNorm implements Set: for x ≥ 0 (entrywise) the smallest ρ with
-// x ∈ ρ·Simplex is Σ x_i / z; otherwise no scaling works and +Inf is returned.
-func (s *Simplex) MinkowskiNorm(x vec.Vector) float64 {
-	checkDim("Simplex", s.d, x)
-	var sum float64
-	for _, v := range x {
-		if v < 0 {
-			return math.Inf(1)
-		}
-		sum += v
-	}
-	return sum / s.z
 }
 
 // Scale implements Set.

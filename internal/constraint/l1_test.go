@@ -95,8 +95,8 @@ func TestGroupL1ReducesToL1(t *testing.T) {
 
 func TestGroupL1BlockStructure(t *testing.T) {
 	g := NewGroupL1Ball(6, 2, 1)
-	if g.NumGroups() != 3 {
-		t.Fatalf("NumGroups = %d", g.NumGroups())
+	if len(g.groups) != 3 {
+		t.Fatalf("groups = %d", len(g.groups))
 	}
 	// Norm of a vector supported on a single block is that block's L2 norm.
 	x := vec.Vector{3, 4, 0, 0, 0, 0}
@@ -105,8 +105,8 @@ func TestGroupL1BlockStructure(t *testing.T) {
 	}
 	// Uneven final block.
 	g2 := NewGroupL1Ball(5, 2, 1)
-	if g2.NumGroups() != 3 {
-		t.Fatalf("NumGroups with ragged tail = %d", g2.NumGroups())
+	if len(g2.groups) != 3 {
+		t.Fatalf("groups with ragged tail = %d", len(g2.groups))
 	}
 	y := vec.Vector{0, 0, 0, 0, 2}
 	if math.Abs(g2.Norm(y)-2) > 1e-12 {

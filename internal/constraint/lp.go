@@ -25,10 +25,10 @@ type LpBall struct {
 
 // NewLpBall returns the radius-r Lp ball in R^d. p must lie in [1, +Inf].
 func NewLpBall(d int, p, r float64) *LpBall {
-	if d <= 0 || r <= 0 {
+	if d <= 0 || !isSize(r) {
 		panic("constraint: LpBall requires positive dimension and radius")
 	}
-	if p < 1 {
+	if !(p >= 1) {
 		panic("constraint: LpBall requires p >= 1")
 	}
 	return &LpBall{d: d, p: p, r: r}
@@ -39,12 +39,6 @@ func (b *LpBall) Name() string { return fmt.Sprintf("LpBall(p=%g, r=%g, d=%d)", 
 
 // Dim implements Set.
 func (b *LpBall) Dim() int { return b.d }
-
-// P returns the norm exponent.
-func (b *LpBall) P() float64 { return b.p }
-
-// Radius returns the Lp radius.
-func (b *LpBall) Radius() float64 { return b.r }
 
 // ProjectInto implements Set. At p = 1, 2 and ∞ it runs the L1, L2 and box
 // projections.
@@ -200,12 +194,6 @@ func (b *LpBall) SupportFunction(g vec.Vector) float64 {
 		q := b.p / (b.p - 1)
 		return b.r * vec.NormP(g, q)
 	}
-}
-
-// MinkowskiNorm implements Set: ‖x‖_C = ‖x‖_p / r.
-func (b *LpBall) MinkowskiNorm(x vec.Vector) float64 {
-	checkDim("LpBall", b.d, x)
-	return vec.NormP(x, b.p) / b.r
 }
 
 // Scale implements Set.

@@ -19,14 +19,10 @@ import (
 // controlled by the iteration budget and verified by tests against brute-force
 // solutions in low dimension.
 type Polytope struct {
-	d        int
-	vertices []vec.Vector
-	maxNorm  float64
-	diameter float64
-	// symmetric records whether the vertex set is symmetric about the origin
-	// (every -a_i is also a vertex). In that case the Minkowski functional is a
-	// norm and MinkowskiNorm can rely on the bisection helper being tight.
-	symmetric bool
+	d         int
+	vertices  []vec.Vector
+	maxNorm   float64
+	diameter  float64
 	projIters int
 	// lipschitz is ‖A‖², the gradient Lipschitz constant of the weight-space
 	// projection objective (A is the vertex matrix); precomputed once.
@@ -49,6 +45,11 @@ func NewPolytope(vertices []vec.Vector) *Polytope {
 		if len(v) != d {
 			panic("constraint: Polytope vertices must share a dimension")
 		}
+		for _, x := range v {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				panic("constraint: Polytope vertices must have finite coordinates")
+			}
+		}
 		vs[i] = v.Clone()
 		if n := vec.Norm2(v); n > maxNorm {
 			maxNorm = n
@@ -59,7 +60,6 @@ func NewPolytope(vertices []vec.Vector) *Polytope {
 		vertices:  vs,
 		maxNorm:   maxNorm,
 		diameter:  maxNorm,
-		symmetric: isSymmetricVertexSet(vs),
 		projIters: 500,
 	}
 	// Precompute the gradient Lipschitz constant ‖A‖² of the weight-space
@@ -92,23 +92,6 @@ func CrossPolytope(d int, r float64) *Polytope {
 	return NewPolytope(vs)
 }
 
-func isSymmetricVertexSet(vs []vec.Vector) bool {
-	const tol = 1e-12
-	for _, v := range vs {
-		found := false
-		for _, w := range vs {
-			if vec.Equal(vec.Scaled(v, -1), w, tol) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
 // Name implements Set.
 func (p *Polytope) Name() string {
 	return fmt.Sprintf("Polytope(vertices=%d, d=%d)", len(p.vertices), p.d)
@@ -116,9 +99,6 @@ func (p *Polytope) Name() string {
 
 // Dim implements Set.
 func (p *Polytope) Dim() int { return p.d }
-
-// NumVertices returns the number of vertices.
-func (p *Polytope) NumVertices() int { return len(p.vertices) }
 
 // Vertices returns copies of the polytope's vertices.
 func (p *Polytope) Vertices() []vec.Vector {
@@ -237,16 +217,6 @@ func (p *Polytope) SupportFunction(g vec.Vector) float64 {
 	return best
 }
 
-// MinkowskiNorm implements Set. For a general vertex-described polytope
-// containing the origin, ‖x‖_C = inf{ρ : x ∈ ρC} is computed by bisection on ρ
-// using Contains on scaled copies; the result is accurate to a relative 1e-6.
-// If no finite scaling contains x (e.g. the polytope has empty interior in the
-// direction of x), +Inf is returned.
-func (p *Polytope) MinkowskiNorm(x vec.Vector) float64 {
-	checkDim("Polytope", p.d, x)
-	return minkowskiByBisection(p, x)
-}
-
 // Scale implements Set.
 func (p *Polytope) Scale(s float64) Set {
 	if s <= 0 {
@@ -257,45 +227,4 @@ func (p *Polytope) Scale(s float64) Set {
 		vs[i] = vec.Scaled(v, s)
 	}
 	return NewPolytope(vs)
-}
-
-// minkowskiByBisection computes inf{ρ ≥ 0 : x ∈ ρC} for an arbitrary Set using
-// membership queries on scaled copies. It assumes the set is star-shaped about
-// the origin (true for every convex set containing the origin).
-func minkowskiByBisection(c Set, x vec.Vector) float64 {
-	n := vec.Norm2(x)
-	if n == 0 {
-		return 0
-	}
-	const tol = 1e-9
-	// Bracket: grow hi until x ∈ hi·C or we give up.
-	hi := 1.0
-	found := false
-	for iter := 0; iter < 80; iter++ {
-		if c.Scale(hi).Contains(x, tol) {
-			found = true
-			break
-		}
-		hi *= 2
-	}
-	if !found {
-		return math.Inf(1)
-	}
-	lo := 0.0
-	for iter := 0; iter < 60; iter++ {
-		mid := (lo + hi) / 2
-		if mid == 0 {
-			lo = hi / 4
-			continue
-		}
-		if c.Scale(mid).Contains(x, tol) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-		if hi-lo <= 1e-6*(1+hi) {
-			break
-		}
-	}
-	return hi
 }

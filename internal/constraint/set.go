@@ -46,10 +46,6 @@ type Set interface {
 	// exact for every provided set and is what the Monte-Carlo width estimator
 	// in internal/geom averages.
 	SupportFunction(g vec.Vector) float64
-	// MinkowskiNorm returns ‖x‖_C = inf{ρ ≥ 0 : x ∈ ρC} (Definition 6). It
-	// returns +Inf when no finite ρ works (e.g. a negative coordinate against
-	// the probability simplex).
-	MinkowskiNorm(x vec.Vector) float64
 	// Scale returns the scaled set sC = {s·θ : θ ∈ C} for s > 0.
 	Scale(s float64) Set
 }
@@ -85,6 +81,10 @@ func (s *Scratch) ints(n int) []int {
 	}
 	return s.idx[:n]
 }
+
+// isSize reports whether r can size a set (a radius, half-width or mass): a
+// positive finite number. NaN and +Inf are not.
+func isSize(r float64) bool { return r > 0 && !math.IsInf(r, 1) }
 
 // checkDim panics with a descriptive message when the vector dimension does not
 // match the set's ambient dimension.
@@ -154,7 +154,7 @@ type L2Ball struct {
 
 // NewL2Ball returns the radius-r Euclidean ball in R^d.
 func NewL2Ball(d int, r float64) *L2Ball {
-	if d <= 0 || r <= 0 {
+	if d <= 0 || !isSize(r) {
 		panic("constraint: L2Ball requires positive dimension and radius")
 	}
 	return &L2Ball{d: d, r: r}
@@ -194,12 +194,6 @@ func (b *L2Ball) SupportFunction(g vec.Vector) float64 {
 	return b.r * vec.Norm2(g)
 }
 
-// MinkowskiNorm implements Set: ‖x‖_C = ‖x‖₂ / r.
-func (b *L2Ball) MinkowskiNorm(x vec.Vector) float64 {
-	checkDim("L2Ball", b.d, x)
-	return vec.Norm2(x) / b.r
-}
-
 // Scale implements Set.
 func (b *L2Ball) Scale(s float64) Set {
 	if s <= 0 {
@@ -216,7 +210,7 @@ type Box struct {
 
 // NewBox returns the box [-c, c]^d.
 func NewBox(d int, c float64) *Box {
-	if d <= 0 || c <= 0 {
+	if d <= 0 || !isSize(c) {
 		panic("constraint: Box requires positive dimension and half-width")
 	}
 	return &Box{d: d, c: c}
@@ -227,9 +221,6 @@ func (b *Box) Name() string { return fmt.Sprintf("Box(c=%g, d=%d)", b.c, b.d) }
 
 // Dim implements Set.
 func (b *Box) Dim() int { return b.d }
-
-// HalfWidth returns the per-coordinate half-width c.
-func (b *Box) HalfWidth() float64 { return b.c }
 
 // ProjectInto implements Set by clamping every coordinate to [-c, c].
 func (b *Box) ProjectInto(dst, x vec.Vector, _ *Scratch) {
@@ -255,12 +246,6 @@ func (b *Box) GaussianWidth() float64 {
 func (b *Box) SupportFunction(g vec.Vector) float64 {
 	checkDim("Box", b.d, g)
 	return b.c * vec.Norm1(g)
-}
-
-// MinkowskiNorm implements Set: ‖x‖_C = ‖x‖_∞ / c.
-func (b *Box) MinkowskiNorm(x vec.Vector) float64 {
-	checkDim("Box", b.d, x)
-	return vec.NormInf(x) / b.c
 }
 
 // Scale implements Set.

@@ -167,54 +167,6 @@ func TestSupportFunctionDominatesFeasiblePoints(t *testing.T) {
 	}
 }
 
-func TestMinkowskiNormProperties(t *testing.T) {
-	r := rand.New(rand.NewSource(15))
-	d := 5
-	// Symmetric norm-ball sets: ‖x‖_C is a norm; x / ‖x‖_C lies on the boundary.
-	ballSets := []Set{NewL2Ball(d, 2), NewL1Ball(d, 1.5), NewLpBall(d, 1.5, 1), NewBox(d, 0.5), NewGroupL1Ball(d, 2, 1)}
-	for _, s := range ballSets {
-		for trial := 0; trial < 20; trial++ {
-			x := randomVec(r, d)
-			nx := s.MinkowskiNorm(x)
-			if nx <= 0 {
-				t.Fatalf("%s: Minkowski norm of nonzero vector = %v", s.Name(), nx)
-			}
-			// Homogeneity.
-			if math.Abs(s.MinkowskiNorm(vec.Scaled(x, 3))-3*nx) > 1e-9*(1+nx) {
-				t.Fatalf("%s: Minkowski norm not homogeneous", s.Name())
-			}
-			// Membership characterization: x/nx is on the boundary (in the set),
-			// x/(0.9 nx) is outside.
-			if !s.Contains(vec.Scaled(x, 1/nx), 1e-9*(1+vec.Norm2(x))+1e-9) {
-				t.Fatalf("%s: x/‖x‖_C not in the set", s.Name())
-			}
-			if s.Contains(vec.Scaled(x, 1/(0.9*nx)), 1e-9) {
-				t.Fatalf("%s: x/(0.9‖x‖_C) should be outside the set", s.Name())
-			}
-		}
-		// Zero maps to zero.
-		if s.MinkowskiNorm(vec.NewVector(d)) != 0 {
-			t.Fatalf("%s: Minkowski norm of 0 != 0", s.Name())
-		}
-	}
-	// Simplex: finite only on the non-negative orthant.
-	sx := NewSimplex(3, 1)
-	if got := sx.MinkowskiNorm(vec.Vector{0.2, 0.3, 0.5}); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("simplex Minkowski norm = %v, want 1", got)
-	}
-	if got := sx.MinkowskiNorm(vec.Vector{-0.1, 0.5, 0.6}); !math.IsInf(got, 1) {
-		t.Fatalf("simplex Minkowski norm of negative vector = %v, want +Inf", got)
-	}
-	// SparseSet: +Inf for dense vectors.
-	sp := NewSparseSet(5, 2, 1)
-	if got := sp.MinkowskiNorm(vec.Vector{1, 1, 1, 0, 0}); !math.IsInf(got, 1) {
-		t.Fatalf("sparse Minkowski norm of dense vector = %v, want +Inf", got)
-	}
-	if got := sp.MinkowskiNorm(vec.Vector{0.6, 0, 0.8, 0, 0}); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("sparse Minkowski norm = %v, want 1", got)
-	}
-}
-
 func TestScaleConsistency(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	d := 4
@@ -253,6 +205,23 @@ func TestConstructorValidation(t *testing.T) {
 		func() { NewGroupL1Ball(2, 0, 1) },
 		func() { NewSparseSet(2, 0, 1) },
 		func() { NewPolytope(nil) },
+		func() { NewL2Ball(3, math.NaN()) },
+		func() { NewL2Ball(3, math.Inf(1)) },
+		func() { NewL1Ball(3, math.NaN()) },
+		func() { NewL1Ball(3, math.Inf(1)) },
+		func() { NewLpBall(3, 1.5, math.NaN()) },
+		func() { NewLpBall(3, 1.5, math.Inf(1)) },
+		func() { NewLpBall(3, math.NaN(), 1) },
+		func() { NewSimplex(3, math.NaN()) },
+		func() { NewSimplex(3, math.Inf(1)) },
+		func() { NewBox(3, math.NaN()) },
+		func() { NewBox(3, math.Inf(1)) },
+		func() { NewGroupL1Ball(3, 2, math.NaN()) },
+		func() { NewGroupL1Ball(3, 2, math.Inf(1)) },
+		func() { NewSparseSet(3, 2, math.NaN()) },
+		func() { NewSparseSet(3, 2, math.Inf(1)) },
+		func() { NewPolytope([]vec.Vector{{1, 0}, {0, math.NaN()}}) },
+		func() { NewPolytope([]vec.Vector{{math.Inf(-1), 0}, {0, 1}}) },
 	}
 	for i, c := range cases {
 		func() {

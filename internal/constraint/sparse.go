@@ -23,7 +23,7 @@ type SparseSet struct {
 
 // NewSparseSet returns the set of k-sparse vectors in R^d with norm at most r.
 func NewSparseSet(d, k int, r float64) *SparseSet {
-	if d <= 0 || k <= 0 || r <= 0 {
+	if d <= 0 || k <= 0 || !isSize(r) {
 		panic("constraint: SparseSet requires positive dimension, sparsity and radius")
 	}
 	if k > d {
@@ -39,9 +39,6 @@ func (s *SparseSet) Name() string {
 
 // Dim implements Set.
 func (s *SparseSet) Dim() int { return s.d }
-
-// Sparsity returns the sparsity budget k.
-func (s *SparseSet) Sparsity() int { return s.k }
 
 // ProjectInto implements Set: keep the k largest-magnitude coordinates and
 // clip the Euclidean norm to r. This is the exact Euclidean projection onto
@@ -112,16 +109,6 @@ func (s *SparseSet) SupportFunction(g vec.Vector) float64 {
 		sum += mags[j]
 	}
 	return s.r * math.Sqrt(sum)
-}
-
-// MinkowskiNorm implements Set: for a k-sparse x it is ‖x‖₂/r, otherwise +Inf
-// (no scaling of the set can make a dense vector k-sparse).
-func (s *SparseSet) MinkowskiNorm(x vec.Vector) float64 {
-	checkDim("SparseSet", s.d, x)
-	if vec.NumNonzero(x) > s.k {
-		return math.Inf(1)
-	}
-	return vec.Norm2(x) / s.r
 }
 
 // Scale implements Set.

@@ -31,7 +31,6 @@ import (
 
 	"privreg/internal/codec"
 	"privreg/internal/constraint"
-	"privreg/internal/dp"
 	"privreg/internal/erm"
 	"privreg/internal/loss"
 	"privreg/internal/vec"
@@ -54,9 +53,6 @@ type Estimator interface {
 	Estimate() (vec.Vector, error)
 	// Len returns the number of points observed so far.
 	Len() int
-	// Privacy returns the differential-privacy guarantee of the full output
-	// sequence. The zero value denotes a non-private baseline.
-	Privacy() dp.Params
 	// AppendState appends the estimator's complete mutable state —
 	// observation counts, private accumulators, warm-start iterates, and every
 	// randomness-stream position — to w in the versioned checkpoint codec. An
@@ -172,9 +168,6 @@ func (n *NonPrivateIncremental) Estimate() (vec.Vector, error) {
 
 // Len implements Estimator.
 func (n *NonPrivateIncremental) Len() int { return n.stats.Len() }
-
-// Privacy implements Estimator: not private.
-func (n *NonPrivateIncremental) Privacy() dp.Params { return dp.Params{} }
 
 // StateBytes reports the retained per-stream memory of the baseline: the
 // sufficient statistics, the clamp buffer and the memoized solution.

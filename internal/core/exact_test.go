@@ -19,7 +19,7 @@ func quadObjective(a *vec.Matrix, b, theta vec.Vector) float64 {
 // addRidge adds r to the diagonal of the square matrix a.
 func addRidge(a *vec.Matrix, r float64) {
 	for i := 0; i < a.Rows(); i++ {
-		a.Incr(i, i, r)
+		a.Set(i, i, a.At(i, i)+r)
 	}
 }
 

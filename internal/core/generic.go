@@ -64,7 +64,6 @@ type GenericERM struct {
 	name    string
 	f       loss.Function
 	c       constraint.Set
-	privacy dp.Params
 	perCall dp.Params
 	horizon int
 	tau     int
@@ -132,18 +131,6 @@ func TauStronglyConvex(horizon, dim int, lipschitz, nu, epsilon, diameter float6
 		return clampTau(horizon, horizon)
 	}
 	tau := int(math.Ceil(math.Sqrt(float64(dim)) * lipschitz / (math.Sqrt(nu) * epsilon * math.Sqrt(diameter))))
-	return clampTau(tau, horizon)
-}
-
-// TauWidthBased returns τ = ⌈ √T·w(C)·C_ℓ^{1/4} / ((L‖C‖)^{1/4} ε^{1/2}) ⌉ used
-// by Theorem 3.1 part 3 when the batch black box exploits constraint-set
-// geometry (Talwar et al.), clamped to [1, T].
-func TauWidthBased(horizon int, width, curvature, lipschitz, diameter, epsilon float64) int {
-	denom := math.Pow(lipschitz*diameter, 0.25) * math.Sqrt(epsilon)
-	if denom <= 0 {
-		return clampTau(horizon, horizon)
-	}
-	tau := int(math.Ceil(math.Sqrt(float64(horizon)) * width * math.Pow(curvature, 0.25) / denom))
 	return clampTau(tau, horizon)
 }
 
@@ -255,7 +242,6 @@ func newEngine(name string, f loss.Function, c constraint.Set, k int, p, perOutc
 		name:      name,
 		f:         f,
 		c:         c,
-		privacy:   p,
 		perCall:   perCall,
 		horizon:   horizon,
 		tau:       tau,
@@ -432,9 +418,6 @@ func (g *GenericERM) Estimate() (vec.Vector, error) { return g.EstimateOutcome(0
 // Len implements Estimator: the number of rows observed (each row carries k
 // responses but consumes one timestep of the shared horizon).
 func (g *GenericERM) Len() int { return g.t }
-
-// Privacy implements Estimator: the total budget covering all k outcomes.
-func (g *GenericERM) Privacy() dp.Params { return g.privacy }
 
 // StateBytes reports the retained per-stream memory of the mechanism: the
 // live and snapshot statistics, or the retained history buffers, plus the k

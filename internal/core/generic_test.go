@@ -36,12 +36,6 @@ func TestTauSelectionRules(t *testing.T) {
 	if got := TauStronglyConvex(100, 16, 1, 0, 1, 1); got != 100 {
 		t.Fatalf("degenerate nu should clamp to T: %d", got)
 	}
-	// Width-based rule grows with T.
-	w1 := TauWidthBased(100, 2, 1, 1, 1, 1)
-	w2 := TauWidthBased(10000, 2, 1, 1, 1, 1)
-	if w2 <= w1 {
-		t.Fatalf("width-based tau should grow with T: %d vs %d", w1, w2)
-	}
 	// TauForLoss dispatches on strong convexity.
 	cons := constraint.NewL2Ball(8, 1)
 	plain := TauForLoss(loss.Squared{}, cons, 1000, privacy())

@@ -114,7 +114,6 @@ const confidenceBeta = 0.05
 // mechanisms own what comes before the fold (clamping, the sketch) and after
 // the solve (the lift).
 type privateMoments struct {
-	privacy dp.Params
 	horizon int
 	opts    RegressionOptions
 	// inDim is the dimension of the raw covariates and of the released
@@ -192,7 +191,6 @@ func newPrivateMoments(inDim int, domain constraint.Set, p dp.Params, horizon in
 		return privateMoments{}, err
 	}
 	m := privateMoments{
-		privacy:  p,
 		horizon:  horizon,
 		opts:     opts,
 		inDim:    inDim,
@@ -337,9 +335,6 @@ func (m *privateMoments) estimate(lift func(vec.Vector) (vec.Vector, error)) (ve
 
 // Len implements Estimator.
 func (m *privateMoments) Len() int { return m.n }
-
-// Privacy implements Estimator.
-func (m *privateMoments) Privacy() dp.Params { return m.privacy }
 
 // GradientErrorScale exposes α', the high-probability gradient approximation
 // error of the private gradient function, for diagnostics and experiments.

@@ -33,8 +33,8 @@ type ProjectedOptions struct {
 	// (footnote 15 of the paper). Used by BenchmarkAblationProjScaling.
 	DisableCovariateScaling bool
 	// Sketch selects the projection backend: the paper's dense Gaussian matrix
-	// (the zero-value default), the O(d log d) SRHT fast path, or automatic
-	// selection by dimension. See sketch.Backend.
+	// (the zero-value default) or the O(d log d) SRHT fast path. See
+	// sketch.Backend.
 	Sketch sketch.Backend
 	// Lift configures the lifting solver of Step 9.
 	Lift sketch.LiftOptions
@@ -185,23 +185,8 @@ func (r *ProjectedRegression) Name() string {
 // ProjectionDim returns the projected dimension m in use.
 func (r *ProjectedRegression) ProjectionDim() int { return r.m }
 
-// Gamma returns the distortion parameter γ in use.
-func (r *ProjectedRegression) Gamma() float64 { return r.gamma }
-
 // Width returns W = w(X) + w(C), the combined Gaussian width.
 func (r *ProjectedRegression) Width() float64 { return r.width }
-
-// Projector exposes the fixed random projection (useful for the adaptive-stream
-// experiments, which need a probe into the projected geometry).
-func (r *ProjectedRegression) Projector() sketch.Transform { return r.projector }
-
-// SketchBackend reports which sketch backend the mechanism constructed.
-func (r *ProjectedRegression) SketchBackend() string {
-	if _, ok := r.projector.(*sketch.SRHT); ok {
-		return "srht"
-	}
-	return "dense"
-}
 
 // Dropped returns the number of out-of-domain points the oracle replaced so
 // far (always 0 without one).

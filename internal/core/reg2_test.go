@@ -27,8 +27,8 @@ func TestProjectedRegressionParameterSelection(t *testing.T) {
 	if est.Width() <= 0 {
 		t.Fatal("width should be positive")
 	}
-	if est.Gamma() <= 0 || est.Gamma() > 0.5 {
-		t.Fatalf("gamma = %v out of range", est.Gamma())
+	if est.gamma <= 0 || est.gamma > 0.5 {
+		t.Fatalf("gamma = %v out of range", est.gamma)
 	}
 	if m := est.ProjectionDim(); m < 1 || m > d {
 		t.Fatalf("projection dimension %d out of range", m)
@@ -50,8 +50,8 @@ func TestProjectedRegressionParameterSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est2.ProjectionDim() != 7 || est2.Gamma() != 0.3 {
-		t.Fatalf("overrides ignored: m=%d gamma=%v", est2.ProjectionDim(), est2.Gamma())
+	if est2.ProjectionDim() != 7 || est2.gamma != 0.3 {
+		t.Fatalf("overrides ignored: m=%d gamma=%v", est2.ProjectionDim(), est2.gamma)
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 // the same configuration before calling UnmarshalBinary. Structural values
 // embedded in each blob (mechanism name, dimensions, horizon) are verified on
 // restore so a configuration mismatch fails loudly instead of corrupting
-// state. Randomness positions are (seed, draw-count) pairs (randx.State), so a
-// restored mechanism draws exactly the noise the uninterrupted run would have.
+// state. Noise is counter-keyed — a pure function of a key the checkpoint
+// carries and a node or timestep index — so a restored mechanism draws exactly
+// the noise the uninterrupted run would have.
 
 // regStateVersion is the checkpoint format version of the regression
 // mechanisms GradientRegression and ProjectedRegression (with or without a

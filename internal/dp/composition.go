@@ -3,17 +3,7 @@ package dp
 import (
 	"fmt"
 	"math"
-	"sync"
 )
-
-// BasicComposition returns the privacy guarantee of running k mechanisms, each
-// (ε, δ)-differentially private, on the same data (Theorem A.3): (kε, kδ).
-func BasicComposition(per Params, k int) Params {
-	if k < 0 {
-		panic("dp: negative composition count")
-	}
-	return Params{Epsilon: per.Epsilon * float64(k), Delta: per.Delta * float64(k)}
-}
 
 // AdvancedComposition returns the overall privacy guarantee of k adaptive
 // invocations of an (ε, δ)-differentially private mechanism with slack δ*
@@ -63,83 +53,4 @@ func PerInvocationAdvanced(total Params, k int) (Params, error) {
 	}
 	deltaPrime := total.Delta / (2 * kk)
 	return Params{Epsilon: epsPrime, Delta: deltaPrime}, nil
-}
-
-// Accountant tracks cumulative privacy expenditure against a total budget using
-// basic composition. Mechanisms register each access to the data by calling
-// Spend; the accountant refuses spends that would exceed the budget. It is safe
-// for concurrent use.
-type Accountant struct {
-	mu     sync.Mutex
-	budget Params
-	spent  Params
-	events []SpendEvent
-}
-
-// SpendEvent records a single registered privacy expenditure.
-type SpendEvent struct {
-	Label  string
-	Params Params
-}
-
-// NewAccountant returns an accountant with the given total budget.
-func NewAccountant(budget Params) (*Accountant, error) {
-	if err := budget.Validate(); err != nil {
-		return nil, err
-	}
-	return &Accountant{budget: budget}, nil
-}
-
-// Budget returns the configured total budget.
-func (a *Accountant) Budget() Params {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.budget
-}
-
-// Spent returns the cumulative expenditure registered so far (basic composition).
-func (a *Accountant) Spent() Params {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.spent
-}
-
-// Remaining returns the unspent budget (never negative).
-func (a *Accountant) Remaining() Params {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return Params{
-		Epsilon: math.Max(0, a.budget.Epsilon-a.spent.Epsilon),
-		Delta:   math.Max(0, a.budget.Delta-a.spent.Delta),
-	}
-}
-
-// Spend registers a privacy expenditure with the given label. It returns
-// ErrBudgetExhausted (and registers nothing) if the spend would push either ε
-// or δ above the budget beyond a small numerical tolerance.
-func (a *Accountant) Spend(label string, p Params) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	const tol = 1e-9
-	if a.spent.Epsilon+p.Epsilon > a.budget.Epsilon*(1+tol)+tol ||
-		a.spent.Delta+p.Delta > a.budget.Delta*(1+tol)+tol {
-		return fmt.Errorf("%w: budget %v, already spent %v, requested %v (%s)",
-			ErrBudgetExhausted, a.budget, a.spent, p, label)
-	}
-	a.spent.Epsilon += p.Epsilon
-	a.spent.Delta += p.Delta
-	a.events = append(a.events, SpendEvent{Label: label, Params: p})
-	return nil
-}
-
-// Events returns a copy of the registered spend events in order.
-func (a *Accountant) Events() []SpendEvent {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]SpendEvent, len(a.events))
-	copy(out, a.events)
-	return out
 }

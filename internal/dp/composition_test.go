@@ -6,16 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestBasicComposition(t *testing.T) {
-	p := BasicComposition(Params{Epsilon: 0.1, Delta: 1e-7}, 10)
-	if math.Abs(p.Epsilon-1) > 1e-12 || math.Abs(p.Delta-1e-6) > 1e-18 {
-		t.Fatalf("BasicComposition = %v", p)
-	}
-	if got := BasicComposition(Params{Epsilon: 1, Delta: 0}, 0); got.Epsilon != 0 {
-		t.Fatalf("zero-fold composition = %v", got)
-	}
-}
-
 func TestAdvancedCompositionFormula(t *testing.T) {
 	per := Params{Epsilon: 0.1, Delta: 1e-8}
 	k := 20
@@ -71,63 +61,5 @@ func TestPerInvocationMonotonicity(t *testing.T) {
 	}
 	if p100.Delta >= p10.Delta {
 		t.Fatalf("per-invocation delta should shrink with k: %v vs %v", p100, p10)
-	}
-}
-
-func TestAccountantSpending(t *testing.T) {
-	acc, err := NewAccountant(Params{Epsilon: 1, Delta: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := acc.Spend("first", Params{Epsilon: 0.4, Delta: 4e-7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := acc.Spend("second", Params{Epsilon: 0.4, Delta: 4e-7}); err != nil {
-		t.Fatal(err)
-	}
-	// Third spend of 0.4 would exceed ε=1.
-	if err := acc.Spend("third", Params{Epsilon: 0.4, Delta: 1e-7}); err == nil {
-		t.Fatal("expected budget exhaustion")
-	}
-	spent := acc.Spent()
-	if math.Abs(spent.Epsilon-0.8) > 1e-12 {
-		t.Fatalf("spent = %v", spent)
-	}
-	rem := acc.Remaining()
-	if math.Abs(rem.Epsilon-0.2) > 1e-12 {
-		t.Fatalf("remaining = %v", rem)
-	}
-	events := acc.Events()
-	if len(events) != 2 || events[0].Label != "first" || events[1].Label != "second" {
-		t.Fatalf("events = %v", events)
-	}
-	if acc.Budget().Epsilon != 1 {
-		t.Fatalf("budget = %v", acc.Budget())
-	}
-}
-
-func TestAccountantRejectsInvalidBudget(t *testing.T) {
-	if _, err := NewAccountant(Params{Epsilon: 0, Delta: 0}); err == nil {
-		t.Fatal("invalid budget should be rejected")
-	}
-}
-
-func TestAccountantConcurrentSafety(t *testing.T) {
-	acc, _ := NewAccountant(Params{Epsilon: 100, Delta: 1e-2})
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 100; i++ {
-				_ = acc.Spend("g", Params{Epsilon: 0.01, Delta: 1e-9})
-			}
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	spent := acc.Spent()
-	if math.Abs(spent.Epsilon-8) > 1e-9 {
-		t.Fatalf("concurrent spends lost updates: %v", spent)
 	}
 }

@@ -1,11 +1,8 @@
 package dp
 
 import (
-	"errors"
 	"math"
 	"testing"
-
-	"privreg/internal/randx"
 )
 
 func TestParamsValidate(t *testing.T) {
@@ -39,10 +36,6 @@ func TestHalveAndSplit(t *testing.T) {
 	if h.Epsilon != 1 || h.Delta != 5e-5 {
 		t.Fatalf("Halve = %v", h)
 	}
-	s := p.SplitEven(4)
-	if s.Epsilon != 0.5 || s.Delta != 2.5e-5 {
-		t.Fatalf("SplitEven = %v", s)
-	}
 }
 
 func TestGaussianSigmaCalibration(t *testing.T) {
@@ -69,43 +62,5 @@ func TestGaussianSigmaCalibration(t *testing.T) {
 	}
 	if _, err := GaussianSigma(-1, p); err == nil {
 		t.Fatal("negative sensitivity must be rejected")
-	}
-}
-
-func TestLaplaceScale(t *testing.T) {
-	b, err := LaplaceScale(3, 1.5)
-	if err != nil || b != 2 {
-		t.Fatalf("LaplaceScale = %v, %v", b, err)
-	}
-	if _, err := LaplaceScale(1, 0); err == nil {
-		t.Fatal("epsilon=0 must be rejected")
-	}
-}
-
-func TestLaplaceMechanismPerturb(t *testing.T) {
-	src := randx.NewSource(2)
-	mech, err := NewLaplaceMechanism(1, 0.5, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mech.Scale() != 2 {
-		t.Fatalf("scale = %v, want 2", mech.Scale())
-	}
-	out := mech.Perturb([]float64{0, 0})
-	if len(out) != 2 {
-		t.Fatal("wrong output length")
-	}
-	if _, err := NewLaplaceMechanism(1, 0.5, nil); err == nil {
-		t.Fatal("nil source must be rejected")
-	}
-}
-
-func TestErrBudgetExhaustedIsSentinel(t *testing.T) {
-	acc, err := NewAccountant(Params{Epsilon: 1, Delta: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := acc.Spend("big", Params{Epsilon: 2, Delta: 1e-7}); !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("expected ErrBudgetExhausted, got %v", err)
 	}
 }

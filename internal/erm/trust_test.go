@@ -65,11 +65,20 @@ func spectral(eig, v vec.Vector) *vec.Matrix {
 			h.Set(i, j, e)
 		}
 	}
-	d := vec.NewMatrix(n, n)
-	for i, e := range eig {
-		d.Set(i, i, e)
+	// (H·diag(eig))·H, skipping the zero entries of the left factor.
+	out := vec.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			a := h.At(i, k) * eig[k]
+			if a == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				out.Set(i, j, out.At(i, j)+a*h.At(k, j))
+			}
+		}
 	}
-	return h.Mul(d).Mul(h)
+	return out
 }
 
 // reflect returns H x for the reflection of spectral.

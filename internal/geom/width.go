@@ -1,43 +1,15 @@
-// Package geom provides the geometric tools of Section 5 of the paper:
-// Monte-Carlo Gaussian-width estimation, the Gordon-embedding dimension rule
-// (Theorem 5.1), empirical distortion measurement for random projections, and
-// the lifting-error bound of Theorem 5.3.
+// Package geom provides the geometric tools of Section 5 of the paper: the
+// Gordon-embedding dimension rule (Theorem 5.1), empirical distortion
+// measurement for random projections, and the lifting-error bound of
+// Theorem 5.3.
 package geom
 
 import (
-	"errors"
 	"math"
 
 	"privreg/internal/constraint"
-	"privreg/internal/randx"
 	"privreg/internal/vec"
 )
-
-// EstimateWidth estimates the Gaussian width w(S) = E_g sup_{a∈S} <a,g> of a
-// set by averaging its support function over samples Gaussian directions. The
-// returned value is an unbiased Monte-Carlo estimate; its standard error decays
-// as diameter/√samples.
-func EstimateWidth(s constraint.Set, samples int, src *randx.Source) (float64, error) {
-	if samples <= 0 {
-		return 0, errors.New("geom: sample count must be positive")
-	}
-	if src == nil {
-		return 0, errors.New("geom: nil randomness source")
-	}
-	var sum float64
-	for i := 0; i < samples; i++ {
-		g := vec.Vector(src.NormalVector(s.Dim(), 1))
-		sum += s.SupportFunction(g)
-	}
-	return sum / float64(samples), nil
-}
-
-// UnionWidthUpper returns the standard upper bound on the Gaussian width of a
-// union (or Minkowski-style combination) of two sets used throughout Section 5:
-// w(X ∪ C) ≤ w(X) + w(C). It is used to pick the projection dimension m.
-func UnionWidthUpper(a, b constraint.Set) float64 {
-	return a.GaussianWidth() + b.GaussianWidth()
-}
 
 // GordonDimension returns the embedding dimension m prescribed by Gordon's
 // theorem (Theorem 5.1): to preserve all squared norms of a set of Gaussian
@@ -99,38 +71,6 @@ func NormDistortion(project func(vec.Vector) vec.Vector, points []vec.Vector) fl
 		p2 := vec.Dot(px, px)
 		if rel := math.Abs(p2-n2) / n2; rel > worst {
 			worst = rel
-		}
-	}
-	return worst
-}
-
-// InnerProductDistortion measures the worst additive inner-product distortion
-// max_{i,j} |<Φx_i, Φy_j> - <x_i, y_j>| / (‖x_i‖‖y_j‖) over all pairs from two
-// point lists, the quantity controlled by Corollary 5.2.
-func InnerProductDistortion(project func(vec.Vector) vec.Vector, xs, ys []vec.Vector) float64 {
-	pxs := make([]vec.Vector, len(xs))
-	for i, x := range xs {
-		pxs[i] = project(x)
-	}
-	pys := make([]vec.Vector, len(ys))
-	for j, y := range ys {
-		pys[j] = project(y)
-	}
-	var worst float64
-	for i, x := range xs {
-		nx := vec.Norm2(x)
-		if nx == 0 {
-			continue
-		}
-		for j, y := range ys {
-			ny := vec.Norm2(y)
-			if ny == 0 {
-				continue
-			}
-			diff := math.Abs(vec.Dot(pxs[i], pys[j])-vec.Dot(x, y)) / (nx * ny)
-			if diff > worst {
-				worst = diff
-			}
 		}
 	}
 	return worst

@@ -9,32 +9,6 @@ import (
 	"privreg/internal/vec"
 )
 
-func TestEstimateWidthAgainstAnalytic(t *testing.T) {
-	src := randx.NewSource(1)
-	l2 := constraint.NewL2Ball(16, 1)
-	w, err := EstimateWidth(l2, 3000, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(w-l2.GaussianWidth())/l2.GaussianWidth() > 0.1 {
-		t.Fatalf("estimated width %v vs analytic %v", w, l2.GaussianWidth())
-	}
-	if _, err := EstimateWidth(l2, 0, src); err == nil {
-		t.Fatal("zero samples should error")
-	}
-	if _, err := EstimateWidth(l2, 10, nil); err == nil {
-		t.Fatal("nil source should error")
-	}
-}
-
-func TestUnionWidthUpper(t *testing.T) {
-	a := constraint.NewL1Ball(32, 1)
-	b := constraint.NewL2Ball(32, 1)
-	if got := UnionWidthUpper(a, b); math.Abs(got-(a.GaussianWidth()+b.GaussianWidth())) > 1e-12 {
-		t.Fatalf("UnionWidthUpper = %v", got)
-	}
-}
-
 func TestGordonDimension(t *testing.T) {
 	// m must grow like w²/γ² and be clamped to the ambient dimension.
 	m1 := GordonDimension(4, 0.5, 0.05, 1000)
@@ -104,25 +78,6 @@ func TestNormDistortionIdentityAndScaling(t *testing.T) {
 	// Zero points are skipped.
 	if d := NormDistortion(identity, []vec.Vector{vec.NewVector(8)}); d != 0 {
 		t.Fatalf("zero-point distortion = %v", d)
-	}
-}
-
-func TestInnerProductDistortion(t *testing.T) {
-	src := randx.NewSource(3)
-	xs := []vec.Vector{vec.Vector(src.UnitSphere(6)), vec.Vector(src.UnitSphere(6))}
-	ys := []vec.Vector{vec.Vector(src.UnitSphere(6))}
-	identity := func(x vec.Vector) vec.Vector { return x.Clone() }
-	if d := InnerProductDistortion(identity, xs, ys); d != 0 {
-		t.Fatalf("identity inner-product distortion = %v", d)
-	}
-	negate := func(x vec.Vector) vec.Vector { return vec.Scaled(x, -1) }
-	// <-x, -y> = <x, y>, so negation has zero distortion too.
-	if d := InnerProductDistortion(negate, xs, ys); d > 1e-12 {
-		t.Fatalf("negation distortion = %v", d)
-	}
-	zero := func(x vec.Vector) vec.Vector { return vec.NewVector(len(x)) }
-	if d := InnerProductDistortion(zero, xs, ys); d <= 0 {
-		t.Fatalf("zero-map distortion = %v, want positive", d)
 	}
 }
 

@@ -1,13 +1,12 @@
 // Package loss defines the per-datapoint loss functions ℓ(θ; z) of the ERM
 // framework in Section 1 of the paper, together with the analytic quantities
 // the mechanisms rely on: gradients, Lipschitz constants over a constraint set,
-// strong-convexity moduli, and curvature constants.
+// and strong-convexity moduli.
 //
 // Each loss operates on covariate/response pairs z = (x, y) with x ∈ R^d and
 // y ∈ R, which covers linear regression (squared loss), logistic regression,
 // and support vector machines (hinge loss) — the three examples the paper lists
-// — plus the Huber loss as a robust extension. Regularized ERM is obtained by
-// wrapping any loss with L2Regularized.
+// Regularized ERM is obtained by wrapping any loss with L2Regularized.
 package loss
 
 import (
@@ -40,9 +39,6 @@ type Function interface {
 	// ν-strongly convex over C for all admissible data (Definition 9); zero for
 	// merely convex losses.
 	StrongConvexity(c constraint.Set, xBound, yBound float64) float64
-	// Curvature returns (an upper bound on) the curvature constant C_ℓ used by
-	// Theorem 3.1 part 3.
-	Curvature(c constraint.Set, xBound, yBound float64) float64
 }
 
 // Empirical sums a per-datapoint loss over a dataset: J(θ) = Σ_i ℓ(θ; z_i).
@@ -95,13 +91,6 @@ func (Squared) Lipschitz(c constraint.Set, xBound, yBound float64) float64 {
 // returned (footnote 7 of the paper).
 func (Squared) StrongConvexity(constraint.Set, float64, float64) float64 { return 0 }
 
-// Curvature implements Function: C_ℓ ≤ ‖C‖² for normalized data (Section 3,
-// citing Clarkson).
-func (Squared) Curvature(c constraint.Set, xBound, _ float64) float64 {
-	d := c.Diameter() * xBound
-	return 4 * d * d
-}
-
 // Logistic is the logistic-regression loss ℓ(θ; (x, y)) = ln(1 + exp(-y<x, θ>)),
 // with labels y ∈ {-1, +1} (any real y works formally).
 type Logistic struct{}
@@ -149,13 +138,6 @@ func (Logistic) Lipschitz(_ constraint.Set, xBound, yBound float64) float64 {
 // convex in the worst case.
 func (Logistic) StrongConvexity(constraint.Set, float64, float64) float64 { return 0 }
 
-// Curvature implements Function: the Hessian is bounded by ¼·xxᵀ, so
-// C_ℓ ≤ (‖C‖·B_x)².
-func (Logistic) Curvature(c constraint.Set, xBound, _ float64) float64 {
-	d := c.Diameter() * xBound
-	return d * d
-}
-
 // Hinge is the SVM hinge loss ℓ(θ; (x, y)) = max(0, 1 - y<x, θ>).
 type Hinge struct{}
 
@@ -190,65 +172,6 @@ func (Hinge) Lipschitz(_ constraint.Set, xBound, yBound float64) float64 {
 
 // StrongConvexity implements Function.
 func (Hinge) StrongConvexity(constraint.Set, float64, float64) float64 { return 0 }
-
-// Curvature implements Function: hinge is piecewise linear, so the curvature
-// constant is bounded by the diameter term only; we return (‖C‖·B_x)² as a safe
-// upper bound.
-func (Hinge) Curvature(c constraint.Set, xBound, _ float64) float64 {
-	d := c.Diameter() * xBound
-	return d * d
-}
-
-// Huber is the Huber loss with threshold delta, a robust alternative to the
-// squared loss: quadratic for residuals below delta and linear beyond.
-type Huber struct {
-	// Delta is the transition threshold; must be positive.
-	Delta float64
-}
-
-// Name implements Function.
-func (h Huber) Name() string { return fmt.Sprintf("huber(δ=%g)", h.Delta) }
-
-// Value implements Function.
-func (h Huber) Value(theta vec.Vector, z Point) float64 {
-	r := z.Y - vec.Dot(z.X, theta)
-	a := math.Abs(r)
-	if a <= h.Delta {
-		return r * r / 2
-	}
-	return h.Delta * (a - h.Delta/2)
-}
-
-// Gradient implements Function.
-func (h Huber) Gradient(theta vec.Vector, z Point) vec.Vector {
-	r := z.Y - vec.Dot(z.X, theta)
-	if math.Abs(r) <= h.Delta {
-		return vec.Scaled(z.X, -r)
-	}
-	if r > 0 {
-		return vec.Scaled(z.X, -h.Delta)
-	}
-	return vec.Scaled(z.X, h.Delta)
-}
-
-// Lipschitz implements Function: the gradient norm is at most δ·‖x‖ beyond the
-// transition and |r|·‖x‖ within it, so min(δ, B_y + B_x‖C‖)·B_x.
-func (h Huber) Lipschitz(c constraint.Set, xBound, yBound float64) float64 {
-	inner := yBound + xBound*c.Diameter()
-	if h.Delta < inner {
-		inner = h.Delta
-	}
-	return inner * xBound
-}
-
-// StrongConvexity implements Function.
-func (Huber) StrongConvexity(constraint.Set, float64, float64) float64 { return 0 }
-
-// Curvature implements Function.
-func (h Huber) Curvature(c constraint.Set, xBound, _ float64) float64 {
-	d := c.Diameter() * xBound
-	return d * d
-}
 
 // L2Regularized wraps a base loss with an L2 penalty: ℓ'(θ; z) = ℓ(θ; z) +
 // (λ/2)‖θ‖². Following footnote 1 of the paper, the per-datapoint regularizer
@@ -290,17 +213,10 @@ func (r L2Regularized) StrongConvexity(c constraint.Set, xBound, yBound float64)
 	return r.Base.StrongConvexity(c, xBound, yBound) + r.Lambda
 }
 
-// Curvature implements Function.
-func (r L2Regularized) Curvature(c constraint.Set, xBound, yBound float64) float64 {
-	d := c.Diameter()
-	return r.Base.Curvature(c, xBound, yBound) + r.Lambda*d*d
-}
-
 // Interface conformance checks.
 var (
 	_ Function = Squared{}
 	_ Function = Logistic{}
 	_ Function = Hinge{}
-	_ Function = Huber{}
 	_ Function = L2Regularized{}
 )

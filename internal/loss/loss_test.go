@@ -49,7 +49,6 @@ func smoothLosses() []Function {
 	return []Function{
 		Squared{},
 		Logistic{},
-		Huber{Delta: 0.8},
 		L2Regularized{Base: Squared{}, Lambda: 0.3},
 		L2Regularized{Base: Logistic{}, Lambda: 0.1},
 	}
@@ -100,14 +99,6 @@ func TestKnownValues(t *testing.T) {
 	}
 	if got := (Logistic{}).Value(theta, z); math.Abs(got-math.Log1p(math.Exp(-0.5))) > 1e-12 {
 		t.Fatalf("logistic value = %v", got)
-	}
-	// Huber: small residual is quadratic, large residual is linear.
-	h := Huber{Delta: 1}
-	if got := h.Value(vec.Vector{0, 0}, Point{X: vec.Vector{1, 0}, Y: 0.5}); math.Abs(got-0.125) > 1e-12 {
-		t.Fatalf("huber small-residual value = %v", got)
-	}
-	if got := h.Value(vec.Vector{0, 0}, Point{X: vec.Vector{1, 0}, Y: 3}); math.Abs(got-2.5) > 1e-12 {
-		t.Fatalf("huber large-residual value = %v", got)
 	}
 }
 
@@ -216,15 +207,6 @@ func TestEmpiricalHelpers(t *testing.T) {
 	}
 	if got := EmpiricalGradient(Squared{}, theta, nil); vec.Norm2(got) != 0 {
 		t.Fatal("empty empirical gradient should be 0")
-	}
-}
-
-func TestCurvatureNonNegative(t *testing.T) {
-	c := constraint.NewL1Ball(5, 1)
-	for _, f := range append(smoothLosses(), Hinge{}) {
-		if f.Curvature(c, 1, 1) < 0 {
-			t.Fatalf("%s: negative curvature constant", f.Name())
-		}
 	}
 }
 

@@ -91,19 +91,6 @@ func (Hinge) AccumGradient(dst, theta vec.Vector, z Point) {
 	}
 }
 
-// AccumGradient implements GradientAccumulator.
-func (h Huber) AccumGradient(dst, theta vec.Vector, z Point) {
-	r := z.Y - vec.Dot(z.X, theta)
-	switch {
-	case r <= h.Delta && r >= -h.Delta:
-		vec.Axpy(dst, -r, z.X)
-	case r > 0:
-		vec.Axpy(dst, -h.Delta, z.X)
-	default:
-		vec.Axpy(dst, h.Delta, z.X)
-	}
-}
-
 // AccumGradient implements GradientAccumulator, delegating to the base loss
 // when it has the capability and falling back to its allocating Gradient
 // otherwise.
@@ -209,6 +196,5 @@ var (
 	_ GradientAccumulator = Squared{}
 	_ GradientAccumulator = Logistic{}
 	_ GradientAccumulator = Hinge{}
-	_ GradientAccumulator = Huber{}
 	_ GradientAccumulator = L2Regularized{}
 )

@@ -35,7 +35,7 @@ func TestAsQuadraticUnwrapping(t *testing.T) {
 	if s, r, ok := AsQuadratic(nested); !ok || s != 1 || r != 0.75 {
 		t.Fatalf("nested ridge: (%v, %v, %v)", s, r, ok)
 	}
-	for _, f := range []Function{Logistic{}, Hinge{}, Huber{Delta: 1}, L2Regularized{Base: Logistic{}, Lambda: 0.1}} {
+	for _, f := range []Function{Logistic{}, Hinge{}, L2Regularized{Base: Logistic{}, Lambda: 0.1}} {
 		if _, _, ok := AsQuadratic(f); ok {
 			t.Fatalf("%s should not be quadratic", f.Name())
 		}
@@ -85,7 +85,6 @@ func TestAccumGradientMatchesGradient(t *testing.T) {
 		{Squared{}, true},
 		{Logistic{}, true},
 		{Hinge{}, true},
-		{Huber{Delta: 0.4}, true},
 		{L2Regularized{Base: Squared{}, Lambda: 0.2}, false},
 		{L2Regularized{Base: Logistic{}, Lambda: 0.2}, false},
 	}

@@ -1,11 +1,10 @@
 // Package randx provides the random-sampling substrate for the library:
-// Gaussian and Laplace samplers, random vectors and matrices, sparse and
-// unit-sphere samples, and a splittable, seedable Source so every mechanism,
-// test, and benchmark is reproducible. Normal sampling runs a shared
-// double-precision ziggurat (ziggurat.go); counter.go adds the counter-keyed
-// PRF streams (CounterSource, FillNormalAt) behind the lazy Tree-Mechanism
-// node noise, whose output is a pure function of (key, node) rather than of
-// draw order.
+// Gaussian samplers, random vectors, sparse and unit-sphere samples, and a
+// splittable, seedable Source so every mechanism, test, and benchmark is
+// reproducible. Normal sampling runs a shared double-precision ziggurat
+// (ziggurat.go); counter.go adds the counter-keyed PRF streams
+// (CounterSource, FillNormalAt) behind the lazy Tree-Mechanism node noise,
+// whose output is a pure function of (key, node) rather than of draw order.
 //
 // All samplers take an explicit *Source; nothing in the library uses the global
 // math/rand state. This matters for differential privacy experiments where we
@@ -14,7 +13,6 @@
 package randx
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 )
@@ -22,94 +20,18 @@ import (
 // Source wraps a deterministic pseudo-random generator. It is a thin layer over
 // math/rand.Rand that adds the distribution samplers the privacy mechanisms
 // need and supports deterministic splitting for parallel or multi-component use.
-//
-// A Source's exact stream position is observable (State) and restorable
-// (NewSourceAt), which is what makes estimator checkpoint/restore bit-identical
-// to an uninterrupted run: the state is the pair (seed, draws), where draws
-// counts the primitive generator advances consumed so far.
 type Source struct {
-	rng     *rand.Rand
-	counter *countingSource
-	seed    int64
-}
-
-// countingSource wraps the underlying math/rand generator and counts primitive
-// state advances. math/rand's generator advances its state exactly once per
-// Int63 and once per Uint64 (Int63 is Uint64 with the top bit masked), so the
-// pair (seed, advance count) pinpoints the stream position exactly and can be
-// restored by replaying that many primitive draws. Both methods delegate to
-// the native generator, so produced values and the state trajectory are
-// identical to the unwrapped generator.
-type countingSource struct {
-	src   rand.Source64
-	draws uint64
-}
-
-func (c *countingSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.draws++
-	return c.src.Uint64()
-}
-
-func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.draws = 0
-}
-
-// State is the exact position of a Source's deterministic stream: the seed it
-// was created with and the number of primitive generator advances consumed
-// since. It is the unit of randomness serialization in checkpoints.
-type State struct {
-	Seed  int64
-	Draws uint64
+	rng *rand.Rand
+	// bits is rng's generator, read directly by the ziggurat normal sampler.
+	bits bitsSource
+	seed int64
 }
 
 // NewSource returns a Source seeded with the given seed.
 func NewSource(seed int64) *Source {
 	// rand.NewSource's result is documented to implement Source64.
-	c := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &Source{rng: rand.New(c), counter: c, seed: seed}
-}
-
-// MaxReplayDraws bounds the stream position NewSourceAt will replay. It sits
-// orders of magnitude above any draw count the library's mechanisms can
-// legitimately accumulate (with tree-node noise now counter-keyed rather than
-// stream-drawn, the heaviest remaining consumer is the private batch ERM
-// solver's per-iteration noise, far below 2⁴⁴ for any real stream), so real
-// checkpoints always restore while a corrupt Draws field — which would
-// otherwise spin the replay loop for centuries — is rejected immediately.
-const MaxReplayDraws = 1 << 44
-
-// ErrReplayTooLarge is returned by NewSourceAt for stream positions beyond
-// MaxReplayDraws, which only corrupt checkpoints produce.
-var ErrReplayTooLarge = errors.New("randx: stream position exceeds the replay bound (corrupt checkpoint?)")
-
-// NewSourceAt returns a Source positioned exactly at the given state: it seeds
-// a fresh generator and replays st.Draws primitive advances. Restoration cost
-// is linear in Draws at a few nanoseconds per draw — microseconds to
-// milliseconds for typical streams, but seconds once a source has consumed
-// billions of draws (e.g. a high-dimensional second-moment tree over a very
-// long stream; see docs/SERVING.md). The trade-off is deliberate: the
-// underlying generator's unexported state never needs to be persisted and
-// every pre-existing seeded stream in the repository stays bit-identical.
-func NewSourceAt(st State) (*Source, error) {
-	if st.Draws > MaxReplayDraws {
-		return nil, ErrReplayTooLarge
-	}
-	s := NewSource(st.Seed)
-	for s.counter.draws < st.Draws {
-		s.counter.Int63()
-	}
-	return s, nil
-}
-
-// State returns the Source's current stream position.
-func (s *Source) State() State {
-	return State{Seed: s.seed, Draws: s.counter.draws}
+	bits := rand.NewSource(seed).(rand.Source64)
+	return &Source{rng: rand.New(bits), bits: bits, seed: seed}
 }
 
 // Seed returns the seed the Source was created with.
@@ -145,24 +67,6 @@ func (s *Source) DeriveKey() int64 {
 	return int64(Mix64(s.rng.Uint64()) & 0x7fffffffffffffff)
 }
 
-// SplitN returns n Sources split off the parent in sequence, a convenience
-// for handing one deterministic stream to each of n sub-components or
-// workers: the split seeds depend only on the parent's state, never on
-// scheduling, so parallel consumers reproduce serial ones exactly. (The
-// experiment sweeps currently derive per-cell sources from the seed directly;
-// SplitN is for callers that hold a Source rather than a seed.)
-func (s *Source) SplitN(n int) []*Source {
-	out := make([]*Source, n)
-	for i := range out {
-		out[i] = s.Split()
-	}
-	return out
-}
-
-// Rand exposes the underlying *rand.Rand for callers that need raw uniform
-// variates (e.g. permutation sampling).
-func (s *Source) Rand() *rand.Rand { return s.rng }
-
 // Float64 returns a uniform sample in [0, 1).
 func (s *Source) Float64() float64 { return s.rng.Float64() }
 
@@ -174,9 +78,9 @@ func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
 
 // Normal returns a sample from N(mu, sigma^2). sigma must be non-negative;
 // sigma == 0 returns mu exactly. All of the Source's normal samplers (Normal,
-// StdNormal, FillNormal, NormalVector, NormalMatrix) share one
-// double-precision ziggurat (see ziggurat.go) over the counting generator, so
-// they consume the stream identically per sample and remain interchangeable.
+// FillNormal, NormalVector) share one double-precision ziggurat (see
+// ziggurat.go) over the generator, so they consume the stream identically per
+// sample and remain interchangeable.
 func (s *Source) Normal(mu, sigma float64) float64 {
 	if sigma < 0 {
 		panic("randx: negative standard deviation")
@@ -184,11 +88,8 @@ func (s *Source) Normal(mu, sigma float64) float64 {
 	if sigma == 0 {
 		return mu
 	}
-	return mu + sigma*zigNormal(s.counter)
+	return mu + sigma*zigNormal(s.bits)
 }
-
-// StdNormal returns a sample from N(0, 1).
-func (s *Source) StdNormal() float64 { return zigNormal(s.counter) }
 
 // FillNormal fills dst with i.i.d. N(mu, sigma^2) samples without allocating.
 // It draws exactly len(dst) normals in index order through the same ziggurat
@@ -205,41 +106,10 @@ func (s *Source) FillNormal(dst []float64, mu, sigma float64) {
 		}
 		return
 	}
-	c := s.counter
+	c := s.bits
 	for i := range dst {
 		dst[i] = mu + sigma*zigNormal(c)
 	}
-}
-
-// Laplace returns a sample from the Laplace distribution with mean 0 and scale b.
-// The density is (1/2b) exp(-|x|/b). b must be non-negative; b == 0 returns 0.
-func (s *Source) Laplace(b float64) float64 {
-	if b < 0 {
-		panic("randx: negative Laplace scale")
-	}
-	if b == 0 {
-		return 0
-	}
-	// Inverse CDF sampling: u uniform in (-1/2, 1/2).
-	u := s.rng.Float64() - 0.5
-	if u == 0 {
-		return 0
-	}
-	sign := 1.0
-	if u < 0 {
-		sign = -1.0
-		u = -u
-	}
-	return -sign * b * math.Log(1-2*u)
-}
-
-// Exponential returns a sample from the exponential distribution with rate
-// lambda (mean 1/lambda).
-func (s *Source) Exponential(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("randx: non-positive exponential rate")
-	}
-	return s.rng.ExpFloat64() / lambda
 }
 
 // Bernoulli returns true with probability p.
@@ -251,11 +121,6 @@ func (s *Source) Bernoulli(p float64) bool {
 		return true
 	}
 	return s.rng.Float64() < p
-}
-
-// Uniform returns a uniform sample in [lo, hi).
-func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.rng.Float64()
 }
 
 // Rademacher returns +1 or -1 with equal probability.
@@ -273,16 +138,7 @@ func (s *Source) NormalVector(d int, sigma float64) []float64 {
 		return out
 	}
 	for i := range out {
-		out[i] = sigma * zigNormal(s.counter)
-	}
-	return out
-}
-
-// LaplaceVector returns a d-dimensional vector with i.i.d. Laplace(0, b) entries.
-func (s *Source) LaplaceVector(d int, b float64) []float64 {
-	out := make([]float64, d)
-	for i := range out {
-		out[i] = s.Laplace(b)
+		out[i] = sigma * zigNormal(s.bits)
 	}
 	return out
 }
@@ -333,19 +189,6 @@ func (s *Source) SparseVector(d, k int) []float64 {
 	mag := 1 / math.Sqrt(float64(k))
 	for i := 0; i < k; i++ {
 		out[perm[i]] = mag * s.Rademacher()
-	}
-	return out
-}
-
-// NormalMatrix returns an m x d row-major matrix with i.i.d. N(0, sigma^2)
-// entries, returned as a flat slice of length m*d.
-func (s *Source) NormalMatrix(m, d int, sigma float64) []float64 {
-	out := make([]float64, m*d)
-	if sigma == 0 {
-		return out
-	}
-	for i := range out {
-		out[i] = sigma * zigNormal(s.counter)
 	}
 	return out
 }

@@ -73,38 +73,9 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestLaplaceMoments(t *testing.T) {
-	src := NewSource(2)
-	const n = 200000
-	b := 1.5
-	var sum, sumAbs float64
-	for i := 0; i < n; i++ {
-		x := src.Laplace(b)
-		sum += x
-		sumAbs += math.Abs(x)
-	}
-	if math.Abs(sum/n) > 0.05 {
-		t.Fatalf("Laplace mean = %v, want 0", sum/n)
-	}
-	// E|X| = b for Laplace(0, b).
-	if math.Abs(sumAbs/n-b) > 0.05 {
-		t.Fatalf("Laplace E|X| = %v, want %v", sumAbs/n, b)
-	}
-	if src.Laplace(0) != 0 {
-		t.Fatal("zero-scale Laplace should return 0")
-	}
-}
-
 func TestExponentialAndBernoulli(t *testing.T) {
 	src := NewSource(3)
 	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += src.Exponential(2)
-	}
-	if math.Abs(sum/n-0.5) > 0.02 {
-		t.Fatalf("Exponential(2) mean = %v, want 0.5", sum/n)
-	}
 	count := 0
 	for i := 0; i < n; i++ {
 		if src.Bernoulli(0.3) {
@@ -132,12 +103,6 @@ func TestRademacherAndUniform(t *testing.T) {
 	}
 	if math.Abs(sum/n) > 0.02 {
 		t.Fatalf("Rademacher mean = %v", sum/n)
-	}
-	for i := 0; i < 1000; i++ {
-		u := src.Uniform(-2, 5)
-		if u < -2 || u >= 5 {
-			t.Fatalf("Uniform out of range: %v", u)
-		}
 	}
 }
 
@@ -204,14 +169,6 @@ func TestVectorAndMatrixSamplers(t *testing.T) {
 			t.Fatal("zero-sigma NormalVector should be all zeros")
 		}
 	}
-	m := src.NormalMatrix(3, 4, 1)
-	if len(m) != 12 {
-		t.Fatalf("NormalMatrix length = %d", len(m))
-	}
-	l := src.LaplaceVector(5, 2)
-	if len(l) != 5 {
-		t.Fatalf("LaplaceVector length = %d", len(l))
-	}
 	p := src.Perm(10)
 	seen := make(map[int]bool)
 	for _, x := range p {
@@ -226,8 +183,6 @@ func TestPanicsOnInvalidParameters(t *testing.T) {
 	src := NewSource(8)
 	cases := []func(){
 		func() { src.Normal(0, -1) },
-		func() { src.Laplace(-1) },
-		func() { src.Exponential(0) },
 	}
 	for i, c := range cases {
 		func() {
@@ -280,18 +235,4 @@ func TestFillNormalMatchesScalarLoop(t *testing.T) {
 		}()
 		c.FillNormal(buf, 0, -1)
 	}()
-}
-
-// TestSplitNDeterministic checks that SplitN hands out the same per-worker
-// streams as sequential Split calls.
-func TestSplitNDeterministic(t *testing.T) {
-	a := NewSource(5)
-	b := NewSource(5)
-	splits := a.SplitN(4)
-	for i := 0; i < 4; i++ {
-		want := b.Split()
-		if splits[i].Float64() != want.Float64() {
-			t.Fatalf("SplitN[%d] differs from sequential Split", i)
-		}
-	}
 }

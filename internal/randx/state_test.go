@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// TestCountingWrapperPreservesStream verifies the counting wrapper produces
-// exactly the same primitive variates as a bare math/rand generator with the
-// same seed — counting draws must never perturb the underlying stream. (The
-// normal samplers are excluded: they run the package's own ziggurat, not
+// TestCountingWrapperPreservesStream verifies a Source produces exactly the
+// same primitive variates as a bare math/rand generator with the same seed.
+// (The normal samplers are excluded: they run the package's own ziggurat, not
 // math/rand's; their determinism is covered by the ziggurat tests.)
 func TestCountingWrapperPreservesStream(t *testing.T) {
 	s := NewSource(12345)
@@ -36,66 +35,5 @@ func TestCountingWrapperPreservesStream(t *testing.T) {
 				t.Fatalf("Intn diverged at draw %d", i)
 			}
 		}
-	}
-}
-
-// TestStateRestoreBitIdentical checks that a Source restored from State
-// continues with exactly the variates the original would have produced.
-func TestStateRestoreBitIdentical(t *testing.T) {
-	orig := NewSource(777)
-	// Consume a mixed workload: scalars, vectors, permutations, splits.
-	buf := make([]float64, 33)
-	for i := 0; i < 50; i++ {
-		orig.FillNormal(buf, 0, 1.5)
-		_ = orig.Laplace(0.3)
-		_ = orig.Perm(13)
-		_ = orig.Split()
-	}
-
-	st := orig.State()
-	restored, err := NewSourceAt(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.State() != st {
-		t.Fatalf("restored state %+v != saved %+v", restored.State(), st)
-	}
-
-	for i := 0; i < 500; i++ {
-		a, b := orig.StdNormal(), restored.StdNormal()
-		if a != b {
-			t.Fatalf("restored stream diverged at draw %d: %v != %v", i, a, b)
-		}
-	}
-	// Splits after restore are identical too.
-	sa, sb := orig.Split(), restored.Split()
-	if sa.Seed() != sb.Seed() {
-		t.Fatal("split seeds diverged after restore")
-	}
-}
-
-func TestStateZeroDraws(t *testing.T) {
-	s := NewSource(5)
-	st := s.State()
-	if st.Seed != 5 || st.Draws != 0 {
-		t.Fatalf("fresh state = %+v", st)
-	}
-	restored, err := NewSourceAt(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := restored.StdNormal(); got != NewSource(5).StdNormal() {
-		t.Fatal("zero-draw restore differs from fresh source")
-	}
-}
-
-// TestReplayBound verifies a corrupt (absurdly large) draw count is rejected
-// instead of spinning the replay loop.
-func TestReplayBound(t *testing.T) {
-	if _, err := NewSourceAt(State{Seed: 1, Draws: MaxReplayDraws + 1}); err != ErrReplayTooLarge {
-		t.Fatalf("oversized replay = %v, want ErrReplayTooLarge", err)
-	}
-	if _, err := NewSourceAt(State{Seed: 1, Draws: 1000}); err != nil {
-		t.Fatalf("legitimate replay rejected: %v", err)
 	}
 }

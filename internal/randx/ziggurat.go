@@ -2,14 +2,14 @@ package randx
 
 import "math"
 
-// This file implements the normal sampler behind Source.Normal / StdNormal /
-// FillNormal and the counter-keyed FillNormalAt: a 128-layer double-precision
+// This file implements the normal sampler behind Source.Normal / FillNormal
+// and the counter-keyed FillNormalAt: a 128-layer double-precision
 // ziggurat (the ZIGNOR variant of Doornik, "An Improved Ziggurat Method to
 // Generate Normal Random Samples", 2005). Compared to math/rand.NormFloat64 it
 // uses float64 tables (no float32 rounding in the accept tests), draws the
 // layer index, sign, and mantissa from disjoint bits of a single 64-bit word,
 // and is generic over any Uint64 supplier — which is what lets the same
-// routine run on both a Source's counting generator and the counter-mode PRF
+// routine run on both a Source's math/rand generator and the counter-mode PRF
 // streams used for lazy node-noise materialization.
 //
 // The tables are computed once at init from math.Exp/Log/Sqrt; all inputs are
@@ -49,8 +49,8 @@ func init() {
 	}
 }
 
-// bitsSource supplies raw 64-bit words; both *countingSource (a Source's
-// generator) and *CounterSource (the keyed PRF stream) satisfy it.
+// bitsSource supplies raw 64-bit words; both a Source's math/rand generator
+// and *CounterSource (the keyed PRF stream) satisfy it.
 type bitsSource interface {
 	Uint64() uint64
 }

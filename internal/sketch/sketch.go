@@ -59,9 +59,6 @@ func (p *Projector) InputDim() int { return p.d }
 // OutputDim returns the projected dimension m.
 func (p *Projector) OutputDim() int { return p.m }
 
-// Matrix returns the underlying projection matrix (read-only).
-func (p *Projector) Matrix() *vec.Matrix { return p.phi }
-
 // Apply returns Φx.
 func (p *Projector) Apply(x vec.Vector) vec.Vector {
 	return p.phi.MulVec(x)
@@ -72,11 +69,6 @@ func (p *Projector) ApplyTo(dst, x vec.Vector) {
 	p.phi.MulVecTo(dst, x)
 }
 
-// ApplyTranspose returns Φᵀu.
-func (p *Projector) ApplyTranspose(u vec.Vector) vec.Vector {
-	return p.phi.MulVecT(u)
-}
-
 // ApplyTransposeTo computes dst = Φᵀu without allocating.
 func (p *Projector) ApplyTransposeTo(dst, u vec.Vector) {
 	p.phi.MulVecTTo(dst, u)
@@ -85,16 +77,9 @@ func (p *Projector) ApplyTransposeTo(dst, u vec.Vector) {
 // SpectralUpper returns a cached upper bound on the spectral norm ‖Φ‖.
 func (p *Projector) SpectralUpper() float64 { return p.specUpper }
 
-// ScaledApply returns Φx̃ where x̃ = (‖x‖/‖Φx‖)·x is the paper's rescaled
-// covariate (footnote 15 of the paper); by construction ‖Φx̃‖ = ‖x‖. For x = 0
-// the zero vector is returned.
-func (p *Projector) ScaledApply(x vec.Vector) vec.Vector {
-	out := vec.NewVector(p.m)
-	p.ScaledApplyTo(out, x)
-	return out
-}
-
-// ScaledApplyTo is the allocation-free form of ScaledApply.
+// ScaledApplyTo computes dst = Φx̃ without allocating, where x̃ = (‖x‖/‖Φx‖)·x
+// is the paper's rescaled covariate (footnote 15 of the paper); by
+// construction ‖Φx̃‖ = ‖x‖. For x = 0 dst is zeroed.
 func (p *Projector) ScaledApplyTo(dst, x vec.Vector) {
 	scaledApplyTo(p, dst, x)
 }

@@ -27,7 +27,7 @@ func TestNewProjectorValidation(t *testing.T) {
 	if p.InputDim() != 5 || p.OutputDim() != 3 {
 		t.Fatalf("dims = %d, %d", p.InputDim(), p.OutputDim())
 	}
-	if p.Matrix().Rows() != 3 || p.Matrix().Cols() != 5 {
+	if p.phi.Rows() != 3 || p.phi.Cols() != 5 {
 		t.Fatal("matrix shape wrong")
 	}
 	if p.SpectralUpper() <= 0 {
@@ -44,7 +44,7 @@ func TestProjectorEntryDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ss float64
-	for _, v := range p.Matrix().Data() {
+	for _, v := range p.phi.Data() {
 		ss += v * v
 	}
 	emp := ss / float64(m*d)
@@ -65,9 +65,10 @@ func TestApplyAndTranspose(t *testing.T) {
 		t.Fatalf("Apply output dim = %d", len(px))
 	}
 	u := vec.Vector{0.3, 0.7}
-	ptu := p.ApplyTranspose(u)
+	ptu := vec.NewVector(3)
+	p.ApplyTransposeTo(ptu, u)
 	if len(ptu) != 3 {
-		t.Fatalf("ApplyTranspose output dim = %d", len(ptu))
+		t.Fatalf("ApplyTransposeTo output dim = %d", len(ptu))
 	}
 	// <Φx, u> == <x, Φᵀu>.
 	if math.Abs(vec.Dot(px, u)-vec.Dot(x, ptu)) > 1e-12 {
@@ -84,13 +85,16 @@ func TestScaledApplyPreservesNorm(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		x := vec.Vector(src.SparseVector(64, 3))
 		x.Scale(0.5 + 0.5*src.Float64())
-		px := p.ScaledApply(x)
+		px := vec.NewVector(8)
+		p.ScaledApplyTo(px, x)
 		if math.Abs(vec.Norm2(px)-vec.Norm2(x)) > 1e-9 {
 			t.Fatalf("‖Φx̃‖ = %v, want ‖x‖ = %v", vec.Norm2(px), vec.Norm2(x))
 		}
 	}
 	// Zero vector maps to zero.
-	if vec.Norm2(p.ScaledApply(vec.NewVector(64))) != 0 {
+	px := vec.Vector{1, 1, 1, 1, 1, 1, 1, 1}
+	p.ScaledApplyTo(px, vec.NewVector(64))
+	if vec.Norm2(px) != 0 {
 		t.Fatal("zero covariate should map to zero")
 	}
 }
@@ -129,8 +133,8 @@ func TestImageSetVariants(t *testing.T) {
 	if !ok {
 		t.Fatalf("L1 image should be a polytope, got %T", img)
 	}
-	if poly.NumVertices() != 2*d {
-		t.Fatalf("polytope image has %d vertices, want %d", poly.NumVertices(), 2*d)
+	if len(poly.Vertices()) != 2*d {
+		t.Fatalf("polytope image has %d vertices, want %d", len(poly.Vertices()), 2*d)
 	}
 	if poly.Dim() != m {
 		t.Fatalf("polytope image dimension = %d", poly.Dim())
@@ -228,7 +232,7 @@ func TestLiftPrefersSmallMinkowskiNorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cons.MinkowskiNorm(lifted); got > 0.8 {
+	if got := vec.Norm1(lifted); got > 0.8 { // ‖·‖_C of the unit L1 ball
 		t.Fatalf("lifted Minkowski norm %v much larger than original 0.4", got)
 	}
 }

@@ -102,9 +102,6 @@ func (s *SRHT) InputDim() int { return s.d }
 // OutputDim returns the projected dimension m.
 func (s *SRHT) OutputDim() int { return s.m }
 
-// PaddedDim returns the power-of-two dimension p the transform operates in.
-func (s *SRHT) PaddedDim() int { return s.dpad }
-
 // SpectralUpper returns the exact bound √(p/m) on ‖Φ‖.
 func (s *SRHT) SpectralUpper() float64 { return s.specUpper }
 
@@ -136,13 +133,6 @@ func (s *SRHT) ApplyTo(dst, x vec.Vector) {
 	}
 }
 
-// ApplyTranspose returns Φᵀu as a new vector.
-func (s *SRHT) ApplyTranspose(u vec.Vector) vec.Vector {
-	out := vec.NewVector(s.d)
-	s.ApplyTransposeTo(out, u)
-	return out
-}
-
 // ApplyTransposeTo computes dst = Φᵀu = D Hᵀ Rᵀ u / √m (H is symmetric) with
 // no heap allocation.
 func (s *SRHT) ApplyTransposeTo(dst, u vec.Vector) {
@@ -163,14 +153,8 @@ func (s *SRHT) ApplyTransposeTo(dst, u vec.Vector) {
 	}
 }
 
-// ScaledApply returns Φx̃ with the footnote-15 rescaling (‖Φx̃‖ = ‖x‖).
-func (s *SRHT) ScaledApply(x vec.Vector) vec.Vector {
-	out := vec.NewVector(s.m)
-	s.ScaledApplyTo(out, x)
-	return out
-}
-
-// ScaledApplyTo is the allocation-free form of ScaledApply.
+// ScaledApplyTo computes dst = Φx̃ with the footnote-15 rescaling
+// (‖Φx̃‖ = ‖x‖) without allocating.
 func (s *SRHT) ScaledApplyTo(dst, x vec.Vector) {
 	scaledApplyTo(s, dst, x)
 }

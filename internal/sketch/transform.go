@@ -27,15 +27,12 @@ type Transform interface {
 	Apply(x vec.Vector) vec.Vector
 	// ApplyTo computes dst = Φx without allocating. dst must have length m.
 	ApplyTo(dst, x vec.Vector)
-	// ApplyTranspose returns Φᵀu as a new vector.
-	ApplyTranspose(u vec.Vector) vec.Vector
 	// ApplyTransposeTo computes dst = Φᵀu without allocating. dst must have
 	// length d.
 	ApplyTransposeTo(dst, u vec.Vector)
-	// ScaledApply returns Φx̃ where x̃ = (‖x‖/‖Φx‖)·x is the paper's rescaled
-	// covariate (footnote 15); by construction ‖Φx̃‖ = ‖x‖.
-	ScaledApply(x vec.Vector) vec.Vector
-	// ScaledApplyTo is the allocation-free form of ScaledApply.
+	// ScaledApplyTo computes dst = Φx̃ without allocating, where
+	// x̃ = (‖x‖/‖Φx‖)·x is the paper's rescaled covariate (footnote 15); by
+	// construction ‖Φx̃‖ = ‖x‖.
 	ScaledApplyTo(dst, x vec.Vector)
 	// SpectralUpper returns a cached upper bound on the spectral norm ‖Φ‖, used
 	// for optimizer step sizes.
@@ -59,15 +56,7 @@ const (
 	// O(d log d) per apply with the same norm-preservation guarantee up to log
 	// factors ("Private Sketches for Linear Regression", Das et al.).
 	BackendSRHT
-	// BackendAuto picks SRHT when the ambient dimension is large enough for the
-	// O(d log d) apply to beat the dense O(m·d) one (d ≥ 64), dense otherwise.
-	BackendAuto
 )
-
-// srhtCrossover is the ambient dimension at which BackendAuto switches from
-// the dense projector to the SRHT; below it the dense matvec's tight inner
-// loop wins, above it the O(d log d) transform does (see docs/PERFORMANCE.md).
-const srhtCrossover = 64
 
 // String implements fmt.Stringer for diagnostics and benchmark labels.
 func (b Backend) String() string {
@@ -76,8 +65,6 @@ func (b Backend) String() string {
 		return "dense"
 	case BackendSRHT:
 		return "srht"
-	case BackendAuto:
-		return "auto"
 	default:
 		return fmt.Sprintf("backend(%d)", int(b))
 	}
@@ -91,11 +78,6 @@ func New(b Backend, m, d int, src *randx.Source) (Transform, error) {
 		return NewProjector(m, d, src)
 	case BackendSRHT:
 		return NewSRHT(m, d, src)
-	case BackendAuto:
-		if d >= srhtCrossover {
-			return NewSRHT(m, d, src)
-		}
-		return NewProjector(m, d, src)
 	default:
 		return nil, fmt.Errorf("sketch: unknown backend %d", int(b))
 	}
@@ -107,9 +89,7 @@ func New(b Backend, m, d int, src *randx.Source) (Transform, error) {
 // entire serializable state — checkpoints persist a Spec instead of the m×d
 // matrix (or sign/row tables) and rebuild the identical transform on restore.
 type Spec struct {
-	// Backend is the backend that was requested at construction (BackendAuto is
-	// recorded as such; its dense/SRHT choice is a deterministic function of the
-	// dimensions, so reconstruction makes the same choice).
+	// Backend is the backend the transform was built with.
 	Backend Backend
 	// OutputDim and InputDim are the transform's shape (m and d).
 	OutputDim, InputDim int

@@ -136,63 +136,6 @@ func (c *Classification) Next() loss.Point {
 	return loss.Point{X: x, Y: y}
 }
 
-// Drift wraps another generator and rotates its ground truth over time by
-// linearly interpolating between an initial and a final parameter vector. It
-// models the "associations need to be re-evaluated over time" motivation in the
-// introduction of the paper and is used by the mobile-survey example.
-type Drift struct {
-	start, end vec.Vector
-	horizon    int
-	noiseStd   float64
-	sparsity   int
-	t          int
-	src        *randx.Source
-}
-
-// NewDrift returns a drifting linear-model generator that moves from start to
-// end over horizon timesteps.
-func NewDrift(start, end vec.Vector, horizon int, noiseStd float64, sparsity int, src *randx.Source) (*Drift, error) {
-	if len(start) == 0 || len(start) != len(end) {
-		return nil, errors.New("stream: drift endpoints must be non-empty and share a dimension")
-	}
-	if horizon <= 0 {
-		return nil, errors.New("stream: drift horizon must be positive")
-	}
-	if src == nil {
-		return nil, errors.New("stream: nil randomness source")
-	}
-	return &Drift{start: start.Clone(), end: end.Clone(), horizon: horizon, noiseStd: noiseStd, sparsity: sparsity, src: src}, nil
-}
-
-// Dim implements Generator.
-func (g *Drift) Dim() int { return len(g.start) }
-
-// Next implements Generator.
-func (g *Drift) Next() loss.Point {
-	alpha := float64(g.t) / float64(g.horizon)
-	if alpha > 1 {
-		alpha = 1
-	}
-	g.t++
-	theta := g.start.Clone()
-	theta.Scale(1 - alpha)
-	vec.Axpy(theta, alpha, g.end)
-	d := len(theta)
-	var x vec.Vector
-	if g.sparsity > 0 {
-		x = vec.Vector(g.src.SparseVector(d, g.sparsity))
-	} else {
-		x = vec.Vector(g.src.UnitSphere(d))
-	}
-	y := vec.Dot(x, theta) + g.src.Normal(0, g.noiseStd)
-	if y > 1 {
-		y = 1
-	} else if y < -1 {
-		y = -1
-	}
-	return loss.Point{X: x, Y: y}
-}
-
 // Mixture interleaves points from an in-domain generator and an out-of-domain
 // generator: with probability OutlierFraction the next point comes from the
 // outlier generator. It drives the §5.2 robust-extension experiment, where
@@ -206,9 +149,6 @@ type Mixture struct {
 	OutlierFraction float64
 
 	src *randx.Source
-	// lastWasOutlier records the origin of the most recent point so callers
-	// (and the §5.2 oracle) can identify in-domain points.
-	lastWasOutlier bool
 }
 
 // NewMixture returns a mixture stream.
@@ -234,16 +174,10 @@ func (m *Mixture) Dim() int { return m.InDomain.Dim() }
 // Next implements Generator.
 func (m *Mixture) Next() loss.Point {
 	if m.src.Bernoulli(m.OutlierFraction) {
-		m.lastWasOutlier = true
 		return m.Outlier.Next()
 	}
-	m.lastWasOutlier = false
 	return m.InDomain.Next()
 }
-
-// LastWasOutlier reports whether the most recently generated point came from
-// the outlier component.
-func (m *Mixture) LastWasOutlier() bool { return m.lastWasOutlier }
 
 // Adaptive generates covariates that are chosen adversarially with respect to a
 // fixed linear map reported by the Probe callback: each covariate is (a

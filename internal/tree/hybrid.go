@@ -164,15 +164,6 @@ func (h *Hybrid) ReleaseSigma(n int) float64 {
 // snapshot noise, plus the current epoch tree.
 func (h *Hybrid) Bytes() int { return 8*3*h.dim + h.epochTree.Bytes() }
 
-// Add consumes the next stream element and returns the private running sum.
-func (h *Hybrid) Add(v []float64) ([]float64, error) {
-	out := make([]float64, h.dim)
-	if err := h.AddTo(out, v); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // AddTo consumes the next stream element and, when dst is non-nil, writes the
 // private running-sum estimate into dst. The steady-state path (all timesteps
 // except the O(log T) epoch boundaries, which construct the next epoch's tree)
@@ -212,13 +203,6 @@ func (h *Hybrid) AddTo(dst, v []float64) error {
 		h.SumInto(dst)
 	}
 	return nil
-}
-
-// Sum returns a copy of the current private running-sum estimate.
-func (h *Hybrid) Sum() []float64 {
-	out := make([]float64, h.dim)
-	h.SumInto(out)
-	return out
 }
 
 // SumInto writes the current private running-sum estimate — completed-epoch
@@ -360,27 +344,6 @@ func NewNaiveSum(dim, maxLen int, sensitivity float64, p dp.Params, src *randx.S
 	}, nil
 }
 
-// Len returns the number of elements consumed so far.
-func (n *NaiveSum) Len() int { return n.t }
-
-// NoiseSigma returns the per-release noise standard deviation.
-func (n *NaiveSum) NoiseSigma() float64 { return n.sigma }
-
-// ReleaseSigma implements Mechanism: every release carries one fresh draw.
-func (n *NaiveSum) ReleaseSigma(int) float64 { return n.sigma }
-
-// Bytes implements Mechanism: the exact sum and the release-noise memo.
-func (n *NaiveSum) Bytes() int { return 8 * 2 * n.dim }
-
-// Add consumes the next stream element and returns the perturbed running sum.
-func (n *NaiveSum) Add(v []float64) ([]float64, error) {
-	out := make([]float64, n.dim)
-	if err := n.AddTo(out, v); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // AddTo consumes the next stream element and, when dst is non-nil, writes the
 // timestep's perturbed running sum into dst without allocating. With a nil
 // dst nothing is sampled: the release noise of a timestep materializes only
@@ -402,15 +365,8 @@ func (n *NaiveSum) AddTo(dst, v []float64) error {
 	return nil
 }
 
-// Sum returns a copy of the current timestep's private running-sum estimate.
-func (n *NaiveSum) Sum() []float64 {
-	out := make([]float64, n.dim)
-	n.SumInto(out)
-	return out
-}
-
 // SumInto writes the current timestep's private running-sum estimate into dst
-// without allocating. Before any Add it writes the zero vector.
+// without allocating. Before any AddTo it writes the zero vector.
 func (n *NaiveSum) SumInto(dst []float64) {
 	if n.t == 0 {
 		for k := range dst {
@@ -428,49 +384,8 @@ func (n *NaiveSum) SumInto(dst []float64) {
 	}
 }
 
-// naiveSumStateVersion is the NaiveSum checkpoint format version. Version 2
-// is the counter-keyed lazy-noise format (see treeStateVersion).
-const naiveSumStateVersion = 2
-
-// AppendState implements Mechanism: the exact accumulator, stream position,
-// and noise key. Release noise is a pure function of (noiseKey, t).
-func (n *NaiveSum) AppendState(w *codec.Writer) {
-	w.Version(naiveSumStateVersion)
-	w.String("naive-sum")
-	w.Int(n.dim)
-	w.F64(n.sigma)
-	w.Int(n.t)
-	w.F64s(n.exact)
-	w.I64(n.noiseKey)
-}
-
-// UnmarshalState implements Mechanism.
-func (n *NaiveSum) UnmarshalState(data []byte) error {
-	r := codec.NewReader(data)
-	r.Version(naiveSumStateVersion)
-	r.ExpectString("mechanism kind", "naive-sum")
-	r.ExpectInt("dimension", n.dim)
-	if s := r.F64(); r.Err() == nil && s != n.sigma {
-		return fmt.Errorf("tree: checkpoint noise scale %g does not match configured %g (privacy parameters differ)", s, n.sigma)
-	}
-	t := r.Int()
-	r.F64sInto(n.exact)
-	noiseKey := r.I64()
-	if err := r.Finish(); err != nil {
-		return err
-	}
-	if t < 0 {
-		return fmt.Errorf("tree: corrupt naive-sum checkpoint (t=%d)", t)
-	}
-	n.t = t
-	n.noiseKey = noiseKey
-	n.noiseT = 0
-	return nil
-}
-
 // Interface conformance checks.
 var (
 	_ Mechanism = (*Tree)(nil)
 	_ Mechanism = (*Hybrid)(nil)
-	_ Mechanism = (*NaiveSum)(nil)
 )

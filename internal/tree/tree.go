@@ -37,23 +37,18 @@ import (
 	"privreg/internal/randx"
 )
 
-// Mechanism is the common interface of the continual-sum mechanisms in this
-// package. Add consumes the next stream element and returns the private
-// estimate of the running sum after that element.
+// Mechanism is the common interface of the checkpointable continual-sum
+// mechanisms in this package. AddTo consumes the next stream element and
+// SumInto releases the private estimate of the running sum so far.
 type Mechanism interface {
-	// Add appends v to the stream and returns the private running-sum estimate.
-	// The returned slice is owned by the caller.
-	Add(v []float64) ([]float64, error)
 	// AddTo appends v to the stream and, when dst is non-nil, writes the private
 	// running-sum estimate into dst (which must have the mechanism's dimension).
-	// It is the allocation-free fast path of Add: a nil dst consumes the element
-	// and updates internal state without computing the estimate at all.
+	// It does not allocate; a nil dst consumes the element and updates internal
+	// state without computing the estimate at all.
 	AddTo(dst, v []float64) error
-	// Sum returns the private running-sum estimate at the current timestep
-	// without consuming a new element. Before any Add it returns the zero vector.
-	Sum() []float64
-	// SumInto writes the current private running-sum estimate into dst without
-	// allocating. dst must have the mechanism's dimension.
+	// SumInto writes the private running-sum estimate at the current timestep
+	// into dst without consuming a new element or allocating. dst must have
+	// the mechanism's dimension. Before any AddTo it writes the zero vector.
 	SumInto(dst []float64)
 	// Len returns the number of elements consumed so far.
 	Len() int
@@ -225,14 +220,8 @@ func nodeIndex(level int, idx uint64) uint64 {
 // Dim returns the dimension of the stream elements.
 func (tr *Tree) Dim() int { return tr.dim }
 
-// MaxLen returns the configured maximum stream length.
-func (tr *Tree) MaxLen() int { return tr.maxT }
-
 // Len returns the number of elements consumed so far.
 func (tr *Tree) Len() int { return tr.t }
-
-// Levels returns the number of dyadic levels of the tree (⌈log₂ MaxLen⌉ + 1).
-func (tr *Tree) Levels() int { return tr.levels }
 
 // NoiseSigma returns the per-node Gaussian noise standard deviation.
 func (tr *Tree) NoiseSigma() float64 { return tr.sigma }
@@ -246,21 +235,12 @@ func (tr *Tree) ReleaseSigma(int) float64 { return tr.sigma * math.Sqrt(float64(
 // per-level noise memos.
 func (tr *Tree) Bytes() int { return 8 * 2 * tr.levels * tr.dim }
 
-// Add consumes the next stream element and returns the private running sum.
-func (tr *Tree) Add(v []float64) ([]float64, error) {
-	out := make([]float64, tr.dim)
-	if err := tr.AddTo(out, v); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // AddTo consumes the next stream element and, when dst is non-nil, writes the
 // private running-sum estimate into dst. It performs no heap allocation and —
 // with a nil dst — no noise sampling at all: ingestion is pure accumulation
 // into the preallocated per-level partial sums, and node noise is materialized
 // only when an estimate is actually released (here with dst non-nil, or at a
-// later Sum/SumInto).
+// later SumInto).
 func (tr *Tree) AddTo(dst, v []float64) error {
 	if len(v) != tr.dim {
 		return fmt.Errorf("tree: element dimension %d does not match mechanism dimension %d", len(v), tr.dim)
@@ -301,7 +281,7 @@ func (tr *Tree) AddTo(dst, v []float64) error {
 	// The running sum s_t = Σ_{j : Bin_j(t) ≠ 0} (a_j + noise_j) is pure
 	// post-processing of the node values, so it is computed only when the
 	// caller asks for it: here when dst is non-nil, otherwise at the next
-	// Sum/SumInto, which amortizes both the aggregation and the noise
+	// SumInto, which amortizes both the aggregation and the noise
 	// materialization across batched adds.
 	if dst != nil {
 		tr.SumInto(dst)
@@ -320,13 +300,6 @@ func (tr *Tree) nodeNoise(j int, idx uint64) []float64 {
 		tr.noiseIdx[j] = idx
 	}
 	return tr.noise[j]
-}
-
-// Sum returns a copy of the current private running-sum estimate.
-func (tr *Tree) Sum() []float64 {
-	out := make([]float64, tr.dim)
-	tr.SumInto(out)
-	return out
 }
 
 // SumInto writes the current private running-sum estimate

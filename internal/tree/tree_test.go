@@ -45,7 +45,7 @@ func TestTreeExactSumsAtNegligibleNoise(t *testing.T) {
 		for k := range exact {
 			exact[k] += v[k]
 		}
-		got, err := mech.Add(v)
+		got, err := add(mech, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,16 +66,16 @@ func TestTreeRejectsOverflowAndDimMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mech.Add([]float64{1}); err == nil {
+	if _, err := add(mech, []float64{1}); err == nil {
 		t.Fatal("dimension mismatch should error")
 	}
-	if _, err := mech.Add([]float64{1, 1}); err != nil {
+	if _, err := add(mech, []float64{1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mech.Add([]float64{1, 1}); err != nil {
+	if _, err := add(mech, []float64{1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mech.Add([]float64{1, 1}); err == nil {
+	if _, err := add(mech, []float64{1, 1}); err == nil {
 		t.Fatal("exceeding MaxLen should error")
 	}
 }
@@ -87,7 +87,7 @@ func TestTreeNoiseCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	levels := mech.Levels()
+	levels := mech.levels
 	want := 2 * float64(levels) * math.Sqrt(2*math.Log(2/p.Delta)) / p.Epsilon
 	if math.Abs(mech.NoiseSigma()-want) > 1e-9 {
 		t.Fatalf("sigma = %v, want %v", mech.NoiseSigma(), want)
@@ -125,7 +125,7 @@ func TestTreeErrorWithinBound(t *testing.T) {
 			for k := range exact {
 				exact[k] += v[k]
 			}
-			got, err := mech.Add(v)
+			got, err := add(mech, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,10 +154,10 @@ func TestTreeSpaceUsage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(mech.alpha), mech.Levels(); got != want {
+	if got, want := len(mech.alpha), mech.levels; got != want {
 		t.Fatalf("alpha buffers = %d, want %d", got, want)
 	}
-	if got, want := len(mech.noise), mech.Levels(); got != want {
+	if got, want := len(mech.noise), mech.levels; got != want {
 		t.Fatalf("noise buffers = %d, want %d", got, want)
 	}
 }
@@ -195,7 +195,7 @@ func TestAddToMatchesAdd(t *testing.T) {
 	dst := make([]float64, dim)
 	for i := 0; i < T; i++ {
 		v := []float64{float64(i), 1, -0.25 * float64(i)}
-		got, err := a.Add(v)
+		got, err := add(a, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestAddToMatchesAdd(t *testing.T) {
 	}
 	// SumInto must agree with Sum.
 	b.SumInto(dst)
-	for k, v := range a.Sum() {
+	for k, v := range sum(a, dim) {
 		if v != dst[k] {
 			t.Fatalf("SumInto disagrees with Sum at %d", k)
 		}
@@ -277,7 +277,7 @@ func TestHybridAddToMatchesAdd(t *testing.T) {
 	dst := make([]float64, 2)
 	for i := 1; i <= 70; i++ {
 		v := []float64{1, float64(i % 5)}
-		got, err := a.Add(v)
+		got, err := add(a, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,17 +309,17 @@ func TestSharedSourceMechanismsGetIndependentNoise(t *testing.T) {
 	if tr.noiseKey == nv.noiseKey {
 		t.Fatal("mechanisms built from one source share a noise key")
 	}
-	a, err := tr.Add([]float64{0})
+	a, err := add(tr, []float64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := nv.Add([]float64{0})
+	b, err := add(nv, []float64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Zero inputs make the releases pure noise; normalized by each sigma they
 	// must differ (equality would mean a shared underlying draw).
-	if a[0]/tr.NoiseSigma() == b[0]/nv.NoiseSigma() {
+	if a[0]/tr.NoiseSigma() == b[0]/nv.sigma {
 		t.Fatal("releases of shared-source mechanisms carry identical noise")
 	}
 }
@@ -345,7 +345,7 @@ func TestHybridExactSumsAtNegligibleNoise(t *testing.T) {
 		v := []float64{1, float64(i % 3)}
 		exact[0] += v[0]
 		exact[1] += v[1]
-		got, err := mech.Add(v)
+		got, err := add(mech, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +370,7 @@ func TestHybridValidation(t *testing.T) {
 		t.Fatal("nil source should be rejected")
 	}
 	mech, _ := NewHybrid(2, 1, lowNoise(), src)
-	if _, err := mech.Add([]float64{1}); err == nil {
+	if _, err := add(mech, []float64{1}); err == nil {
 		t.Fatal("dimension mismatch should error")
 	}
 }
@@ -386,7 +386,7 @@ func TestNaiveSumExactAtNegligibleNoise(t *testing.T) {
 		v := []float64{1, -1}
 		exact[0]++
 		exact[1]--
-		got, err := mech.Add(v)
+		got, err := add(mech, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,10 +412,10 @@ func TestNaiveSumNoisierThanTreeForLongStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Worst-case per-release error scale: tree ≈ σ_tree·√levels, naive ≈ σ_naive.
-	treeScale := tr.NoiseSigma() * math.Sqrt(float64(tr.Levels()))
-	if nv.NoiseSigma() <= treeScale {
+	treeScale := tr.NoiseSigma() * math.Sqrt(float64(tr.levels))
+	if nv.sigma <= treeScale {
 		t.Fatalf("naive per-release noise %v should exceed tree error scale %v at T=%d",
-			nv.NoiseSigma(), treeScale, T)
+			nv.sigma, treeScale, T)
 	}
 }
 
@@ -436,7 +436,7 @@ func TestTreePrefixSumProperty(t *testing.T) {
 			for k := range exact {
 				exact[k] += v[k]
 			}
-			got, err := mech.Add(v)
+			got, err := add(mech, v)
 			if err != nil {
 				return false
 			}

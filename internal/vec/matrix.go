@@ -36,15 +36,6 @@ func NewMatrixFromRows(rows []Vector) *Matrix {
 	return m
 }
 
-// Identity returns the d x d identity matrix.
-func Identity(d int) *Matrix {
-	m := NewMatrix(d, d)
-	for i := 0; i < d; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -63,73 +54,15 @@ func (m *Matrix) Set(i, j int, v float64) {
 	m.data[i*m.cols+j] = v
 }
 
-// Incr adds v to the entry at row i, column j.
-func (m *Matrix) Incr(i, j int, v float64) {
-	m.check(i, j)
-	m.data[i*m.cols+j] += v
-}
-
 func (m *Matrix) check(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("vec: index (%d,%d) out of range for %dx%d matrix", i, j, m.rows, m.cols))
 	}
 }
 
-// Row returns row i as a Vector sharing the matrix's storage.
-func (m *Matrix) Row(i int) Vector {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("vec: row %d out of range for %dx%d matrix", i, m.rows, m.cols))
-	}
-	return Vector(m.data[i*m.cols : (i+1)*m.cols])
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) Vector {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("vec: col %d out of range for %dx%d matrix", j, m.rows, m.cols))
-	}
-	out := make(Vector, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.rows, m.cols)
-	copy(out.data, m.data)
-	return out
-}
-
-// Zero sets every entry of m to zero.
-func (m *Matrix) Zero() {
-	for i := range m.data {
-		m.data[i] = 0
-	}
-}
-
 // Data returns the underlying row-major storage of m. Callers must treat the
 // returned slice as read-only unless they own the matrix.
 func (m *Matrix) Data() []float64 { return m.data }
-
-// CopyFrom copies the entries of src into m. Shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
-	if m.rows != src.rows || m.cols != src.cols {
-		panic("vec: CopyFrom shape mismatch")
-	}
-	copy(m.data, src.data)
-}
-
-// AddInPlace sets m = m + b. Shapes must match.
-func (m *Matrix) AddInPlace(b *Matrix) {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic("vec: AddInPlace shape mismatch")
-	}
-	for i := range m.data {
-		m.data[i] += b.data[i]
-	}
-}
 
 // SubInPlace sets m = m - b. Shapes must match.
 func (m *Matrix) SubInPlace(b *Matrix) {
@@ -138,13 +71,6 @@ func (m *Matrix) SubInPlace(b *Matrix) {
 	}
 	for i := range m.data {
 		m.data[i] -= b.data[i]
-	}
-}
-
-// ScaleInPlace multiplies every entry of m by c.
-func (m *Matrix) ScaleInPlace(c float64) {
-	for i := range m.data {
-		m.data[i] *= c
 	}
 }
 
@@ -176,13 +102,6 @@ func (m *Matrix) MulVecTo(dst, x Vector) {
 	m.mulVecRows(dst, x, 0, m.rows)
 }
 
-// MulVecT returns mᵀ * x as a new vector of dimension Cols().
-func (m *Matrix) MulVecT(x Vector) Vector {
-	out := make(Vector, m.cols)
-	m.MulVecTTo(out, x)
-	return out
-}
-
 // MulVecTTo computes dst = mᵀ * x without allocating. dst must have dimension
 // Cols().
 func (m *Matrix) MulVecTTo(dst, x Vector) {
@@ -203,59 +122,6 @@ func (m *Matrix) MulVecTTo(dst, x Vector) {
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		for j, v := range row {
 			dst[j] += v * xi
-		}
-	}
-}
-
-// Mul returns the matrix product m * b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.cols != b.rows {
-		panic(dimErr("Mul", m.cols, b.rows))
-	}
-	out := NewMatrix(m.rows, b.cols)
-	m.mulInto(out, b)
-	return out
-}
-
-// MulTo computes dst = m * b without allocating. dst must be Rows() x b.Cols()
-// and must not alias m or b.
-func (m *Matrix) MulTo(dst, b *Matrix) {
-	if m.cols != b.rows {
-		panic(dimErr("MulTo", m.cols, b.rows))
-	}
-	if dst.rows != m.rows || dst.cols != b.cols {
-		panic("vec: MulTo destination shape mismatch")
-	}
-	m.mulInto(dst, b)
-}
-
-// mulInto dispatches the product to the serial or row-parallel kernel. The
-// parallel kernel partitions destination rows, so the result is bit-identical
-// to the serial one.
-func (m *Matrix) mulInto(out, b *Matrix) {
-	if m.rows*m.cols*b.cols >= mulParallelMin {
-		parallelRows(m.rows, func(lo, hi int) { m.mulRows(out, b, lo, hi) })
-		return
-	}
-	m.mulRows(out, b, 0, m.rows)
-}
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.cols, m.rows)
-	m.TransposeTo(out)
-	return out
-}
-
-// TransposeTo writes the transpose of m into dst without allocating. dst must
-// be Cols() x Rows() and must not alias m.
-func (m *Matrix) TransposeTo(dst *Matrix) {
-	if dst.rows != m.cols || dst.cols != m.rows {
-		panic("vec: TransposeTo destination shape mismatch")
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			dst.data[j*dst.cols+i] = m.data[i*m.cols+j]
 		}
 	}
 }
@@ -296,29 +162,6 @@ func Outer(x, y Vector) *Matrix {
 // FrobeniusNorm returns the Frobenius norm of m.
 func (m *Matrix) FrobeniusNorm() float64 {
 	return Norm2(Vector(m.data))
-}
-
-// MaxAbs returns the largest absolute entry of m.
-func (m *Matrix) MaxAbs() float64 {
-	var s float64
-	for _, x := range m.data {
-		if a := math.Abs(x); a > s {
-			s = a
-		}
-	}
-	return s
-}
-
-// Trace returns the trace of the square matrix m.
-func (m *Matrix) Trace() float64 {
-	if m.rows != m.cols {
-		panic("vec: Trace requires a square matrix")
-	}
-	var s float64
-	for i := 0; i < m.rows; i++ {
-		s += m.data[i*m.cols+i]
-	}
-	return s
 }
 
 // SpectralNormUpperBound returns an inexpensive upper bound on the spectral norm
@@ -391,19 +234,6 @@ func (m *Matrix) PowerIterationSpectralNorm(iters int, v, u Vector) float64 {
 		}
 	}
 	return sigma
-}
-
-// Equal reports whether a and b have the same shape and entries within tol.
-func (m *Matrix) Equal(b *Matrix, tol float64) bool {
-	if m.rows != b.rows || m.cols != b.cols {
-		return false
-	}
-	for i := range m.data {
-		if math.Abs(m.data[i]-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders a small matrix for debugging.

@@ -5,16 +5,14 @@ import (
 	"sync"
 )
 
-// Thresholds (in scalar multiply-adds) above which the matrix kernels fan the
-// row loop out across goroutines. Below them the goroutine bookkeeping costs
-// more than it saves; above them the kernels are memory/compute bound and the
-// row partition parallelizes cleanly. Each goroutine writes a disjoint row
-// range of the destination and the per-row accumulation order is unchanged, so
-// parallel results are bit-identical to the serial ones.
-const (
-	mulVecParallelMin = 1 << 16 // m*x: rows*cols flops (e.g. 256x256)
-	mulParallelMin    = 1 << 21 // m*b: rows*inner*cols flops (e.g. 128^3)
-)
+// mulVecParallelMin is the size (rows*cols scalar multiply-adds, e.g.
+// 256x256) above which the matrix-vector kernel fans the row loop out across
+// goroutines. Below it the goroutine bookkeeping costs more than it saves;
+// above it the kernel is memory/compute bound and the row partition
+// parallelizes cleanly. Each goroutine writes a disjoint row range of the
+// destination and the per-row accumulation order is unchanged, so parallel
+// results are bit-identical to the serial ones.
+const mulVecParallelMin = 1 << 16
 
 // parallelRows splits [0, rows) into contiguous chunks and runs work on each
 // chunk concurrently, blocking until all chunks complete. Chunk boundaries
@@ -53,26 +51,5 @@ func (m *Matrix) mulVecRows(dst, x Vector, lo, hi int) {
 			s += v * x[j]
 		}
 		dst[i] = s
-	}
-}
-
-// mulRows computes out rows [lo, hi) of the product m * b.
-func (m *Matrix) mulRows(out, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		mrow := m.data[i*m.cols : (i+1)*m.cols]
-		orow := out.data[i*out.cols : (i+1)*out.cols]
-		for j := range orow {
-			orow[j] = 0
-		}
-		for k := 0; k < m.cols; k++ {
-			a := mrow[k]
-			if a == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j := range orow {
-				orow[j] += a * brow[j]
-			}
-		}
 	}
 }

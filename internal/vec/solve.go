@@ -5,27 +5,9 @@ import (
 	"math"
 )
 
-// ErrNotPositiveDefinite is returned by Cholesky when the input matrix is not
-// (numerically) symmetric positive definite.
+// ErrNotPositiveDefinite is returned by a Cholesky factorization when the
+// input matrix is not (numerically) symmetric positive definite.
 var ErrNotPositiveDefinite = errors.New("vec: matrix is not positive definite")
-
-// ErrSingular is returned by solvers when the system is singular or too
-// ill-conditioned to solve reliably.
-var ErrSingular = errors.New("vec: singular or ill-conditioned system")
-
-// Cholesky computes the lower-triangular Cholesky factor L of a symmetric
-// positive definite matrix A, so that A = L Lᵀ. Only the lower triangle of A is
-// read. It returns ErrNotPositiveDefinite if a non-positive pivot is found.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	if a.Rows() != a.Cols() {
-		return nil, errors.New("vec: Cholesky requires a square matrix")
-	}
-	var ws CholeskyWorkspace
-	if err := ws.Factor(a, 0); err != nil {
-		return nil, err
-	}
-	return ws.l, nil
-}
 
 // CholeskyWorkspace holds the Cholesky factor L of a shifted symmetric matrix
 // A + shift·I and the substitution intermediate, so repeated factorizations
@@ -164,13 +146,6 @@ func (ws *CholeskyWorkspace) Solve(x, b Vector) {
 	ws.SolveUpper(x, ws.y)
 }
 
-// SolveSPD solves A x = b for a symmetric positive definite A via Cholesky
-// factorization. A ridge term may be added by the caller beforehand to make a
-// positive semi-definite system strictly positive definite.
-func SolveSPD(a *Matrix, b Vector) (Vector, error) {
-	return SolveRidge(a, b, 0)
-}
-
 // SolveRidge solves (A + lambda I) x = b. It is the workhorse for solving the
 // regularized normal equations of least squares. lambda must be non-negative.
 func SolveRidge(a *Matrix, b Vector, lambda float64) (Vector, error) {
@@ -202,113 +177,4 @@ func SolveRidgeWith(ws *CholeskyWorkspace, a *Matrix, b Vector, lambda float64) 
 	x := NewVector(n)
 	ws.Solve(x, b)
 	return x, nil
-}
-
-// QR holds a thin Householder QR factorization of an n x d matrix with n >= d.
-type QR struct {
-	qr    *Matrix   // packed Householder vectors + R
-	rdiag []float64 // diagonal of R
-}
-
-// NewQR computes the Householder QR factorization of a. The input is not
-// modified. It returns ErrSingular if a has fewer rows than columns.
-func NewQR(a *Matrix) (*QR, error) {
-	n, d := a.Rows(), a.Cols()
-	if n < d {
-		return nil, ErrSingular
-	}
-	qr := a.Clone()
-	rdiag := make([]float64, d)
-	for k := 0; k < d; k++ {
-		// Compute the norm of column k below the diagonal.
-		var nrm float64
-		for i := k; i < n; i++ {
-			nrm = math.Hypot(nrm, qr.At(i, k))
-		}
-		if nrm != 0 {
-			if qr.At(k, k) < 0 {
-				nrm = -nrm
-			}
-			for i := k; i < n; i++ {
-				qr.Set(i, k, qr.At(i, k)/nrm)
-			}
-			qr.Incr(k, k, 1)
-			// Apply the transformation to the remaining columns.
-			for j := k + 1; j < d; j++ {
-				var s float64
-				for i := k; i < n; i++ {
-					s += qr.At(i, k) * qr.At(i, j)
-				}
-				s = -s / qr.At(k, k)
-				for i := k; i < n; i++ {
-					qr.Incr(i, j, s*qr.At(i, k))
-				}
-			}
-		}
-		rdiag[k] = -nrm
-	}
-	return &QR{qr: qr, rdiag: rdiag}, nil
-}
-
-// IsFullRank reports whether the factored matrix has full column rank
-// (all diagonal entries of R are nonzero beyond a small tolerance).
-func (f *QR) IsFullRank() bool {
-	for _, r := range f.rdiag {
-		if math.Abs(r) < 1e-12 {
-			return false
-		}
-	}
-	return true
-}
-
-// Solve returns the least-squares solution x minimizing ‖A x - b‖₂ using the
-// stored factorization. It returns ErrSingular when A is rank deficient.
-func (f *QR) Solve(b Vector) (Vector, error) {
-	n, d := f.qr.Rows(), f.qr.Cols()
-	if len(b) != n {
-		return nil, errors.New("vec: QR.Solve dimension mismatch")
-	}
-	if !f.IsFullRank() {
-		return nil, ErrSingular
-	}
-	y := b.Clone()
-	// Apply the Householder reflections to b.
-	for k := 0; k < d; k++ {
-		var s float64
-		for i := k; i < n; i++ {
-			s += f.qr.At(i, k) * y[i]
-		}
-		s = -s / f.qr.At(k, k)
-		for i := k; i < n; i++ {
-			y[i] += s * f.qr.At(i, k)
-		}
-	}
-	// Back substitution on R.
-	x := make(Vector, d)
-	for k := d - 1; k >= 0; k-- {
-		s := y[k]
-		for j := k + 1; j < d; j++ {
-			s -= f.qr.At(k, j) * x[j]
-		}
-		x[k] = s / f.rdiag[k]
-	}
-	return x, nil
-}
-
-// LeastSquares returns argmin_x ‖A x - b‖₂ via QR factorization, falling back to
-// a ridge-regularized normal-equation solve when A is rank deficient.
-func LeastSquares(a *Matrix, b Vector) (Vector, error) {
-	if a.Rows() >= a.Cols() {
-		f, err := NewQR(a)
-		if err == nil && f.IsFullRank() {
-			return f.Solve(b)
-		}
-	}
-	// Fall back to (AᵀA + eps I) x = Aᵀ b, which always has a solution and is a
-	// good proxy for the minimum-norm least-squares solution.
-	at := a.Transpose()
-	ata := at.Mul(a)
-	atb := at.MulVec(b)
-	eps := 1e-10 * (1 + ata.Trace())
-	return SolveRidge(ata, atb, eps)
 }

@@ -7,35 +7,58 @@ import (
 	"testing/quick"
 )
 
+// gram returns the product a·bᵀ of two matrices with equal column counts.
+func gram(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows(), b.Rows())
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < b.Rows(); j++ {
+			var s float64
+			for k := 0; k < a.Cols(); k++ {
+				s += a.At(i, k) * b.At(j, k)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// addDiagonal returns a copy of the square matrix a with r added to its
+// diagonal.
+func addDiagonal(a *Matrix, r float64) *Matrix {
+	out := NewMatrix(a.Rows(), a.Cols())
+	copy(out.Data(), a.Data())
+	for i := 0; i < a.Rows(); i++ {
+		out.Set(i, i, out.At(i, i)+r)
+	}
+	return out
+}
+
 func spdMatrix(r *rand.Rand, d int) *Matrix {
 	// A = B Bᵀ + I is symmetric positive definite.
 	b := NewMatrix(d, d)
 	for i := range b.Data() {
 		b.Data()[i] = r.NormFloat64()
 	}
-	a := b.Mul(b.Transpose())
-	for i := 0; i < d; i++ {
-		a.Incr(i, i, 1)
-	}
-	return a
+	return addDiagonal(gram(b, b), 1)
 }
 
 func TestCholeskyReconstruction(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	a := spdMatrix(r, 5)
-	l, err := Cholesky(a)
-	if err != nil {
+	var ws CholeskyWorkspace
+	if err := ws.Factor(a, 0); err != nil {
 		t.Fatal(err)
 	}
-	recon := l.Mul(l.Transpose())
-	if !recon.Equal(a, 1e-8) {
+	recon := gram(ws.l, ws.l)
+	if !Equal(Vector(recon.Data()), Vector(a.Data()), 1e-8) {
 		t.Fatalf("L Lᵀ != A\nA=%v\nrecon=%v", a, recon)
 	}
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := NewMatrixFromRows([]Vector{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err == nil {
+	var ws CholeskyWorkspace
+	if err := ws.Factor(a, 0); err == nil {
 		t.Fatal("expected ErrNotPositiveDefinite")
 	}
 }
@@ -47,12 +70,12 @@ func TestSolveSPD(t *testing.T) {
 		a := spdMatrix(r, d)
 		want := randomVector(r, d)
 		b := a.MulVec(want)
-		got, err := SolveSPD(a, b)
+		got, err := SolveRidge(a, b, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !Equal(got, want, 1e-6) {
-			t.Fatalf("SolveSPD: got %v want %v", got, want)
+			t.Fatalf("SolveRidge: got %v want %v", got, want)
 		}
 	}
 }
@@ -66,11 +89,7 @@ func TestSolveRidgeMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := a.Clone()
-	for i := 0; i < 4; i++ {
-		reg.Incr(i, i, lambda)
-	}
-	check := reg.MulVec(got)
+	check := addDiagonal(a, lambda).MulVec(got)
 	if !Equal(check, b, 1e-8) {
 		t.Fatalf("(A+λI)x != b: %v vs %v", check, b)
 	}
@@ -79,83 +98,8 @@ func TestSolveRidgeMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestQRLeastSquaresExactFit(t *testing.T) {
-	// Overdetermined consistent system: the residual must be ~0 and the
-	// solution must match the generator.
-	r := rand.New(rand.NewSource(6))
-	n, d := 12, 4
-	a := NewMatrix(n, d)
-	for i := range a.Data() {
-		a.Data()[i] = r.NormFloat64()
-	}
-	want := randomVector(r, d)
-	b := a.MulVec(want)
-	qr, err := NewQR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !qr.IsFullRank() {
-		t.Fatal("random matrix reported rank deficient")
-	}
-	got, err := qr.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(got, want, 1e-8) {
-		t.Fatalf("QR solve: got %v want %v", got, want)
-	}
-}
-
-func TestLeastSquaresNormalEquationsOptimality(t *testing.T) {
-	// For a noisy overdetermined system, the residual of the LS solution must be
-	// orthogonal to the column space (normal equations Aᵀ(Ax - b) = 0).
-	r := rand.New(rand.NewSource(7))
-	n, d := 20, 3
-	a := NewMatrix(n, d)
-	for i := range a.Data() {
-		a.Data()[i] = r.NormFloat64()
-	}
-	b := randomVector(r, n)
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resid := a.MulVec(x)
-	resid.SubInPlace(b)
-	normalEq := a.MulVecT(resid)
-	if Norm2(normalEq) > 1e-6 {
-		t.Fatalf("normal equations violated: |Aᵀr| = %v", Norm2(normalEq))
-	}
-}
-
-func TestLeastSquaresRankDeficientFallback(t *testing.T) {
-	// Duplicate columns: rank deficient; the fallback must still return a finite
-	// solution with a small residual relative to the best achievable.
-	a := NewMatrixFromRows([]Vector{{1, 1}, {2, 2}, {3, 3}})
-	b := Vector{2, 4, 6}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsFinite(x) {
-		t.Fatalf("non-finite solution %v", x)
-	}
-	resid := a.MulVec(x)
-	resid.SubInPlace(b)
-	if Norm2(resid) > 1e-4 {
-		t.Fatalf("residual too large: %v", Norm2(resid))
-	}
-}
-
-func TestQRRejectsWideMatrix(t *testing.T) {
-	a := NewMatrix(2, 5)
-	if _, err := NewQR(a); err == nil {
-		t.Fatal("expected error for wide matrix")
-	}
-}
-
-// Property: SolveSPD solves systems built from random SPD matrices to high
-// relative accuracy.
+// Property: SolveRidge with no ridge solves systems built from random SPD
+// matrices to high relative accuracy.
 func TestSolveSPDProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -163,7 +107,7 @@ func TestSolveSPDProperty(t *testing.T) {
 		a := spdMatrix(r, d)
 		want := randomVector(r, d)
 		b := a.MulVec(want)
-		got, err := SolveSPD(a, b)
+		got, err := SolveRidge(a, b, 0)
 		if err != nil {
 			return false
 		}
@@ -176,7 +120,8 @@ func TestSolveSPDProperty(t *testing.T) {
 
 func TestCholeskyNaNRejected(t *testing.T) {
 	a := NewMatrixFromRows([]Vector{{math.NaN(), 0}, {0, 1}})
-	if _, err := Cholesky(a); err == nil {
+	var ws CholeskyWorkspace
+	if err := ws.Factor(a, 0); err == nil {
 		t.Fatal("NaN matrix should be rejected")
 	}
 }

@@ -1,7 +1,5 @@
 package vec
 
-import "fmt"
-
 // SymMatrix is a symmetric d x d matrix stored as its packed upper triangle
 // (row-major, d(d+1)/2 entries). It is the storage format of the sufficient
 // statistics Σ x xᵀ maintained by the amortized ERM mechanisms: a rank-one
@@ -24,32 +22,9 @@ func NewSymMatrix(d int) *SymMatrix {
 // Dim returns the dimension d.
 func (s *SymMatrix) Dim() int { return s.d }
 
-// index returns the packed offset of entry (i, j) with i <= j.
-func (s *SymMatrix) index(i, j int) int {
-	return i*s.d - i*(i-1)/2 + (j - i)
-}
-
-// At returns the entry at row i, column j.
-func (s *SymMatrix) At(i, j int) float64 {
-	if i < 0 || i >= s.d || j < 0 || j >= s.d {
-		panic(fmt.Sprintf("vec: index (%d,%d) out of range for %dx%d symmetric matrix", i, j, s.d, s.d))
-	}
-	if i > j {
-		i, j = j, i
-	}
-	return s.data[s.index(i, j)]
-}
-
 // Data returns the packed upper-triangle storage. Callers must treat the
 // returned slice as read-only unless they own the matrix.
 func (s *SymMatrix) Data() []float64 { return s.data }
-
-// Zero sets every entry to zero.
-func (s *SymMatrix) Zero() {
-	for i := range s.data {
-		s.data[i] = 0
-	}
-}
 
 // CopyFrom copies src into s. Dimensions must match.
 func (s *SymMatrix) CopyFrom(src *SymMatrix) {
@@ -57,13 +32,6 @@ func (s *SymMatrix) CopyFrom(src *SymMatrix) {
 		panic("vec: SymMatrix CopyFrom dimension mismatch")
 	}
 	copy(s.data, src.data)
-}
-
-// Clone returns a deep copy of s.
-func (s *SymMatrix) Clone() *SymMatrix {
-	out := NewSymMatrix(s.d)
-	copy(out.data, s.data)
-	return out
 }
 
 // AddScaledOuter adds the rank-one update alpha * x xᵀ to s, touching only the

@@ -197,18 +197,6 @@ func (v Vector) SubInPlace(w Vector) {
 	}
 }
 
-// AddScaledInPlace sets v = v + alpha*w without allocating. It is the method
-// form of Axpy, convenient when the destination is the receiver of a chain of
-// in-place updates.
-func (v Vector) AddScaledInPlace(alpha float64, w Vector) {
-	if len(v) != len(w) {
-		panic(dimErr("AddScaledInPlace", len(v), len(w)))
-	}
-	for i := range v {
-		v[i] += alpha * w[i]
-	}
-}
-
 // Axpy sets dst = dst + alpha*x. dst and x must have the same dimension.
 func Axpy(dst Vector, alpha float64, x Vector) {
 	if len(dst) != len(x) {
@@ -300,17 +288,6 @@ func Max(v Vector) (float64, int) {
 		}
 	}
 	return best, bi
-}
-
-// Support returns the indices of the nonzero entries of v.
-func Support(v Vector) []int {
-	var idx []int
-	for i, x := range v {
-		if x != 0 {
-			idx = append(idx, i)
-		}
-	}
-	return idx
 }
 
 // NumNonzero returns the number of nonzero entries of v.

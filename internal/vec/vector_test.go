@@ -103,10 +103,6 @@ func TestNormalizeAndDist(t *testing.T) {
 
 func TestSupportAndNonzero(t *testing.T) {
 	v := Vector{0, 1, 0, -2, 0}
-	sup := Support(v)
-	if len(sup) != 2 || sup[0] != 1 || sup[1] != 3 {
-		t.Fatalf("Support = %v", sup)
-	}
 	if NumNonzero(v) != 2 {
 		t.Fatalf("NumNonzero = %d", NumNonzero(v))
 	}

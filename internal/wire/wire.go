@@ -306,10 +306,6 @@ func (b *Builder) U32(v uint32) { b.buf = binary.LittleEndian.AppendUint32(b.buf
 // U64 appends a little-endian uint64.
 func (b *Builder) U64(v uint64) { b.buf = binary.LittleEndian.AppendUint64(b.buf, v) }
 
-// F64 appends a float64 by its IEEE-754 bit pattern, preserving the exact
-// value — the property the bit-identical shadow verification rides on.
-func (b *Builder) F64(v float64) { b.U64(math.Float64bits(v)) }
-
 // F64s appends a run of float64s with no length prefix (the frame header
 // carries the counts).
 func (b *Builder) F64s(vs []float64) {
@@ -398,9 +394,6 @@ func (p *Payload) U64() uint64 {
 	}
 	return binary.LittleEndian.Uint64(b)
 }
-
-// F64 reads a float64 bit pattern.
-func (p *Payload) F64() float64 { return math.Float64frombits(p.U64()) }
 
 // Bytes16 reads a u16 length-prefixed byte slice, aliasing the payload (no
 // copy); the slice is only valid until the frame buffer is reused.

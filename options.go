@@ -122,18 +122,6 @@ func WithMaxIterations(n int) Option {
 	}
 }
 
-// WithTau overrides the recomputation period of the generic-erm mechanism
-// (0 restores the paper's theory-optimal choice).
-func WithTau(tau int) Option {
-	return func(s *settings) error {
-		if tau < 0 {
-			return fmt.Errorf("privreg: WithTau requires a non-negative period, got %d", tau)
-		}
-		s.cfg.Tau = tau
-		return nil
-	}
-}
-
 // WithHistoryCap bounds the history the slow-path mechanisms (generic-erm,
 // naive-recompute) retain for losses without quadratic sufficient statistics:
 // only the most recent n points are kept, and each private solve runs over
@@ -160,30 +148,6 @@ func WithOutcomes(k int) Option {
 			return fmt.Errorf("privreg: WithOutcomes requires a non-negative count, got %d", k)
 		}
 		s.cfg.Outcomes = k
-		return nil
-	}
-}
-
-// WithProjectionDim overrides the sketch dimension m of the projected
-// mechanisms (0 restores Gordon's rule).
-func WithProjectionDim(m int) Option {
-	return func(s *settings) error {
-		if m < 0 {
-			return fmt.Errorf("privreg: WithProjectionDim requires a non-negative dimension, got %d", m)
-		}
-		s.cfg.ProjectionDim = m
-		return nil
-	}
-}
-
-// WithSketch selects the random-projection backend of the projected
-// mechanisms: SketchDense, SketchSRHT, or SketchAuto.
-func WithSketch(b Sketch) Option {
-	return func(s *settings) error {
-		if _, err := b.backend(); err != nil {
-			return err
-		}
-		s.cfg.SketchBackend = b
 		return nil
 	}
 }

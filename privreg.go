@@ -10,7 +10,6 @@ import (
 	"privreg/internal/erm"
 	"privreg/internal/loss"
 	"privreg/internal/randx"
-	"privreg/internal/sketch"
 	"privreg/internal/vec"
 )
 
@@ -40,36 +39,6 @@ const (
 	// HingeLoss is max(0, 1 - y<x, θ>), the SVM loss.
 	HingeLoss
 )
-
-// Sketch selects the random-projection backend of the projected mechanisms
-// (WithSketch).
-type Sketch int
-
-// Supported sketch backends.
-const (
-	// SketchDense is the paper's dense Gaussian projection, O(m·d) per point.
-	// The default.
-	SketchDense Sketch = iota
-	// SketchSRHT is the subsampled randomized Hadamard transform fast path,
-	// O(d log d) per point with the same embedding guarantee up to log factors.
-	SketchSRHT
-	// SketchAuto picks SRHT for large ambient dimensions (d ≥ 64) and the dense
-	// projection otherwise.
-	SketchAuto
-)
-
-func (s Sketch) backend() (sketch.Backend, error) {
-	switch s {
-	case SketchDense:
-		return sketch.BackendDense, nil
-	case SketchSRHT:
-		return sketch.BackendSRHT, nil
-	case SketchAuto:
-		return sketch.BackendAuto, nil
-	default:
-		return 0, fmt.Errorf("privreg: unknown sketch backend %d", int(s))
-	}
-}
 
 func (l Loss) function() (loss.Function, error) {
 	switch l {
@@ -212,18 +181,9 @@ type config struct {
 	// For the regression mechanisms it governs only solve domains other than
 	// an L2 ball, which is read exactly.
 	MaxIterations int
-	// Tau overrides the recomputation period of generic-erm (0 = the paper's
-	// theory-optimal choice).
-	Tau int
 	// HistoryCap bounds the history the slow-path mechanisms retain for
 	// losses without quadratic sufficient statistics (0 = full history).
 	HistoryCap int
-	// ProjectionDim overrides the sketch dimension m of the projected
-	// mechanisms (0 = Gordon's rule).
-	ProjectionDim int
-	// SketchBackend selects the projection implementation of the projected
-	// mechanisms.
-	SketchBackend Sketch
 	// Outcomes is the number of outcome columns k of the multi-outcome
 	// mechanism (0 means 1).
 	Outcomes int
@@ -455,7 +415,16 @@ func ExcessRisk(cons Constraint, xs [][]float64, ys []float64, estimate []float6
 	if len(xs) != len(ys) {
 		return 0, errors.New("privreg: covariate and response counts differ")
 	}
-	stats := erm.NewMultiStats(cons.Dim(), 1)
+	d := cons.Dim()
+	for i, x := range xs {
+		if len(x) != d {
+			return 0, fmt.Errorf("privreg: covariate %d has dimension %d, want %d", i, len(x), d)
+		}
+	}
+	if len(estimate) != d {
+		return 0, fmt.Errorf("privreg: estimate has dimension %d, want %d", len(estimate), d)
+	}
+	stats := erm.NewMultiStats(d, 1)
 	for i, x := range xs {
 		stats.Add(vec.Vector(x), ys[i:i+1])
 	}

@@ -252,6 +252,38 @@ func TestSameSeedSameOutput(t *testing.T) {
 	}
 }
 
+// TestExcessRiskRejectsMismatchedShapes checks that a covariate or an estimate
+// whose length is not the constraint's dimension is an error, not a panic.
+func TestExcessRiskRejectsMismatchedShapes(t *testing.T) {
+	cons := L2Constraint(4, 1)
+	row := []float64{0.5, 0, 0, 0}
+	cases := []struct {
+		name     string
+		xs       [][]float64
+		estimate []float64
+	}{
+		{"narrow row", [][]float64{{0.5, 0}}, []float64{0, 0, 0, 0}},
+		{"wide row", [][]float64{{0.5, 0, 0, 0, 0}}, []float64{0, 0, 0, 0}},
+		{"narrow row after a good one", [][]float64{row, {0.5, 0}}, []float64{0, 0, 0, 0}},
+		{"narrow estimate", [][]float64{row}, []float64{0, 0}},
+		{"wide estimate", [][]float64{row}, []float64{0, 0, 0, 0, 0}},
+		{"nil estimate", [][]float64{row}, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("ExcessRisk panicked: %v", r)
+				}
+			}()
+			ys := make([]float64, len(c.xs))
+			if _, err := ExcessRisk(cons, c.xs, ys, c.estimate); err == nil {
+				t.Fatal("mismatched shape should error")
+			}
+		})
+	}
+}
+
 func TestExcessRiskAndWidthHelpers(t *testing.T) {
 	cons := L2Constraint(2, 1)
 	xs := [][]float64{{1, 0}, {0, 1}}

@@ -74,11 +74,7 @@ var registry = []*mechanism{
 				return nil, err
 			}
 			cfg := s.cfg
-			opts, err := projectedOptions(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return core.NewProjectedRegression(cfg.Domain.set, cfg.Constraint.set, cfg.Privacy.params(), cfg.horizonOrDefault(), randx.NewSource(cfg.Seed), opts)
+			return core.NewProjectedRegression(cfg.Domain.set, cfg.Constraint.set, cfg.Privacy.params(), cfg.horizonOrDefault(), randx.NewSource(cfg.Seed), projectedOptions(cfg))
 		},
 	},
 	{
@@ -98,13 +94,9 @@ var registry = []*mechanism{
 				return nil, errors.New(`privreg: mechanism "robust-projected" requires WithDomainOracle`)
 			}
 			cfg, oracle := s.cfg, s.oracle
-			opts, err := projectedOptions(cfg)
-			if err != nil {
-				return nil, err
-			}
 			return core.NewRobustProjectedRegression(cfg.Domain.set, cfg.Constraint.set,
 				func(x vec.Vector) bool { return oracle([]float64(x)) },
-				cfg.Privacy.params(), cfg.horizonOrDefault(), randx.NewSource(cfg.Seed), opts)
+				cfg.Privacy.params(), cfg.horizonOrDefault(), randx.NewSource(cfg.Seed), projectedOptions(cfg))
 		},
 	},
 	{
@@ -125,7 +117,6 @@ var registry = []*mechanism{
 			}
 			cfg := s.cfg
 			return core.NewGenericERM(f, cfg.Constraint.set, cfg.Privacy.params(), cfg.horizonOrDefault(), randx.NewSource(cfg.Seed), core.GenericOptions{
-				Tau:        cfg.Tau,
 				Batch:      erm.PrivateBatchOptions{Iterations: cfg.MaxIterations},
 				HistoryCap: cfg.HistoryCap,
 			})
@@ -168,7 +159,6 @@ var registry = []*mechanism{
 			}
 			cfg := s.cfg
 			return core.NewMultiOutcome(cfg.Constraint.set, cfg.outcomes(), cfg.Privacy.params(), cfg.horizonOrDefault(), randx.NewSource(cfg.Seed), core.GenericOptions{
-				Tau:   cfg.Tau,
 				Batch: erm.PrivateBatchOptions{Iterations: cfg.MaxIterations},
 			})
 		},
@@ -200,21 +190,16 @@ func rejectLossAndOracle(s *settings, name string) error {
 }
 
 // projectedOptions is the PRIVINCREG2 option plumbing the projected and
-// robust-projected mechanisms share.
-func projectedOptions(cfg config) (core.ProjectedOptions, error) {
-	backend, err := cfg.SketchBackend.backend()
-	if err != nil {
-		return core.ProjectedOptions{}, err
-	}
+// robust-projected mechanisms share: Gordon's rule sizes the sketch and the
+// paper's dense Gaussian projection implements it.
+func projectedOptions(cfg config) core.ProjectedOptions {
 	return core.ProjectedOptions{
 		RegressionOptions: core.RegressionOptions{
 			MaxIterations: cfg.MaxIterations,
 			WarmStart:     cfg.WarmStart,
 			UseHybridTree: cfg.UnknownHorizon,
 		},
-		ProjectionDim: cfg.ProjectionDim,
-		Sketch:        backend,
-	}, nil
+	}
 }
 
 // lookupMechanism resolves a canonical name or alias, case-insensitively.

@@ -153,9 +153,6 @@ func TestOptionArgumentValidation(t *testing.T) {
 	if _, err := New("generic-erm", WithLoss(Loss(99))); err == nil {
 		t.Fatal("unknown loss should be rejected by the option")
 	}
-	if _, err := New("projected", WithSketch(Sketch(99))); err == nil {
-		t.Fatal("unknown sketch backend should be rejected by the option")
-	}
 	if _, err := New("gradient", nil); err == nil {
 		t.Fatal("nil option should be rejected")
 	}
