@@ -147,7 +147,7 @@ type Event struct {
 	Incarnation uint64
 }
 
-// DetectorConfig are the detector's timing and fanout parameters.
+// DetectorConfig are the detector's timing parameters.
 type DetectorConfig struct {
 	// Self is this node's ID; it is gossiped as alive with the current
 	// incarnation and never probed.
@@ -163,10 +163,11 @@ type DetectorConfig struct {
 	// unavailability window after an unclean death; the false-positive rate
 	// rises as it shrinks.
 	SuspicionTimeout time.Duration
-	// IndirectProxies is k, the number of peers asked to probe on this
-	// node's behalf before suspicion (default 2).
-	IndirectProxies int
 }
+
+// indirectProxies is k, the number of peers asked to probe on this node's
+// behalf before suspicion.
+const indirectProxies = 2
 
 func (c DetectorConfig) withDefaults() DetectorConfig {
 	if c.ProbeInterval <= 0 {
@@ -177,9 +178,6 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 	}
 	if c.SuspicionTimeout <= 0 {
 		c.SuspicionTimeout = 3 * c.ProbeInterval
-	}
-	if c.IndirectProxies <= 0 {
-		c.IndirectProxies = 2
 	}
 	return c
 }
@@ -333,8 +331,8 @@ func (d *Detector) nextTarget() (string, bool) {
 	return "", false
 }
 
-// proxies picks up to k alive members other than target to carry an
-// indirect probe.
+// proxies picks up to indirectProxies alive members other than target to
+// carry an indirect probe.
 func (d *Detector) proxies(target string) []string {
 	var out []string
 	for _, id := range d.order {
@@ -342,7 +340,7 @@ func (d *Detector) proxies(target string) []string {
 			continue
 		}
 		out = append(out, id)
-		if len(out) == d.cfg.IndirectProxies {
+		if len(out) == indirectProxies {
 			break
 		}
 	}

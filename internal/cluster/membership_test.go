@@ -18,7 +18,6 @@ func testConfig() DetectorConfig {
 		ProbeInterval:    time.Second,
 		ProbeTimeout:     500 * time.Millisecond,
 		SuspicionTimeout: 3 * time.Second,
-		IndirectProxies:  2,
 	}
 }
 

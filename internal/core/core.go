@@ -54,10 +54,11 @@ type Estimator interface {
 	// Len returns the number of points observed so far.
 	Len() int
 	// AppendState appends the estimator's complete mutable state —
-	// observation counts, private accumulators, warm-start iterates, and every
-	// randomness-stream position — to w in the versioned checkpoint codec. An
-	// estimator constructed with the same configuration (constraint set,
-	// privacy budget, horizon, options, seed) that restores this state with
+	// observation counts, private accumulators, warm-start iterates, the keys
+	// its counter-keyed noise is drawn from, and a projected mechanism's
+	// sketch seed — to w in the versioned checkpoint codec. An estimator
+	// constructed with the same configuration (constraint set, privacy
+	// budget, horizon, options, seed) that restores this state with
 	// UnmarshalBinary continues bit-identically to an uninterrupted run.
 	AppendState(w *codec.Writer)
 	// UnmarshalBinary restores state captured by AppendState. Structural

@@ -14,8 +14,8 @@ import (
 //
 // The contract (documented on Estimator.AppendState) is construct-then-
 // restore: a checkpoint captures only the *mutable* state of a mechanism —
-// observation counts, private accumulators, warm-start iterates, randomness
-// positions — while the immutable structure (constraint set, loss, privacy
+// observation counts, private accumulators, warm-start iterates, noise keys
+// and sketch seeds — while the immutable structure (constraint set, loss, privacy
 // budget, horizon, options) is re-created by constructing an estimator with
 // the same configuration before calling UnmarshalBinary. Structural values
 // embedded in each blob (mechanism name, dimensions, horizon) are verified on

@@ -74,8 +74,6 @@ type ClusterConfig struct {
 	// incarnation, or any firsthand ack) before it is declared dead. 0 means
 	// 3×ProbeInterval.
 	SuspicionTimeout time.Duration
-	// IndirectProxies is how many peers carry the indirect probe. 0 means 2.
-	IndirectProxies int
 }
 
 const (

@@ -34,7 +34,6 @@ func newMembership(cs *clusterState, cfg *ClusterConfig) *membership {
 		ProbeInterval:    cfg.ProbeInterval,
 		ProbeTimeout:     cfg.ProbeTimeout,
 		SuspicionTimeout: cfg.SuspicionTimeout,
-		IndirectProxies:  cfg.IndirectProxies,
 	}
 	peers := make([]string, 0, cs.Ring().Len())
 	for _, n := range cs.Ring().Nodes() {

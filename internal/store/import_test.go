@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// segFiles lists the segment directory of a spill store rooted at dir.
+// segFiles lists the segment directory of a store rooted at dir.
 func segFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	dirents, err := os.ReadDir(filepath.Join(dir, SegmentDir))
@@ -22,18 +22,18 @@ func segFiles(t *testing.T, dir string) []string {
 }
 
 // TestExportImportRoundTrip moves streams between stores through the segment
-// transfer format: resident→resident, spill→spill (with the source stream
-// both resident and spilled-clean), and across backends.
+// transfer format: memory-only→memory-only, directory→directory (with the
+// source stream both resident and spilled-clean), and memory-only→directory.
 func TestExportImportRoundTrip(t *testing.T) {
 	t.Run("resident", func(t *testing.T) {
-		src := NewResident("mech", fakeFactory())
+		src := memStore(t, "mech")
 		appendTo(t, src, "a", 1.5)
 		appendTo(t, src, "a", -2.25)
 		data, n, err := src.Export("a")
 		if err != nil || n != 2 {
 			t.Fatalf("export: n=%d err=%v", n, err)
 		}
-		dst := NewResident("mech", fakeFactory())
+		dst := memStore(t, "mech")
 		id, err := dst.Import(data, n)
 		if err != nil || id != "a" {
 			t.Fatalf("import: id=%q err=%v", id, err)
@@ -48,7 +48,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 
 	t.Run("spill", func(t *testing.T) {
 		srcDir, dstDir := t.TempDir(), t.TempDir()
-		src, err := OpenSpill(srcDir, "mech", 1, fakeFactory())
+		src, err := Open(srcDir, "mech", 1, fakeFactory())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		dst, err := OpenSpill(dstDir, "mech", 0, fakeFactory())
+		dst, err := Open(dstDir, "mech", 0, fakeFactory())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 		if _, err := dst.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		re, err := OpenSpill(dstDir, "mech", 0, fakeFactory())
+		re, err := Open(dstDir, "mech", 0, fakeFactory())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,13 +99,13 @@ func TestExportImportRoundTrip(t *testing.T) {
 	})
 
 	t.Run("cross-backend", func(t *testing.T) {
-		src := NewResident("mech", fakeFactory())
+		src := memStore(t, "mech")
 		appendTo(t, src, "x", 9)
 		data, n, err := src.Export("x")
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst, err := OpenSpill(t.TempDir(), "mech", 0, fakeFactory())
+		dst, err := Open(t.TempDir(), "mech", 0, fakeFactory())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 // registered, no segment file left behind, and the store's manifest still
 // round-trips cleanly — a corrupt push must not poison the receiving node.
 func TestImportRejectsCorruptSegment(t *testing.T) {
-	src := NewResident("mech", fakeFactory())
+	src := memStore(t, "mech")
 	appendTo(t, src, "victim", 4.5)
 	data, n, err := src.Export("victim")
 	if err != nil {
@@ -131,7 +131,7 @@ func TestImportRejectsCorruptSegment(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	dst, err := OpenSpill(dir, "mech", 0, fakeFactory())
+	dst, err := Open(dir, "mech", 0, fakeFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestImportRejectsCorruptSegment(t *testing.T) {
 	}
 
 	// Identity mismatches are rejected the same way.
-	foreign := NewResident("other-mech", fakeFactory())
+	foreign := memStore(t, "other-mech")
 	appendTo(t, foreign, "victim", 4.5)
 	fdata, fn, err := foreign.Export("victim")
 	if err != nil {
@@ -168,7 +168,7 @@ func TestImportRejectsCorruptSegment(t *testing.T) {
 	if _, err := dst.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenSpill(dir, "mech", 0, fakeFactory())
+	re, err := Open(dir, "mech", 0, fakeFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestImportRejectsCorruptSegment(t *testing.T) {
 // leaves no trace, and the source (which keeps ownership until commit)
 // remains the authoritative copy.
 func TestImportOrphanGC(t *testing.T) {
-	src := NewResident("mech", fakeFactory())
+	src := memStore(t, "mech")
 	appendTo(t, src, "moving", 8)
 	data, n, err := src.Export("moving")
 	if err != nil {
@@ -195,7 +195,7 @@ func TestImportOrphanGC(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	dst, err := OpenSpill(dir, "mech", 0, fakeFactory())
+	dst, err := Open(dir, "mech", 0, fakeFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestImportOrphanGC(t *testing.T) {
 
 	// "Crash": reopen the directory without flushing. The import never made
 	// it into a manifest, so its file is an orphan.
-	re, err := OpenSpill(dir, "mech", 0, fakeFactory())
+	re, err := Open(dir, "mech", 0, fakeFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestImportOrphanGC(t *testing.T) {
 // stream supersedes it, and the superseded segment file is collected by the
 // next flush.
 func TestImportReplacesExisting(t *testing.T) {
-	src := NewResident("mech", fakeFactory())
+	src := memStore(t, "mech")
 	appendTo(t, src, "s", 10)
 	appendTo(t, src, "s", 11)
 	data, n, err := src.Export("s")
@@ -243,7 +243,7 @@ func TestImportReplacesExisting(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	dst, err := OpenSpill(dir, "mech", 0, fakeFactory())
+	dst, err := Open(dir, "mech", 0, fakeFactory())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 	"privreg/internal/codec"
 )
 
-// On-disk layout of a Spill store rooted at dir:
+// On-disk layout of a store rooted at dir:
 //
 //	dir/MANIFEST        recovery root: atomic-renamed, fsynced, versioned
 //	dir/segments/       one segment file per stream generation
@@ -32,20 +32,25 @@ const (
 	// SegmentDir is the segment directory's name inside the store directory.
 	SegmentDir = "segments"
 
-	maxSpillShards = 64
+	maxShards = 64
 )
 
-// Spill is the bounded-memory StreamStore: at most cap streams are resident;
-// colder streams live as segment files and fault back in on access. With
-// cap <= 0 residency is unbounded but the disk layer (segment checkpoints,
-// lazy restore) still applies.
-type Spill struct {
+// Store is the Pool's storage engine. All methods are safe for concurrent
+// use; operations on the same stream serialize, distinct streams proceed in
+// parallel (up to shard granularity).
+//
+// With a directory, at most cap streams are resident (cap <= 0: unbounded);
+// colder streams live as segment files and fault back in on access, and the
+// disk layer (segment checkpoints, lazy restore) applies at any cap. With no
+// directory the store is memory only: cap is 0, every stream stays resident,
+// and no file is touched.
+type Store struct {
 	dir     string
 	segDir  string
 	meta    string // stamped into every segment and the manifest; checked on open
 	factory Factory
 
-	shards []spillShard
+	shards []shard
 
 	gen atomic.Uint64 // segment file generation counter (unique per write)
 
@@ -75,27 +80,27 @@ type Spill struct {
 	flushMu sync.Mutex
 }
 
-type spillShard struct {
+type shard struct {
 	mu       sync.Mutex
 	cap      int // max resident entries; <= 0 means unbounded
-	table    map[string]*spillEntry
-	head     *spillEntry // LRU list of resident entries, MRU first
-	tail     *spillEntry
+	table    map[string]*entry
+	head     *entry // LRU list of resident entries, MRU first
+	tail     *entry
 	resident int
 }
 
-// spillEntry is one stream's slot. Field ownership:
+// entry is one stream's slot. Field ownership:
 //   - st, file: guarded by mu (held across estimator work and disk I/O)
 //   - prev, next, inLRU, pins: guarded by the owning shard's mu
 //   - len, dirty, dropped: atomics, readable under either lock
-type spillEntry struct {
+type entry struct {
 	id string
 
 	mu   sync.Mutex
 	st   Stream // nil while spilled
 	file string // current segment file name ("" before first write)
 
-	prev, next *spillEntry
+	prev, next *entry
 	inLRU      bool
 	pins       int
 
@@ -105,22 +110,20 @@ type spillEntry struct {
 	dropped atomic.Bool
 }
 
-// OpenSpill opens (or creates) a spill store rooted at dir. meta is an
-// identity string (the Pool passes its mechanism name) stamped into segments
-// and the manifest and verified on open, so a store directory cannot be
-// silently reused by an incompatible pool. cap bounds resident streams
-// (<= 0 means unbounded). If a manifest exists, its streams are registered
-// immediately — with their lengths — but their state faults in lazily.
-func OpenSpill(dir, meta string, cap int, factory Factory) (*Spill, error) {
-	// Segments hold raw private accumulator state — exactly as sensitive as
-	// the process memory — so the tree is owner-only.
-	segDir := filepath.Join(dir, SegmentDir)
-	if err := os.MkdirAll(segDir, 0o700); err != nil {
-		return nil, fmt.Errorf("store: creating segment directory: %w", err)
+// Open opens (or creates) a store rooted at dir, or a memory-only store when
+// dir is "". meta is an identity string (the Pool passes its mechanism name)
+// stamped into segments and the manifest and verified on open and on
+// import, so a store directory cannot be silently reused by an incompatible
+// pool. cap bounds resident streams (<= 0 means unbounded) and must be 0
+// without a directory, which has nowhere to evict to. If a manifest exists,
+// its streams are registered immediately — with their lengths — but their
+// state faults in lazily.
+func Open(dir, meta string, cap int, factory Factory) (*Store, error) {
+	if dir == "" && cap > 0 {
+		return nil, errors.New("store: a residency cap needs a directory to spill to")
 	}
-	s := &Spill{
+	s := &Store{
 		dir:           dir,
-		segDir:        segDir,
 		meta:          meta,
 		factory:       factory,
 		unsynced:      make(map[string]struct{}),
@@ -129,13 +132,13 @@ func OpenSpill(dir, meta string, cap int, factory Factory) (*Spill, error) {
 	// Shard layout: with a bounded cap the per-shard caps must sum exactly to
 	// cap (so "resident <= cap" is a hard invariant, not a rounding hope),
 	// which needs nshards <= cap; unbounded stores always use the full fan-out.
-	nshards := maxSpillShards
+	nshards := maxShards
 	if cap > 0 && cap < nshards {
 		nshards = cap
 	}
-	s.shards = make([]spillShard, nshards)
+	s.shards = make([]shard, nshards)
 	for i := range s.shards {
-		s.shards[i].table = make(map[string]*spillEntry)
+		s.shards[i].table = make(map[string]*entry)
 		if cap <= 0 {
 			s.shards[i].cap = 0
 		} else {
@@ -145,6 +148,15 @@ func OpenSpill(dir, meta string, cap int, factory Factory) (*Spill, error) {
 			}
 			s.shards[i].cap = c
 		}
+	}
+	if dir == "" {
+		return s, nil
+	}
+	// Segments hold raw private accumulator state — exactly as sensitive as
+	// the process memory — so the tree is owner-only.
+	s.segDir = filepath.Join(dir, SegmentDir)
+	if err := os.MkdirAll(s.segDir, 0o700); err != nil {
+		return nil, fmt.Errorf("store: creating segment directory: %w", err)
 	}
 	if err := s.loadManifest(); err != nil {
 		return nil, err
@@ -156,7 +168,7 @@ func OpenSpill(dir, meta string, cap int, factory Factory) (*Spill, error) {
 // lazily faulted spilled entry, garbage-collects segment files a crashed
 // flush or eviction left unreferenced, and advances the generation counter
 // past every referenced file.
-func (s *Spill) loadManifest() error {
+func (s *Store) loadManifest() error {
 	data, err := os.ReadFile(filepath.Join(s.dir, ManifestFile))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil // clean first boot
@@ -173,9 +185,9 @@ func (s *Spill) loadManifest() error {
 	}
 	var maxGen uint64
 	for _, me := range entries {
-		e := &spillEntry{id: me.ID, file: me.File}
+		e := &entry{id: me.ID, file: me.File}
 		e.len.Store(me.Len)
-		sh := &s.shards[shardIndex(me.ID, len(s.shards))]
+		sh := s.shardFor(me.ID)
 		if _, dup := sh.table[me.ID]; dup {
 			return fmt.Errorf("store: manifest lists stream %q twice", me.ID)
 		}
@@ -203,7 +215,7 @@ func (s *Spill) loadManifest() error {
 
 // segmentName builds a fresh segment file name for a stream: an ID hash for
 // human debuggability plus a store-unique generation for correctness.
-func (s *Spill) segmentName(id string) string {
+func (s *Store) segmentName(id string) string {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(id))
 	return fmt.Sprintf("%016x-%d.seg", h.Sum64(), s.gen.Add(1))
@@ -227,13 +239,15 @@ func segmentGen(name string) uint64 {
 	return g
 }
 
-func (s *Spill) shardFor(id string) *spillShard {
-	return &s.shards[shardIndex(id, len(s.shards))]
+func (s *Store) shardFor(id string) *shard {
+	h := fnv.New32a()
+	_, _ = h.Write([]byte(id))
+	return &s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
 // --- LRU plumbing (all under the shard lock) --------------------------------
 
-func (sh *spillShard) pushFront(e *spillEntry) {
+func (sh *shard) pushFront(e *entry) {
 	e.prev, e.next = nil, sh.head
 	if sh.head != nil {
 		sh.head.prev = e
@@ -246,7 +260,7 @@ func (sh *spillShard) pushFront(e *spillEntry) {
 	sh.resident++
 }
 
-func (sh *spillShard) unlink(e *spillEntry) {
+func (sh *shard) unlink(e *entry) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -262,7 +276,7 @@ func (sh *spillShard) unlink(e *spillEntry) {
 	sh.resident--
 }
 
-func (sh *spillShard) moveFront(e *spillEntry) {
+func (sh *shard) moveFront(e *entry) {
 	if sh.head == e {
 		return
 	}
@@ -272,18 +286,26 @@ func (sh *spillShard) moveFront(e *spillEntry) {
 
 // --- access path ------------------------------------------------------------
 
-func (s *Spill) Update(id string, create bool, fn func(Stream) error) error {
+// Update runs fn with exclusive access to the stream's materialized state,
+// creating the stream (when create is set) or faulting it in from disk as
+// needed. A nil return from fn marks the stream dirty. When the stream does
+// not exist and create is false, Update returns ErrNotFound without calling
+// fn.
+func (s *Store) Update(id string, create bool, fn func(Stream) error) error {
 	return s.access(id, create, true, fn)
 }
 
-// Read faults the stream in like Update but leaves its dirty flag alone, so
-// a read-only access never forces a later eviction or flush to rewrite the
-// segment (see StreamStore.Read for when that is sound).
-func (s *Spill) Read(id string, fn func(Stream) error) error {
+// Read is Update without creation and without the dirty mark: for
+// operations whose state changes (if any) are deterministically
+// reconstructible from the last persisted state — estimate-cache fills, lazy
+// noise materialization — so the stream's segment on disk remains a valid
+// snapshot and a later eviction or flush costs no write. Callers whose fn
+// mutates state that future outputs depend on must use Update.
+func (s *Store) Read(id string, fn func(Stream) error) error {
 	return s.access(id, false, false, fn)
 }
 
-func (s *Spill) access(id string, create, markDirty bool, fn func(Stream) error) error {
+func (s *Store) access(id string, create, markDirty bool, fn func(Stream) error) error {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	e := sh.table[id]
@@ -293,7 +315,7 @@ func (s *Spill) access(id string, create, markDirty bool, fn func(Stream) error)
 			sh.mu.Unlock()
 			return ErrNotFound
 		}
-		e = &spillEntry{id: id}
+		e = &entry{id: id}
 		sh.table[id] = e
 		created = true
 	}
@@ -307,7 +329,9 @@ func (s *Spill) access(id string, create, markDirty bool, fn func(Stream) error)
 		err = fn(e.st)
 		e.len.Store(int64(e.st.Len()))
 		e.bytes.Store(streamStateBytes(e.st))
-		if err == nil && markDirty {
+		// A memory-only store never writes a segment, so a stream counts as
+		// dirty from creation on, even when its first fn failed.
+		if err == nil && markDirty || created && s.dir == "" {
 			e.dirty.Store(true)
 		}
 	}
@@ -319,7 +343,7 @@ func (s *Spill) access(id string, create, markDirty bool, fn func(Stream) error)
 
 // materialize ensures e.st is live: fault in from the segment file when one
 // exists, otherwise build a fresh stream. Called with e.mu held.
-func (s *Spill) materialize(e *spillEntry) error {
+func (s *Store) materialize(e *entry) error {
 	if e.st != nil {
 		return nil
 	}
@@ -346,8 +370,8 @@ func (s *Spill) materialize(e *spillEntry) error {
 // release is the bookkeeping tail of every pinned access: unpin, keep the
 // LRU in sync with residency, drop placeholder entries whose construction
 // failed, and evict past-cap residents.
-func (s *Spill) release(sh *spillShard, e *spillEntry, materialized, created bool) {
-	var victims []*spillEntry
+func (s *Store) release(sh *shard, e *entry, materialized, created bool) {
+	var victims []*entry
 	sh.mu.Lock()
 	e.pins--
 	if !e.dropped.Load() {
@@ -375,11 +399,11 @@ func (s *Spill) release(sh *spillShard, e *spillEntry, materialized, created boo
 
 // collectVictims unlinks past-cap LRU-tail entries (skipping pinned ones)
 // and returns them for spilling. Called with sh.mu held.
-func (sh *spillShard) collectVictims() []*spillEntry {
+func (sh *shard) collectVictims() []*entry {
 	if sh.cap <= 0 || sh.resident <= sh.cap {
 		return nil
 	}
-	var victims []*spillEntry
+	var victims []*entry
 	e := sh.tail
 	for e != nil && sh.resident > sh.cap {
 		prev := e.prev
@@ -395,7 +419,7 @@ func (sh *spillShard) collectVictims() []*spillEntry {
 // spillOut serializes a victim's state to a fresh segment file and releases
 // the in-memory estimator. On failure the stream is put back in the LRU (the
 // state must not be lost) and the error is counted.
-func (s *Spill) spillOut(sh *spillShard, v *spillEntry) {
+func (s *Store) spillOut(sh *shard, v *entry) {
 	v.mu.Lock()
 	if v.dropped.Load() || v.st == nil {
 		v.mu.Unlock()
@@ -439,7 +463,7 @@ func (s *Spill) spillOut(sh *spillShard, v *spillEntry) {
 // fsynced before the rename: Flush syncs inline, evictions defer the sync to
 // the next Flush (recorded in unsynced). Called with e.mu held; returns the
 // encoded segment size.
-func (s *Spill) writeSegmentLocked(e *spillEntry, blob []byte, sync bool) (int, error) {
+func (s *Store) writeSegmentLocked(e *entry, blob []byte, sync bool) (int, error) {
 	name := s.segmentName(e.id)
 	path := filepath.Join(s.segDir, name)
 	data := codec.EncodeSegment(s.meta, e.id, blob)
@@ -475,7 +499,7 @@ func (s *Spill) writeSegmentLocked(e *spillEntry, blob []byte, sync bool) (int, 
 }
 
 // readSegment reads and verifies one segment file, returning the stream blob.
-func (s *Spill) readSegment(name, wantID string) ([]byte, error) {
+func (s *Store) readSegment(name, wantID string) ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(s.segDir, name))
 	if err != nil {
 		return nil, fmt.Errorf("store: reading segment for stream %q: %w", wantID, err)
@@ -490,9 +514,11 @@ func (s *Spill) readSegment(name, wantID string) ([]byte, error) {
 	return blob, nil
 }
 
-// --- the rest of the StreamStore interface ---------------------------------
+// --- bookkeeping, transfer and checkpoints -----------------------------------
 
-func (s *Spill) Length(id string) (int, bool) {
+// Length returns the stream's cached observation count without faulting it
+// in, and whether the stream exists.
+func (s *Store) Length(id string) (int, bool) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	e := sh.table[id]
@@ -503,7 +529,8 @@ func (s *Spill) Length(id string) (int, bool) {
 	return int(e.len.Load()), true
 }
 
-func (s *Spill) Has(id string) bool {
+// Has reports whether the stream exists (resident or spilled).
+func (s *Store) Has(id string) bool {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	_, ok := sh.table[id]
@@ -511,7 +538,8 @@ func (s *Spill) Has(id string) bool {
 	return ok
 }
 
-func (s *Spill) Delete(id string) bool {
+// Delete removes a stream and reports whether it existed.
+func (s *Store) Delete(id string) bool {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	e := sh.table[id]
@@ -541,7 +569,8 @@ func (s *Spill) Delete(id string) bool {
 	return true
 }
 
-func (s *Spill) Keys() []string {
+// Keys returns the IDs of all live streams, sorted.
+func (s *Store) Keys() []string {
 	var out []string
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -555,11 +584,13 @@ func (s *Spill) Keys() []string {
 	return out
 }
 
-// Export returns the stream's state as complete segment-file bytes. Spilled
-// clean streams are served verbatim from disk (after CRC verification) —
-// the file already is the transfer format — so continuous replication of
-// cold streams costs reads, not deserialization.
-func (s *Spill) Export(id string) ([]byte, int64, error) {
+// Export returns the stream's state as a complete, self-describing segment
+// file (internal/codec segment framing: store identity, stream ID, CRC) plus
+// its cached length — the unit of transfer the cluster layer ships between
+// nodes. Spilled clean streams are served verbatim from disk (after CRC
+// verification) — the file already is the transfer format — so continuous
+// replication of cold streams costs reads, not deserialization.
+func (s *Store) Export(id string) ([]byte, int64, error) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	e := sh.table[id]
@@ -605,15 +636,23 @@ func (s *Spill) Export(id string) ([]byte, int64, error) {
 	return data, length, nil
 }
 
-// Import installs a peer's segment verbatim: the bytes are verified
-// (CRC, store identity), written to a fresh local generation under
-// segments/, and the stream is registered spilled and clean — no
-// deserialization, no residency cost. The next Flush's manifest adopts the
+// Import installs a stream from a segment file produced by Export on a peer
+// with the same store identity, replacing any existing stream with the same
+// ID, and returns its ID. The segment's CRC and identity are verified before
+// any local state changes, so a corrupt or foreign segment is rejected
+// without side effects. length is the stream's observation count at export
+// time (segments do not embed it).
+//
+// With a directory the bytes are written verbatim to a fresh local
+// generation under segments/ and the stream is registered spilled and clean —
+// no deserialization, no residency cost. The next Flush's manifest adopts the
 // file; until then a crash leaves it as an orphan the boot-time GC removes,
 // which is exactly the half-finished-import semantics the handoff protocol
-// wants (the source still owns the authoritative copy until commit).
-func (s *Spill) Import(data []byte, length int64) (string, error) {
-	meta, id, _, err := codec.DecodeSegment(data)
+// wants (the source still owns the authoritative copy until commit). A
+// memory-only store rebuilds the stream from the segment and installs it
+// resident, with its own Len as the length.
+func (s *Store) Import(data []byte, length int64) (string, error) {
+	meta, id, blob, err := codec.DecodeSegment(data)
 	if err != nil {
 		return "", fmt.Errorf("store: importing segment: %w", err)
 	}
@@ -621,27 +660,42 @@ func (s *Spill) Import(data []byte, length int64) (string, error) {
 		return "", fmt.Errorf("store: imported segment is for %q, store holds %q", meta, s.meta)
 	}
 
-	name := s.segmentName(id)
-	path := filepath.Join(s.segDir, name)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
-	if err != nil {
-		return "", fmt.Errorf("store: creating imported segment: %w", err)
-	}
-	_, err = f.Write(data)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return "", fmt.Errorf("store: writing imported segment for stream %q: %w", id, err)
+	e := &entry{id: id}
+	if s.dir == "" {
+		st, err := s.factory(id)
+		if err != nil {
+			return "", err
+		}
+		if err := st.UnmarshalBinary(blob); err != nil {
+			return "", fmt.Errorf("store: importing stream %q: %w", id, err)
+		}
+		e.st = st
+		e.len.Store(int64(st.Len()))
+		e.bytes.Store(streamStateBytes(st))
+		e.dirty.Store(true)
+	} else {
+		name := s.segmentName(id)
+		path := filepath.Join(s.segDir, name)
+		tmp := path + ".tmp"
+		f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
+		if err != nil {
+			return "", fmt.Errorf("store: creating imported segment: %w", err)
+		}
+		_, err = f.Write(data)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = os.Rename(tmp, path)
+		}
+		if err != nil {
+			_ = os.Remove(tmp)
+			return "", fmt.Errorf("store: writing imported segment for stream %q: %w", id, err)
+		}
+		e.file = name
+		e.len.Store(length)
 	}
 
-	e := &spillEntry{id: id, file: name}
-	e.len.Store(length)
 	sh := s.shardFor(id)
 	var oldFile string
 	sh.mu.Lock()
@@ -653,9 +707,14 @@ func (s *Spill) Import(data []byte, length int64) (string, error) {
 		oldFile = old.file
 	}
 	sh.table[id] = e
+	if e.st != nil {
+		sh.pushFront(e)
+	}
 	sh.mu.Unlock()
 	s.fsMu.Lock()
-	s.unsynced[name] = struct{}{}
+	if e.file != "" {
+		s.unsynced[e.file] = struct{}{}
+	}
 	if oldFile != "" {
 		s.garbage = append(s.garbage, oldFile)
 	}
@@ -663,7 +722,8 @@ func (s *Spill) Import(data []byte, length int64) (string, error) {
 	return id, nil
 }
 
-func (s *Spill) Stats() Stats {
+// Stats returns a point-in-time snapshot.
+func (s *Store) Stats() Stats {
 	var st Stats
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -680,13 +740,15 @@ func (s *Spill) Stats() Stats {
 		sh.mu.Unlock()
 	}
 	st.Spilled = st.Streams - st.Resident
+	st.Shards = len(s.shards)
 	st.Evictions = s.evictions.Load()
 	st.Faults = s.faults.Load()
 	st.EvictErrors = s.evictErrors.Load()
 	return st
 }
 
-// Flush writes an incremental checkpoint:
+// Flush writes an incremental checkpoint, or returns ErrNotPersistent on a
+// memory-only store:
 //
 //  1. every dirty resident stream's state goes to a fresh segment file,
 //     fsynced (streams untouched since the last flush are skipped — their
@@ -704,7 +766,10 @@ func (s *Spill) Stats() Stats {
 // Concurrent traffic is not blocked globally: each stream is locked only
 // while its own state is serialized, so the checkpoint is the usual
 // per-stream-consistent snapshot.
-func (s *Spill) Flush() (FlushStats, error) {
+func (s *Store) Flush() (FlushStats, error) {
+	if s.dir == "" {
+		return FlushStats{}, ErrNotPersistent
+	}
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 	var out FlushStats
@@ -713,7 +778,7 @@ func (s *Spill) Flush() (FlushStats, error) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		entries := make([]*spillEntry, 0, len(sh.table))
+		entries := make([]*entry, 0, len(sh.table))
 		for _, e := range sh.table {
 			entries = append(entries, e)
 		}
@@ -756,7 +821,7 @@ func (s *Spill) Flush() (FlushStats, error) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		snapshot := make([]*spillEntry, 0, len(sh.table))
+		snapshot := make([]*entry, 0, len(sh.table))
 		for _, e := range sh.table {
 			snapshot = append(snapshot, e)
 		}

@@ -1,19 +1,16 @@
-// Package store implements the Pool's storage engine: the mapping from
-// stream IDs to live estimator state. It exists so residency policy is
-// pluggable behind one interface — StreamStore — with two backends:
-//
-//   - Resident: every stream stays in memory for the life of the process
-//     (the historical Pool behavior). Sharded locking, zero I/O.
-//   - Spill: a bounded-memory store for the many-streams regime. At most a
-//     configurable number of estimators are resident; colder streams are
-//     serialized through their MarshalBinary codec to per-stream segment
-//     files on disk and transparently faulted back in on next access.
-//     Because checkpoint/restore is bit-identical (the estimator contract),
-//     spill and fault-in are invisible in the output sequence. The Spill
-//     store also provides incremental checkpointing: per-stream dirty
-//     tracking, segment rewrites only for streams that changed, and an
-//     fsynced, atomically renamed manifest as the recovery root, so
-//     restore-on-boot is O(manifest) with streams faulting in lazily.
+// Package store implements the Pool's storage engine, Store: the mapping
+// from stream IDs to live estimator state. Opened on a directory, it is a
+// bounded-memory store for the many-streams regime: at most a configurable
+// number of estimators are resident; colder streams are serialized through
+// their MarshalBinary codec to per-stream segment files on disk and
+// transparently faulted back in on next access. Because checkpoint/restore
+// is bit-identical (the estimator contract), spill and fault-in are
+// invisible in the output sequence. The directory also gives incremental
+// checkpointing: per-stream dirty tracking, segment rewrites only for streams
+// that changed, and an fsynced, atomically renamed manifest as the recovery
+// root, so restore-on-boot is O(manifest) with streams faulting in lazily.
+// Opened without a directory, the same store keeps every stream resident for
+// the life of the process and touches no file.
 //
 // The package is deliberately estimator-agnostic: it sees streams only
 // through the three-method Stream interface, so it can be tested with tiny
@@ -59,8 +56,9 @@ func streamStateBytes(st Stream) int64 {
 // seen (or has deleted). Callers match it with errors.Is.
 var ErrNotFound = errors.New("store: unknown stream")
 
-// ErrNotPersistent is returned by Flush on backends without a disk layer.
-var ErrNotPersistent = errors.New("store: backend has no persistence")
+// ErrNotPersistent is returned by Flush on a store opened without a
+// directory.
+var ErrNotPersistent = errors.New("store: store has no directory")
 
 // Stats is a point-in-time snapshot of a store.
 type Stats struct {
@@ -71,7 +69,7 @@ type Stats struct {
 	// Spilled is the number of streams currently held only as segment files.
 	Spilled int
 	// Dirty is the number of streams modified since their last segment write
-	// (always equal to Streams for non-persistent backends).
+	// (every stream of a store without a directory).
 	Dirty int
 	// Observations is the total observation count across all streams, from
 	// per-stream cached lengths (no fault-in).
@@ -86,6 +84,9 @@ type Stats struct {
 	Faults int64
 	// EvictErrors counts failed spill attempts (the stream stays resident).
 	EvictErrors int64
+	// Shards is the number of lock shards stream IDs hash across: 64, or the
+	// residency cap when a smaller cap must split exactly across shards.
+	Shards int
 }
 
 // FlushStats describes one incremental checkpoint.
@@ -99,51 +100,4 @@ type FlushStats struct {
 	ManifestBytes int
 	// Streams is the number of streams the manifest covers.
 	Streams int
-}
-
-// StreamStore is the Pool's storage engine. All methods are safe for
-// concurrent use; operations on the same stream serialize, distinct streams
-// proceed in parallel (up to shard granularity).
-type StreamStore interface {
-	// Update runs fn with exclusive access to the stream's materialized
-	// state, creating the stream (when create is set) or faulting it in from
-	// disk as needed. A nil return from fn marks the stream dirty. When the
-	// stream does not exist and create is false, Update returns ErrNotFound
-	// without calling fn.
-	Update(id string, create bool, fn func(Stream) error) error
-	// Read is Update without creation and without the dirty mark: for
-	// operations whose state changes (if any) are deterministically
-	// reconstructible from the last persisted state — estimate-cache fills,
-	// lazy noise materialization — so the stream's segment on disk remains a
-	// valid snapshot and a later eviction costs no write. Callers whose fn
-	// mutates state that future *outputs* depend on must use Update.
-	Read(id string, fn func(Stream) error) error
-	// Length returns the stream's cached observation count without faulting
-	// it in, and whether the stream exists.
-	Length(id string) (int, bool)
-	// Has reports whether the stream exists (resident or spilled).
-	Has(id string) bool
-	// Delete removes a stream and reports whether it existed.
-	Delete(id string) bool
-	// Keys returns the IDs of all live streams, sorted.
-	Keys() []string
-	// Export returns the stream's state as a complete, self-describing
-	// segment file (internal/codec segment framing: store identity, stream
-	// ID, CRC) plus its cached length — the unit of transfer the cluster
-	// layer ships between nodes. For spilled streams the bytes come straight
-	// from the segment file without faulting the stream in.
-	Export(id string) (data []byte, length int64, err error)
-	// Import installs a stream from a segment file produced by Export on a
-	// peer with the same store identity. The segment's CRC and identity are
-	// verified before any local state changes, so a corrupt or foreign
-	// segment is rejected without side effects. length is the stream's
-	// observation count at export time (segments do not embed it). An
-	// existing stream with the same ID is replaced. Returns the imported
-	// stream's ID.
-	Import(data []byte, length int64) (id string, err error)
-	// Stats returns a point-in-time snapshot.
-	Stats() Stats
-	// Flush writes an incremental checkpoint: every dirty stream's segment,
-	// then the manifest. Non-persistent backends return ErrNotPersistent.
-	Flush() (FlushStats, error)
 }

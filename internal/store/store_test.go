@@ -48,8 +48,18 @@ func fakeFactory() Factory {
 	return func(id string) (Stream, error) { return &fakeStream{id: id}, nil }
 }
 
+// memStore opens a memory-only store: no directory, no cap.
+func memStore(t *testing.T, meta string) *Store {
+	t.Helper()
+	s, err := Open("", meta, 0, fakeFactory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // appendTo pushes one value through Update, creating the stream.
-func appendTo(t *testing.T, s StreamStore, id string, v float64) {
+func appendTo(t *testing.T, s *Store, id string, v float64) {
 	t.Helper()
 	if err := s.Update(id, true, func(st Stream) error {
 		st.(*fakeStream).append(v)
@@ -60,7 +70,7 @@ func appendTo(t *testing.T, s StreamStore, id string, v float64) {
 }
 
 // valuesOf reads a stream's values through Update without mutating.
-func valuesOf(t *testing.T, s StreamStore, id string) []float64 {
+func valuesOf(t *testing.T, s *Store, id string) []float64 {
 	t.Helper()
 	var out []float64
 	if err := s.Update(id, false, func(st Stream) error {
@@ -72,8 +82,10 @@ func valuesOf(t *testing.T, s StreamStore, id string) []float64 {
 	return out
 }
 
+// TestResidentBasics covers the memory-only store (no directory): every
+// stream resident and dirty, segments imported resident, Flush refused.
 func TestResidentBasics(t *testing.T) {
-	s := NewResident("fake", fakeFactory())
+	s := memStore(t, "fake")
 	if err := s.Update("ghost", false, func(Stream) error { return nil }); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Update(no-create, unknown) = %v, want ErrNotFound", err)
 	}
@@ -90,7 +102,7 @@ func TestResidentBasics(t *testing.T) {
 		t.Fatalf("Keys = %v", got)
 	}
 	st := s.Stats()
-	if st.Streams != 2 || st.Resident != 2 || st.Spilled != 0 || st.Observations != 3 {
+	if st.Streams != 2 || st.Resident != 2 || st.Spilled != 0 || st.Dirty != 2 || st.Observations != 3 || st.Shards != maxShards {
 		t.Fatalf("Stats = %+v", st)
 	}
 	// Export/Import round-trips a stream into a second store.
@@ -98,7 +110,7 @@ func TestResidentBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := NewResident("fake", fakeFactory())
+	s2 := memStore(t, "fake")
 	if _, err := s2.Import(data, n); err != nil {
 		t.Fatal(err)
 	}
@@ -108,17 +120,23 @@ func TestResidentBasics(t *testing.T) {
 	if n, ok := s2.Length("a"); n != 2 || !ok {
 		t.Fatalf("imported Length(a) = %d, %v", n, ok)
 	}
+	if st := s2.Stats(); st.Resident != 1 || st.Dirty != 1 {
+		t.Fatalf("imported stream not resident and dirty: %+v", st)
+	}
 	if !s.Delete("b") || s.Delete("b") || s.Has("b") {
 		t.Fatal("Delete semantics broken")
 	}
 	if _, err := s.Flush(); !errors.Is(err, ErrNotPersistent) {
-		t.Fatalf("Resident Flush = %v, want ErrNotPersistent", err)
+		t.Fatalf("memory-only Flush = %v, want ErrNotPersistent", err)
+	}
+	if _, err := Open("", "fake", 4, fakeFactory()); err == nil {
+		t.Fatal("memory-only store accepted a residency cap")
 	}
 }
 
 func TestSpillEvictsBeyondCapAndFaultsBackIn(t *testing.T) {
 	const cap = 2
-	s, err := OpenSpill(t.TempDir(), "test", cap, fakeFactory())
+	s, err := Open(t.TempDir(), "test", cap, fakeFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +179,7 @@ func TestSpillEvictsBeyondCapAndFaultsBackIn(t *testing.T) {
 
 func TestSpillShardCapsSumExactly(t *testing.T) {
 	for _, cap := range []int{1, 2, 5, 63, 64, 100, 1000} {
-		s, err := OpenSpill(t.TempDir(), "test", cap, fakeFactory())
+		s, err := Open(t.TempDir(), "test", cap, fakeFactory())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +198,7 @@ func TestSpillShardCapsSumExactly(t *testing.T) {
 
 func TestSpillFlushIsIncrementalAndReopens(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSpill(dir, "test", 4, fakeFactory())
+	s, err := Open(dir, "test", 4, fakeFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +245,7 @@ func TestSpillFlushIsIncrementalAndReopens(t *testing.T) {
 
 	// Reopen: all streams registered lazily with cached lengths, no fault-ins
 	// until state is actually needed.
-	s2, err := OpenSpill(dir, "test", 4, fakeFactory())
+	s2, err := Open(dir, "test", 4, fakeFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +269,7 @@ func TestSpillFlushIsIncrementalAndReopens(t *testing.T) {
 
 func TestSpillGarbageCollectsSupersededSegments(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSpill(dir, "test", 8, fakeFactory())
+	s, err := Open(dir, "test", 8, fakeFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +313,7 @@ func TestSpillGarbageCollectsSupersededSegments(t *testing.T) {
 	if got := segs(); got != n-1 {
 		t.Fatalf("%d segment files after delete, want %d", got, n-1)
 	}
-	s2, err := OpenSpill(dir, "test", 8, fakeFactory())
+	s2, err := Open(dir, "test", 8, fakeFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +323,7 @@ func TestSpillGarbageCollectsSupersededSegments(t *testing.T) {
 }
 
 func TestSpillExportSpilledStreamServesSegmentWithoutFaultIn(t *testing.T) {
-	s, err := OpenSpill(t.TempDir(), "test", 1, fakeFactory())
+	s, err := Open(t.TempDir(), "test", 1, fakeFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +353,7 @@ func TestSpillExportSpilledStreamServesSegmentWithoutFaultIn(t *testing.T) {
 
 func TestSpillRejectsCorruptSegmentAndWrongMeta(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSpill(dir, "mech-a", 1, fakeFactory())
+	s, err := Open(dir, "mech-a", 1, fakeFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +363,7 @@ func TestSpillRejectsCorruptSegmentAndWrongMeta(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reopening under a different meta string is refused.
-	if _, err := OpenSpill(dir, "mech-b", 1, fakeFactory()); err == nil {
+	if _, err := Open(dir, "mech-b", 1, fakeFactory()); err == nil {
 		t.Fatal("reopen with mismatched meta succeeded")
 	}
 	// Corrupting a's segment file makes the fault-in fail loudly.
@@ -382,7 +400,7 @@ func TestSpillConcurrentChurnUnderCap(t *testing.T) {
 		workers = 8
 		perW    = 60
 	)
-	s, err := OpenSpill(t.TempDir(), "test", cap, fakeFactory())
+	s, err := Open(t.TempDir(), "test", cap, fakeFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +456,7 @@ func TestSpillConcurrentChurnUnderCap(t *testing.T) {
 
 func TestSpillReadDoesNotDirtyOrRewrite(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSpill(dir, "test", 1, fakeFactory())
+	s, err := Open(dir, "test", 1, fakeFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +505,7 @@ func TestSpillReadDoesNotDirtyOrRewrite(t *testing.T) {
 }
 
 func TestSpillDeleteRacesUpdate(t *testing.T) {
-	s, err := OpenSpill(t.TempDir(), "test", 2, fakeFactory())
+	s, err := Open(t.TempDir(), "test", 2, fakeFactory())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,6 @@ import (
 type Generator interface {
 	// Next returns the datapoint for the next timestep.
 	Next() loss.Point
-	// Dim returns the covariate dimension.
-	Dim() int
 }
 
 // Collect draws n points from a generator into a slice.
@@ -68,7 +66,7 @@ func NewLinearModel(theta vec.Vector, noiseStd float64, sparsity int, src *randx
 	return &LinearModel{Theta: theta.Clone(), NoiseStd: noiseStd, Sparsity: sparsity, CovariateScale: 1, src: src}, nil
 }
 
-// Dim implements Generator.
+// Dim returns the covariate dimension.
 func (m *LinearModel) Dim() int { return len(m.Theta) }
 
 // Next implements Generator.
@@ -121,9 +119,6 @@ func NewClassification(theta vec.Vector, temperature float64, src *randx.Source)
 	return &Classification{Theta: theta.Clone(), Temperature: temperature, src: src}, nil
 }
 
-// Dim implements Generator.
-func (c *Classification) Dim() int { return len(c.Theta) }
-
 // Next implements Generator.
 func (c *Classification) Next() loss.Point {
 	x := vec.Vector(c.src.UnitSphere(len(c.Theta)))
@@ -142,9 +137,9 @@ func (c *Classification) Next() loss.Point {
 // only a subset G of the domain has small Gaussian width.
 type Mixture struct {
 	// InDomain generates the well-behaved (e.g. sparse) covariates.
-	InDomain Generator
+	InDomain *LinearModel
 	// Outlier generates the out-of-domain covariates (e.g. dense).
-	Outlier Generator
+	Outlier *LinearModel
 	// OutlierFraction is the probability of drawing from Outlier.
 	OutlierFraction float64
 
@@ -152,7 +147,7 @@ type Mixture struct {
 }
 
 // NewMixture returns a mixture stream.
-func NewMixture(inDomain, outlier Generator, outlierFraction float64, src *randx.Source) (*Mixture, error) {
+func NewMixture(inDomain, outlier *LinearModel, outlierFraction float64, src *randx.Source) (*Mixture, error) {
 	if inDomain == nil || outlier == nil {
 		return nil, errors.New("stream: nil component generator")
 	}
@@ -167,9 +162,6 @@ func NewMixture(inDomain, outlier Generator, outlierFraction float64, src *randx
 	}
 	return &Mixture{InDomain: inDomain, Outlier: outlier, OutlierFraction: outlierFraction, src: src}, nil
 }
-
-// Dim implements Generator.
-func (m *Mixture) Dim() int { return m.InDomain.Dim() }
 
 // Next implements Generator.
 func (m *Mixture) Next() loss.Point {
@@ -215,9 +207,6 @@ func NewAdaptive(theta vec.Vector, sparsity int, probe func(vec.Vector) vec.Vect
 	}
 	return &Adaptive{dim: len(theta), sparsity: sparsity, Probe: probe, Candidates: 16, Theta: theta.Clone(), src: src}, nil
 }
-
-// Dim implements Generator.
-func (a *Adaptive) Dim() int { return a.dim }
 
 // Next implements Generator.
 func (a *Adaptive) Next() loss.Point {

@@ -22,20 +22,21 @@ import (
 // seed and the stream ID, so each stream draws independent noise yet the whole
 // pool is reproducible and checkpoint/restore-stable.
 //
-// Storage is pluggable. By default every stream stays resident in memory for
-// the life of the process. With WithSpillDir the pool runs on the
-// bounded-memory spill store instead: at most WithStoreCap estimators are
-// resident, colder streams are serialized to per-stream segment files on disk
-// and transparently faulted back in on access (bit-identical — spilling is
-// invisible in the output sequence), and Flush writes incremental
-// checkpoints whose cost scales with the number of streams touched since the
-// last flush, not with the total stream count. See docs/SERVING.md.
+// Streams live in one stream store. Without WithSpillDir it keeps every
+// stream resident in memory for the life of the process and touches no file.
+// With WithSpillDir the same store gains a disk layer: at most WithStoreCap
+// estimators are resident, colder streams are serialized to per-stream
+// segment files and transparently faulted back in on access (bit-identical —
+// spilling is invisible in the output sequence), and Flush writes
+// incremental checkpoints whose cost scales with the number of streams
+// touched since the last flush, not with the total stream count. See
+// docs/SERVING.md.
 type Pool struct {
 	mech     *mechanism
 	template settings
 	stats    PoolStats // immutable identity fields only (Mechanism, Privacy, …)
 
-	store store.StreamStore
+	store *store.Store
 
 	// standbyMu guards standby: stream IDs held as warm replicas for another
 	// node rather than authoritative local state. The set only gates
@@ -69,16 +70,17 @@ type PoolStats struct {
 	Streams int
 	// Observations is the total number of points observed across all streams.
 	Observations int64
-	// Shards is the number of lock shards.
+	// Shards is the number of lock shards stream IDs hash across: 64, or
+	// StoreCap when a smaller cap has to split exactly across shards.
 	Shards int
 
 	// StoreCap is the resident-estimator bound (0 = unbounded).
 	StoreCap int
 	// Resident is the number of streams currently materialized in memory
-	// (always equal to Streams for fully-resident pools).
+	// (always equal to Streams for pools without WithSpillDir).
 	Resident int
 	// Spilled is the number of streams currently held only as on-disk
-	// segments (always 0 for fully-resident pools).
+	// segments (always 0 for pools without WithSpillDir).
 	Spilled int
 	// DirtyStreams is the number of streams modified since their last
 	// segment write — the number of segments the next Flush will rewrite.
@@ -142,29 +144,19 @@ func NewPool(mechanism string, opts ...Option) (*Pool, error) {
 		stats: PoolStats{
 			Mechanism: m.info.Name,
 			Horizon:   s.cfg.Horizon,
-			Shards:    poolShards,
 			StoreCap:  s.storeCap,
 		},
 	}
 	if m.info.Private {
 		p.stats.Privacy = s.cfg.Privacy
 	}
-	factory := func(id string) (store.Stream, error) { return p.buildStream(id) }
-	if s.spillDir != "" {
-		sp, err := store.OpenSpill(s.spillDir, m.info.Name, s.storeCap, factory)
-		if err != nil {
-			return nil, err
-		}
-		p.store = sp
-	} else {
-		p.store = store.NewResident(m.info.Name, factory)
+	p.store, err = store.Open(s.spillDir, m.info.Name, s.storeCap,
+		func(id string) (store.Stream, error) { return p.buildStream(id) })
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
-
-// poolShards is the number of lock shards the stream store spreads streams
-// over; kept for PoolStats continuity.
-const poolShards = 64
 
 // streamSeed derives a per-stream seed from the template seed and the stream
 // ID with FNV-1a followed by the SplitMix64 finalizer (randx.Mix64, the same
@@ -178,9 +170,10 @@ func (p *Pool) streamSeed(id string) int64 {
 }
 
 // buildStream constructs a fresh estimator for the given stream ID from the
-// pool template. It is also the spill store's fault-in factory: the estimator
-// it returns absorbs the stream's segment blob via UnmarshalBinary, after
-// which it continues bit-identically (the checkpoint/restore contract).
+// pool template. It is also the stream store's factory for fault-ins and
+// imports: the estimator it returns absorbs the stream's segment blob via
+// UnmarshalBinary, after which it continues bit-identically (the
+// checkpoint/restore contract).
 func (p *Pool) buildStream(id string) (Estimator, error) {
 	s := p.template
 	s.cfg.Seed = p.streamSeed(id)
@@ -347,6 +340,7 @@ func (p *Pool) Stats() PoolStats {
 	st.Observations = ss.Observations
 	st.Resident = ss.Resident
 	st.Spilled = ss.Spilled
+	st.Shards = ss.Shards
 	st.DirtyStreams = ss.Dirty
 	st.Evictions = ss.Evictions
 	st.FaultIns = ss.Faults
@@ -371,7 +365,7 @@ func (p *Pool) Flush() (FlushStats, error) {
 }
 
 // ExportSegment returns one stream's state as a self-contained segment blob
-// (the spill store's segment-file format: mechanism identity, stream ID,
+// (the stream store's segment-file format: mechanism identity, stream ID,
 // CRC) plus the stream's observation count — the unit the cluster layer
 // ships between nodes during handoff and standby replication. On a
 // spill-backed pool a cold stream's bytes come straight from its segment

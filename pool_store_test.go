@@ -437,10 +437,131 @@ func TestPoolStoreOptionValidation(t *testing.T) {
 	}
 }
 
+// TestMemoryPoolStatsAndImports pins what a pool without WithSpillDir
+// reports and touches after observes, an import and a drop: every stream
+// resident and dirty (a stream whose first batch was rejected included),
+// nothing spilled, evicted or faulted in, and 64 shards. Flush is refused, a
+// corrupt or foreign segment changes nothing, and no file is created.
+func TestMemoryPoolStatsAndImports(t *testing.T) {
+	listCwd := func() []string {
+		t.Helper()
+		dirents, err := os.ReadDir(".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, de := range dirents {
+			names = append(names, de.Name())
+		}
+		return names
+	}
+	filesBefore := listCwd()
+
+	p, err := NewPool("gradient", testPoolOptions(4)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewPool("gradient", testPoolOptions(4)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 5; j++ {
+		x, y := syntheticPoint(j, 4)
+		for _, id := range []string{"a", "b"} {
+			if err := observe(p, id, x, y); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := observe(src, "c", x, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A first batch past the horizon is rejected but leaves the stream.
+	xs := make([]float64, 65*4)
+	if err := p.ObserveFlat("full", 4, xs, make([]float64, 65)); !errors.Is(err, ErrStreamFull) {
+		t.Fatalf("oversized first batch = %v, want ErrStreamFull", err)
+	}
+	data, n, err := src.ExportSegment("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ImportSegment(data, n); err != nil {
+		t.Fatal(err)
+	}
+	if !p.Drop("b") {
+		t.Fatal("Drop(b) found no stream")
+	}
+
+	want := p.Stats()
+	want.Streams, want.Observations, want.Resident, want.DirtyStreams = 3, 10, 3, 3
+	want.Spilled, want.Evictions, want.FaultIns, want.Shards = 0, 0, 0, 64
+	if got := p.Stats(); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+	if _, err := p.Flush(); !errors.Is(err, ErrNotPersistent) {
+		t.Fatalf("Flush = %v, want ErrNotPersistent", err)
+	}
+
+	corrupt := append([]byte(nil), data...)
+	corrupt[len(corrupt)/2] ^= 0x10
+	if _, err := p.ImportSegment(corrupt, n); err == nil {
+		t.Fatal("corrupt segment imported")
+	}
+	foreign, err := NewPool("nonprivate", WithHorizon(64), WithConstraint(L2Constraint(4, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := syntheticPoint(0, 4)
+	if err := observe(foreign, "a", x, y); err != nil {
+		t.Fatal(err)
+	}
+	fdata, fn, err := foreign.ExportSegment("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ImportSegment(fdata, fn); err == nil {
+		t.Fatal("foreign-mechanism segment imported")
+	}
+	if got := p.Stats(); got != want {
+		t.Fatalf("Stats after rejected imports = %+v, want %+v", got, want)
+	}
+	if n, ok := p.LenOK("a"); n != 5 || !ok {
+		t.Fatalf("LenOK(a) after rejected imports = (%d, %v), want (5, true)", n, ok)
+	}
+	if got := fmt.Sprint(p.Streams()); got != "[a c full]" {
+		t.Fatalf("Streams = %s", got)
+	}
+	if got := fmt.Sprint(listCwd()); got != fmt.Sprint(filesBefore) {
+		t.Fatalf("working directory changed from %s to %s", fmt.Sprint(filesBefore), got)
+	}
+}
+
+// TestPoolStatsShards checks that PoolStats.Shards reports the store's own
+// shard count: a residency cap below 64 splits exactly over that many shards.
+func TestPoolStatsShards(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		want int
+	}{
+		{"no-dir", testPoolOptions(1), 64},
+		{"dir-uncapped", spillPoolOptions(1, t.TempDir(), 0), 64},
+		{"dir-cap-8", spillPoolOptions(1, t.TempDir(), 8), 8},
+	} {
+		p, err := NewPool("gradient", tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Stats().Shards; got != tc.want {
+			t.Errorf("%s: Shards = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestSpillPoolExportMatchesResident verifies that the exported segments of
-// a spill-backed pool equal the fully-resident pool's (spilled streams are
-// copied from their segment files without fault-in) and import across store
-// backends.
+// a spill-backed pool equal those of a pool without a spill directory
+// (spilled streams are copied from their segment files without fault-in) and
+// import into a spill-backed pool.
 func TestSpillPoolExportMatchesResident(t *testing.T) {
 	dir := t.TempDir()
 	capped, err := NewPool("gradient", spillPoolOptions(7, dir, 2)...)

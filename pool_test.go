@@ -366,8 +366,8 @@ func TestPoolCheckpointDuringTraffic(t *testing.T) {
 // that the multi-stream concurrency test never produces. Run under -race in
 // CI. There is no single "right" winner for any interleaving; the invariants
 // are: no data race, no error other than the documented sentinels, and a pool
-// that is still coherent (exportable and importable) afterwards. Runs against
-// both store backends, since the spill store's eviction path adds
+// that is still coherent (exportable and importable) afterwards. Runs with and
+// without a spill directory, since the spill store's eviction path adds
 // interleavings of its own.
 func TestPoolDropRacesSameStreamWrites(t *testing.T) {
 	baseOpts := func(seed int64) []Option {

@@ -95,11 +95,12 @@ type Estimator interface {
 	// Len returns the number of observations so far.
 	Len() int
 	// MarshalBinary serializes the estimator's complete mutable state —
-	// observation counts, private accumulators, warm-start iterates, and every
-	// randomness-stream position — as a versioned checkpoint. An estimator
-	// constructed with the same mechanism and options (including the seed) that
-	// restores the checkpoint with UnmarshalBinary continues bit-identically to
-	// an uninterrupted run: checkpoint/restore is invisible in the output
+	// observation counts, private accumulators, warm-start iterates, the keys
+	// its counter-keyed noise is drawn from, and a projected mechanism's
+	// sketch seed — as a versioned checkpoint. An estimator constructed with
+	// the same mechanism and options (including the seed) that restores the
+	// checkpoint with UnmarshalBinary continues bit-identically to an
+	// uninterrupted run: checkpoint/restore is invisible in the output
 	// sequence. See docs/SERVING.md for restart semantics.
 	MarshalBinary() ([]byte, error)
 	// UnmarshalBinary restores a checkpoint produced by MarshalBinary on an

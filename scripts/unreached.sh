@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Lists the library functions that only tests reach: functions linked into
-# some test binary of the module, declared in a non-test file outside cmd/
-# and examples/, and linked into no production binary. Report-only; it exits
-# non-zero only when a build fails.
+# Lists two classes of library functions, each under its own heading: the
+# functions that only tests reach (linked into some test binary of the
+# module, declared in a non-test file outside cmd/ and examples/, and linked
+# into no production binary), and the functions no binary links at all
+# (declared in such a file and absent from every production and test binary
+# built here). Report-only; it exits non-zero only when a build fails.
 #
 # The production binaries are every cmd/* and examples/* main, the perfbench
 # binary, and a generated probe main that references every exported
@@ -13,7 +15,9 @@
 #
 # Symbols are compared after generic instantiation brackets and closure
 # suffixes (.funcN, .gowrapN, .deferwrapN) are stripped; wrappers the
-# compiler generates (<autogenerated>) are skipped.
+# compiler generates (<autogenerated>) are skipped. Declared functions are
+# read from the `func` lines of the source files (files marked
+# //go:build ignore are skipped) and named the way the linker names them.
 #
 # Usage, from anywhere (it checks the checkout it lives in):
 #   scripts/unreached.sh
@@ -62,9 +66,13 @@ normalize() {
 	sed -E ':a; s/\[[^][]*\]//g; ta; s/(\.func[0-9]+|\.gowrap[0-9]+|\.deferwrap[0-9]+|\.[0-9]+)+$//'
 }
 
-for bin in "$tmp"/prod/*; do
-	go tool nm "$bin" | awk '($2 == "T" || $2 == "t") && $3 ~ /^privreg[.\/]/ { print $3 }'
-done | normalize | sort -u > "$tmp/reached"
+symbols() {
+	for bin in "$@"; do
+		go tool nm "$bin" | awk '($2 == "T" || $2 == "t") && $3 ~ /^privreg[.\/]/ { print $3 }'
+	done | normalize | sort -u
+}
+symbols "$tmp"/prod/* > "$tmp/reached"
+symbols "$tmp"/prod/* "$tmp"/test/* > "$tmp/linked"
 
 # addr2line prints a function name line and a file:line line per address.
 for bin in "$tmp"/test/*; do
@@ -84,3 +92,36 @@ awk -F'\t' 'NR == FNR { reached[$1] = 1; next } !($1 in reached) { print $2 "\t"
 
 echo "Functions linked only by tests: $(wc -l < "$tmp/unreached")"
 cat "$tmp/unreached"
+
+# Every top-level function and method declared in a library file, as
+# "<linker symbol>\t<file>:<line>".
+find . \( -path ./perfbench -o -path ./.bench_build -o -path ./.git -o -path ./cmd -o -path ./examples \) -prune -o \
+	-name '*.go' ! -name '*_test.go' -print | sort | xargs awk '
+	FNR == 1 {
+		file = FILENAME; sub(/^\.\//, "", file)
+		pkg = "privreg"
+		if (file ~ /\//) { dir = file; sub(/\/[^\/]*$/, "", dir); pkg = pkg "/" dir }
+		skip = 0
+	}
+	/^\/\/go:build ignore/ { skip = 1 }
+	skip { next }
+	/^func [A-Za-z_][A-Za-z0-9_]*[[(]/ {
+		name = $2; sub(/[[(].*/, "", name)
+		if (name != "_") print pkg "." name "\t" file ":" FNR
+		next
+	}
+	/^func \(/ {
+		recv = $0; sub(/^func \(/, "", recv); sub(/\).*/, "", recv); gsub(/\[[^]]*\]/, "", recv)
+		n = split(recv, parts, " "); typ = parts[n]
+		name = $0; sub(/^func \([^)]*\) /, "", name); sub(/[[(].*/, "", name)
+		if (typ ~ /^\*/) print pkg ".(*" substr(typ, 2) ")." name "\t" file ":" FNR
+		else print pkg "." typ "." name "\t" file ":" FNR
+	}
+' > "$tmp/declared"
+
+awk -F'\t' 'NR == FNR { linked[$1] = 1; next } !($1 in linked) { print $2 "\t" $1 }' \
+	"$tmp/linked" "$tmp/declared" | sort -V > "$tmp/unlinked"
+
+echo
+echo "Functions no binary links: $(wc -l < "$tmp/unlinked")"
+cat "$tmp/unlinked"
