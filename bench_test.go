@@ -105,11 +105,11 @@ func BenchmarkAblationSketchBackend(b *testing.B) { runExperiment(b, "A5") }
 
 // --- micro-benchmarks -------------------------------------------------------
 
-// BenchmarkTreeMechanismAddTo measures the per-element cost of the Tree
-// Mechanism for the vector dimensions used by the regression mechanisms (d
-// and d²). The allocs/op column must read 0 (guarded by
-// TestTreeAddToZeroAlloc).
-func BenchmarkTreeMechanismAddTo(b *testing.B) {
+// BenchmarkTreeMechanismAddNoiseTo measures the cost of adding the Tree
+// Mechanism's release noise at each successive stream length, for vector
+// dimensions of the order the regression mechanisms use (d and d(d+1)/2).
+// The allocs/op column must read 0 (guarded by TestTreeAddToZeroAlloc).
+func BenchmarkTreeMechanismAddNoiseTo(b *testing.B) {
 	for _, dim := range []int{16, 256, 1024} {
 		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
 			src := randx.NewSource(1)
@@ -120,15 +120,11 @@ func BenchmarkTreeMechanismAddTo(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			v := make([]float64, dim)
-			v[0] = 1
 			dst := make([]float64, dim)
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := mech.AddTo(dst, v); err != nil {
-					b.Fatal(err)
-				}
+			for i := 1; i <= b.N; i++ {
+				mech.AddNoiseTo(dst, i)
 			}
 		})
 	}

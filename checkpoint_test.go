@@ -270,13 +270,13 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 // state a mechanism holds, the order it is written in, or any estimate or
 // solver output folded into it changes by a single bit.
 var checkpointDigests = map[string]uint64{
-	"gradient":                 0x39d90d7acc16269f,
-	"projected":                0x223b88ee8503c827,
-	"robust-projected":         0x2ede1f8bfe617a4a,
+	"gradient":                 0x9f52f706ca33653c,
+	"projected":                0xb57ba11fdda5dafe,
+	"robust-projected":         0xd53efd9132fcbd33,
 	"generic-erm":              0x75c763a8b1c16a87,
 	"naive-recompute":          0x9010b8bde49dfcf7,
 	"nonprivate":               0x24d657b2213ff5e3,
-	"gradient/unknown-horizon": 0xe691186f43f1da03,
+	"gradient/unknown-horizon": 0xdc6a0f151190390a,
 	"multi-outcome":            0xa20fe2d25ed920f7,
 }
 
@@ -333,4 +333,40 @@ func TestCheckpointBytesGolden(t *testing.T) {
 			t.Errorf("mechanism %q has no pinned checkpoint digest", m)
 		}
 	}
+}
+
+// TestGradientCheckpointSizeFlatInHorizon pins the size of a gradient
+// checkpoint at d = 32 and T = 2^19 after 8 rounds of a 16-row batch and a
+// read: the exact statistics (one packed Gram and one vector) plus the two
+// overlays' noise keys. With one partial sum per tree level it was 90,677
+// bytes; it must stay at least 10× below that.
+func TestGradientCheckpointSizeFlatInHorizon(t *testing.T) {
+	const d, rounds, batch = 32, 8, 16
+	est, err := New("gradient", WithEpsilonDelta(1, 1e-6), WithConstraint(L2Constraint(d, 1)),
+		WithHorizon(1<<19), WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < rounds; r++ {
+		xs := make([][]float64, batch)
+		ys := make([]float64, batch)
+		for i := range xs {
+			xs[i], ys[i] = syntheticPoint(r*batch+i, d)
+		}
+		if err := est.ObserveBatch(xs, ys); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := est.Estimate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := est.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const before = 90677
+	if len(blob)*10 > before {
+		t.Fatalf("gradient checkpoint is %d bytes, want at most a tenth of %d", len(blob), before)
+	}
+	t.Logf("gradient checkpoint at d=%d, T=2^19: %d bytes (%.1f× below %d)", d, len(blob), float64(before)/float64(len(blob)), before)
 }

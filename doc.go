@@ -80,8 +80,9 @@
 //
 // The streaming hot path is engineered for sustained throughput (see
 // docs/PERFORMANCE.md for the benchmark record): per-timestep updates are
-// allocation-free in steady state, the Tree Mechanism defers its running-sum
-// aggregation until an estimate is requested, Gaussian noise is drawn with a
+// allocation-free in steady state, a regression stream keeps its moments as
+// exact sums and adds the Tree Mechanism's noise only when an estimate is
+// requested, Gaussian noise is drawn with a
 // vectorized sampler, and the experiment harness runs sweeps on a bounded
 // worker pool with results byte-identical to a serial run.
 //

@@ -67,9 +67,26 @@ func (b *LpBall) ProjectInto(dst, x vec.Vector, s *Scratch) {
 // with sign(y_i) = sign(x_i) and |y_i| solving the scalar monotone equation
 // u + λ p u^{p-1} = |x_i| on u ≥ 0. For fixed λ the constraint value
 // Σ u_i(λ)^p is continuous and strictly decreasing in λ, so the outer problem
-// is a one-dimensional root find handled by bisection.
+// is a one-dimensional root find handled by bisection. The bisection stops at
+// the tolerance, or once the midpoint can no longer move between its bounds.
+//
+// A NaN or infinite coordinate has no projection to converge to. The result
+// is then the feasible point that spreads the radius evenly, r·d^{-1/p} in
+// every coordinate signed like x (negative for NaN), as the L1 ball's
+// projection falls back to its uniform z/d.
 func (b *LpBall) projectGeneral(dst, x vec.Vector, buf []float64) {
 	p := b.p
+	if !vec.IsFinite(x) {
+		w := b.r * math.Pow(float64(b.d), -1/p)
+		for i, v := range x {
+			if v >= 0 {
+				dst[i] = w
+			} else {
+				dst[i] = -w
+			}
+		}
+		return
+	}
 	target := math.Pow(b.r, p)
 	absX, u := buf[:b.d], buf[b.d:]
 	for i, v := range x {
@@ -97,7 +114,8 @@ func (b *LpBall) projectGeneral(dst, x vec.Vector, buf []float64) {
 	for iter := 0; iter < 200; iter++ {
 		mid := (lo + hi) / 2
 		val := constraintValue(mid)
-		if math.Abs(val-target) <= 1e-12*(1+target) {
+		// Once mid equals lo or hi, every later step would recompute it.
+		if math.Abs(val-target) <= 1e-12*(1+target) || mid <= lo || mid >= hi {
 			break
 		}
 		if val > target {

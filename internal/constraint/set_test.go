@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"privreg/internal/vec"
 )
@@ -232,5 +233,48 @@ func TestConstructorValidation(t *testing.T) {
 			}()
 			c()
 		}()
+	}
+}
+
+// TestLpBallNonFiniteInputFeasibleAndFast pins the general Lp ball's rule for
+// non-finite input: a NaN or ±Inf coordinate returns the evenly spread
+// feasible point r·d^{-1/p}, signed like x, at once, instead of running the
+// whole bisection budget to an infeasible point. The fastest of five calls
+// must take under 1 ms at d = 32.
+func TestLpBallNonFiniteInputFeasibleAndFast(t *testing.T) {
+	const d = 32
+	for _, p := range []float64{1.5, 3} {
+		b := NewLpBall(d, p, 1)
+		var s Scratch
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			x := make(vec.Vector, d)
+			for i := range x {
+				x[i] = 0.5 - float64(i%3)
+			}
+			x[d/2] = bad
+			dst := make(vec.Vector, d)
+			fastest := time.Hour
+			for run := 0; run < 5; run++ {
+				start := time.Now()
+				b.ProjectInto(dst, x, &s)
+				fastest = min(fastest, time.Since(start))
+			}
+			if fastest > time.Millisecond {
+				t.Errorf("p=%g, x[%d]=%v: projection took %v, want under 1ms", p, d/2, bad, fastest)
+			}
+			if !vec.IsFinite(dst) || !b.Contains(dst, 1e-12) {
+				t.Fatalf("p=%g, x[%d]=%v: projection %v is not a feasible point (‖·‖_p = %v)", p, d/2, bad, dst, vec.NormP(dst, p))
+			}
+			w := math.Pow(d, -1/p)
+			for i, v := range x {
+				want := w
+				if !(v >= 0) {
+					want = -w
+				}
+				if dst[i] != want {
+					t.Fatalf("p=%g, x[%d]=%v: coordinate %d = %v, want %v", p, d/2, bad, i, dst[i], want)
+				}
+			}
+		}
 	}
 }

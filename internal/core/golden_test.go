@@ -73,10 +73,10 @@ func estimateDigest(theta vec.Vector) uint64 {
 // checkpoint into a fresh instance. Set PRIVREG_GOLDEN_PRINT=1 to print the digests instead.
 func TestRegressionEstimateGolden(t *testing.T) {
 	want := map[string][]uint64{
-		"gradient-tree":    {0x968a3e53bb27cc85, 0x1288427f98517482, 0x90dc16ed96712219, 0xfa94686df35948d7, 0x953717267a8d8402},
-		"gradient-hybrid":  {0x4ec2d94b28f837ab, 0x1a54ed982b053a33, 0x4304e48fc9726d0a, 0x28d708c3d3dfadeb, 0x366615668a54bfb9},
-		"projected":        {0xb46070e58e178e62, 0xc61f8f82aa5bed57, 0xd83c7329a2c1a5a3, 0x86628edc62024492, 0x93a9860069d87cf1},
-		"robust-projected": {0xb46070e58e178e62, 0x66fbf5d3f46667f9, 0x15fa7420c4955927, 0xf668606effe9e453, 0x67231faa2962894b},
+		"gradient-tree":    {0x968a3e53bb27cc85, 0xd5effc7e0d3f3561, 0xb4b9a32c998ba70d, 0xce9d12d457fdbfe0, 0xc0bfb621375b3408},
+		"gradient-hybrid":  {0x4ec2d94b28f837ab, 0xda749dc85c3460f6, 0x6bf14a7ba184d920, 0xaa5683117cbd4c0f, 0x8e91e4d3e166c96c},
+		"projected":        {0x7fd4157eea2e9519, 0x930bf63a58e9c80a, 0xc5166db6b9b4aade, 0xcba0d1f9dfc7c2e6, 0x42f2beb5da7d7304},
+		"robust-projected": {0x7fd4157eea2e9519, 0x908f89981abf49af, 0xba784f52e4877bfe, 0x9b51fa5a3005d215, 0xf537ad8f84959e00},
 	}
 	const wantDropped = 14
 	print := os.Getenv("PRIVREG_GOLDEN_PRINT") != ""

@@ -19,13 +19,13 @@ import (
 //
 //	∇L(θ; Γ_t) = 2 (Σ x_i x_iᵀ · θ - Σ x_i y_i) = 2 (Q θ - q).
 //
-// Q and q are privately maintained running sums (Tree Mechanism outputs), so
-// evaluating the function at any number of points θ is post-processing and
-// consumes no additional privacy budget — the property that lets the noisy
-// projected gradient optimizer iterate freely (Section 4).
+// Q and q are privately maintained running sums (exact sums plus Tree
+// Mechanism noise), so evaluating the function at any number of points θ is
+// post-processing and consumes no additional privacy budget — the property
+// that lets the noisy projected gradient optimizer iterate freely (Section 4).
 type PrivateGradient struct {
-	// Q is the private estimate of Σ x_i x_iᵀ, unpacked from the released
-	// svec sum (symmetric by construction).
+	// Q is the private estimate of Σ x_i x_iᵀ: the exact Gram plus the
+	// unpacked svec noise (symmetric by construction).
 	Q *vec.Matrix
 	// Qv is the private estimate of Σ x_i y_i.
 	Qv vec.Vector
@@ -72,8 +72,8 @@ func smoothStepSize(pg *PrivateGradient, lip, gradErr, diameter float64, iters i
 }
 
 // gradientErrorScale returns the α' of Algorithm 2 for a private gradient
-// maintained by the first-moment mechanism sumXY and the second-moment
-// mechanism sumXXT over a dim-dimensional space: a high-probability bound on
+// released through the first-moment overlay sumXY and the second-moment
+// overlay sumXXT over a dim-dimensional space: a high-probability bound on
 // ‖g_t(θ) - ∇L(θ; Γ_t)‖ over a domain of the given diameter (Lemma 4.1 with
 // explicit constants), valid for every timestep up to the horizon. The
 // first-moment error is the Gaussian norm bound σ_r·(√d + √(2 ln(1/β))) of a
@@ -83,16 +83,16 @@ func smoothStepSize(pg *PrivateGradient, lip, gradErr, diameter float64, iters i
 // its Frobenius norm. Both σ_r are sized from the horizon, so a Hybrid
 // substrate gets the bound of its noisiest reachable epoch, not of its first.
 // The failure probability is confidenceBeta.
-func gradientErrorScale(sumXY, sumXXT tree.Mechanism, horizon, dim int, diameter float64) float64 {
+func gradientErrorScale(sumXY, sumXXT tree.Overlay, horizon, dim int, diameter float64) float64 {
 	rd := math.Sqrt(float64(dim))
 	sumErr := sumXY.ReleaseSigma(horizon) * (rd + math.Sqrt(2*math.Log(1/confidenceBeta)))
 	return 2 * (diameter*secondMomentNoise(sumXXT, horizon, dim) + sumErr)
 }
 
 // secondMomentNoise returns 2σ_r√d, the bound on the spectral norm of the
-// d×d noise matrix in a release of the second-moment mechanism sumXXT that
+// d×d noise matrix in a release of the second-moment overlay sumXXT that
 // enters gradientErrorScale.
-func secondMomentNoise(sumXXT tree.Mechanism, horizon, dim int) float64 {
+func secondMomentNoise(sumXXT tree.Overlay, horizon, dim int) float64 {
 	return 2 * sumXXT.ReleaseSigma(horizon) * math.Sqrt(float64(dim))
 }
 
@@ -103,16 +103,19 @@ const confidenceBeta = 0.05
 
 // privateMoments is the private-moment core of PRIVINCREG1 and PRIVINCREG2.
 // Both mechanisms fold a vector v of norm at most 1 per row — the clamped
-// covariate for PRIVINCREG1, its projection Φx for PRIVINCREG2 — into two
-// continual-sum mechanisms, the first-moment stream y·v and the second-moment
-// stream svec(v vᵀ) (Steps 3–4 of Algorithm 2), each holding half of the
-// privacy budget, and read an estimate by minimizing the privatized objective
-// θᵀQ̃θ − 2q̃ᵀθ they release over a solve domain of v's dimension, in solver
-// workspaces held per core: exactly, as a trust-region problem with Q̃
-// ridged up to the noise bound, when the domain is an L2 ball, and otherwise
-// by noisy projected gradient descent against the private gradient. The
-// mechanisms own what comes before the fold (clamping, the sketch) and after
-// the solve (the lift).
+// covariate for PRIVINCREG1, its projection Φx for PRIVINCREG2 — into exact
+// sufficient statistics, the Gram matrix A = Σ v vᵀ and b = Σ y·v, and
+// release them through two noise overlays, the first-moment stream y·v and
+// the second-moment stream svec(v vᵀ) (Steps 3–4 of Algorithm 2), each
+// holding half of the privacy budget: q̃ = b + N^xy and Q̃ = A + unsvec(N^xx).
+// The Tree Mechanism's release is the exact prefix sum plus its nodes' noise,
+// so this is its release, up to float rounding. The core reads an estimate by
+// minimizing the privatized objective θᵀQ̃θ − 2q̃ᵀθ over a solve domain of
+// v's dimension, in solver workspaces held per core: exactly, as a
+// trust-region problem with Q̃ ridged up to the noise bound, when the domain
+// is an L2 ball, and otherwise by noisy projected gradient descent against
+// the private gradient. The mechanisms own what comes before the fold
+// (clamping, the sketch) and after the solve (the lift).
 type privateMoments struct {
 	horizon int
 	opts    RegressionOptions
@@ -120,7 +123,11 @@ type privateMoments struct {
 	// estimate; dim is the dimension of v and of the solve domain.
 	inDim, dim int
 
-	sumXY, sumXXT tree.Mechanism
+	// stats holds the exact A, b and row count; ys is its one-outcome
+	// response buffer.
+	stats         *erm.MultiStats
+	ys            [1]float64
+	sumXY, sumXXT tree.Overlay
 	domain        constraint.Set
 	// ball is domain when it is an L2 ball, read exactly through trust;
 	// otherwise nil, and solver is the descent workspace over domain.
@@ -132,7 +139,6 @@ type privateMoments struct {
 	// floor is ρ, the bound on the spectral norm of the second-moment
 	// noise: the exact read lifts Q̃'s spectrum to it.
 	floor float64
-	n     int
 	// prev is the warm-start iterate in the solve domain.
 	prev vec.Vector
 	// estCache memoizes the released estimate computed at observation count
@@ -141,8 +147,6 @@ type privateMoments struct {
 	// is returned instead of re-running the optimizer (and the lift).
 	estCache vec.Vector
 	estN     int
-	// Reusable fold buffers keeping ObserveRows allocation-free.
-	xyWork, svecWork []float64
 	// grad is the read workspace of Gradient, allocated at the first read
 	// and refilled in place by every later one.
 	grad PrivateGradient
@@ -168,7 +172,7 @@ func checkRegression(p dp.Params, horizon int, src *randx.Source) error {
 
 // newPrivateMoments returns the core for covariates of dimension inDim folded
 // as vectors of domain's dimension. The first-moment and then the
-// second-moment mechanism draw their noise keys from src; opts must be filled.
+// second-moment overlay draw their noise keys from src; opts must be filled.
 func newPrivateMoments(inDim int, domain constraint.Set, p dp.Params, horizon int, src *randx.Source, opts RegressionOptions) (privateMoments, error) {
 	dim := domain.Dim()
 	half := p.Halve()
@@ -176,7 +180,7 @@ func newPrivateMoments(inDim int, domain constraint.Set, p dp.Params, horizon in
 	// ‖svec(v vᵀ)‖₂ = ‖v vᵀ‖_F ≤ 1 for v in the unit ball, so any two domain
 	// elements are at distance at most 2.
 	const sensitivity = 2.0
-	newSum := func(n int) (tree.Mechanism, error) {
+	newSum := func(n int) (tree.Overlay, error) {
 		if opts.UseHybridTree {
 			return tree.NewHybrid(n, sensitivity, half, src.Split())
 		}
@@ -191,16 +195,15 @@ func newPrivateMoments(inDim int, domain constraint.Set, p dp.Params, horizon in
 		return privateMoments{}, err
 	}
 	m := privateMoments{
-		horizon:  horizon,
-		opts:     opts,
-		inDim:    inDim,
-		dim:      dim,
-		sumXY:    sumXY,
-		sumXXT:   sumXXT,
-		prev:     vec.NewVector(dim),
-		estN:     -1,
-		xyWork:   make([]float64, dim),
-		svecWork: make([]float64, svecLen(dim)),
+		horizon: horizon,
+		opts:    opts,
+		inDim:   inDim,
+		dim:     dim,
+		stats:   erm.NewMultiStats(dim, 1),
+		sumXY:   sumXY,
+		sumXXT:  sumXXT,
+		prev:    vec.NewVector(dim),
+		estN:    -1,
 	}
 	domain.ProjectInto(m.prev, m.prev, nil)
 	m.setDomain(domain)
@@ -230,45 +233,38 @@ func (m *privateMoments) admit(xs, ys []float64) error {
 	if err != nil {
 		return err
 	}
-	if !m.opts.UseHybridTree && m.n+rows > m.horizon {
+	if !m.opts.UseHybridTree && m.stats.Len()+rows > m.horizon {
 		return ErrStreamFull
 	}
 	return nil
 }
 
-// fold adds the pair (y·v, svec(v vᵀ)) of an admitted row to the private
-// running sums through reused buffers and the trees' allocation-free AddTo;
-// the running-sum aggregation is left to the next read.
-func (m *privateMoments) fold(y float64, v vec.Vector) error {
-	for i, vi := range v {
-		m.xyWork[i] = y * vi
-	}
-	if err := m.sumXY.AddTo(nil, m.xyWork); err != nil {
-		return err
-	}
-	svecOuter(m.svecWork, v)
-	if err := m.sumXXT.AddTo(nil, m.svecWork); err != nil {
-		return err
-	}
-	m.n++
-	return nil
+// fold adds an admitted row's v vᵀ and y·v to the exact statistics in one
+// pass, without allocating; the noise is left to the next read.
+func (m *privateMoments) fold(y float64, v vec.Vector) {
+	m.ys[0] = y
+	m.stats.Add(v, m.ys[:])
 }
 
 // Gradient returns the current private gradient function (Definition 5) over
 // the solve domain's dimension. It may be evaluated any number of times
 // without privacy cost. The returned structure is the mechanism's read
-// workspace: the released sums are written into it in place (the svec sum
-// straight into the d×d matrix's storage, unpacked there), so it is valid
-// until the next Gradient or Estimate call.
+// workspace: the released sums are written into it in place (the svec noise
+// straight into the d×d matrix's storage, unpacked there onto the exact
+// Gram), so it is valid until the next Gradient or Estimate call.
 func (m *privateMoments) Gradient() *PrivateGradient {
 	pg := &m.grad
 	if pg.Q == nil {
 		pg.Q = vec.NewMatrix(m.dim, m.dim)
 		pg.Qv = vec.NewVector(m.dim)
 	}
-	m.sumXY.SumInto(pg.Qv)
-	m.sumXXT.SumInto(pg.Q.Data()[:svecLen(m.dim)])
-	unpackSvec(pg.Q)
+	n := m.stats.Len()
+	pg.Qv.CopyFrom(m.stats.Moment(0))
+	m.sumXY.AddNoiseTo(pg.Qv, n)
+	packed := pg.Q.Data()[:svecLen(m.dim)]
+	clear(packed)
+	m.sumXXT.AddNoiseTo(packed, n)
+	unpackSvec(pg.Q, m.stats.Gram().Data())
 	return pg
 }
 
@@ -291,7 +287,8 @@ func (m *privateMoments) Gradient() *PrivateGradient {
 // the warm start. The solve runs in the core's workspaces: without a lift,
 // the released copy of the memo is the read's only allocation.
 func (m *privateMoments) estimate(lift func(vec.Vector) (vec.Vector, error)) (vec.Vector, error) {
-	if m.estN == m.n && m.estCache != nil {
+	n := m.stats.Len()
+	if m.estN == n && m.estCache != nil {
 		return m.estCache.Clone(), nil
 	}
 	pg := m.Gradient()
@@ -306,7 +303,7 @@ func (m *privateMoments) estimate(lift func(vec.Vector) (vec.Vector, error)) (ve
 		theta, _ = m.trust.Solve(pg.Q, pg.Qv, m.ball.Radius())
 	} else {
 		diam := m.domain.Diameter()
-		lip := 2 * float64(max(m.n, 1)) * (1 + diam) // Lipschitz bound of the accumulated exact gradient
+		lip := 2 * float64(max(n, 1)) * (1 + diam) // Lipschitz bound of the accumulated exact gradient
 		iters := erm.IterationsForTargetError(lip*diam, m.gradErr, m.opts.MinIterations, m.opts.MaxIterations)
 		var start vec.Vector
 		if m.opts.WarmStart {
@@ -329,81 +326,90 @@ func (m *privateMoments) estimate(lift func(vec.Vector) (vec.Vector, error)) (ve
 		m.estCache = vec.NewVector(len(theta))
 	}
 	m.estCache.CopyFrom(theta)
-	m.estN = m.n
+	m.estN = n
 	return m.estCache.Clone(), nil
 }
 
 // Len implements Estimator.
-func (m *privateMoments) Len() int { return m.n }
+func (m *privateMoments) Len() int { return m.stats.Len() }
 
 // GradientErrorScale exposes α', the high-probability gradient approximation
 // error of the private gradient function, for diagnostics and experiments.
 func (m *privateMoments) GradientErrorScale() float64 { return m.gradErr }
 
-// bytes is the core's retained memory: both continual-sum mechanisms
-// (per-level partial sums and noise memos), the iterate, memo and fold
-// buffers, the descent solver's five domain-sized vectors or, once a read
-// has allocated it, the trust-region workspace, and, once a read has
-// allocated it, the gradient workspace.
+// bytes is the core's retained memory: the exact statistics, both overlays'
+// noise memos, the iterate and memo, the descent solver's five domain-sized
+// vectors or, once a read has allocated it, the trust-region workspace, and,
+// once a read has allocated it, the gradient workspace.
 func (m *privateMoments) bytes() int {
 	solver := m.trust.Bytes()
 	if m.solver != nil {
 		solver = 8 * 5 * m.dim
 	}
-	return m.sumXY.Bytes() + m.sumXXT.Bytes() + m.grad.bytes() + solver +
-		8*(len(m.prev)+len(m.estCache)+len(m.xyWork)+len(m.svecWork))
+	return m.stats.Bytes() + m.sumXY.Bytes() + m.sumXXT.Bytes() + m.grad.bytes() + solver +
+		8*(len(m.prev)+len(m.estCache))
 }
 
-// appendMoments appends the core's checkpoint section to w: the count, the
-// warm-start iterate, the estimate memo and both continual-sum states (which
-// carry their own noise keys), written in place. The memo must travel with
-// the checkpoint: with warm starts a cache hit returns the memo, while a
-// memo-less restored instance would re-run the optimizer from the warm-start
-// iterate — a different (if equally valid) vector.
+// appendMoments appends the core's checkpoint section to w: the warm-start
+// iterate, the estimate memo, the exact statistics (which carry the count)
+// and both overlays (which carry their noise keys), written in place. The
+// memo must travel with the checkpoint: with warm starts a cache hit returns
+// the memo, while a memo-less restored instance would re-run the optimizer
+// from the warm-start iterate — a different (if equally valid) vector.
 func (m *privateMoments) appendMoments(w *codec.Writer) {
-	w.Grow(8 * (6 + len(m.prev) + len(m.estCache)))
-	w.Int(m.n)
+	w.Grow(8 * (4 + len(m.prev) + len(m.estCache)))
 	w.F64s(m.prev)
 	w.Int(m.estN)
 	w.F64s(m.estCache)
+	w.Nested(m.stats)
 	w.Nested(m.sumXY)
 	w.Nested(m.sumXXT)
 }
 
 // momentState is a decoded core checkpoint section, not yet validated.
 type momentState struct {
-	n, estN        int
+	estN           int
 	prev, estCache []float64
 	xy, xxt        []byte
 }
 
-// readMoments decodes the section appendMoments wrote.
-func readMoments(r *codec.Reader) momentState {
+// readMoments decodes the section appendMoments wrote. The exact statistics
+// decode in place into m's, as the rest of the state is restored in place:
+// after an error the core's state is unspecified.
+func (m *privateMoments) readMoments(r *codec.Reader) momentState {
 	var s momentState
-	s.n = r.Int()
 	s.prev = r.F64s()
 	s.estN = r.Int()
 	s.estCache = r.F64s()
+	if blob := r.Blob(); r.Err() == nil {
+		if err := m.stats.UnmarshalState(blob); err != nil {
+			r.Fail(fmt.Errorf("core: restoring statistics: %w", err))
+		}
+	}
 	s.xy = r.Blob()
 	s.xxt = r.Blob()
 	return s
 }
 
-// restore validates s against the core's shape and applies it.
+// restore validates s, and the statistics readMoments restored, against the
+// core's shape and applies s.
 func (m *privateMoments) restore(s momentState) error {
-	if s.n < 0 || len(s.prev) != m.dim {
+	n := m.stats.Len()
+	if len(s.prev) != m.dim {
 		return errors.New("core: corrupt checkpoint")
 	}
-	if len(s.estCache) != 0 && (len(s.estCache) != m.inDim || s.estN < 0 || s.estN > s.n) {
+	if !m.opts.UseHybridTree && n > m.horizon {
+		return fmt.Errorf("core: corrupt checkpoint: %d rows exceed the horizon %d", n, m.horizon)
+	}
+	if len(s.estCache) != 0 && (len(s.estCache) != m.inDim || s.estN < 0 || s.estN > n) {
 		return errors.New("core: corrupt checkpoint estimate memo")
 	}
 	if err := m.sumXY.UnmarshalState(s.xy); err != nil {
-		return fmt.Errorf("core: restoring first-moment sum: %w", err)
+		return fmt.Errorf("core: restoring first-moment overlay: %w", err)
 	}
 	if err := m.sumXXT.UnmarshalState(s.xxt); err != nil {
-		return fmt.Errorf("core: restoring second-moment sum: %w", err)
+		return fmt.Errorf("core: restoring second-moment overlay: %w", err)
 	}
-	m.n = s.n
 	m.prev = vec.Vector(s.prev)
 	m.estCache, m.estN = nil, -1
 	if len(s.estCache) != 0 {
@@ -416,54 +422,31 @@ func (m *privateMoments) restore(s momentState) error {
 // triangle, d(d+1)/2 entries.
 func svecLen(d int) int { return d * (d + 1) / 2 }
 
-// svecOuter writes svec(x xᵀ) into dst (length svecLen(len(x))): the upper
-// triangle of x xᵀ packed row-major as in vec.SymMatrix, with diagonal entries
-// x_i² and off-diagonal entries √2·x_i x_j. The embedding is an isometry,
-// ‖svec(A)‖₂ = ‖A‖_F, so the packed second-moment stream (Step 4 of
-// Algorithm 2) keeps the L2 sensitivity of the dense d² stream, and with it
-// the Tree Mechanism's noise scale, while every tree level stores and folds
-// d(d+1)/2 floats instead of d².
-func svecOuter(dst []float64, x vec.Vector) {
-	d := len(x)
-	off := 0
-	for i, xi := range x {
-		row := dst[off : off+d-i]
-		off += d - i
-		if xi == 0 {
-			for k := range row {
-				row[k] = 0
-			}
-			continue
-		}
-		row[0] = xi * xi
-		s := math.Sqrt2 * xi
-		for k, xj := range x[i+1:] {
-			row[k+1] = s * xj
-		}
-	}
-}
-
 // unpackSvec turns q, whose first svecLen(d) entries hold the svec of a
-// symmetric d×d matrix, into that matrix in place: off-diagonal entries are
-// divided by √2 and mirrored. Released off-diagonal noise then has variance
-// σ²/2 and diagonal noise σ², the distribution of a dense d² release
-// symmetrized as (A + Aᵀ)/2, so the read is the same post-processing of an
-// equally private release.
+// symmetric d×d noise matrix N, into A + unsvec(N) in place, where a is the
+// exact Gram A's packed upper triangle (as in vec.SymMatrix): off-diagonal
+// noise entries are divided by √2, added to A's and mirrored. svec is an
+// isometry, ‖svec(N)‖₂ = ‖N‖_F, so the packed second-moment release keeps the
+// L2 sensitivity of a dense d² release, and with it the Tree Mechanism's
+// noise scale. Released off-diagonal noise then has variance σ²/2 and
+// diagonal noise σ², the distribution of a dense d² release symmetrized as
+// (N + Nᵀ)/2, so the read is the same post-processing of an equally private
+// release.
 //
 // In-place is safe: packed row i starts at i·d - i(i-1)/2 ≤ i·d, so rows are
 // unpacked last to first and, within a row, right to left; every write lands
 // at or after the packed entry it reads, and beyond every packed entry still
 // to be read.
-func unpackSvec(q *vec.Matrix) {
+func unpackSvec(q *vec.Matrix, a []float64) {
 	d := q.Rows()
 	data := q.Data()
 	for i := d - 1; i >= 0; i-- {
 		off := i*d - i*(i-1)/2
 		for j := d - 1; j > i; j-- {
-			v := data[off+j-i] / math.Sqrt2
+			v := a[off+j-i] + data[off+j-i]/math.Sqrt2
 			data[i*d+j] = v
 			data[j*d+i] = v
 		}
-		data[i*d+i] = data[off]
+		data[i*d+i] = a[off] + data[off]
 	}
 }

@@ -48,10 +48,11 @@ func (o *RegressionOptions) fill() {
 }
 
 // GradientRegression is Algorithm PRIVINCREG1 (Section 4): private incremental
-// linear regression with a private gradient function maintained by two Tree
-// Mechanism instances — one for the first-moment stream x_t·y_t and one for the
-// second-moment stream svec(x_t x_tᵀ), the packed isometric embedding of the
-// outer product — each holding half of the privacy budget. At
+// linear regression with a private gradient function released through two
+// Tree Mechanism noise overlays on exact sums — one for the first-moment
+// stream x_t·y_t and one for the second-moment stream svec(x_t x_tᵀ), the
+// packed isometric embedding of the outer product — each holding half of the
+// privacy budget. At
 // any timestep the current regression estimate is obtained by minimizing the
 // privatized objective — exactly over an L2 ball, by noisy projected
 // gradient descent against the private gradient otherwise — which is free
@@ -85,7 +86,7 @@ func NewGradientRegression(c constraint.Set, p dp.Params, horizon int, src *rand
 func (g *GradientRegression) Name() string { return "priv-inc-reg1" }
 
 // ObserveRows implements Estimator: clamp each row's covariate into the unit
-// ball and fold it into the private running sums without heap allocation.
+// ball and fold it into the exact statistics without heap allocation.
 // The batch is validated up front — whole rows and horizon capacity — so it
 // is consumed whole or not at all.
 func (g *GradientRegression) ObserveRows(xs, ys []float64) error {
@@ -94,10 +95,7 @@ func (g *GradientRegression) ObserveRows(xs, ys []float64) error {
 	}
 	d := g.inDim
 	for r, y := range ys {
-		y = clampInto(g.xWork, xs[r*d:(r+1)*d], y)
-		if err := g.fold(y, g.xWork); err != nil {
-			return err
-		}
+		g.fold(clampInto(g.xWork, xs[r*d:(r+1)*d], y), g.xWork)
 	}
 	return nil
 }
@@ -108,7 +106,8 @@ func (g *GradientRegression) ObserveRows(xs, ys []float64) error {
 func (g *GradientRegression) Estimate() (vec.Vector, error) { return g.estimate(nil) }
 
 // StateBytes reports the retained per-stream memory of the mechanism: the
-// core's trees, buffers and read workspace plus the clamp buffer. O(1); the
+// core's statistics, noise memos, buffers and read workspace plus the clamp
+// buffer. O(1); the
 // serving store reads it on every access.
 func (g *GradientRegression) StateBytes() int { return g.bytes() + 8*len(g.xWork) }
 

@@ -58,7 +58,7 @@ type ProjectedOptions struct {
 // With a domain oracle (NewRobustProjectedRegression) it is the §5.2
 // extension for streams where only some covariates come from a small-width
 // domain G: points the oracle rejects are replaced by the neutral pair (0, 0)
-// before they reach the Tree Mechanisms, which preserves the privacy guarantee
+// before they are folded, which preserves the privacy guarantee
 // (the substitution is a data-independent per-record transformation) while
 // the utility guarantee is stated over the in-domain points only.
 type ProjectedRegression struct {
@@ -226,9 +226,7 @@ func (r *ProjectedRegression) ObserveRows(xs, ys []float64) error {
 		} else {
 			r.projector.ScaledApplyTo(px, r.xWork)
 		}
-		if err := r.fold(y, px); err != nil {
-			return err
-		}
+		r.fold(y, px)
 	}
 	return nil
 }

@@ -248,11 +248,12 @@ func TestSvecOuterAndUnpack(t *testing.T) {
 			t.Fatalf("svecOuter = %v, want %v", packed, want)
 		}
 	}
-	// Unpacking in place must reproduce the symmetric matrix entry for entry.
+	// Unpacking svec noise in place onto a packed exact Gram A must give
+	// A + unsvec(N) entry for entry.
 	q := vec.NewMatrix(3, 3)
 	copy(q.Data(), []float64{1, 5 * r2, 6 * r2, 2, 7 * r2, 3})
-	unpackSvec(q)
-	wantQ := [][]float64{{1, 5, 6}, {5, 2, 7}, {6, 7, 3}}
+	unpackSvec(q, []float64{10, 20, 30, 40, 50, 60})
+	wantQ := [][]float64{{11, 25, 36}, {25, 42, 57}, {36, 57, 63}}
 	for i := range wantQ {
 		for j := range wantQ[i] {
 			if math.Abs(q.At(i, j)-wantQ[i][j]) > 1e-12 {

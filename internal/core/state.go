@@ -26,14 +26,13 @@ import (
 
 // regStateVersion is the checkpoint format version of the regression
 // mechanisms GradientRegression and ProjectedRegression (with or without a
-// domain oracle). Version 4 is the one-core format: a header, then the
-// private-moment core's section over the svec(v vᵀ) second-moment tree. A
-// version-4 gradient blob is laid out as version 3 was; a projected one no
-// longer carries the lifted iterate, and the robust variant's dropped count
-// sits in its header instead of wrapping a nested projected blob. Version-3
-// and version-2 blobs (the latter with a dense d² second-moment tree) are
-// rejected at the version byte rather than migrated.
-const regStateVersion = 4
+// domain oracle). Version 5 is the overlay format: a header, then the
+// private-moment core's section, whose exact statistics are one
+// erm.MultiStats section and whose two overlays carry only their noise keys.
+// Version-4 blobs (per-level tree partial sums), version-3 blobs (projected
+// ones with the lifted iterate) and version-2 blobs (a dense d² second-moment
+// tree) are rejected at the version byte rather than migrated.
+const regStateVersion = 5
 
 // slowStateVersion is the checkpoint format version of every mechanism backed
 // by erm.MultiStats: the PRIVINCERM engine (generic-erm, naive-recompute,
@@ -270,7 +269,7 @@ func (g *GradientRegression) UnmarshalBinary(data []byte) error {
 	r.ExpectString("mechanism", g.Name())
 	r.ExpectInt("dimension", g.inDim)
 	r.ExpectInt("horizon", g.horizon)
-	s := readMoments(r)
+	s := g.readMoments(r)
 	if err := r.Finish(); err != nil {
 		return err
 	}
@@ -315,11 +314,11 @@ func (r *ProjectedRegression) UnmarshalBinary(data []byte) error {
 		Seed:      rd.I64(),
 	}
 	dropped := rd.Int()
-	s := readMoments(rd)
+	s := r.readMoments(rd)
 	if err := rd.Finish(); err != nil {
 		return err
 	}
-	if dropped < 0 || dropped > s.n {
+	if dropped < 0 || dropped > r.stats.Len() {
 		return errors.New("core: corrupt checkpoint (dropped count outside [0, n])")
 	}
 	projector := r.projector

@@ -15,6 +15,23 @@ import (
 	"privreg/internal/vec"
 )
 
+// svecOuter writes svec(x xᵀ) into dst (length svecLen(len(x))): the upper
+// triangle of x xᵀ packed row-major as in vec.SymMatrix, with diagonal entries
+// x_i² and off-diagonal entries √2·x_i x_j. It is the second-moment stream
+// element the overlay's noise scale is calibrated for.
+func svecOuter(dst []float64, x vec.Vector) {
+	d := len(x)
+	off := 0
+	for i, xi := range x {
+		row := dst[off : off+d-i]
+		off += d - i
+		row[0] = xi * xi
+		for k, xj := range x[i+1:] {
+			row[k+1] = math.Sqrt2 * xi * xj
+		}
+	}
+}
+
 // TestSvecIsometry pins the property the packed second-moment stream rests
 // on: svec is an isometry from the Frobenius norm to the L2 norm, so the
 // distance between two packed outer products equals the Frobenius distance of
@@ -84,7 +101,7 @@ func TestSvecReleaseNoiseDistribution(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sigma = g.sumXXT.NoiseSigma()
+		sigma = g.sumXXT.(*tree.Tree).NoiseSigma()
 		q := g.Gradient().Q
 		for i := 0; i < d; i++ {
 			for j := i; j < d; j++ {
@@ -138,9 +155,11 @@ func TestHybridGradientErrorScaleTracksHorizon(t *testing.T) {
 // regression checkpoints: blobs of the dense version-2 format (second-moment
 // tree over the d² outer product) and of the version-3 format (projected
 // blobs with the lifted iterate, the robust variant wrapping a nested
-// projected blob) of every regression mechanism are rejected at the version
-// byte, and the error names the version. The old blobs are rebuilt field by
-// field around real trees of the old shapes.
+// projected blob) and of the version-4 format (per-level tree partial sums)
+// of every regression mechanism are rejected at the version byte, and the
+// error names the version. The old blobs are rebuilt field by field around
+// trees of the old shapes; the version byte rejects them before a nested
+// tree section is read.
 func TestRegressionRejectsVersion2Checkpoint(t *testing.T) {
 	const d, horizon = 4, 16
 	c := constraint.NewL2Ball(d, 1)
@@ -212,7 +231,7 @@ func TestRegressionRejectsVersion2Checkpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []uint8{2, 3} {
+	for _, version := range []uint8{2, 3, 4} {
 		for _, tc := range []struct {
 			name string
 			mech Estimator
@@ -231,12 +250,12 @@ func TestRegressionRejectsVersion2Checkpoint(t *testing.T) {
 			}
 		}
 	}
-	// The gradient layout is unchanged apart from the version byte: the
-	// version-3 blob with its version byte bumped restores.
-	blob := gradOld(3)
+	// The version-4 layout is not read under the current version byte either:
+	// its per-level sums are not the current exact-statistics section.
+	blob := gradOld(4)
 	blob[0] = regStateVersion
-	if err := grad.UnmarshalBinary(blob); err != nil {
-		t.Fatalf("version-3 gradient layout under the current version byte: %v", err)
+	if err := grad.UnmarshalBinary(blob); err == nil {
+		t.Fatal("version-4 gradient layout under the current version byte should be rejected")
 	}
 }
 

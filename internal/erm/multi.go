@@ -48,6 +48,14 @@ func (m *MultiStats) Outcomes() int { return len(m.bs) }
 // Len returns the number of folded rows.
 func (m *MultiStats) Len() int { return m.n }
 
+// Gram returns the shared second-moment matrix A = Σ x xᵀ. Callers must treat
+// it as read-only.
+func (m *MultiStats) Gram() *vec.SymMatrix { return m.a }
+
+// Moment returns outcome i's cross-moment B_i = Σ y_i·x. Callers must treat it
+// as read-only.
+func (m *MultiStats) Moment(i int) vec.Vector { return m.bs[i] }
+
 // Add folds one row into the statistics: the shared matrix once, then each
 // outcome's vector moments in index order. len(ys) must equal Outcomes().
 func (m *MultiStats) Add(x vec.Vector, ys []float64) {

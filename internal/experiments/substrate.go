@@ -50,9 +50,9 @@ func TreeMechanismError(opts Options) (*Result, error) {
 		for t := 0; t < c.horizon; t++ {
 			v := vec.Vector(src.UnitSphere(c.d))
 			exact.AddInPlace(v)
-			if err := mech.AddTo(got, v); err != nil {
-				return trialOut{}, err
-			}
+			// The release is the running sum plus the tree's noise overlay.
+			got.CopyFrom(exact)
+			mech.AddNoiseTo(got, t+1)
 			if e := vec.Dist2(got, exact); e > worst {
 				worst = e
 			}
@@ -375,9 +375,8 @@ func AblationTreeVsNaiveSum(opts Options) (*Result, error) {
 		for t := 0; t < horizon; t++ {
 			v := vec.Vector(src.UnitSphere(d))
 			exact.AddInPlace(v)
-			if err := tm.AddTo(gt, v); err != nil {
-				return trialOut{}, err
-			}
+			gt.CopyFrom(exact)
+			tm.AddNoiseTo(gt, t+1)
 			if err := nm.AddTo(gn, v); err != nil {
 				return trialOut{}, err
 			}

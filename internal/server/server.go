@@ -520,6 +520,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 type streamStatsResponse struct {
 	ID  string `json:"id"`
 	Len int    `json:"len"`
+	// StateBytes is the stream's retained in-memory state (0 while spilled).
+	StateBytes int64 `json:"state_bytes"`
 }
 
 func (s *Server) handleStreamStats(w http.ResponseWriter, r *http.Request) {
@@ -529,7 +531,8 @@ func (s *Server) handleStreamStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("%w %q", privreg.ErrUnknownStream, id))
 		return
 	}
-	writeJSON(w, http.StatusOK, streamStatsResponse{ID: id, Len: n})
+	b, _ := s.pool.StateBytes(id)
+	writeJSON(w, http.StatusOK, streamStatsResponse{ID: id, Len: n, StateBytes: b})
 }
 
 func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {

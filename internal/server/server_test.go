@@ -17,6 +17,7 @@ import (
 
 	"privreg"
 	"privreg/internal/store"
+	"privreg/internal/wire"
 )
 
 func testSpec() Spec {
@@ -109,7 +110,7 @@ func flatRows(xs ...[]float64) []float64 {
 }
 
 func TestObserveEstimateStats(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 
 	// Single-point form.
 	x, y := point(0, 4)
@@ -142,6 +143,10 @@ func TestObserveEstimateStats(t *testing.T) {
 	code, _ = doJSON(t, "GET", ts.URL+"/v1/streams/alice/stats", nil, &st)
 	if code != http.StatusOK || st.Len != 5 || st.ID != "alice" {
 		t.Fatalf("stream stats: code=%d %+v", code, st)
+	}
+	if want, _ := s.Pool().StateBytes("alice"); st.StateBytes <= 0 || st.StateBytes != want || want != s.Pool().Stats().RetainedBytes {
+		t.Fatalf("stream stats state_bytes = %d, want the stream's retained bytes %d (pool total %d)",
+			st.StateBytes, want, s.Pool().Stats().RetainedBytes)
 	}
 
 	var listing struct {
@@ -323,6 +328,54 @@ func TestHorizonOverrun409(t *testing.T) {
 	code, raw := doJSON(t, "POST", ts.URL+"/v1/streams/full/observe", map[string]any{"x": x, "y": y}, nil)
 	if code != http.StatusConflict {
 		t.Fatalf("overrun observe: code=%d body=%s, want 409", code, raw)
+	}
+}
+
+// TestRejectedFirstBatchCreatesNoStream checks that a first batch the
+// mechanism rejects (here past the horizon) leaves no stream, over HTTP (409,
+// then 404 from the stream's stats) and over the binary wire (stream-full
+// nack), and that the same IDs then start normally.
+func TestRejectedFirstBatchCreatesNoStream(t *testing.T) {
+	spec := testSpec()
+	spec.Horizon = 3
+	s, ts := newTestServer(t, Config{Spec: spec})
+	var xs [][]float64
+	var ys []float64
+	for i := 0; i < 4; i++ {
+		x, y := point(i, 4)
+		xs = append(xs, x)
+		ys = append(ys, y)
+	}
+	if code, raw := doJSON(t, "POST", ts.URL+"/v1/streams/h/observe", observeBody(xs, ys), nil); code != http.StatusConflict {
+		t.Fatalf("over-horizon first batch: code=%d body=%s, want 409", code, raw)
+	}
+	if code, raw := doJSON(t, "GET", ts.URL+"/v1/streams/h/stats", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("stats after a rejected first batch: code=%d body=%s, want 404", code, raw)
+	}
+	c := dialWire(t, startWire(t, s))
+	flat := make([]float64, 0, 16)
+	for _, x := range xs {
+		flat = append(flat, x...)
+	}
+	if _, _, err := c.Observe("w", flat, ys); err == nil {
+		t.Fatal("over-horizon first batch accepted over wire")
+	} else {
+		var ne *wire.NackError
+		if !errors.As(err, &ne) || ne.Code != wire.NackStreamFull {
+			t.Fatalf("over-horizon first batch over wire: %v", err)
+		}
+	}
+	if code, raw := doJSON(t, "GET", ts.URL+"/v1/streams/w/stats", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("stats after a rejected wire batch: code=%d body=%s, want 404", code, raw)
+	}
+	if st := s.Pool().Stats(); st.Streams != 0 || st.DirtyStreams != 0 {
+		t.Fatalf("pool after rejected first batches: %+v", st)
+	}
+	if code, raw := doJSON(t, "POST", ts.URL+"/v1/streams/h/observe", observeBody(xs[:3], ys[:3]), nil); code != http.StatusOK {
+		t.Fatalf("fitting batch: code=%d body=%s", code, raw)
+	}
+	if _, n, err := c.Observe("w", flat[:12], ys[:3]); err != nil || n != 3 {
+		t.Fatalf("fitting wire batch: len %d, %v", n, err)
 	}
 }
 

@@ -329,15 +329,13 @@ func (s *Store) access(id string, create, markDirty bool, fn func(Stream) error)
 		err = fn(e.st)
 		e.len.Store(int64(e.st.Len()))
 		e.bytes.Store(streamStateBytes(e.st))
-		// A memory-only store never writes a segment, so a stream counts as
-		// dirty from creation on, even when its first fn failed.
-		if err == nil && markDirty || created && s.dir == "" {
+		if err == nil && markDirty {
 			e.dirty.Store(true)
 		}
 	}
 	e.mu.Unlock()
 
-	s.release(sh, e, materialized, created)
+	s.release(sh, e, materialized, created && err != nil)
 	return err
 }
 
@@ -368,26 +366,30 @@ func (s *Store) materialize(e *entry) error {
 }
 
 // release is the bookkeeping tail of every pinned access: unpin, keep the
-// LRU in sync with residency, drop placeholder entries whose construction
-// failed, and evict past-cap residents.
-func (s *Store) release(sh *shard, e *entry, materialized, created bool) {
+// LRU in sync with residency, remove the entry a failed first access
+// created, and evict past-cap residents.
+//
+// failedCreate is set when this access created the entry and then the
+// factory or fn failed. The entry is then removed, in both store modes, so a
+// rejected first batch leaves no stream behind: none to list, to count or to
+// lose at the next reopen. An entry a concurrent caller still pins, or has
+// made dirty or non-empty, is a real stream and stays.
+func (s *Store) release(sh *shard, e *entry, materialized, failedCreate bool) {
 	var victims []*entry
 	sh.mu.Lock()
 	e.pins--
 	if !e.dropped.Load() {
 		switch {
+		case failedCreate && e.pins == 0 && !e.dirty.Load() && e.len.Load() == 0:
+			if e.inLRU {
+				sh.unlink(e)
+			}
+			delete(sh.table, e.id)
+			e.dropped.Store(true)
 		case materialized && !e.inLRU:
 			sh.pushFront(e)
 		case materialized:
 			sh.moveFront(e)
-		case created && e.pins == 0 && !e.inLRU:
-			// The factory failed on a stream this call created: leave no
-			// placeholder behind (matching "a failed build creates no
-			// stream"). Entries that reached disk keep their slot.
-			if !e.dirty.Load() && e.len.Load() == 0 {
-				delete(sh.table, e.id)
-				e.dropped.Store(true)
-			}
 		}
 		victims = sh.collectVictims()
 	}
@@ -527,6 +529,20 @@ func (s *Store) Length(id string) (int, bool) {
 		return 0, false
 	}
 	return int(e.len.Load()), true
+}
+
+// StateBytes returns the stream's retained in-memory state as the residency
+// accounting tracks it (0 while spilled), without faulting it in, and
+// whether the stream exists.
+func (s *Store) StateBytes(id string) (int64, bool) {
+	sh := s.shardFor(id)
+	sh.mu.Lock()
+	e := sh.table[id]
+	sh.mu.Unlock()
+	if e == nil {
+		return 0, false
+	}
+	return e.bytes.Load(), true
 }
 
 // Has reports whether the stream exists (resident or spilled).

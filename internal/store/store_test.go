@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -539,4 +540,102 @@ func TestSpillDeleteRacesUpdate(t *testing.T) {
 			t.Fatalf("cached length %d != state length %d", n, len(got))
 		}
 	}
+}
+
+// TestFailedFirstAccessLeavesNoStream pins that a first access whose fn
+// fails removes the entry it created, in both store modes and across a
+// reopen, while a failure on an existing stream, or a failed first access a
+// concurrent caller has pinned, leaves the stream in place.
+func TestFailedFirstAccessLeavesNoStream(t *testing.T) {
+	reject := errors.New("rejected")
+	for _, mode := range []string{"memory", "dir"} {
+		t.Run(mode, func(t *testing.T) {
+			dir := ""
+			if mode == "dir" {
+				dir = t.TempDir()
+			}
+			open := func() *Store {
+				s, err := Open(dir, "fake", 0, fakeFactory())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			s := open()
+			if err := s.Update("ghost", true, func(Stream) error { return reject }); !errors.Is(err, reject) {
+				t.Fatalf("Update = %v, want the fn's error", err)
+			}
+			if s.Has("ghost") || len(s.Keys()) != 0 {
+				t.Fatalf("rejected first access left a stream: Has=%v Keys=%v", s.Has("ghost"), s.Keys())
+			}
+			if st := s.Stats(); st.Streams != 0 || st.Resident != 0 || st.Dirty != 0 {
+				t.Fatalf("Stats after a rejected first access = %+v", st)
+			}
+			// A failure on an existing stream leaves it as it was.
+			appendTo(t, s, "a", 1)
+			if err := s.Update("a", true, func(Stream) error { return reject }); !errors.Is(err, reject) {
+				t.Fatalf("Update(a) = %v", err)
+			}
+			if n, ok := s.Length("a"); n != 1 || !ok {
+				t.Fatalf("Length(a) after a failed update = %d, %v", n, ok)
+			}
+			// A concurrent caller that pinned the entry keeps it: the first
+			// access fails while the second waits on the stream lock.
+			entered, fail := make(chan struct{}), make(chan struct{})
+			done := make(chan error, 1)
+			go func() {
+				done <- s.Update("b", true, func(Stream) error {
+					close(entered)
+					<-fail
+					return reject
+				})
+			}()
+			<-entered
+			second := make(chan error, 1)
+			go func() {
+				second <- s.Update("b", true, func(st Stream) error {
+					st.(*fakeStream).append(2)
+					return nil
+				})
+			}()
+			for !pinned(s, "b", 2) {
+				runtime.Gosched()
+			}
+			close(fail)
+			if err := <-done; !errors.Is(err, reject) {
+				t.Fatalf("first access = %v", err)
+			}
+			if err := <-second; err != nil {
+				t.Fatalf("second access = %v", err)
+			}
+			if n, ok := s.Length("b"); n != 1 || !ok {
+				t.Fatalf("Length(b) = %d, %v, want the second access's row", n, ok)
+			}
+			if dir == "" {
+				return
+			}
+			if _, err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Update("ghost2", true, func(Stream) error { return reject }); !errors.Is(err, reject) {
+				t.Fatalf("Update(ghost2) = %v", err)
+			}
+			if _, err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			r := open()
+			if got := fmt.Sprint(r.Keys()); got != "[a b]" {
+				t.Fatalf("Keys after reopen = %s, want [a b]", got)
+			}
+		})
+	}
+}
+
+// pinned reports whether the stream's entry holds n pins.
+func pinned(s *Store, id string, n int) bool {
+	sh := s.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e := sh.table[id]
+	return e != nil && e.pins == n
 }

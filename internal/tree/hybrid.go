@@ -23,10 +23,10 @@ func epochTreeKey(noiseKey int64, epoch int) int64 {
 	return randx.SubKey(noiseKey, uint64(epoch)+1)
 }
 
-// Hybrid implements the Hybrid Mechanism of Chan, Shi and Song: a continual
-// private sum mechanism that does not require the stream length in advance and
-// achieves asymptotically the same error as the Tree Mechanism (footnote 13 of
-// the paper).
+// Hybrid is the noise overlay of the Hybrid Mechanism of Chan, Shi and Song:
+// a continual private sum mechanism that does not require the stream length in
+// advance and achieves asymptotically the same error as the Tree Mechanism
+// (footnote 13 of the paper).
 //
 // The construction combines two components, each given half of the privacy
 // budget:
@@ -35,43 +35,38 @@ func epochTreeKey(noiseKey int64, epoch int) int64 {
 //     power of two, publishes a fresh noisy snapshot of that epoch's sum (the
 //     epochs partition the stream, so each element is perturbed once here, and
 //     prefixes are reconstructed as sums of at most ⌈log₂ t⌉ noisy terms); and
-//   - within each epoch (2^k, 2^{k+1}], a fresh Tree Mechanism of length 2^k
-//     over only the elements of that epoch.
+//   - within each epoch (2^k − 1, 2^{k+1} − 1], a fresh Tree Mechanism of
+//     length 2^k over only the elements of that epoch.
 //
 // The reported running sum is Σ completed-epoch snapshots + in-epoch tree sum.
+// The exact parts of both add up to S_t, so the release is S_t + N_t, where
+// N_t is the snapshot noise of the completed epochs plus the in-epoch tree's
+// noise at the epoch's own count; AddNoiseTo adds N_t.
 //
 // Like Tree, all noise is counter-keyed and lazy: epoch k's snapshot noise is
 // a pure function of (noiseKey, k) and epoch trees derive their keys with
-// epochTreeKey, so ingestion — including epoch rollover — samples nothing and
-// the released sequence is independent of when estimates are read.
+// epochTreeKey, so the released sequence is independent of when estimates are
+// read.
 type Hybrid struct {
 	dim         int
 	sensitivity float64
 	privacy     dp.Params
 	noiseKey    int64
+	logSigma    float64
 
-	t int
-	// completedExact is the noise-free sum of all elements in completed epochs
-	// (private state; never released raw — releases add the snapshot noise).
-	completedExact []float64
-	// epochs counts completed epochs; epoch k (0-based) has length 2^k.
-	epochs int
 	// noiseSum memoizes Σ_{k < noised} snapshot noise of completed epochs;
 	// lagging epochs are materialized at the next released estimate.
 	noiseSum []float64
 	noised   int
-	// epochExact is the noise-free sum of the current epoch's elements, folded
-	// into completedExact at the epoch boundary.
-	epochExact []float64
-	// epochTree handles the current epoch.
+	// epochTree is the overlay of epoch `epoch`'s tree, built at the first
+	// read inside that epoch (nil before any).
 	epochTree *Tree
-	epochLen  int
-	logSigma  float64
+	epoch     int
 }
 
-// NewHybrid returns a Hybrid mechanism for streams of unbounded (unknown)
-// length with the given element dimension, L2 sensitivity and privacy budget.
-// The noise key is drawn from the source (one draw, like Split); after
+// NewHybrid returns a Hybrid overlay for streams of unbounded (unknown) length
+// with the given element dimension, L2 sensitivity and privacy budget. The
+// noise key is drawn from the source (one draw, like Split); after
 // construction the source is never consumed again.
 func NewHybrid(dim int, sensitivity float64, p dp.Params, src *randx.Source) (*Hybrid, error) {
 	if dim <= 0 {
@@ -89,7 +84,6 @@ func NewHybrid(dim int, sensitivity float64, p dp.Params, src *randx.Source) (*H
 	if src == nil {
 		return nil, errors.New("tree: nil randomness source")
 	}
-	half := p.Halve()
 	// The logarithmic component: each element is contained in every snapshot at
 	// or after its epoch. A change of one element shifts every subsequent
 	// snapshot by at most Δ₂. Rather than composing over an unbounded number of
@@ -97,55 +91,41 @@ func NewHybrid(dim int, sensitivity float64, p dp.Params, src *randx.Source) (*H
 	// elements of epoch k only (a disjoint partition, sensitivity Δ₂ once), and
 	// reconstruct the prefix as the sum of per-epoch noisy sums. The number of
 	// noisy terms summed is ⌈log₂ t⌉, giving polylog error.
-	logSigma, err := dp.GaussianSigma(sensitivity, half)
+	logSigma, err := dp.GaussianSigma(sensitivity, p.Halve())
 	if err != nil {
 		return nil, err
 	}
-	h := &Hybrid{
-		dim:            dim,
-		sensitivity:    sensitivity,
-		privacy:        p,
-		noiseKey:       src.DeriveKey(),
-		completedExact: make([]float64, dim),
-		noiseSum:       make([]float64, dim),
-		epochExact:     make([]float64, dim),
-		logSigma:       logSigma,
-	}
-	if err := h.startEpoch(0); err != nil {
-		return nil, err
-	}
-	return h, nil
+	return &Hybrid{
+		dim:         dim,
+		sensitivity: sensitivity,
+		privacy:     p,
+		noiseKey:    src.DeriveKey(),
+		logSigma:    logSigma,
+		noiseSum:    make([]float64, dim),
+	}, nil
 }
 
-// startEpoch constructs epoch k's in-epoch tree (length 2^k) with its derived
-// noise key.
-func (h *Hybrid) startEpoch(epoch int) error {
-	length := 1 << uint(epoch)
-	et, err := newWithKey(Config{
-		Dim:         h.dim,
-		MaxLen:      length,
-		Sensitivity: h.sensitivity,
-		Privacy:     h.privacy.Halve(),
-	}, epochTreeKey(h.noiseKey, epoch))
-	if err != nil {
-		return err
+// epochTreeFor returns epoch k's tree overlay (length 2^k) with its derived
+// noise key, building it when the memoized one belongs to another epoch.
+func (h *Hybrid) epochTreeFor(epoch int) *Tree {
+	if h.epochTree == nil || h.epoch != epoch {
+		et, err := newWithKey(Config{
+			Dim:         h.dim,
+			MaxLen:      1 << uint(epoch),
+			Sensitivity: h.sensitivity,
+			Privacy:     h.privacy.Halve(),
+		}, epochTreeKey(h.noiseKey, epoch))
+		if err != nil {
+			// NewHybrid validated the configuration, and no stream reaches
+			// epoch 48 (2^48 rows), so no error is reachable.
+			panic(err)
+		}
+		h.epochTree, h.epoch = et, epoch
 	}
-	h.epochTree = et
-	h.epochLen = length
-	return nil
+	return h.epochTree
 }
 
-// Dim returns the element dimension.
-func (h *Hybrid) Dim() int { return h.dim }
-
-// Len returns the number of elements consumed so far.
-func (h *Hybrid) Len() int { return h.t }
-
-// NoiseSigma returns the per-node noise standard deviation of the current
-// epoch's tree component.
-func (h *Hybrid) NoiseSigma() float64 { return h.epochTree.NoiseSigma() }
-
-// ReleaseSigma implements Mechanism. A prefix of length up to n sums the
+// ReleaseSigma implements Overlay. A prefix of length up to n sums the
 // snapshot noise of at most ⌈log₂ n⌉ completed epochs and the release noise
 // of one epoch tree. The noisiest epoch tree such a prefix can reach is that
 // of epoch ⌊log₂ n⌋ (length 2^⌊log₂ n⌋, one level more than its exponent),
@@ -160,60 +140,38 @@ func (h *Hybrid) ReleaseSigma(n int) float64 {
 	return math.Sqrt(snapshots*h.logSigma*h.logSigma + float64(levels)*treeSig*treeSig)
 }
 
-// Bytes implements Mechanism: the three d-vectors of exact sums and memoized
-// snapshot noise, plus the current epoch tree.
-func (h *Hybrid) Bytes() int { return 8*3*h.dim + h.epochTree.Bytes() }
-
-// AddTo consumes the next stream element and, when dst is non-nil, writes the
-// private running-sum estimate into dst. The steady-state path (all timesteps
-// except the O(log T) epoch boundaries, which construct the next epoch's tree)
-// performs no heap allocation, and no path samples noise: an epoch boundary
-// only folds the exact epoch sum forward — its snapshot noise is materialized
-// at the next released estimate.
-func (h *Hybrid) AddTo(dst, v []float64) error {
-	if len(v) != h.dim {
-		return fmt.Errorf("tree: element dimension %d does not match mechanism dimension %d", len(v), h.dim)
+// Bytes implements Overlay: the memoized snapshot noise plus the current
+// epoch tree's noise memo.
+func (h *Hybrid) Bytes() int {
+	b := 8 * h.dim
+	if h.epochTree != nil {
+		b += h.epochTree.Bytes()
 	}
-	if dst != nil && len(dst) != h.dim {
-		return fmt.Errorf("tree: destination dimension %d does not match mechanism dimension %d", len(dst), h.dim)
-	}
-	h.t++
-	for k := range h.epochExact {
-		h.epochExact[k] += v[k]
-	}
-	if err := h.epochTree.AddTo(nil, v); err != nil {
-		return err
-	}
-	// If the epoch just completed, fold its exact sum into the completed-epoch
-	// accumulator and start the next (doubled) epoch. Estimates at and after
-	// this timestep use the epoch's snapshot noise (one Gaussian per
-	// coordinate) instead of its tree sum — a strictly less noisy, equally
-	// private release of the same prefix.
-	if h.epochTree.Len() == h.epochLen {
-		for k := range h.completedExact {
-			h.completedExact[k] += h.epochExact[k]
-		}
-		zero(h.epochExact)
-		h.epochs++
-		if err := h.startEpoch(h.epochs); err != nil {
-			return err
-		}
-	}
-	if dst != nil {
-		h.SumInto(dst)
-	}
-	return nil
+	return b
 }
 
-// SumInto writes the current private running-sum estimate — completed-epoch
-// snapshots plus the in-epoch tree sum — into dst without allocating,
-// materializing any lagging snapshot noise first. Deterministic given
-// (noiseKey, t), so eager, lazy and repeated reads observe bit-identical
-// estimates.
-func (h *Hybrid) SumInto(dst []float64) {
-	if h.noised < h.epochs {
+// AddNoiseTo implements Overlay: after t elements, epochs 0..e−1 are complete,
+// e = ⌊log₂(t+1)⌋, and the current epoch holds s = t − (2^e − 1) elements.
+// It adds the completed epochs' snapshot noise and then epoch e's tree noise
+// at s. Only a read that reaches a new epoch allocates (that epoch's tree
+// memo); lagging snapshot noise is materialized first.
+func (h *Hybrid) AddNoiseTo(dst []float64, t int) {
+	if len(dst) != h.dim {
+		panic(fmt.Sprintf("tree: destination dimension %d does not match overlay dimension %d", len(dst), h.dim))
+	}
+	if t < 0 {
+		panic(fmt.Sprintf("tree: negative stream length %d", t))
+	}
+	epochs := bits.Len64(uint64(t)+1) - 1
+	if h.noised > epochs {
+		// A read behind the memo (a caller going back in time) rebuilds it
+		// in the same order, so the sum is bit-identical.
+		clear(h.noiseSum)
+		h.noised = 0
+	}
+	if h.noised < epochs {
 		buf := randx.GetBuf(h.dim)
-		for h.noised < h.epochs {
+		for h.noised < epochs {
 			randx.FillNormalAt(h.noiseKey, snapshotNode(h.noised), *buf, h.logSigma)
 			for k := range h.noiseSum {
 				h.noiseSum[k] += (*buf)[k]
@@ -222,37 +180,34 @@ func (h *Hybrid) SumInto(dst []float64) {
 		}
 		randx.PutBuf(buf)
 	}
-	dst = dst[:h.dim]
-	h.epochTree.SumInto(dst)
 	for k := range dst {
-		dst[k] = h.completedExact[k] + h.noiseSum[k] + dst[k]
+		dst[k] += h.noiseSum[k]
+	}
+	if s := t - (1<<uint(epochs) - 1); s > 0 {
+		h.epochTreeFor(epochs).AddNoiseTo(dst, s)
 	}
 }
 
-// hybridStateVersion is the Hybrid checkpoint format version. Version 2 is
-// the counter-keyed lazy-noise format (see treeStateVersion).
-const hybridStateVersion = 2
+// hybridStateVersion is the Hybrid checkpoint format version. Version 3 is
+// the overlay format (see treeStateVersion): the structural parameters and
+// the noise key. Version-2 blobs (exact epoch sums and a nested epoch tree)
+// are rejected.
+const hybridStateVersion = 3
 
-// AppendState implements Mechanism for the Hybrid mechanism: it captures the
-// exact accumulators, the epoch counter, the in-progress epoch (as a nested
-// Tree section), and the noise key. Snapshot noise is a pure function of
-// (noiseKey, epoch) and is re-materialized on demand after restore.
+// AppendState implements Overlay for the Hybrid mechanism: the structural
+// parameters and the noise key. Snapshot noise and every epoch tree's key are
+// pure functions of the key and are re-materialized on demand after restore.
 func (h *Hybrid) AppendState(w *codec.Writer) {
-	w.Grow(96 + 8*(len(h.completedExact)+len(h.epochExact)))
+	w.Grow(48)
 	w.Version(hybridStateVersion)
 	w.String("hybrid")
 	w.Int(h.dim)
 	w.F64(h.sensitivity)
 	w.F64(h.logSigma)
-	w.Int(h.t)
-	w.F64s(h.completedExact)
-	w.F64s(h.epochExact)
-	w.Int(h.epochs)
-	w.Nested(h.epochTree)
 	w.I64(h.noiseKey)
 }
 
-// UnmarshalState implements Mechanism: it restores state captured by
+// UnmarshalState implements Overlay: it restores state captured by
 // AppendState into a Hybrid constructed with the same configuration.
 func (h *Hybrid) UnmarshalState(data []byte) error {
 	r := codec.NewReader(data)
@@ -265,33 +220,16 @@ func (h *Hybrid) UnmarshalState(data []byte) error {
 	if s := r.F64(); r.Err() == nil && s != h.logSigma {
 		return fmt.Errorf("tree: checkpoint noise scale %g does not match configured %g (privacy parameters differ)", s, h.logSigma)
 	}
-	t := r.Int()
-	r.F64sInto(h.completedExact)
-	r.F64sInto(h.epochExact)
-	epochs := r.Int()
-	treeBlob := r.Blob()
 	noiseKey := r.I64()
 	if err := r.Finish(); err != nil {
 		return err
 	}
-	if t < 0 || epochs < 0 || epochs > 62 {
-		return fmt.Errorf("tree: corrupt hybrid checkpoint (t=%d, epochs=%d)", t, epochs)
-	}
-	h.t = t
-	h.epochs = epochs
 	h.noiseKey = noiseKey
-	// Rebuild the in-progress epoch tree for the checkpointed epoch and restore
-	// its state (which carries its own noise key).
-	if err := h.startEpoch(epochs); err != nil {
-		return err
-	}
-	if err := h.epochTree.UnmarshalState(treeBlob); err != nil {
-		return err
-	}
-	// Snapshot-noise memoization restarts from scratch; it re-materializes
-	// identically from (noiseKey, epoch) at the next released estimate.
-	zero(h.noiseSum)
+	// The memos restart from scratch; they re-materialize identically from
+	// the key at the next released estimate.
+	clear(h.noiseSum)
 	h.noised = 0
+	h.epochTree = nil
 	return nil
 }
 
@@ -386,6 +324,6 @@ func (n *NaiveSum) SumInto(dst []float64) {
 
 // Interface conformance checks.
 var (
-	_ Mechanism = (*Tree)(nil)
-	_ Mechanism = (*Hybrid)(nil)
+	_ Overlay = (*Tree)(nil)
+	_ Overlay = (*Hybrid)(nil)
 )

@@ -51,6 +51,12 @@ func refTreeSum(key int64, sigma float64, dim, t int, elems [][]float64) []float
 // plus its snapshot noise, and the in-progress epoch contributes a refTreeSum
 // over its own elements under its derived key.
 func refHybridSum(h *Hybrid, t int, elems [][]float64) []float64 {
+	epochs := 0
+	for 1<<uint(epochs+1)-1 <= t {
+		epochs++
+	}
+	// The epoch tree's noise scale is the one a length-2^epochs tree gets.
+	epochSigma := treeSigma(h.sensitivity, numLevels(1<<uint(epochs)), h.privacy.Halve())
 	dim := h.dim
 	out := make([]float64, dim)
 	noise := make([]float64, dim)
@@ -76,8 +82,7 @@ func refHybridSum(h *Hybrid, t int, elems [][]float64) []float64 {
 	}
 	// In-progress epoch through its own tree (possibly empty).
 	sub := elems[start:t]
-	treeSigma := h.epochTree.sigma
-	tsum := refTreeSum(epochTreeKey(h.noiseKey, epoch), treeSigma, dim, len(sub), sub)
+	tsum := refTreeSum(epochTreeKey(h.noiseKey, epoch), epochSigma, dim, len(sub), sub)
 	for k := range out {
 		out[k] += tsum[k]
 	}
@@ -106,10 +111,13 @@ func refNaiveSum(key int64, sigma float64, dim, t int, elems [][]float64) []floa
 // refSum dispatches to the kind's reference implementation.
 func refSum(m releaser, t int, elems [][]float64) []float64 {
 	switch mm := m.(type) {
-	case *Tree:
-		return refTreeSum(mm.noiseKey, mm.sigma, mm.dim, t, elems)
-	case *Hybrid:
-		return refHybridSum(mm, t, elems)
+	case *sumStream:
+		switch ov := mm.ov.(type) {
+		case *Tree:
+			return refTreeSum(ov.noiseKey, ov.sigma, ov.dim, t, elems)
+		case *Hybrid:
+			return refHybridSum(ov, t, elems)
+		}
 	case *NaiveSum:
 		return refNaiveSum(mm.noiseKey, mm.sigma, mm.dim, t, elems)
 	}
@@ -168,9 +176,9 @@ func TestInterleavedOpsMatchReference(t *testing.T) {
 						check(sum(mech, dim), "Sum")
 					case 5: // checkpoint, restore into a differently seeded instance
 						// (NaiveSum has no checkpoint and only reads)
-						if m, ok := mech.(Mechanism); ok {
+						if m, ok := mech.(checkpointer); ok {
 							restored := buildMechanism(t, kind, dim, maxLen, int64(9000+trial))
-							if err := restored.(Mechanism).UnmarshalState(codec.Encode(m)); err != nil {
+							if err := restored.(checkpointer).UnmarshalState(codec.Encode(m)); err != nil {
 								t.Fatal(err)
 							}
 							mech = restored
@@ -190,10 +198,11 @@ func TestInterleavedOpsMatchReference(t *testing.T) {
 // double-counted epoch (folded into the completed accumulator while still in
 // the tree term) would show up as a near-2× error at the boundary.
 func TestHybridEpochRolloverNoDoubleCount(t *testing.T) {
-	h, err := NewHybrid(2, 2, lowNoise(), randx.NewSource(31))
+	ov, err := NewHybrid(2, 2, lowNoise(), randx.NewSource(31))
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := hybridStream(ov)
 	exact := []float64{0, 0}
 	for i := 1; i <= 130; i++ { // crosses boundaries at 1, 3, 7, 15, 31, 63, 127
 		v := []float64{1, -0.5}

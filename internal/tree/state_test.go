@@ -40,14 +40,23 @@ func sum(m releaser, dim int) []float64 {
 	return out
 }
 
+// checkpointer is a releaser with a count and a checkpoint: the sumStream
+// over a Tree or Hybrid overlay.
+type checkpointer interface {
+	releaser
+	Len() int
+	AppendState(w *codec.Writer)
+	UnmarshalState(data []byte) error
+}
+
 // buildMechanism constructs one of the three mechanisms with a deterministic
-// source derived from seed.
+// source derived from seed: a tree or hybrid stream, or a NaiveSum.
 func buildMechanism(t *testing.T, kind string, dim, maxLen int, seed int64) releaser {
 	t.Helper()
 	src := randx.NewSource(seed)
 	switch kind {
 	case "tree":
-		m, err := New(Config{Dim: dim, MaxLen: maxLen, Sensitivity: 2, Privacy: testPrivacy()}, src)
+		m, err := treeStream(Config{Dim: dim, MaxLen: maxLen, Sensitivity: 2, Privacy: testPrivacy()}, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +66,7 @@ func buildMechanism(t *testing.T, kind string, dim, maxLen int, seed int64) rele
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
+		return hybridStream(m)
 	case "naive-sum":
 		m, err := NewNaiveSum(dim, maxLen, 2, testPrivacy(), src)
 		if err != nil {
@@ -79,7 +88,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	for _, kind := range []string{"tree", "hybrid"} {
 		t.Run(kind, func(t *testing.T) {
 			full := buildMechanism(t, kind, dim, maxLen, 42)
-			half := buildMechanism(t, kind, dim, maxLen, 42).(Mechanism)
+			half := buildMechanism(t, kind, dim, maxLen, 42).(checkpointer)
 			for i := 0; i < ckptAt; i++ {
 				v := element(i, dim)
 				if _, err := add(full, v); err != nil {
@@ -92,7 +101,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 			blob := codec.Encode(half)
 			// Restore into an instance built with a different seed: every bit of
 			// relevant randomness state must come from the checkpoint.
-			restored := buildMechanism(t, kind, dim, maxLen, 999).(Mechanism)
+			restored := buildMechanism(t, kind, dim, maxLen, 999).(checkpointer)
 			if err := restored.UnmarshalState(blob); err != nil {
 				t.Fatal(err)
 			}
@@ -122,8 +131,8 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 // TestCheckpointStructuralMismatchRejected verifies that restoring into a
 // mechanism with different structural parameters fails loudly.
 func TestCheckpointStructuralMismatchRejected(t *testing.T) {
-	build := func(kind string, dim, maxLen int) Mechanism {
-		return buildMechanism(t, kind, dim, maxLen, 1).(Mechanism)
+	build := func(kind string, dim, maxLen int) Overlay {
+		return buildMechanism(t, kind, dim, maxLen, 1).(*sumStream).ov
 	}
 	blob := codec.Encode(build("tree", 3, 64))
 	if err := build("tree", 4, 64).UnmarshalState(blob); err == nil {

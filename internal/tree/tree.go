@@ -1,5 +1,5 @@
-// Package tree implements the Tree Mechanism (also called the binary
-// mechanism) of Dwork et al. and Chan et al. for differentially private
+// Package tree implements the noise of the Tree Mechanism (also called the
+// binary mechanism) of Dwork et al. and Chan et al. for differentially private
 // continual release of vector sums, as described in Appendix C of "Private
 // Incremental Regression" (Algorithm TREEMECH), together with the Hybrid
 // Mechanism that removes the need to know the stream length in advance, and a
@@ -7,23 +7,30 @@
 //
 // Given a stream of vectors υ_1, ..., υ_T with a bound Δ₂ on the L2 distance
 // between any two domain elements, the Tree Mechanism releases at each timestep
-// t a private estimate of the prefix sum Σ_{i≤t} υ_i whose error grows only
-// polylogarithmically in T (Proposition C.1), while the whole output sequence
-// is (ε, δ)-differentially private with respect to changing one stream element.
-// Space usage is O(d log T): only one partial sum per tree level is retained.
+// t a private estimate of the prefix sum S_t = Σ_{i≤t} υ_i whose error grows
+// only polylogarithmically in T (Proposition C.1), while the whole output
+// sequence is (ε, δ)-differentially private with respect to changing one
+// stream element.
+//
+// Tree and Hybrid are noise overlays: they hold no partial sums. At every t
+// the tree nodes a release sums are the dyadic blocks of [1, t], one per set
+// bit j of t, so the release Σ_{j ∈ bits(t)} (node sum_j + z_j) equals
+// S_t + N_t with N_t = Σ_{j ∈ bits(t)} z(key, j, t≫j). The caller keeps the
+// exact S_t (the regression mechanisms keep it in an erm.MultiStats) and adds
+// N_t with AddNoiseTo. A stream's state is therefore S_t, t and the noise key:
+// O(d), not O(d log T). Only the per-level noise memo, a cache that is never
+// checkpointed, grows with log T.
 //
 // Noise is counter-keyed and lazy: the noise vector of tree node (level j,
 // dyadic index i) is a pure function of (noiseKey, j, i) — a keyed PRF stream
 // fed through the ziggurat (randx.CounterSource) — and is materialized (and
 // memoized per level) only when the node first participates in a released
-// prefix sum. Ingestion is therefore pure accumulation, and because noise
-// depends on the node's identity rather than on draw order, batch and scalar
-// ingestion, eager and deferred estimates, and checkpoint/restore at any cut
-// point all observe bit-identical outputs by construction. The privacy
-// analysis is unchanged: each node still carries one fixed N(0, σ²I_d) draw,
-// used consistently across every release it contributes to — laziness moves
-// the computation of that draw, not its joint distribution (see
-// docs/PERFORMANCE.md for the design note).
+// prefix sum. Because noise depends on the node's identity rather than on draw
+// order, batch and scalar ingestion, eager and deferred estimates, and
+// checkpoint/restore at any cut point all observe bit-identical outputs by
+// construction. The privacy analysis is unchanged: each node still carries one
+// fixed N(0, σ²I_d) draw, used consistently across every release it
+// contributes to (see docs/PERFORMANCE.md for the design note).
 package tree
 
 import (
@@ -37,30 +44,20 @@ import (
 	"privreg/internal/randx"
 )
 
-// Mechanism is the common interface of the checkpointable continual-sum
-// mechanisms in this package. AddTo consumes the next stream element and
-// SumInto releases the private estimate of the running sum so far.
-type Mechanism interface {
-	// AddTo appends v to the stream and, when dst is non-nil, writes the private
-	// running-sum estimate into dst (which must have the mechanism's dimension).
-	// It does not allocate; a nil dst consumes the element and updates internal
-	// state without computing the estimate at all.
-	AddTo(dst, v []float64) error
-	// SumInto writes the private running-sum estimate at the current timestep
-	// into dst without consuming a new element or allocating. dst must have
-	// the mechanism's dimension. Before any AddTo it writes the zero vector.
-	SumInto(dst []float64)
-	// Len returns the number of elements consumed so far.
-	Len() int
-	// NoiseSigma returns the per-node (or per-step) Gaussian noise standard
-	// deviation used internally. Exposed for diagnostics and tests.
-	NoiseSigma() float64
-	// AppendState appends the mechanism's complete mutable state — partial
-	// sums, stream position, and the noise key — to w, such that a mechanism
-	// constructed with the same configuration and restored with
-	// UnmarshalState continues bit-identically to the original.
+// Overlay is the common interface of the checkpointable noise overlays in
+// this package. A continual-sum stream releases its exact running sum S_t plus
+// the overlay's noise N_t at its count t.
+type Overlay interface {
+	// AddNoiseTo adds N_t, the release noise at stream length t, into dst
+	// (which must have the overlay's dimension) in a fixed order, without
+	// allocating once the noise of the reached nodes is memoized. N_0 is zero.
+	// It panics when t is negative or beyond a Tree's maximum length.
+	AddNoiseTo(dst []float64, t int)
+	// AppendState appends the overlay's checkpoint to w: its structural
+	// parameters, for verification, and the noise key. The stream's count
+	// and sums are the caller's.
 	AppendState(w *codec.Writer)
-	// UnmarshalState restores state captured by AppendState into a mechanism
+	// UnmarshalState restores state captured by AppendState into an overlay
 	// constructed with the same configuration; structural parameters are
 	// verified and a mismatch is an error.
 	UnmarshalState(data []byte) error
@@ -69,12 +66,14 @@ type Mechanism interface {
 	// error bounds from the construction parameters alone, so it does not
 	// depend on how far the stream has progressed.
 	ReleaseSigma(n int) float64
-	// Bytes returns the mechanism's retained in-memory state in bytes: the
-	// float buffers it keeps per level or per epoch. It is O(1).
+	// Bytes returns the overlay's retained in-memory state in bytes: its
+	// noise memo, the float buffers it keeps per level or per epoch. It is
+	// O(1).
 	Bytes() int
 }
 
-// Tree is the Tree Mechanism for a stream of known maximum length.
+// Tree is the Tree Mechanism's noise overlay for a stream of known maximum
+// length.
 type Tree struct {
 	dim         int
 	maxT        int
@@ -86,10 +85,6 @@ type Tree struct {
 	// independent of draw order.
 	noiseKey int64
 
-	t int
-	// alpha[j] is the in-progress (noise-free) partial sum at level j
-	// (covering a dyadic range of length 2^j that has not yet been "closed").
-	alpha [][]float64
 	// noise[j] memoizes the materialized noise vector of the level-j node
 	// noiseIdx[j] (0 = none; live node indices are ≥ 1). A node stays the
 	// level's active one for up to 2^j steps, so one buffer per level gives
@@ -114,7 +109,8 @@ type Config struct {
 	Privacy dp.Params
 }
 
-// New returns a Tree Mechanism for streams of length at most cfg.MaxLen.
+// New returns a Tree Mechanism overlay for streams of length at most
+// cfg.MaxLen.
 //
 // Following Algorithm 4 of the paper, every tree node is perturbed with
 // N(0, σ² I_d) noise with σ = Δ₂ · L · sqrt(2 ln(2/δ)) / ε, where
@@ -149,8 +145,7 @@ func newWithKey(cfg Config, noiseKey int64) (*Tree, error) {
 		// Enforces the nodeIndex packing invariant: dyadic indices must fit
 		// below the level field, or distinct nodes would share a PRF
 		// coordinate (and thus a noise vector, voiding the independence the
-		// composition analysis assumes). 2^48 is far beyond any storable
-		// stream (the partial sums alone would exceed memory first).
+		// composition analysis assumes).
 		return nil, fmt.Errorf("tree: max length %d exceeds the supported maximum %d", cfg.MaxLen, maxTreeLen)
 	}
 	if cfg.Sensitivity < 0 {
@@ -164,13 +159,12 @@ func newWithKey(cfg Config, noiseKey int64) (*Tree, error) {
 	}
 	levels := numLevels(cfg.MaxLen)
 	dim := cfg.Dim
-	// One slab holds every level's partial sum and every level's noise memo.
-	// Per-level buffers of a few KB each land in size classes whose spans
-	// fragment as a serving pool evicts and faults streams in; one allocation
-	// per tree keeps them together and frees them together. Each level's
-	// slice has its capacity capped at its own length.
-	slab := make([]float64, 2*levels*dim)
-	level := func(i int) []float64 { return slab[i*dim : (i+1)*dim : (i+1)*dim] }
+	// One slab holds every level's noise memo. Per-level buffers of a few KB
+	// each land in size classes whose spans fragment as a serving pool evicts
+	// and faults streams in; one allocation per tree keeps them together and
+	// frees them together. Each level's slice has its capacity capped at its
+	// own length.
+	slab := make([]float64, levels*dim)
 	tr := &Tree{
 		dim:         dim,
 		maxT:        cfg.MaxLen,
@@ -178,13 +172,11 @@ func newWithKey(cfg Config, noiseKey int64) (*Tree, error) {
 		sensitivity: cfg.Sensitivity,
 		sigma:       treeSigma(cfg.Sensitivity, levels, cfg.Privacy),
 		noiseKey:    noiseKey,
-		alpha:       make([][]float64, levels),
 		noise:       make([][]float64, levels),
 		noiseIdx:    make([]uint64, levels),
 	}
-	for j := 0; j < levels; j++ {
-		tr.alpha[j] = level(j)
-		tr.noise[j] = level(levels + j)
+	for j := range tr.noise {
+		tr.noise[j] = slab[j*dim : (j+1)*dim : (j+1)*dim]
 	}
 	return tr, nil
 }
@@ -217,77 +209,16 @@ func nodeIndex(level int, idx uint64) uint64 {
 	return uint64(level)<<56 | idx
 }
 
-// Dim returns the dimension of the stream elements.
-func (tr *Tree) Dim() int { return tr.dim }
-
-// Len returns the number of elements consumed so far.
-func (tr *Tree) Len() int { return tr.t }
-
 // NoiseSigma returns the per-node Gaussian noise standard deviation.
 func (tr *Tree) NoiseSigma() float64 { return tr.sigma }
 
-// ReleaseSigma implements Mechanism: a released prefix sum adds the noise of
+// ReleaseSigma implements Overlay: a released prefix sum adds the noise of
 // at most L nodes, so each coordinate has standard deviation at most σ·√L at
 // every stream length.
 func (tr *Tree) ReleaseSigma(int) float64 { return tr.sigma * math.Sqrt(float64(tr.levels)) }
 
-// Bytes implements Mechanism: the slab of per-level partial sums and
-// per-level noise memos.
-func (tr *Tree) Bytes() int { return 8 * 2 * tr.levels * tr.dim }
-
-// AddTo consumes the next stream element and, when dst is non-nil, writes the
-// private running-sum estimate into dst. It performs no heap allocation and —
-// with a nil dst — no noise sampling at all: ingestion is pure accumulation
-// into the preallocated per-level partial sums, and node noise is materialized
-// only when an estimate is actually released (here with dst non-nil, or at a
-// later SumInto).
-func (tr *Tree) AddTo(dst, v []float64) error {
-	if len(v) != tr.dim {
-		return fmt.Errorf("tree: element dimension %d does not match mechanism dimension %d", len(v), tr.dim)
-	}
-	if dst != nil && len(dst) != tr.dim {
-		return fmt.Errorf("tree: destination dimension %d does not match mechanism dimension %d", len(dst), tr.dim)
-	}
-	if tr.t >= tr.maxT {
-		return fmt.Errorf("tree: stream length exceeds configured maximum %d", tr.maxT)
-	}
-	tr.t++
-	t := tr.t
-
-	// i is the index of the lowest set bit of t: the level at which a dyadic
-	// range closes at this timestep.
-	i := lowestSetBit(t)
-	if i >= tr.levels {
-		// Cannot happen for t <= maxT, but guard anyway.
-		i = tr.levels - 1
-	}
-
-	// a_i ← Σ_{j<i} a_j + υ_t  (fold the lower in-progress sums into level i).
-	ai := tr.alpha[i]
-	for j := 0; j < i; j++ {
-		aj := tr.alpha[j]
-		for k := range ai {
-			ai[k] += aj[k]
-		}
-	}
-	for k := range ai {
-		ai[k] += v[k]
-	}
-	// Zero the lower levels.
-	for j := 0; j < i; j++ {
-		zero(tr.alpha[j])
-	}
-
-	// The running sum s_t = Σ_{j : Bin_j(t) ≠ 0} (a_j + noise_j) is pure
-	// post-processing of the node values, so it is computed only when the
-	// caller asks for it: here when dst is non-nil, otherwise at the next
-	// SumInto, which amortizes both the aggregation and the noise
-	// materialization across batched adds.
-	if dst != nil {
-		tr.SumInto(dst)
-	}
-	return nil
-}
+// Bytes implements Overlay: the slab of per-level noise memos.
+func (tr *Tree) Bytes() int { return 8 * tr.levels * tr.dim }
 
 // nodeNoise returns the memoized noise vector of the level-j node with dyadic
 // index idx, materializing it from the PRF stream on first use. Pure in
@@ -302,22 +233,22 @@ func (tr *Tree) nodeNoise(j int, idx uint64) []float64 {
 	return tr.noise[j]
 }
 
-// SumInto writes the current private running-sum estimate
-// s_t = Σ_{j : Bin_j(t) ≠ 0} (a_j + noise_j) into dst without allocating.
-// It is deterministic given (noiseKey, t) and the partial sums, so eager,
-// lazy and repeated reads observe bit-identical estimates; node noise is
-// memoized per level, so a repeated read costs O(levels·dim) additions.
-func (tr *Tree) SumInto(dst []float64) {
-	dst = dst[:tr.dim]
-	zero(dst)
-	for j := 0; j < tr.levels; j++ {
-		if tr.t&(1<<uint(j)) == 0 {
-			continue
-		}
-		aj := tr.alpha[j]
-		nj := tr.nodeNoise(j, uint64(tr.t)>>uint(j))
+// AddNoiseTo implements Overlay: it adds N_t = Σ_{j ∈ bits(t)} z(key, j, t≫j)
+// into dst, level by level from the lowest set bit up. Node noise is memoized
+// per level, so a repeated read at the same t costs O(levels·dim) additions
+// and no allocation.
+func (tr *Tree) AddNoiseTo(dst []float64, t int) {
+	if len(dst) != tr.dim {
+		panic(fmt.Sprintf("tree: destination dimension %d does not match overlay dimension %d", len(dst), tr.dim))
+	}
+	if t < 0 || t > tr.maxT {
+		panic(fmt.Sprintf("tree: stream length %d outside [0, %d]", t, tr.maxT))
+	}
+	for u := uint64(t); u != 0; u &= u - 1 {
+		j := bits.TrailingZeros64(u)
+		nj := tr.nodeNoise(j, uint64(t)>>uint(j))
 		for k := range dst {
-			dst[k] += aj[k] + nj[k]
+			dst[k] += nj[k]
 		}
 	}
 }
@@ -340,40 +271,29 @@ func (tr *Tree) ErrorBound(beta float64) float64 {
 	return tr.sigma * (math.Sqrt(l*d) + math.Sqrt(2*l*math.Log(1/beta)))
 }
 
-// treeStateVersion is the Tree checkpoint format version. Version 2 is the
-// counter-keyed lazy-noise format: it persists the noise key and the exact
-// per-level partial sums only — node noise and the running sum are pure
-// functions of them and are re-materialized on demand after restore. Version-1
-// blobs (which carried noisy node buffers and a generator stream position) are
-// rejected.
-const treeStateVersion = 2
+// treeStateVersion is the Tree checkpoint format version. Version 3 is the
+// overlay format: the structural parameters and the noise key, with no
+// stream position and no partial sums (the stream keeps its exact sum and
+// count). Version-2 blobs (per-level exact partial sums) and version-1 blobs
+// (noisy node buffers and a generator stream position) are rejected.
+const treeStateVersion = 3
 
-// AppendState implements Mechanism: it writes the stream position, the
-// per-level exact partial sums, and the noise key. Together with the
-// construction parameters — which the restoring instance must share, and which
-// are embedded for verification — this is everything needed to continue
-// bit-identically: noise is a pure function of (noiseKey, node), so no sampler
+// AppendState implements Overlay: the construction parameters, which the
+// restoring instance must share and which are embedded for verification, and
+// the noise key. Noise is a pure function of (noiseKey, node), so no sampler
 // position exists to capture.
 func (tr *Tree) AppendState(w *codec.Writer) {
-	size := 64 // version, kind, five scalars and the key
-	for j := 0; j < tr.levels; j++ {
-		size += 8 + 8*len(tr.alpha[j])
-	}
-	w.Grow(size)
+	w.Grow(56)
 	w.Version(treeStateVersion)
 	w.String("tree")
 	w.Int(tr.dim)
 	w.Int(tr.maxT)
 	w.F64(tr.sensitivity)
 	w.F64(tr.sigma)
-	w.Int(tr.t)
-	for j := 0; j < tr.levels; j++ {
-		w.F64s(tr.alpha[j])
-	}
 	w.I64(tr.noiseKey)
 }
 
-// UnmarshalState implements Mechanism: it restores state captured by
+// UnmarshalState implements Overlay: it restores state captured by
 // AppendState into a Tree constructed with the same configuration. The noise
 // key is taken from the checkpoint (the restoring instance may have been built
 // with a different seed), and all noise memoization is invalidated — it will
@@ -390,37 +310,13 @@ func (tr *Tree) UnmarshalState(data []byte) error {
 	if s := r.F64(); r.Err() == nil && s != tr.sigma {
 		return fmt.Errorf("tree: checkpoint noise scale %g does not match configured %g (privacy parameters differ)", s, tr.sigma)
 	}
-	t := r.Int()
-	if r.Err() == nil && (t < 0 || t > tr.maxT) {
-		return fmt.Errorf("tree: checkpoint stream position %d outside [0, %d]", t, tr.maxT)
-	}
-	for j := 0; j < tr.levels; j++ {
-		r.F64sInto(tr.alpha[j])
-	}
 	noiseKey := r.I64()
 	if err := r.Finish(); err != nil {
 		return err
 	}
-	tr.t = t
 	tr.noiseKey = noiseKey
 	for j := range tr.noiseIdx {
 		tr.noiseIdx[j] = 0
 	}
 	return nil
-}
-
-// lowestSetBit returns the index of the lowest set bit of t. The degenerate
-// input t <= 0 (no set bit — the old hand-rolled shift loop spun forever on
-// it) maps to level 0.
-func lowestSetBit(t int) int {
-	if t <= 0 {
-		return 0
-	}
-	return bits.TrailingZeros(uint(t))
-}
-
-func zero(v []float64) {
-	for i := range v {
-		v[i] = 0
-	}
 }

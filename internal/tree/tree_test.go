@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"privreg/internal/codec"
 	"privreg/internal/dp"
 	"privreg/internal/randx"
 )
@@ -35,7 +36,7 @@ func TestTreeConfigValidation(t *testing.T) {
 func TestTreeExactSumsAtNegligibleNoise(t *testing.T) {
 	src := randx.NewSource(2)
 	const dim, T = 3, 37
-	mech, err := New(Config{Dim: dim, MaxLen: T, Sensitivity: 2, Privacy: lowNoise()}, src)
+	mech, err := treeStream(Config{Dim: dim, MaxLen: T, Sensitivity: 2, Privacy: lowNoise()}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,23 +61,34 @@ func TestTreeExactSumsAtNegligibleNoise(t *testing.T) {
 	}
 }
 
+// TestTreeRejectsOverflowAndDimMismatch pins the overlay's guards: a
+// destination of the wrong dimension, and a stream length below zero or past
+// MaxLen, panic rather than read past the level memo or key a node outside
+// the tree.
 func TestTreeRejectsOverflowAndDimMismatch(t *testing.T) {
 	src := randx.NewSource(3)
 	mech, err := New(Config{Dim: 2, MaxLen: 2, Sensitivity: 1, Privacy: lowNoise()}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := add(mech, []float64{1}); err == nil {
-		t.Fatal("dimension mismatch should error")
+	panics := func(dst []float64, n int) (p bool) {
+		defer func() { p = recover() != nil }()
+		mech.AddNoiseTo(dst, n)
+		return false
 	}
-	if _, err := add(mech, []float64{1, 1}); err != nil {
-		t.Fatal(err)
+	if !panics(make([]float64, 1), 1) {
+		t.Fatal("dimension mismatch should panic")
 	}
-	if _, err := add(mech, []float64{1, 1}); err != nil {
-		t.Fatal(err)
+	for n := 0; n <= 2; n++ {
+		if panics(make([]float64, 2), n) {
+			t.Fatalf("stream length %d within MaxLen should not panic", n)
+		}
 	}
-	if _, err := add(mech, []float64{1, 1}); err == nil {
-		t.Fatal("exceeding MaxLen should error")
+	if !panics(make([]float64, 2), 3) {
+		t.Fatal("exceeding MaxLen should panic")
+	}
+	if !panics(make([]float64, 2), -1) {
+		t.Fatal("a negative stream length should panic")
 	}
 }
 
@@ -113,11 +125,11 @@ func TestTreeErrorWithinBound(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		src := randx.NewSource(int64(100 + trial))
 		const dim, T = 4, 128
-		mech, err := New(Config{Dim: dim, MaxLen: T, Sensitivity: 2, Privacy: p}, src)
+		mech, err := treeStream(Config{Dim: dim, MaxLen: T, Sensitivity: 2, Privacy: p}, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := mech.ErrorBound(0.05)
+		bound := mech.ov.(*Tree).ErrorBound(0.05)
 		exact := make([]float64, dim)
 		worst := 0.0
 		for i := 0; i < T; i++ {
@@ -148,17 +160,25 @@ func TestTreeErrorWithinBound(t *testing.T) {
 }
 
 func TestTreeSpaceUsage(t *testing.T) {
-	// The mechanism must only keep O(levels) per-level buffers, independent of T.
+	// The overlay keeps only its per-level noise memo, O(levels) buffers, and
+	// checkpoints no sums: its checkpoint does not grow with T.
 	src := randx.NewSource(6)
 	mech, err := New(Config{Dim: 5, MaxLen: 1 << 16, Sensitivity: 1, Privacy: lowNoise()}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(mech.alpha), mech.levels; got != want {
-		t.Fatalf("alpha buffers = %d, want %d", got, want)
-	}
 	if got, want := len(mech.noise), mech.levels; got != want {
 		t.Fatalf("noise buffers = %d, want %d", got, want)
+	}
+	if got, want := mech.Bytes(), 8*mech.levels*5; got != want {
+		t.Fatalf("Bytes = %d, want %d", got, want)
+	}
+	short, err := New(Config{Dim: 5, MaxLen: 4, Sensitivity: 1, Privacy: lowNoise()}, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := len(codec.Encode(mech)), len(codec.Encode(short)); a != b {
+		t.Fatalf("checkpoint of a 2^16-long tree is %d bytes, of a 4-long one %d", a, b)
 	}
 }
 
@@ -184,11 +204,11 @@ func TestLowestSetBit(t *testing.T) {
 func TestAddToMatchesAdd(t *testing.T) {
 	p := dp.Params{Epsilon: 1, Delta: 1e-6}
 	const dim, T = 3, 50
-	a, err := New(Config{Dim: dim, MaxLen: T, Sensitivity: 2, Privacy: p}, randx.NewSource(42))
+	a, err := treeStream(Config{Dim: dim, MaxLen: T, Sensitivity: 2, Privacy: p}, randx.NewSource(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Config{Dim: dim, MaxLen: T, Sensitivity: 2, Privacy: p}, randx.NewSource(42))
+	b, err := treeStream(Config{Dim: dim, MaxLen: T, Sensitivity: 2, Privacy: p}, randx.NewSource(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +237,9 @@ func TestAddToMatchesAdd(t *testing.T) {
 	}
 }
 
-// TestTreeAddToZeroAlloc is the allocation-regression guard of the hot path:
-// a Tree Mechanism update must not touch the heap.
+// TestTreeAddToZeroAlloc is the allocation-regression guard of the read
+// path: adding the Tree Mechanism's noise at each new stream length, and
+// again at the same one, must not touch the heap.
 func TestTreeAddToZeroAlloc(t *testing.T) {
 	src := randx.NewSource(11)
 	mech, err := New(Config{
@@ -228,18 +249,16 @@ func TestTreeAddToZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := make([]float64, 256)
-	v[0] = 1
 	dst := make([]float64, 256)
+	n := 0
 	if allocs := testing.AllocsPerRun(200, func() {
-		if err := mech.AddTo(dst, v); err != nil {
-			t.Fatal(err)
-		}
+		n++
+		mech.AddNoiseTo(dst, n)
 	}); allocs != 0 {
-		t.Fatalf("Tree.AddTo allocates %v times per run, want 0", allocs)
+		t.Fatalf("Tree.AddNoiseTo at a new length allocates %v times per run, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { mech.SumInto(dst) }); allocs != 0 {
-		t.Fatalf("Tree.SumInto allocates %v times per run, want 0", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { mech.AddNoiseTo(dst, n) }); allocs != 0 {
+		t.Fatalf("Tree.AddNoiseTo at the same length allocates %v times per run, want 0", allocs)
 	}
 }
 
@@ -266,14 +285,15 @@ func TestNaiveSumAddToZeroAlloc(t *testing.T) {
 // boundaries.
 func TestHybridAddToMatchesAdd(t *testing.T) {
 	p := dp.Params{Epsilon: 1, Delta: 1e-6}
-	a, err := NewHybrid(2, 2, p, randx.NewSource(13))
+	ha, err := NewHybrid(2, 2, p, randx.NewSource(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewHybrid(2, 2, p, randx.NewSource(13))
+	hb, err := NewHybrid(2, 2, p, randx.NewSource(13))
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := hybridStream(ha), hybridStream(hb)
 	dst := make([]float64, 2)
 	for i := 1; i <= 70; i++ {
 		v := []float64{1, float64(i % 5)}
@@ -298,10 +318,11 @@ func TestHybridAddToMatchesAdd(t *testing.T) {
 func TestSharedSourceMechanismsGetIndependentNoise(t *testing.T) {
 	p := dp.Params{Epsilon: 1, Delta: 1e-6}
 	src := randx.NewSource(7)
-	tr, err := New(Config{Dim: 1, MaxLen: 8, Sensitivity: 2, Privacy: p}, src)
+	ts, err := treeStream(Config{Dim: 1, MaxLen: 8, Sensitivity: 2, Privacy: p}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := ts.ov.(*Tree)
 	nv, err := NewNaiveSum(1, 8, 2, p, src)
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +330,7 @@ func TestSharedSourceMechanismsGetIndependentNoise(t *testing.T) {
 	if tr.noiseKey == nv.noiseKey {
 		t.Fatal("mechanisms built from one source share a noise key")
 	}
-	a, err := add(tr, []float64{0})
+	a, err := add(ts, []float64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,10 +356,11 @@ func TestNumLevels(t *testing.T) {
 
 func TestHybridExactSumsAtNegligibleNoise(t *testing.T) {
 	src := randx.NewSource(7)
-	mech, err := NewHybrid(2, 2, lowNoise(), src)
+	ov, err := NewHybrid(2, 2, lowNoise(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mech := hybridStream(ov)
 	exact := []float64{0, 0}
 	const T = 100 // crosses several epoch boundaries
 	for i := 1; i <= T; i++ {
@@ -370,8 +392,16 @@ func TestHybridValidation(t *testing.T) {
 		t.Fatal("nil source should be rejected")
 	}
 	mech, _ := NewHybrid(2, 1, lowNoise(), src)
-	if _, err := add(mech, []float64{1}); err == nil {
-		t.Fatal("dimension mismatch should error")
+	panics := func(dst []float64, n int) (p bool) {
+		defer func() { p = recover() != nil }()
+		mech.AddNoiseTo(dst, n)
+		return false
+	}
+	if !panics(make([]float64, 1), 1) {
+		t.Fatal("dimension mismatch should panic")
+	}
+	if !panics(make([]float64, 2), -1) {
+		t.Fatal("a negative stream length should panic")
 	}
 }
 
@@ -426,7 +456,7 @@ func TestTreePrefixSumProperty(t *testing.T) {
 		src := randx.NewSource(seed)
 		dim := 1 + src.Intn(4)
 		T := 1 + src.Intn(40)
-		mech, err := New(Config{Dim: dim, MaxLen: T, Sensitivity: 1, Privacy: lowNoise()}, src.Split())
+		mech, err := treeStream(Config{Dim: dim, MaxLen: T, Sensitivity: 1, Privacy: lowNoise()}, src.Split())
 		if err != nil {
 			return false
 		}

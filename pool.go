@@ -93,9 +93,9 @@ type PoolStats struct {
 	// other cluster nodes (included in Streams; 0 outside a cluster).
 	StandbyStreams int
 	// RetainedBytes is the total in-memory state retained across resident
-	// streams (sufficient statistics, history buffers, or the per-level
-	// partial sums and noise memos of the regression mechanisms' trees;
-	// spilled streams contribute 0).
+	// streams (sufficient statistics, history buffers, and the per-level
+	// noise memos of the regression mechanisms' tree overlays; spilled
+	// streams contribute 0).
 	RetainedBytes int64
 }
 
@@ -261,6 +261,13 @@ func (p *Pool) EstimateOutcome(id string, i int) ([]float64, error) {
 // alongside the residency state.
 func (p *Pool) LenOK(id string) (int, bool) {
 	return p.store.Length(id)
+}
+
+// StateBytes returns the stream's retained in-memory state in bytes, the
+// per-stream share of PoolStats.RetainedBytes (0 while the stream is spilled
+// to disk), and whether the stream exists. It never faults a stream in.
+func (p *Pool) StateBytes(id string) (int64, bool) {
+	return p.store.StateBytes(id)
 }
 
 // Has reports whether the stream exists (has observed at least one batch, or

@@ -16,8 +16,9 @@ func spillPoolOptions(seed int64, dir string, cap int) []Option {
 
 // TestSpillPoolRetainedBytesGradient pins the retained-state accounting of
 // the gradient mechanism in a capped pool: only resident streams count, and
-// per stream the size grows with the tree depth as both trees' per-level
-// partial sums and noise memos, d(d+1)/2 + d floats each per level.
+// per stream the size grows with the tree depth only as both overlays'
+// per-level noise memos, d(d+1)/2 + d floats per level; the exact sums are
+// one Gram and one vector at any depth.
 func TestSpillPoolRetainedBytesGradient(t *testing.T) {
 	const dim, streams, cap = 8, 5, 3
 	perStream := func(horizon int) int64 {
@@ -47,13 +48,13 @@ func TestSpillPoolRetainedBytesGradient(t *testing.T) {
 	// Horizons 64 and 4096 give trees of 7 and 13 levels.
 	small, large := perStream(64), perStream(4096)
 	packed := dim * (dim + 1) / 2
-	want := int64(8 * 2 * (13 - 7) * (packed + dim))
+	want := int64(8 * 1 * (13 - 7) * (packed + dim))
 	if large-small != want {
-		t.Fatalf("per-stream RetainedBytes %d -> %d grew by %d, want 8·2·Δlevels·(d(d+1)/2+d) = %d",
+		t.Fatalf("per-stream RetainedBytes %d -> %d grew by %d, want 8·1·Δlevels·(d(d+1)/2+d) = %d",
 			small, large, large-small, want)
 	}
-	if min := int64(8 * 2 * 7 * packed); small < min {
-		t.Fatalf("per-stream RetainedBytes %d below the second-moment tree alone (%d)", small, min)
+	if min := int64(8 * (7 + 1) * packed); small < min {
+		t.Fatalf("per-stream RetainedBytes %d below the second-moment noise memo and exact Gram alone (%d)", small, min)
 	}
 }
 
@@ -476,7 +477,7 @@ func TestMemoryPoolStatsAndImports(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A first batch past the horizon is rejected but leaves the stream.
+	// A first batch past the horizon is rejected and leaves no stream.
 	xs := make([]float64, 65*4)
 	if err := p.ObserveFlat("full", 4, xs, make([]float64, 65)); !errors.Is(err, ErrStreamFull) {
 		t.Fatalf("oversized first batch = %v, want ErrStreamFull", err)
@@ -493,7 +494,7 @@ func TestMemoryPoolStatsAndImports(t *testing.T) {
 	}
 
 	want := p.Stats()
-	want.Streams, want.Observations, want.Resident, want.DirtyStreams = 3, 10, 3, 3
+	want.Streams, want.Observations, want.Resident, want.DirtyStreams = 2, 10, 2, 2
 	want.Spilled, want.Evictions, want.FaultIns, want.Shards = 0, 0, 0, 64
 	if got := p.Stats(); got != want {
 		t.Fatalf("Stats = %+v, want %+v", got, want)
@@ -528,7 +529,7 @@ func TestMemoryPoolStatsAndImports(t *testing.T) {
 	if n, ok := p.LenOK("a"); n != 5 || !ok {
 		t.Fatalf("LenOK(a) after rejected imports = (%d, %v), want (5, true)", n, ok)
 	}
-	if got := fmt.Sprint(p.Streams()); got != "[a c full]" {
+	if got := fmt.Sprint(p.Streams()); got != "[a c]" {
 		t.Fatalf("Streams = %s", got)
 	}
 	if got := fmt.Sprint(listCwd()); got != fmt.Sprint(filesBefore) {
