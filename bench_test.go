@@ -108,7 +108,9 @@ func BenchmarkAblationSketchBackend(b *testing.B) { runExperiment(b, "A5") }
 // BenchmarkTreeMechanismAddNoiseTo measures the cost of adding the Tree
 // Mechanism's release noise at each successive stream length, for vector
 // dimensions of the order the regression mechanisms use (d and d(d+1)/2).
-// The allocs/op column must read 0 (guarded by TestTreeAddToZeroAlloc).
+// Every call regenerates the noise of the popcount(t) nodes it sums, about
+// half the tree's levels on average, so nothing is reused across calls. The
+// allocs/op column must read 0 (guarded by TestTreeAddToZeroAlloc).
 func BenchmarkTreeMechanismAddNoiseTo(b *testing.B) {
 	for _, dim := range []int{16, 256, 1024} {
 		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {

@@ -337,17 +337,17 @@ func (m *privateMoments) Len() int { return m.stats.Len() }
 // error of the private gradient function, for diagnostics and experiments.
 func (m *privateMoments) GradientErrorScale() float64 { return m.gradErr }
 
-// bytes is the core's retained memory: the exact statistics, both overlays'
-// noise memos, the iterate and memo, the descent solver's five domain-sized
-// vectors or, once a read has allocated it, the trust-region workspace, and,
-// once a read has allocated it, the gradient workspace.
+// bytes is the core's retained memory: the exact statistics, the iterate and
+// estimate memo, the descent solver's five domain-sized vectors or, once a
+// read has allocated it, the trust-region workspace, and, once a read has
+// allocated it, the gradient workspace. The two overlays keep no noise
+// buffer, so none of it grows with the horizon.
 func (m *privateMoments) bytes() int {
 	solver := m.trust.Bytes()
 	if m.solver != nil {
 		solver = 8 * 5 * m.dim
 	}
-	return m.stats.Bytes() + m.sumXY.Bytes() + m.sumXXT.Bytes() + m.grad.bytes() + solver +
-		8*(len(m.prev)+len(m.estCache))
+	return m.stats.Bytes() + m.grad.bytes() + solver + 8*(len(m.prev)+len(m.estCache))
 }
 
 // appendMoments appends the core's checkpoint section to w: the warm-start

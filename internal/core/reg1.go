@@ -106,9 +106,9 @@ func (g *GradientRegression) ObserveRows(xs, ys []float64) error {
 func (g *GradientRegression) Estimate() (vec.Vector, error) { return g.estimate(nil) }
 
 // StateBytes reports the retained per-stream memory of the mechanism: the
-// core's statistics, noise memos, buffers and read workspace plus the clamp
-// buffer. O(1); the
-// serving store reads it on every access.
+// core's exact statistics, estimate memo, buffers and read workspace plus the
+// clamp buffer, O(d²) at any horizon. O(1) to compute; the serving store
+// reads it on every access.
 func (g *GradientRegression) StateBytes() int { return g.bytes() + 8*len(g.xWork) }
 
 // ExcessRiskBoundReg1 returns the leading term of the Theorem 4.2 bound,

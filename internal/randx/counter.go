@@ -2,15 +2,16 @@ package randx
 
 import "sync"
 
-// This file implements the counter-keyed noise substrate of the lazy Tree
-// Mechanism: a splittable, counter-based PRF stream whose output is a pure
-// function of (key, node) — never of draw order. The continual-sum mechanisms
-// key every tree node's noise vector by its position in the dyadic tree, so
-// ingestion performs no sampling at all and the noise of a node is
-// materialized (identically, no matter when or how often) only when the node
-// first participates in a released prefix sum. Batch and scalar ingestion,
-// and checkpoint/restore at any cut point, are bit-identical by construction:
-// there is no sampler state to advance out of sync.
+// This file implements the counter-keyed noise substrate of the Tree
+// Mechanism's noise overlays: a splittable, counter-based PRF stream whose
+// output is a pure function of (key, node) — never of draw order. The
+// continual-sum mechanisms key every tree node's noise vector by its position
+// in the dyadic tree, so ingestion performs no sampling at all and a release
+// regenerates the noise of the nodes it sums (identically, no matter when or
+// how often) and adds it straight into its destination; nothing is cached.
+// Batch and scalar ingestion, and checkpoint/restore at any cut point, are
+// bit-identical by construction: there is no sampler state to advance out of
+// sync.
 
 // golden is the SplitMix64 increment (2^64/φ, the Weyl constant of the
 // sequence).
@@ -61,6 +62,24 @@ func (c *CounterSource) FillNormal(dst []float64, sigma float64) {
 	}
 }
 
+// AddNormal adds i.i.d. N(0, sigma^2) samples drawn from the stream into
+// dst: dst[i] += sigma·z_i, with the product rounded to float64 before the
+// addition (the conversion keeps the compiler from fusing a multiply-add), so
+// the result is bit-identical to FillNormal into a buffer followed by adding
+// the buffer. sigma must be non-negative; sigma == 0 leaves dst unchanged
+// without consuming the stream.
+func (c *CounterSource) AddNormal(dst []float64, sigma float64) {
+	if sigma < 0 {
+		panic("randx: negative standard deviation")
+	}
+	if sigma == 0 {
+		return
+	}
+	for i := range dst {
+		dst[i] += float64(sigma * zigNormal(c))
+	}
+}
+
 // SubKey derives an independent child PRF key from a parent key and an index,
 // e.g. the per-epoch tree keys of the Hybrid mechanism. The derivation is a
 // pure function (no generator state), so restored mechanisms re-derive the
@@ -77,9 +96,9 @@ func FillNormalAt(key int64, node uint64, dst []float64, sigma float64) {
 	c.FillNormal(dst, sigma)
 }
 
-// bufPool recycles float64 scratch buffers for transient noise
-// materialization (e.g. the Hybrid mechanism's per-epoch snapshot noise at
-// estimate time), so the lazy paths stay allocation-free in steady state.
+// bufPool recycles float64 scratch buffers for transient noise sums (e.g.
+// the Hybrid mechanism's completed-epoch snapshot noise at estimate time), so
+// the read paths stay allocation-free in steady state.
 var bufPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // GetBuf returns a zeroed scratch buffer of length n from the pool.

@@ -10,7 +10,7 @@ import "math"
 // layer index, sign, and mantissa from disjoint bits of a single 64-bit word,
 // and is generic over any Uint64 supplier — which is what lets the same
 // routine run on both a Source's math/rand generator and the counter-mode PRF
-// streams used for lazy node-noise materialization.
+// streams that generate tree-node noise.
 //
 // The tables are computed once at init from math.Exp/Log/Sqrt; all inputs are
 // exact dyadic rationals derived from integer bits, so the sampler is

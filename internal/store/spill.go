@@ -91,7 +91,7 @@ type shard struct {
 
 // entry is one stream's slot. Field ownership:
 //   - st, file: guarded by mu (held across estimator work and disk I/O)
-//   - prev, next, inLRU, pins: guarded by the owning shard's mu
+//   - prev, next, inLRU, pins, creating: guarded by the owning shard's mu
 //   - len, dirty, dropped: atomics, readable under either lock
 type entry struct {
 	id string
@@ -103,6 +103,9 @@ type entry struct {
 	prev, next *entry
 	inLRU      bool
 	pins       int
+	// creating marks an entry made by an access that has not yet brought it
+	// resident: neither resident nor spilled, so Stats counts it as neither.
+	creating bool
 
 	len     atomic.Int64
 	bytes   atomic.Int64 // retained state of the resident estimator (0 while spilled)
@@ -297,8 +300,8 @@ func (s *Store) Update(id string, create bool, fn func(Stream) error) error {
 
 // Read is Update without creation and without the dirty mark: for
 // operations whose state changes (if any) are deterministically
-// reconstructible from the last persisted state — estimate-cache fills, lazy
-// noise materialization — so the stream's segment on disk remains a valid
+// reconstructible from the last persisted state — estimate-cache fills, read
+// workspaces — so the stream's segment on disk remains a valid
 // snapshot and a later eviction or flush costs no write. Callers whose fn
 // mutates state that future outputs depend on must use Update.
 func (s *Store) Read(id string, fn func(Stream) error) error {
@@ -315,7 +318,7 @@ func (s *Store) access(id string, create, markDirty bool, fn func(Stream) error)
 			sh.mu.Unlock()
 			return ErrNotFound
 		}
-		e = &entry{id: id}
+		e = &entry{id: id, creating: true}
 		sh.table[id] = e
 		created = true
 	}
@@ -387,6 +390,7 @@ func (s *Store) release(sh *shard, e *entry, materialized, failedCreate bool) {
 			delete(sh.table, e.id)
 			e.dropped.Store(true)
 		case materialized && !e.inLRU:
+			e.creating = false
 			sh.pushFront(e)
 		case materialized:
 			sh.moveFront(e)
@@ -741,12 +745,16 @@ func (s *Store) Import(data []byte, length int64) (string, error) {
 // Stats returns a point-in-time snapshot.
 func (s *Store) Stats() Stats {
 	var st Stats
+	creating := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		st.Streams += len(sh.table)
 		st.Resident += sh.resident
 		for _, e := range sh.table {
+			if e.creating {
+				creating++
+			}
 			st.Observations += e.len.Load()
 			st.StateBytes += e.bytes.Load()
 			if e.dirty.Load() {
@@ -755,7 +763,7 @@ func (s *Store) Stats() Stats {
 		}
 		sh.mu.Unlock()
 	}
-	st.Spilled = st.Streams - st.Resident
+	st.Spilled = st.Streams - st.Resident - creating
 	st.Shards = len(s.shards)
 	st.Evictions = s.evictions.Load()
 	st.Faults = s.faults.Load()

@@ -62,7 +62,9 @@ var ErrNotPersistent = errors.New("store: store has no directory")
 
 // Stats is a point-in-time snapshot of a store.
 type Stats struct {
-	// Streams is the number of live streams, resident or spilled.
+	// Streams is the number of live streams: resident, spilled, or in the
+	// first access that creates them (counted as neither resident nor
+	// spilled until it brings them resident).
 	Streams int
 	// Resident is the number of streams currently materialized in memory.
 	Resident int

@@ -639,3 +639,55 @@ func pinned(s *Store, id string, n int) bool {
 	e := sh.table[id]
 	return e != nil && e.pins == n
 }
+
+// TestStatsCountCreatingStreamAsNeither checks that a stream whose first
+// access is still building it counts in Streams but as neither resident nor
+// spilled, in both store modes: a memory-only store never reports a spilled
+// stream, and a spilling store reports only the streams it spilled.
+func TestStatsCountCreatingStreamAsNeither(t *testing.T) {
+	for _, mode := range []string{"memory", "dir"} {
+		t.Run(mode, func(t *testing.T) {
+			dir, cap := "", 0
+			if mode == "dir" {
+				dir, cap = t.TempDir(), 1
+			}
+			entered, unblock := make(chan struct{}), make(chan struct{})
+			s, err := Open(dir, "fake", cap, func(id string) (Stream, error) {
+				if id == "new" {
+					close(entered)
+					<-unblock
+				}
+				return &fakeStream{id: id}, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendTo(t, s, "a", 1)
+			appendTo(t, s, "b", 2) // spills a when the cap is 1
+			wantSpilled := 0
+			if mode == "dir" {
+				wantSpilled = 1
+			}
+			done := make(chan error, 1)
+			go func() {
+				done <- s.Update("new", true, func(st Stream) error {
+					st.(*fakeStream).append(3)
+					return nil
+				})
+			}()
+			<-entered
+			if st := s.Stats(); st.Streams != 3 || st.Resident != 2-wantSpilled || st.Spilled != wantSpilled {
+				t.Fatalf("Stats while the factory blocks = %+v, want Streams 3, Resident %d, Spilled %d",
+					st, 2-wantSpilled, wantSpilled)
+			}
+			close(unblock)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			st := s.Stats()
+			if st.Streams != 3 || st.Resident+st.Spilled != 3 || (mode == "memory" && st.Spilled != 0) {
+				t.Fatalf("Stats after the first access = %+v", st)
+			}
+		})
+	}
+}

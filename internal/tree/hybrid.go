@@ -43,25 +43,18 @@ func epochTreeKey(noiseKey int64, epoch int) int64 {
 // N_t is the snapshot noise of the completed epochs plus the in-epoch tree's
 // noise at the epoch's own count; AddNoiseTo adds N_t.
 //
-// Like Tree, all noise is counter-keyed and lazy: epoch k's snapshot noise is
-// a pure function of (noiseKey, k) and epoch trees derive their keys with
-// epochTreeKey, so the released sequence is independent of when estimates are
-// read.
+// Like Tree, all noise is counter-keyed and stateless: epoch k's snapshot
+// noise is a pure function of (noiseKey, k) and epoch trees derive their keys
+// with epochTreeKey, so the released sequence is independent of when
+// estimates are read, and the overlay keeps no noise buffer.
 type Hybrid struct {
 	dim         int
 	sensitivity float64
 	privacy     dp.Params
 	noiseKey    int64
 	logSigma    float64
-
-	// noiseSum memoizes Σ_{k < noised} snapshot noise of completed epochs;
-	// lagging epochs are materialized at the next released estimate.
-	noiseSum []float64
-	noised   int
-	// epochTree is the overlay of epoch `epoch`'s tree, built at the first
-	// read inside that epoch (nil before any).
-	epochTree *Tree
-	epoch     int
+	// cs is the PRF stream scratch of AddNoiseTo (see Tree.cs).
+	cs randx.CounterSource
 }
 
 // NewHybrid returns a Hybrid overlay for streams of unbounded (unknown) length
@@ -101,28 +94,7 @@ func NewHybrid(dim int, sensitivity float64, p dp.Params, src *randx.Source) (*H
 		privacy:     p,
 		noiseKey:    src.DeriveKey(),
 		logSigma:    logSigma,
-		noiseSum:    make([]float64, dim),
 	}, nil
-}
-
-// epochTreeFor returns epoch k's tree overlay (length 2^k) with its derived
-// noise key, building it when the memoized one belongs to another epoch.
-func (h *Hybrid) epochTreeFor(epoch int) *Tree {
-	if h.epochTree == nil || h.epoch != epoch {
-		et, err := newWithKey(Config{
-			Dim:         h.dim,
-			MaxLen:      1 << uint(epoch),
-			Sensitivity: h.sensitivity,
-			Privacy:     h.privacy.Halve(),
-		}, epochTreeKey(h.noiseKey, epoch))
-		if err != nil {
-			// NewHybrid validated the configuration, and no stream reaches
-			// epoch 48 (2^48 rows), so no error is reachable.
-			panic(err)
-		}
-		h.epochTree, h.epoch = et, epoch
-	}
-	return h.epochTree
 }
 
 // ReleaseSigma implements Overlay. A prefix of length up to n sums the
@@ -140,21 +112,12 @@ func (h *Hybrid) ReleaseSigma(n int) float64 {
 	return math.Sqrt(snapshots*h.logSigma*h.logSigma + float64(levels)*treeSig*treeSig)
 }
 
-// Bytes implements Overlay: the memoized snapshot noise plus the current
-// epoch tree's noise memo.
-func (h *Hybrid) Bytes() int {
-	b := 8 * h.dim
-	if h.epochTree != nil {
-		b += h.epochTree.Bytes()
-	}
-	return b
-}
-
 // AddNoiseTo implements Overlay: after t elements, epochs 0..e−1 are complete,
 // e = ⌊log₂(t+1)⌋, and the current epoch holds s = t − (2^e − 1) elements.
-// It adds the completed epochs' snapshot noise and then epoch e's tree noise
-// at s. Only a read that reaches a new epoch allocates (that epoch's tree
-// memo); lagging snapshot noise is materialized first.
+// It sums the completed epochs' snapshot noise in epoch order into a pooled
+// scratch, adds that sum to dst, and then adds the noise of epoch e's tree
+// (length 2^e, key epochTreeKey(noiseKey, e)) at s. It allocates nothing in
+// steady state.
 func (h *Hybrid) AddNoiseTo(dst []float64, t int) {
 	if len(dst) != h.dim {
 		panic(fmt.Sprintf("tree: destination dimension %d does not match overlay dimension %d", len(dst), h.dim))
@@ -163,28 +126,19 @@ func (h *Hybrid) AddNoiseTo(dst []float64, t int) {
 		panic(fmt.Sprintf("tree: negative stream length %d", t))
 	}
 	epochs := bits.Len64(uint64(t)+1) - 1
-	if h.noised > epochs {
-		// A read behind the memo (a caller going back in time) rebuilds it
-		// in the same order, so the sum is bit-identical.
-		clear(h.noiseSum)
-		h.noised = 0
-	}
-	if h.noised < epochs {
-		buf := randx.GetBuf(h.dim)
-		for h.noised < epochs {
-			randx.FillNormalAt(h.noiseKey, snapshotNode(h.noised), *buf, h.logSigma)
-			for k := range h.noiseSum {
-				h.noiseSum[k] += (*buf)[k]
-			}
-			h.noised++
-		}
-		randx.PutBuf(buf)
+	buf := randx.GetBuf(h.dim)
+	snapshots := *buf
+	for k := 0; k < epochs; k++ {
+		h.cs = randx.NewCounterSource(h.noiseKey, snapshotNode(k))
+		h.cs.AddNormal(snapshots, h.logSigma)
 	}
 	for k := range dst {
-		dst[k] += h.noiseSum[k]
+		dst[k] += snapshots[k]
 	}
+	randx.PutBuf(buf)
 	if s := t - (1<<uint(epochs) - 1); s > 0 {
-		h.epochTreeFor(epochs).AddNoiseTo(dst, s)
+		sigma := treeSigma(h.sensitivity, numLevels(1<<uint(epochs)), h.privacy.Halve())
+		addTreeNoise(&h.cs, dst, epochTreeKey(h.noiseKey, epochs), sigma, uint64(s))
 	}
 }
 
@@ -196,7 +150,7 @@ const hybridStateVersion = 3
 
 // AppendState implements Overlay for the Hybrid mechanism: the structural
 // parameters and the noise key. Snapshot noise and every epoch tree's key are
-// pure functions of the key and are re-materialized on demand after restore.
+// pure functions of the key.
 func (h *Hybrid) AppendState(w *codec.Writer) {
 	w.Grow(48)
 	w.Version(hybridStateVersion)
@@ -225,11 +179,6 @@ func (h *Hybrid) UnmarshalState(data []byte) error {
 		return err
 	}
 	h.noiseKey = noiseKey
-	// The memos restart from scratch; they re-materialize identically from
-	// the key at the next released estimate.
-	clear(h.noiseSum)
-	h.noised = 0
-	h.epochTree = nil
 	return nil
 }
 
@@ -240,20 +189,17 @@ func (h *Hybrid) UnmarshalState(data []byte) error {
 // BenchmarkAblationTreeVsNaiveSum quantifies the gap.
 //
 // The per-release noise is counter-keyed by the timestep: release t carries
-// the noise vector FillNormalAt(noiseKey, t, ·, σ), drawn lazily when the
-// release is actually read and memoized per timestep, so repeated reads of the
-// same release observe the same value — exactly as the eager implementation's
-// cached release did.
+// the noise vector FillNormalAt(noiseKey, t, ·, σ), regenerated whenever the
+// release is read, so repeated reads of the same release observe the same
+// value — exactly as the eager implementation's cached release did.
 type NaiveSum struct {
 	dim      int
 	sigma    float64
 	noiseKey int64
 	t        int
 	exact    []float64
-	// noise memoizes the release noise of timestep noiseT (0 = none yet).
-	noise  []float64
-	noiseT int
-	cs     randx.CounterSource
+	// cs is the PRF stream scratch of SumInto (see Tree.cs).
+	cs randx.CounterSource
 }
 
 // NewNaiveSum returns a naive continual-sum mechanism for streams of length at
@@ -278,7 +224,6 @@ func NewNaiveSum(dim, maxLen int, sensitivity float64, p dp.Params, src *randx.S
 		sigma:    sigma,
 		noiseKey: src.DeriveKey(),
 		exact:    make([]float64, dim),
-		noise:    make([]float64, dim),
 	}, nil
 }
 
@@ -312,14 +257,9 @@ func (n *NaiveSum) SumInto(dst []float64) {
 		}
 		return
 	}
-	if n.noiseT != n.t {
-		n.cs = randx.NewCounterSource(n.noiseKey, uint64(n.t))
-		n.cs.FillNormal(n.noise, n.sigma)
-		n.noiseT = n.t
-	}
-	for k := range dst {
-		dst[k] = n.exact[k] + n.noise[k]
-	}
+	copy(dst, n.exact)
+	n.cs = randx.NewCounterSource(n.noiseKey, uint64(n.t))
+	n.cs.AddNormal(dst, n.sigma)
 }
 
 // Interface conformance checks.

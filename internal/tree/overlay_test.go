@@ -191,8 +191,8 @@ func restore(t *testing.T, st *sumStream, hybrid bool, dim, maxLen int) *sumStre
 
 // TestOverlayNoiseIsPureInT checks that an overlay's noise depends on the
 // stream length alone, not on the lengths read before: a Tree or Hybrid read
-// at a later length and then at an earlier one (behind its memos) adds the
-// bits a fresh instance adds at the earlier one.
+// at a later length and then at earlier ones adds the bits a fresh instance
+// adds at each earlier one.
 func TestOverlayNoiseIsPureInT(t *testing.T) {
 	const dim = 3
 	build := func(hybrid bool) Overlay {

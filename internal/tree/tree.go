@@ -18,15 +18,15 @@
 // S_t + N_t with N_t = Σ_{j ∈ bits(t)} z(key, j, t≫j). The caller keeps the
 // exact S_t (the regression mechanisms keep it in an erm.MultiStats) and adds
 // N_t with AddNoiseTo. A stream's state is therefore S_t, t and the noise key:
-// O(d), not O(d log T). Only the per-level noise memo, a cache that is never
-// checkpointed, grows with log T.
+// O(d), not O(d log T). An overlay holds only its structural parameters, σ
+// and the key; it keeps no noise buffer.
 //
-// Noise is counter-keyed and lazy: the noise vector of tree node (level j,
-// dyadic index i) is a pure function of (noiseKey, j, i) — a keyed PRF stream
-// fed through the ziggurat (randx.CounterSource) — and is materialized (and
-// memoized per level) only when the node first participates in a released
-// prefix sum. Because noise depends on the node's identity rather than on draw
-// order, batch and scalar ingestion, eager and deferred estimates, and
+// Noise is counter-keyed and stateless: the noise vector of tree node (level
+// j, dyadic index i) is a pure function of (noiseKey, j, i) — a keyed PRF
+// stream fed through the ziggurat (randx.CounterSource) — regenerated at
+// every release that sums the node and added straight into the destination.
+// Because noise depends on the node's identity rather than on draw order,
+// batch and scalar ingestion, eager and deferred estimates, and
 // checkpoint/restore at any cut point all observe bit-identical outputs by
 // construction. The privacy analysis is unchanged: each node still carries one
 // fixed N(0, σ²I_d) draw, used consistently across every release it
@@ -50,7 +50,7 @@ import (
 type Overlay interface {
 	// AddNoiseTo adds N_t, the release noise at stream length t, into dst
 	// (which must have the overlay's dimension) in a fixed order, without
-	// allocating once the noise of the reached nodes is memoized. N_0 is zero.
+	// allocating. N_0 is zero.
 	// It panics when t is negative or beyond a Tree's maximum length.
 	AddNoiseTo(dst []float64, t int)
 	// AppendState appends the overlay's checkpoint to w: its structural
@@ -66,10 +66,6 @@ type Overlay interface {
 	// error bounds from the construction parameters alone, so it does not
 	// depend on how far the stream has progressed.
 	ReleaseSigma(n int) float64
-	// Bytes returns the overlay's retained in-memory state in bytes: its
-	// noise memo, the float buffers it keeps per level or per epoch. It is
-	// O(1).
-	Bytes() int
 }
 
 // Tree is the Tree Mechanism's noise overlay for a stream of known maximum
@@ -84,15 +80,9 @@ type Tree struct {
 	// the noise vector FillNormalAt(noiseKey, nodeIndex(j, i), ·, sigma),
 	// independent of draw order.
 	noiseKey int64
-
-	// noise[j] memoizes the materialized noise vector of the level-j node
-	// noiseIdx[j] (0 = none; live node indices are ≥ 1). A node stays the
-	// level's active one for up to 2^j steps, so one buffer per level gives
-	// full reuse across repeated estimates.
-	noise    [][]float64
-	noiseIdx []uint64
-	// cs is the reusable PRF stream for noise materialization (kept as a field
-	// so the hot path takes no address of a stack local).
+	// cs is the PRF stream scratch of AddNoiseTo, a field so that the read
+	// path takes no address of a stack local (which would move it to the
+	// heap on every node).
 	cs randx.CounterSource
 }
 
@@ -131,9 +121,8 @@ func New(cfg Config, src *randx.Source) (*Tree, error) {
 	return newWithKey(cfg, src.DeriveKey())
 }
 
-// newWithKey is the construction path shared by New and the Hybrid mechanism's
-// per-epoch trees (which derive their keys with randx.SubKey rather than from
-// a Source).
+// newWithKey builds a Tree with the given noise key; New draws the key from
+// a Source.
 func newWithKey(cfg Config, noiseKey int64) (*Tree, error) {
 	if cfg.Dim <= 0 {
 		return nil, fmt.Errorf("tree: dimension must be positive, got %d", cfg.Dim)
@@ -158,27 +147,14 @@ func newWithKey(cfg Config, noiseKey int64) (*Tree, error) {
 		return nil, errors.New("tree: the Tree Mechanism with Gaussian noise requires delta > 0")
 	}
 	levels := numLevels(cfg.MaxLen)
-	dim := cfg.Dim
-	// One slab holds every level's noise memo. Per-level buffers of a few KB
-	// each land in size classes whose spans fragment as a serving pool evicts
-	// and faults streams in; one allocation per tree keeps them together and
-	// frees them together. Each level's slice has its capacity capped at its
-	// own length.
-	slab := make([]float64, levels*dim)
-	tr := &Tree{
-		dim:         dim,
+	return &Tree{
+		dim:         cfg.Dim,
 		maxT:        cfg.MaxLen,
 		levels:      levels,
 		sensitivity: cfg.Sensitivity,
 		sigma:       treeSigma(cfg.Sensitivity, levels, cfg.Privacy),
 		noiseKey:    noiseKey,
-		noise:       make([][]float64, levels),
-		noiseIdx:    make([]uint64, levels),
-	}
-	for j := range tr.noise {
-		tr.noise[j] = slab[j*dim : (j+1)*dim : (j+1)*dim]
-	}
-	return tr, nil
+	}, nil
 }
 
 // treeSigma is the per-node noise standard deviation of a Tree Mechanism with
@@ -217,26 +193,23 @@ func (tr *Tree) NoiseSigma() float64 { return tr.sigma }
 // every stream length.
 func (tr *Tree) ReleaseSigma(int) float64 { return tr.sigma * math.Sqrt(float64(tr.levels)) }
 
-// Bytes implements Overlay: the slab of per-level noise memos.
-func (tr *Tree) Bytes() int { return 8 * tr.levels * tr.dim }
-
-// nodeNoise returns the memoized noise vector of the level-j node with dyadic
-// index idx, materializing it from the PRF stream on first use. Pure in
-// (noiseKey, j, idx): re-materializing after a restore, or in a different
-// instance, reproduces the identical vector.
-func (tr *Tree) nodeNoise(j int, idx uint64) []float64 {
-	if tr.noiseIdx[j] != idx {
-		tr.cs = randx.NewCounterSource(tr.noiseKey, nodeIndex(j, idx))
-		tr.cs.FillNormal(tr.noise[j], tr.sigma)
-		tr.noiseIdx[j] = idx
+// addTreeNoise adds the release noise N_t = Σ_{j ∈ bits(t)} z(key, j, t≫j)
+// of a tree with per-node standard deviation sigma into dst, level by level
+// from the lowest set bit up. Each node's vector is regenerated from the PRF
+// stream (key, nodeIndex(j, t≫j)) in cs and added as it is drawn, so the
+// result is a pure function of (key, sigma, t). It is shared by Tree and the
+// Hybrid mechanism's in-epoch trees.
+func addTreeNoise(cs *randx.CounterSource, dst []float64, key int64, sigma float64, t uint64) {
+	for u := t; u != 0; u &= u - 1 {
+		j := bits.TrailingZeros64(u)
+		*cs = randx.NewCounterSource(key, nodeIndex(j, t>>uint(j)))
+		cs.AddNormal(dst, sigma)
 	}
-	return tr.noise[j]
 }
 
 // AddNoiseTo implements Overlay: it adds N_t = Σ_{j ∈ bits(t)} z(key, j, t≫j)
-// into dst, level by level from the lowest set bit up. Node noise is memoized
-// per level, so a repeated read at the same t costs O(levels·dim) additions
-// and no allocation.
+// into dst. A read at t regenerates the noise of the popcount(t) nodes it
+// sums, O(levels·dim) draws, and allocates nothing.
 func (tr *Tree) AddNoiseTo(dst []float64, t int) {
 	if len(dst) != tr.dim {
 		panic(fmt.Sprintf("tree: destination dimension %d does not match overlay dimension %d", len(dst), tr.dim))
@@ -244,13 +217,7 @@ func (tr *Tree) AddNoiseTo(dst []float64, t int) {
 	if t < 0 || t > tr.maxT {
 		panic(fmt.Sprintf("tree: stream length %d outside [0, %d]", t, tr.maxT))
 	}
-	for u := uint64(t); u != 0; u &= u - 1 {
-		j := bits.TrailingZeros64(u)
-		nj := tr.nodeNoise(j, uint64(t)>>uint(j))
-		for k := range dst {
-			dst[k] += nj[k]
-		}
-	}
+	addTreeNoise(&tr.cs, dst, tr.noiseKey, tr.sigma, uint64(t))
 }
 
 // ErrorBound returns a high-probability bound on the Euclidean error of the
@@ -296,8 +263,7 @@ func (tr *Tree) AppendState(w *codec.Writer) {
 // UnmarshalState implements Overlay: it restores state captured by
 // AppendState into a Tree constructed with the same configuration. The noise
 // key is taken from the checkpoint (the restoring instance may have been built
-// with a different seed), and all noise memoization is invalidated — it will
-// re-materialize identically on the next released estimate.
+// with a different seed).
 func (tr *Tree) UnmarshalState(data []byte) error {
 	r := codec.NewReader(data)
 	r.Version(treeStateVersion)
@@ -315,8 +281,5 @@ func (tr *Tree) UnmarshalState(data []byte) error {
 		return err
 	}
 	tr.noiseKey = noiseKey
-	for j := range tr.noiseIdx {
-		tr.noiseIdx[j] = 0
-	}
 	return nil
 }

@@ -160,18 +160,12 @@ func TestTreeErrorWithinBound(t *testing.T) {
 }
 
 func TestTreeSpaceUsage(t *testing.T) {
-	// The overlay keeps only its per-level noise memo, O(levels) buffers, and
-	// checkpoints no sums: its checkpoint does not grow with T.
+	// The overlay keeps no sums and no noise, and checkpoints only its
+	// parameters and key: its checkpoint does not grow with T.
 	src := randx.NewSource(6)
 	mech, err := New(Config{Dim: 5, MaxLen: 1 << 16, Sensitivity: 1, Privacy: lowNoise()}, src)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got, want := len(mech.noise), mech.levels; got != want {
-		t.Fatalf("noise buffers = %d, want %d", got, want)
-	}
-	if got, want := mech.Bytes(), 8*mech.levels*5; got != want {
-		t.Fatalf("Bytes = %d, want %d", got, want)
 	}
 	short, err := New(Config{Dim: 5, MaxLen: 4, Sensitivity: 1, Privacy: lowNoise()}, src)
 	if err != nil {

@@ -77,7 +77,9 @@ type PoolStats struct {
 	// StoreCap is the resident-estimator bound (0 = unbounded).
 	StoreCap int
 	// Resident is the number of streams currently materialized in memory
-	// (always equal to Streams for pools without WithSpillDir).
+	// (equal to Streams for pools without WithSpillDir, apart from streams
+	// whose first batch is still being applied, which count as neither
+	// resident nor spilled).
 	Resident int
 	// Spilled is the number of streams currently held only as on-disk
 	// segments (always 0 for pools without WithSpillDir).
@@ -93,9 +95,10 @@ type PoolStats struct {
 	// other cluster nodes (included in Streams; 0 outside a cluster).
 	StandbyStreams int
 	// RetainedBytes is the total in-memory state retained across resident
-	// streams (sufficient statistics, history buffers, and the per-level
-	// noise memos of the regression mechanisms' tree overlays; spilled
-	// streams contribute 0).
+	// streams (sufficient statistics, history buffers and solver
+	// workspaces; spilled streams contribute 0). The regression mechanisms'
+	// tree noise is regenerated from its key at each read, so a regression
+	// stream's share does not grow with the horizon.
 	RetainedBytes int64
 }
 
@@ -228,10 +231,10 @@ func (p *Pool) Estimate(id string) ([]float64, error) {
 // observing).
 //
 // On a spill-backed pool, an estimate normally does not mark the stream
-// dirty: the state it touches (the estimate memo, lazily materialized
-// counter-keyed noise) is a deterministic function of the last persisted
-// state, so the on-disk segment stays a valid snapshot and estimate-only
-// traffic costs no checkpoint writes. With WithWarmStart the optimizer's
+// dirty: the state it touches (the estimate memo and read workspaces) is a
+// deterministic function of the last persisted state, so the on-disk
+// segment stays a valid snapshot and estimate-only traffic costs no
+// checkpoint writes. With WithWarmStart the optimizer's
 // start point feeds future outputs, so warm-started pools treat an estimate
 // as a mutation. The start point feeds outputs only on solve domains other
 // than an L2 ball, which the regression mechanisms read exactly; there an

@@ -354,7 +354,7 @@ func (a *estimatorAdapter) Estimate() ([]float64, error) {
 func (a *estimatorAdapter) Len() int { return a.inner.Len() }
 
 // StateBytes reports the estimator's retained in-memory state (sufficient
-// statistics, history buffers, noise memos) when the underlying
+// statistics, history buffers, solver workspaces) when the underlying
 // mechanism tracks it, and 0 otherwise. The pool's store caches the value
 // per stream and aggregates it into PoolStats.RetainedBytes.
 func (a *estimatorAdapter) StateBytes() int {
