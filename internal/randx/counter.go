@@ -12,6 +12,13 @@ import "sync"
 // Batch and scalar ingestion, and checkpoint/restore at any cut point, are
 // bit-identical by construction: there is no sampler state to advance out of
 // sync.
+//
+// Filling a noise vector is the hot loop of a tree read. FillNormal and
+// AddNormal share one loop (normals) that keeps the stream state in a local,
+// steps SplitMix64 and runs the ziggurat's rectangle test inline, and leaves
+// only the rejected ~2% of draws to the out-of-line wedge and tail code
+// (zigNormalFrom), with the state written back around that call. The words
+// drawn and the output bits are those of zigNormal over Uint64.
 
 // golden is the SplitMix64 increment (2^64/φ, the Weyl constant of the
 // sequence).
@@ -57,9 +64,7 @@ func (c *CounterSource) FillNormal(dst []float64, sigma float64) {
 		}
 		return
 	}
-	for i := range dst {
-		dst[i] = sigma * zigNormal(c)
-	}
+	c.normals(dst, sigma, false)
 }
 
 // AddNormal adds i.i.d. N(0, sigma^2) samples drawn from the stream into
@@ -75,9 +80,33 @@ func (c *CounterSource) AddNormal(dst []float64, sigma float64) {
 	if sigma == 0 {
 		return
 	}
+	c.normals(dst, sigma, true)
+}
+
+// normals writes (add false) or adds (add true) sigma·z_i into dst. The
+// stream's state lives in a local copy, so it stays in a register, and each
+// draw takes its word with an inlined SplitMix64 step and runs the inlined
+// rectangle test (zigRect). A rejected word, about 2% of draws, goes to
+// zigNormalFrom with the state synced through c, so the words drawn and every
+// output bit are those of zigNormal over c.Uint64.
+func (c *CounterSource) normals(dst []float64, sigma float64, add bool) {
+	s := c.state
 	for i := range dst {
-		dst[i] += float64(sigma * zigNormal(c))
+		s += golden
+		b := Mix64(s)
+		z, ok := zigRect(b)
+		if !ok {
+			c.state = s
+			z = zigNormalFrom(c, b)
+			s = c.state
+		}
+		if add {
+			dst[i] += float64(sigma * z)
+		} else {
+			dst[i] = sigma * z
+		}
 	}
+	c.state = s
 }
 
 // SubKey derives an independent child PRF key from a parent key and an index,

@@ -12,6 +12,16 @@ import "math"
 // routine run on both a Source's math/rand generator and the counter-mode PRF
 // streams that generate tree-node noise.
 //
+// The sampler is split in two so the common case can be inlined: zigRect is
+// the rectangle test on one word, which accepts about 98% of attempts, and
+// zigNormalFrom finishes an attempt it rejected (tail, wedge and fresh
+// attempts). A Source draws through zigNormal, which calls both through the
+// bitsSource interface. CounterSource.FillNormal and AddNormal inline
+// SplitMix64 and zigRect in their loops and call zigNormalFrom only on a
+// rejection, so the noise of a tree read pays no interface call per draw yet
+// consumes the same words and gives the same bits
+// (TestCounterFastPathMatchesZigNormal).
+//
 // The tables are computed once at init from math.Exp/Log/Sqrt; all inputs are
 // exact dyadic rationals derived from integer bits, so the sampler is
 // deterministic for a fixed bit stream (TestFillNormalAtGolden pins fixed-seed
@@ -65,14 +75,33 @@ func zigUniformPos(src bitsSource) float64 {
 // layer index (7 bits), and a signed 53-bit mantissa; the wedge and tail paths
 // (≈ 2.3% of attempts) draw extra words.
 func zigNormal(src bitsSource) float64 {
+	b := src.Uint64()
+	if z, ok := zigRect(b); ok {
+		return z
+	}
+	return zigNormalFrom(src, b)
+}
+
+// zigRect is the ziggurat's fast path on one word b: the sample when it falls
+// inside the rectangle core of its block, accepted at once (about 98% of
+// attempts), or !ok.
+func zigRect(b uint64) (float64, bool) {
+	i := b & (zigLayers - 1)
+	u := float64(b>>11)*inv53*2 - 1 // uniform in [-1, 1)
+	if math.Abs(u) < zigRatio[i] {
+		return u * zigX[i], true
+	}
+	return 0, false
+}
+
+// zigNormalFrom finishes a zigNormal draw whose word b failed the rectangle
+// test: the tail or wedge test on b, then fresh attempts from src. It is
+// also where CounterSource's inlined fast path hands over, so both draw the
+// same words and give the same bits.
+func zigNormalFrom(src bitsSource, b uint64) float64 {
 	for {
-		b := src.Uint64()
 		i := int(b & (zigLayers - 1))
-		u := float64(b>>11)*inv53*2 - 1 // uniform in [-1, 1)
-		if math.Abs(u) < zigRatio[i] {
-			// Inside the rectangle core of block i: accept immediately.
-			return u * zigX[i]
-		}
+		u := float64(b>>11)*inv53*2 - 1
 		if i == 0 {
 			// Base block: sample the tail |x| > R by Marsaglia's method.
 			neg := u < 0
@@ -95,6 +124,10 @@ func zigNormal(src bitsSource) float64 {
 		f1 := math.Exp(-0.5 * (zigX[i+1]*zigX[i+1] - x*x))
 		if f1+zigUniformPos(src)*(f0-f1) < 1.0 {
 			return x
+		}
+		b = src.Uint64()
+		if z, ok := zigRect(b); ok {
+			return z
 		}
 	}
 }

@@ -227,3 +227,65 @@ func TestGetBufPutBuf(t *testing.T) {
 	}
 	PutBuf(c)
 }
+
+// countingBits is a plain bitsSource over a CounterSource that counts the
+// words drawn, for the reference loop of TestCounterFastPathMatchesZigNormal.
+type countingBits struct {
+	c CounterSource
+	n int
+}
+
+func (s *countingBits) Uint64() uint64 { s.n++; return s.c.Uint64() }
+
+// TestCounterFastPathMatchesZigNormal holds CounterSource's inlined
+// rectangle fast path (FillNormal and AddNormal) to plain zigNormal calls over
+// the same stream: the same bits for every draw and the same stream position
+// afterwards, over enough draws per key that the wedge and tail branches run.
+func TestCounterFastPathMatchesZigNormal(t *testing.T) {
+	const n = 1 << 20
+	const sigma = 1.75
+	want := make([]float64, n)
+	got := make([]float64, n)
+	for _, key := range []int64{0, 42, -7, 1 << 40} {
+		ref := countingBits{c: NewCounterSource(key, 3)}
+		var tail, wedge int
+		for i := range want {
+			before := ref.n
+			want[i] = zigNormal(&ref)
+			switch {
+			case math.Abs(want[i]) > zigR:
+				tail++
+			case ref.n-before > 1:
+				wedge++ // a rejected word that did not end in the tail
+			}
+		}
+		if tail < 100 || wedge < 1000 {
+			t.Fatalf("key %d: %d tail and %d wedge draws in %d; the reference must run both branches", key, tail, wedge, n)
+		}
+
+		c := NewCounterSource(key, 3)
+		c.FillNormal(got, sigma)
+		for i := range got {
+			if w := sigma * want[i]; math.Float64bits(got[i]) != math.Float64bits(w) {
+				t.Fatalf("key %d: FillNormal[%d] = %v, zigNormal gives %v", key, i, got[i], w)
+			}
+		}
+		if c != ref.c {
+			t.Fatalf("key %d: FillNormal left the stream at %#x, zigNormal at %#x", key, c.state, ref.c.state)
+		}
+
+		c = NewCounterSource(key, 3)
+		for i := range got {
+			got[i] = float64(i) - n/2
+		}
+		c.AddNormal(got, sigma)
+		for i := range got {
+			if w := (float64(i) - n/2) + float64(sigma*want[i]); math.Float64bits(got[i]) != math.Float64bits(w) {
+				t.Fatalf("key %d: AddNormal[%d] = %v, zigNormal gives %v", key, i, got[i], w)
+			}
+		}
+		if c != ref.c {
+			t.Fatalf("key %d: AddNormal left the stream at %#x, zigNormal at %#x", key, c.state, ref.c.state)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -242,6 +243,9 @@ func (f *rowField) reset() { f.flat, f.rows, f.bad = f.flat[:0], 0, nil }
 type jsonScan struct {
 	b []byte
 	i int
+	// pow is the power-of-ten table, fetched on the first number that
+	// needs it.
+	pow *pow10s
 }
 
 func (p *jsonScan) errorf(what string) error {
@@ -303,60 +307,140 @@ func (p *jsonScan) key() ([]byte, error) {
 }
 
 // number consumes one number token matching the JSON grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and returns its text.
-func (p *jsonScan) number() ([]byte, error) {
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and, in the same pass, reads
+// its value as man·10^exp10: up to 19 significant digits in man (10^19 fits a
+// uint64), exact unless trunc says a nonzero digit beyond them was dropped.
+// The token is p.b[start:p.i].
+func (p *jsonScan) number() (start int, man uint64, exp10 int, neg, trunc bool, err error) {
 	p.ws()
 	b, i := p.b, p.i
+	start = i
 	if i < len(b) && b[i] == '-' {
+		neg = true
 		i++
 	}
+	nd := 0 // significant digits in man
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i+1)
+		i, man, nd = mantissa(b, i, 0, 0)
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			exp10++
+			trunc = trunc || b[i] != '0'
+		}
 	default:
-		return nil, p.errorf("expected a number")
+		return start, 0, 0, false, false, p.errorf("expected a number")
 	}
 	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			return nil, p.errorf("malformed number")
+		i++
+		frac := i
+		if nd == 0 {
+			for i < len(b) && b[i] == '0' {
+				i++ // leading zeros are not significant
+			}
 		}
-		i = j
+		i, man, nd = mantissa(b, i, man, nd)
+		exp10 -= i - frac
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			trunc = trunc || b[i] != '0'
+		}
+		if i == frac {
+			return start, 0, 0, false, false, p.errorf("malformed number")
+		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		eneg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
 			i++
 		}
-		j := skipDigits(b, i)
-		if j == i {
-			return nil, p.errorf("malformed number")
+		digits, e := i, 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			// Past 10^4 the exponent is far outside the float64 range
+			// either way; capping it keeps e from overflowing.
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			}
 		}
-		i = j
+		if i == digits {
+			return start, 0, 0, false, false, p.errorf("malformed number")
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += e
 	}
-	tok := b[p.i:i]
 	p.i = i
-	return tok, nil
+	return start, man, exp10, neg, trunc, nil
 }
 
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// mantissa appends the digits at b[i:] to man, which holds nd significant
+// digits, until the run ends or man holds 19 (10^19 fits a uint64), and
+// returns where it stopped with the new man and nd.
+func mantissa(b []byte, i int, man uint64, nd int) (int, uint64, int) {
+	start, end := i, min(len(b), i+19-nd)
+	for ; i+8 <= end; i += 8 {
+		v, ok := eightDigits(binary.LittleEndian.Uint64(b[i:]))
+		if !ok {
+			break
+		}
+		man = man*100_000_000 + v
 	}
-	return i
+	for ; i < end && isDigit(b[i]); i++ {
+		man = man*10 + uint64(b[i]-'0')
+	}
+	return i, man, nd + i - start
 }
 
-// float consumes one number as a float64. The token has passed the JSON
-// grammar, so ParseFloat can fail only on range; it is the call
-// encoding/json makes, so the bits match. string(tok) does not escape, so a
-// token of up to 32 bytes converts without allocating.
+// eightDigits reads eight ASCII bytes, the first in the low byte of w, as a
+// decimal number if all eight are digits (the SWAR parse of Lemire's
+// fast_float).
+func eightDigits(w uint64) (uint64, bool) {
+	const zeros = 0x3030303030303030
+	if w&0xf0f0f0f0f0f0f0f0 != zeros || (w+0x0606060606060606)&0xf0f0f0f0f0f0f0f0 != zeros {
+		return 0, false
+	}
+	w -= zeros
+	w = w*10 + w>>8 // pairs of digits in alternate bytes
+	const mask = 0x000000ff000000ff
+	return uint64(uint32(((w&mask)*(100+1000000<<32) + (w>>16&mask)*(1+10000<<32)) >> 32)), true
+}
+
+// float consumes one number as the float64 nearest its value, the bits
+// strconv.ParseFloat (the call encoding/json makes) gives: Clinger's exact
+// path, then Eisel–Lemire, then ParseFloat itself for what neither decides —
+// more than 19 significant digits, an exponent outside the power table, a
+// halfway or ambiguous product, and results that overflow or are subnormal.
+// ParseFloat can fail only on range, since the token has passed the grammar.
+// string(tok) does not escape, so a token of up to 32 bytes converts without
+// allocating.
 func (p *jsonScan) float() (float64, error) {
-	tok, err := p.number()
+	start, man, exp10, neg, trunc, err := p.number()
 	if err != nil {
 		return 0, err
 	}
+	if man == 0 {
+		if neg {
+			return math.Copysign(0, -1), nil
+		}
+		return 0, nil
+	}
+	if !trunc {
+		if v, ok := exactFloat(man, exp10, neg); ok {
+			return v, nil
+		}
+		if p.pow == nil {
+			p.pow = pow10Table()
+		}
+		if v, ok := eiselLemire(p.pow, man, exp10, neg); ok {
+			return v, nil
+		}
+	}
+	tok := p.b[start:p.i]
 	v, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
 		return 0, fmt.Errorf("server: decoding observe body: number %s does not fit a float64", tok)
@@ -367,10 +451,11 @@ func (p *jsonScan) float() (float64, error) {
 // offset consumes the "from" offset: a number that parses as an int64, as
 // encoding/json decodes one.
 func (p *jsonScan) offset() (int64, error) {
-	tok, err := p.number()
+	start, _, _, _, _, err := p.number()
 	if err != nil {
 		return 0, err
 	}
+	tok := p.b[start:p.i]
 	v, err := strconv.ParseInt(string(tok), 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf(`server: decoding observe body: "from" must be an integer stream offset, got %s`, tok)

@@ -216,6 +216,17 @@ var decodeObserveCases = []struct {
 	{"null replaces a value", `{"xs":[[1,2,3,4]],"ys":[5],"x":[1,2,3,4],"x":null}`, []float64{1, 2, 3, 4, 5}, -1},
 	{"number forms", `{"x":[-0,0.5e-1,1E+2,-12.25e0],"y":1e-400}`, []float64{math.Copysign(0, -1), 0.05, 100, -12.25, 0}, -1},
 	{"subnormals and extremes", `{"x":[5e-324,2.2250738585072014e-308,1e308,-1.7976931348623157e308],"y":4.9e-324}`, []float64{5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 5e-324}, -1},
+	{"2^53+1 rounds to even", `{"x":[1,2,3,4],"y":9007199254740993}`, []float64{1, 2, 3, 4, 9007199254740992}, -1},
+	{"1e23", `{"x":[1,2,3,4],"y":1e23}`, []float64{1, 2, 3, 4, 1e23}, -1},
+	{"largest subnormal", `{"x":[1,2,3,4],"y":2.2250738585072011e-308}`, []float64{1, 2, 3, 4, 2.2250738585072011e-308}, -1},
+	{"smallest subnormal", `{"x":[1,2,3,4],"y":4.9e-324}`, []float64{1, 2, 3, 4, 5e-324}, -1},
+	{"negative zero", `{"x":[1,2,3,4],"y":-0}`, []float64{1, 2, 3, 4, math.Copysign(0, -1)}, -1},
+	{"below half the smallest subnormal", `{"x":[1,2,3,4],"y":2.4e-324}`, []float64{1, 2, 3, 4, 0}, -1},
+	{"zero with a huge exponent", `{"x":[1,2,3,4],"y":0e99999999999}`, []float64{1, 2, 3, 4, 0}, -1},
+	{"25 significant digits", `{"x":[1,2,3,4],"y":1.234567890123456789012345}`, []float64{1, 2, 3, 4, 1.234567890123456789012345}, -1},
+	{"30 leading fraction zeros", `{"x":[1,2,3,4],"y":0.0000000000000000000000000000001234}`, []float64{1, 2, 3, 4, 1.234e-31}, -1},
+	{"just past the largest float64", `{"x":[1,2,3,4],"y":1.7976931348623159e308}`, nil, 0},
+	{"huge exponent", `{"x":[1,2,3,4],"y":1e999999999999999999}`, nil, 0},
 	{"trailing garbage", `{"x":[1,2,3,4],"y":5} garbage`, nil, 0},
 	{"second object", `{"x":[1,2,3,4],"y":5}{"x":[9,9,9,9]}`, nil, 0},
 	{"out of range", `{"x":[1e400,0,0,0],"y":1}`, nil, 0},
