@@ -66,9 +66,7 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 // F64s writes a length-prefixed []float64.
 func (w *Writer) F64s(v []float64) {
 	w.Int(len(v))
-	for _, x := range v {
-		w.F64(x)
-	}
+	w.buf = AppendF64s(w.buf, v)
 }
 
 // Blob writes a length-prefixed byte slice (used to nest one component's
@@ -205,9 +203,7 @@ func (r *Reader) F64s() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.F64()
-	}
+	DecodeF64s(out, r.take(8*n))
 	return out
 }
 
@@ -223,8 +219,8 @@ func (r *Reader) F64sInto(dst []float64) {
 		r.fail(fmt.Errorf("codec: encoded slice length %d does not match expected %d", n, len(dst)))
 		return
 	}
-	for i := range dst {
-		dst[i] = r.F64()
+	if b := r.take(8 * n); b != nil {
+		DecodeF64s(dst, b)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 // Allocation-regression guards for the sufficient-statistics mechanisms and
 // the paper's regression mechanisms. On the quadratic path, ObserveRows folds
-// each row through a reused clamp buffer into preallocated moment statistics
+// each row through a borrowed row stage into preallocated moment statistics
 // (zero allocations), and a non-boundary Estimate only clones the memoized
 // vector. The regression
 // mechanisms fold svec(x xᵀ) through a reused buffer into their trees'
@@ -95,8 +95,9 @@ func TestSlowPathObserveAllocs(t *testing.T) {
 				}
 			}
 			run() // warm up lazy buffers
-			// The quadratic fold path allocates nothing: clamp into the reused
-			// buffer, rank-one update into the packed triangle. The budget of 1
+			// The quadratic fold path allocates nothing: clamp into the row
+			// stage borrowed from the scratch pool, fold into the packed
+			// triangle. The budget of 1
 			// covers boundary snapshots (a pending stats copy is in-place, but
 			// leaves headroom for runtime drift).
 			budget := observeBudget(name, 1)

@@ -124,8 +124,6 @@ type NonPrivateIncremental struct {
 	c     constraint.Set
 	stats *erm.MultiStats
 	iters int
-	xbuf  vec.Vector
-	ybuf  [1]float64
 	// sol memoizes the minimizer at observation count solN (solN < 0 = none):
 	// the statistics are the complete solver input, so while no new points
 	// arrive Estimate returns the previous solution instead of re-solving. ws
@@ -139,7 +137,7 @@ type NonPrivateIncremental struct {
 // iters bounds the inner solver iterations (<= 0 selects the default).
 func NewNonPrivateIncremental(c constraint.Set, iters int) *NonPrivateIncremental {
 	d := c.Dim()
-	return &NonPrivateIncremental{c: c, stats: erm.NewMultiStats(d, 1), iters: iters, xbuf: vec.NewVector(d), solN: -1}
+	return &NonPrivateIncremental{c: c, stats: erm.NewMultiStats(d, 1), iters: iters, solN: -1}
 }
 
 // Name implements Estimator.
@@ -151,10 +149,12 @@ func (n *NonPrivateIncremental) ObserveRows(xs, ys []float64) error {
 	if _, err := batchRows(xs, ys, d, 1); err != nil {
 		return err
 	}
+	st := n.stats.Stage()
 	for r, y := range ys {
-		n.ybuf[0] = clampInto(n.xbuf, xs[r*d:(r+1)*d], y)
-		n.stats.Add(n.xbuf, n.ybuf[:])
+		x, yb := st.Next()
+		yb[0] = clampInto(x, xs[r*d:(r+1)*d], y)
 	}
+	st.Release()
 	return nil
 }
 
@@ -171,9 +171,9 @@ func (n *NonPrivateIncremental) Estimate() (vec.Vector, error) {
 func (n *NonPrivateIncremental) Len() int { return n.stats.Len() }
 
 // StateBytes reports the retained per-stream memory of the baseline: the
-// sufficient statistics, the clamp buffer and the memoized solution.
+// sufficient statistics and the memoized solution.
 func (n *NonPrivateIncremental) StateBytes() int {
-	return n.stats.Bytes() + 8*(len(n.xbuf)+len(n.sol))
+	return n.stats.Bytes() + 8*len(n.sol)
 }
 
 // Risk exposes the exact prefix squared-loss risk of an arbitrary parameter

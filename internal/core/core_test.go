@@ -252,7 +252,7 @@ func TestPrivateGradientMatchesExactWhenNoiseNegligible(t *testing.T) {
 		if err := observe(est, p); err != nil {
 			t.Fatal(err)
 		}
-		state.Add(p.X, []float64{p.Y})
+		state.AddRows(p.X, []float64{p.Y})
 	}
 	pg := est.Gradient()
 	theta := vec.Vector{0.2, -0.1, 0.3}

@@ -37,9 +37,9 @@ import (
 //
 //   - Sufficient statistics. When the loss satisfies loss.AsQuadratic (squared
 //     loss, optionally ridge-regularized), the history is never retained:
-//     each clamped row is folded into O(d²) moment statistics (erm.MultiStats,
-//     one Gram matrix shared by the k outcomes) with a rank-one update, and
-//     each τ-boundary solve runs over the statistics in O(d²·iterations) —
+//     clamped rows are folded four at a time into O(d²) moment statistics
+//     (erm.MultiStats, one Gram matrix shared by the k outcomes), to the bits
+//     of one rank-one update per row, and each τ-boundary solve runs over the statistics in O(d²·iterations) —
 //     independent of the stream length. Checkpoints are O(d² + k·d) too.
 //   - Lazy boundary solves. A solve scheduled at a τ boundary is deferred to
 //     the next read of its outcome. The solve noise is counter-keyed (a pure
@@ -88,8 +88,6 @@ type GenericERM struct {
 	// boundary's snapshot (nil when τ = 1, which never needs one).
 	stats *erm.MultiStats
 	snap  *erm.MultiStats
-	xbuf  vec.Vector
-	ybuf  []float64
 
 	// History prefix: the ring of the last historyCap points, or the full
 	// clamped history when uncapped.
@@ -251,7 +249,6 @@ func newEngine(name string, f loss.Function, c constraint.Set, k int, p, perOutc
 		solver:    erm.NewSolver(c),
 		solvedInv: make([]uint64, k),
 		current:   make([]vec.Vector, k),
-		ybuf:      make([]float64, k),
 	}
 	for i := range g.current {
 		g.current[i] = vec.NewVector(d)
@@ -262,7 +259,6 @@ func newEngine(name string, f loss.Function, c constraint.Set, k int, p, perOutc
 		if tau > 1 {
 			g.snap = erm.NewMultiStats(d, k)
 		}
-		g.xbuf = vec.NewVector(d)
 	} else if opts.HistoryCap > 0 {
 		g.historyCap = opts.HistoryCap
 		g.ring = newPointRing(opts.HistoryCap, d)
@@ -295,57 +291,66 @@ func (g *GenericERM) ObserveRows(xs, ys []float64) error {
 	if g.t+rows > g.horizon {
 		return ErrStreamFull
 	}
+	if g.stats != nil {
+		g.foldStats(xs, ys)
+		return nil
+	}
 	for r := 0; r < rows; r++ {
-		if err := g.observe(xs[r*d:(r+1)*d], ys[r*g.k:(r+1)*g.k]); err != nil {
-			return err
+		p := loss.Point{X: xs[r*d : (r+1)*d], Y: ys[r]}
+		if g.ring == nil {
+			g.history = append(g.history, clampPoint(p))
+		} else {
+			if g.mustKeepBoundary() {
+				if err := g.refresh(0); err != nil {
+					return err
+				}
+			}
+			g.ring.push(p)
 		}
+		g.step()
 	}
 	return nil
 }
 
-// observe folds one row: the covariate is clamped into the unit ball and each
-// response into [-1, 1], then folded into the statistics once (or pushed into
-// the ring, or appended to the history). A τ boundary only advances pendInv;
-// the solve waits for a read or for keepBoundary.
-func (g *GenericERM) observe(x vec.Vector, ys []float64) error {
-	if err := g.keepBoundary(); err != nil {
-		return err
-	}
-	g.t++
-	switch {
-	case g.stats != nil:
-		clampInto(g.xbuf, x, 0)
-		for i, y := range ys {
-			g.ybuf[i] = clampY(y)
+// foldStats folds a batch into the statistics: each covariate clamped into
+// the unit ball and each response into [-1, 1], straight into the
+// statistics' row stage, which folds four rows at a time. Before a row that
+// mustKeepBoundary flags, the staged rows fold and the statistics are copied
+// into the snapshot.
+func (g *GenericERM) foldStats(xs, ys []float64) {
+	d := g.c.Dim()
+	st := g.stats.Stage()
+	for r := 0; r < len(ys)/g.k; r++ {
+		if g.mustKeepBoundary() {
+			st.Flush()
+			g.snap.CopyFrom(g.stats)
 		}
-		g.stats.Add(g.xbuf, g.ybuf)
-	case g.ring != nil:
-		g.ring.push(loss.Point{X: x, Y: ys[0]})
-	default:
-		g.history = append(g.history, clampPoint(loss.Point{X: x, Y: ys[0]}))
+		x, yb := st.Next()
+		clampInto(x, xs[r*d:(r+1)*d], 0)
+		for i, y := range ys[r*g.k : (r+1)*g.k] {
+			yb[i] = clampY(y)
+		}
+		g.step()
 	}
+	st.Release()
+}
+
+// step advances the stream by the row just taken. A τ boundary only
+// advances pendInv; the solve waits for a read or for mustKeepBoundary.
+func (g *GenericERM) step() {
+	g.t++
 	if g.t%g.tau == 0 {
 		g.pendInv = uint64(g.t / g.tau)
 	}
-	return nil
 }
 
-// keepBoundary runs before every row. When the row would destroy a pending
-// boundary's live prefix without starting a new boundary itself, it
-// materializes that boundary: the statistics are copied into the snapshot,
-// or the ring's window is solved now. The full history keeps the prefix and
-// needs nothing.
-func (g *GenericERM) keepBoundary() error {
-	if g.t != int(g.pendInv)*g.tau || (g.t+1)%g.tau == 0 || !g.pending() {
-		return nil
-	}
-	switch {
-	case g.stats != nil:
-		g.snap.CopyFrom(g.stats)
-	case g.ring != nil:
-		return g.refresh(0)
-	}
-	return nil
+// mustKeepBoundary reports, before a row is taken, whether that row would
+// destroy a pending boundary's live prefix without starting a new boundary
+// itself. The boundary must then be materialized first: the statistics
+// copied into the snapshot, or the ring's window solved now. The full
+// history keeps the prefix and needs nothing.
+func (g *GenericERM) mustKeepBoundary() bool {
+	return g.t == int(g.pendInv)*g.tau && (g.t+1)%g.tau != 0 && g.pending()
 }
 
 // pending reports whether some outcome has not solved the last boundary.

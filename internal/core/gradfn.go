@@ -123,10 +123,8 @@ type privateMoments struct {
 	// estimate; dim is the dimension of v and of the solve domain.
 	inDim, dim int
 
-	// stats holds the exact A, b and row count; ys is its one-outcome
-	// response buffer.
+	// stats holds the exact A, b and row count.
 	stats         *erm.MultiStats
-	ys            [1]float64
 	sumXY, sumXXT tree.Overlay
 	domain        constraint.Set
 	// ball is domain when it is an L2 ball, read exactly through trust;
@@ -237,13 +235,6 @@ func (m *privateMoments) admit(xs, ys []float64) error {
 		return ErrStreamFull
 	}
 	return nil
-}
-
-// fold adds an admitted row's v vᵀ and y·v to the exact statistics in one
-// pass, without allocating; the noise is left to the next read.
-func (m *privateMoments) fold(y float64, v vec.Vector) {
-	m.ys[0] = y
-	m.stats.Add(v, m.ys[:])
 }
 
 // Gradient returns the current private gradient function (Definition 5) over

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -92,7 +93,7 @@ func refMultiEstimate(t *testing.T, cons constraint.Set, rows []multiRow, outcom
 	}
 	stats := erm.NewMultiStats(cons.Dim(), 1)
 	for _, r := range rows[:inv*multiTau] {
-		stats.Add(r.x, r.ys[outcome:outcome+1])
+		stats.AddRows(r.x, r.ys[outcome:outcome+1])
 	}
 	theta, err := erm.NewSolver(cons).SolveStats(loss.Squared{}, stats, 0, per,
 		randx.SubKey(key, uint64(outcome)), uint64(inv), multiBatchOpts())
@@ -271,5 +272,62 @@ func TestMultiOutcomeRejectsWrongShape(t *testing.T) {
 	blob := codec.Encode(other)
 	if err := mech.UnmarshalBinary(blob); err == nil {
 		t.Fatal("checkpoint with a different outcome count should be rejected")
+	}
+}
+
+// TestMultiOutcomeBatchMatchesRowByRowAtEveryBoundaryOffset feeds one batch
+// whose τ boundaries fall at every offset mod 4 of the four-row fold, with
+// each boundary left unread so the rows after it force a snapshot, and
+// requires the checkpoint bytes and every outcome's estimate to equal those
+// of the same rows observed one at a time.
+func TestMultiOutcomeBatchMatchesRowByRowAtEveryBoundaryOffset(t *testing.T) {
+	cons := constraint.NewL2Ball(5, 1)
+	for _, tau := range []int{4, 5, 6, 7} {
+		for lead := 0; lead < 4; lead++ {
+			build := func() *GenericERM {
+				m, err := NewMultiOutcome(cons, multiK, privacy(), 256, randx.NewSource(int64(tau)),
+					GenericOptions{Tau: tau, Batch: multiBatchOpts()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			driver := randx.NewSource(int64(10*tau + lead))
+			const rows = 24
+			xs := driver.NormalVector((lead+rows)*5, 0.8)
+			ys := driver.NormalVector((lead+rows)*multiK, 0.7)
+			batched, single := build(), build()
+			for r := 0; r < lead+rows; r++ {
+				if err := single.ObserveRows(xs[r*5:(r+1)*5], ys[r*multiK:(r+1)*multiK]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for r := 0; r < lead; r++ {
+				if err := batched.ObserveRows(xs[r*5:(r+1)*5], ys[r*multiK:(r+1)*multiK]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := batched.ObserveRows(xs[lead*5:], ys[lead*multiK:]); err != nil {
+				t.Fatal(err)
+			}
+			if string(codec.Encode(batched)) != string(codec.Encode(single)) {
+				t.Fatalf("τ=%d lead=%d: batched checkpoint differs from row-by-row", tau, lead)
+			}
+			for i := 0; i < multiK; i++ {
+				got, err := batched.EstimateOutcome(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := single.EstimateOutcome(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c := range want {
+					if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+						t.Fatalf("τ=%d lead=%d outcome %d coord %d: batched %v, row-by-row %v", tau, lead, i, c, got[c], want[c])
+					}
+				}
+			}
+		}
 	}
 }

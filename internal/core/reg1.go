@@ -61,8 +61,6 @@ func (o *RegressionOptions) fill() {
 // clamped covariates, solving over C itself.
 type GradientRegression struct {
 	privateMoments
-	// xWork is the reusable clamp buffer keeping ObserveRows allocation-free.
-	xWork vec.Vector
 }
 
 // NewGradientRegression returns Algorithm PRIVINCREG1 over the constraint set c
@@ -79,24 +77,27 @@ func NewGradientRegression(c constraint.Set, p dp.Params, horizon int, src *rand
 	if err != nil {
 		return nil, err
 	}
-	return &GradientRegression{privateMoments: m, xWork: vec.NewVector(c.Dim())}, nil
+	return &GradientRegression{privateMoments: m}, nil
 }
 
 // Name implements Estimator.
 func (g *GradientRegression) Name() string { return "priv-inc-reg1" }
 
 // ObserveRows implements Estimator: clamp each row's covariate into the unit
-// ball and fold it into the exact statistics without heap allocation.
-// The batch is validated up front — whole rows and horizon capacity — so it
-// is consumed whole or not at all.
+// ball, straight into the exact statistics' row stage, without heap
+// allocation. The batch is validated up front — whole rows and horizon
+// capacity — so it is consumed whole or not at all.
 func (g *GradientRegression) ObserveRows(xs, ys []float64) error {
 	if err := g.admit(xs, ys); err != nil {
 		return err
 	}
 	d := g.inDim
+	st := g.stats.Stage()
 	for r, y := range ys {
-		g.fold(clampInto(g.xWork, xs[r*d:(r+1)*d], y), g.xWork)
+		x, yb := st.Next()
+		yb[0] = clampInto(x, xs[r*d:(r+1)*d], y)
 	}
+	st.Release()
 	return nil
 }
 
@@ -106,10 +107,10 @@ func (g *GradientRegression) ObserveRows(xs, ys []float64) error {
 func (g *GradientRegression) Estimate() (vec.Vector, error) { return g.estimate(nil) }
 
 // StateBytes reports the retained per-stream memory of the mechanism: the
-// core's exact statistics, estimate memo, buffers and read workspace plus the
-// clamp buffer, O(d²) at any horizon. O(1) to compute; the serving store
-// reads it on every access.
-func (g *GradientRegression) StateBytes() int { return g.bytes() + 8*len(g.xWork) }
+// core's exact statistics, estimate memo, buffers and read workspace, O(d²)
+// at any horizon. O(1) to compute; the serving store reads it on every
+// access.
+func (g *GradientRegression) StateBytes() int { return g.bytes() }
 
 // ExcessRiskBoundReg1 returns the leading term of the Theorem 4.2 bound,
 // log^{3/2}T·√(log(1/δ))·‖C‖²·(√d + √log(T/β))/ε, capped at the trivial bound.

@@ -76,10 +76,10 @@ type ProjectedRegression struct {
 	// it replaced by the neutral pair.
 	oracle  DomainOracle
 	dropped int
-	// Reusable per-timestep buffers keeping ObserveRows allocation-free.
-	xWork  vec.Vector
-	pxWork vec.Vector
-	proj   constraint.Scratch // of the lift's final projection
+	// xWork is the reusable clamp buffer keeping ObserveRows
+	// allocation-free.
+	xWork vec.Vector
+	proj  constraint.Scratch // of the lift's final projection
 }
 
 // DomainOracle reports whether a covariate belongs to the small-Gaussian-width
@@ -137,7 +137,6 @@ func NewProjectedRegression(xDomain, c constraint.Set, p dp.Params, horizon int,
 		projector:  projector,
 		sketchSpec: spec,
 		xWork:      vec.NewVector(d),
-		pxWork:     vec.NewVector(m),
 	}
 	// The second-moment stream is svec(Φx (Φx)ᵀ) in the m-space, and α' =
 	// O(κ‖C‖√m) is measured over the projected domain (Step 1 of
@@ -193,15 +192,17 @@ func (r *ProjectedRegression) Width() float64 { return r.width }
 func (r *ProjectedRegression) Dropped() int { return r.dropped }
 
 // ObserveRows implements Estimator without heap allocation: screen, clamp,
-// project and fold each row, the clamped covariate, projected covariate and
-// packed outer product all in reusable buffers. Validation (whole rows,
-// horizon capacity) happens before any row is consumed, so the per-row cost
-// is one sketch apply plus the O(m²/2) packed outer-product fold.
+// project and fold each row, the clamped covariate in a reusable buffer and
+// the projected one straight into the exact statistics' row stage.
+// Validation (whole rows, horizon capacity) happens before any row is
+// consumed, so the per-row cost is one sketch apply plus the O(m²/2) packed
+// outer-product fold.
 func (r *ProjectedRegression) ObserveRows(xs, ys []float64) error {
 	if err := r.admit(xs, ys); err != nil {
 		return err
 	}
 	d := r.inDim
+	st := r.stats.Stage()
 	for i, y := range ys {
 		// The oracle sees the row alone: capping the capacity keeps an
 		// append from reaching the next row.
@@ -213,7 +214,8 @@ func (r *ProjectedRegression) ObserveRows(xs, ys []float64) error {
 			r.xWork.Zero()
 			y = 0
 		}
-		px := r.pxWork
+		px, yb := st.Next()
+		yb[0] = y
 		if r.opts.DisableCovariateScaling {
 			r.projector.ApplyTo(px, r.xWork)
 			// Without the rescaling the projected covariate can exceed unit
@@ -226,8 +228,8 @@ func (r *ProjectedRegression) ObserveRows(xs, ys []float64) error {
 		} else {
 			r.projector.ScaledApplyTo(px, r.xWork)
 		}
-		r.fold(y, px)
 	}
+	st.Release()
 	return nil
 }
 
@@ -249,11 +251,11 @@ func (r *ProjectedRegression) lift(theta vec.Vector) (vec.Vector, error) {
 }
 
 // StateBytes reports the retained per-stream memory of the mechanism: the
-// core's in the projected space plus the clamp and projection buffers. The
-// sketch transform is not counted: it is a function of the spec and the same
-// size for every stream of a pool.
+// core's in the projected space plus the clamp buffer. The sketch transform
+// is not counted: it is a function of the spec and the same size for every
+// stream of a pool.
 func (r *ProjectedRegression) StateBytes() int {
-	return r.bytes() + 8*(len(r.xWork)+len(r.pxWork))
+	return r.bytes() + 8*len(r.xWork)
 }
 
 // ExcessRiskBoundReg2 returns the leading term of the Theorem 5.7 bound,

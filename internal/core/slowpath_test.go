@@ -100,7 +100,7 @@ func refSlowEstimate(t *testing.T, v slowVariant, cons constraint.Set, clamped [
 	if _, _, ok := loss.AsQuadratic(v.f); ok {
 		stats := erm.NewMultiStats(cons.Dim(), 1)
 		for _, p := range prefix {
-			stats.Add(p.X, []float64{p.Y})
+			stats.AddRows(p.X, []float64{p.Y})
 		}
 		theta, err := erm.NewSolver(cons).SolveStats(v.f, stats, 0, per, key, uint64(inv), slowBatchOpts())
 		if err != nil {
@@ -389,7 +389,7 @@ func TestSlowPathRejectsMismatchedPendingBoundary(t *testing.T) {
 		x := vec.NewVector(slowDim)
 		x[0] = 0.5
 		for i := 0; i < n; i++ {
-			s.Add(x, []float64{0.25})
+			s.AddRows(x, []float64{0.25})
 		}
 		blob := codec.Encode(s)
 		return blob

@@ -135,9 +135,9 @@ func TestLeastSquaresStateEmptyAndUnconstrained(t *testing.T) {
 	if vec.Norm2(m) != 0 {
 		t.Fatalf("empty unconstrained minimizer = %v", m)
 	}
-	state.Add(vec.Vector{1, 0, 0}, []float64{2})
-	state.Add(vec.Vector{0, 1, 0}, []float64{-1})
-	state.Add(vec.Vector{0, 0, 1}, []float64{0.5})
+	state.AddRows(vec.Vector{1, 0, 0}, []float64{2})
+	state.AddRows(vec.Vector{0, 1, 0}, []float64{-1})
+	state.AddRows(vec.Vector{0, 0, 1}, []float64{0.5})
 	m = ExactStats(&ws, state, nil, 0)
 	if vec.Dist2(m, vec.Vector{2, -1, 0.5}) > 1e-6 {
 		t.Fatalf("unconstrained minimizer = %v", m)

@@ -66,8 +66,18 @@ func (sv *Solver) SolveStats(f loss.Function, stats *MultiStats, i int, p dp.Par
 		return nil, errors.New("erm: statistics dimension mismatch")
 	}
 	lip := f.Lipschitz(sv.c, 1, 1)
+	// Every iteration multiplies by the Gram matrix, so it is unpacked once
+	// into a dense scratch borrowed for this solve. The dense product sums
+	// each row from zero over ascending columns, which is the packed
+	// MulVecTo's order, so the gradient keeps its bits.
+	d := stats.Dim()
+	buf := randx.GetBuf(d * d)
+	defer randx.PutBuf(buf)
+	gram := vec.MatrixOver(d, d, *buf)
+	stats.Gram().ToDense(gram)
 	return sv.run(stats.Len(), lip, func(dst, theta vec.Vector) {
-		stats.GradientInto(dst, theta, i, scale, ridge)
+		gram.MulVecTo(dst, theta)
+		stats.gradientFrom(dst, theta, i, scale, ridge)
 	}, p, key, invocation, opts)
 }
 

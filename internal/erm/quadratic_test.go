@@ -25,7 +25,7 @@ func negligibleNoise() dp.Params {
 func foldStats(data []loss.Point, d int) *MultiStats {
 	stats := NewMultiStats(d, 1)
 	for _, z := range data {
-		stats.Add(z.X, []float64{z.Y})
+		stats.AddRows(z.X, []float64{z.Y})
 	}
 	return stats
 }
@@ -89,7 +89,7 @@ func TestQuadraticStatsMarshalRoundTrip(t *testing.T) {
 	}
 	// The blob is O(d²): folding more points must not grow it.
 	for i := 0; i < 100; i++ {
-		stats.Add(data[i%len(data)].X, []float64{data[i%len(data)].Y})
+		stats.AddRows(data[i%len(data)].X, []float64{data[i%len(data)].Y})
 	}
 	blob2 := codec.Encode(stats)
 	if len(blob2) != len(blob) {

@@ -140,19 +140,30 @@ type clusterState struct {
 }
 
 // replayEntry is one owner-applied batch buffered on a standby: the stream
-// length before the batch plus its rows (flat row-major covariates; ys holds
-// the pool's outcome count of responses per row).
+// length before the batch plus one copy of the frame's row bytes, decoded
+// only if this node is promoted and replays it.
 type replayEntry struct {
 	start int64
-	rows  int
-	xs    []float64
-	ys    []float64
+	rows  wire.RowBlock
 }
 
 // maxReplayEntries bounds the per-stream replay buffer; beyond it the oldest
 // entries drop (the periodic segment push is the catch-up path, so dropping
 // only widens the loss window back toward one replication interval).
 const maxReplayEntries = 4096
+
+// appendReplay appends e to a stream's replay buffer and drops the oldest
+// entries beyond maxReplayEntries. The dropped slots are cleared before the
+// slice moves past them: the backing array keeps them until the next
+// reallocation, and their rows must not stay reachable that long.
+func appendReplay(entries []replayEntry, e replayEntry) []replayEntry {
+	entries = append(entries, e)
+	if drop := len(entries) - maxReplayEntries; drop > 0 {
+		clear(entries[:drop])
+		entries = entries[drop:]
+	}
+	return entries
+}
 
 func newClusterState(s *Server, cfg *ClusterConfig) (*clusterState, error) {
 	if cfg.NodeID == "" {
@@ -291,14 +302,20 @@ func (cs *clusterState) replayInto(id string) int {
 		n, _ := cs.s.pool.LenOK(id)
 		cur := int64(n)
 		switch {
-		case e.start+int64(e.rows) <= cur:
+		case e.start+int64(e.rows.Rows) <= cur:
 			continue // subsumed by the imported segment
 		case e.start != cur:
 			cs.s.logf("cluster: replay of %q stops at offset %d (next buffered batch starts at %d)", id, cur, e.start)
 			return applied
 		}
-		if err := cs.s.pool.ObserveMultiFlat(id, cs.s.spec.Dim, e.xs, e.ys); err != nil {
-			cs.s.logf("cluster: replaying %d buffered rows into %q failed: %v", e.rows, id, err)
+		xs := make([]float64, e.rows.Rows*cs.s.spec.Dim)
+		ys := make([]float64, e.rows.Rows*e.rows.Outcomes)
+		err := e.rows.DecodeRows(xs, ys)
+		if err == nil {
+			err = cs.s.pool.ObserveMultiFlat(id, cs.s.spec.Dim, xs, ys)
+		}
+		if err != nil {
+			cs.s.logf("cluster: replaying %d buffered rows into %q failed: %v", e.rows.Rows, id, err)
 			return applied
 		}
 		applied++
@@ -589,10 +606,13 @@ func (cs *clusterState) pruneReplay(id string, length int64) {
 	entries := cs.replay[id]
 	kept := entries[:0]
 	for _, e := range entries {
-		if e.start+int64(e.rows) > length {
+		if e.start+int64(e.rows.Rows) > length {
 			kept = append(kept, e)
 		}
 	}
+	// Clear the tail the filter vacated, so the pruned batches' rows do not
+	// stay reachable through the backing array.
+	clear(entries[len(kept):])
 	if len(kept) == 0 {
 		delete(cs.replay, id)
 	} else {
@@ -602,8 +622,9 @@ func (cs *clusterState) pruneReplay(id string, length int64) {
 }
 
 // acceptReplicate buffers one owner-applied batch shipped to this node as a
-// warm standby (wire FrameReplicate). The rows are copied out of the frame
-// buffer — they outlive the frame, replayed only if this node is promoted.
+// warm standby (wire FrameReplicate). The row bytes are copied out of the
+// frame buffer once — they outlive the frame — and decoded only if this
+// node is promoted and replays them.
 func (cs *clusterState) acceptReplicate(rep wire.Replicate) error {
 	if cs.s.draining() {
 		return errDraining
@@ -622,21 +643,9 @@ func (cs *clusterState) acceptReplicate(rep wire.Replicate) error {
 		return &wire.NackError{Code: wire.NackBadRequest,
 			Msg: fmt.Sprintf("replicate rows for %q carry %d responses, pool serves %d outcomes", id, rep.Outcomes, k)}
 	}
-	e := replayEntry{
-		start: int64(rep.Start),
-		rows:  rep.Rows,
-		xs:    make([]float64, rep.Rows*cs.s.spec.Dim),
-		ys:    make([]float64, rep.Rows*rep.Outcomes),
-	}
-	if err := rep.DecodeRows(e.xs, e.ys); err != nil {
-		return err
-	}
+	e := replayEntry{start: int64(rep.Start), rows: rep.RowBlock.Clone()}
 	cs.replayMu.Lock()
-	entries := append(cs.replay[id], e)
-	if len(entries) > maxReplayEntries {
-		entries = entries[len(entries)-maxReplayEntries:]
-	}
-	cs.replay[id] = entries
+	cs.replay[id] = appendReplay(cs.replay[id], e)
 	cs.replayMu.Unlock()
 	cs.s.pool.MarkStandby(id)
 	cs.s.met.addReplicateBuffered()

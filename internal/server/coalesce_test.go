@@ -143,8 +143,9 @@ func TestGroupCommitCoalescesAcrossLayouts(t *testing.T) {
 			}
 			for i, w := range want {
 				e := got[i]
-				if e.start != int64(w.start) || e.rows != tc.reqs[i].rows || !sameBits(e.xs, w.xs) || !sameBits(e.ys, w.ys) {
-					t.Fatalf("replicated batch %d: start %d rows %d, want start %d rows %d with the request's own rows", i, e.start, e.rows, w.start, tc.reqs[i].rows)
+				xs, ys := make([]float64, len(w.xs)), make([]float64, len(w.ys))
+				if e.start != int64(w.start) || e.rows.Rows != tc.reqs[i].rows || e.rows.DecodeRows(xs, ys) != nil || !sameBits(xs, w.xs) || !sameBits(ys, w.ys) {
+					t.Fatalf("replicated batch %d: start %d rows %d, want start %d rows %d with the request's own rows", i, e.start, e.rows.Rows, w.start, tc.reqs[i].rows)
 				}
 			}
 		})

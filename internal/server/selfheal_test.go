@@ -128,7 +128,7 @@ func TestClusterSelfHealingConcurrentPromotion(t *testing.T) {
 			moved = append(moved, id)
 			for i := 0; i < horizon; i++ {
 				x, y := point(i, 4)
-				cs.replay[id] = append(cs.replay[id], replayEntry{start: int64(i), rows: 1, xs: x, ys: []float64{y}})
+				cs.replay[id] = append(cs.replay[id], bufferedBatch(t, int64(i), len(x), x, []float64{y}))
 			}
 		}
 	}

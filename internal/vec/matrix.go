@@ -19,6 +19,15 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
+// MatrixOver returns a rows x cols matrix whose storage is data (row-major,
+// rows·cols values), without copying: a view over a borrowed buffer.
+func MatrixOver(rows, cols int, data []float64) *Matrix {
+	if rows < 0 || cols < 0 || len(data) != rows*cols {
+		panic("vec: MatrixOver shape mismatch")
+	}
+	return &Matrix{rows: rows, cols: cols, data: data}
+}
+
 // NewMatrixFromRows builds a matrix whose rows are copies of the given vectors.
 // All rows must have the same dimension.
 func NewMatrixFromRows(rows []Vector) *Matrix {

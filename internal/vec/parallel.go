@@ -42,10 +42,29 @@ func parallelRows(rows int, work func(lo, hi int)) {
 	wg.Wait()
 }
 
-// mulVecRows computes dst[lo:hi] = (m * x)[lo:hi].
+// mulVecRows computes dst[lo:hi] = (m * x)[lo:hi]. Each destination is one
+// sum from zero over ascending columns; four rows run side by side, sharing
+// each x[j] load, which leaves every sum's order (and bits) unchanged.
 func (m *Matrix) mulVecRows(dst, x Vector, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
+	n := m.cols
+	x = x[:n]
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		r0 := m.data[i*n : (i+1)*n]
+		r1 := m.data[(i+1)*n : (i+2)*n]
+		r2 := m.data[(i+2)*n : (i+3)*n]
+		r3 := m.data[(i+3)*n : (i+4)*n]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < hi; i++ {
+		row := m.data[i*n : (i+1)*n]
 		var s float64
 		for j, v := range row {
 			s += v * x[j]

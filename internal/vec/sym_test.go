@@ -113,3 +113,86 @@ func BenchmarkSymMatrixAddScaledOuter(b *testing.B) {
 		a.AddScaledOuter(1, x)
 	}
 }
+
+// TestDenseProductMatchesPacked holds Matrix.MulVecTo over an unpacked
+// SymMatrix to the packed MulVecTo bit for bit, at row counts on both sides
+// of the four-row block and with zero and subnormal entries.
+func TestDenseProductMatchesPacked(t *testing.T) {
+	for _, d := range []int{1, 3, 4, 5, 32, 33} {
+		sym := NewSymMatrix(d)
+		for k, x := range symTestVectors(d, 9) {
+			x[k%d] = 0
+			x[(k+1)%d] = math.SmallestNonzeroFloat64
+			sym.AddScaledOuter(1, x)
+		}
+		dense := NewMatrix(d, d)
+		sym.ToDense(dense)
+		x := symTestVectors(d, 1)[0]
+		x[0] = math.Copysign(0, -1)
+		got, want := make(Vector, d), make(Vector, d)
+		dense.MulVecTo(got, x)
+		sym.MulVecTo(want, x)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("d=%d row %d: dense %v, packed %v", d, i, got[i], want[i])
+			}
+		}
+		// A positive matrix times −0 gives only −0 products; both sums start
+		// from +0, so every entry must come out +0.
+		pos := NewSymMatrix(d)
+		ones := NewVector(d)
+		ones.Fill(1)
+		pos.AddScaledOuter(1, ones)
+		pos.ToDense(dense)
+		negZero := make(Vector, d)
+		for i := range negZero {
+			negZero[i] = math.Copysign(0, -1)
+		}
+		dense.MulVecTo(got, negZero)
+		pos.MulVecTo(want, negZero)
+		for i := range want {
+			if math.Float64bits(got[i]) != 0 || math.Float64bits(want[i]) != 0 {
+				t.Fatalf("d=%d row %d: dense %v, packed %v, want +0", d, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// BenchmarkSymMatrixAddOuters folds 256 rows at d=32 per op through the
+// four-row kernel; ns/row is ns/op divided by 256.
+func BenchmarkSymMatrixAddOuters(b *testing.B) {
+	const d, rows = 32, 256
+	a := NewSymMatrix(d)
+	var xs []float64
+	for _, x := range symTestVectors(d, rows) {
+		xs = append(xs, x...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.AddOuters(xs)
+	}
+}
+
+// BenchmarkGramProduct compares the packed product with the dense product
+// over the unpacked matrix, at d=32.
+func BenchmarkGramProduct(b *testing.B) {
+	const d = 32
+	sym := NewSymMatrix(d)
+	for _, x := range symTestVectors(d, 8) {
+		sym.AddScaledOuter(1, x)
+	}
+	dense := NewMatrix(d, d)
+	sym.ToDense(dense)
+	x, dst := symTestVectors(d, 1)[0], make(Vector, d)
+	b.Run("packed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sym.MulVecTo(dst, x)
+		}
+	})
+	b.Run("dense", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dense.MulVecTo(dst, x)
+		}
+	})
+}

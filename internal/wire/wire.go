@@ -7,9 +7,12 @@
 // removes that ceiling: observations travel as length-prefixed, CRC-checked
 // frames of raw little-endian float64 rows, so the server-side decode is a
 // bounds check plus a bit-pattern copy straight into estimator-owned buffers
-// (no intermediate row-slice structures, no text parsing), and one connection
-// carries any number of streams (frames for different streams interleave
-// freely and coalesce in the server's group-commit ingester).
+// (no intermediate row-slice structures, no text parsing). On a
+// little-endian host that copy is literally one copy of the row region's
+// bytes, and the encode one append of the rows' memory (internal/codec's
+// AppendF64s and DecodeF64s; a big-endian host converts word by word). One
+// connection carries any number of streams (frames for different streams
+// interleave freely and coalesce in the server's group-commit ingester).
 //
 // # Framing
 //
@@ -44,6 +47,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
+
+	"privreg/internal/codec"
 )
 
 // Magic opens every Hello payload; it is what lets a server reject a stray
@@ -308,13 +314,7 @@ func (b *Builder) U64(v uint64) { b.buf = binary.LittleEndian.AppendUint64(b.buf
 
 // F64s appends a run of float64s with no length prefix (the frame header
 // carries the counts).
-func (b *Builder) F64s(vs []float64) {
-	// Appending bit patterns in a tight loop is the whole encode path: no
-	// reflection, no text, no per-element allocation.
-	for _, v := range vs {
-		b.buf = binary.LittleEndian.AppendUint64(b.buf, math.Float64bits(v))
-	}
-}
+func (b *Builder) F64s(vs []float64) { b.buf = codec.AppendF64s(b.buf, vs) }
 
 // Str16 appends a u16 length-prefixed string (stream IDs, error messages).
 func (b *Builder) Str16(s string) {
@@ -410,12 +410,8 @@ func (p *Payload) Str16() string { return string(p.Bytes16()) }
 // primitive: one bounds check, then a straight copy of len(dst) words with
 // no per-element error handling.
 func (p *Payload) F64sInto(dst []float64) {
-	b := p.take(8 * len(dst))
-	if b == nil {
-		return
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	if b := p.take(8 * len(dst)); b != nil {
+		codec.DecodeF64s(dst, b)
 	}
 }
 
@@ -537,13 +533,56 @@ type ObserveHeader struct {
 	From int64
 	// ID aliases the frame buffer (valid until the next read); the server
 	// interns it per connection rather than allocating a string per frame.
-	ID   []byte
+	ID []byte
+	RowBlock
+}
+
+// RowBlock is the row region of an Observe or Replicate frame: Rows×dim
+// covariates then Rows×Outcomes responses, as raw little-endian float64 bit
+// patterns. It aliases the frame buffer until Clone copies it out.
+type RowBlock struct {
 	Rows int
 	// Outcomes is the response-column count carried per row (k ≥ 1),
 	// inferred from the payload length.
 	Outcomes int
-	rows     []byte // raw little-endian row region: Rows×Dim xs then Rows×Outcomes ys
+	data     []byte
 	dim      int
+}
+
+// rowBlock reads the rest of the payload as the row region of rows rows of
+// dim covariates each. frame names the frame in errors.
+func (p *Payload) rowBlock(rows uint32, dim int, frame string) (RowBlock, error) {
+	// Bound rows by what the remaining payload could possibly hold before
+	// multiplying, so a hostile count cannot overflow the size check.
+	if rows == 0 || uint64(rows) > uint64(p.Remaining())/8 {
+		return RowBlock{}, fmt.Errorf("wire: %s row count %d inconsistent with %d payload bytes", frame, rows, p.Remaining())
+	}
+	k, err := rowOutcomes(p.Remaining(), int(rows), dim, frame)
+	if err != nil {
+		return RowBlock{}, err
+	}
+	return RowBlock{Rows: int(rows), Outcomes: k, data: p.take(p.Remaining()), dim: dim}, p.Finish()
+}
+
+// DecodeRows fills xs (Rows×dim values, row-major) and ys (Rows×Outcomes
+// values) straight from the frame's bit patterns: on a little-endian host a
+// copy of each region's bytes. The caller supplies the destination — in the
+// server that is the pooled flat buffer handed to the estimator, which is
+// what makes the ingest path copy-once end to end.
+func (b *RowBlock) DecodeRows(xs, ys []float64) error {
+	if len(xs) != b.Rows*b.dim || len(ys) != b.Rows*b.Outcomes {
+		return fmt.Errorf("wire: DecodeRows destination %d×%d does not match frame %d×%d", len(ys), len(xs), b.Rows*b.Outcomes, b.Rows*b.dim)
+	}
+	codec.DecodeF64s(xs, b.data[:8*len(xs)])
+	codec.DecodeF64s(ys, b.data[8*len(xs):])
+	return nil
+}
+
+// Clone returns a copy of the block that owns its bytes, so it outlives the
+// frame buffer it was parsed from.
+func (b RowBlock) Clone() RowBlock {
+	b.data = slices.Clone(b.data)
+	return b
 }
 
 // Forwarded reports whether a peer's proxy relayed this request.
@@ -600,20 +639,9 @@ func ParseObserveHeader(payload []byte, dim int) (ObserveHeader, error) {
 	if len(h.ID) == 0 || len(h.ID) > maxIDLen {
 		return h, fmt.Errorf("wire: observe stream id length %d outside [1,%d]", len(h.ID), maxIDLen)
 	}
-	// Bound rows by what the remaining payload could possibly hold before
-	// multiplying, so a hostile count cannot overflow the size check.
-	if rows == 0 || uint64(rows) > uint64(p.Remaining())/8 {
-		return h, fmt.Errorf("wire: observe row count %d inconsistent with %d payload bytes", rows, p.Remaining())
-	}
-	h.Rows = int(rows)
-	h.dim = dim
-	k, err := rowOutcomes(p.Remaining(), h.Rows, dim, "observe")
-	if err != nil {
-		return h, err
-	}
-	h.Outcomes = k
-	h.rows = p.take(p.Remaining())
-	return h, p.Finish()
+	var err error
+	h.RowBlock, err = p.rowBlock(rows, dim, "observe")
+	return h, err
 }
 
 // rowOutcomes infers the outcome-column count of a row region: the payload
@@ -630,24 +658,6 @@ func rowOutcomes(remaining, rows, dim int, frame string) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("wire: %s frame carries %d row bytes, want %d rows × (dim %d + k responses) for some k in [1,%d]", frame, remaining, rows, dim, maxOutcomes)
-}
-
-// DecodeRows fills xs (Rows×dim values, row-major) and ys (Rows×Outcomes
-// values) straight from the frame's bit patterns. The caller supplies the
-// destination — in the server that is the pooled flat buffer handed to the
-// estimator, which is what makes the ingest path copy-once end to end.
-func (h *ObserveHeader) DecodeRows(xs, ys []float64) error {
-	if len(xs) != h.Rows*h.dim || len(ys) != h.Rows*h.Outcomes {
-		return fmt.Errorf("wire: DecodeRows destination %d×%d does not match frame %d×%d", len(ys), len(xs), h.Rows*h.Outcomes, h.Rows*h.dim)
-	}
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(h.rows[8*i:]))
-	}
-	off := 8 * len(xs)
-	for i := range ys {
-		ys[i] = math.Float64frombits(binary.LittleEndian.Uint64(h.rows[off+8*i:]))
-	}
-	return nil
 }
 
 // EstimateReq is an Estimate frame: a request ID, flags, a stream, and the
@@ -1103,12 +1113,7 @@ type Replicate struct {
 	RingV uint64 // sender's ring version; stale senders are rejected
 	Start uint64 // stream length before this batch
 	ID    []byte // aliases the frame buffer
-	Rows  int
-	// Outcomes is the response-column count per row, inferred from the
-	// payload length exactly like ObserveHeader.Outcomes.
-	Outcomes int
-	rows     []byte
-	dim      int
+	RowBlock
 }
 
 // AppendReplicate appends a Replicate frame; xs is Rows×dim values
@@ -1146,33 +1151,7 @@ func ParseReplicate(payload []byte, dim int) (Replicate, error) {
 	if len(r.ID) == 0 || len(r.ID) > maxIDLen {
 		return r, fmt.Errorf("wire: replicate stream id length %d outside [1,%d]", len(r.ID), maxIDLen)
 	}
-	if rows == 0 || uint64(rows) > uint64(p.Remaining())/8 {
-		return r, fmt.Errorf("wire: replicate row count %d inconsistent with %d payload bytes", rows, p.Remaining())
-	}
-	r.Rows = int(rows)
-	r.dim = dim
-	k, err := rowOutcomes(p.Remaining(), r.Rows, dim, "replicate")
-	if err != nil {
-		return r, err
-	}
-	r.Outcomes = k
-	r.rows = p.take(p.Remaining())
-	return r, p.Finish()
-}
-
-// DecodeRows fills xs (Rows×dim values, row-major) and ys (Rows×Outcomes
-// values) from the frame's bit patterns, exactly like
-// ObserveHeader.DecodeRows.
-func (r *Replicate) DecodeRows(xs, ys []float64) error {
-	if len(xs) != r.Rows*r.dim || len(ys) != r.Rows*r.Outcomes {
-		return fmt.Errorf("wire: DecodeRows destination %d×%d does not match frame %d×%d", len(ys), len(xs), r.Rows*r.Outcomes, r.Rows*r.dim)
-	}
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.rows[8*i:]))
-	}
-	off := 8 * len(xs)
-	for i := range ys {
-		ys[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.rows[off+8*i:]))
-	}
-	return nil
+	var err error
+	r.RowBlock, err = p.rowBlock(rows, dim, "replicate")
+	return r, err
 }

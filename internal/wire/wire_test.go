@@ -305,3 +305,71 @@ func TestReaderReusesBuffer(t *testing.T) {
 		t.Fatalf("Reader.Next allocates %.1f per frame; want 0", allocs)
 	}
 }
+
+// TestRowsRoundTripSpecialBits runs NaN payloads, signed zeros, subnormals
+// and infinities through an Observe and a Replicate frame and through
+// Builder.F64s/Payload.F64sInto, requiring every bit back.
+func TestRowsRoundTripSpecialBits(t *testing.T) {
+	vals := []float64{
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff0000000000abc),
+		math.Float64frombits(0xfff8dead0000beef), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.Float64frombits(0x000fffffffffffff),
+		math.Inf(1), math.Inf(-1), 1.5, -2.25, math.MaxFloat64,
+	}
+	const dim = 3
+	xs, ys := vals[:9], vals[9:] // 3 rows of 3 covariates, one response each
+	same := func(label string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d]: got %x, want %x", label, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+	var b Builder
+	AppendObserve(&b, 1, 0, "s", -1, dim, xs, ys)
+	AppendReplicate(&b, 2, 1, "s", 0, dim, xs, ys)
+	b.Begin(FrameEstimateAck)
+	b.F64s(vals)
+	b.Finish()
+	frames := b.Bytes()
+	next := func() []byte {
+		t.Helper()
+		_, payload, n, err := DecodeFrame(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = frames[n:]
+		return payload
+	}
+	gx, gy := make([]float64, len(xs)), make([]float64, len(ys))
+	oh, err := ParseObserveHeader(next(), dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := oh.DecodeRows(gx, gy); err != nil {
+		t.Fatal(err)
+	}
+	same("observe xs", gx, xs)
+	same("observe ys", gy, ys)
+	rep, err := ParseReplicate(next(), dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := rep.RowBlock.Clone()
+	clear(rep.data) // the clone must not alias the frame buffer
+	clear(gx)
+	clear(gy)
+	if err := kept.DecodeRows(gx, gy); err != nil {
+		t.Fatal(err)
+	}
+	same("replicate xs", gx, xs)
+	same("replicate ys", gy, ys)
+	p := NewPayload(next())
+	got := make([]float64, len(vals))
+	p.F64sInto(got)
+	if err := p.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	same("payload", got, vals)
+}

@@ -427,7 +427,7 @@ func ExcessRisk(cons Constraint, xs [][]float64, ys []float64, estimate []float6
 	}
 	stats := erm.NewMultiStats(d, 1)
 	for i, x := range xs {
-		stats.Add(vec.Vector(x), ys[i:i+1])
+		stats.AddRows(x, ys[i:i+1])
 	}
 	exact := erm.ExactStats(nil, stats, cons.set, 0)
 	excess := stats.Risk(vec.Vector(estimate), 0) - stats.Risk(exact, 0)
